@@ -8,7 +8,7 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use fedca_compress::quantize_det;
 use fedca_compress::wire::{self, Payload, UpdateMessage};
 use fedca_core::client::ClientRoundReport;
-use fedca_core::params::{ModelLayout, UpdateVec};
+use fedca_core::params::ModelLayout;
 use fedca_core::server::Server;
 use fedca_nn::model::ParamSpan;
 use fedca_tensor::dataplane;
@@ -117,17 +117,14 @@ fn bench_ingest(c: &mut Criterion) {
     let reports: Vec<ClientRoundReport> = (0..clients)
         .map(|i| {
             let x = values(params, 100 + i as u64);
-            let payload = Payload::Quantized(quantize_det(&x, 8));
-            let update = payload.to_dense();
             let msg = UpdateMessage {
                 round: 0,
                 client: i as u32,
-                layers: vec![(0, payload)],
+                layers: vec![(0, Payload::Quantized(quantize_det(&x, 8)))],
             };
             ClientRoundReport {
                 client_id: i,
                 weight: 1.0,
-                update: UpdateVec::from_vec(layout.clone(), update),
                 wire_update: Some(wire::encode(&msg)),
                 iters_done: 3,
                 early_stopped: false,

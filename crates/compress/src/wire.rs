@@ -8,7 +8,7 @@
 
 use crate::quantize::QuantizedVec;
 use crate::sparsify::SparseVec;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes, BytesMut};
 use fedca_tensor::dataplane;
 
 /// Message magic ("FC").
@@ -176,85 +176,6 @@ fn put_payload(buf: &mut BytesMut, p: &Payload) {
     }
 }
 
-fn get_payload(buf: &mut Bytes) -> Result<Payload, WireError> {
-    if buf.remaining() < 1 {
-        return Err(WireError::Truncated);
-    }
-    match buf.get_u8() {
-        0 => {
-            if buf.remaining() < 4 {
-                return Err(WireError::Truncated);
-            }
-            let n = buf.get_u32_le() as usize;
-            if buf.remaining() < 4 * n {
-                return Err(WireError::Truncated);
-            }
-            let v = (0..n).map(|_| buf.get_f32_le()).collect();
-            Ok(Payload::Dense(v))
-        }
-        1 => {
-            if buf.remaining() < 2 + 4 + 4 {
-                return Err(WireError::Truncated);
-            }
-            let bits = buf.get_u8();
-            if !(1..=8).contains(&bits) {
-                return Err(WireError::Malformed("quantization bits"));
-            }
-            let num_levels = buf.get_u8();
-            let scale = buf.get_f32_le();
-            let n = buf.get_u32_le() as usize;
-            let width = (bits + 1).min(8) as u32;
-            let packed_len = ((n as u64 * width as u64).div_ceil(8)) as usize;
-            if buf.remaining() < packed_len {
-                return Err(WireError::Truncated);
-            }
-            // Offset-binary: stored value = level + num_levels. The
-            // dispatched kernel widens the whole packed run at once.
-            let mut levels = vec![0i8; n];
-            dataplane::unpack_levels(&buf.chunk()[..packed_len], num_levels, width, &mut levels);
-            buf.advance(packed_len);
-            Ok(Payload::Quantized(QuantizedVec {
-                bits,
-                scale,
-                levels,
-                num_levels,
-            }))
-        }
-        2 => {
-            if buf.remaining() < 8 {
-                return Err(WireError::Truncated);
-            }
-            let len = buf.get_u32_le() as usize;
-            let k = buf.get_u32_le() as usize;
-            if buf.remaining() < 8 * k {
-                return Err(WireError::Truncated);
-            }
-            let indices: Vec<u32> = (0..k).map(|_| buf.get_u32_le()).collect();
-            let values: Vec<f32> = (0..k).map(|_| buf.get_f32_le()).collect();
-            if indices.iter().any(|&i| i as usize >= len) {
-                return Err(WireError::Malformed("sparse index out of range"));
-            }
-            Ok(Payload::Sparse(SparseVec {
-                len,
-                indices,
-                values,
-            }))
-        }
-        3 => {
-            if buf.remaining() < 4 {
-                return Err(WireError::Truncated);
-            }
-            let n = buf.get_u32_le() as usize;
-            if buf.remaining() < 2 * n {
-                return Err(WireError::Truncated);
-            }
-            let v = (0..n).map(|_| buf.get_u16_le()).collect();
-            Ok(Payload::F16(v))
-        }
-        _ => Err(WireError::Malformed("payload tag")),
-    }
-}
-
 /// Encodes a message to bytes.
 pub fn encode(msg: &UpdateMessage) -> Bytes {
     let mut buf = BytesMut::with_capacity(64);
@@ -270,32 +191,18 @@ pub fn encode(msg: &UpdateMessage) -> Bytes {
     buf.freeze()
 }
 
-/// Decodes a message from bytes.
+/// Decodes a message from bytes into owned payloads: a loop over
+/// [`MessageReader`], so validation and bounds checks live in one parser.
 pub fn decode(bytes: &Bytes) -> Result<UpdateMessage, WireError> {
-    let mut buf = bytes.clone();
-    if buf.remaining() < 2 + 1 + 4 + 4 + 4 {
-        return Err(WireError::Truncated);
-    }
-    if buf.get_u16_le() != MAGIC {
-        return Err(WireError::Malformed("magic"));
-    }
-    if buf.get_u8() != VERSION {
-        return Err(WireError::Malformed("version"));
-    }
-    let round = buf.get_u32_le();
-    let client = buf.get_u32_le();
-    let n_layers = buf.get_u32_le() as usize;
-    let mut layers = Vec::with_capacity(n_layers.min(4096));
-    for _ in 0..n_layers {
-        if buf.remaining() < 4 {
-            return Err(WireError::Truncated);
-        }
-        let id = buf.get_u32_le();
-        layers.push((id, get_payload(&mut buf)?));
+    let mut reader = MessageReader::new(bytes.as_ref())?;
+    let mut layers = Vec::with_capacity(reader.n_layers().min(4096));
+    while let Some(layer) = reader.next_layer() {
+        let (id, view) = layer?;
+        layers.push((id, view.to_payload()));
     }
     Ok(UpdateMessage {
-        round,
-        client,
+        round: reader.round(),
+        client: reader.client(),
         layers,
     })
 }
@@ -308,9 +215,8 @@ pub fn decode(bytes: &Bytes) -> Result<UpdateMessage, WireError> {
 // ingest path only needs to (a) memcpy dense values into a pooled slot and
 // (b) remember where the packed quantized run lives so the round-close fold
 // can feed it straight into the fused dequantize-accumulate kernel. The
-// reader below parses the same wire format into `&[u8]` views without
-// allocating, with the same validation and error classification as
-// `get_payload`.
+// reader below parses the wire format into `&[u8]` views without allocating;
+// it is the format's only parser (`decode` is a loop over it).
 // ---------------------------------------------------------------------------
 
 /// A borrowed view of one layer payload inside an encoded message buffer.
@@ -368,6 +274,52 @@ impl PayloadView<'_> {
     /// Whether the payload decodes to an empty vector.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// Copies the view into an owned [`Payload`].
+    pub fn to_payload(&self) -> Payload {
+        let u32_at = |c: &[u8]| u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
+        match *self {
+            PayloadView::Dense { data } => Payload::Dense(
+                data.chunks_exact(4)
+                    .map(|c| f32::from_bits(u32_at(c)))
+                    .collect(),
+            ),
+            PayloadView::Quantized {
+                bits,
+                num_levels,
+                scale,
+                n,
+                packed,
+            } => {
+                let mut levels = vec![0i8; n];
+                let width = (bits + 1).min(8) as u32;
+                dataplane::unpack_levels(packed, num_levels, width, &mut levels);
+                Payload::Quantized(QuantizedVec {
+                    bits,
+                    scale,
+                    levels,
+                    num_levels,
+                })
+            }
+            PayloadView::Sparse {
+                len,
+                indices,
+                values,
+            } => Payload::Sparse(SparseVec {
+                len,
+                indices: indices.chunks_exact(4).map(u32_at).collect(),
+                values: values
+                    .chunks_exact(4)
+                    .map(|c| f32::from_bits(u32_at(c)))
+                    .collect(),
+            }),
+            PayloadView::F16 { data } => Payload::F16(
+                data.chunks_exact(2)
+                    .map(|c| u16::from_le_bytes([c[0], c[1]]))
+                    .collect(),
+            ),
+        }
     }
 
     /// Decodes into a caller-provided buffer, bit-identical to
@@ -437,10 +389,10 @@ pub fn subslice_offset(whole: &[u8], part: &[u8]) -> usize {
 /// Streaming zero-copy parser over one encoded [`UpdateMessage`].
 ///
 /// Validates the header eagerly, then yields `(layer id, PayloadView)`
-/// entries on demand. Performs the same structural validation as [`decode`]
-/// (magic, version, bits range, sparse index bounds, truncation) and, like
-/// `decode`, ignores any bytes after the last declared layer — which is what
-/// lets callers walk concatenated messages via [`MessageReader::consumed`].
+/// entries on demand. Validates structure (magic, version, bits range, sparse
+/// index bounds, truncation) and ignores any bytes after the last declared
+/// layer — which is what lets callers walk concatenated messages via
+/// [`MessageReader::consumed`].
 pub struct MessageReader<'a> {
     buf: &'a [u8],
     pos: usize,

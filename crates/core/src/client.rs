@@ -89,16 +89,12 @@ pub struct ClientRoundReport {
     pub client_id: usize,
     /// Aggregation weight (local shard size).
     pub weight: f64,
-    /// The update the server ends up holding for this client (eager
-    /// snapshots where accepted, final values elsewhere).
-    pub update: UpdateVec,
-    /// The same update as encoded wire bytes: the final `UpdateMessage`
-    /// (non-eager layers under the configured compression) followed by a
-    /// dense sidecar message carrying the eager-accepted snapshots, walkable
-    /// with [`wire::MessageReader`]. Decoding it reproduces [`update`]
-    /// (Self::update) bit for bit — the server's ingest-time decode path
-    /// consumes these bytes instead of the dense vector. `None` when no
-    /// intact upload exists (dropped, crashed, or corrupted in flight).
+    /// The update as the bytes that crossed the wire — its only form: the
+    /// final `UpdateMessage` (non-eager layers under the configured
+    /// compression) followed by a dense sidecar message carrying the
+    /// eager-accepted snapshots, walkable with [`wire::MessageReader`].
+    /// Together the messages tile the layout exactly; the server decodes
+    /// them at ingest. `None` when nothing was sent (dropped or crashed).
     pub wire_update: Option<bytes::Bytes>,
     /// Iterations actually executed.
     pub iters_done: usize,
@@ -447,7 +443,6 @@ pub fn run_client_round(
     let retransmit_enabled = fedca.is_some_and(|o| o.retransmit);
     let t_r = fedca.map(|o| o.config.retransmit_threshold).unwrap_or(0.6);
     let mut eager_outcomes = Vec::with_capacity(layout.num_layers());
-    let mut reported = final_update.clone();
     let mut final_payload_bytes = 0.0f64;
     for l in 0..layout.num_layers() {
         let outcome = if retransmit_enabled {
@@ -462,94 +457,91 @@ pub fn run_client_round(
         } else {
             LayerOutcome::Regular
         };
-        match &outcome {
-            LayerOutcome::Eager { .. } => {
-                // Server keeps the snapshot it already received.
-                let snap = eager_state.snapshot(l).expect("sent layer has snapshot");
-                reported.layer_mut(l).copy_from_slice(snap);
-            }
-            LayerOutcome::Regular | LayerOutcome::Retransmitted { .. } => {
-                final_payload_bytes += workload.wire_bytes_for(layout.layer_len(l), total_params);
-            }
+        if !matches!(outcome, LayerOutcome::Eager { .. }) {
+            final_payload_bytes += workload.wire_bytes_for(layout.layer_len(l), total_params);
         }
         eager_outcomes.push(outcome);
     }
     // --- Final upload serialization. The non-eager layers are framed into
-    // an `UpdateMessage`, pushed through the `compress::wire` codec, and
-    // decoded back: what the server aggregates is exactly what the wire
-    // carried. Under `Compression::None` the dense round trip is bit-exact
-    // and the priced bytes are untouched; lossy schemes (§2.2 baselines,
-    // one scale per layer as QSGD does per tensor) compose with early
-    // stopping *and* eager transmission — error feedback absorbs both the
-    // quantization error and the eager snapshots' staleness, replaying the
-    // residual into the next participation's upload.
+    // an `UpdateMessage` and pushed through the `compress::wire` codec; the
+    // encoded bytes are the report's only form of the update, so what the
+    // server aggregates is exactly what the wire carried. Lossy schemes
+    // (§2.2 baselines, one scale per layer as QSGD does per tensor) compose
+    // with early stopping *and* eager transmission — error feedback absorbs
+    // both the quantization error and the eager snapshots' staleness,
+    // replaying the residual into the next participation's upload.
+    let corrupted = faults.corrupt_update && !dropped && !crashed;
     let mut wire_update: Option<bytes::Bytes> = None;
     if !dropped && !crashed {
         let compressing = fl.compression != Compression::None;
-        let mut compensated = final_update.as_slice().to_vec();
-        if compressing {
+        let mut compensated = Vec::new();
+        let to_send: &[f32] = if compressing {
+            compensated.extend_from_slice(final_update.as_slice());
             state.error_feedback.apply(&mut compensated);
-        }
+            &compensated
+        } else {
+            final_update.as_slice()
+        };
         let mut msg = wire::UpdateMessage {
             round: plan.round as u32,
             client: state.id as u32,
             layers: Vec::new(),
         };
+        // Eager-accepted layers never travel in the final message (the
+        // server already holds their snapshots), so the wire form of the
+        // *complete* update appends a dense sidecar message carrying them:
+        // concatenated `UpdateMessage`s tile the full layout. The sidecar is
+        // server-side bookkeeping, not a retransmission — it contributes no
+        // priced wire bytes.
+        let mut sidecar = wire::UpdateMessage {
+            round: msg.round,
+            client: msg.client,
+            layers: Vec::new(),
+        };
         for (l, outcome) in eager_outcomes.iter().enumerate() {
             if matches!(outcome, LayerOutcome::Eager { .. }) {
-                continue; // already on the server; not part of the final message
+                let snap = eager_state.snapshot(l).expect("sent layer has snapshot");
+                sidecar
+                    .layers
+                    .push((l as u32, wire::Payload::Dense(snap.to_vec())));
+            } else {
+                let payload = fl
+                    .compression
+                    .compress(&to_send[layout.range(l)], &mut qrng);
+                msg.layers.push((l as u32, payload));
             }
-            let r = layout.range(l);
-            msg.layers.push((
-                l as u32,
-                fl.compression.compress(&compensated[r], &mut qrng),
-            ));
         }
         let encoded = wire::encode(&msg);
         debug_assert_eq!(encoded.len(), wire::message_wire_len(&msg));
         let dense_len = wire::dense_message_wire_len(&msg);
-        let decoded = wire::decode(&encoded).expect("self-encoded message decodes");
-        for (id, payload) in &decoded.layers {
-            reported
-                .layer_mut(*id as usize)
-                .copy_from_slice(&payload.to_dense());
-        }
         wire_bytes_uploaded += encoded.len() as f64;
         wire_bytes_dense += dense_len as f64;
         if compressing {
             // Residual = what we meant to send − what the server now holds
-            // (quantization error on final layers, staleness on eager ones).
-            state
-                .error_feedback
-                .absorb(&compensated, reported.as_slice());
+            // (quantization error on final layers, staleness on eager
+            // ones), dequantized once into the arena scratch.
+            for (l, payload) in msg.layers.iter().chain(&sidecar.layers) {
+                flat[layout.range(*l as usize)].copy_from_slice(&payload.to_dense());
+            }
+            state.error_feedback.absorb(&compensated, flat);
             // Re-price the final payload at the exact encoded/dense ratio
             // (the wire model scales with the workload's nominal size).
             final_payload_bytes *= encoded.len() as f64 / dense_len as f64;
         }
-        // Eager-accepted layers never travel in the final message (the
-        // server already holds their snapshots), so the wire form of the
-        // *complete* update appends a dense sidecar message carrying them:
-        // concatenated `UpdateMessage`s tile the full layout, and the
-        // server's ingest decode reproduces `reported` bit for bit (dense
-        // f32 ↔ LE bytes is exact). The sidecar is server-side bookkeeping,
-        // not a retransmission — it contributes no priced wire bytes.
-        let eager_layers: Vec<u32> = eager_outcomes
-            .iter()
-            .enumerate()
-            .filter(|(_, o)| matches!(o, LayerOutcome::Eager { .. }))
-            .map(|(l, _)| l as u32)
-            .collect();
-        wire_update = Some(if eager_layers.is_empty() {
+        wire_update = Some(if corrupted {
+            // Injected in-flight corruption: the bytes the server receives
+            // decode to NaN (the upload itself still arrives on time); the
+            // server's ingest must reject them.
+            msg.layers = (0..layout.num_layers())
+                .map(|l| {
+                    let nan = vec![f32::NAN; layout.layer_len(l)];
+                    (l as u32, wire::Payload::Dense(nan))
+                })
+                .collect();
+            wire::encode(&msg)
+        } else if sidecar.layers.is_empty() {
             encoded
         } else {
-            let sidecar = wire::UpdateMessage {
-                round: plan.round as u32,
-                client: state.id as u32,
-                layers: eager_layers
-                    .into_iter()
-                    .map(|l| (l, wire::Payload::Dense(reported.layer(l as usize).to_vec())))
-                    .collect(),
-            };
             let sidecar_bytes = wire::encode(&sidecar);
             use bytes::BufMut;
             let mut joined = bytes::BytesMut::with_capacity(encoded.len() + sidecar_bytes.len());
@@ -557,19 +549,6 @@ pub fn run_client_round(
             joined.put_slice(sidecar_bytes.as_ref());
             joined.freeze()
         });
-    }
-
-    // --- Injected in-flight corruption: the payload the server receives is
-    // NaN-poisoned (the upload itself still arrives on time); the server's
-    // non-finite aggregation guard must reject it.
-    let corrupted = faults.corrupt_update && !dropped && !crashed;
-    if corrupted {
-        for v in reported.as_mut_slice() {
-            *v = f32::NAN;
-        }
-        // The wire bytes no longer describe the (poisoned) update; the
-        // server's rejection path judges the dense vector directly.
-        wire_update = None;
     }
 
     let upload_done = if dropped || crashed {
@@ -619,16 +598,9 @@ pub fn run_client_round(
         }
     };
 
-    debug_assert!(
-        corrupted || reported.as_slice().iter().all(|v| v.is_finite()),
-        "client {} produced a non-finite update",
-        state.id
-    );
-
     ClientRoundReport {
         client_id: state.id,
         weight: state.shard.len() as f64,
-        update: reported,
         wire_update,
         iters_done,
         early_stopped,
@@ -675,6 +647,22 @@ mod tests {
         }
     }
 
+    /// What the server would decode from the report's wire bytes.
+    fn decoded_update(report: &ClientRoundReport, layout: &ModelLayout) -> Vec<f32> {
+        let buf = report.wire_update.as_ref().expect("upload sent");
+        let mut dense = vec![0.0f32; layout.total_params()];
+        let mut pos = 0;
+        while pos < buf.len() {
+            let mut reader = wire::MessageReader::new(&buf.as_ref()[pos..]).expect("header");
+            while let Some(layer) = reader.next_layer() {
+                let (l, view) = layer.expect("layer parses");
+                view.decode_into(&mut dense[layout.range(l as usize)]);
+            }
+            pos += reader.consumed();
+        }
+        dense
+    }
+
     fn base_plan(k: usize) -> RoundPlan {
         RoundPlan {
             round: 0,
@@ -712,7 +700,8 @@ mod tests {
         );
         assert_eq!(report.iters_done, 10);
         assert!(!report.early_stopped);
-        assert!(report.update.l2_norm() > 0.0, "no learning happened");
+        let update = decoded_update(&report, &layout);
+        assert!(fedca_tensor::l2_norm(&update) > 0.0, "no learning happened");
         assert!(report.train_loss.is_finite());
         // Timing: download then compute then upload, in order.
         assert!(report.download_done > 0.0);
@@ -751,9 +740,10 @@ mod tests {
             &base_plan(5),
         );
         let local = arena.model.flat_params();
+        let update = decoded_update(&report, &layout);
         for i in 0..local.len() {
             assert!(
-                (report.update.as_slice()[i] - (local[i] - global[i])).abs() < 1e-6,
+                (update[i] - (local[i] - global[i])).abs() < 1e-6,
                 "update[{i}] inconsistent"
             );
         }
@@ -881,6 +871,10 @@ mod tests {
         assert!(!report.dropped);
         assert_eq!(report.iters_done, 3, "crash at iter 4 runs exactly 3");
         assert_eq!(report.upload_done, f64::INFINITY);
+        assert!(
+            report.wire_update.is_none(),
+            "a crashed client sends nothing"
+        );
     }
 
     #[test]
@@ -954,6 +948,13 @@ mod tests {
             "a lost result is not a crash"
         );
         assert_eq!(lost.iters_done, 5, "the work itself completed");
+        // In-flight corruption arrives on time, as bytes that decode to NaN.
+        let mut corrupt_faults = ClientFaults::none();
+        corrupt_faults.corrupt_update = true;
+        let corrupt = run_with(corrupt_faults);
+        assert_eq!(corrupt.upload_done, clean.upload_done);
+        let layout = ModelLayout::from_spans((w.model_factory)().spans());
+        assert!(decoded_update(&corrupt, &layout).iter().all(|v| v.is_nan()));
         // Degraded bandwidth stretches both download and upload.
         let mut slow_faults = ClientFaults::none();
         slow_faults.bandwidth_factor = 0.5;
@@ -1036,7 +1037,7 @@ mod tests {
                 prox_mu: mu,
                 fedca: None,
             };
-            run_client_round(
+            let report = run_client_round(
                 &mut client,
                 &mut arena,
                 &layout,
@@ -1046,9 +1047,8 @@ mod tests {
                 &fl,
                 &opts,
                 &base_plan(30),
-            )
-            .update
-            .l2_norm()
+            );
+            fedca_tensor::l2_norm(&decoded_update(&report, &layout))
         };
         let plain = norm_for(0.0);
         let prox = norm_for(1.0); // heavy μ to make the effect unambiguous

@@ -52,9 +52,6 @@ struct ArenaSlot {
     dense: Vec<f32>,
     /// Segment map covering the full layout exactly (validated at decode).
     segs: Vec<Seg>,
-    /// Whether this ordinal's report was decoded from wire bytes (false ⇒
-    /// the fold falls back to the report's dense vector).
-    has_wire: bool,
 }
 
 /// Pooled per-ordinal decode scratch, owned by the [`Server`] between
@@ -68,9 +65,6 @@ pub struct UpdateArena {
     /// Round-close fold accumulator (the weighted-mean delta).
     fold: Vec<f32>,
     total_params: usize,
-    /// False for standalone (shard-local bookkeeping) aggregators, which
-    /// never decode or fold.
-    enabled: bool,
 }
 
 impl UpdateArena {
@@ -78,13 +72,11 @@ impl UpdateArena {
     /// of `total_params` scalars. Grows pools as needed; steady-state calls
     /// are allocation-free.
     fn reset(&mut self, n_selected: usize, total_params: usize) {
-        self.enabled = true;
         self.total_params = total_params;
         if self.slots.len() < n_selected {
             self.slots.resize_with(n_selected, ArenaSlot::default);
         }
         for slot in &mut self.slots[..n_selected] {
-            slot.has_wire = false;
             slot.segs.clear();
             if slot.dense.len() != total_params {
                 slot.dense.resize(total_params, 0.0);
@@ -97,10 +89,11 @@ impl UpdateArena {
 
     /// Decodes a client's concatenated wire messages into slot `ord`:
     /// dense-representable payloads land in the staging vector, quantized
-    /// runs are recorded as packed byte spans. Fails (leaving the slot
-    /// unused — the caller falls back to the dense vector) when the bytes
-    /// are structurally invalid or the segments do not tile the layout
-    /// exactly.
+    /// runs are recorded as packed byte spans. Fails — the caller rejects
+    /// the upload — when the bytes are structurally invalid, the segments
+    /// do not tile the layout exactly, or anything would decode non-finite:
+    /// a dense value, or a quantized scale (levels are bounded, so the
+    /// dequantized values are finite exactly when the scale is).
     fn decode_slot(&mut self, ord: usize, buf: &[u8], layout: &ModelLayout) -> Result<(), ()> {
         let total = self.total_params;
         let slot = &mut self.slots[ord];
@@ -127,6 +120,9 @@ impl UpdateArena {
                         n,
                         packed,
                     } if scale != 0.0 && n > 0 => {
+                        if !scale.is_finite() {
+                            return Err(());
+                        }
                         slot.segs.push(Seg::Quant {
                             range,
                             scale,
@@ -138,6 +134,9 @@ impl UpdateArena {
                     }
                     _ => {
                         view.decode_into(&mut slot.dense[range.clone()]);
+                        if !dataplane::all_finite(&slot.dense[range.clone()]) {
+                            return Err(());
+                        }
                         slot.segs.push(Seg::Dense { range });
                     }
                 }
@@ -166,18 +165,6 @@ impl UpdateArena {
             return Err(());
         }
         Ok(())
-    }
-
-    /// Whether slot `ord`'s decoded update would poison the fold: a
-    /// non-finite value in any dense segment, or a non-finite scale on a
-    /// quantized one (levels are bounded, so the dequantized values are
-    /// finite exactly when the scale is).
-    fn slot_has_non_finite(&self, ord: usize) -> bool {
-        let slot = &self.slots[ord];
-        slot.segs.iter().any(|seg| match seg {
-            Seg::Dense { range } => !dataplane::all_finite(&slot.dense[range.clone()]),
-            Seg::Quant { scale, .. } => !scale.is_finite(),
-        })
     }
 }
 
@@ -325,6 +312,7 @@ impl Server {
         arena.reset(n_selected, self.global.layout().total_params());
         StreamingAggregator {
             round_start,
+            layout: Arc::clone(self.global.layout()),
             cut: ArrivalCut::with_capacity(self.aggregation_fraction, n_selected),
             reports: (0..n_selected).map(|_| None).collect(),
             fallback_completion: None,
@@ -367,6 +355,7 @@ impl Server {
 /// result is bit-identical to the batch path regardless of ingestion order.
 pub struct StreamingAggregator {
     round_start: SimTime,
+    layout: Arc<ModelLayout>,
     cut: ArrivalCut,
     reports: Vec<Option<ClientRoundReport>>,
     fallback_completion: Option<SimTime>,
@@ -376,83 +365,38 @@ pub struct StreamingAggregator {
 }
 
 impl StreamingAggregator {
-    /// An aggregator detached from any [`Server`] — the level-1 stage of
-    /// hierarchical aggregation. A shard process tracks its local cohort's
-    /// arrivals and cut with one of these (purely for bookkeeping and
-    /// observability); the actual fold happens only at the root, which
-    /// [closes](Self::close) its own server-made aggregator over all
-    /// reports in global ordinal order, keeping the result bit-identical
-    /// for any topology.
-    pub fn standalone(
-        round_start: SimTime,
-        n_selected: usize,
-        aggregation_fraction: f64,
-    ) -> StreamingAggregator {
-        assert!(n_selected > 0, "no clients selected");
-        StreamingAggregator {
-            round_start,
-            cut: ArrivalCut::with_capacity(aggregation_fraction, n_selected),
-            reports: (0..n_selected).map(|_| None).collect(),
-            fallback_completion: None,
-            n_rejected: 0,
-            arena: UpdateArena::default(),
-            decode_host_us: 0.0,
-        }
-    }
-
-    /// Arrivals with finite upload times observed so far (crashed, dropped
-    /// and failed clients are excluded).
-    pub fn finite_count(&self) -> usize {
-        self.cut.finite_count()
-    }
-
     /// Ingests the report at ordinal `ord` (its position in the round's
     /// selection list).
     ///
-    /// Reports carrying wire bytes decode into the pooled arena *here*, in
-    /// arrival order — round close only folds. Decoding reproduces the
-    /// dense vector bit for bit, so the fold result is independent of which
-    /// path a report took. Reports whose upload never arrives (infinite
-    /// `upload_done`) skip the decode; they can never make the cut.
-    ///
-    /// A report whose update or weight contains NaN/Inf would poison the
-    /// global model through the weighted fold; such reports are rejected
-    /// through the same path as [`mark_failed`](Self::mark_failed) — the
-    /// cut sees a `+inf` arrival, nothing is stored, and the rejection is
-    /// counted in [`AggregationResult::n_rejected`].
+    /// An upload is its wire bytes and nothing else: they decode into the
+    /// pooled arena *here*, in arrival order — round close only folds. One
+    /// rule decides acceptance: bytes that do not decode to an exact tiling
+    /// of the layout, or decode to a non-finite value or scale (which would
+    /// poison the global model through the weighted fold), are rejected —
+    /// as is an arrived upload with no bytes or a non-finite weight. A
+    /// rejection takes the same path as [`mark_failed`](Self::mark_failed):
+    /// the cut sees a `+inf` arrival, nothing is stored or folded, and it is
+    /// counted in [`AggregationResult::n_rejected`]. Reports whose upload
+    /// never arrives (infinite `upload_done`) carry nothing to judge: they
+    /// are stored undecoded and can never make the cut.
     ///
     /// # Panics
     /// Panics if `ord` is out of range or was already ingested.
     pub fn ingest(&mut self, ord: usize, report: ClientRoundReport) {
         assert!(self.reports[ord].is_none(), "report {ord} ingested twice");
         let started = std::time::Instant::now();
-        let mut has_wire = false;
-        if self.arena.enabled && report.upload_done.is_finite() {
-            if let Some(bytes) = &report.wire_update {
-                has_wire = self
-                    .arena
-                    .decode_slot(ord, bytes.as_ref(), report.update.layout())
-                    .is_ok();
-            }
-        }
-        // The two predicates agree: the wire bytes decode to exactly the
-        // dense vector, so a non-finite value exists in one iff in the
-        // other (quantized runs have bounded levels — finiteness reduces to
-        // the scale).
-        let poisoned = !report.weight.is_finite()
-            || if has_wire {
-                self.arena.slot_has_non_finite(ord)
-            } else {
-                !dataplane::all_finite(report.update.as_slice())
-            };
+        let accepted = !report.upload_done.is_finite()
+            || (report.weight.is_finite()
+                && report.wire_update.as_ref().is_some_and(|bytes| {
+                    self.arena
+                        .decode_slot(ord, bytes.as_ref(), &self.layout)
+                        .is_ok()
+                }));
         self.decode_host_us += started.elapsed().as_secs_f64() * 1e6;
-        if poisoned {
+        if !accepted {
             self.n_rejected += 1;
             self.cut.observe(f64::INFINITY);
             return;
-        }
-        if self.arena.enabled {
-            self.arena.slots[ord].has_wire = has_wire;
         }
         self.cut.observe(report.upload_done);
         self.reports[ord] = Some(report);
@@ -494,10 +438,9 @@ impl StreamingAggregator {
     /// The fold replicates [`crate::params::aggregate`] operation for
     /// operation — weights summed and updates accumulated in ordinal order,
     /// `fold[j] += alpha · u[j]` elementwise — so it is bit-identical to
-    /// the historical dense path for any mix of wire-decoded and dense
-    /// reports. Wire-decoded quantized segments feed the fused
-    /// dequantize-accumulate kernel straight from the packed bytes; every
-    /// kernel tier is bit-identical to scalar.
+    /// that dense reference over the decoded updates. Quantized segments
+    /// feed the fused dequantize-accumulate kernel straight from the packed
+    /// bytes; every kernel tier is bit-identical to scalar.
     ///
     /// # Panics
     /// Panics unless every ordinal was ingested or marked failed, or if no
@@ -547,45 +490,34 @@ impl StreamingAggregator {
             for &i in &collected {
                 let r = reports[i].as_ref().expect("collected implies present");
                 let alpha = (r.weight / total_w) as f32;
-                let wired = self
-                    .arena
-                    .slots
-                    .get(i)
-                    .is_some_and(|s| self.arena.enabled && s.has_wire);
-                if wired {
-                    let slot = &self.arena.slots[i];
-                    for seg in &slot.segs {
-                        match seg {
-                            Seg::Dense { range } => dataplane::axpy(
-                                alpha,
-                                &slot.dense[range.clone()],
-                                &mut self.arena.fold[range.clone()],
-                            ),
-                            Seg::Quant {
-                                range,
-                                scale,
-                                num_levels,
-                                width,
-                                off,
-                                len,
-                            } => {
-                                let bytes = r
-                                    .wire_update
-                                    .as_ref()
-                                    .expect("wire-decoded slot implies wire bytes");
-                                dataplane::axpy_quantized(
-                                    alpha,
-                                    *scale,
-                                    *num_levels,
-                                    *width,
-                                    &bytes.as_ref()[*off..*off + *len],
-                                    &mut self.arena.fold[range.clone()],
-                                );
-                            }
-                        }
+                let bytes = r
+                    .wire_update
+                    .as_ref()
+                    .expect("an accepted, arrived upload has bytes");
+                let slot = &self.arena.slots[i];
+                for seg in &slot.segs {
+                    match seg {
+                        Seg::Dense { range } => dataplane::axpy(
+                            alpha,
+                            &slot.dense[range.clone()],
+                            &mut self.arena.fold[range.clone()],
+                        ),
+                        Seg::Quant {
+                            range,
+                            scale,
+                            num_levels,
+                            width,
+                            off,
+                            len,
+                        } => dataplane::axpy_quantized(
+                            alpha,
+                            *scale,
+                            *num_levels,
+                            *width,
+                            &bytes.as_ref()[*off..*off + *len],
+                            &mut self.arena.fold[range.clone()],
+                        ),
                     }
-                } else {
-                    dataplane::axpy(alpha, r.update.as_slice(), &mut self.arena.fold);
                 }
             }
             dataplane::axpy(1.0, &self.arena.fold, server.global.as_mut_slice());
@@ -628,17 +560,31 @@ mod tests {
         }]))
     }
 
+    /// A report whose upload is `update` shipped as one dense wire layer.
     fn report(
         client_id: usize,
         upload_done: f64,
         update: Vec<f32>,
         weight: f64,
     ) -> ClientRoundReport {
+        let msg = wire::UpdateMessage {
+            round: 0,
+            client: client_id as u32,
+            layers: vec![(0, wire::Payload::Dense(update))],
+        };
+        bytes_report(client_id, upload_done, Some(wire::encode(&msg)), weight)
+    }
+
+    fn bytes_report(
+        client_id: usize,
+        upload_done: f64,
+        wire_update: Option<bytes::Bytes>,
+        weight: f64,
+    ) -> ClientRoundReport {
         ClientRoundReport {
             client_id,
             weight,
-            update: UpdateVec::from_vec(layout(), update),
-            wire_update: None,
+            wire_update,
             iters_done: 5,
             early_stopped: false,
             download_done: 0.1,
@@ -867,94 +813,181 @@ mod tests {
     }
 
     #[test]
-    fn wire_reports_fold_bit_identically_to_dense_reports() {
-        use fedca_compress::wire;
-
-        // Encode each update as a real wire message (one dense layer) and
-        // attach it; the decoded-at-ingest fold must reproduce the dense
-        // path's global bit for bit — and actually take the wire path.
-        let wire_report = |client_id: usize, upload_done: f64, update: Vec<f32>, weight: f64| {
-            let msg = wire::UpdateMessage {
-                round: 0,
-                client: client_id as u32,
-                layers: vec![(0, wire::Payload::Dense(update.clone()))],
-            };
-            let mut r = report(client_id, upload_done, update, weight);
-            r.wire_update = Some(wire::encode(&msg));
-            r
-        };
-
-        let mut dense_server = server();
-        let _ = dense_server.aggregate_round(
-            0.0,
-            &[
-                report(0, 1.0, vec![1.25, -0.5], 1.0),
-                report(1, 2.0, vec![0.1, 3.0], 3.0),
-            ],
-        );
-
-        let mut wire_server = server();
-        let mut agg = wire_server.begin_round(0.0, 2);
-        agg.ingest(0, wire_report(0, 1.0, vec![1.25, -0.5], 1.0));
-        agg.ingest(1, wire_report(1, 2.0, vec![0.1, 3.0], 3.0));
-        assert!(
-            agg.arena.slots[0].has_wire && agg.arena.slots[1].has_wire,
-            "wire decode path not taken"
-        );
-        let (res, _) = agg.close(&mut wire_server);
+    fn fold_matches_the_dense_reference_for_every_codec() {
+        use fedca_compress::{f32_to_f16, quantize_det, top_k};
+        // Two clients, each layer under a different codec, the second
+        // client's upload split into two concatenated messages (the eager
+        // sidecar shape). The global must move by exactly
+        // `params::aggregate` over what the bytes decode to.
+        let layout = two_layer_layout();
+        let a = [1.25f32, -0.5, 3.0];
+        let b = [0.1f32, 7.5];
+        let uploads: Vec<(Vec<(u32, wire::Payload)>, f64)> = vec![
+            (
+                vec![
+                    (0, wire::Payload::Quantized(quantize_det(&a, 8))),
+                    (1, wire::Payload::Sparse(top_k(&b, 0.5))),
+                ],
+                1.0,
+            ),
+            (
+                vec![
+                    (
+                        1,
+                        wire::Payload::F16(b.iter().map(|&v| f32_to_f16(v)).collect()),
+                    ),
+                    (0, wire::Payload::Dense(a.to_vec())),
+                ],
+                3.0,
+            ),
+        ];
+        let mut s = Server::new(layout.clone(), vec![10.0; 5], 0.9, 5.0);
+        let mut agg = s.begin_round(0.0, uploads.len());
+        let mut dense = Vec::new();
+        for (ord, (layers, weight)) in uploads.iter().enumerate() {
+            let mut decoded = UpdateVec::zeros(layout.clone());
+            let mut bytes = Vec::new();
+            // One message per layer for the odd client, one for the even.
+            for chunk in layers.chunks(if ord % 2 == 1 { 1 } else { 2 }) {
+                for (l, p) in chunk {
+                    decoded
+                        .layer_mut(*l as usize)
+                        .copy_from_slice(&p.to_dense());
+                }
+                bytes.extend_from_slice(
+                    wire::encode(&wire::UpdateMessage {
+                        round: 0,
+                        client: ord as u32,
+                        layers: chunk.to_vec(),
+                    })
+                    .as_ref(),
+                );
+            }
+            dense.push((decoded, *weight));
+            agg.ingest(
+                ord,
+                bytes_report(ord, 1.0 + ord as f64, Some(bytes.into()), *weight),
+            );
+        }
+        let (res, _) = agg.close(&mut s);
         assert_eq!(res.collected, vec![0, 1]);
-        assert_eq!(
-            dense_server.global().as_slice(),
-            wire_server.global().as_slice(),
-            "wire fold diverged from dense fold"
-        );
+        assert_eq!(res.n_rejected, 0);
+        let refs: Vec<(&UpdateVec, f64)> = dense.iter().map(|(u, w)| (u, *w)).collect();
+        let mut want = UpdateVec::from_vec(layout, vec![10.0; 5]);
+        want.axpy(1.0, &crate::params::aggregate(&refs));
+        assert_eq!(want.as_slice(), s.global().as_slice());
+    }
 
-        // Malformed wire bytes must fall back to the dense vector, not
-        // corrupt the fold.
-        let mut fallback_server = server();
-        let mut agg = fallback_server.begin_round(0.0, 2);
-        let mut bad = report(0, 1.0, vec![1.25, -0.5], 1.0);
-        bad.wire_update = Some(bytes::Bytes::copy_from_slice(b"not a wire message"));
-        agg.ingest(0, bad);
-        agg.ingest(1, report(1, 2.0, vec![0.1, 3.0], 3.0));
-        assert!(!agg.arena.slots[0].has_wire, "bad bytes must not decode");
-        let _ = agg.close(&mut fallback_server);
-        assert_eq!(
-            dense_server.global().as_slice(),
-            fallback_server.global().as_slice()
-        );
+    fn two_layer_layout() -> Arc<ModelLayout> {
+        Arc::new(ModelLayout::from_spans(&[
+            ParamSpan {
+                name: "a".into(),
+                range: 0..3,
+            },
+            ParamSpan {
+                name: "b".into(),
+                range: 3..5,
+            },
+        ]))
     }
 
     #[test]
-    fn wire_reports_with_non_finite_scale_are_rejected() {
-        use fedca_compress::wire;
-        // A quantized payload whose scale is Inf decodes to non-finite
-        // values; the wire-path guard must reject it exactly like the dense
-        // NaN guard does.
-        let msg = wire::UpdateMessage {
-            round: 0,
-            client: 0,
-            layers: vec![(
-                0,
-                wire::Payload::Quantized(fedca_compress::QuantizedVec {
-                    bits: 1,
-                    scale: f32::INFINITY,
-                    levels: vec![0i8; 2],
-                    num_levels: 1,
-                }),
-            )],
+    fn ingest_rejects_every_upload_that_is_not_an_exact_finite_tiling() {
+        let dense = |l: u32, v: Vec<f32>| (l, wire::Payload::Dense(v));
+        let encode = |layers: Vec<(u32, wire::Payload)>| {
+            wire::encode(&wire::UpdateMessage {
+                round: 0,
+                client: 0,
+                layers,
+            })
         };
-        let mut r = report(0, 1.0, vec![f32::INFINITY, f32::INFINITY], 1.0);
-        r.wire_update = Some(wire::encode(&msg));
-        let mut s = server();
-        let before = s.global().as_slice().to_vec();
+        let good = encode(vec![dense(0, vec![1.0; 3]), dense(1, vec![2.0; 2])]);
+        let inf_scale = wire::Payload::Quantized(fedca_compress::QuantizedVec {
+            bits: 1,
+            scale: f32::INFINITY,
+            levels: vec![0i8; 3],
+            num_levels: 1,
+        });
+        let concat = |a: &bytes::Bytes, b: &bytes::Bytes| -> bytes::Bytes {
+            [a.as_ref(), b.as_ref()].concat().into()
+        };
+        let cases: Vec<(&str, Option<bytes::Bytes>)> = vec![
+            (
+                "garbage bytes",
+                Some(bytes::Bytes::from_static(b"not a wire message")),
+            ),
+            ("truncated message", Some(good.slice(0..good.len() - 3))),
+            (
+                "gap (missing layer)",
+                Some(encode(vec![dense(0, vec![1.0; 3])])),
+            ),
+            (
+                "repeated layer",
+                Some(encode(vec![
+                    dense(0, vec![1.0; 3]),
+                    dense(1, vec![2.0; 2]),
+                    dense(1, vec![2.0; 2]),
+                ])),
+            ),
+            (
+                "overlap across concatenated messages",
+                Some(concat(&good, &encode(vec![dense(0, vec![1.0; 3])]))),
+            ),
+            (
+                "wrong layer length",
+                Some(encode(vec![dense(1, vec![0.0; 3]), dense(0, vec![0.0; 2])])),
+            ),
+            (
+                "unknown layer id",
+                Some(concat(&good, &encode(vec![dense(2, vec![])]))),
+            ),
+            (
+                "NaN dense value",
+                Some(encode(vec![
+                    dense(0, vec![1.0, f32::NAN, 1.0]),
+                    dense(1, vec![2.0; 2]),
+                ])),
+            ),
+            (
+                "Inf quantized scale",
+                Some(encode(vec![(0, inf_scale), dense(1, vec![2.0; 2])])),
+            ),
+            ("arrived upload with no bytes", None),
+        ];
+        let mut s = Server::new(two_layer_layout(), vec![10.0; 5], 0.9, 5.0);
+        for (what, bytes) in cases {
+            let mut agg = s.begin_round(0.0, 1);
+            agg.set_deadline(5.0);
+            agg.ingest(0, bytes_report(0, 1.0, bytes, 1.0));
+            let (res, back) = agg.close(&mut s);
+            assert_eq!(res.n_rejected, 1, "{what}");
+            assert!(res.collected.is_empty(), "{what}");
+            assert!(back[0].is_none(), "{what}: rejected report stored");
+            assert_eq!(s.global().as_slice(), &[10.0; 5], "{what}: global moved");
+        }
+        // The same arena then accepts the exact tiling, split either way.
+        for bytes in [
+            good.clone(),
+            concat(
+                &encode(vec![dense(1, vec![2.0; 2])]),
+                &encode(vec![dense(0, vec![1.0; 3])]),
+            ),
+        ] {
+            s.restore_global(vec![10.0; 5]);
+            let mut agg = s.begin_round(0.0, 1);
+            agg.ingest(0, bytes_report(0, 1.0, Some(bytes), 1.0));
+            let (res, _) = agg.close(&mut s);
+            assert_eq!((res.n_rejected, res.collected), (0, vec![0]));
+            assert_eq!(s.global().as_slice(), &[11.0, 11.0, 11.0, 12.0, 12.0]);
+        }
+        // An upload that never arrives carries nothing to judge: stored,
+        // never collected, not a rejection.
         let mut agg = s.begin_round(0.0, 1);
         agg.set_deadline(5.0);
-        agg.ingest(0, r);
-        let (res, _) = agg.close(&mut s);
-        assert_eq!(res.n_rejected, 1);
-        assert!(res.collected.is_empty());
-        assert_eq!(s.global().as_slice(), &before[..]);
+        agg.ingest(0, bytes_report(0, f64::INFINITY, None, 1.0));
+        let (res, back) = agg.close(&mut s);
+        assert_eq!(res.n_rejected, 0);
+        assert!(res.collected.is_empty() && back[0].is_some());
     }
 
     #[test]

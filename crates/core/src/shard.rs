@@ -2,33 +2,33 @@
 //!
 //! The population is split across N shard processes by
 //! [`ShardAssignment`](crate::config::ShardAssignment). Each shard runs its
-//! own [`RoundExecutor`] worker pool plus a shard-local *standalone*
-//! [`StreamingAggregator`] that does level-1 arrival/cut bookkeeping only.
-//! Every per-client report is forwarded to the root coordinator, which
-//! performs the second-level cut by folding reports in **ordinal order** —
-//! exactly what the single-process path does — so the merged
-//! `(SimTime, ordinal)`-sorted stream (golden trace, round records, final
-//! parameters) is byte-identical for any topology.
+//! own [`RoundExecutor`] worker pool and forwards every finished client to
+//! the root coordinator, which performs the one and only cut by folding
+//! reports in **ordinal order** — exactly what the single-process path does
+//! — so the merged `(SimTime, ordinal)`-sorted stream (golden trace, round
+//! records, final parameters) is byte-identical for any topology.
 //!
-//! The root owns all durable state: the lazy [`ClientStore`]
-//! (hydration/eviction), the selection RNG, the global model, the tracer,
-//! and checkpointing. Shards are stateless round servers: a
-//! [`WorkItem`] ships `{ordinal, client id, participations, plan,
-//! snapshot}` and the child rebuilds the client as `factory.build(id)` +
-//! `apply_snapshot` — bit-identical to the root re-hydrating an evicted
-//! client. Because of that, a lost shard loses nothing. The failure paths
-//! are split by what was observed:
+//! [`ShardPool`] speaks the executor's vocabulary: [`ClientWork`] in,
+//! [`ClientDone`] out. The root owns all durable state: the lazy
+//! [`ClientStore`](crate::population::ClientStore), the selection RNG, the
+//! global model, the tracer, and checkpointing. The pool keeps each
+//! checked-out [`ClientState`](crate::client::ClientState) beside its
+//! outstanding ordinal; a [`WorkItem`] ships `{ordinal, client id,
+//! participations, plan, snapshot}` and the stateless child rebuilds the
+//! client as `factory.build(id)` + `apply_snapshot` — bit-identical to the
+//! root re-hydrating an evicted client — and the snapshot it sends back is
+//! applied onto the retained state. Because of that, a lost shard loses
+//! nothing. The failure paths are split by what was observed:
 //!
-//! * **Crash** (EOF, SIGKILL, protocol violation): the coordinator
-//!   synthesizes `Failed` events for the outstanding ordinals — the same
-//!   path a worker panic takes — and lazily respawns the process for the
-//!   next round that routes work to it.
+//! * **Crash** (EOF, SIGKILL, protocol violation): the outstanding
+//!   ordinals resolve as [`ClientDone::Failed`] — the same event a worker
+//!   panic produces — and the process is lazily respawned for the next
+//!   round that routes work to it.
 //! * **Unreachable** (supervision gave up: retry budget or heartbeat limit
 //!   exhausted on the [`Link`]): the shard is *quarantined* for the round
-//!   and its unresolved ordinals are re-executed on a root-local
-//!   [`RoundExecutor`] from the same `WorkItem`s — bit-identical to the
-//!   shard having run them, so a flaky transport degrades performance but
-//!   never the trajectory.
+//!   and its unresolved [`ClientWork`] — live state and round context
+//!   included — is handed as-is to a root-local [`RoundExecutor`], so a
+//!   flaky transport degrades performance but never the trajectory.
 //!
 //! Transport is the supervised [`Link`](crate::transport::Link) over Unix
 //! domain sockets: every application frame carries a per-message sequence
@@ -46,25 +46,25 @@
 
 use crate::algorithms::Scheme;
 use crate::checkpoint::ClientSnapshot;
-use crate::client::{ClientOptions, ClientRoundReport, RoundPlan};
+use crate::client::{ClientOptions, ClientRoundReport, ClientState, RoundPlan};
 use crate::config::FlConfig;
 use crate::eager::LayerOutcome;
-use crate::executor::{ClientCompletion, ClientDone, ClientWork, RoundCtx, RoundExecutor};
-use crate::params::{ModelLayout, UpdateVec};
+use crate::executor::{
+    ClientCompletion, ClientDone, ClientFailure, ClientWork, RoundCtx, RoundExecutor,
+};
+use crate::params::ModelLayout;
 use crate::population::{apply_snapshot, snapshot_client, ClientFactory};
-use crate::server::StreamingAggregator;
 use crate::trace::{ClientTraceBuf, PendingEvent, TraceEvent};
 use crate::transport::{Link, LinkConfig, LinkError, LinkEvent, LinkRoundStats};
 use crate::workload::{Workload, WorkloadSpec};
 use bytes::{BufMut, Bytes, BytesMut};
-use fedca_compress::wire::{self, Frame, FrameError, Payload, UpdateMessage};
+use fedca_compress::wire::{Frame, FrameError};
 use fedca_data::PartitionSpec;
 use fedca_sim::device::DynamicsConfig;
 use fedca_sim::faults::{Direction, TransportFaultPlan};
-use fedca_sim::SimTime;
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
@@ -186,11 +186,6 @@ pub enum ToShard {
     RoundStart {
         /// Round index.
         round: usize,
-        /// Round start time (f64 bits — `SimTime` is always finite here
-        /// but the bits encoding keeps every timestamp field uniform).
-        start_bits: u64,
-        /// Round deadline (f64 bits).
-        deadline_bits: u64,
         /// The cohort.
         items: Vec<WorkItem>,
     },
@@ -228,15 +223,12 @@ impl WireEvent {
     }
 }
 
-/// One finished client, shard → root. Mirrors [`ClientRoundReport`] field
-/// for field with every non-finite-capable float as IEEE bits. The
-/// client's encoded wire update (the exact bytes the in-process path would
-/// decode at ingest) travels as the frame's binary payload only when
-/// `has_update`; the root validates it structurally and hands the bytes to
-/// its aggregator, which decodes them at ingest time. A poisoned update is
-/// reconstructed NaN-filled on the root (the ingest re-rejects it by the
-/// same predicate — only counts matter) and an infinite-upload update as
-/// zeros (stored but never collected).
+/// The socket encoding of one [`ClientCompletion`], shard → root: the
+/// report field for field with every non-finite-capable float as IEEE bits,
+/// plus the post-round durable client state. The report's wire update — the
+/// exact bytes the in-process path hands its aggregator — travels as the
+/// frame's binary payload (empty when the client sent nothing); the root's
+/// ingest judges them by the same rule either way.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct DoneMsg {
     /// Round index (protocol validation).
@@ -245,7 +237,7 @@ pub struct DoneMsg {
     pub ord: usize,
     /// Client id.
     pub client_id: usize,
-    /// `report.weight` bits (NaN ⇒ poisoned).
+    /// `report.weight` bits.
     pub weight_bits: u64,
     /// Iterations completed.
     pub iters_done: usize,
@@ -271,10 +263,6 @@ pub struct DoneMsg {
     pub dropped: bool,
     /// Crash fault fired.
     pub crashed: bool,
-    /// Update/weight contained non-finite values.
-    pub poisoned: bool,
-    /// Whether the frame payload carries the dense update.
-    pub has_update: bool,
     /// Worker reused the thread-local model.
     pub model_reused: bool,
     /// Allocation-avoidance counter from the worker.
@@ -298,7 +286,7 @@ pub enum FromShard {
         /// Shard id echoed back.
         shard_id: usize,
     },
-    /// One client finished (payload: dense update iff `has_update`).
+    /// One client finished (payload: its wire update, if it sent one).
     Done(DoneMsg),
     /// One client's worker panicked.
     Failed {
@@ -310,19 +298,6 @@ pub enum FromShard {
         client_id: usize,
         /// Panic message.
         panic_msg: String,
-    },
-    /// The shard's level-1 cut summary for the round (diagnostics; the
-    /// root's ordinal-order fold is the source of truth).
-    RoundDone {
-        /// Round index.
-        round: usize,
-        /// Clients resolved (completed + failed).
-        n_resolved: usize,
-        /// Finite arrivals in the shard-local cut.
-        n_finite: usize,
-        /// Shard-local provisional completion time (f64 bits; +inf when
-        /// no finite arrivals).
-        provisional_bits: u64,
     },
 }
 
@@ -338,134 +313,87 @@ fn parse_meta<T: serde::Deserialize>(frame: &Frame) -> Result<T, ShardError> {
         .map_err(|e| ShardError::Protocol(format!("bad frame metadata: {e}")))
 }
 
-/// Encodes a finite dense update as a wire payload (all layers dense).
-fn encode_update(round: usize, client: usize, update: &UpdateVec) -> Bytes {
-    let layout = update.layout();
-    let layers = (0..layout.num_layers())
-        .map(|l| (l as u32, Payload::Dense(update.layer(l).to_vec())))
-        .collect();
-    wire::encode(&UpdateMessage {
-        round: round as u32,
-        client: client as u32,
-        layers,
-    })
-}
-
-/// Structurally validates a forwarded update payload against the layout:
-/// one or more concatenated [`wire`] messages whose layer segments tile the
-/// flat parameter vector exactly — the same checks the root aggregator's
-/// ingest-time decode applies, so a payload that passes here is guaranteed
-/// to decode into the arena rather than fall back to a (zeroed, wrong)
-/// dense vector. Values are *not* decoded here.
-fn validate_update_payload(layout: &Arc<ModelLayout>, payload: &Bytes) -> Result<(), ShardError> {
-    let buf = payload.as_ref();
-    let mut ranges: Vec<std::ops::Range<usize>> = Vec::with_capacity(layout.num_layers());
-    let mut pos = 0usize;
-    while pos < buf.len() {
-        let mut reader = wire::MessageReader::new(&buf[pos..])
-            .map_err(|e| ShardError::Protocol(format!("bad update payload: {e}")))?;
-        while let Some(layer) = reader.next_layer() {
-            let (id, view) =
-                layer.map_err(|e| ShardError::Protocol(format!("bad update payload: {e}")))?;
-            let l = id as usize;
-            if l >= layout.num_layers() {
-                return Err(ShardError::Protocol(format!(
-                    "update payload has layer id {id}, layout has {} layers",
-                    layout.num_layers()
-                )));
-            }
-            let range = layout.range(l);
-            if view.len() != range.len() {
-                return Err(ShardError::Protocol(format!(
-                    "update payload layer {l} has {} values, expected {}",
-                    view.len(),
-                    range.len()
-                )));
-            }
-            ranges.push(range);
-        }
-        pos += reader.consumed();
-    }
-    ranges.sort_by_key(|r| r.start);
-    let mut covered = 0usize;
-    for r in &ranges {
-        if r.start != covered {
-            return Err(ShardError::Protocol(
-                "update payload does not tile the parameter vector".into(),
-            ));
-        }
-        covered = r.end;
-    }
-    if covered != layout.total_params() {
-        return Err(ShardError::Protocol(
-            "update payload does not cover the parameter vector".into(),
-        ));
-    }
-    Ok(())
-}
-
-/// Rebuilds the root-side [`ClientRoundReport`] from a [`DoneMsg`] and its
-/// frame payload. Bit-identical to the in-process report for every field
-/// the round loop reads.
-pub fn report_from_done(
-    layout: &Arc<ModelLayout>,
-    msg: &DoneMsg,
-    payload: &Bytes,
-) -> Result<ClientRoundReport, ShardError> {
-    let (update, wire_update) = if msg.has_update {
-        if payload.is_empty() {
-            return Err(ShardError::Protocol("missing update payload".into()));
-        }
-        validate_update_payload(layout, payload)?;
-        // The dense vector stays zeroed: the root aggregator decodes the
-        // validated wire bytes into its arena at ingest, bit-identically
-        // to the in-process path, and never reads the dense fallback.
-        (UpdateVec::zeros(layout.clone()), Some(payload.clone()))
-    } else if msg.poisoned {
-        // Reconstructed NaN-filled: the root's ingest re-rejects it via
-        // the identical predicate, so only the poison *fact* must travel.
-        (
-            UpdateVec::from_vec(layout.clone(), vec![f32::NAN; layout.total_params()]),
-            None,
-        )
-    } else {
-        // Infinite upload: stored but never collected; values never read.
-        (UpdateVec::zeros(layout.clone()), None)
-    };
-    Ok(ClientRoundReport {
-        client_id: msg.client_id,
-        weight: f64::from_bits(msg.weight_bits),
-        update,
-        wire_update,
-        iters_done: msg.iters_done,
-        early_stopped: msg.early_stopped,
-        download_done: f64::from_bits(msg.download_done_bits),
-        compute_done: f64::from_bits(msg.compute_done_bits),
-        upload_done: f64::from_bits(msg.upload_done_bits),
-        eager_outcomes: msg.eager_outcomes.clone(),
-        bytes_uploaded: f64::from_bits(msg.bytes_uploaded_bits),
-        wire_bytes_uploaded: f64::from_bits(msg.wire_bytes_uploaded_bits),
-        wire_bytes_dense: f64::from_bits(msg.wire_bytes_dense_bits),
-        train_loss: f32::from_bits(msg.train_loss_bits),
-        dropped: msg.dropped,
-        crashed: msg.crashed,
-        trace: ClientTraceBuf::from_events(
-            msg.trace
-                .iter()
-                .cloned()
-                .map(WireEvent::into_pending)
+impl DoneMsg {
+    /// Encodes one completed client for the socket: the message plus the
+    /// frame payload (the report's wire update).
+    pub fn from_completion(round: usize, done: ClientCompletion) -> (DoneMsg, Option<Bytes>) {
+        let r = done.report;
+        let msg = DoneMsg {
+            round,
+            ord: done.ord,
+            client_id: r.client_id,
+            weight_bits: r.weight.to_bits(),
+            iters_done: r.iters_done,
+            early_stopped: r.early_stopped,
+            download_done_bits: r.download_done.to_bits(),
+            compute_done_bits: r.compute_done.to_bits(),
+            upload_done_bits: r.upload_done.to_bits(),
+            eager_outcomes: r.eager_outcomes,
+            bytes_uploaded_bits: r.bytes_uploaded.to_bits(),
+            wire_bytes_uploaded_bits: r.wire_bytes_uploaded.to_bits(),
+            wire_bytes_dense_bits: r.wire_bytes_dense.to_bits(),
+            train_loss_bits: r.train_loss.to_bits(),
+            dropped: r.dropped,
+            crashed: r.crashed,
+            model_reused: done.model_reused,
+            allocs_avoided: done.allocs_avoided,
+            host_us_bits: done.host_us.to_bits(),
+            trace: r
+                .trace
+                .into_events()
+                .into_iter()
+                .map(WireEvent::from_pending)
                 .collect(),
-        ),
-    })
+            snapshot: snapshot_client(&done.client),
+        };
+        (msg, r.wire_update)
+    }
+
+    /// Rebuilds the completion on the root: the report is bit-identical to
+    /// the in-process one, and `client` — the state the pool kept for this
+    /// ordinal — comes home with the shard's snapshot applied, which is
+    /// bit-identical to the local state coming home whole.
+    fn into_completion(self, payload: Bytes, mut client: ClientState) -> ClientCompletion {
+        apply_snapshot(&mut client, &self.snapshot);
+        ClientCompletion {
+            ord: self.ord,
+            client,
+            report: ClientRoundReport {
+                client_id: self.client_id,
+                weight: f64::from_bits(self.weight_bits),
+                wire_update: (!payload.is_empty()).then_some(payload),
+                iters_done: self.iters_done,
+                early_stopped: self.early_stopped,
+                download_done: f64::from_bits(self.download_done_bits),
+                compute_done: f64::from_bits(self.compute_done_bits),
+                upload_done: f64::from_bits(self.upload_done_bits),
+                eager_outcomes: self.eager_outcomes,
+                bytes_uploaded: f64::from_bits(self.bytes_uploaded_bits),
+                wire_bytes_uploaded: f64::from_bits(self.wire_bytes_uploaded_bits),
+                wire_bytes_dense: f64::from_bits(self.wire_bytes_dense_bits),
+                train_loss: f32::from_bits(self.train_loss_bits),
+                dropped: self.dropped,
+                crashed: self.crashed,
+                trace: ClientTraceBuf::from_events(
+                    self.trace
+                        .into_iter()
+                        .map(WireEvent::into_pending)
+                        .collect(),
+                ),
+            },
+            model_reused: self.model_reused,
+            allocs_avoided: self.allocs_avoided,
+            host_us: f64::from_bits(self.host_us_bits),
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
 // Shared execution world
 // ---------------------------------------------------------------------------
 
-/// Everything needed to rebuild and run clients from [`WorkItem`]s. Built
-/// once per shard child — and lazily on the root for quarantine-driven
-/// local re-execution, which must be bit-identical to the shard path.
+/// Everything a shard child needs to rebuild and run clients from
+/// [`WorkItem`]s, built once per process.
 struct ShardWorld {
     factory: ClientFactory,
     workload: Workload,
@@ -509,55 +437,6 @@ fn build_world(
         layout,
         opts,
     })
-}
-
-/// Converts one completed client into the wire `DoneMsg` + payload. Used
-/// verbatim by the shard child and by the root's quarantine re-execution
-/// path, so both produce bit-identical messages for the same completion.
-fn done_msg_from_completion(round: usize, done: &mut ClientCompletion) -> (DoneMsg, Option<Bytes>) {
-    let trace: Vec<WireEvent> = std::mem::take(&mut done.report.trace)
-        .into_events()
-        .into_iter()
-        .map(WireEvent::from_pending)
-        .collect();
-    let r = &done.report;
-    let poisoned = !r.weight.is_finite() || r.update.as_slice().iter().any(|v| !v.is_finite());
-    let has_update = !poisoned && r.upload_done.is_finite();
-    // Forward the client's own encoded wire bytes (final message plus
-    // eager sidecar) so the root can decode — and for quantized payloads,
-    // fused-fold — them exactly as the in-process path would. Fall back to
-    // a dense encoding for reports that carry no wire form.
-    let payload = has_update.then(|| {
-        r.wire_update
-            .clone()
-            .unwrap_or_else(|| encode_update(round, r.client_id, &r.update))
-    });
-    let msg = DoneMsg {
-        round,
-        ord: done.ord,
-        client_id: r.client_id,
-        weight_bits: r.weight.to_bits(),
-        iters_done: r.iters_done,
-        early_stopped: r.early_stopped,
-        download_done_bits: r.download_done.to_bits(),
-        compute_done_bits: r.compute_done.to_bits(),
-        upload_done_bits: r.upload_done.to_bits(),
-        eager_outcomes: r.eager_outcomes.clone(),
-        bytes_uploaded_bits: r.bytes_uploaded.to_bits(),
-        wire_bytes_uploaded_bits: r.wire_bytes_uploaded.to_bits(),
-        wire_bytes_dense_bits: r.wire_bytes_dense.to_bits(),
-        train_loss_bits: r.train_loss.to_bits(),
-        dropped: r.dropped,
-        crashed: r.crashed,
-        poisoned,
-        has_update,
-        model_reused: done.model_reused,
-        allocs_avoided: done.allocs_avoided,
-        host_us_bits: done.host_us.to_bits(),
-        trace,
-        snapshot: snapshot_client(&done.client),
-    };
-    (msg, payload)
 }
 
 // ---------------------------------------------------------------------------
@@ -664,58 +543,23 @@ fn run_child(path: &str) -> Result<(), ShardError> {
             Some((ToShard::Init { .. }, _)) => {
                 return Err(ShardError::Protocol("duplicate Init".into()))
             }
-            Some((
-                ToShard::RoundStart {
-                    round: r,
-                    start_bits,
-                    deadline_bits,
-                    items,
-                },
-                global_payload,
-            )) => {
+            Some((ToShard::RoundStart { round: r, items }, global_payload)) => {
                 round.store(r as u64, Ordering::Relaxed);
-                run_child_round(
-                    &link,
-                    &executor,
-                    &world,
-                    &fl,
-                    r,
-                    f64::from_bits(start_bits),
-                    f64::from_bits(deadline_bits),
-                    items,
-                    &global_payload,
-                )?;
+                run_child_round(&link, &executor, &world, &fl, r, items, &global_payload)?;
             }
         }
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn run_child_round(
     link: &Link,
     executor: &RoundExecutor,
     world: &ShardWorld,
     fl: &FlConfig,
     round: usize,
-    start: SimTime,
-    deadline: SimTime,
     items: Vec<WorkItem>,
     global_payload: &Bytes,
 ) -> Result<(), ShardError> {
-    let n = items.len();
-    if n == 0 {
-        link.send(
-            &FromShard::RoundDone {
-                round,
-                n_resolved: 0,
-                n_finite: 0,
-                provisional_bits: f64::INFINITY.to_bits(),
-            },
-            None,
-        )?;
-        return Ok(());
-    }
-
     let layout = &world.layout;
     if global_payload.len() != 4 * layout.total_params() {
         return Err(ShardError::Protocol(format!(
@@ -737,15 +581,7 @@ fn run_child_round(
         global,
     });
 
-    // Level-1 bookkeeping only: this aggregator is never closed; the root
-    // folds every report in global ordinal order.
-    let mut agg = StreamingAggregator::standalone(start, n, fl.aggregation_fraction);
-    agg.set_deadline(deadline);
-
-    // Map global ordinals to local (dense) aggregator slots.
-    let mut local_ord = HashMap::with_capacity(n);
-    for (li, item) in items.iter().enumerate() {
-        local_ord.insert(item.ord, li);
+    for item in &items {
         let mut client = world.factory.build(item.client_id);
         if let Some(snap) = &item.snapshot {
             apply_snapshot(&mut client, snap);
@@ -768,64 +604,32 @@ fn run_child_round(
     // order. The trajectory itself never depends on arrival order (the
     // root folds at the cut in ordinal order), so this only pins the one
     // thing that does — chaos-test kill points.
-    let mut remaining: BTreeMap<usize, ()> = items.iter().map(|i| (i.ord, ())).collect();
+    let mut remaining: BTreeSet<usize> = items.iter().map(|i| i.ord).collect();
     let mut unsent: BTreeMap<usize, (FromShard, Option<Bytes>)> = BTreeMap::new();
-    for _ in 0..n {
+    for _ in 0..items.len() {
         match executor
             .recv()
             .map_err(|e| ShardError::Protocol(format!("executor died: {e}")))?
         {
-            ClientDone::Completed(mut done) => {
-                let li = *local_ord
-                    .get(&done.ord)
-                    .ok_or_else(|| ShardError::Protocol("executor returned unknown ord".into()))?;
-                let (msg, payload) = done_msg_from_completion(round, &mut done);
+            ClientDone::Completed(done) => {
+                let (msg, payload) = DoneMsg::from_completion(round, done);
                 unsent.insert(msg.ord, (FromShard::Done(msg), payload));
-                agg.ingest(li, done.report);
             }
             ClientDone::Failed(fail) => {
-                let li = *local_ord
-                    .get(&fail.ord)
-                    .ok_or_else(|| ShardError::Protocol("executor failed unknown ord".into()))?;
-                agg.mark_failed(li);
-                unsent.insert(
-                    fail.ord,
-                    (
-                        FromShard::Failed {
-                            round,
-                            ord: fail.ord,
-                            client_id: fail.client_id,
-                            panic_msg: fail.panic_msg,
-                        },
-                        None,
-                    ),
-                );
+                let msg = FromShard::Failed {
+                    round,
+                    ord: fail.ord,
+                    client_id: fail.client_id,
+                    panic_msg: fail.panic_msg,
+                };
+                unsent.insert(fail.ord, (msg, None));
             }
         }
-        while let Some((&first, ())) = remaining.iter().next() {
-            let Some((msg, payload)) = unsent.remove(&first) else {
-                break;
-            };
-            remaining.remove(&first);
+        while let Some((msg, payload)) = remaining.first().and_then(|ord| unsent.remove(ord)) {
+            remaining.pop_first();
             link.send(&msg, payload)?;
         }
     }
-
-    let n_finite = agg.finite_count();
-    let provisional = if n_finite == 0 {
-        f64::INFINITY
-    } else {
-        agg.provisional_completion()
-    };
-    link.send(
-        &FromShard::RoundDone {
-            round,
-            n_resolved: n,
-            n_finite,
-            provisional_bits: provisional.to_bits(),
-        },
-        None,
-    )?;
     Ok(())
 }
 
@@ -844,7 +648,7 @@ enum PoolEvent {
         payload: Bytes,
     },
     /// The connection ended: EOF, SIGKILL, or a fatal frame error. Crash
-    /// semantics — outstanding ordinals resolve as synthesized failures.
+    /// semantics — outstanding ordinals resolve as failures.
     Down {
         shard: usize,
         incarnation: u64,
@@ -859,28 +663,21 @@ enum PoolEvent {
     },
 }
 
-/// One resolved client from the pool, normalized for the round loop.
-#[derive(Debug)]
-pub enum ShardEvent {
-    /// A client completed on a shard (or locally after a quarantine).
-    Done {
-        /// Global round ordinal.
-        ord: usize,
-        /// The full completion message.
-        msg: Box<DoneMsg>,
-        /// The frame's binary payload (dense update iff `msg.has_update`).
-        payload: Bytes,
-    },
-    /// A client failed — worker panic on the shard, or synthesized here
-    /// when the shard process itself died or was killed.
-    Failed {
-        /// Global round ordinal.
-        ord: usize,
-        /// Client id.
-        client_id: usize,
-        /// Failure description.
-        panic_msg: String,
-    },
+impl PoolEvent {
+    /// The `(shard, incarnation)` of the connection the event came from.
+    fn origin(&self) -> (usize, u64) {
+        match self {
+            PoolEvent::Msg {
+                shard, incarnation, ..
+            }
+            | PoolEvent::Down {
+                shard, incarnation, ..
+            }
+            | PoolEvent::Unreachable {
+                shard, incarnation, ..
+            } => (*shard, *incarnation),
+        }
+    }
 }
 
 struct ShardConn {
@@ -893,10 +690,10 @@ struct ShardConn {
     /// Set when the shard is torn down mid-round: queued events from the
     /// dead incarnation must not resolve ordinals twice.
     discard: bool,
-    /// Unresolved work for the current round, by ordinal. The full
-    /// [`WorkItem`] is retained so a quarantined shard's work can be
-    /// re-executed locally, bit-identically.
-    outstanding: BTreeMap<usize, WorkItem>,
+    /// Unresolved work for the current round, by ordinal: the checked-out
+    /// client state waits here for the shard's snapshot, and a quarantined
+    /// shard's work is handed to the local executor whole.
+    outstanding: BTreeMap<usize, ClientWork>,
     /// Events (Done or Failed) consumed from this shard this round —
     /// the deterministic kill plan counts these.
     done_this_round: usize,
@@ -926,11 +723,12 @@ pub struct TransportRoundStats {
     pub notes: Vec<TraceEvent>,
 }
 
-/// The root-side coordinator: spawns shard processes, routes work by the
-/// configured assignment, and streams back normalized [`ShardEvent`]s.
-/// Every wait is bounded; there is no unbounded socket read anywhere on
-/// this side (link threads pump events into an mpsc channel, and the
-/// coordinator only blocks in `recv_timeout`).
+/// The root-side coordinator: spawns shard processes, routes
+/// [`ClientWork`] by the configured assignment, and streams back
+/// [`ClientDone`] events like a [`RoundExecutor`] does. Every wait is
+/// bounded; there is no unbounded socket read anywhere on this side (link
+/// threads pump events into an mpsc channel, and the coordinator only
+/// blocks in `recv_timeout`).
 pub struct ShardPool {
     fl: FlConfig,
     scheme: Scheme,
@@ -941,7 +739,7 @@ pub struct ShardPool {
     tx: Sender<PoolEvent>,
     rx: Receiver<PoolEvent>,
     /// Synthesized/holdover events served before touching the channel.
-    pending: VecDeque<ShardEvent>,
+    pending: VecDeque<ClientDone>,
     /// Pool events deferred during a handshake wait, replayed before the
     /// channel is polled again.
     held_events: VecDeque<PoolEvent>,
@@ -949,12 +747,7 @@ pub struct ShardPool {
     round: usize,
     /// Mirrors `round` for the links' fault-draw coordinate.
     round_atomic: Arc<AtomicU64>,
-    /// The current round's broadcast parameters, retained for quarantine
-    /// re-execution (lossless: f32 round-trips the wire encoding).
-    round_global: Vec<f32>,
-    /// Lazily built execution world for quarantine re-execution.
-    local_world: Option<ShardWorld>,
-    /// Lazily built local executor for quarantine re-execution.
+    /// Lazily built local executor a quarantined shard's work runs on.
     local_exec: Option<RoundExecutor>,
     /// Counters absorbed from torn-down links, drained per round.
     stats_accum: LinkRoundStats,
@@ -1010,8 +803,6 @@ impl ShardPool {
             kill_plan: Vec::new(),
             round: 0,
             round_atomic: Arc::new(AtomicU64::new(0)),
-            round_global: Vec::new(),
-            local_world: None,
             local_exec: None,
             stats_accum: LinkRoundStats::default(),
             notes_accum: Vec::new(),
@@ -1203,18 +994,7 @@ impl ShardPool {
                 Ok(ev) => ev,
                 Err(_) => continue, // the loop re-checks the deadline
             };
-            let (ev_shard, ev_inc) = match &ev {
-                PoolEvent::Msg {
-                    shard, incarnation, ..
-                }
-                | PoolEvent::Down {
-                    shard, incarnation, ..
-                }
-                | PoolEvent::Unreachable {
-                    shard, incarnation, ..
-                } => (*shard, *incarnation),
-            };
-            if ev_shard != s || ev_inc != incarnation {
+            if ev.origin() != (s, incarnation) {
                 self.held_events.push_back(ev);
                 continue;
             }
@@ -1271,148 +1051,70 @@ impl ShardPool {
         }
     }
 
-    /// Tears a shard down and synthesizes `Failed` events for every
-    /// outstanding ordinal — identical in shape to the worker-panic path.
-    /// Crash semantics: the process itself died or misbehaved.
+    /// Tears a shard down and resolves every outstanding ordinal as
+    /// [`ClientDone::Failed`] — the event a worker panic produces; the
+    /// checked-out state dies with the shard, as the unwind destroys it
+    /// locally. Crash semantics: the process itself died or misbehaved.
     fn fail_shard(&mut self, s: usize, reason: &str) {
         self.teardown_conn(s);
-        let outstanding = std::mem::take(&mut self.conns[s].outstanding);
-        for (ord, item) in outstanding {
-            self.pending.push_back(ShardEvent::Failed {
+        for (ord, work) in std::mem::take(&mut self.conns[s].outstanding) {
+            self.pending.push_back(ClientDone::Failed(ClientFailure {
                 ord,
-                client_id: item.client_id,
+                client_id: work.client.id,
                 panic_msg: format!("shard {s} failed: {reason}"),
-            });
+            }));
         }
     }
 
-    /// Quarantines an unreachable shard for the round: kills it, then
-    /// re-executes its unresolved ordinals on the root's local executor —
-    /// bit-identical to the shard having completed them, so transport
-    /// supervision can never alter the trajectory.
+    /// Quarantines an unreachable shard for the round: kills it, then runs
+    /// its unresolved work locally — the very `ClientWork` the shard was
+    /// sent a copy of, so transport supervision can never alter the
+    /// trajectory.
     fn quarantine_shard(&mut self, s: usize, reason: &str) {
         self.teardown_conn(s);
-        let outstanding = std::mem::take(&mut self.conns[s].outstanding);
+        let work = std::mem::take(&mut self.conns[s].outstanding);
+        self.run_locally(s, reason, work.into_values().collect());
+    }
+
+    /// Hands a quarantined shard's work to the (lazily built) local
+    /// executor and queues the results like any other resolved client.
+    fn run_locally(&mut self, shard: usize, reason: &str, work: Vec<ClientWork>) {
         self.n_quarantined_round += 1;
         self.notes_accum.push(TraceEvent::ShardQuarantined {
             round: self.round,
-            shard: s,
+            shard,
             reason: reason.to_string(),
         });
-        let items: Vec<WorkItem> = outstanding.into_values().collect();
-        self.reexec_local(self.round, s, items);
-    }
-
-    /// Runs reassigned work items on a lazily built local world/executor,
-    /// pushing the results into `pending` in the same normalized shape the
-    /// shard path produces. Falls back to synthesized `Failed` events only
-    /// when local execution is impossible (unknown workload spec or a dead
-    /// local executor).
-    fn reexec_local(&mut self, round: usize, shard: usize, items: Vec<WorkItem>) {
-        if items.is_empty() {
+        if work.is_empty() {
             return;
         }
-        for item in &items {
+        let n_workers = self.n_workers;
+        let executor = self
+            .local_exec
+            .get_or_insert_with(|| RoundExecutor::new(n_workers));
+        let n = work.len();
+        for w in work {
             self.n_reassigned_round += 1;
             self.notes_accum.push(TraceEvent::OrdinalReassigned {
-                round,
+                round: self.round,
                 shard,
-                ord: item.ord,
-                client: item.client_id,
+                ord: w.ord,
+                client: w.client.id,
             });
+            executor
+                .submit(w)
+                .expect("local executor alive while the pool exists");
         }
-        if self.local_world.is_none() {
-            match build_world(&self.fl, &self.scheme, &self.spec) {
-                Ok(w) => self.local_world = Some(w),
-                Err(e) => {
-                    for item in items {
-                        self.pending.push_back(ShardEvent::Failed {
-                            ord: item.ord,
-                            client_id: item.client_id,
-                            panic_msg: format!("local re-execution impossible: {e}"),
-                        });
-                    }
-                    return;
-                }
-            }
+        for _ in 0..n {
+            let done = executor
+                .recv()
+                .expect("local executor alive while the pool exists");
+            self.pending.push_back(done);
         }
-        if self.local_exec.is_none() {
-            self.local_exec = Some(RoundExecutor::new(self.n_workers));
-        }
-        // Take both out so `pending` can be pushed while they are in use.
-        let world = self.local_world.take().expect("local world just built");
-        let executor = self.local_exec.take().expect("local executor just built");
-
-        let ctx = Arc::new(RoundCtx {
-            layout: world.layout.clone(),
-            workload: world.workload.clone(),
-            fl: self.fl.clone(),
-            opts: world.opts.clone(),
-            global: self.round_global.clone(),
-        });
-        let mut unresolved: BTreeMap<usize, usize> =
-            items.iter().map(|i| (i.ord, i.client_id)).collect();
-        let mut submitted = 0usize;
-        for item in &items {
-            let mut client = world.factory.build(item.client_id);
-            if let Some(snap) = &item.snapshot {
-                apply_snapshot(&mut client, snap);
-            }
-            client.participations = item.participations;
-            match executor.submit(ClientWork {
-                ord: item.ord,
-                client,
-                plan: item.plan.clone(),
-                ctx: ctx.clone(),
-            }) {
-                Ok(()) => submitted += 1,
-                Err(e) => {
-                    unresolved.remove(&item.ord);
-                    self.pending.push_back(ShardEvent::Failed {
-                        ord: item.ord,
-                        client_id: item.client_id,
-                        panic_msg: format!("local executor rejected work: {e}"),
-                    });
-                }
-            }
-        }
-        for _ in 0..submitted {
-            match executor.recv() {
-                Ok(ClientDone::Completed(mut done)) => {
-                    unresolved.remove(&done.ord);
-                    let (msg, payload) = done_msg_from_completion(round, &mut done);
-                    self.pending.push_back(ShardEvent::Done {
-                        ord: msg.ord,
-                        msg: Box::new(msg),
-                        payload: payload.unwrap_or_default(),
-                    });
-                }
-                Ok(ClientDone::Failed(fail)) => {
-                    unresolved.remove(&fail.ord);
-                    self.pending.push_back(ShardEvent::Failed {
-                        ord: fail.ord,
-                        client_id: fail.client_id,
-                        panic_msg: fail.panic_msg,
-                    });
-                }
-                Err(e) => {
-                    for (ord, client_id) in std::mem::take(&mut unresolved) {
-                        self.pending.push_back(ShardEvent::Failed {
-                            ord,
-                            client_id,
-                            panic_msg: format!("local executor died: {e}"),
-                        });
-                    }
-                    break;
-                }
-            }
-        }
-        self.local_world = Some(world);
-        self.local_exec = Some(executor);
     }
 
     /// Kills a shard immediately (chaos tests). Outstanding work resolves
-    /// as synthesized failures.
+    /// as failures.
     pub fn kill_shard(&mut self, s: usize) {
         self.fail_shard(s, "killed");
     }
@@ -1439,75 +1141,73 @@ impl ShardPool {
         false
     }
 
-    /// Dispatches one round: routes each item to its shard, broadcasting
-    /// the global parameters, respawning dead shards lazily. Dispatch
-    /// failures degrade — a failed respawn/handshake quarantines the shard
-    /// and re-executes its items locally; a broken send fails the shard —
-    /// never an Err (the round loop's failure path handles them uniformly).
-    pub fn begin_round(
-        &mut self,
-        round: usize,
-        start: SimTime,
-        deadline: SimTime,
-        global: &[f32],
-        items: Vec<WorkItem>,
-    ) -> Result<(), ShardError> {
+    /// Dispatches one round's cohort: routes each client to its shard —
+    /// shipping a [`WorkItem`] and keeping the work itself as outstanding —
+    /// broadcasting the round's global parameters, respawning dead shards
+    /// lazily. Dispatch failures degrade — a failed respawn/handshake
+    /// quarantines the shard and runs its work locally; a broken send
+    /// fails the shard — never an Err (the round loop's failure path
+    /// handles them uniformly).
+    pub fn begin_round(&mut self, work: Vec<ClientWork>) -> Result<(), ShardError> {
         if self.down {
             return Err(ShardError::Disconnected);
         }
+        let Some(first) = work.first() else {
+            return Ok(());
+        };
+        let round = first.plan.round;
         self.round = round;
         self.round_atomic.store(round as u64, Ordering::Relaxed);
-        self.round_global = global.to_vec();
-        let n = self.conns.len();
-        let assignment = self.fl.shard.assignment.clone();
-        let mut by_shard: Vec<Vec<WorkItem>> = (0..n).map(|_| Vec::new()).collect();
-        for item in items {
-            by_shard[assignment.shard_of(item.client_id, n)].push(item);
-        }
-
-        let mut global_bytes = BytesMut::with_capacity(4 * global.len());
-        for &v in global {
+        let mut global_bytes = BytesMut::with_capacity(4 * first.ctx.global.len());
+        for &v in &first.ctx.global {
             global_bytes.put_f32_le(v);
         }
         let global_bytes = global_bytes.freeze();
 
-        for (s, items) in by_shard.into_iter().enumerate() {
+        let n = self.conns.len();
+        let mut by_shard: Vec<Vec<ClientWork>> = (0..n).map(|_| Vec::new()).collect();
+        for w in work {
+            by_shard[self.fl.shard.assignment.shard_of(w.client.id, n)].push(w);
+        }
+
+        for (s, work) in by_shard.into_iter().enumerate() {
             self.conns[s].done_this_round = 0;
-            if items.is_empty() {
+            if work.is_empty() {
                 continue;
             }
             let kill_now = self.take_kill(round, s, 0);
             if !self.conns[s].alive && !kill_now {
                 if let Err(e) = self.spawn_shard(s) {
                     // A shard that cannot be (re)connected is quarantined:
-                    // its items run locally, bit-identically, so transient
+                    // its work runs locally, bit-identically, so transient
                     // spawn/handshake trouble never alters the trajectory.
-                    self.n_quarantined_round += 1;
-                    self.notes_accum.push(TraceEvent::ShardQuarantined {
-                        round,
-                        shard: s,
-                        reason: format!("respawn failed: {e}"),
-                    });
-                    self.reexec_local(round, s, items);
+                    self.run_locally(s, &format!("respawn failed: {e}"), work);
                     continue;
                 }
             }
-            self.conns[s].outstanding = items.iter().map(|i| (i.ord, i.clone())).collect();
+            let items = work
+                .iter()
+                .map(|w| WorkItem {
+                    ord: w.ord,
+                    client_id: w.client.id,
+                    participations: w.client.participations,
+                    plan: w.plan.clone(),
+                    snapshot: Some(snapshot_client(&w.client)),
+                })
+                .collect();
+            self.conns[s].outstanding = work.into_iter().map(|w| (w.ord, w)).collect();
             if kill_now {
                 self.fail_shard(s, "killed by kill plan");
                 continue;
             }
-            let msg = ToShard::RoundStart {
-                round,
-                start_bits: start.to_bits(),
-                deadline_bits: deadline.to_bits(),
-                items,
-            };
             let sent = self.conns[s]
                 .link
                 .as_ref()
                 .expect("alive shard has a link")
-                .send(&msg, Some(global_bytes.clone()));
+                .send(
+                    &ToShard::RoundStart { round, items },
+                    Some(global_bytes.clone()),
+                );
             match sent {
                 Ok(()) => {}
                 // The link already declared the peer dead: quarantine (the
@@ -1522,10 +1222,12 @@ impl ShardPool {
         Ok(())
     }
 
-    /// Waits (bounded) for the next resolved client. `Err(Timeout)` means
-    /// no event arrived within `timeout` — the caller decides whether to
-    /// [`kill_stalled`](Self::kill_stalled).
-    pub fn recv_timeout(&mut self, timeout: Duration) -> Result<ShardEvent, ShardError> {
+    /// Waits for the next resolved client. The wait is a watchdog, not a
+    /// poll: when nothing arrives within `timeout`, every shard that still
+    /// owes events is killed and its outstanding ordinals resolve as
+    /// failures. `Err(Timeout)` therefore means the pool was idle — nothing
+    /// was outstanding, so waiting was a caller bug, not a stall.
+    pub fn recv_timeout(&mut self, timeout: Duration) -> Result<ClientDone, ShardError> {
         if self.down {
             return Err(ShardError::Disconnected);
         }
@@ -1537,140 +1239,103 @@ impl ShardPool {
             let ev = if let Some(ev) = self.held_events.pop_front() {
                 ev
             } else {
-                let now = Instant::now();
-                if now >= deadline {
-                    return Err(ShardError::Timeout);
-                }
-                match self.rx.recv_timeout(deadline - now) {
+                // Disconnected is unreachable (we hold a Sender clone);
+                // fold it into the timeout defensively.
+                match self
+                    .rx
+                    .recv_timeout(deadline.saturating_duration_since(Instant::now()))
+                {
                     Ok(ev) => ev,
-                    // Disconnected is unreachable (we hold a Sender
-                    // clone); fold it into Timeout defensively.
+                    Err(_) if self.kill_stalled() => continue,
                     Err(_) => return Err(ShardError::Timeout),
                 }
             };
+            let (shard, incarnation) = ev.origin();
+            let c = &self.conns[shard];
+            if incarnation != c.incarnation || c.discard {
+                continue;
+            }
             match ev {
-                PoolEvent::Down {
-                    shard,
-                    incarnation,
-                    reason,
-                } => {
-                    let c = &self.conns[shard];
-                    if incarnation != c.incarnation || c.discard || !c.alive {
-                        continue;
+                PoolEvent::Down { reason, .. } => {
+                    if c.alive {
+                        self.fail_shard(shard, &format!("shard process died: {reason}"));
                     }
-                    self.fail_shard(shard, &format!("shard process died: {reason}"));
                 }
-                PoolEvent::Unreachable {
-                    shard,
-                    incarnation,
-                    reason,
-                } => {
-                    let c = &self.conns[shard];
-                    if incarnation != c.incarnation || c.discard || !c.alive {
-                        continue;
+                PoolEvent::Unreachable { reason, .. } => {
+                    if c.alive {
+                        self.quarantine_shard(shard, &reason);
                     }
-                    self.quarantine_shard(shard, &reason);
                 }
                 PoolEvent::Msg {
-                    shard,
-                    incarnation,
-                    msg,
+                    msg: FromShard::Hello { .. },
+                    ..
+                } => {}
+                PoolEvent::Msg {
+                    msg: FromShard::Done(d),
                     payload,
+                    ..
                 } => {
-                    {
-                        let c = &self.conns[shard];
-                        if incarnation != c.incarnation || c.discard {
-                            continue;
-                        }
+                    if let Some(work) = self.claim(shard, d.round, d.ord) {
+                        let done = d.into_completion(payload, work.client);
+                        return Ok(self.consumed(shard, ClientDone::Completed(done)));
                     }
-                    match msg {
-                        FromShard::Hello { .. } => continue,
-                        FromShard::Done(d) => {
-                            if d.round != self.round {
-                                self.fail_shard(
-                                    shard,
-                                    &format!("Done for round {} in round {}", d.round, self.round),
-                                );
-                                continue;
-                            }
-                            if self.conns[shard].outstanding.remove(&d.ord).is_none() {
-                                // The link layer already delivers exactly
-                                // once; a duplicate here is a stale ghost
-                                // (or injected by a test) — drop it.
-                                self.stats_accum.dup_frames += 1;
-                                continue;
-                            }
-                            self.conns[shard].done_this_round += 1;
-                            let done = self.conns[shard].done_this_round;
-                            let ev = ShardEvent::Done {
-                                ord: d.ord,
-                                msg: Box::new(d),
-                                payload,
-                            };
-                            if self.take_kill(self.round, shard, done) {
-                                self.fail_shard(shard, "killed by kill plan");
-                            }
-                            return Ok(ev);
-                        }
+                }
+                PoolEvent::Msg {
+                    msg:
                         FromShard::Failed {
                             round,
                             ord,
                             client_id,
                             panic_msg,
-                        } => {
-                            if round != self.round {
-                                self.fail_shard(
-                                    shard,
-                                    &format!("Failed for round {round} in round {}", self.round),
-                                );
-                                continue;
-                            }
-                            if self.conns[shard].outstanding.remove(&ord).is_none() {
-                                self.stats_accum.dup_frames += 1;
-                                continue;
-                            }
-                            self.conns[shard].done_this_round += 1;
-                            let done = self.conns[shard].done_this_round;
-                            let ev = ShardEvent::Failed {
-                                ord,
-                                client_id,
-                                panic_msg,
-                            };
-                            if self.take_kill(self.round, shard, done) {
-                                self.fail_shard(shard, "killed by kill plan");
-                            }
-                            return Ok(ev);
-                        }
-                        FromShard::RoundDone { round, .. } => {
-                            // The coordinator returns from a round as soon
-                            // as every ordinal resolves, so a summary for
-                            // an *earlier* round is routinely consumed
-                            // during the next one — ignore it. A summary
-                            // from the future, or for the current round
-                            // while ordinals are still unresolved, is a
-                            // protocol violation.
-                            if round > self.round
-                                || (round == self.round
-                                    && !self.conns[shard].outstanding.is_empty())
-                            {
-                                self.fail_shard(
-                                    shard,
-                                    "RoundDone with unresolved ordinals or wrong round",
-                                );
-                            }
-                            continue;
-                        }
+                        },
+                    ..
+                } => {
+                    if self.claim(shard, round, ord).is_some() {
+                        let failure = ClientFailure {
+                            ord,
+                            client_id,
+                            panic_msg,
+                        };
+                        return Ok(self.consumed(shard, ClientDone::Failed(failure)));
                     }
                 }
             }
         }
     }
 
+    /// Takes the outstanding work that a shard's event for `(round, ord)`
+    /// resolves. An event for another round fails the shard; one for an
+    /// ordinal that is not outstanding is a stale ghost (the link layer
+    /// already delivers exactly once — or a test injected it) and is
+    /// dropped.
+    fn claim(&mut self, shard: usize, round: usize, ord: usize) -> Option<ClientWork> {
+        if round != self.round {
+            let reason = format!("event for round {round} in round {}", self.round);
+            self.fail_shard(shard, &reason);
+            return None;
+        }
+        let work = self.conns[shard].outstanding.remove(&ord);
+        if work.is_none() {
+            self.stats_accum.dup_frames += 1;
+        }
+        work
+    }
+
+    /// Counts one event consumed from `shard` — the deterministic kill plan
+    /// fires on these — and passes it through.
+    fn consumed(&mut self, shard: usize, ev: ClientDone) -> ClientDone {
+        self.conns[shard].done_this_round += 1;
+        let done = self.conns[shard].done_this_round;
+        if self.take_kill(self.round, shard, done) {
+            self.fail_shard(shard, "killed by kill plan");
+        }
+        ev
+    }
+
     /// Kills every shard that still owes events for the current round
-    /// (their outstanding ordinals resolve as synthesized failures).
-    /// Returns whether any shard was killed — `false` means the pool was
-    /// idle, i.e. a timeout was a caller bug, not a stall.
-    pub fn kill_stalled(&mut self) -> bool {
+    /// (their outstanding ordinals resolve as failures). Returns whether
+    /// any shard was killed.
+    fn kill_stalled(&mut self) -> bool {
         let stalled: Vec<usize> = self
             .conns
             .iter()
@@ -1799,71 +1464,29 @@ pub fn test_child_args() -> Vec<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::params::ModelLayout;
-
-    fn tiny_layout() -> Arc<ModelLayout> {
-        Arc::new(ModelLayout::from_spans(&[
-            fedca_nn::model::ParamSpan {
-                name: "a".into(),
-                range: 0..3,
-            },
-            fedca_nn::model::ParamSpan {
-                name: "b".into(),
-                range: 3..5,
-            },
-        ]))
-    }
 
     #[test]
-    fn update_payload_validation_accepts_exact_tilings_only() {
-        let layout = tiny_layout();
-        let vals = vec![1.0f32, -2.5, 3.25e-7, 0.0, 1e20];
-        let update = UpdateVec::from_vec(layout.clone(), vals);
-        let payload = encode_update(3, 7, &update);
-        assert!(validate_update_payload(&layout, &payload).is_ok());
-
-        // A payload whose layer lengths disagree with the layout is a
-        // typed error (here: swapped ids make both lengths wrong).
-        let wrong = wire::encode(&UpdateMessage {
-            round: 3,
-            client: 7,
-            layers: vec![
-                (1, Payload::Dense(vec![0.0; 3])),
-                (0, Payload::Dense(vec![0.0; 2])),
-            ],
-        });
+    fn forged_message_kinds_are_typed_protocol_errors() {
+        // A frame of a kind the protocol does not have (a level-1 round
+        // summary, say) is a protocol violation, not a silent skip.
+        let frame = Frame {
+            kind: fedca_compress::wire::FrameKind::Control,
+            seq: 1,
+            meta: Bytes::from_static(br#"{"RoundSummary":{"round":0,"n_resolved":1}}"#),
+            payload: Bytes::default(),
+        };
         assert!(matches!(
-            validate_update_payload(&layout, &wrong),
+            parse_meta::<FromShard>(&frame),
             Err(ShardError::Protocol(_))
         ));
-
-        // A missing layer fails the tiling check.
-        let missing = wire::encode(&UpdateMessage {
-            round: 3,
-            client: 7,
-            layers: vec![(0, Payload::Dense(vec![0.0; 3]))],
-        });
+        let hello = Frame {
+            meta: Bytes::from_static(br#"{"Hello":{"shard_id":2}}"#),
+            ..frame
+        };
         assert!(matches!(
-            validate_update_payload(&layout, &missing),
-            Err(ShardError::Protocol(_))
+            parse_meta::<FromShard>(&hello),
+            Ok(FromShard::Hello { shard_id: 2 })
         ));
-
-        // Concatenated messages that tile the vector together (the eager
-        // sidecar shape) are accepted.
-        let a = wire::encode(&UpdateMessage {
-            round: 3,
-            client: 7,
-            layers: vec![(1, Payload::Dense(vec![0.0; 2]))],
-        });
-        let b = wire::encode(&UpdateMessage {
-            round: 3,
-            client: 7,
-            layers: vec![(0, Payload::Dense(vec![0.0; 3]))],
-        });
-        let mut joined = BytesMut::with_capacity(a.as_ref().len() + b.as_ref().len());
-        joined.put_slice(a.as_ref());
-        joined.put_slice(b.as_ref());
-        assert!(validate_update_payload(&layout, &joined.freeze()).is_ok());
     }
 
     #[test]

@@ -1,19 +1,18 @@
 //! Property test: the wire-decoding ingest data plane is bit-identical to
-//! the dense fold.
+//! the dense reference fold.
 //!
-//! Every report is ingested twice — once carrying its encoded wire bytes
-//! (the zero-copy arena path: dense staging + fused dequantize-accumulate
-//! from the packed buffer) and once with `wire_update: None` (the
-//! historical dense path) — into two servers that must finish every round
-//! with byte-identical global parameters, the same collected set, and the
-//! same rejection count. Payload codecs, layer→message splits (emulating
-//! the eager sidecar's concatenated messages), arrival orders, and arena
-//! reuse across consecutive rounds are all randomized.
+//! Every report carries its update as encoded wire bytes — its only form —
+//! and goes through the server's arena path (dense staging + fused
+//! dequantize-accumulate from the packed buffer). The global model must
+//! move, bit for bit, by `params::aggregate` over what those bytes decode
+//! to, with nothing rejected. Payload codecs, layer→message splits
+//! (emulating the eager sidecar's concatenated messages), arrival orders,
+//! and arena reuse across consecutive rounds are all randomized.
 
 use fedca_compress::wire::{self, Payload, UpdateMessage};
 use fedca_compress::{f32_to_f16, quantize, quantize_det, top_k};
 use fedca_core::client::ClientRoundReport;
-use fedca_core::params::{ModelLayout, UpdateVec};
+use fedca_core::params::{aggregate, ModelLayout, UpdateVec};
 use fedca_core::server::Server;
 use fedca_nn::model::ParamSpan;
 use proptest::prelude::*;
@@ -102,14 +101,12 @@ fn report(
     client_id: usize,
     upload_done: f64,
     weight: f64,
-    update: Vec<f32>,
-    wire_update: Option<bytes::Bytes>,
+    wire_update: bytes::Bytes,
 ) -> ClientRoundReport {
     ClientRoundReport {
         client_id,
         weight,
-        update: UpdateVec::from_vec(layout(), update),
-        wire_update,
+        wire_update: Some(wire_update),
         iters_done: 3,
         early_stopped: false,
         download_done: 0.05,
@@ -132,7 +129,7 @@ fn server() -> Server {
 
 proptest! {
     #[test]
-    fn wire_ingest_matches_dense_fold_bit_for_bit(
+    fn wire_ingest_matches_dense_reference_bit_for_bit(
         (clients, prios, qseed) in (2usize..10).prop_flat_map(|n| (
             prop::collection::vec(
                 (
@@ -153,40 +150,43 @@ proptest! {
     ) {
         let n = clients.len();
         let mut qrng = StdRng::seed_from_u64(qseed);
-        let mut wire_reports = Vec::with_capacity(n);
-        let mut dense_reports = Vec::with_capacity(n);
+        let mut reports = Vec::with_capacity(n);
+        let mut decoded = Vec::with_capacity(n);
         for (i, (arrival, weight, codecs, split, raw)) in clients.iter().enumerate() {
             let values: Vec<Vec<f32>> = SIZES
                 .iter()
                 .enumerate()
                 .map(|(l, &len)| raw[l][..len].to_vec())
                 .collect();
-            let (bytes, decoded) = wire_form(i, codecs, *split, &values, &mut qrng);
-            wire_reports.push(report(i, *arrival, *weight, decoded.clone(), Some(bytes)));
-            dense_reports.push(report(i, *arrival, *weight, decoded, None));
+            let (bytes, dense) = wire_form(i, codecs, *split, &values, &mut qrng);
+            reports.push(report(i, *arrival, *weight, bytes));
+            decoded.push(UpdateVec::from_vec(layout(), dense));
         }
 
         let mut order: Vec<usize> = (0..n).collect();
         order.sort_by_key(|&i| (prios[i], i));
 
-        let mut wire_srv = server();
-        let mut dense_srv = server();
+        let mut srv = server();
+        let mut reference = UpdateVec::zeros(layout());
         // Two rounds with the same reports: the second reuses the first's
         // arena pools, so a stale segment map or staging vector would show.
         for round in 0..2 {
-            let mut wa = wire_srv.begin_round(0.0, n);
-            let mut da = dense_srv.begin_round(0.0, n);
+            let mut agg = srv.begin_round(0.0, n);
             for &ord in &order {
-                wa.ingest(ord, wire_reports[ord].clone());
-                da.ingest(ord, dense_reports[ord].clone());
+                agg.ingest(ord, reports[ord].clone());
             }
-            let (wr, _) = wa.close(&mut wire_srv);
-            let (dr, _) = da.close(&mut dense_srv);
-            prop_assert_eq!(&wr.collected, &dr.collected, "round {}", round);
-            prop_assert_eq!(wr.n_rejected, dr.n_rejected, "round {}", round);
-            prop_assert_eq!(wr.completion, dr.completion, "round {}", round);
-            let w = wire_srv.global().as_slice();
-            let d = dense_srv.global().as_slice();
+            let (res, _) = agg.close(&mut srv);
+            prop_assert_eq!(res.n_rejected, 0, "round {}", round);
+            prop_assert!(!res.collected.is_empty(), "round {}", round);
+            // The dense reference over exactly the collected clients.
+            let updates: Vec<(&UpdateVec, f64)> = res
+                .collected
+                .iter()
+                .map(|&i| (&decoded[i], clients[i].1))
+                .collect();
+            reference.axpy(1.0, &aggregate(&updates));
+            let w = srv.global().as_slice();
+            let d = reference.as_slice();
             for j in 0..DIM {
                 prop_assert_eq!(
                     w[j].to_bits(),

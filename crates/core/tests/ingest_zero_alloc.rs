@@ -14,7 +14,7 @@
 use fedca_compress::quantize_det;
 use fedca_compress::wire::{self, Payload, UpdateMessage};
 use fedca_core::client::ClientRoundReport;
-use fedca_core::params::{ModelLayout, UpdateVec};
+use fedca_core::params::ModelLayout;
 use fedca_core::server::Server;
 use fedca_nn::model::ParamSpan;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -74,7 +74,6 @@ fn wire_report(layout: &Arc<ModelLayout>, client: usize) -> ClientRoundReport {
         client: client as u32,
         layers: Vec::new(),
     };
-    let mut update = vec![0.0f32; DIM];
     for l in 0..SIZES.len() {
         let r = layout.range(l);
         let payload = if l == 0 {
@@ -82,13 +81,11 @@ fn wire_report(layout: &Arc<ModelLayout>, client: usize) -> ClientRoundReport {
         } else {
             Payload::Quantized(quantize_det(&values[r.clone()], 4))
         };
-        update[r.clone()].copy_from_slice(&payload.to_dense());
         msg.layers.push((l as u32, payload));
     }
     ClientRoundReport {
         client_id: client,
         weight: 1.0 + client as f64,
-        update: UpdateVec::from_vec(layout.clone(), update),
         wire_update: Some(wire::encode(&msg)),
         iters_done: 3,
         early_stopped: false,

@@ -503,8 +503,6 @@ fn shard_control_messages_round_trip_stably() {
     assert_json_stable(
         &ToShard::RoundStart {
             round: 9,
-            start_bits: 120.5f64.to_bits(),
-            deadline_bits: f64::INFINITY.to_bits(),
             items: vec![item],
         },
         "ToShard::RoundStart",
@@ -519,15 +517,6 @@ fn shard_control_messages_round_trip_stably() {
             panic_msg: "client panicked: injected".into(),
         },
         "FromShard::Failed",
-    );
-    assert_json_stable(
-        &FromShard::RoundDone {
-            round: 4,
-            n_resolved: 8,
-            n_finite: 6,
-            provisional_bits: f64::INFINITY.to_bits(),
-        },
-        "FromShard::RoundDone",
     );
 }
 
@@ -554,8 +543,6 @@ fn done_msg_preserves_non_finite_floats_bit_exactly() {
         train_loss_bits: f32::NAN.to_bits(),
         dropped: true,
         crashed: false,
-        poisoned: true,
-        has_update: false,
         model_reused: true,
         allocs_avoided: 3,
         host_us_bits: 1234.5f64.to_bits(),

@@ -1,18 +1,25 @@
-//! Direct coverage for the `ShardPool` receive API, mirroring
-//! `executor_api.rs`: every wait is bounded (an idle pool times out
-//! instead of hanging), work dispatched with `begin_round` drains through
-//! `recv_timeout` exactly once per item, and a killed shard resolves its
-//! outstanding ordinals as synthesized failures — then respawns lazily on
-//! the next round that routes it work.
+//! Direct coverage for the `ShardPool` API, mirroring `executor_api.rs` —
+//! the pool speaks the executor's vocabulary, `ClientWork` in and
+//! `ClientDone` out: every wait is bounded (an idle pool times out instead
+//! of hanging), work dispatched with `begin_round` drains through
+//! `recv_timeout` exactly once per item with the client's state coming
+//! home, and a killed shard resolves its outstanding ordinals as failures —
+//! then respawns lazily on the next round that routes it work.
 
 use bytes::Bytes;
 use fedca_core::client::RoundPlan;
 use fedca_core::config::FlConfig;
-use fedca_core::shard::{DoneMsg, FromShard, ShardError, ShardEvent, ShardPool, WorkItem};
+use fedca_core::executor::{ClientDone, ClientWork, RoundCtx};
+use fedca_core::params::ModelLayout;
+use fedca_core::population::ClientFactory;
+use fedca_core::shard::{DoneMsg, FromShard, ShardError, ShardPool};
 use fedca_core::{Scheme, Workload};
+use fedca_data::PartitionSpec;
+use fedca_sim::device::DynamicsConfig;
 use fedca_sim::faults::ClientFaults;
 use proptest::prelude::*;
 use std::collections::BTreeSet;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 // Re-exec entry point: the pool spawns this very test binary as its shard
@@ -35,120 +42,180 @@ fn pool_fl(n_shards: usize) -> FlConfig {
     fl
 }
 
-fn make_pool(n_shards: usize) -> (ShardPool, Vec<f32>) {
+/// A pool plus what the root would hand it: the factory the shard children
+/// derive their clients from, and the round context.
+struct Fixture {
+    pool: ShardPool,
+    factory: ClientFactory,
+    ctx: Arc<RoundCtx>,
+}
+
+fn make_pool(n_shards: usize) -> Fixture {
     let fl = pool_fl(n_shards);
+    let scheme = Scheme::fedca_default();
     let workload = Workload::tiny_mlp(SEED);
     let spec = workload
         .spec
         .clone()
         .expect("tiny_mlp is a registry workload");
-    let global = (workload.model_factory)().flat_params();
-    let pool =
-        ShardPool::new(&fl, &Scheme::fedca_default(), spec, 1).expect("shard pool must come up");
-    (pool, global)
+    let model = (workload.model_factory)();
+    let layout = Arc::new(ModelLayout::from_spans(model.spans()));
+    let pool = ShardPool::new(&fl, &scheme, spec, 1).expect("shard pool must come up");
+    let factory = ClientFactory {
+        fl: fl.clone(),
+        dynamics: if fl.dynamicity {
+            DynamicsConfig::paper()
+        } else {
+            DynamicsConfig::static_device()
+        },
+        layout: layout.clone(),
+        max_samples: scheme.max_samples_per_layer(),
+        partition: PartitionSpec::new(
+            workload.train.labels(),
+            fl.n_clients,
+            fl.dirichlet_alpha,
+            fl.seed,
+        ),
+    };
+    let ctx = Arc::new(RoundCtx {
+        layout,
+        global: model.flat_params(),
+        opts: scheme.client_options(),
+        workload,
+        fl,
+    });
+    Fixture { pool, factory, ctx }
 }
 
-fn make_items(round: usize, n: usize) -> Vec<WorkItem> {
-    (0..n)
-        .map(|ord| WorkItem {
-            ord,
-            client_id: ord,
-            participations: 1,
-            plan: RoundPlan {
-                round,
-                start: 0.0,
-                deadline: 1e9,
-                planned_iters: 3,
-                is_anchor: false,
-                faults: ClientFaults::none(),
-            },
-            // None = "freshly built is exact" — valid for clients the
-            // root never checked out before.
-            snapshot: None,
-        })
-        .collect()
+impl Fixture {
+    /// Clients `0..n` on their first participation, keyed `ord == id`.
+    fn work(&self, round: usize, n: usize) -> Vec<ClientWork> {
+        (0..n)
+            .map(|ord| {
+                let mut client = self.factory.build(ord);
+                client.participations = 1;
+                ClientWork {
+                    ord,
+                    client,
+                    plan: RoundPlan {
+                        round,
+                        start: 0.0,
+                        deadline: 1e9,
+                        planned_iters: 3,
+                        is_anchor: false,
+                        faults: ClientFaults::none(),
+                    },
+                    ctx: Arc::clone(&self.ctx),
+                }
+            })
+            .collect()
+    }
+}
+
+fn ord_of(done: &ClientDone) -> usize {
+    match done {
+        ClientDone::Completed(c) => c.ord,
+        ClientDone::Failed(f) => f.ord,
+    }
 }
 
 #[test]
 fn recv_timeout_on_an_idle_pool_returns_timeout_not_a_hang() {
-    let (mut pool, _) = make_pool(1);
+    let mut fx = make_pool(1);
     let t0 = Instant::now();
-    let result = pool.recv_timeout(Duration::from_millis(30));
+    let result = fx.pool.recv_timeout(Duration::from_millis(30));
     let elapsed = t0.elapsed();
+    // A timeout on an idle pool is a caller bug, not a stall: nothing is
+    // outstanding, so the watchdog has nothing to kill and says so.
     assert!(
         matches!(result, Err(ShardError::Timeout)),
-        "idle pool must time out, got {result:?}"
+        "idle pool must time out, got {:?}",
+        result.map(|d| ord_of(&d))
     );
     assert!(elapsed >= Duration::from_millis(30), "returned too early");
     assert!(
         elapsed < Duration::from_secs(5),
         "recv_timeout hung far past its bound: {elapsed:?}"
     );
-    // A timeout on an idle pool is a caller bug, not a stall: nothing is
-    // outstanding, so the stall-killer must be a no-op.
-    assert!(!pool.kill_stalled(), "idle pool has nothing to kill");
 }
 
 #[test]
 fn real_work_drains_through_recv_timeout_exactly_once_per_item() {
-    let (mut pool, global) = make_pool(2);
+    let mut fx = make_pool(2);
     const N: usize = 4;
-    pool.begin_round(0, 0.0, 1e9, &global, make_items(0, N))
+    fx.pool
+        .begin_round(fx.work(0, N))
         .expect("dispatch on a healthy pool");
     let mut ords = BTreeSet::new();
     for _ in 0..N {
-        match pool
+        match fx
+            .pool
             .recv_timeout(Duration::from_secs(60))
             .expect("work must resolve well within the bound")
         {
-            ShardEvent::Done { ord, msg, payload } => {
-                assert_eq!(msg.ord, ord);
-                assert_eq!(msg.client_id, ord, "items were keyed client_id == ord");
-                assert_eq!(msg.iters_done, 3);
-                assert!(msg.has_update, "fault-free client ships its update");
-                assert!(
-                    !payload.as_ref().is_empty(),
-                    "dense payload travels with Done"
+            ClientDone::Completed(done) => {
+                assert_eq!(done.client.id, done.ord, "work was keyed id == ord");
+                assert_eq!(done.report.client_id, done.ord);
+                assert_eq!(done.report.iters_done, 3);
+                assert_eq!(
+                    done.client.participations, 1,
+                    "the checked-out state comes home"
                 );
-                assert!(ords.insert(ord), "ordinal {ord} delivered twice");
+                assert!(
+                    done.report
+                        .wire_update
+                        .as_ref()
+                        .is_some_and(|b| !b.is_empty()),
+                    "a fault-free client's wire update travels with Done"
+                );
+                assert!(
+                    ords.insert(done.ord),
+                    "ordinal {} delivered twice",
+                    done.ord
+                );
             }
-            ShardEvent::Failed { panic_msg, .. } => {
-                panic!("fault-free client failed: {panic_msg}")
-            }
+            ClientDone::Failed(f) => panic!("fault-free client failed: {}", f.panic_msg),
         }
     }
     assert_eq!(ords, (0..N).collect::<BTreeSet<_>>());
     // The round is drained: the next bounded receive times out.
     assert!(matches!(
-        pool.recv_timeout(Duration::from_millis(20)),
+        fx.pool.recv_timeout(Duration::from_millis(20)),
         Err(ShardError::Timeout)
     ));
 }
 
 #[test]
 fn killed_shard_fails_outstanding_work_then_respawns_lazily() {
-    let (mut pool, global) = make_pool(1);
+    let mut fx = make_pool(1);
     const N: usize = 3;
 
     // Kill shard 0 at dispatch of round 0, before any work can land.
-    pool.schedule_kill(0, 0, 0);
-    pool.begin_round(0, 0.0, 1e9, &global, make_items(0, N))
+    fx.pool.schedule_kill(0, 0, 0);
+    fx.pool
+        .begin_round(fx.work(0, N))
         .expect("dispatch still succeeds; the kill degrades to failures");
     let mut failed = BTreeSet::new();
     for _ in 0..N {
-        match pool
+        match fx
+            .pool
             .recv_timeout(Duration::from_secs(60))
-            .expect("synthesized failures must already be queued")
+            .expect("the failures must already be queued")
         {
-            ShardEvent::Failed { ord, panic_msg, .. } => {
+            ClientDone::Failed(f) => {
                 assert!(
-                    panic_msg.contains("killed"),
-                    "failure must name the kill: {panic_msg}"
+                    f.panic_msg.contains("killed"),
+                    "failure must name the kill: {}",
+                    f.panic_msg
                 );
-                assert!(failed.insert(ord), "ordinal {ord} failed twice");
+                assert_eq!(f.client_id, f.ord);
+                assert!(failed.insert(f.ord), "ordinal {} failed twice", f.ord);
             }
-            ShardEvent::Done { ord, .. } => {
-                panic!("ordinal {ord} completed on a shard killed at dispatch")
+            ClientDone::Completed(done) => {
+                panic!(
+                    "ordinal {} completed on a shard killed at dispatch",
+                    done.ord
+                )
             }
         }
     }
@@ -156,19 +223,25 @@ fn killed_shard_fails_outstanding_work_then_respawns_lazily() {
 
     // The next round that routes the dead shard work respawns it, and the
     // same cohort now completes normally.
-    pool.begin_round(1, 0.0, 1e9, &global, make_items(1, N))
+    fx.pool
+        .begin_round(fx.work(1, N))
         .expect("lazy respawn on dispatch");
     let mut ords = BTreeSet::new();
     for _ in 0..N {
-        match pool
+        match fx
+            .pool
             .recv_timeout(Duration::from_secs(60))
             .expect("respawned shard must serve the round")
         {
-            ShardEvent::Done { ord, .. } => {
-                assert!(ords.insert(ord), "ordinal {ord} delivered twice");
+            ClientDone::Completed(done) => {
+                assert!(
+                    ords.insert(done.ord),
+                    "ordinal {} delivered twice",
+                    done.ord
+                );
             }
-            ShardEvent::Failed { panic_msg, .. } => {
-                panic!("respawned shard failed healthy work: {panic_msg}")
+            ClientDone::Failed(f) => {
+                panic!("respawned shard failed healthy work: {}", f.panic_msg)
             }
         }
     }
@@ -187,20 +260,26 @@ fn killed_shard_fails_outstanding_work_then_respawns_lazily() {
 /// be prohibitive.
 #[test]
 fn injected_duplicate_and_stale_frames_never_double_resolve_an_ordinal() {
-    let (mut pool, global) = make_pool(1);
+    let mut fx = make_pool(1);
     const N: usize = 3;
 
-    // Round 0: run clean and capture the real wire messages to replay.
-    pool.begin_round(0, 0.0, 1e9, &global, make_items(0, N))
+    // Round 0: run clean and re-encode the completions as the socket
+    // messages to replay.
+    fx.pool
+        .begin_round(fx.work(0, N))
         .expect("dispatch on a healthy pool");
     let mut captured: Vec<(DoneMsg, Bytes)> = Vec::new();
     for _ in 0..N {
-        match pool
+        match fx
+            .pool
             .recv_timeout(Duration::from_secs(60))
             .expect("round 0 must resolve")
         {
-            ShardEvent::Done { msg, payload, .. } => captured.push((*msg, payload)),
-            ShardEvent::Failed { panic_msg, .. } => panic!("clean round failed: {panic_msg}"),
+            ClientDone::Completed(done) => {
+                let (msg, payload) = DoneMsg::from_completion(0, done);
+                captured.push((msg, payload.expect("fault-free client sent its update")));
+            }
+            ClientDone::Failed(f) => panic!("clean round failed: {}", f.panic_msg),
         }
     }
     assert_eq!(captured.len(), N);
@@ -208,9 +287,8 @@ fn injected_duplicate_and_stale_frames_never_double_resolve_an_ordinal() {
     let mut rng = proptest::TestRng::new(0xD0D0_CAFE);
     for case in 0..3usize {
         let round = case + 1;
-        pool.begin_round(round, 0.0, 1e9, &global, make_items(round, N))
-            .expect("dispatch");
-        let inc = pool.incarnation_for_test(0);
+        fx.pool.begin_round(fx.work(round, N)).expect("dispatch");
+        let inc = fx.pool.incarnation_for_test(0);
         // Storm the queue with ghosts in a randomized order, racing the
         // shard's real events: current-incarnation duplicates (round
         // rewritten so only the ordinal dedup can reject the extras),
@@ -224,7 +302,7 @@ fn injected_duplicate_and_stale_frames_never_double_resolve_an_ordinal() {
             let stale = (0usize..4).sample(&mut rng) == 0;
             let use_inc = if stale { inc.wrapping_sub(1) } else { inc };
             if (0usize..4).sample(&mut rng) == 0 {
-                pool.inject_msg_for_test(
+                fx.pool.inject_msg_for_test(
                     0,
                     use_inc,
                     FromShard::Failed {
@@ -236,55 +314,55 @@ fn injected_duplicate_and_stale_frames_never_double_resolve_an_ordinal() {
                     Bytes::default(),
                 );
             } else {
-                pool.inject_msg_for_test(0, use_inc, FromShard::Done(msg), payload.clone());
+                fx.pool
+                    .inject_msg_for_test(0, use_inc, FromShard::Done(msg), payload.clone());
             }
         }
         // Exactly N resolutions, one per ordinal, whichever copy won.
         let mut resolved = BTreeSet::new();
         for _ in 0..N {
-            match pool
+            let done = fx
+                .pool
                 .recv_timeout(Duration::from_secs(60))
-                .expect("each ordinal must resolve exactly once")
-            {
-                ShardEvent::Done { ord, .. } | ShardEvent::Failed { ord, .. } => {
-                    assert!(resolved.insert(ord), "ordinal {ord} resolved twice");
-                }
-            }
+                .expect("each ordinal must resolve exactly once");
+            let ord = ord_of(&done);
+            assert!(resolved.insert(ord), "ordinal {ord} resolved twice");
         }
         assert_eq!(resolved, (0..N).collect::<BTreeSet<_>>());
         // Fully drained: no ghost may produce an extra event, and nothing
         // is outstanding (the timeout is idleness, not a stall).
         assert!(matches!(
-            pool.recv_timeout(Duration::from_millis(30)),
+            fx.pool.recv_timeout(Duration::from_millis(30)),
             Err(ShardError::Timeout)
         ));
-        assert!(!pool.kill_stalled(), "drained pool has nothing to kill");
     }
 }
 
 #[test]
-fn mid_round_kill_synthesizes_failures_for_exactly_the_unresolved_ordinals() {
-    let (mut pool, global) = make_pool(1);
+fn mid_round_kill_fails_exactly_the_unresolved_ordinals() {
+    let mut fx = make_pool(1);
     const N: usize = 3;
 
     // Let exactly one event land, then kill the shard: the remaining two
     // ordinals must resolve as failures without any unbounded wait.
-    pool.schedule_kill(0, 0, 1);
-    pool.begin_round(0, 0.0, 1e9, &global, make_items(0, N))
+    fx.pool.schedule_kill(0, 0, 1);
+    fx.pool
+        .begin_round(fx.work(0, N))
         .expect("dispatch on a healthy pool");
     let mut done = BTreeSet::new();
     let mut failed = BTreeSet::new();
     let t0 = Instant::now();
     for _ in 0..N {
-        match pool
+        match fx
+            .pool
             .recv_timeout(Duration::from_secs(60))
             .expect("every ordinal must resolve, completed or failed")
         {
-            ShardEvent::Done { ord, .. } => {
-                assert!(done.insert(ord));
+            ClientDone::Completed(c) => {
+                assert!(done.insert(c.ord));
             }
-            ShardEvent::Failed { ord, .. } => {
-                assert!(failed.insert(ord));
+            ClientDone::Failed(f) => {
+                assert!(failed.insert(f.ord));
             }
         }
     }

@@ -7,7 +7,8 @@
 //! round records, final global parameters, and canonical trace are
 //! byte-identical. The suite locks that down under chaos faults, eager
 //! transmission on/off, compression None/Int8, lazy/eager client stores,
-//! and (by proptest) arbitrary randomized shard assignments.
+//! corrupted uploads, and (by proptest) arbitrary randomized shard
+//! assignments.
 
 use fedca_compress::Compression;
 use fedca_core::config::{FaultConfig, FlConfig, ShardAssignment};
@@ -141,6 +142,22 @@ fn variant_matrix_holds_across_the_wire() {
             }
         }
     }
+}
+
+/// One more row of the matrix: a `corrupt_update` fault schedule. The
+/// poison travels as bytes (a NaN dense message), so the shard forwards it
+/// like any other upload and the root's ingest rejects it by the one rule —
+/// the rejection counts, records, parameters and trace must not depend on
+/// which side of the socket the client ran.
+#[test]
+fn corrupt_update_schedule_holds_across_the_wire() {
+    let mut fl = base_fl();
+    fl.faults.corrupt_update_prob = 0.3;
+    let reference = run_study(fl.clone(), Scheme::fedca_default(), 2);
+    let rejected: usize = reference.records().iter().map(|r| r.n_rejected).sum();
+    assert!(rejected > 0, "the schedule must actually corrupt an upload");
+    let sharded = run_study(with_shards(fl, 2), Scheme::fedca_default(), 2);
+    assert_same(&reference, &sharded, "corrupt_update_prob=0.3");
 }
 
 /// Reference trajectory for the proptest, computed once: the assignment

@@ -1,8 +1,9 @@
 //! Property test: streaming aggregation ingested in arbitrary completion
 //! order is equivalent to the batch aggregation path.
 
+use fedca_compress::wire::{self, Payload, UpdateMessage};
 use fedca_core::client::ClientRoundReport;
-use fedca_core::params::{ModelLayout, UpdateVec};
+use fedca_core::params::ModelLayout;
 use fedca_core::server::Server;
 use fedca_nn::model::ParamSpan;
 use proptest::prelude::*;
@@ -24,11 +25,17 @@ fn report(
     update: Vec<f32>,
     dropped: bool,
 ) -> ClientRoundReport {
+    // The upload is its wire bytes: one dense layer. A dropped client
+    // sent nothing.
+    let msg = UpdateMessage {
+        round: 0,
+        client: client_id as u32,
+        layers: vec![(0, Payload::Dense(update))],
+    };
     ClientRoundReport {
         client_id,
         weight,
-        update: UpdateVec::from_vec(layout(), update),
-        wire_update: None,
+        wire_update: (!dropped).then(|| wire::encode(&msg)),
         iters_done: 3,
         early_stopped: false,
         download_done: 0.05,

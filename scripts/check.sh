@@ -17,6 +17,15 @@ fi
 echo "== cargo test"
 cargo test --workspace -q
 
+# examples/benchmark is a package outside the workspace, so the steps above
+# never compile it. Build it against the current API and smoke one sharded
+# run: its checks include fingerprint(cnn_fedca_shard2) == fingerprint(cnn_fedca).
+echo "== benchmark build + sharded smoke"
+bench=(cargo run --release --offline --quiet --manifest-path examples/benchmark/Cargo.toml --)
+"${bench[@]}" --workload cnn_fedca_shard2 --seed 1 --seconds 2 --trace 0 \
+  | tail -n 1 | grep -q '"correct":true' \
+  || { echo "benchmark smoke: cnn_fedca_shard2 did not report \"correct\":true" >&2; exit 1; }
+
 echo "== chaos sweep"
 scripts/chaos.sh "${CHAOS_SEEDS:-32}"
 
