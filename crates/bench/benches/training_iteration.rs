@@ -3,8 +3,11 @@
 //! virtual-time model prices at `iter_work_seconds`.
 //!
 //! The loop mirrors the client hot path: a persistent logits-gradient
-//! buffer, `softmax_cross_entropy_into`, and recycling every tensor the
-//! model hands out, so the steady state allocates nothing.
+//! buffer, `softmax_cross_entropy_into`, `backward_params`, and recycling
+//! every tensor the model hands out, so the steady state allocates nothing.
+//! `full_backward/*` is the same iteration through `Model::backward`, which
+//! also computes the gradient with respect to the input batch; the gap
+//! between the two is the work a training step does not do.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use fedca_core::workload::Scale;
@@ -26,6 +29,17 @@ fn bench_iteration(c: &mut Criterion) {
         let opt = Sgd::new(w.lr, w.weight_decay);
         let mut grad = Tensor::zeros([0]);
         c.bench_function(&format!("train_iteration/{name}/batch16"), |b| {
+            b.iter(|| {
+                let logits = model.forward(black_box(&x));
+                let loss = softmax_cross_entropy_into(&logits, &y, &mut grad);
+                model.recycle(logits);
+                model.zero_grad();
+                model.backward_params(&grad);
+                model.step(&opt, None);
+                black_box(loss)
+            })
+        });
+        c.bench_function(&format!("full_backward/{name}/batch16"), |b| {
             b.iter(|| {
                 let logits = model.forward(black_box(&x));
                 let loss = softmax_cross_entropy_into(&logits, &y, &mut grad);

@@ -52,8 +52,9 @@ pub fn record_local_snapshots(
         let (x, y) = workload.train.batch(&idx);
         let logits = model.forward(&x);
         let (_, grad) = softmax_cross_entropy(&logits, &y);
+        model.recycle(logits);
         model.zero_grad();
-        model.backward(&grad);
+        model.backward_params(&grad);
         model.step(&opt, None);
         let cur = model.flat_params();
         snapshots.push(cur.iter().zip(global).map(|(c, g)| c - g).collect());

@@ -19,9 +19,11 @@ impl ErrorFeedback {
         Self::default()
     }
 
-    /// Adds the stored residual into `update` (in place), returning a guard
-    /// value the caller passes back to [`ErrorFeedback::absorb`] with what
-    /// was actually transmitted.
+    /// Adds the stored residual into `update`, in place: `update` becomes
+    /// the compensated update the caller compresses and later hands back to
+    /// [`ErrorFeedback::absorb`] (or, layer by layer, to
+    /// [`ErrorFeedback::absorb_layer`]) together with what was actually
+    /// transmitted. Sizes the residual on first use.
     pub fn apply(&mut self, update: &mut [f32]) {
         if self.residual.is_empty() {
             self.residual = vec![0.0; update.len()];
@@ -36,8 +38,27 @@ impl ErrorFeedback {
     pub fn absorb(&mut self, compensated: &[f32], transmitted: &[f32]) {
         assert_eq!(compensated.len(), transmitted.len(), "length mismatch");
         assert_eq!(self.residual.len(), compensated.len(), "apply() not called");
-        for ((r, c), t) in self.residual.iter_mut().zip(compensated).zip(transmitted) {
-            *r = c - t;
+        self.absorb_layer(0, compensated, |t| t.copy_from_slice(transmitted));
+    }
+
+    /// [`ErrorFeedback::absorb`] for the elements starting at `offset`,
+    /// without a buffer for the transmitted values: `write_transmitted`
+    /// writes them straight into the residual's own slice, which then
+    /// becomes `compensated − transmitted`.
+    pub fn absorb_layer(
+        &mut self,
+        offset: usize,
+        compensated: &[f32],
+        write_transmitted: impl FnOnce(&mut [f32]),
+    ) {
+        assert!(
+            offset + compensated.len() <= self.residual.len(),
+            "apply() not called"
+        );
+        let r = &mut self.residual[offset..offset + compensated.len()];
+        write_transmitted(r);
+        for (r, c) in r.iter_mut().zip(compensated) {
+            *r = c - *r;
         }
     }
 
@@ -81,6 +102,23 @@ mod tests {
         assert_eq!(sent2, vec![2.0, 0.0]);
         ef.absorb(&u2, &sent2);
         assert!((ef.residual_norm() - 0.1).abs() < 1e-6);
+    }
+
+    #[test]
+    fn layerwise_absorb_matches_whole_vector_absorb() {
+        let compensated = [1.5f32, -2.0, 0.25, 4.0, -0.5];
+        let sent = [1.0f32, -2.0, 0.0, 3.5, 0.0];
+        let mut whole = ErrorFeedback::new();
+        whole.apply(&mut compensated.to_vec());
+        whole.absorb(&compensated, &sent);
+        let mut layered = ErrorFeedback::new();
+        layered.apply(&mut compensated.to_vec());
+        for range in [0..2, 2..5] {
+            layered.absorb_layer(range.start, &compensated[range.clone()], |t| {
+                t.copy_from_slice(&sent[range.clone()])
+            });
+        }
+        assert_eq!(layered.snapshot(), whole.snapshot());
     }
 
     #[test]

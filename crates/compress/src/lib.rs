@@ -23,6 +23,16 @@ pub use f16::{f16_to_f32, f32_to_f16};
 pub use quantize::{dequantize, quantize, quantize_det, QuantizedVec};
 pub use sparsify::{densify, top_k, SparseVec};
 
+/// Reusable buffers for [`Compression::compress_into`]: once they have seen
+/// a model's largest layer, compressing allocates nothing (top-k excepted,
+/// whose selection builds its own index vectors).
+#[derive(Debug, Default)]
+pub struct CodecScratch {
+    levels: Vec<i8>,
+    halves: Vec<u16>,
+    sparse: Option<SparseVec>,
+}
+
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -78,6 +88,64 @@ impl Compression {
         }
     }
 
+    /// Exact encoded size ([`wire::Payload::wire_len`]) of what
+    /// [`Compression::compress`] produces for `n` elements — known before
+    /// compressing, so an upload's buffer can be sized once.
+    pub fn payload_wire_len(&self, n: usize) -> usize {
+        match *self {
+            Compression::None => wire::dense_payload_wire_len(n),
+            Compression::Int8 => wire::quantized_payload_wire_len(n, 8),
+            Compression::F16 => wire::f16_payload_wire_len(n),
+            Compression::Quantize { bits } => wire::quantized_payload_wire_len(n, bits),
+            Compression::TopK { keep } => {
+                wire::sparse_payload_wire_len(sparsify::kept_count(n, keep))
+            }
+        }
+    }
+
+    /// [`Compression::compress`] without the owned payload: the result
+    /// borrows `x` (no compression) or `scratch`, ready for
+    /// [`wire::MessageWriter::put`]. Same values, same `rng` draws.
+    pub fn compress_into<'a>(
+        &self,
+        x: &'a [f32],
+        rng: &mut impl Rng,
+        scratch: &'a mut CodecScratch,
+    ) -> wire::PayloadRef<'a> {
+        let quantized = |bits, (scale, num_levels), levels| wire::PayloadRef::Quantized {
+            bits,
+            num_levels,
+            scale,
+            levels,
+        };
+        match *self {
+            Compression::None => wire::PayloadRef::Dense(x),
+            Compression::Int8 => {
+                scratch.levels.resize(x.len(), 0);
+                let header = quantize::quantize_det_into(x, 8, &mut scratch.levels);
+                quantized(8, header, &scratch.levels)
+            }
+            Compression::F16 => {
+                scratch.halves.clear();
+                scratch.halves.extend(x.iter().map(|&v| f32_to_f16(v)));
+                wire::PayloadRef::F16(&scratch.halves)
+            }
+            Compression::Quantize { bits } => {
+                scratch.levels.resize(x.len(), 0);
+                let header = quantize::quantize_into(x, bits, rng, &mut scratch.levels);
+                quantized(bits, header, &scratch.levels)
+            }
+            Compression::TopK { keep } => {
+                let s = scratch.sparse.insert(top_k(x, keep));
+                wire::PayloadRef::Sparse {
+                    len: s.len,
+                    indices: &s.indices,
+                    values: &s.values,
+                }
+            }
+        }
+    }
+
     /// Compresses one layer's values into its wire payload. `rng` is only
     /// consumed by the stochastic [`Compression::Quantize`] variant, so
     /// deterministic schemes stay deterministic regardless of rng state.
@@ -95,6 +163,44 @@ impl Compression {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    const CODECS: [Compression; 5] = [
+        Compression::None,
+        Compression::Int8,
+        Compression::F16,
+        Compression::Quantize { bits: 4 },
+        Compression::TopK { keep: 0.1 },
+    ];
+
+    fn values(n: usize) -> Vec<f32> {
+        (0..n).map(|i| (i as f32 * 0.37).sin() * 2.5).collect()
+    }
+
+    #[test]
+    fn payload_wire_len_is_known_before_compressing() {
+        for c in CODECS {
+            for n in [0usize, 1, 7, 64, 1001] {
+                let payload = c.compress(&values(n), &mut StdRng::seed_from_u64(3));
+                assert_eq!(c.payload_wire_len(n), payload.wire_len(), "{c:?} n={n}");
+            }
+        }
+    }
+
+    #[test]
+    fn compress_into_matches_compress_with_a_reused_scratch() {
+        let mut scratch = CodecScratch::default();
+        for c in CODECS {
+            // Shrinking and growing sizes: stale scratch contents must not leak,
+            // and an all-zero layer must come out as all-zero levels.
+            for x in [values(300), values(17), vec![0.0; 40], values(512)] {
+                let owned = c.compress(&x, &mut StdRng::seed_from_u64(9));
+                let borrowed = c.compress_into(&x, &mut StdRng::seed_from_u64(9), &mut scratch);
+                assert_eq!(borrowed, owned.as_ref(), "{c:?} n={}", x.len());
+            }
+        }
+    }
 
     #[test]
     fn wire_bytes_orderings() {

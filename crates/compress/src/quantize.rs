@@ -29,40 +29,54 @@ pub struct QuantizedVec {
 /// # Panics
 /// Panics if `bits` is outside `[1, 8]`.
 pub fn quantize(x: &[f32], bits: u8, rng: &mut impl Rng) -> QuantizedVec {
-    let mut q = quant_shell(x, bits);
-    if q.scale == 0.0 {
-        return q;
-    }
-    let (scale, l) = (q.scale, q.num_levels as f32);
-    for (o, &v) in q.levels.iter_mut().zip(x) {
-        let t = v / scale * l; // in [-l, l]
-        let floor = t.floor();
-        let frac = t - floor;
-        let lev = if rng.gen_range(0.0..1.0f32) < frac {
-            floor + 1.0
-        } else {
-            floor
-        };
-        *o = lev.clamp(-l, l) as i8;
-    }
-    q
-}
-
-/// Shared preamble of both quantizers: validates `bits`, derives the level
-/// count (`2^(bits-1) − 1` positive steps, at least 1), scans the max-|x|
-/// scale through the dispatched data-plane kernel, and returns the
-/// all-zero-levels shell (which is already the final answer when the scale
-/// is zero).
-fn quant_shell(x: &[f32], bits: u8) -> QuantizedVec {
-    assert!((1..=8).contains(&bits), "bits must be in [1, 8]");
-    let num_levels = ((1u16 << (bits - 1)) - 1).max(1) as u8;
-    let scale = fedca_tensor::dataplane::max_abs(x);
+    let mut levels = vec![0; x.len()];
+    let (scale, num_levels) = quantize_into(x, bits, rng, &mut levels);
     QuantizedVec {
         bits,
         scale,
-        levels: vec![0; x.len()],
+        levels,
         num_levels,
     }
+}
+
+/// [`quantize`] into a caller-provided level buffer (every element is
+/// written), returning `(scale, num_levels)`. Draws from `rng` exactly as
+/// [`quantize`] does.
+///
+/// # Panics
+/// Panics if `bits` is outside `[1, 8]` or `levels.len() != x.len()`.
+pub fn quantize_into(x: &[f32], bits: u8, rng: &mut impl Rng, levels: &mut [i8]) -> (f32, u8) {
+    let (scale, num_levels) = scale_and_levels(x, bits, levels);
+    if scale != 0.0 {
+        let l = num_levels as f32;
+        for (o, &v) in levels.iter_mut().zip(x) {
+            let t = v / scale * l; // in [-l, l]
+            let floor = t.floor();
+            let frac = t - floor;
+            let lev = if rng.gen_range(0.0..1.0f32) < frac {
+                floor + 1.0
+            } else {
+                floor
+            };
+            *o = lev.clamp(-l, l) as i8;
+        }
+    }
+    (scale, num_levels)
+}
+
+/// Shared preamble of both quantizers: validates `bits`, derives the level
+/// count (`2^(bits-1) − 1` positive steps, at least 1) and scans the max-|x|
+/// scale through the dispatched data-plane kernel. A zero scale zeroes
+/// `levels`, which is then already the final answer.
+fn scale_and_levels(x: &[f32], bits: u8, levels: &mut [i8]) -> (f32, u8) {
+    assert!((1..=8).contains(&bits), "bits must be in [1, 8]");
+    assert_eq!(levels.len(), x.len(), "level buffer length mismatch");
+    let num_levels = ((1u16 << (bits - 1)) - 1).max(1) as u8;
+    let scale = fedca_tensor::dataplane::max_abs(x);
+    if scale == 0.0 {
+        levels.fill(0);
+    }
+    (scale, num_levels)
 }
 
 /// Deterministic round-to-nearest quantization to `bits` ∈ [1, 8] per
@@ -76,12 +90,27 @@ fn quant_shell(x: &[f32], bits: u8) -> QuantizedVec {
 /// # Panics
 /// Panics if `bits` is outside `[1, 8]`.
 pub fn quantize_det(x: &[f32], bits: u8) -> QuantizedVec {
-    let mut q = quant_shell(x, bits);
-    if q.scale == 0.0 {
-        return q;
+    let mut levels = vec![0; x.len()];
+    let (scale, num_levels) = quantize_det_into(x, bits, &mut levels);
+    QuantizedVec {
+        bits,
+        scale,
+        levels,
+        num_levels,
     }
-    fedca_tensor::dataplane::quantize_levels(x, q.scale, q.num_levels, &mut q.levels);
-    q
+}
+
+/// [`quantize_det`] into a caller-provided level buffer (every element is
+/// written), returning `(scale, num_levels)`.
+///
+/// # Panics
+/// Panics if `bits` is outside `[1, 8]` or `levels.len() != x.len()`.
+pub fn quantize_det_into(x: &[f32], bits: u8, levels: &mut [i8]) -> (f32, u8) {
+    let (scale, num_levels) = scale_and_levels(x, bits, levels);
+    if scale != 0.0 {
+        fedca_tensor::dataplane::quantize_levels(x, scale, num_levels, levels);
+    }
+    (scale, num_levels)
 }
 
 /// Reconstructs the dense vector.
@@ -99,16 +128,20 @@ pub fn dequantize(q: &QuantizedVec) -> Vec<f32> {
 /// # Panics
 /// Panics if `out.len() != q.levels.len()`.
 pub fn dequantize_into(q: &QuantizedVec, out: &mut [f32]) {
-    assert_eq!(
-        out.len(),
-        q.levels.len(),
-        "dequantize_into: length mismatch"
-    );
-    if q.scale == 0.0 {
+    dequantize_levels_into(&q.levels, q.scale, q.num_levels, out);
+}
+
+/// [`dequantize_into`] on the bare fields of a [`QuantizedVec`].
+///
+/// # Panics
+/// Panics if `out.len() != levels.len()`.
+pub fn dequantize_levels_into(levels: &[i8], scale: f32, num_levels: u8, out: &mut [f32]) {
+    assert_eq!(out.len(), levels.len(), "dequantize_into: length mismatch");
+    if scale == 0.0 {
         out.fill(0.0);
         return;
     }
-    fedca_tensor::dataplane::dequantize_levels(&q.levels, q.scale, q.num_levels, out);
+    fedca_tensor::dataplane::dequantize_levels(levels, scale, num_levels, out);
 }
 
 #[cfg(test)]

@@ -31,7 +31,7 @@ pub fn top_k(x: &[f32], keep: f32) -> SparseVec {
             values: Vec::new(),
         };
     }
-    let k = ((x.len() as f32 * keep).ceil() as usize).clamp(1, x.len());
+    let k = kept_count(x.len(), keep);
     let mut order: Vec<u32> = (0..x.len() as u32).collect();
     order.select_nth_unstable_by(k - 1, |&a, &b| {
         x[b as usize]
@@ -49,13 +49,29 @@ pub fn top_k(x: &[f32], keep: f32) -> SparseVec {
     }
 }
 
+/// How many of `n` elements [`top_k`] keeps: `⌈n·keep⌉`, at least one for
+/// non-empty input.
+pub fn kept_count(n: usize, keep: f32) -> usize {
+    if n == 0 {
+        return 0;
+    }
+    ((n as f32 * keep).ceil() as usize).clamp(1, n)
+}
+
 /// Reconstructs the dense vector (zeros elsewhere).
 pub fn densify(s: &SparseVec) -> Vec<f32> {
     let mut out = vec![0.0f32; s.len];
-    for (&i, &v) in s.indices.iter().zip(&s.values) {
+    densify_into(&s.indices, &s.values, &mut out);
+    out
+}
+
+/// [`densify`] on the bare fields of a [`SparseVec`], into a caller-provided
+/// buffer of the dense length (every element is written).
+pub fn densify_into(indices: &[u32], values: &[f32], out: &mut [f32]) {
+    out.fill(0.0);
+    for (&i, &v) in indices.iter().zip(values) {
         out[i as usize] = v;
     }
-    out
 }
 
 #[cfg(test)]

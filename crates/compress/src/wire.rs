@@ -30,14 +30,28 @@ pub enum Payload {
 }
 
 impl Payload {
+    /// Borrows the payload in the form [`MessageWriter::put`] frames.
+    pub fn as_ref(&self) -> PayloadRef<'_> {
+        match self {
+            Payload::Dense(v) => PayloadRef::Dense(v),
+            Payload::Quantized(q) => PayloadRef::Quantized {
+                bits: q.bits,
+                num_levels: q.num_levels,
+                scale: q.scale,
+                levels: &q.levels,
+            },
+            Payload::Sparse(s) => PayloadRef::Sparse {
+                len: s.len,
+                indices: &s.indices,
+                values: &s.values,
+            },
+            Payload::F16(v) => PayloadRef::F16(v),
+        }
+    }
+
     /// Dense length of the decoded vector.
     pub fn len(&self) -> usize {
-        match self {
-            Payload::Dense(v) => v.len(),
-            Payload::Quantized(q) => q.levels.len(),
-            Payload::Sparse(s) => s.len,
-            Payload::F16(v) => v.len(),
-        }
+        self.as_ref().len()
     }
 
     /// Whether the payload decodes to an empty vector.
@@ -47,12 +61,9 @@ impl Payload {
 
     /// Reconstructs the dense values.
     pub fn to_dense(&self) -> Vec<f32> {
-        match self {
-            Payload::Dense(v) => v.clone(),
-            Payload::Quantized(q) => crate::quantize::dequantize(q),
-            Payload::Sparse(s) => crate::sparsify::densify(s),
-            Payload::F16(v) => v.iter().map(|&h| crate::f16::f16_to_f32(h)).collect(),
-        }
+        let mut out = vec![0.0f32; self.len()];
+        self.as_ref().decode_into(&mut out);
+        out
     }
 
     /// Exact encoded size of this payload in bytes (tag byte included),
@@ -60,14 +71,94 @@ impl Payload {
     /// prices eager per-layer sends with this so the hot path never
     /// allocates a scratch encoding.
     pub fn wire_len(&self) -> usize {
+        self.as_ref().wire_len()
+    }
+}
+
+/// One layer's payload, borrowed: what a compressor produces into reusable
+/// buffers and what [`MessageWriter::put`] frames. [`Payload`] is its owned
+/// form.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum PayloadRef<'a> {
+    /// Full-precision values.
+    Dense(&'a [f32]),
+    /// QSGD-quantized values (the fields of a
+    /// [`QuantizedVec`](crate::quantize::QuantizedVec)).
+    Quantized {
+        /// Quantization bit budget.
+        bits: u8,
+        /// Level count per sign.
+        num_levels: u8,
+        /// Max-abs scale.
+        scale: f32,
+        /// Signed levels, one per element.
+        levels: &'a [i8],
+    },
+    /// Top-k sparsified values (the fields of a
+    /// [`SparseVec`](crate::sparsify::SparseVec)).
+    Sparse {
+        /// Dense length of the decoded vector.
+        len: usize,
+        /// Kept indices, strictly increasing.
+        indices: &'a [u32],
+        /// Values at the kept indices.
+        values: &'a [f32],
+    },
+    /// IEEE binary16 values (see [`crate::f16`]).
+    F16(&'a [u16]),
+}
+
+impl PayloadRef<'_> {
+    /// Dense length of the decoded vector.
+    pub fn len(&self) -> usize {
         match self {
-            Payload::Dense(v) => 1 + 4 + 4 * v.len(),
-            Payload::Quantized(q) => {
-                let width = (q.bits + 1).min(8) as u64;
-                1 + 1 + 1 + 4 + 4 + ((q.levels.len() as u64 * width).div_ceil(8)) as usize
+            PayloadRef::Dense(v) => v.len(),
+            PayloadRef::Quantized { levels, .. } => levels.len(),
+            PayloadRef::Sparse { len, .. } => *len,
+            PayloadRef::F16(v) => v.len(),
+        }
+    }
+
+    /// Whether the payload decodes to an empty vector.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Exact encoded size in bytes (tag byte included).
+    pub fn wire_len(&self) -> usize {
+        match self {
+            PayloadRef::Dense(v) => dense_payload_wire_len(v.len()),
+            PayloadRef::Quantized { bits, levels, .. } => {
+                quantized_payload_wire_len(levels.len(), *bits)
             }
-            Payload::Sparse(s) => 1 + 4 + 4 + 8 * s.indices.len(),
-            Payload::F16(v) => 1 + 4 + 2 * v.len(),
+            PayloadRef::Sparse { indices, .. } => sparse_payload_wire_len(indices.len()),
+            PayloadRef::F16(v) => f16_payload_wire_len(v.len()),
+        }
+    }
+
+    /// Writes the values the receiver will reconstruct into `out` —
+    /// bit-identical to [`PayloadView::decode_into`] on the encoded bytes.
+    ///
+    /// # Panics
+    /// Panics if `out.len() != self.len()`.
+    pub fn decode_into(&self, out: &mut [f32]) {
+        assert_eq!(out.len(), self.len(), "decode_into: length mismatch");
+        match *self {
+            PayloadRef::Dense(v) => out.copy_from_slice(v),
+            PayloadRef::Quantized {
+                num_levels,
+                scale,
+                levels,
+                ..
+            } => crate::quantize::dequantize_levels_into(levels, scale, num_levels, out),
+            PayloadRef::Sparse {
+                indices, values, ..
+            } => crate::sparsify::densify_into(indices, values, out),
+            PayloadRef::F16(v) => {
+                for (o, &h) in out.iter_mut().zip(v) {
+                    *o = crate::f16::f16_to_f32(h);
+                }
+            }
         }
     }
 }
@@ -80,6 +171,28 @@ pub const HEADER_LEN: usize = 2 + 1 + 4 + 4 + 4;
 /// full-precision yardstick compression ratios are measured against.
 pub fn dense_payload_wire_len(n: usize) -> usize {
     1 + 4 + 4 * n
+}
+
+/// Exact encoded size of a quantized payload of `n` elements at `bits`:
+/// levels are packed offset-binary in `bits + 1` bits, capped at a byte.
+pub fn quantized_payload_wire_len(n: usize, bits: u8) -> usize {
+    1 + 1 + 1 + 4 + 4 + dataplane::packed_len(n, quantized_width(bits))
+}
+
+/// Exact encoded size of a sparse payload keeping `k` elements.
+pub fn sparse_payload_wire_len(k: usize) -> usize {
+    1 + 4 + 4 + 8 * k
+}
+
+/// Exact encoded size of a binary16 payload of `n` elements.
+pub fn f16_payload_wire_len(n: usize) -> usize {
+    1 + 4 + 2 * n
+}
+
+/// Packed bits per level on the wire: the sign costs one bit on top of the
+/// magnitude's `bits`, capped at a byte.
+fn quantized_width(bits: u8) -> u32 {
+    (bits + 1).min(8) as u32
 }
 
 /// Exact encoded size of `msg` in bytes (equals `encode(msg).len()`).
@@ -133,62 +246,134 @@ impl std::fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
-fn put_payload(buf: &mut BytesMut, p: &Payload) {
-    match p {
-        Payload::Dense(v) => {
-            buf.put_u8(0);
-            buf.put_u32_le(v.len() as u32);
-            for &x in v {
-                buf.put_f32_le(x);
+/// Appends `n` little-endian 4-byte words in one reservation.
+fn put_words_le(buf: &mut BytesMut, words: impl ExactSizeIterator<Item = [u8; 4]>) {
+    let dst = buf.put_zeroed(4 * words.len());
+    for (d, w) in dst.chunks_exact_mut(4).zip(words) {
+        d.copy_from_slice(&w);
+    }
+}
+
+/// Streaming encoder over one pre-sized buffer — the writer twin of
+/// [`MessageReader`] and the format's only encoder ([`encode`] is a loop
+/// over it). [`MessageWriter::begin`] opens a message, [`MessageWriter::put`]
+/// frames each declared layer straight from borrowed values, and a further
+/// `begin` appends the next message to the same buffer, which is how an
+/// upload carries its eager sidecar (readers walk it via
+/// [`MessageReader::consumed`]).
+pub struct MessageWriter {
+    buf: BytesMut,
+    // Layers the open message declared but has not framed yet.
+    pending: usize,
+}
+
+impl MessageWriter {
+    /// A writer whose buffer holds `capacity` bytes without reallocating;
+    /// callers pass the exact total ([`message_wire_len`], or
+    /// [`HEADER_LEN`] plus `4 +` each payload's `wire_len`).
+    pub fn with_capacity(capacity: usize) -> Self {
+        MessageWriter {
+            buf: BytesMut::with_capacity(capacity),
+            pending: 0,
+        }
+    }
+
+    /// Opens a message of `n_layers` layers.
+    ///
+    /// # Panics
+    /// Panics if the previous message is missing layers.
+    pub fn begin(&mut self, round: u32, client: u32, n_layers: usize) {
+        assert_eq!(self.pending, 0, "previous message is missing layers");
+        self.buf.put_u16_le(MAGIC);
+        self.buf.put_u8(VERSION);
+        self.buf.put_u32_le(round);
+        self.buf.put_u32_le(client);
+        self.buf.put_u32_le(n_layers as u32);
+        self.pending = n_layers;
+    }
+
+    /// Frames the next layer of the open message.
+    ///
+    /// # Panics
+    /// Panics if the open message already has all its declared layers.
+    pub fn put(&mut self, id: u32, payload: PayloadRef<'_>) {
+        assert!(self.pending > 0, "more layers than the header declared");
+        self.pending -= 1;
+        let buf = &mut self.buf;
+        buf.put_u32_le(id);
+        match payload {
+            PayloadRef::Dense(v) => {
+                buf.put_u8(0);
+                buf.put_u32_le(v.len() as u32);
+                put_words_le(buf, v.iter().map(|x| x.to_le_bytes()));
+            }
+            PayloadRef::Quantized {
+                bits,
+                num_levels,
+                scale,
+                levels,
+            } => {
+                buf.put_u8(1);
+                buf.put_u8(bits);
+                buf.put_u8(num_levels);
+                buf.put_f32_le(scale);
+                buf.put_u32_le(levels.len() as u32);
+                // Bit-pack signed levels as offset-binary (level +
+                // num_levels), in place through the tier-dispatched kernel.
+                let width = quantized_width(bits);
+                let packed = buf.put_zeroed(dataplane::packed_len(levels.len(), width));
+                dataplane::pack_levels(levels, num_levels, width, packed);
+            }
+            PayloadRef::Sparse {
+                len,
+                indices,
+                values,
+            } => {
+                buf.put_u8(2);
+                buf.put_u32_le(len as u32);
+                buf.put_u32_le(indices.len() as u32);
+                put_words_le(buf, indices.iter().map(|i| i.to_le_bytes()));
+                put_words_le(buf, values.iter().map(|x| x.to_le_bytes()));
+            }
+            PayloadRef::F16(v) => {
+                buf.put_u8(3);
+                buf.put_u32_le(v.len() as u32);
+                let dst = buf.put_zeroed(2 * v.len());
+                for (d, h) in dst.chunks_exact_mut(2).zip(v) {
+                    d.copy_from_slice(&h.to_le_bytes());
+                }
             }
         }
-        Payload::Quantized(q) => {
-            buf.put_u8(1);
-            buf.put_u8(q.bits);
-            buf.put_u8(q.num_levels);
-            buf.put_f32_le(q.scale);
-            buf.put_u32_le(q.levels.len() as u32);
-            // Bit-pack signed levels as offset-binary (level + num_levels)
-            // in `bits + 1` bits (sign needs one extra bit vs magnitude),
-            // in place through the tier-dispatched kernel.
-            let width = (q.bits + 1).min(8) as u32;
-            let packed = buf.put_zeroed(dataplane::packed_len(q.levels.len(), width));
-            dataplane::pack_levels(&q.levels, q.num_levels, width, packed);
-        }
-        Payload::Sparse(s) => {
-            buf.put_u8(2);
-            buf.put_u32_le(s.len as u32);
-            buf.put_u32_le(s.indices.len() as u32);
-            for &i in &s.indices {
-                buf.put_u32_le(i);
-            }
-            for &v in &s.values {
-                buf.put_f32_le(v);
-            }
-        }
-        Payload::F16(v) => {
-            buf.put_u8(3);
-            buf.put_u32_le(v.len() as u32);
-            for &h in v {
-                buf.put_u16_le(h);
-            }
-        }
+    }
+
+    /// Bytes written so far.
+    pub fn len(&self) -> usize {
+        self.buf.len()
+    }
+
+    /// Whether nothing has been written.
+    pub fn is_empty(&self) -> bool {
+        self.buf.is_empty()
+    }
+
+    /// The encoded bytes.
+    ///
+    /// # Panics
+    /// Panics if the open message is missing layers.
+    pub fn finish(self) -> Bytes {
+        assert_eq!(self.pending, 0, "message is missing layers");
+        self.buf.freeze()
     }
 }
 
 /// Encodes a message to bytes.
 pub fn encode(msg: &UpdateMessage) -> Bytes {
-    let mut buf = BytesMut::with_capacity(64);
-    buf.put_u16_le(MAGIC);
-    buf.put_u8(VERSION);
-    buf.put_u32_le(msg.round);
-    buf.put_u32_le(msg.client);
-    buf.put_u32_le(msg.layers.len() as u32);
+    let mut w = MessageWriter::with_capacity(message_wire_len(msg));
+    w.begin(msg.round, msg.client, msg.layers.len());
     for (id, payload) in &msg.layers {
-        buf.put_u32_le(*id);
-        put_payload(&mut buf, payload);
+        w.put(*id, payload.as_ref());
     }
-    buf.freeze()
+    w.finish()
 }
 
 /// Decodes a message from bytes into owned payloads: a loop over
@@ -293,7 +478,7 @@ impl PayloadView<'_> {
                 packed,
             } => {
                 let mut levels = vec![0i8; n];
-                let width = (bits + 1).min(8) as u32;
+                let width = quantized_width(bits);
                 dataplane::unpack_levels(packed, num_levels, width, &mut levels);
                 Payload::Quantized(QuantizedVec {
                     bits,
@@ -348,7 +533,7 @@ impl PayloadView<'_> {
                     // Mirror `dequantize`'s zero-scale early return.
                     out.fill(0.0);
                 } else {
-                    let width = (bits + 1).min(8) as u32;
+                    let width = quantized_width(*bits);
                     dataplane::dequantize_packed(packed, *scale, *num_levels, width, out);
                 }
             }
@@ -492,7 +677,7 @@ impl<'a> MessageReader<'a> {
                     let b = self.take(4)?;
                     let scale = f32::from_le_bytes([b[0], b[1], b[2], b[3]]);
                     let n = self.take_u32_le()? as usize;
-                    let width = (bits + 1).min(8) as u32;
+                    let width = quantized_width(bits);
                     PayloadView::Quantized {
                         bits,
                         num_levels,
@@ -1284,6 +1469,37 @@ mod tests {
         assert!(reader.next_layer().is_none());
         assert_eq!(reader.consumed(), bytes.len());
         assert_eq!(reader.consumed(), message_wire_len(&msg));
+    }
+
+    #[test]
+    fn writer_appends_messages_into_one_presized_buffer() {
+        let first = kitchen_sink_message();
+        let second = UpdateMessage {
+            round: 9,
+            client: 4,
+            layers: vec![(7, Payload::Dense(sample_vec(5, 1)))],
+        };
+        let total = message_wire_len(&first) + message_wire_len(&second);
+        let mut w = MessageWriter::with_capacity(total);
+        for msg in [&first, &second] {
+            w.begin(msg.round, msg.client, msg.layers.len());
+            for (id, p) in &msg.layers {
+                w.put(*id, p.as_ref());
+            }
+        }
+        assert_eq!(w.len(), total);
+        let joined = w.finish();
+        let mut expected = encode(&first).to_vec();
+        expected.extend_from_slice(encode(&second).as_ref());
+        assert_eq!(joined.as_ref(), &expected[..]);
+    }
+
+    #[test]
+    #[should_panic(expected = "missing layers")]
+    fn writer_rejects_a_short_message() {
+        let mut w = MessageWriter::with_capacity(HEADER_LEN);
+        w.begin(0, 0, 1);
+        let _ = w.finish();
     }
 
     #[test]

@@ -8,11 +8,11 @@
 use crate::algorithms::FedCaOptions;
 use crate::config::FlConfig;
 use crate::eager::{EagerState, LayerOutcome};
-use crate::params::{ModelLayout, UpdateVec};
+use crate::params::ModelLayout;
 use crate::profiler::SampledProfiler;
 use crate::trace::{ClientTraceBuf, TraceEvent};
 use crate::workload::Workload;
-use fedca_compress::{wire, Compression, ErrorFeedback};
+use fedca_compress::{wire, CodecScratch, Compression, ErrorFeedback};
 use fedca_data::{BatchSampler, InMemoryDataset};
 use fedca_nn::{softmax_cross_entropy_into, Sgd};
 use fedca_sim::device::DeviceSpeed;
@@ -161,6 +161,7 @@ pub fn run_client_round(
     let crate::executor::ClientArena {
         model,
         flat,
+        codec,
         grad,
         allocs_avoided,
     } = arena;
@@ -324,8 +325,7 @@ pub fn run_client_round(
         let loss = softmax_cross_entropy_into(&logits, &y, grad);
         model.recycle(logits);
         model.zero_grad();
-        let gin = model.backward(grad);
-        model.recycle(gin);
+        model.backward_params(grad);
         model.step(&opt, anchor_weights);
         loss_sum += loss as f64;
         iters_done = tau;
@@ -384,11 +384,13 @@ pub fn run_client_round(
                     let (snapshot, bytes, frame) = if fl.compression == Compression::None {
                         (delta, nominal, dense_frame)
                     } else {
-                        let payload = fl.compression.compress(&delta, &mut qrng);
+                        let payload = fl.compression.compress_into(&delta, &mut qrng, codec);
                         let bytes = nominal * payload.wire_len() as f64
                             / wire::dense_payload_wire_len(r.len()) as f64;
                         let frame = (wire::HEADER_LEN + 4 + payload.wire_len()) as f64;
-                        (payload.to_dense(), bytes, frame)
+                        let mut snapshot = vec![0.0f32; r.len()];
+                        payload.decode_into(&mut snapshot);
+                        (snapshot, bytes, frame)
                     };
                     wire_bytes_uploaded += frame;
                     wire_bytes_dense += dense_frame;
@@ -413,17 +415,6 @@ pub fn run_client_round(
     }
     let compute_done = now;
 
-    // --- Final accumulated update.
-    model.flat_params_into(flat);
-    *allocs_avoided += 1;
-    let mut final_update = UpdateVec::zeros(layout.clone());
-    {
-        let fu = final_update.as_mut_slice();
-        for i in 0..total_params {
-            fu[i] = flat[i] - global[i];
-        }
-    }
-
     if is_anchor {
         let k = state.profiler.finish_anchor().k;
         if tracing {
@@ -439,116 +430,49 @@ pub fn run_client_round(
         }
     }
 
-    // --- TryRetransmit + final upload.
-    let retransmit_enabled = fedca.is_some_and(|o| o.retransmit);
-    let t_r = fedca.map(|o| o.config.retransmit_threshold).unwrap_or(0.6);
-    let mut eager_outcomes = Vec::with_capacity(layout.num_layers());
-    let mut final_payload_bytes = 0.0f64;
-    for l in 0..layout.num_layers() {
-        let outcome = if retransmit_enabled {
-            eager_state.resolve(l, final_update.layer(l), t_r)
-        } else if eager_state.is_sent(l) {
-            // Without error feedback the eager value is final, however stale.
-            let iter = match eager_state.resolve(l, final_update.layer(l), -2.0) {
-                LayerOutcome::Eager { iter } => iter,
-                _ => unreachable!("threshold -2 accepts everything"),
-            };
-            LayerOutcome::Eager { iter }
-        } else {
-            LayerOutcome::Regular
-        };
-        if !matches!(outcome, LayerOutcome::Eager { .. }) {
-            final_payload_bytes += workload.wire_bytes_for(layout.layer_len(l), total_params);
-        }
-        eager_outcomes.push(outcome);
-    }
-    // --- Final upload serialization. The non-eager layers are framed into
-    // an `UpdateMessage` and pushed through the `compress::wire` codec; the
-    // encoded bytes are the report's only form of the update, so what the
-    // server aggregates is exactly what the wire carried. Lossy schemes
-    // (§2.2 baselines, one scale per layer as QSGD does per tensor) compose
-    // with early stopping *and* eager transmission — error feedback absorbs
-    // both the quantization error and the eager snapshots' staleness,
-    // replaying the residual into the next participation's upload.
-    let corrupted = faults.corrupt_update && !dropped && !crashed;
-    let mut wire_update: Option<bytes::Bytes> = None;
-    if !dropped && !crashed {
-        let compressing = fl.compression != Compression::None;
-        let mut compensated = Vec::new();
-        let to_send: &[f32] = if compressing {
-            compensated.extend_from_slice(final_update.as_slice());
-            state.error_feedback.apply(&mut compensated);
-            &compensated
-        } else {
-            final_update.as_slice()
-        };
-        let mut msg = wire::UpdateMessage {
+    // --- TryRetransmit + final upload, in place in the arena: `flat`
+    // becomes the accumulated update w − g.
+    model.flat_delta_into(global, flat);
+    *allocs_avoided += 1;
+    let Upload {
+        eager_outcomes,
+        payload_bytes: final_payload_bytes,
+        wire_len,
+        dense_wire_len,
+        wire: mut wire_update,
+    } = finish_upload(
+        flat,
+        &eager_state,
+        &mut state.error_feedback,
+        codec,
+        &mut qrng,
+        &UploadCtx {
+            layout,
+            workload,
+            compression: fl.compression,
+            fedca,
             round: plan.round as u32,
             client: state.id as u32,
-            layers: Vec::new(),
-        };
-        // Eager-accepted layers never travel in the final message (the
-        // server already holds their snapshots), so the wire form of the
-        // *complete* update appends a dense sidecar message carrying them:
-        // concatenated `UpdateMessage`s tile the full layout. The sidecar is
-        // server-side bookkeeping, not a retransmission — it contributes no
-        // priced wire bytes.
-        let mut sidecar = wire::UpdateMessage {
-            round: msg.round,
-            client: msg.client,
-            layers: Vec::new(),
-        };
-        for (l, outcome) in eager_outcomes.iter().enumerate() {
-            if matches!(outcome, LayerOutcome::Eager { .. }) {
-                let snap = eager_state.snapshot(l).expect("sent layer has snapshot");
-                sidecar
-                    .layers
-                    .push((l as u32, wire::Payload::Dense(snap.to_vec())));
-            } else {
-                let payload = fl
-                    .compression
-                    .compress(&to_send[layout.range(l)], &mut qrng);
-                msg.layers.push((l as u32, payload));
-            }
-        }
-        let encoded = wire::encode(&msg);
-        debug_assert_eq!(encoded.len(), wire::message_wire_len(&msg));
-        let dense_len = wire::dense_message_wire_len(&msg);
-        wire_bytes_uploaded += encoded.len() as f64;
-        wire_bytes_dense += dense_len as f64;
-        if compressing {
-            // Residual = what we meant to send − what the server now holds
-            // (quantization error on final layers, staleness on eager
-            // ones), dequantized once into the arena scratch.
-            for (l, payload) in msg.layers.iter().chain(&sidecar.layers) {
-                flat[layout.range(*l as usize)].copy_from_slice(&payload.to_dense());
-            }
-            state.error_feedback.absorb(&compensated, flat);
-            // Re-price the final payload at the exact encoded/dense ratio
-            // (the wire model scales with the workload's nominal size).
-            final_payload_bytes *= encoded.len() as f64 / dense_len as f64;
-        }
-        wire_update = Some(if corrupted {
-            // Injected in-flight corruption: the bytes the server receives
-            // decode to NaN (the upload itself still arrives on time); the
-            // server's ingest must reject them.
-            msg.layers = (0..layout.num_layers())
+            send: !dropped && !crashed,
+        },
+    );
+    wire_bytes_uploaded += wire_len as f64;
+    wire_bytes_dense += dense_wire_len as f64;
+    let corrupted = faults.corrupt_update && wire_update.is_some();
+    if corrupted {
+        // Injected in-flight corruption: the bytes the server receives
+        // decode to NaN (the upload itself still arrives on time, priced
+        // as the honest one); the server's ingest must reject them.
+        wire_update = Some(wire::encode(&wire::UpdateMessage {
+            round: plan.round as u32,
+            client: state.id as u32,
+            layers: (0..layout.num_layers())
                 .map(|l| {
                     let nan = vec![f32::NAN; layout.layer_len(l)];
                     (l as u32, wire::Payload::Dense(nan))
                 })
-                .collect();
-            wire::encode(&msg)
-        } else if sidecar.layers.is_empty() {
-            encoded
-        } else {
-            let sidecar_bytes = wire::encode(&sidecar);
-            use bytes::BufMut;
-            let mut joined = bytes::BytesMut::with_capacity(encoded.len() + sidecar_bytes.len());
-            joined.put_slice(encoded.as_ref());
-            joined.put_slice(sidecar_bytes.as_ref());
-            joined.freeze()
-        });
+                .collect(),
+        }));
     }
 
     let upload_done = if dropped || crashed {
@@ -622,6 +546,161 @@ pub fn run_client_round(
     }
 }
 
+/// What [`finish_upload`] needs besides the buffers it works in.
+struct UploadCtx<'a> {
+    layout: &'a ModelLayout,
+    workload: &'a Workload,
+    compression: Compression,
+    fedca: Option<&'a FedCaOptions>,
+    round: u32,
+    client: u32,
+    /// False when the client vanished mid-round (dropped or crashed): the
+    /// eager outcomes are still resolved, but nothing is framed.
+    send: bool,
+}
+
+/// The end-of-round upload of one client.
+struct Upload {
+    /// Eq. 6 verdict per layer.
+    eager_outcomes: Vec<LayerOutcome>,
+    /// What the final upload costs on the virtual uplink.
+    payload_bytes: f64,
+    /// Encoded length of the final message (0 when nothing is sent).
+    wire_len: usize,
+    /// Encoded length the same layers would have shipped dense.
+    dense_wire_len: usize,
+    /// The final message followed by the dense sidecar of eager-accepted
+    /// layers; `None` when nothing is sent.
+    wire: Option<bytes::Bytes>,
+}
+
+/// TryRetransmit + final upload serialization, in place.
+///
+/// `delta` is the accumulated update `w − g`, lying in the arena's flat
+/// scratch. Eq. 6 reads layer slices of it, error feedback compensates it
+/// where it lies, and each non-eager layer is
+/// framed straight from its slice into one buffer of the exact final size;
+/// the encoded bytes are the report's only form of the update, so what the
+/// server aggregates is exactly what the wire carried. Eager-accepted
+/// layers never travel in the final message (the server already holds
+/// their snapshots), so the wire form of the *complete* update appends a
+/// dense sidecar message carrying them: the two messages tile the layout.
+/// The sidecar is server-side bookkeeping, not a retransmission — it
+/// contributes no priced wire bytes.
+///
+/// Lossy schemes (§2.2 baselines, one scale per layer as QSGD does per
+/// tensor) compose with early stopping *and* eager transmission: error
+/// feedback absorbs both the quantization error and the eager snapshots'
+/// staleness, replaying the residual into the next participation's
+/// upload. Per element, with `r` the stored residual: `c = (w − g) + r`
+/// is what gets compressed (scale = max |c| over the layer), and the new
+/// residual is `c − dequant(q(c))`, or `c − snapshot` for an eager-accepted
+/// layer — written layer by layer, with the residual's own slice as the
+/// dequantization buffer.
+fn finish_upload(
+    delta: &mut [f32],
+    eager_state: &EagerState,
+    error_feedback: &mut ErrorFeedback,
+    codec: &mut CodecScratch,
+    qrng: &mut StdRng,
+    cx: &UploadCtx<'_>,
+) -> Upload {
+    let layout = cx.layout;
+    let total_params = layout.total_params();
+    let retransmit_enabled = cx.fedca.is_some_and(|o| o.retransmit);
+    let t_r = cx
+        .fedca
+        .map(|o| o.config.retransmit_threshold)
+        .unwrap_or(0.6);
+    let mut eager_outcomes = Vec::with_capacity(layout.num_layers());
+    let mut payload_bytes = 0.0f64;
+    // Exact sizes of the final message, its dense yardstick and the sidecar.
+    let mut wire_len = wire::HEADER_LEN;
+    let mut dense_wire_len = wire::HEADER_LEN;
+    let mut sidecar_len = wire::HEADER_LEN;
+    let mut n_eager = 0usize;
+    for l in 0..layout.num_layers() {
+        let final_layer = &delta[layout.range(l)];
+        let outcome = if retransmit_enabled {
+            eager_state.resolve(l, final_layer, t_r)
+        } else if eager_state.is_sent(l) {
+            // Without error feedback the eager value is final, however stale.
+            let iter = match eager_state.resolve(l, final_layer, -2.0) {
+                LayerOutcome::Eager { iter } => iter,
+                _ => unreachable!("threshold -2 accepts everything"),
+            };
+            LayerOutcome::Eager { iter }
+        } else {
+            LayerOutcome::Regular
+        };
+        let n = final_layer.len();
+        let dense = 4 + wire::dense_payload_wire_len(n);
+        if matches!(outcome, LayerOutcome::Eager { .. }) {
+            n_eager += 1;
+            sidecar_len += dense;
+        } else {
+            payload_bytes += cx.workload.wire_bytes_for(n, total_params);
+            wire_len += 4 + cx.compression.payload_wire_len(n);
+            dense_wire_len += dense;
+        }
+        eager_outcomes.push(outcome);
+    }
+    if !cx.send {
+        return Upload {
+            eager_outcomes,
+            payload_bytes,
+            wire_len: 0,
+            dense_wire_len: 0,
+            wire: None,
+        };
+    }
+
+    let compressing = cx.compression != Compression::None;
+    if compressing {
+        error_feedback.apply(delta);
+    }
+    let is_eager = |l: usize| matches!(eager_outcomes[l], LayerOutcome::Eager { .. });
+    let capacity = wire_len + if n_eager > 0 { sidecar_len } else { 0 };
+    let mut writer = wire::MessageWriter::with_capacity(capacity);
+    writer.begin(cx.round, cx.client, layout.num_layers() - n_eager);
+    for l in (0..layout.num_layers()).filter(|&l| !is_eager(l)) {
+        let range = layout.range(l);
+        let compensated = &delta[range.clone()];
+        let payload = cx.compression.compress_into(compensated, qrng, codec);
+        writer.put(l as u32, payload);
+        if compressing {
+            error_feedback.absorb_layer(range.start, compensated, |t| payload.decode_into(t));
+        }
+    }
+    debug_assert_eq!(writer.len(), wire_len);
+    if n_eager > 0 {
+        writer.begin(cx.round, cx.client, n_eager);
+        for l in (0..layout.num_layers()).filter(|&l| is_eager(l)) {
+            let range = layout.range(l);
+            let snapshot = eager_state.snapshot(l).expect("sent layer has snapshot");
+            writer.put(l as u32, wire::PayloadRef::Dense(snapshot));
+            if compressing {
+                error_feedback.absorb_layer(range.start, &delta[range.clone()], |t| {
+                    t.copy_from_slice(snapshot)
+                });
+            }
+        }
+    }
+    debug_assert_eq!(writer.len(), capacity);
+    if compressing {
+        // Re-price the final payload at the exact encoded/dense ratio (the
+        // wire model scales with the workload's nominal size).
+        payload_bytes *= wire_len as f64 / dense_wire_len as f64;
+    }
+    Upload {
+        eager_outcomes,
+        payload_bytes,
+        wire_len,
+        dense_wire_len,
+        wire: Some(writer.finish()),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -671,6 +750,218 @@ mod tests {
             planned_iters: k,
             is_anchor: false,
             faults: ClientFaults::none(),
+        }
+    }
+
+    /// The upload tail as it was before it moved into the arena: the delta
+    /// in a fresh `UpdateVec`, a `compensated` copy, one owned `Payload` per
+    /// layer, `wire::encode` per message, the residual from `to_dense()`.
+    /// Kept as the oracle `finish_upload` must match bit for bit.
+    fn reference_upload(
+        local: &[f32],
+        global: &[f32],
+        eager_state: &EagerState,
+        error_feedback: &mut ErrorFeedback,
+        qrng: &mut StdRng,
+        layout: &Arc<ModelLayout>,
+        cx: &UploadCtx<'_>,
+    ) -> Upload {
+        use crate::params::UpdateVec;
+        let total_params = layout.total_params();
+        let mut final_update = UpdateVec::zeros(layout.clone());
+        for (i, u) in final_update.as_mut_slice().iter_mut().enumerate() {
+            *u = local[i] - global[i];
+        }
+        let retransmit_enabled = cx.fedca.is_some_and(|o| o.retransmit);
+        let t_r = cx
+            .fedca
+            .map(|o| o.config.retransmit_threshold)
+            .unwrap_or(0.6);
+        let mut eager_outcomes = Vec::new();
+        let mut payload_bytes = 0.0f64;
+        for l in 0..layout.num_layers() {
+            let outcome = if retransmit_enabled {
+                eager_state.resolve(l, final_update.layer(l), t_r)
+            } else if eager_state.is_sent(l) {
+                match eager_state.resolve(l, final_update.layer(l), -2.0) {
+                    LayerOutcome::Eager { iter } => LayerOutcome::Eager { iter },
+                    _ => unreachable!("threshold -2 accepts everything"),
+                }
+            } else {
+                LayerOutcome::Regular
+            };
+            if !matches!(outcome, LayerOutcome::Eager { .. }) {
+                payload_bytes += cx
+                    .workload
+                    .wire_bytes_for(layout.layer_len(l), total_params);
+            }
+            eager_outcomes.push(outcome);
+        }
+        let compressing = cx.compression != Compression::None;
+        let mut compensated = Vec::new();
+        let to_send: &[f32] = if compressing {
+            compensated.extend_from_slice(final_update.as_slice());
+            error_feedback.apply(&mut compensated);
+            &compensated
+        } else {
+            final_update.as_slice()
+        };
+        let mut msg = wire::UpdateMessage {
+            round: cx.round,
+            client: cx.client,
+            layers: Vec::new(),
+        };
+        let mut sidecar = msg.clone();
+        for (l, outcome) in eager_outcomes.iter().enumerate() {
+            if matches!(outcome, LayerOutcome::Eager { .. }) {
+                let snap = eager_state.snapshot(l).expect("sent layer has snapshot");
+                sidecar
+                    .layers
+                    .push((l as u32, wire::Payload::Dense(snap.to_vec())));
+            } else {
+                let payload = cx.compression.compress(&to_send[layout.range(l)], qrng);
+                msg.layers.push((l as u32, payload));
+            }
+        }
+        let encoded = wire::encode(&msg);
+        let dense_wire_len = wire::dense_message_wire_len(&msg);
+        if compressing {
+            let mut transmitted = vec![0.0f32; total_params];
+            for (l, payload) in msg.layers.iter().chain(&sidecar.layers) {
+                transmitted[layout.range(*l as usize)].copy_from_slice(&payload.to_dense());
+            }
+            error_feedback.absorb(&compensated, &transmitted);
+            payload_bytes *= encoded.len() as f64 / dense_wire_len as f64;
+        }
+        let mut joined = encoded.to_vec();
+        if !sidecar.layers.is_empty() {
+            joined.extend_from_slice(wire::encode(&sidecar).as_ref());
+        }
+        Upload {
+            eager_outcomes,
+            payload_bytes,
+            wire_len: encoded.len(),
+            dense_wire_len,
+            wire: Some(joined.into()),
+        }
+    }
+
+    #[test]
+    fn in_place_upload_matches_the_reference_tail_bit_for_bit() {
+        let w = Workload::tiny_mlp(11);
+        let model = (w.model_factory)();
+        let layout = Arc::new(ModelLayout::from_spans(model.spans()));
+        let global = model.flat_params();
+        let n = global.len();
+        assert!(
+            layout.num_layers() >= 4,
+            "needs a few layers to mix outcomes"
+        );
+        // Two consecutive participations with different trained weights (the
+        // second one replays the first one's residual).
+        let trained = |salt: u64| -> Vec<f32> {
+            let mut rng = StdRng::seed_from_u64(salt);
+            global
+                .iter()
+                .map(|g| g + rng.gen_range(-0.05f32..0.05))
+                .collect()
+        };
+        let opts = FedCaOptions::v3();
+        for compression in [
+            Compression::None,
+            Compression::Int8,
+            Compression::F16,
+            Compression::Quantize { bits: 4 },
+            Compression::TopK { keep: 0.1 },
+        ] {
+            // No eager layer / an accepted one / a retransmitted one (plus
+            // an accepted one, so the sidecar and the final message mix).
+            for scenario in ["regular", "eager", "retransmitted"] {
+                let mut ef_new = ErrorFeedback::new();
+                let mut ef_ref = ErrorFeedback::new();
+                let mut codec = CodecScratch::default();
+                for participation in 0..2u64 {
+                    let local = trained(100 + participation);
+                    let delta: Vec<f32> = local.iter().zip(&global).map(|(l, g)| l - g).collect();
+                    let mut eager_state = EagerState::new(layout.num_layers());
+                    if scenario != "regular" {
+                        // A slightly stale snapshot of layer 0 passes Eq. 6.
+                        let stale: Vec<f32> =
+                            delta[layout.range(0)].iter().map(|d| d * 0.9).collect();
+                        eager_state.mark_sent(0, 3, stale);
+                    }
+                    if scenario == "retransmitted" {
+                        // The opposite direction on layer 2 fails it.
+                        let opposite: Vec<f32> =
+                            delta[layout.range(2)].iter().map(|d| -d).collect();
+                        eager_state.mark_sent(2, 5, opposite);
+                    }
+                    let cx = UploadCtx {
+                        layout: &layout,
+                        workload: &w,
+                        compression,
+                        fedca: Some(&opts),
+                        round: participation as u32,
+                        client: 7,
+                        send: true,
+                    };
+                    let seed = 555 + participation;
+                    let want = reference_upload(
+                        &local,
+                        &global,
+                        &eager_state,
+                        &mut ef_ref,
+                        &mut StdRng::seed_from_u64(seed),
+                        &layout,
+                        &cx,
+                    );
+                    let mut flat = delta.clone();
+                    let got = finish_upload(
+                        &mut flat,
+                        &eager_state,
+                        &mut ef_new,
+                        &mut codec,
+                        &mut StdRng::seed_from_u64(seed),
+                        &cx,
+                    );
+                    let tag = format!("{compression:?}/{scenario}/participation {participation}");
+                    assert_eq!(got.wire, want.wire, "{tag}: wire bytes");
+                    assert_eq!(got.wire_len, want.wire_len, "{tag}: wire length");
+                    assert_eq!(got.dense_wire_len, want.dense_wire_len, "{tag}");
+                    assert_eq!(
+                        got.payload_bytes.to_bits(),
+                        want.payload_bytes.to_bits(),
+                        "{tag}: priced bytes"
+                    );
+                    assert_eq!(got.eager_outcomes, want.eager_outcomes, "{tag}");
+                    let bits = |ef: &ErrorFeedback| -> Vec<u32> {
+                        ef.snapshot().iter().map(|v| v.to_bits()).collect()
+                    };
+                    assert_eq!(bits(&ef_new), bits(&ef_ref), "{tag}: residual");
+                    assert_eq!(
+                        ef_new.snapshot().len(),
+                        if compression == Compression::None {
+                            0
+                        } else {
+                            n
+                        },
+                        "{tag}: residual is sized only when compressing"
+                    );
+                    // The scenario really is what its name says.
+                    let expect = |l: usize| &got.eager_outcomes[l];
+                    match scenario {
+                        "regular" => assert!(got
+                            .eager_outcomes
+                            .iter()
+                            .all(|o| *o == LayerOutcome::Regular)),
+                        "eager" => assert_eq!(*expect(0), LayerOutcome::Eager { iter: 3 }),
+                        _ => {
+                            assert_eq!(*expect(0), LayerOutcome::Eager { iter: 3 });
+                            assert_eq!(*expect(2), LayerOutcome::Retransmitted { iter: 5 });
+                        }
+                    }
+                }
+            }
         }
     }
 

@@ -37,15 +37,21 @@ use std::time::Duration;
 
 /// Per-worker reusable resources: a cached model instance (which owns the
 /// layer `Workspace` scratch arena), a persistent logits-gradient buffer,
-/// and flat-param scratch space. Once warm, a worker's SGD iterations
-/// allocate nothing — see `crates/nn/tests/zero_alloc.rs`.
+/// flat-param scratch space, and the upload codec's buffers. Once warm, a
+/// worker's SGD iterations allocate nothing — see
+/// `crates/nn/tests/zero_alloc.rs` — and its upload allocates the wire
+/// buffer and nothing else of the model's size.
 pub struct ClientArena {
     /// The worker's model instance; overwritten with the round's global
     /// parameters before any client computation touches it.
     pub model: Model,
-    /// Scratch for flat-parameter snapshots (profiling, eager sends, the
-    /// final update).
+    /// Scratch for flat-parameter snapshots (profiling, eager sends) and,
+    /// at round end, the update itself: the delta is formed, compensated
+    /// and framed in place here.
     pub flat: Vec<f32>,
+    /// Compressor scratch (quantization levels, binary16 halves) reused
+    /// across layers and rounds.
+    pub codec: fedca_compress::CodecScratch,
     /// Persistent logits-gradient buffer for the SGD hot loop (resized in
     /// place by `softmax_cross_entropy_into`).
     pub grad: Tensor,
@@ -66,6 +72,7 @@ impl ClientArena {
         ClientArena {
             model,
             flat,
+            codec: fedca_compress::CodecScratch::default(),
             grad: Tensor::zeros([0]),
             allocs_avoided: 0,
         }

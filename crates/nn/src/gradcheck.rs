@@ -50,7 +50,7 @@ pub fn check_param_grads(
     let out = layer.forward(x, &mut ws);
     assert_eq!(out.shape().rank(), 2, "gradcheck expects [N, C] output");
     let (_, grad) = softmax_cross_entropy(&out, labels);
-    let _ = layer.backward(&grad, &mut ws);
+    let _ = layer.backward(&grad, true, &mut ws);
     let analytic: Vec<Vec<f32>> = layer
         .params()
         .iter()
@@ -111,7 +111,9 @@ pub fn check_input_grad(
     layer.zero_grad();
     let out = layer.forward(x, &mut ws);
     let (_, grad) = softmax_cross_entropy(&out, labels);
-    let dx = layer.backward(&grad, &mut ws);
+    let dx = layer
+        .backward(&grad, true, &mut ws)
+        .expect("input gradient was asked for");
     let analytic = dx.as_slice().to_vec();
 
     let mut max_rel = 0.0f64;

@@ -11,8 +11,14 @@ use fedca_tensor::Tensor;
 ///   activations its backward pass needs (a fresh `forward` invalidates the
 ///   previous cache).
 /// * `backward` **accumulates** into each parameter's `grad` (callers zero
-///   gradients between optimizer steps via [`Layer::zero_grad`]) and returns
-///   the gradient with respect to the layer's input.
+///   gradients between optimizer steps via [`Layer::zero_grad`]) and, when
+///   `need_input_grad` is set, returns the gradient with respect to the
+///   layer's input. The flag is decided by whoever consumes that gradient:
+///   a container asks a child for it iff its own caller asked or an earlier
+///   child owns parameters, so a training step never computes the gradient
+///   with respect to the input batch. A layer has one backward body and
+///   guards only its input-gradient part, so parameter gradients come from
+///   the same instructions in the same order either way (bit-identical).
 /// * Parameter traversal order is deterministic and identical between
 ///   `params`, `params_mut`, and `for_each_param`; the whole workspace
 ///   relies on that order to map models onto flat update vectors.
@@ -25,8 +31,14 @@ pub trait Layer: Send {
     fn forward(&mut self, x: &Tensor, ws: &mut Workspace) -> Tensor;
 
     /// Backward pass: consumes `d loss / d output`, accumulates parameter
-    /// gradients, returns `d loss / d input` (drawn from `ws`).
-    fn backward(&mut self, grad_out: &Tensor, ws: &mut Workspace) -> Tensor;
+    /// gradients, and returns `d loss / d input` (drawn from `ws`) — `Some`
+    /// exactly when `need_input_grad` is set.
+    fn backward(
+        &mut self,
+        grad_out: &Tensor,
+        need_input_grad: bool,
+        ws: &mut Workspace,
+    ) -> Option<Tensor>;
 
     /// Immutable views of the layer's parameters, in deterministic order.
     fn params(&self) -> Vec<&Parameter> {

@@ -44,9 +44,17 @@ impl Layer for Relu {
         y
     }
 
-    fn backward(&mut self, grad_out: &Tensor, ws: &mut Workspace) -> Tensor {
+    fn backward(
+        &mut self,
+        grad_out: &Tensor,
+        need_input_grad: bool,
+        ws: &mut Workspace,
+    ) -> Option<Tensor> {
         let mask = self.mask.as_ref().expect("Relu::backward before forward");
         assert_eq!(mask.len(), grad_out.len(), "grad shape mismatch");
+        if !need_input_grad {
+            return None;
+        }
         let mut g = ws.take(grad_out.dims());
         for ((gi, &go), mi) in g
             .as_mut_slice()
@@ -56,7 +64,7 @@ impl Layer for Relu {
         {
             *gi = go * mi;
         }
-        g
+        Some(g)
     }
 }
 
@@ -84,8 +92,16 @@ impl Layer for Tanh {
         y
     }
 
-    fn backward(&mut self, grad_out: &Tensor, ws: &mut Workspace) -> Tensor {
+    fn backward(
+        &mut self,
+        grad_out: &Tensor,
+        need_input_grad: bool,
+        ws: &mut Workspace,
+    ) -> Option<Tensor> {
         let y = self.output.as_ref().expect("Tanh::backward before forward");
+        if !need_input_grad {
+            return None;
+        }
         let mut g = ws.take(grad_out.dims());
         for ((gi, &go), yi) in g
             .as_mut_slice()
@@ -95,7 +111,7 @@ impl Layer for Tanh {
         {
             *gi = go * (1.0 - yi * yi);
         }
-        g
+        Some(g)
     }
 }
 
@@ -134,11 +150,19 @@ impl Layer for Sigmoid {
         y
     }
 
-    fn backward(&mut self, grad_out: &Tensor, ws: &mut Workspace) -> Tensor {
+    fn backward(
+        &mut self,
+        grad_out: &Tensor,
+        need_input_grad: bool,
+        ws: &mut Workspace,
+    ) -> Option<Tensor> {
         let y = self
             .output
             .as_ref()
             .expect("Sigmoid::backward before forward");
+        if !need_input_grad {
+            return None;
+        }
         let mut g = ws.take(grad_out.dims());
         for ((gi, &go), yi) in g
             .as_mut_slice()
@@ -148,7 +172,7 @@ impl Layer for Sigmoid {
         {
             *gi = go * yi * (1.0 - yi);
         }
-        g
+        Some(g)
     }
 }
 
@@ -163,7 +187,9 @@ mod tests {
         let x = Tensor::from_vec([4], vec![-1.0, 0.0, 2.0, -3.0]);
         let y = relu.forward(&x, &mut ws);
         assert_eq!(y.as_slice(), &[0.0, 0.0, 2.0, 0.0]);
-        let g = relu.backward(&Tensor::full([4], 1.0), &mut ws);
+        let g = relu
+            .backward(&Tensor::full([4], 1.0), true, &mut ws)
+            .unwrap();
         assert_eq!(g.as_slice(), &[0.0, 0.0, 1.0, 0.0]);
     }
 
@@ -173,7 +199,7 @@ mod tests {
         let mut t = Tanh::new();
         let x = Tensor::from_vec([3], vec![-0.5, 0.0, 1.2]);
         let _y = t.forward(&x, &mut ws);
-        let g = t.backward(&Tensor::full([3], 1.0), &mut ws);
+        let g = t.backward(&Tensor::full([3], 1.0), true, &mut ws).unwrap();
         for (i, &xi) in x.as_slice().iter().enumerate() {
             let expected = 1.0 - xi.tanh().powi(2);
             assert!((g.as_slice()[i] - expected).abs() < 1e-6);
@@ -194,7 +220,7 @@ mod tests {
         let mut s = Sigmoid::new();
         let x = Tensor::from_vec([3], vec![-2.0, 0.0, 2.0]);
         let _ = s.forward(&x, &mut ws);
-        let g = s.backward(&Tensor::full([3], 2.0), &mut ws);
+        let g = s.backward(&Tensor::full([3], 2.0), true, &mut ws).unwrap();
         for (i, &xi) in x.as_slice().iter().enumerate() {
             let y = sigmoid_scalar(xi);
             assert!((g.as_slice()[i] - 2.0 * y * (1.0 - y)).abs() < 1e-6);

@@ -105,7 +105,12 @@ impl Layer for BatchNorm2d {
         out
     }
 
-    fn backward(&mut self, grad_out: &Tensor, ws: &mut Workspace) -> Tensor {
+    fn backward(
+        &mut self,
+        grad_out: &Tensor,
+        need_input_grad: bool,
+        ws: &mut Workspace,
+    ) -> Option<Tensor> {
         let xhat = self
             .xhat
             .as_ref()
@@ -117,7 +122,7 @@ impl Layer for BatchNorm2d {
         let m = (n * plane) as f32;
         let gd = grad_out.as_slice();
         let xh = xhat.as_slice();
-        let mut gin = ws.take(dims);
+        let mut gin = need_input_grad.then(|| ws.take(dims));
 
         for ch in 0..c {
             let mut sum_dy = 0.0f64;
@@ -132,6 +137,9 @@ impl Layer for BatchNorm2d {
             self.bias.grad.as_mut_slice()[ch] += sum_dy as f32;
             self.weight.grad.as_mut_slice()[ch] += sum_dy_xhat as f32;
 
+            let Some(gin) = gin.as_mut() else {
+                continue;
+            };
             let gamma = self.weight.value.as_slice()[ch];
             let scale = gamma * self.inv_std[ch];
             if self.training {
@@ -233,7 +241,7 @@ mod tests {
         let x = Tensor::randn([2, 2, 3, 3], 1.0, &mut rng);
         let _y = bn.forward(&x, &mut ws);
         let g = Tensor::full([2, 2, 3, 3], 1.0);
-        let _ = bn.backward(&g, &mut ws);
+        let _ = bn.backward(&g, true, &mut ws);
         // dβ = Σ dy = N*H*W = 18 per channel.
         assert!((bn.bias.grad.as_slice()[0] - 18.0).abs() < 1e-4);
         // dγ = Σ dy·x̂ = Σ x̂ ≈ 0 (normalized batch sums to 0).

@@ -264,7 +264,12 @@ impl Layer for Conv2d {
         out
     }
 
-    fn backward(&mut self, grad_out: &Tensor, ws: &mut Workspace) -> Tensor {
+    fn backward(
+        &mut self,
+        grad_out: &Tensor,
+        need_input_grad: bool,
+        ws: &mut Workspace,
+    ) -> Option<Tensor> {
         let (n, h, w, oh, ow) = self.cached_dims.expect("Conv2d::backward before forward");
         let c = self.in_c;
         let ck2 = self.in_c * self.k * self.k;
@@ -297,6 +302,10 @@ impl Layer for Conv2d {
                 *dbv += gd[oc * nohw..(oc + 1) * nohw].iter().sum::<f32>();
             }
         }
+        if !need_input_grad {
+            ws.give(gt);
+            return None;
+        }
         // dcol = Wᵀ · gt, then scatter each sample's band back.
         let mut dcol = ws.take(&[ck2, nohw]);
         ops::matmul_transpose_a_into(&self.weight.value, &gt, &mut dcol);
@@ -307,7 +316,7 @@ impl Layer for Conv2d {
             self.col2im_acc(dcol.as_slice(), gx, h, w, oh, ow, nohw, s * ohw);
         }
         ws.give(dcol);
-        gin
+        Some(gin)
     }
 
     fn params(&self) -> Vec<&Parameter> {
@@ -419,7 +428,7 @@ mod tests {
         let x = Tensor::randn([1, 1, 4, 4], 1.0, &mut rng);
         let y = conv.forward(&x, &mut ws);
         let g = Tensor::full(y.shape().clone(), 1.0);
-        let _ = conv.backward(&g, &mut ws);
+        let _ = conv.backward(&g, false, &mut ws);
         // Each output channel has 16 cells with grad 1.0.
         assert!((conv.bias.grad.as_slice()[0] - 16.0).abs() < 1e-4);
         assert!((conv.bias.grad.as_slice()[1] - 16.0).abs() < 1e-4);

@@ -32,11 +32,19 @@ impl Layer for Flatten {
         y
     }
 
-    fn backward(&mut self, grad_out: &Tensor, ws: &mut Workspace) -> Tensor {
+    fn backward(
+        &mut self,
+        grad_out: &Tensor,
+        need_input_grad: bool,
+        ws: &mut Workspace,
+    ) -> Option<Tensor> {
         assert!(self.ready, "Flatten::backward before forward");
+        if !need_input_grad {
+            return None;
+        }
         let mut g = ws.take(&self.input_dims);
         g.as_mut_slice().copy_from_slice(grad_out.as_slice());
-        g
+        Some(g)
     }
 }
 
@@ -51,7 +59,7 @@ mod tests {
         let x = Tensor::from_vec([2, 3, 4], (0..24).map(|i| i as f32).collect());
         let y = f.forward(&x, &mut ws);
         assert_eq!(y.dims(), &[2, 12]);
-        let g = f.backward(&y, &mut ws);
+        let g = f.backward(&y, true, &mut ws).unwrap();
         assert_eq!(g.dims(), &[2, 3, 4]);
         assert_eq!(g.as_slice(), x.as_slice());
     }

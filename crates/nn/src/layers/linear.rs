@@ -79,7 +79,12 @@ impl Layer for Linear {
         y
     }
 
-    fn backward(&mut self, grad_out: &Tensor, ws: &mut Workspace) -> Tensor {
+    fn backward(
+        &mut self,
+        grad_out: &Tensor,
+        need_input_grad: bool,
+        ws: &mut Workspace,
+    ) -> Option<Tensor> {
         let x = self
             .cached_input
             .as_ref()
@@ -106,9 +111,11 @@ impl Layer for Linear {
             }
         }
         // dx[N, in] = g[N, out] · W[out, in]
-        let mut dx = ws.take(&[n, self.in_features]);
-        ops::matmul_into(grad_out, &self.weight.value, &mut dx);
-        dx
+        need_input_grad.then(|| {
+            let mut dx = ws.take(&[n, self.in_features]);
+            ops::matmul_into(grad_out, &self.weight.value, &mut dx);
+            dx
+        })
     }
 
     fn params(&self) -> Vec<&Parameter> {
@@ -161,10 +168,10 @@ mod tests {
         let x = Tensor::from_vec([2, 2], vec![1., 0., 0., 1.]);
         let _ = lin.forward(&x, &mut ws);
         let g = Tensor::from_vec([2, 2], vec![1., 1., 1., 1.]);
-        let _ = lin.backward(&g, &mut ws);
+        let _ = lin.backward(&g, true, &mut ws);
         let first = lin.weight.grad.clone();
         let _ = lin.forward(&x, &mut ws);
-        let _ = lin.backward(&g, &mut ws);
+        let _ = lin.backward(&g, false, &mut ws);
         let mut expected = first.clone();
         expected.add_assign(&first);
         assert_eq!(lin.weight.grad, expected, "grads must accumulate");

@@ -245,8 +245,15 @@ impl LstmCore {
     }
 
     /// BPTT over the cached sequence. `dh_out` is `[N, T, H]` (gradient on
-    /// every hidden state emitted). Returns `dx` as `[N, T, in]`.
-    fn backward_seq(&mut self, dh_out: &Tensor, ws: &mut Workspace) -> Tensor {
+    /// every hidden state emitted). Returns `dx` as `[N, T, in]` when
+    /// `need_dx` is set (the bottom layer of a training step has no
+    /// consumer for it).
+    fn backward_seq(
+        &mut self,
+        dh_out: &Tensor,
+        need_dx: bool,
+        ws: &mut Workspace,
+    ) -> Option<Tensor> {
         let t = self.cache.len();
         assert!(t > 0, "LstmCore::backward_seq before forward_seq");
         let n = self.cache[0].x.dims()[0];
@@ -255,7 +262,7 @@ impl LstmCore {
         let fin = self.input_size;
         assert_eq!(dh_out.dims(), &[n, t, hdim], "dh_out shape mismatch");
 
-        let mut dx = ws.take(&[n, t, fin]);
+        let mut dx = need_dx.then(|| ws.take(&[n, t, fin]));
         let mut dh = ws.take_zeroed(&[n, hdim]); // carried recurrent gradient
         let mut dh_next = ws.take(&[n, hdim]);
         let mut dc = ws.take_zeroed(&[n, hdim]);
@@ -263,7 +270,7 @@ impl LstmCore {
         // Per-step gate gradients, gathered so the input-gradient GEMM can
         // run once over all timesteps (same batching argument as the
         // forward's `zx`; each dx row is an unchanged sequential-k dot).
-        let mut dz_all = ws.take(&[n * t, h4]);
+        let mut dz_all = need_dx.then(|| ws.take(&[n * t, h4]));
         for step in (0..t).rev() {
             let cache = &self.cache[step];
             // dh += gradient flowing directly into h_t from the output.
@@ -309,9 +316,12 @@ impl LstmCore {
                 }
             }
             // Stash this step's gate gradients for the batched dx GEMM.
-            for s in 0..n {
-                let dst = &mut dz_all.as_mut_slice()[(s * t + step) * h4..(s * t + step + 1) * h4];
-                dst.copy_from_slice(&dz.as_slice()[s * h4..(s + 1) * h4]);
+            if let Some(dz_all) = dz_all.as_mut() {
+                for s in 0..n {
+                    let dst =
+                        &mut dz_all.as_mut_slice()[(s * t + step) * h4..(s * t + step + 1) * h4];
+                    dst.copy_from_slice(&dz.as_slice()[s * h4..(s + 1) * h4]);
+                }
             }
             // Recurrent gradient.
             ops::matmul_into(&dz, &self.w_hh.value, &mut dh_next); // dh_{t-1}
@@ -319,22 +329,26 @@ impl LstmCore {
         }
         // Input gradients for every timestep in one GEMM:
         // dx[(s·T+t), :] = dz_all[(s·T+t), :] · W_ih.
-        dx.fill_zero();
-        fedca_tensor::gemm::gemm_acc(
-            false,
-            false,
-            n * t,
-            fin,
-            h4,
-            dz_all.as_slice(),
-            self.w_ih.value.as_slice(),
-            dx.as_mut_slice(),
-        );
+        if let (Some(dx), Some(dz_all)) = (dx.as_mut(), dz_all.as_ref()) {
+            dx.fill_zero();
+            fedca_tensor::gemm::gemm_acc(
+                false,
+                false,
+                n * t,
+                fin,
+                h4,
+                dz_all.as_slice(),
+                self.w_ih.value.as_slice(),
+                dx.as_mut_slice(),
+            );
+        }
         ws.give(dh);
         ws.give(dh_next);
         ws.give(dc);
         ws.give(dz);
-        ws.give(dz_all);
+        if let Some(dz_all) = dz_all {
+            ws.give(dz_all);
+        }
         dx
     }
 }
@@ -406,7 +420,12 @@ impl Layer for Lstm {
         out
     }
 
-    fn backward(&mut self, grad_out: &Tensor, ws: &mut Workspace) -> Tensor {
+    fn backward(
+        &mut self,
+        grad_out: &Tensor,
+        need_input_grad: bool,
+        ws: &mut Workspace,
+    ) -> Option<Tensor> {
         let t = self.seq_len.expect("Lstm::backward before forward");
         let n = grad_out.dims()[0];
         let hdim = self.hidden;
@@ -417,10 +436,13 @@ impl Layer for Lstm {
             let dst = &mut grad.as_mut_slice()[(s * t + (t - 1)) * hdim..(s * t + t) * hdim];
             dst.copy_from_slice(&grad_out.as_slice()[s * hdim..(s + 1) * hdim]);
         }
-        for core in self.layers.iter_mut().rev() {
-            let next = core.backward_seq(&grad, ws);
-            ws.give(grad);
-            grad = next;
+        // Upper cores always feed the one below; only the bottom core's
+        // input gradient depends on the caller.
+        let mut grad = Some(grad);
+        for (l, core) in self.layers.iter_mut().enumerate().rev() {
+            let g = grad.take().expect("every core above the bottom returns dx");
+            grad = core.backward_seq(&g, need_input_grad || l > 0, ws);
+            ws.give(g);
         }
         grad
     }
@@ -525,7 +547,7 @@ mod tests {
         let x = Tensor::randn([2, 5, 4], 1.0, &mut rng);
         let _y = lstm.forward(&x, &mut ws);
         let g = Tensor::full([2, 5], 1.0);
-        let dx = lstm.backward(&g, &mut ws);
+        let dx = lstm.backward(&g, true, &mut ws).unwrap();
         assert_eq!(dx.dims(), &[2, 5, 4]);
         for p in lstm.params() {
             assert!(

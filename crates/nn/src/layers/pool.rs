@@ -116,15 +116,23 @@ impl Layer for MaxPool2d {
         out
     }
 
-    fn backward(&mut self, grad_out: &Tensor, ws: &mut Workspace) -> Tensor {
+    fn backward(
+        &mut self,
+        grad_out: &Tensor,
+        need_input_grad: bool,
+        ws: &mut Workspace,
+    ) -> Option<Tensor> {
         assert!(self.ready, "MaxPool2d::backward before forward");
         assert_eq!(grad_out.len(), self.argmax.len(), "grad shape mismatch");
+        if !need_input_grad {
+            return None;
+        }
         let mut gin = ws.take_zeroed(&self.input_dims);
         let gd = gin.as_mut_slice();
         for (g, &idx) in grad_out.as_slice().iter().zip(self.argmax.iter()) {
             gd[idx] += g;
         }
-        gin
+        Some(gin)
     }
 }
 
@@ -158,8 +166,16 @@ impl Layer for AvgPool2d {
         out
     }
 
-    fn backward(&mut self, grad_out: &Tensor, ws: &mut Workspace) -> Tensor {
+    fn backward(
+        &mut self,
+        grad_out: &Tensor,
+        need_input_grad: bool,
+        ws: &mut Workspace,
+    ) -> Option<Tensor> {
         assert!(self.ready, "AvgPool2d::backward before forward");
+        if !need_input_grad {
+            return None;
+        }
         let (h, w) = (self.input_dims[2], self.input_dims[3]);
         let area = (h * w) as f32;
         let mut gin = ws.take(&self.input_dims);
@@ -170,7 +186,7 @@ impl Layer for AvgPool2d {
                 *cell = v;
             }
         }
-        gin
+        Some(gin)
     }
 }
 
@@ -204,7 +220,9 @@ mod tests {
             3., 4.,
         ]);
         let _ = p.forward(&x, &mut ws);
-        let g = p.backward(&Tensor::from_vec([1, 1, 1, 1], vec![5.0]), &mut ws);
+        let g = p
+            .backward(&Tensor::from_vec([1, 1, 1, 1], vec![5.0]), true, &mut ws)
+            .unwrap();
         assert_eq!(g.as_slice(), &[0., 5., 0., 0.]);
     }
 
@@ -236,7 +254,9 @@ mod tests {
         let y = p.forward(&x, &mut ws);
         assert_eq!(y.dims(), &[1, 2]);
         assert_eq!(y.as_slice(), &[2.5, 10.0]);
-        let g = p.backward(&Tensor::from_vec([1, 2], vec![4.0, 8.0]), &mut ws);
+        let g = p
+            .backward(&Tensor::from_vec([1, 2], vec![4.0, 8.0]), true, &mut ws)
+            .unwrap();
         assert_eq!(g.as_slice(), &[1., 1., 1., 1., 2., 2., 2., 2.]);
     }
 }

@@ -64,15 +64,26 @@ impl Layer for ResidualBlock {
         y
     }
 
-    fn backward(&mut self, grad_out: &Tensor, ws: &mut Workspace) -> Tensor {
-        let mut gx = self.body.backward(grad_out, ws);
+    fn backward(
+        &mut self,
+        grad_out: &Tensor,
+        need_input_grad: bool,
+        ws: &mut Workspace,
+    ) -> Option<Tensor> {
+        let mut gx = self.body.backward(grad_out, need_input_grad, ws);
         match &mut self.shortcut {
             Some(proj) => {
-                let gs = proj.backward(grad_out, ws);
-                gx.add_assign(&gs);
-                ws.give(gs);
+                let gs = proj.backward(grad_out, need_input_grad, ws);
+                if let (Some(gx), Some(gs)) = (gx.as_mut(), gs) {
+                    gx.add_assign(&gs);
+                    ws.give(gs);
+                }
             }
-            None => gx.add_assign(grad_out),
+            None => {
+                if let Some(gx) = gx.as_mut() {
+                    gx.add_assign(grad_out);
+                }
+            }
         }
         gx
     }
@@ -134,7 +145,7 @@ mod tests {
         // Gradient splits into both branches; with zero weights the body
         // contributes nothing to dx, so dx == grad_out.
         let g = Tensor::full([1, 2, 4, 4], 1.0);
-        let dx = block.backward(&g, &mut ws);
+        let dx = block.backward(&g, true, &mut ws).unwrap();
         for (a, b) in dx.as_slice().iter().zip(g.as_slice()) {
             assert!((a - b).abs() < 1e-6);
         }
@@ -152,7 +163,9 @@ mod tests {
         let x = Tensor::randn([2, 2, 8, 8], 1.0, &mut rng);
         let y = block.forward(&x, &mut ws);
         assert_eq!(y.dims(), &[2, 4, 4, 4]);
-        let dx = block.backward(&Tensor::full([2, 4, 4, 4], 1.0), &mut ws);
+        let dx = block
+            .backward(&Tensor::full([2, 4, 4, 4], 1.0), true, &mut ws)
+            .unwrap();
         assert_eq!(dx.dims(), &[2, 2, 8, 8]);
         // Projection weights get gradients too.
         let names: Vec<_> = block

@@ -12,6 +12,10 @@ use fedca_tensor::Tensor;
 #[derive(Default)]
 pub struct Sequential {
     layers: Vec<Box<dyn Layer>>,
+    // Index of the first layer that owns parameters (recorded at push
+    // time). Backward stops there unless the caller wants the gradient with
+    // respect to the chain's input.
+    first_param: Option<usize>,
 }
 
 impl Sequential {
@@ -21,13 +25,15 @@ impl Sequential {
     }
 
     /// Appends a layer (builder style).
-    pub fn push(mut self, layer: impl Layer + 'static) -> Self {
-        self.layers.push(Box::new(layer));
-        self
+    pub fn push(self, layer: impl Layer + 'static) -> Self {
+        self.push_boxed(Box::new(layer))
     }
 
     /// Appends a boxed layer.
     pub fn push_boxed(mut self, layer: Box<dyn Layer>) -> Self {
+        if self.first_param.is_none() && !layer.params().is_empty() {
+            self.first_param = Some(self.layers.len());
+        }
         self.layers.push(layer);
         self
     }
@@ -61,19 +67,42 @@ impl Layer for Sequential {
         })
     }
 
-    fn backward(&mut self, grad_out: &Tensor, ws: &mut Workspace) -> Tensor {
+    fn backward(
+        &mut self,
+        grad_out: &Tensor,
+        need_input_grad: bool,
+        ws: &mut Workspace,
+    ) -> Option<Tensor> {
+        // Without a consumer for the chain's input gradient, the walk ends
+        // at the first layer with parameters: that layer is asked for its
+        // parameter gradients only, and the parameter-less prefix before it
+        // is not visited at all.
+        let first = if need_input_grad {
+            0
+        } else {
+            self.first_param.unwrap_or(self.layers.len())
+        };
         let mut cur: Option<Tensor> = None;
-        for layer in self.layers.iter_mut().rev() {
-            let next = layer.backward(cur.as_ref().unwrap_or(grad_out), ws);
-            if let Some(prev) = cur.replace(next) {
+        for (i, layer) in self.layers.iter_mut().enumerate().skip(first).rev() {
+            let need = need_input_grad || i > first;
+            let next = layer.backward(cur.as_ref().unwrap_or(grad_out), need, ws);
+            debug_assert_eq!(
+                next.is_some(),
+                need,
+                "layer {i} broke the backward contract"
+            );
+            if let Some(prev) = std::mem::replace(&mut cur, next) {
                 ws.give(prev);
             }
         }
-        cur.unwrap_or_else(|| {
+        if !need_input_grad {
+            return None;
+        }
+        Some(cur.unwrap_or_else(|| {
             let mut g = ws.take(grad_out.dims());
             g.as_mut_slice().copy_from_slice(grad_out.as_slice());
             g
-        })
+        }))
     }
 
     fn params(&self) -> Vec<&Parameter> {
@@ -118,7 +147,9 @@ mod tests {
         let x = Tensor::randn([5, 3], 1.0, &mut rng);
         let y = net.forward(&x, &mut ws);
         assert_eq!(y.dims(), &[5, 2]);
-        let dx = net.backward(&Tensor::full([5, 2], 1.0), &mut ws);
+        let dx = net
+            .backward(&Tensor::full([5, 2], 1.0), true, &mut ws)
+            .unwrap();
         assert_eq!(dx.dims(), &[5, 3]);
     }
 
@@ -142,7 +173,8 @@ mod tests {
         assert!(net.is_empty());
         let x = Tensor::from_vec([2], vec![1.0, 2.0]);
         assert_eq!(net.forward(&x, &mut ws), x);
-        assert_eq!(net.backward(&x, &mut ws), x);
+        assert_eq!(net.backward(&x, true, &mut ws), Some(x.clone()));
+        assert_eq!(net.backward(&x, false, &mut ws), None);
     }
 
     #[test]
@@ -156,13 +188,13 @@ mod tests {
         let x = Tensor::randn([4, 3], 1.0, &mut rng);
         for _ in 0..3 {
             let y = net.forward(&x, &mut ws);
-            let dx = net.backward(&y, &mut ws);
+            let dx = net.backward(&y, true, &mut ws).unwrap();
             ws.give(y);
             ws.give(dx);
         }
         let (_, misses_before) = ws.stats();
         let y = net.forward(&x, &mut ws);
-        let dx = net.backward(&y, &mut ws);
+        let dx = net.backward(&y, true, &mut ws).unwrap();
         ws.give(y);
         ws.give(dx);
         let (_, misses_after) = ws.stats();

@@ -61,10 +61,23 @@ impl Model {
         self.net.forward(x, &mut self.ws)
     }
 
-    /// Backward pass (gradients accumulate into the parameters). Recycle
-    /// the returned input-gradient when done with it.
+    /// Full backward pass (gradients accumulate into the parameters),
+    /// returning the gradient with respect to the input batch — what
+    /// gradient checks and input-sensitivity probes need. Recycle the
+    /// returned tensor when done with it. Training loops want
+    /// [`Model::backward_params`].
     pub fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        self.net.backward(grad_out, &mut self.ws)
+        self.net
+            .backward(grad_out, true, &mut self.ws)
+            .expect("a layer asked for its input gradient returns one")
+    }
+
+    /// Backward pass of a training step: accumulates the same parameter
+    /// gradients as [`Model::backward`], bit for bit, but nothing consumes
+    /// the gradient with respect to the input batch, so it is not computed.
+    pub fn backward_params(&mut self, grad_out: &Tensor) {
+        let gin = self.net.backward(grad_out, false, &mut self.ws);
+        debug_assert!(gin.is_none(), "no input gradient was asked for");
     }
 
     /// Returns a tensor produced by [`Model::forward`]/[`Model::backward`]
@@ -114,6 +127,23 @@ impl Model {
         out.reserve(self.total);
         for p in self.net.params() {
             out.extend_from_slice(p.value.as_slice());
+        }
+    }
+
+    /// Writes `params − base` into `out` (traversal order) in one pass,
+    /// reusing its allocation: the accumulated update of a client that
+    /// started its round from `base`. Same values as
+    /// [`Model::flat_params_into`] followed by an element-wise subtraction.
+    ///
+    /// # Panics
+    /// Panics if `base.len() != num_params()`.
+    pub fn flat_delta_into(&self, base: &[f32], out: &mut Vec<f32>) {
+        assert_eq!(base.len(), self.total, "base parameter length mismatch");
+        out.clear();
+        out.reserve(self.total);
+        for p in self.net.params() {
+            let base = &base[out.len()..out.len() + p.len()];
+            out.extend(p.value.as_slice().iter().zip(base).map(|(w, g)| w - g));
         }
     }
 
@@ -224,6 +254,21 @@ mod tests {
     }
 
     #[test]
+    fn flat_delta_is_params_minus_base() {
+        let m = tiny_model(5);
+        let base: Vec<f32> = (0..m.num_params()).map(|i| i as f32 * 0.25 - 3.0).collect();
+        let want: Vec<f32> = m
+            .flat_params()
+            .iter()
+            .zip(&base)
+            .map(|(w, g)| w - g)
+            .collect();
+        let mut got = vec![f32::NAN; 2];
+        m.flat_delta_into(&base, &mut got);
+        assert_eq!(got, want);
+    }
+
+    #[test]
     fn same_seed_same_model() {
         let a = tiny_model(7);
         let b = tiny_model(7);
@@ -240,7 +285,7 @@ mod tests {
         let logits = m.forward(&x);
         let (_, grad) = crate::loss::softmax_cross_entropy(&logits, &[0, 1, 0, 1]);
         m.zero_grad();
-        m.backward(&grad);
+        m.backward_params(&grad);
         m.step(&crate::optim::Sgd::new(0.1, 0.0), None);
         let after = m.flat_params();
         assert_ne!(before, after);

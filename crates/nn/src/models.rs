@@ -376,7 +376,7 @@ mod tests {
         let logits = m.forward(&x);
         let (_, g) = crate::loss::softmax_cross_entropy(&logits, &[0, 1, 2, 3]);
         m.zero_grad();
-        m.backward(&g);
+        m.backward_params(&g);
         m.step(&crate::optim::Sgd::new(0.01, 0.01), None);
         assert!(m.flat_params().iter().all(|v| v.is_finite()));
     }

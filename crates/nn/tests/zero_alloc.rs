@@ -3,7 +3,8 @@
 //! A counting global allocator wraps `System`; after a few warm-up
 //! iterations populate the workspace pool, the layer caches, and the GEMM
 //! pack buffers, one full forward + loss + backward + step must perform
-//! ZERO heap allocations for every model family.
+//! ZERO heap allocations for every model family — through the training
+//! step's `backward_params` and through the full `backward` alike.
 //!
 //! Everything runs inside ONE `#[test]` — libtest runs tests on parallel
 //! threads by default, and a second test's allocations would pollute the
@@ -40,33 +41,47 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-fn train_iteration(model: &mut Model, x: &Tensor, y: &[usize], grad: &mut Tensor, opt: &Sgd) {
+fn train_iteration(
+    model: &mut Model,
+    x: &Tensor,
+    y: &[usize],
+    grad: &mut Tensor,
+    opt: &Sgd,
+    full_backward: bool,
+) {
     let logits = model.forward(x);
     let _loss = softmax_cross_entropy_into(&logits, y, grad);
     model.recycle(logits);
     model.zero_grad();
-    let gin = model.backward(grad);
-    model.recycle(gin);
+    if full_backward {
+        let gin = model.backward(grad);
+        model.recycle(gin);
+    } else {
+        model.backward_params(grad);
+    }
     model.step(opt, None);
 }
 
 fn assert_zero_alloc_steady_state(name: &str, mut model: Model, x: Tensor, y: Vec<usize>) {
     let opt = Sgd::new(0.01, 1e-4);
     let mut grad = Tensor::zeros([0]);
-    // Warm up: fills the workspace pool, layer caches, and thread-local
-    // GEMM pack buffers.
-    for _ in 0..3 {
-        train_iteration(&mut model, &x, &y, &mut grad, &opt);
+    // One model serves both paths in turn: each warms up on its own (fills
+    // the workspace pool, layer caches, and thread-local GEMM pack
+    // buffers), then must run one iteration without touching the heap.
+    for full_backward in [false, true] {
+        for _ in 0..3 {
+            train_iteration(&mut model, &x, &y, &mut grad, &opt, full_backward);
+        }
+        let before = ALLOCS.load(Ordering::Relaxed);
+        train_iteration(&mut model, &x, &y, &mut grad, &opt, full_backward);
+        let after = ALLOCS.load(Ordering::Relaxed);
+        assert_eq!(
+            after - before,
+            0,
+            "{name} (full_backward={full_backward}): warmed-up train iteration performed {} heap allocations",
+            after - before
+        );
     }
-    let before = ALLOCS.load(Ordering::Relaxed);
-    train_iteration(&mut model, &x, &y, &mut grad, &opt);
-    let after = ALLOCS.load(Ordering::Relaxed);
-    assert_eq!(
-        after - before,
-        0,
-        "{name}: warmed-up train iteration performed {} heap allocations",
-        after - before
-    );
 }
 
 #[test]

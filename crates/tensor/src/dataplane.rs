@@ -412,6 +412,13 @@ mod scalar {
 /// intrinsics) — it is the "vector" packing tier on every SIMD target.
 mod blocked {
     pub fn pack_levels(levels: &[i8], num_levels: u8, width: u32, out: &mut [u8]) {
+        if width == 8 {
+            // One field per byte (the Int8 upload): no shifting at all.
+            for (o, &lev) in out.iter_mut().zip(levels) {
+                *o = (lev as i16 + num_levels as i16) as u8;
+            }
+            return;
+        }
         let n = levels.len();
         let wbytes = width as usize;
         let mut g = 0usize;

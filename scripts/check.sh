@@ -26,6 +26,27 @@ bench=(cargo run --release --offline --quiet --manifest-path examples/benchmark/
   | tail -n 1 | grep -q '"correct":true' \
   || { echo "benchmark smoke: cnn_fedca_shard2 did not report \"correct\":true" >&2; exit 1; }
 
+# "A perf change did not change the arithmetic" as a gate: the seed-42
+# trajectory fingerprints must equal the recorded ones. They are recorded on
+# the AVX2 tier (GEMM tiers differ in low-order bits), so other tiers print
+# theirs and skip.
+echo "== benchmark fingerprints vs baselines/set1.json"
+baseline=examples/benchmark/baselines/set1.json
+for w in cnn_fedca wide_int8; do
+  info="$("${bench[@]}" --workload "$w" --seed 42 --seconds 2 --trace 0 | grep '^{"info"' | tail -n 1)"
+  kernel="$(jq -r '.info.kernel' <<<"$info")"
+  got="$(jq -r '.info.fingerprint' <<<"$info")"
+  want="$(jq -r ".workloads.$w.fingerprint" "$baseline")"
+  if [[ "$kernel" != "avx2" ]]; then
+    echo "fingerprint $w: $got on kernel $kernel (baseline is avx2; skipped)"
+  elif [[ "$got" != "$want" ]]; then
+    echo "fingerprint $w: $got differs from the recorded $want" >&2
+    exit 1
+  else
+    echo "fingerprint $w: $got — ok"
+  fi
+done
+
 echo "== chaos sweep"
 scripts/chaos.sh "${CHAOS_SEEDS:-32}"
 
