@@ -9,17 +9,10 @@
 //!
 //! ```text
 //! cargo run --release -p fedca-bench --bin shard -- \
-//!     --shards 4 [--workers 1] [--rounds 6] [--workload wrn] \
-//!     [--transport-faults <seed>]
+//!     --shards 4 [--workers 1] [--rounds 6] [--workload wrn]
 //! ```
-//!
-//! `--transport-faults <seed>` (or the `FEDCA_TRANSPORT_FAULTS` env var)
-//! arms the chaotic byte-level transport fault schedule on every
-//! coordinator↔shard link; the fingerprint must still be identical to the
-//! fault-free run (`scripts/transport_check.sh` gates exactly that).
 
 use fedca_bench::{note, seed_from_env, workload_by_name, ExpScale};
-use fedca_core::config::TransportFaultConfig;
 use fedca_core::{FlConfig, Scheme, Trainer};
 use serde::Serialize;
 
@@ -37,11 +30,8 @@ struct ShardReport {
     train_s: f64,
     rounds_per_sec: f64,
     peak_rss_mib: f64,
-    /// Seed of the armed transport fault schedule (null when fault-free).
-    transport_fault_seed: Option<u64>,
-    /// Transport supervision totals over the run: frame retries,
-    /// heartbeats missed, shards quarantined, ordinals reassigned.
-    n_retries: usize,
+    /// Failover totals over the run: heartbeats missed, shards
+    /// quarantined, ordinals re-run in the root (all 0 on a healthy run).
     n_heartbeat_missed: usize,
     n_quarantined: usize,
     n_reassigned: usize,
@@ -125,25 +115,10 @@ fn main() {
     };
     fl.shard.n_shards = shards;
 
-    // Byte-level transport chaos on every link: flag wins over env var.
-    let fault_seed: Option<u64> = arg_value("--transport-faults")
-        .or_else(|| std::env::var("FEDCA_TRANSPORT_FAULTS").ok())
-        .map(|v| {
-            v.parse()
-                .unwrap_or_else(|_| panic!("--transport-faults requires a u64 seed, got {v:?}"))
-        });
-    if let Some(s) = fault_seed {
-        fl.shard.transport_faults = TransportFaultConfig::chaos(s);
-    }
-
     note(&format!(
         "shard study: {name}, {shards} shards x {workers} workers, \
-         cohort {}, {rounds} rounds{}",
+         cohort {}, {rounds} rounds",
         fl.clients_per_round,
-        match fault_seed {
-            Some(s) => format!(", transport chaos seed {s}"),
-            None => String::new(),
-        }
     ));
 
     let t0 = std::time::Instant::now();
@@ -166,8 +141,6 @@ fn main() {
         train_s,
         rounds_per_sec: rounds as f64 / train_s.max(1e-9),
         peak_rss_mib: peak_rss_mib(),
-        transport_fault_seed: fault_seed,
-        n_retries: trainer.records().iter().map(|r| r.n_retries).sum(),
         n_heartbeat_missed: trainer.records().iter().map(|r| r.n_heartbeat_missed).sum(),
         n_quarantined: trainer.records().iter().map(|r| r.n_quarantined).sum(),
         n_reassigned: trainer.records().iter().map(|r| r.n_reassigned).sum(),

@@ -179,41 +179,38 @@ pub fn n_clients_override() -> Option<usize> {
 
 /// Shard-topology override for this process: `--shards N` / `--shards=N`
 /// on the command line, else the `FEDCA_SHARDS` environment variable.
-/// `None` (or 0) keeps the single-process in-memory worker pool.
+/// `None` (or 0) keeps the single-process in-memory worker pool. A value
+/// that is not a non-negative integer prints a usage line and exits 2.
 pub fn shards_override() -> Option<usize> {
+    fn parse(source: &str, value: Option<String>) -> usize {
+        value.and_then(|v| v.parse().ok()).unwrap_or_else(|| {
+            eprintln!(
+                "usage: {source} takes a non-negative integer \
+                 (--shards N | --shards=N | FEDCA_SHARDS=N; 0 = in-process)"
+            );
+            std::process::exit(2);
+        })
+    }
     let mut args = std::env::args();
     while let Some(a) = args.next() {
         if a == "--shards" {
-            return Some(
-                args.next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--shards requires a non-negative integer"),
-            );
+            return Some(parse("--shards", args.next()));
         }
         if let Some(v) = a.strip_prefix("--shards=") {
-            return Some(v.parse().expect("--shards requires a non-negative integer"));
+            return Some(parse("--shards", Some(v.to_string())));
         }
     }
     std::env::var("FEDCA_SHARDS")
         .ok()
-        .map(|v| v.parse().expect("FEDCA_SHARDS must be an integer"))
+        .map(|v| parse("FEDCA_SHARDS", Some(v)))
 }
 
 /// Switches a federation to `n` shard processes (0 = stay in-process).
 /// The children re-enter this same binary, which must gate its `main` on
 /// [`fedca_core::shard::maybe_run_child`] — every `src/bin/` binary does.
-/// `FEDCA_TRANSPORT_FAULTS=<seed>` arms the seeded byte-level chaos
-/// schedule on every coordinator↔shard link (trajectory-neutral by the
-/// §13 supervision invariant).
 pub fn apply_shards(fl: &mut FlConfig, n: usize) {
     fl.shard.n_shards = n;
     fl.shard.child_args = Vec::new();
-    if let Ok(v) = std::env::var("FEDCA_TRANSPORT_FAULTS") {
-        let seed = v
-            .parse()
-            .expect("FEDCA_TRANSPORT_FAULTS must be a u64 seed");
-        fl.shard.transport_faults = fedca_core::config::TransportFaultConfig::chaos(seed);
-    }
 }
 
 /// Resizes a federation to `n` virtual clients: the cohort is clamped to

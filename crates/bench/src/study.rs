@@ -192,13 +192,12 @@ pub fn progress_study(
         aggregate_us,
         aggregate_us / (rounds_run as f64).max(1.0),
     ));
-    let n_retries: usize = trainer.records().iter().map(|r| r.n_retries).sum();
     let n_hb_missed: usize = trainer.records().iter().map(|r| r.n_heartbeat_missed).sum();
     let n_quarantined: usize = trainer.records().iter().map(|r| r.n_quarantined).sum();
     let n_reassigned: usize = trainer.records().iter().map(|r| r.n_reassigned).sum();
     note(&format!(
-        "  transport: {n_retries} frame retries, {n_hb_missed} heartbeats missed, \
-         {n_quarantined} shards quarantined, {n_reassigned} ordinals reassigned",
+        "  shards: {n_hb_missed} heartbeats missed, {n_quarantined} quarantined, \
+         {n_reassigned} ordinals re-run in the root",
     ));
     out
 }

@@ -735,9 +735,9 @@ impl<'a> MessageReader<'a> {
 // `meta` is a small structured header (the shard protocol puts JSON there);
 // `payload` is bulk binary data — a `wire::encode` update or raw f32 LE
 // parameters. `seq` is a per-connection, per-direction sequence number: the
-// supervised transport uses it for acking, resend, and exactly-once dedup;
-// for `Ack` frames it carries the acked sequence number and for `Ping`/`Pong`
-// a nonce. `crc` is a CRC-32 (IEEE) over kind + seq + meta + payload, so a
+// shard link requires application frames to arrive with consecutive values
+// and treats any gap as a dead connection; for `Ping`/`Pong` it carries a
+// nonce. `crc` is a CRC-32 (IEEE) over kind + seq + meta + payload, so a
 // bit-corrupted frame surfaces as a typed `ChecksumMismatch` instead of a
 // silent bad decode. Control-like frames (everything except `Update`) carry
 // no payload by definition, and the decoder enforces it. Lengths are
@@ -767,8 +767,6 @@ pub enum FrameKind {
     Control,
     /// Metadata plus a bulk binary payload.
     Update,
-    /// Delivery acknowledgement; `seq` carries the acked sequence number.
-    Ack,
     /// Liveness probe; `seq` carries a nonce the peer must echo.
     Ping,
     /// Liveness reply; `seq` echoes the probe's nonce.
@@ -780,17 +778,17 @@ impl FrameKind {
         match self {
             FrameKind::Control => 0,
             FrameKind::Update => 1,
-            FrameKind::Ack => 2,
             FrameKind::Ping => 3,
             FrameKind::Pong => 4,
         }
     }
 
+    /// Kind byte 2 was the acknowledgement frame of the retired resend
+    /// protocol; it is unknown now, never reassigned.
     fn from_u8(b: u8) -> Option<FrameKind> {
         match b {
             0 => Some(FrameKind::Control),
             1 => Some(FrameKind::Update),
-            2 => Some(FrameKind::Ack),
             3 => Some(FrameKind::Ping),
             4 => Some(FrameKind::Pong),
             _ => None,
@@ -842,8 +840,8 @@ fn frame_crc(kind: u8, seq: u64, meta: &[u8], payload: &[u8]) -> u32 {
 pub struct Frame {
     /// Envelope kind.
     pub kind: FrameKind,
-    /// Per-connection, per-direction sequence number. For [`FrameKind::Ack`]
-    /// this is the acked sequence; for Ping/Pong it is the probe nonce.
+    /// Per-connection, per-direction sequence number; for Ping/Pong it is
+    /// the probe nonce.
     pub seq: u64,
     /// Structured header bytes (the shard protocol stores JSON here).
     pub meta: Bytes,
@@ -1248,8 +1246,8 @@ mod tests {
     }
 
     #[test]
-    fn frame_ack_ping_pong_round_trip() {
-        for kind in [FrameKind::Ack, FrameKind::Ping, FrameKind::Pong] {
+    fn frame_ping_pong_round_trip() {
+        for kind in [FrameKind::Ping, FrameKind::Pong] {
             let frame = Frame {
                 kind,
                 seq: 913,
@@ -1265,7 +1263,7 @@ mod tests {
 
     #[test]
     fn frame_control_must_be_payloadless() {
-        for kind in [0u8, 2, 3, 4] {
+        for kind in [0u8, 3, 4] {
             let mut bytes = encode_frame(&Frame {
                 kind: FrameKind::Update,
                 seq: 1,

@@ -496,12 +496,12 @@ proptest! {
     }
 }
 
-/// Payloadless kinds (Control, Ack, Ping, Pong) carrying a payload are
+/// Payloadless kinds (Control, Ping, Pong) carrying a payload are
 /// structurally invalid on the wire: a forged header must decode to
 /// `Malformed`, not a usable frame.
 #[test]
 fn control_frames_with_payloads_are_malformed() {
-    for kind in [0u8, 2, 3, 4] {
+    for kind in [0u8, 3, 4] {
         let mut bytes = Vec::new();
         bytes.extend_from_slice(&FRAME_MAGIC.to_le_bytes());
         bytes.push(kind);
@@ -531,7 +531,8 @@ fn bad_magic_and_unknown_kind_are_typed() {
         decode_frame(&bad_magic, 1 << 20).unwrap_err(),
         FrameError::BadMagic(claimed)
     );
-    for kind in 5u8..=255 {
+    // 2 was the retired acknowledgement kind: unknown like any other.
+    for kind in (5u8..=255).chain([2]) {
         let mut bad_kind = good.as_ref().to_vec();
         bad_kind[2] = kind;
         assert_eq!(
@@ -540,7 +541,7 @@ fn bad_magic_and_unknown_kind_are_typed() {
         );
     }
     // Known payloadless kinds with the Update frame's payload: structural.
-    for kind in [0u8, 2, 3, 4] {
+    for kind in [0u8, 3, 4] {
         let mut bad_kind = good.as_ref().to_vec();
         bad_kind[2] = kind;
         assert_eq!(

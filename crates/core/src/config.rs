@@ -3,7 +3,7 @@
 use fedca_compress::Compression;
 use serde::{Deserialize, Serialize};
 
-pub use fedca_sim::faults::{FaultConfig, TransportFaultConfig};
+pub use fedca_sim::faults::FaultConfig;
 
 pub use crate::checkpoint::CheckpointConfig;
 pub use crate::trace::TraceConfig;
@@ -110,13 +110,16 @@ impl ShardAssignment {
     }
 }
 
-/// Sharded-execution topology and transport limits.
+/// Sharded-execution topology and link watchdogs.
 ///
 /// `n_shards == 0` (the default) keeps the single-process in-memory worker
 /// pool; any positive value spawns that many shard processes. The remaining
-/// knobs are operational guards on the coordinator's socket I/O and are 0 =
-/// "use the built-in default" so a config that only sets `n_shards` gets
-/// sane limits.
+/// knobs bound how long the coordinator waits before it gives up on a child
+/// (every one of them ends the same way: the child is killed and its
+/// outstanding work runs in the root) and are 0 = "use the built-in default"
+/// so a config that only sets `n_shards` gets sane limits. A config written
+/// when this struct still carried the retired resend protocol's keys loads
+/// with those keys ignored (`tests/fixtures/fl_config_pr14.json`).
 #[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct ShardConfig {
     /// Shard processes to spawn; 0 = in-process execution.
@@ -126,15 +129,17 @@ pub struct ShardConfig {
     #[serde(default)]
     pub assignment: ShardAssignment,
     /// Coordinator-side bound on every socket wait, in seconds; a shard
-    /// that makes no progress within it is killed and its cohort fails like
-    /// a worker panic. 0 → 30 s.
+    /// that makes no progress within it is killed and its outstanding work
+    /// runs in the root. 0 → 30 s.
     #[serde(default)]
     pub io_timeout_secs: f64,
     /// Bound on shard process spawn + connect, in seconds. 0 → 10 s.
     #[serde(default)]
     pub spawn_timeout_secs: f64,
-    /// Largest accepted protocol frame, in MiB; oversize length prefixes
-    /// fail typed before allocation. 0 → 1024 MiB.
+    /// Largest protocol frame the coordinator accepts from a shard, in
+    /// MiB; oversize length prefixes fail typed before allocation.
+    /// 0 → 1024 MiB, which is also what a shard child accepts from its
+    /// coordinator whatever this says.
     #[serde(default)]
     pub max_frame_mib: usize,
     /// Extra argv for spawned shard children. Test harnesses re-enter their
@@ -143,31 +148,13 @@ pub struct ShardConfig {
     /// `shard::maybe_run_child()` instead.
     #[serde(default)]
     pub child_args: Vec<String>,
-    /// Deterministic byte-level transport fault injection (frame drop /
-    /// duplicate / reorder / delay / corruption) applied between the
-    /// coordinator, its shard children, and the socket. Inert by default;
-    /// any eventually-delivered schedule is recovered bit-identically by
-    /// the supervision layer (acks, resends, checksums, heartbeats).
-    #[serde(default)]
-    pub transport_faults: TransportFaultConfig,
     /// Coordinator → shard heartbeat period, in milliseconds. 0 → 500 ms.
     #[serde(default)]
     pub heartbeat_period_ms: f64,
-    /// Consecutive missed heartbeat periods before a shard is declared
-    /// unreachable and quarantined. 0 → 4.
+    /// Consecutive silent heartbeat periods before a shard's link is
+    /// declared down. 0 → 4.
     #[serde(default)]
     pub heartbeat_missed_limit: u32,
-    /// Resend attempts per unacknowledged frame before the shard is
-    /// quarantined. 0 → 8.
-    #[serde(default)]
-    pub retry_budget: u32,
-    /// Initial ack-driven resend backoff, in milliseconds; doubles per
-    /// attempt. 0 → 40 ms.
-    #[serde(default)]
-    pub resend_initial_ms: f64,
-    /// Cap on the exponential resend backoff, in milliseconds. 0 → 1000 ms.
-    #[serde(default)]
-    pub resend_max_ms: f64,
     /// Bound on the post-spawn `Hello` handshake wait, in seconds; a shard
     /// that never says hello fails typed instead of riding the generic
     /// coordinator deadline. 0 → 10 s.
@@ -223,35 +210,6 @@ impl ShardConfig {
         } else {
             4
         }
-    }
-
-    /// Effective per-frame resend budget.
-    pub fn retries(&self) -> u32 {
-        if self.retry_budget > 0 {
-            self.retry_budget
-        } else {
-            8
-        }
-    }
-
-    /// Effective initial resend backoff.
-    pub fn resend_initial(&self) -> std::time::Duration {
-        let ms = if self.resend_initial_ms > 0.0 {
-            self.resend_initial_ms
-        } else {
-            40.0
-        };
-        std::time::Duration::from_secs_f64(ms / 1000.0)
-    }
-
-    /// Effective resend backoff cap.
-    pub fn resend_max(&self) -> std::time::Duration {
-        let ms = if self.resend_max_ms > 0.0 {
-            self.resend_max_ms
-        } else {
-            1000.0
-        };
-        std::time::Duration::from_secs_f64(ms / 1000.0)
     }
 
     /// Effective handshake deadline.
@@ -393,18 +351,11 @@ mod tests {
         assert_eq!(c.shard.io_timeout(), std::time::Duration::from_secs(30));
         assert_eq!(c.shard.spawn_timeout(), std::time::Duration::from_secs(10));
         assert_eq!(c.shard.max_frame_len(), 1024 << 20);
-        assert!(c.shard.transport_faults.is_inert());
         assert_eq!(
             c.shard.heartbeat_period(),
             std::time::Duration::from_millis(500)
         );
         assert_eq!(c.shard.heartbeat_missed(), 4);
-        assert_eq!(c.shard.retries(), 8);
-        assert_eq!(
-            c.shard.resend_initial(),
-            std::time::Duration::from_millis(40)
-        );
-        assert_eq!(c.shard.resend_max(), std::time::Duration::from_secs(1));
         assert_eq!(
             c.shard.handshake_timeout(),
             std::time::Duration::from_secs(10)

@@ -97,16 +97,19 @@ pub struct RoundRecord {
     /// close (weighted accumulate into the global model).
     #[serde(default)]
     pub aggregate_host_us: f64,
-    /// Frames the shard transport resent after an ack timeout this round.
-    /// Operational (depends on host timing and the injected fault
-    /// schedule) — excluded from bit-identity comparisons.
+    /// Always 0: the shard link no longer resends anything (a link fault
+    /// kills the child and its work runs in the root). The field survives
+    /// only because `examples/benchmark/src/run.rs`, which this repository's
+    /// benchmark contract freezes, sums it into `transport.retries`.
     #[serde(default)]
     pub n_retries: usize,
     /// Heartbeat periods that elapsed with no valid frame from a shard.
+    /// Operational, like the two counters below — excluded from
+    /// bit-identity comparisons.
     #[serde(default)]
     pub n_heartbeat_missed: usize,
-    /// Shards quarantined this round (retry budget or heartbeat limit
-    /// exhausted; their child process was killed).
+    /// Shards quarantined this round: a link fault, failed (re)spawn or
+    /// dispatch, or io timeout; their child process was killed.
     #[serde(default)]
     pub n_quarantined: usize,
     /// Ordinals re-executed locally after their shard was quarantined.

@@ -20,7 +20,7 @@ use crate::metrics::{outcomes_to_events, RoundRecord, TrainerOutput};
 use crate::params::ModelLayout;
 use crate::population::{ClientFactory, ClientStore, TrainerError};
 use crate::server::Server;
-use crate::shard::{ShardPool, TransportRoundStats};
+use crate::shard::ShardPool;
 use crate::trace::{PendingEvent, TraceEvent, Tracer, SERVER_ORD};
 use crate::workload::Workload;
 use fedca_data::PartitionSpec;
@@ -54,16 +54,17 @@ impl Backend {
     }
 
     /// Runs one cohort: dispatches `work`, hands each resolved client to
-    /// `on_done` as it finishes (exactly one event per work item — a lost
-    /// client arrives as [`ClientDone::Failed`], so the round can never
-    /// hang), and returns the round's transport accounting (all zero
+    /// `on_done` as it finishes (exactly one event per work item — a client
+    /// whose worker panicked arrives as [`ClientDone::Failed`], a client
+    /// whose shard died is re-run in the root, so the round can never
+    /// hang), and returns the round's shard-failover notes (none
     /// in-process).
     fn run_cohort(
         &mut self,
         work: Vec<ClientWork>,
         io_timeout: std::time::Duration,
         mut on_done: impl FnMut(ClientDone),
-    ) -> TransportRoundStats {
+    ) -> Vec<TraceEvent> {
         let n = work.len();
         match self {
             Backend::Local(executor) => {
@@ -79,7 +80,7 @@ impl Backend {
                             .expect("worker pool alive while the trainer exists"),
                     );
                 }
-                TransportRoundStats::default()
+                Vec::new()
             }
             Backend::Sharded(pool) => {
                 pool.begin_round(work)
@@ -90,7 +91,7 @@ impl Backend {
                             .unwrap_or_else(|e| panic!("shard pool failed: {e}")),
                     );
                 }
-                pool.take_transport_round_stats()
+                pool.take_round_notes()
             }
         }
     }
@@ -128,6 +129,29 @@ pub struct Trainer {
 /// carries a typed, descriptive error instead of a bare `expect`.
 fn invariant<T>(r: Result<T, TrainerError>) -> T {
     r.unwrap_or_else(|e| panic!("client-store invariant violated: {e}"))
+}
+
+/// `FlConfig` sections that cannot change the trajectory: where and how
+/// often checkpoints go, whether tracing is on, how many hydrated clients
+/// stay resident, and the process topology.
+const TRAJECTORY_NEUTRAL_SECTIONS: [&str; 4] = ["checkpoint", "trace", "population", "shard"];
+
+/// The text a checkpoint's fingerprint hashes: the `FlConfig` with its
+/// [`TRAJECTORY_NEUTRAL_SECTIONS`] *removed*, plus the scheme and the
+/// workload name. Removed, not reset to their defaults: the shape of a
+/// section the trajectory does not depend on (a field added to or retired
+/// from `ShardConfig`, say) must not orphan the checkpoints on disk, and a
+/// resume may use a different checkpoint directory, tracing setup,
+/// residency cap or shard count than the run that wrote the generation.
+fn run_identity(fl: &FlConfig, scheme: &Scheme, workload: &str) -> String {
+    let serde::Value::Object(mut sections) = serde_json::to_value(fl).expect("config serializes")
+    else {
+        unreachable!("FlConfig serializes to an object");
+    };
+    sections.retain(|(key, _)| !TRAJECTORY_NEUTRAL_SECTIONS.contains(&key.as_str()));
+    let config = serde_json::to_string(&serde::Value::Object(sections)).expect("value serializes");
+    let scheme = serde_json::to_string(scheme).expect("scheme serializes");
+    format!("{config}|{scheme}|{workload}")
 }
 
 impl Trainer {
@@ -470,8 +494,8 @@ impl Trainer {
             ClientDone::Failed(failure) => {
                 let cid = selected[failure.ord];
                 debug_assert_eq!(failure.client_id, cid, "failure/client mismatch");
-                // The checked-out state died with the worker's unwind
-                // (or with the shard holding it); derive it afresh.
+                // The checked-out state died with the worker's unwind (in
+                // this process or in a shard child); derive it afresh.
                 invariant(store.rebuild_failed(cid));
                 n_panicked += 1;
                 if tracing {
@@ -490,9 +514,13 @@ impl Trainer {
                 agg.mark_failed(failure.ord);
             }
         };
-        let transport = self
+        let shard_notes = self
             .backend
             .run_cohort(work, self.fl.shard.io_timeout(), collect);
+        let n_notes = |kind: &str| shard_notes.iter().filter(|ev| ev.kind() == kind).count();
+        let n_heartbeat_missed = n_notes("heartbeat_missed");
+        let n_quarantined = n_notes("shard_quarantined");
+        let n_reassigned = n_notes("ordinal_reassigned");
         // The aggregate span is off-stream: it reaches sinks (metrics,
         // journal) for observability but never consumes a canonical
         // sequence number, so golden traces are unaffected.
@@ -501,11 +529,10 @@ impl Trainer {
         self.tracer
             .end_span_offstream(aggregate_span, agg.completion);
         self.clock = agg.completion;
-        // Transport supervision accounting (all zero in-process). The
-        // buffered notes are offstream events: they reach sinks for
-        // observability but never consume canonical sequence numbers, so a
-        // fault schedule cannot shift golden traces.
-        for ev in transport.notes {
+        // Shard-failover notes (none in-process) are offstream events: they
+        // reach sinks for observability but never consume canonical
+        // sequence numbers, so a dying shard cannot shift golden traces.
+        for ev in shard_notes {
             self.tracer
                 .emit_offstream(agg.completion, SERVER_ORD, 0.0, ev);
         }
@@ -612,10 +639,10 @@ impl Trainer {
             hydrate_host_us,
             decode_host_us: agg.decode_host_us,
             aggregate_host_us: agg.aggregate_host_us,
-            n_retries: transport.link.retries as usize,
-            n_heartbeat_missed: transport.link.heartbeat_missed as usize,
-            n_quarantined: transport.quarantined as usize,
-            n_reassigned: transport.reassigned as usize,
+            n_retries: 0,
+            n_heartbeat_missed,
+            n_quarantined,
+            n_reassigned,
         });
         self.records.last().expect("just pushed")
     }
@@ -683,27 +710,11 @@ impl Trainer {
         }
     }
 
-    /// Fingerprint of the run identity a checkpoint belongs to: the full
-    /// `FlConfig` with the durability and trace sections neutralized (so a
-    /// resume may use a different checkpoint directory or tracing setup),
-    /// plus the scheme and workload. Restore refuses envelopes from a
-    /// different identity before any component-level restore runs.
+    /// Fingerprint of the run identity a checkpoint belongs to: see
+    /// [`run_identity`]. Restore refuses envelopes from a different
+    /// identity before any component-level restore runs.
     fn run_fingerprint(&self) -> u64 {
-        let mut neutral = self.fl.clone();
-        neutral.checkpoint = Default::default();
-        neutral.trace = Default::default();
-        // Residency policy is trajectory-neutral, so an eager run's
-        // checkpoints resume under a bounded cache and vice versa.
-        neutral.population = Default::default();
-        // Topology is too: sharded and in-process runs produce identical
-        // trajectories, so their checkpoints interoperate.
-        neutral.shard = Default::default();
-        let mut text = serde_json::to_string(&neutral).expect("config serializes");
-        text.push('|');
-        text.push_str(&serde_json::to_string(&self.scheme).expect("scheme serializes"));
-        text.push('|');
-        text.push_str(&self.workload.name);
-        fnv1a(text.as_bytes())
+        fnv1a(run_identity(&self.fl, &self.scheme, &self.workload.name).as_bytes())
     }
 
     /// Captures the full cross-round training state. Only valid between
@@ -887,6 +898,37 @@ mod tests {
             population: Default::default(),
             shard: Default::default(),
         }
+    }
+
+    #[test]
+    fn run_identity_ignores_the_trajectory_neutral_sections_entirely() {
+        let base = tiny_fl();
+        let identity = |fl: &FlConfig| run_identity(fl, &Scheme::fedca_default(), "tiny_mlp");
+        let want = identity(&base);
+        // The hashed text does not even name the four sections, so adding or
+        // retiring a field inside one of them cannot move a fingerprint.
+        for section in TRAJECTORY_NEUTRAL_SECTIONS {
+            assert!(!want.contains(section), "`{section}` in {want}");
+        }
+        // No value of any of them changes it.
+        let mut busy = base.clone();
+        busy.checkpoint.dir = "/somewhere/else".into();
+        busy.checkpoint.every = 3;
+        busy.trace = crate::trace::TraceConfig::enabled();
+        busy.population.cache_clients = 5;
+        busy.shard.n_shards = 4;
+        busy.shard.assignment = crate::config::ShardAssignment::Mixed { seed: 9 };
+        busy.shard.child_args = vec!["shard_child_entry".into()];
+        busy.shard.heartbeat_period_ms = 40.0;
+        assert_eq!(identity(&busy), want);
+        // Anything the trajectory does depend on still does.
+        let mut other = base.clone();
+        other.seed += 1;
+        assert_ne!(identity(&other), want);
+        let mut other = base;
+        other.faults = FaultConfig::chaos(1);
+        assert_ne!(identity(&other), want);
+        assert_ne!(run_identity(&tiny_fl(), &Scheme::FedAvg, "tiny_mlp"), want);
     }
 
     #[test]

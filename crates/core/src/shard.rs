@@ -18,31 +18,28 @@
 //! client as `factory.build(id)` + `apply_snapshot` — bit-identical to the
 //! root re-hydrating an evicted client — and the snapshot it sends back is
 //! applied onto the retained state. Because of that, a lost shard loses
-//! nothing. The failure paths are split by what was observed:
+//! nothing, and there is **one failure rule**: whatever goes wrong with a
+//! shard — its [`Link`] reports `Down` (EOF, a frame or checksum error, a
+//! sequence gap, missed heartbeats), a (re)spawn or handshake fails, a
+//! dispatch cannot be written, a protocol message makes no sense, or
+//! nothing arrives within the io timeout — the child is killed and the
+//! shard's unresolved [`ClientWork`], live state and round context
+//! included, is handed as-is to a root-local [`RoundExecutor`]. That is
+//! exactly how `Backend::Local` would have run it, so a dead shard costs
+//! time and never the trajectory. The process is lazily respawned for the
+//! next round that routes work to it. The only [`ClientDone::Failed`] a
+//! pool ever produces is one a child reported from its own `catch_unwind`
+//! ([`FromShard::Failed`]) or the local executor produced the same way.
 //!
-//! * **Crash** (EOF, SIGKILL, protocol violation): the outstanding
-//!   ordinals resolve as [`ClientDone::Failed`] — the same event a worker
-//!   panic produces — and the process is lazily respawned for the next
-//!   round that routes work to it.
-//! * **Unreachable** (supervision gave up: retry budget or heartbeat limit
-//!   exhausted on the [`Link`]): the shard is *quarantined* for the round
-//!   and its unresolved [`ClientWork`] — live state and round context
-//!   included — is handed as-is to a root-local [`RoundExecutor`], so a
-//!   flaky transport degrades performance but never the trajectory.
-//!
-//! Transport is the supervised [`Link`](crate::transport::Link) over Unix
-//! domain sockets: every application frame carries a per-message sequence
-//! number and payload checksum ([`fedca_compress::wire`]), is acknowledged
-//! by the receiver, resent on ack timeout with deterministic capped
-//! exponential backoff, deduplicated by sequence, and delivered strictly
-//! in order — exactly-once under any duplicate/reorder schedule. The root
-//! side heartbeats each child with Ping/Pong control frames and missed-beat
-//! accounting. Frame metadata is JSON (all non-finite-capable floats cross
-//! as IEEE bit patterns, because the vendored serde maps non-finite floats
-//! to `null`) plus an optional binary payload holding the client's encoded
-//! wire update or the broadcast global parameters. Every coordinator wait
-//! is bounded: link threads pump events into an mpsc channel, and the
-//! coordinator only ever blocks in `recv_timeout`.
+//! Transport is the [`Link`](crate::transport::Link) over Unix domain
+//! sockets: sequenced, checksummed frames ([`fedca_compress::wire`]) and a
+//! root-side Ping/Pong heartbeat — detection only, no repair. Frame
+//! metadata is JSON (all non-finite-capable floats cross as IEEE bit
+//! patterns, because the vendored serde maps non-finite floats to `null`)
+//! plus an optional binary payload holding the client's encoded wire update
+//! or the broadcast global parameters. Every coordinator wait is bounded:
+//! link threads pump events into an mpsc channel, and the coordinator only
+//! ever blocks in `recv_timeout`.
 
 use crate::algorithms::Scheme;
 use crate::checkpoint::ClientSnapshot;
@@ -55,14 +52,12 @@ use crate::executor::{
 use crate::params::ModelLayout;
 use crate::population::{apply_snapshot, snapshot_client, ClientFactory};
 use crate::trace::{ClientTraceBuf, PendingEvent, TraceEvent};
-use crate::transport::{Link, LinkConfig, LinkError, LinkEvent, LinkRoundStats};
+use crate::transport::{Link, LinkEvent};
 use crate::workload::{Workload, WorkloadSpec};
 use bytes::{BufMut, Bytes, BytesMut};
-use fedca_compress::wire::{Frame, FrameError};
+use fedca_compress::wire::Frame;
 use fedca_data::PartitionSpec;
 use fedca_sim::device::DynamicsConfig;
-use fedca_sim::faults::{Direction, TransportFaultPlan};
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -94,8 +89,6 @@ pub enum ShardError {
     Handshake(String),
     /// Socket-level I/O failure.
     Io(std::io::Error),
-    /// Frame-layer failure.
-    Frame(FrameError),
     /// The peer violated the protocol.
     Protocol(String),
 }
@@ -108,7 +101,6 @@ impl std::fmt::Display for ShardError {
             ShardError::Spawn(why) => write!(f, "failed to start shard process: {why}"),
             ShardError::Handshake(why) => write!(f, "shard handshake failed: {why}"),
             ShardError::Io(e) => write!(f, "shard socket i/o error: {e}"),
-            ShardError::Frame(e) => write!(f, "shard frame error: {e}"),
             ShardError::Protocol(why) => write!(f, "shard protocol violation: {why}"),
         }
     }
@@ -119,22 +111,6 @@ impl std::error::Error for ShardError {}
 impl From<std::io::Error> for ShardError {
     fn from(e: std::io::Error) -> Self {
         ShardError::Io(e)
-    }
-}
-
-impl From<FrameError> for ShardError {
-    fn from(e: FrameError) -> Self {
-        ShardError::Frame(e)
-    }
-}
-
-impl From<LinkError> for ShardError {
-    fn from(e: LinkError) -> Self {
-        match e {
-            LinkError::Io(e) => ShardError::Io(e),
-            LinkError::Serialize(why) => ShardError::Protocol(format!("serialize: {why}")),
-            LinkError::Dead(why) => ShardError::Protocol(format!("link dead: {why}")),
-        }
     }
 }
 
@@ -460,7 +436,7 @@ pub fn maybe_run_child() -> bool {
     true
 }
 
-/// Receives the next in-order application message from the child's link.
+/// Receives the next application message from the child's link.
 /// `Ok(None)` on clean EOF (the coordinator closed the connection).
 fn recv_link(rx: &Receiver<LinkEvent>) -> Result<Option<(ToShard, Bytes)>, ShardError> {
     match rx.recv() {
@@ -469,18 +445,8 @@ fn recv_link(rx: &Receiver<LinkEvent>) -> Result<Option<(ToShard, Bytes)>, Shard
             let msg = parse_meta::<ToShard>(&frame)?;
             Ok(Some((msg, frame.payload)))
         }
-        Ok(LinkEvent::Down(reason)) => {
-            if reason == "connection closed" {
-                Ok(None)
-            } else {
-                Err(ShardError::Protocol(format!("link down: {reason}")))
-            }
-        }
-        // Unreachable in practice: the child link has an unlimited retry
-        // budget and never initiates heartbeats.
-        Ok(LinkEvent::PeerDead(reason)) => {
-            Err(ShardError::Protocol(format!("link dead: {reason}")))
-        }
+        Ok(LinkEvent::Down(reason)) if reason == crate::transport::EOF => Ok(None),
+        Ok(LinkEvent::Down(reason)) => Err(ShardError::Protocol(format!("link down: {reason}"))),
     }
 }
 
@@ -490,21 +456,14 @@ fn run_child(path: &str) -> Result<(), ShardError> {
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(0);
-    let round = Arc::new(AtomicU64::new(0));
     let (tx, rx) = channel::<LinkEvent>();
-    let sink = {
-        // `Sender` is Send but not Sync; the link calls the sink from two
-        // threads, so serialize through a mutex.
-        let tx = Mutex::new(tx);
-        move |ev: LinkEvent| {
-            let _ = tx.lock().send(ev);
-        }
-    };
-    let link = Link::new(
-        stream,
-        LinkConfig::child_handshake(shard_hint, round.clone()),
-        sink,
-    )?;
+    // The child never initiates heartbeats, and caps inbound frames at the
+    // built-in default: `max_frame_mib` arrives inside `Init`, which is
+    // itself a frame, and is the coordinator's guard against its children.
+    let max_frame_len = crate::config::ShardConfig::default().max_frame_len();
+    let link = Link::new(stream, shard_hint, max_frame_len, None, move |ev| {
+        let _ = tx.send(ev);
+    })?;
 
     let (init, _) = recv_link(&rx)?
         .ok_or_else(|| ShardError::Protocol("coordinator closed before Init".into()))?;
@@ -523,12 +482,6 @@ fn run_child(path: &str) -> Result<(), ShardError> {
             )))
         }
     };
-    link.configure(
-        TransportFaultPlan::new(fl.shard.transport_faults.clone()),
-        fl.shard.max_frame_len(),
-        fl.shard.resend_initial(),
-        fl.shard.resend_max(),
-    );
     // Hello goes out *before* the world build so the coordinator's
     // handshake timeout bounds transport latency only, never model or
     // dataset construction time.
@@ -543,9 +496,8 @@ fn run_child(path: &str) -> Result<(), ShardError> {
             Some((ToShard::Init { .. }, _)) => {
                 return Err(ShardError::Protocol("duplicate Init".into()))
             }
-            Some((ToShard::RoundStart { round: r, items }, global_payload)) => {
-                round.store(r as u64, Ordering::Relaxed);
-                run_child_round(&link, &executor, &world, &fl, r, items, &global_payload)?;
+            Some((ToShard::RoundStart { round, items }, global_payload)) => {
+                run_child_round(&link, &executor, &world, &fl, round, items, &global_payload)?;
             }
         }
     }
@@ -637,62 +589,28 @@ fn run_child_round(
 // Coordinator
 // ---------------------------------------------------------------------------
 
-// Transient protocol envelopes, one live at a time per connection — the
-// size skew between variants is irrelevant and boxing would only churn.
-#[allow(clippy::large_enum_variant)]
-enum PoolEvent {
-    Msg {
-        shard: usize,
-        incarnation: u64,
-        msg: FromShard,
-        payload: Bytes,
-    },
-    /// The connection ended: EOF, SIGKILL, or a fatal frame error. Crash
-    /// semantics — outstanding ordinals resolve as failures.
-    Down {
-        shard: usize,
-        incarnation: u64,
-        reason: String,
-    },
-    /// Supervision gave up (retry budget or heartbeat limit). Quarantine
-    /// semantics — outstanding ordinals are re-executed locally.
-    Unreachable {
-        shard: usize,
-        incarnation: u64,
-        reason: String,
-    },
+/// One thing a shard's link handed the coordinator.
+struct PoolEvent {
+    shard: usize,
+    /// The connection it came from; events of torn-down or superseded
+    /// connections are discarded.
+    incarnation: u64,
+    /// A protocol message with its payload, or why the link went down.
+    body: Result<(FromShard, Bytes), String>,
 }
 
-impl PoolEvent {
-    /// The `(shard, incarnation)` of the connection the event came from.
-    fn origin(&self) -> (usize, u64) {
-        match self {
-            PoolEvent::Msg {
-                shard, incarnation, ..
-            }
-            | PoolEvent::Down {
-                shard, incarnation, ..
-            }
-            | PoolEvent::Unreachable {
-                shard, incarnation, ..
-            } => (*shard, *incarnation),
-        }
-    }
-}
-
+#[derive(Default)]
 struct ShardConn {
     child: Option<Child>,
+    /// `Some` while the shard is up; taken (with the child killed) the
+    /// moment anything goes wrong with it.
     link: Option<Link>,
     /// Bumped at the start of every (re)spawn attempt; events from stale
     /// incarnations are discarded.
     incarnation: u64,
-    alive: bool,
-    /// Set when the shard is torn down mid-round: queued events from the
-    /// dead incarnation must not resolve ordinals twice.
-    discard: bool,
     /// Unresolved work for the current round, by ordinal: the checked-out
-    /// client state waits here for the shard's snapshot, and a quarantined
-    /// shard's work is handed to the local executor whole.
+    /// client state waits here for the shard's snapshot, and when the
+    /// shard is quarantined this is what the local executor runs.
     outstanding: BTreeMap<usize, ClientWork>,
     /// Events (Done or Failed) consumed from this shard this round —
     /// the deterministic kill plan counts these.
@@ -707,21 +625,6 @@ struct KillPoint {
 }
 
 static POOL_COUNTER: AtomicU64 = AtomicU64::new(0);
-
-/// Operational transport counters drained once per round by the trainer.
-/// Everything here is host-timing- and fault-schedule-dependent — never
-/// part of bit-identity (the trace notes are offstream events).
-#[derive(Debug, Default)]
-pub struct TransportRoundStats {
-    /// Aggregated per-link counters (root side of every connection).
-    pub link: LinkRoundStats,
-    /// Shards quarantined this round.
-    pub quarantined: u64,
-    /// Ordinals reassigned to local re-execution this round.
-    pub reassigned: u64,
-    /// Buffered supervision trace events (all non-canonical).
-    pub notes: Vec<TraceEvent>,
-}
 
 /// The root-side coordinator: spawns shard processes, routes
 /// [`ClientWork`] by the configured assignment, and streams back
@@ -738,33 +641,27 @@ pub struct ShardPool {
     conns: Vec<ShardConn>,
     tx: Sender<PoolEvent>,
     rx: Receiver<PoolEvent>,
-    /// Synthesized/holdover events served before touching the channel.
+    /// Locally re-executed results, served before touching the channel.
     pending: VecDeque<ClientDone>,
     /// Pool events deferred during a handshake wait, replayed before the
     /// channel is polled again.
     held_events: VecDeque<PoolEvent>,
     kill_plan: Vec<KillPoint>,
     round: usize,
-    /// Mirrors `round` for the links' fault-draw coordinate.
-    round_atomic: Arc<AtomicU64>,
     /// Lazily built local executor a quarantined shard's work runs on.
     local_exec: Option<RoundExecutor>,
-    /// Counters absorbed from torn-down links, drained per round.
-    stats_accum: LinkRoundStats,
-    /// Supervision trace notes, drained per round.
-    notes_accum: Vec<TraceEvent>,
-    n_quarantined_round: u64,
-    n_reassigned_round: u64,
+    /// Failover trace notes (`HeartbeatMissed`, `ShardQuarantined`,
+    /// `OrdinalReassigned`), drained per round. All offstream.
+    notes: Vec<TraceEvent>,
     down: bool,
     spawn_counter: u64,
 }
 
 impl ShardPool {
     /// Spawns `fl.shard.n_shards` child processes and completes the
-    /// `Init`/`Hello` handshake with each. A shard whose handshake times
-    /// out (e.g. under total transport loss) is tolerated here — it stays
-    /// dead and is quarantined at first dispatch; any other spawn failure
-    /// is fatal.
+    /// `Init`/`Hello` handshake with each. A shard that does not come up is
+    /// reported on stderr and left down: its work runs in the root, and
+    /// every round that routes it work tries the spawn again.
     pub fn new(
         fl: &FlConfig,
         scheme: &Scheme,
@@ -785,47 +682,24 @@ impl ShardPool {
             spec,
             n_workers,
             dir,
-            conns: (0..n_shards)
-                .map(|_| ShardConn {
-                    child: None,
-                    link: None,
-                    incarnation: 0,
-                    alive: false,
-                    discard: false,
-                    outstanding: BTreeMap::new(),
-                    done_this_round: 0,
-                })
-                .collect(),
+            conns: (0..n_shards).map(|_| ShardConn::default()).collect(),
             tx,
             rx,
             pending: VecDeque::new(),
             held_events: VecDeque::new(),
             kill_plan: Vec::new(),
             round: 0,
-            round_atomic: Arc::new(AtomicU64::new(0)),
             local_exec: None,
-            stats_accum: LinkRoundStats::default(),
-            notes_accum: Vec::new(),
-            n_quarantined_round: 0,
-            n_reassigned_round: 0,
+            notes: Vec::new(),
             down: false,
             spawn_counter: 0,
         };
         for s in 0..n_shards {
-            match pool.spawn_shard(s) {
-                Ok(()) => {}
-                Err(ShardError::Handshake(why)) => {
-                    eprintln!("fedca shard {s}: handshake failed at pool startup: {why}");
-                }
-                Err(e) => return Err(e),
+            if let Err(e) = pool.spawn_shard(s) {
+                eprintln!("fedca shard {s}: not started, its work runs in the root: {e}");
             }
         }
         Ok(pool)
-    }
-
-    /// Number of shard processes.
-    pub fn n_shards(&self) -> usize {
-        self.conns.len()
     }
 
     /// Worker threads per shard.
@@ -892,69 +766,37 @@ impl ShardPool {
         let _ = std::fs::remove_file(&sock);
         stream.set_nonblocking(false)?;
 
-        let sink = {
-            // `Sender` is Send but not Sync; the link calls the sink from
-            // two threads, so serialize through a mutex.
-            let tx = Mutex::new(self.tx.clone());
-            move |ev: LinkEvent| {
-                let ev = match ev {
-                    LinkEvent::Frame(frame) => match parse_meta::<FromShard>(&frame) {
-                        Ok(msg) => PoolEvent::Msg {
-                            shard: s,
-                            incarnation,
-                            msg,
-                            payload: frame.payload,
-                        },
-                        Err(e) => PoolEvent::Down {
-                            shard: s,
-                            incarnation,
-                            reason: e.to_string(),
-                        },
-                    },
-                    LinkEvent::Down(reason) => PoolEvent::Down {
-                        shard: s,
-                        incarnation,
-                        reason,
-                    },
-                    LinkEvent::PeerDead(reason) => PoolEvent::Unreachable {
-                        shard: s,
-                        incarnation,
-                        reason,
-                    },
-                };
-                let _ = tx.lock().send(ev);
-            }
-        };
-        let link = Link::new(
-            stream,
-            LinkConfig {
+        self.conns[s].child = Some(child);
+        let greeted = self.greet(s, incarnation, stream);
+        if greeted.is_err() {
+            self.teardown_conn(s);
+        }
+        greeted
+    }
+
+    /// Wraps the accepted stream in a [`Link`] and completes the
+    /// `Init`/`Hello` handshake over it.
+    fn greet(&mut self, s: usize, incarnation: u64, stream: UnixStream) -> Result<(), ShardError> {
+        let tx = self.tx.clone();
+        let sink = move |ev: LinkEvent| {
+            let body = match ev {
+                LinkEvent::Frame(frame) => parse_meta::<FromShard>(&frame)
+                    .map(|msg| (msg, frame.payload))
+                    .map_err(|e| e.to_string()),
+                LinkEvent::Down(reason) => Err(reason),
+            };
+            let _ = tx.send(PoolEvent {
                 shard: s,
-                direction: Direction::ToShard,
-                plan: TransportFaultPlan::new(self.fl.shard.transport_faults.clone()),
-                round: self.round_atomic.clone(),
-                max_frame_len: self.fl.shard.max_frame_len(),
-                retry_budget: self.fl.shard.retries(),
-                resend_initial: self.fl.shard.resend_initial(),
-                resend_max: self.fl.shard.resend_max(),
-                heartbeat: Some((
-                    self.fl.shard.heartbeat_period(),
-                    self.fl.shard.heartbeat_missed(),
-                )),
-                tick: Duration::from_millis(5),
-            },
-            sink,
-        )?;
-
-        self.conns[s] = ShardConn {
-            child: Some(child),
-            link: Some(link),
-            incarnation,
-            alive: true,
-            discard: false,
-            outstanding: BTreeMap::new(),
-            done_this_round: 0,
+                incarnation,
+                body,
+            });
         };
-
+        let heartbeat = (
+            self.fl.shard.heartbeat_period(),
+            self.fl.shard.heartbeat_missed(),
+        );
+        let max_frame_len = self.fl.shard.max_frame_len();
+        let link = Link::new(stream, s, max_frame_len, Some(heartbeat), sink)?;
         let init = ToShard::Init {
             shard_id: s,
             n_shards: self.conns.len(),
@@ -963,20 +805,10 @@ impl ShardPool {
             scheme: self.scheme.clone(),
             workload: self.spec.clone(),
         };
-        let sent = self.conns[s]
-            .link
-            .as_ref()
-            .expect("just installed")
-            .send(&init, None);
-        if let Err(e) = sent {
-            self.teardown_conn(s);
-            return Err(ShardError::Handshake(format!("Init send failed: {e}")));
-        }
-        if let Err(e) = self.wait_for_hello(s, incarnation) {
-            self.teardown_conn(s);
-            return Err(e);
-        }
-        Ok(())
+        link.send(&init, None)
+            .map_err(|e| ShardError::Handshake(format!("Init send failed: {e}")))?;
+        self.conns[s].link = Some(link);
+        self.wait_for_hello(s, incarnation)
     }
 
     /// Bounded wait for this incarnation's `Hello`. Events for other
@@ -994,95 +826,45 @@ impl ShardPool {
                 Ok(ev) => ev,
                 Err(_) => continue, // the loop re-checks the deadline
             };
-            if ev.origin() != (s, incarnation) {
+            if (ev.shard, ev.incarnation) != (s, incarnation) {
                 self.held_events.push_back(ev);
                 continue;
             }
-            match ev {
-                PoolEvent::Msg {
-                    msg: FromShard::Hello { shard_id },
-                    ..
-                } => {
-                    return if shard_id == s {
-                        Ok(())
-                    } else {
-                        Err(ShardError::Handshake(format!(
-                            "shard {s} said Hello as shard {shard_id}"
-                        )))
-                    };
-                }
-                PoolEvent::Msg { msg, .. } => {
-                    return Err(ShardError::Handshake(format!(
-                        "shard {s} sent {msg:?} before Hello"
-                    )));
-                }
-                PoolEvent::Down { reason, .. } => {
-                    return Err(ShardError::Handshake(format!(
-                        "shard {s} went down during handshake: {reason}"
-                    )));
-                }
-                PoolEvent::Unreachable { reason, .. } => {
-                    return Err(ShardError::Handshake(format!(
-                        "shard {s} unreachable during handshake: {reason}"
-                    )));
-                }
-            }
+            return match ev.body {
+                Ok((FromShard::Hello { shard_id }, _)) if shard_id == s => Ok(()),
+                Ok((msg, _)) => Err(ShardError::Handshake(format!(
+                    "shard {s} sent {msg:?} instead of its Hello"
+                ))),
+                Err(reason) => Err(ShardError::Handshake(format!(
+                    "shard {s} went down during handshake: {reason}"
+                ))),
+            };
         }
     }
 
-    /// Kills the child process and closes the link, absorbing its final
-    /// counters and notes. Leaves `outstanding` untouched — the caller
-    /// decides whether those ordinals fail or are re-executed.
+    /// Kills the child process and drops the link, keeping its notes.
+    /// Leaves `outstanding` untouched. Idempotent.
     fn teardown_conn(&mut self, s: usize) {
-        let link = {
-            let c = &mut self.conns[s];
-            c.alive = false;
-            c.discard = true;
-            if let Some(mut child) = c.child.take() {
-                let _ = child.kill();
-                let _ = child.wait();
-            }
-            c.link.take()
-        };
-        if let Some(mut link) = link {
-            self.stats_accum.absorb(&link.take_round_stats());
-            self.notes_accum.extend(link.take_notes());
-            link.close();
+        let conn = &mut self.conns[s];
+        if let Some(mut child) = conn.child.take() {
+            let _ = child.kill();
+            let _ = child.wait();
+        }
+        if let Some(link) = conn.link.take() {
+            self.notes.extend(link.take_notes());
         }
     }
 
-    /// Tears a shard down and resolves every outstanding ordinal as
-    /// [`ClientDone::Failed`] — the event a worker panic produces; the
-    /// checked-out state dies with the shard, as the unwind destroys it
-    /// locally. Crash semantics: the process itself died or misbehaved.
-    fn fail_shard(&mut self, s: usize, reason: &str) {
+    /// The one recovery path. Whatever went wrong with shard `s`, its
+    /// child is killed and `work` — the very [`ClientWork`] the shard was
+    /// (or would have been) sent a copy of — runs on the lazily built local
+    /// executor, its results queued like any other resolved client. The
+    /// trajectory cannot tell this from the shard having done the work.
+    fn quarantine(&mut self, s: usize, reason: &str, work: Vec<ClientWork>) {
         self.teardown_conn(s);
-        for (ord, work) in std::mem::take(&mut self.conns[s].outstanding) {
-            self.pending.push_back(ClientDone::Failed(ClientFailure {
-                ord,
-                client_id: work.client.id,
-                panic_msg: format!("shard {s} failed: {reason}"),
-            }));
-        }
-    }
-
-    /// Quarantines an unreachable shard for the round: kills it, then runs
-    /// its unresolved work locally — the very `ClientWork` the shard was
-    /// sent a copy of, so transport supervision can never alter the
-    /// trajectory.
-    fn quarantine_shard(&mut self, s: usize, reason: &str) {
-        self.teardown_conn(s);
-        let work = std::mem::take(&mut self.conns[s].outstanding);
-        self.run_locally(s, reason, work.into_values().collect());
-    }
-
-    /// Hands a quarantined shard's work to the (lazily built) local
-    /// executor and queues the results like any other resolved client.
-    fn run_locally(&mut self, shard: usize, reason: &str, work: Vec<ClientWork>) {
-        self.n_quarantined_round += 1;
-        self.notes_accum.push(TraceEvent::ShardQuarantined {
+        self.notes.push(TraceEvent::ShardQuarantined {
             round: self.round,
-            shard,
+            shard: s,
             reason: reason.to_string(),
         });
         if work.is_empty() {
@@ -1094,10 +876,9 @@ impl ShardPool {
             .get_or_insert_with(|| RoundExecutor::new(n_workers));
         let n = work.len();
         for w in work {
-            self.n_reassigned_round += 1;
-            self.notes_accum.push(TraceEvent::OrdinalReassigned {
+            self.notes.push(TraceEvent::OrdinalReassigned {
                 round: self.round,
-                shard,
+                shard: s,
                 ord: w.ord,
                 client: w.client.id,
             });
@@ -1113,10 +894,11 @@ impl ShardPool {
         }
     }
 
-    /// Kills a shard immediately (chaos tests). Outstanding work resolves
-    /// as failures.
-    pub fn kill_shard(&mut self, s: usize) {
-        self.fail_shard(s, "killed");
+    /// [`quarantine`](Self::quarantine) mid-round: everything the shard
+    /// still owes runs locally.
+    fn quarantine_outstanding(&mut self, s: usize, reason: &str) {
+        let work = std::mem::take(&mut self.conns[s].outstanding);
+        self.quarantine(s, reason, work.into_values().collect());
     }
 
     /// Schedules a deterministic kill: shard `shard` dies in `round`
@@ -1144,10 +926,9 @@ impl ShardPool {
     /// Dispatches one round's cohort: routes each client to its shard —
     /// shipping a [`WorkItem`] and keeping the work itself as outstanding —
     /// broadcasting the round's global parameters, respawning dead shards
-    /// lazily. Dispatch failures degrade — a failed respawn/handshake
-    /// quarantines the shard and runs its work locally; a broken send
-    /// fails the shard — never an Err (the round loop's failure path
-    /// handles them uniformly).
+    /// lazily. A shard that cannot be respawned, greeted or written to is
+    /// quarantined and its share runs locally before this returns; the only
+    /// `Err` is a pool that was already shut down.
     pub fn begin_round(&mut self, work: Vec<ClientWork>) -> Result<(), ShardError> {
         if self.down {
             return Err(ShardError::Disconnected);
@@ -1157,12 +938,11 @@ impl ShardPool {
         };
         let round = first.plan.round;
         self.round = round;
-        self.round_atomic.store(round as u64, Ordering::Relaxed);
-        let mut global_bytes = BytesMut::with_capacity(4 * first.ctx.global.len());
+        let mut global = BytesMut::with_capacity(4 * first.ctx.global.len());
         for &v in &first.ctx.global {
-            global_bytes.put_f32_le(v);
+            global.put_f32_le(v);
         }
-        let global_bytes = global_bytes.freeze();
+        let global = global.freeze();
 
         let n = self.conns.len();
         let mut by_shard: Vec<Vec<ClientWork>> = (0..n).map(|_| Vec::new()).collect();
@@ -1175,57 +955,52 @@ impl ShardPool {
             if work.is_empty() {
                 continue;
             }
-            let kill_now = self.take_kill(round, s, 0);
-            if !self.conns[s].alive && !kill_now {
-                if let Err(e) = self.spawn_shard(s) {
-                    // A shard that cannot be (re)connected is quarantined:
-                    // its work runs locally, bit-identically, so transient
-                    // spawn/handshake trouble never alters the trajectory.
-                    self.run_locally(s, &format!("respawn failed: {e}"), work);
-                    continue;
-                }
-            }
-            let items = work
-                .iter()
-                .map(|w| WorkItem {
-                    ord: w.ord,
-                    client_id: w.client.id,
-                    participations: w.client.participations,
-                    plan: w.plan.clone(),
-                    snapshot: Some(snapshot_client(&w.client)),
-                })
-                .collect();
-            self.conns[s].outstanding = work.into_iter().map(|w| (w.ord, w)).collect();
-            if kill_now {
-                self.fail_shard(s, "killed by kill plan");
-                continue;
-            }
-            let sent = self.conns[s]
-                .link
-                .as_ref()
-                .expect("alive shard has a link")
-                .send(
-                    &ToShard::RoundStart { round, items },
-                    Some(global_bytes.clone()),
-                );
-            match sent {
-                Ok(()) => {}
-                // The link already declared the peer dead: quarantine (the
-                // process may be fine; only the transport gave up).
-                Err(LinkError::Dead(reason)) => {
-                    self.quarantine_shard(s, &format!("dispatch on a dead link: {reason}"))
-                }
-                // A broken socket means the process is gone: crash path.
-                Err(e) => self.fail_shard(s, &format!("dispatch failed: {e}")),
+            let fault = if self.take_kill(round, s, 0) {
+                Some("killed by kill plan".to_string())
+            } else {
+                self.dispatch(s, round, &work, &global)
+                    .err()
+                    .map(|e| e.to_string())
+            };
+            match fault {
+                Some(reason) => self.quarantine(s, &reason, work),
+                None => self.conns[s].outstanding = work.into_iter().map(|w| (w.ord, w)).collect(),
             }
         }
         Ok(())
     }
 
+    /// Brings shard `s` up if it is down and sends it its share of the
+    /// round.
+    fn dispatch(
+        &mut self,
+        s: usize,
+        round: usize,
+        work: &[ClientWork],
+        global: &Bytes,
+    ) -> Result<(), ShardError> {
+        if self.conns[s].link.is_none() {
+            self.spawn_shard(s)?;
+        }
+        let items = work
+            .iter()
+            .map(|w| WorkItem {
+                ord: w.ord,
+                client_id: w.client.id,
+                participations: w.client.participations,
+                plan: w.plan.clone(),
+                snapshot: Some(snapshot_client(&w.client)),
+            })
+            .collect();
+        let link = self.conns[s].link.as_ref().expect("spawned above");
+        link.send(&ToShard::RoundStart { round, items }, Some(global.clone()))?;
+        Ok(())
+    }
+
     /// Waits for the next resolved client. The wait is a watchdog, not a
     /// poll: when nothing arrives within `timeout`, every shard that still
-    /// owes events is killed and its outstanding ordinals resolve as
-    /// failures. `Err(Timeout)` therefore means the pool was idle — nothing
+    /// owes events is quarantined (killed, its outstanding ordinals run
+    /// locally). `Err(Timeout)` therefore means the pool was idle — nothing
     /// was outstanding, so waiting was a caller bug, not a stall.
     pub fn recv_timeout(&mut self, timeout: Duration) -> Result<ClientDone, ShardError> {
         if self.down {
@@ -1246,50 +1021,33 @@ impl ShardPool {
                     .recv_timeout(deadline.saturating_duration_since(Instant::now()))
                 {
                     Ok(ev) => ev,
-                    Err(_) if self.kill_stalled() => continue,
+                    Err(_) if self.quarantine_stalled(timeout) => continue,
                     Err(_) => return Err(ShardError::Timeout),
                 }
             };
-            let (shard, incarnation) = ev.origin();
-            let c = &self.conns[shard];
-            if incarnation != c.incarnation || c.discard {
+            let shard = ev.shard;
+            let conn = &self.conns[shard];
+            if ev.incarnation != conn.incarnation || conn.link.is_none() {
                 continue;
             }
-            match ev {
-                PoolEvent::Down { reason, .. } => {
-                    if c.alive {
-                        self.fail_shard(shard, &format!("shard process died: {reason}"));
-                    }
-                }
-                PoolEvent::Unreachable { reason, .. } => {
-                    if c.alive {
-                        self.quarantine_shard(shard, &reason);
-                    }
-                }
-                PoolEvent::Msg {
-                    msg: FromShard::Hello { .. },
-                    ..
-                } => {}
-                PoolEvent::Msg {
-                    msg: FromShard::Done(d),
-                    payload,
-                    ..
-                } => {
+            match ev.body {
+                Err(reason) => self.quarantine_outstanding(shard, &reason),
+                Ok((FromShard::Hello { .. }, _)) => {}
+                Ok((FromShard::Done(d), payload)) => {
                     if let Some(work) = self.claim(shard, d.round, d.ord) {
                         let done = d.into_completion(payload, work.client);
                         return Ok(self.consumed(shard, ClientDone::Completed(done)));
                     }
                 }
-                PoolEvent::Msg {
-                    msg:
-                        FromShard::Failed {
-                            round,
-                            ord,
-                            client_id,
-                            panic_msg,
-                        },
-                    ..
-                } => {
+                Ok((
+                    FromShard::Failed {
+                        round,
+                        ord,
+                        client_id,
+                        panic_msg,
+                    },
+                    _,
+                )) => {
                     if self.claim(shard, round, ord).is_some() {
                         let failure = ClientFailure {
                             ord,
@@ -1304,21 +1062,16 @@ impl ShardPool {
     }
 
     /// Takes the outstanding work that a shard's event for `(round, ord)`
-    /// resolves. An event for another round fails the shard; one for an
-    /// ordinal that is not outstanding is a stale ghost (the link layer
-    /// already delivers exactly once — or a test injected it) and is
-    /// dropped.
+    /// resolves. An event for another round quarantines the shard; one for
+    /// an ordinal that is not outstanding is a ghost (the link delivers
+    /// each frame once, so only a test injects these) and is dropped.
     fn claim(&mut self, shard: usize, round: usize, ord: usize) -> Option<ClientWork> {
         if round != self.round {
-            let reason = format!("event for round {round} in round {}", self.round);
-            self.fail_shard(shard, &reason);
+            let reason = format!("protocol: event for round {round} in round {}", self.round);
+            self.quarantine_outstanding(shard, &reason);
             return None;
         }
-        let work = self.conns[shard].outstanding.remove(&ord);
-        if work.is_none() {
-            self.stats_accum.dup_frames += 1;
-        }
-        work
+        self.conns[shard].outstanding.remove(&ord)
     }
 
     /// Counts one event consumed from `shard` — the deterministic kill plan
@@ -1327,46 +1080,31 @@ impl ShardPool {
         self.conns[shard].done_this_round += 1;
         let done = self.conns[shard].done_this_round;
         if self.take_kill(self.round, shard, done) {
-            self.fail_shard(shard, "killed by kill plan");
+            self.quarantine_outstanding(shard, "killed by kill plan");
         }
         ev
     }
 
-    /// Kills every shard that still owes events for the current round
-    /// (their outstanding ordinals resolve as failures). Returns whether
-    /// any shard was killed.
-    fn kill_stalled(&mut self) -> bool {
-        let stalled: Vec<usize> = self
-            .conns
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| c.alive && !c.outstanding.is_empty())
-            .map(|(s, _)| s)
+    /// Quarantines every shard that still owes events for the current
+    /// round. Returns whether there was any.
+    fn quarantine_stalled(&mut self, timeout: Duration) -> bool {
+        let stalled: Vec<usize> = (0..self.conns.len())
+            .filter(|&s| !self.conns[s].outstanding.is_empty())
             .collect();
         for &s in &stalled {
-            self.fail_shard(s, "no progress within the io timeout");
+            self.quarantine_outstanding(s, &format!("io timeout: no progress in {timeout:?}"));
         }
         !stalled.is_empty()
     }
 
-    /// Drains the round's transport supervision counters and trace notes:
-    /// live links' counters plus everything absorbed from links torn down
-    /// mid-round. Counters restart from zero.
-    pub fn take_transport_round_stats(&mut self) -> TransportRoundStats {
-        let mut link = std::mem::take(&mut self.stats_accum);
-        let mut notes = std::mem::take(&mut self.notes_accum);
-        for c in &self.conns {
-            if let Some(l) = &c.link {
-                link.absorb(&l.take_round_stats());
-                notes.extend(l.take_notes());
-            }
+    /// Drains the round's failover trace notes: those buffered by live
+    /// links plus everything kept from links torn down mid-round.
+    pub fn take_round_notes(&mut self) -> Vec<TraceEvent> {
+        let mut notes = std::mem::take(&mut self.notes);
+        for link in self.conns.iter().filter_map(|c| c.link.as_ref()) {
+            notes.extend(link.take_notes());
         }
-        TransportRoundStats {
-            link,
-            quarantined: std::mem::take(&mut self.n_quarantined_round),
-            reassigned: std::mem::take(&mut self.n_reassigned_round),
-            notes,
-        }
+        notes
     }
 
     /// Feeds a raw protocol message into the coordinator's event queue as
@@ -1379,11 +1117,10 @@ impl ShardPool {
         msg: FromShard,
         payload: Bytes,
     ) {
-        let _ = self.tx.send(PoolEvent::Msg {
+        let _ = self.tx.send(PoolEvent {
             shard,
             incarnation,
-            msg,
-            payload,
+            body: Ok((msg, payload)),
         });
     }
 
@@ -1393,37 +1130,33 @@ impl ShardPool {
         self.conns[shard].incarnation
     }
 
+    /// Process id of a shard's live child. Test seam: the failover suite
+    /// SIGSTOPs a child so that only the heartbeat can notice.
+    #[doc(hidden)]
+    pub fn child_pid_for_test(&self, shard: usize) -> Option<u32> {
+        self.conns[shard].child.as_ref().map(Child::id)
+    }
+
     fn shutdown(&mut self) {
         if self.down {
             return;
         }
         self.down = true;
         for s in 0..self.conns.len() {
-            if let Some(link) = &self.conns[s].link {
+            let conn = &mut self.conns[s];
+            if let Some(link) = &conn.link {
                 let _ = link.send(&ToShard::Shutdown, None);
             }
-            if let Some(mut child) = self.conns[s].child.take() {
-                let deadline = Instant::now() + Duration::from_secs(5);
-                loop {
-                    match child.try_wait() {
-                        Ok(Some(_)) => break,
-                        Ok(None) if Instant::now() < deadline => {
-                            std::thread::sleep(Duration::from_millis(5));
-                        }
-                        _ => {
-                            let _ = child.kill();
-                            let _ = child.wait();
-                            break;
-                        }
-                    }
+            // Give the child up to 5 s to exit on its own; teardown kills
+            // whatever is left.
+            let deadline = Instant::now() + Duration::from_secs(5);
+            while let Some(child) = &mut conn.child {
+                if !matches!(child.try_wait(), Ok(None)) || Instant::now() >= deadline {
+                    break;
                 }
+                std::thread::sleep(Duration::from_millis(5));
             }
-            if let Some(mut link) = self.conns[s].link.take() {
-                self.stats_accum.absorb(&link.take_round_stats());
-                self.notes_accum.extend(link.take_notes());
-                link.close();
-            }
-            self.conns[s].alive = false;
+            self.teardown_conn(s);
         }
         let _ = std::fs::remove_dir_all(&self.dir);
     }

@@ -277,32 +277,6 @@ pub enum TraceEvent {
         /// Why it was rejected.
         reason: String,
     },
-    /// The transport fault shim injected a byte-level fault into a frame
-    /// (drop, duplicate, reorder, delay, or corruption). Excluded from the
-    /// canonical stream: supervision recovers every injected fault, so the
-    /// trajectory is unchanged and the injection count is operational.
-    TransportFaultInjected {
-        /// Round index at injection time.
-        round: usize,
-        /// Shard whose link was hit.
-        shard: usize,
-        /// Direction name (`to_shard` / `from_shard`).
-        direction: String,
-        /// Fault class name (`drop`, `duplicate`, `reorder`, `delay`,
-        /// `corrupt`).
-        kind: String,
-    },
-    /// An unacknowledged frame was resent with exponential backoff.
-    /// Excluded from the canonical stream (retry counts depend on host
-    /// timing, not the trajectory).
-    FrameRetried {
-        /// Shard whose link resent.
-        shard: usize,
-        /// Application sequence number of the resent frame.
-        seq: u64,
-        /// Resend attempt number (1 = first resend).
-        attempt: u32,
-    },
     /// A heartbeat period elapsed with no valid frame heard from a shard.
     /// Excluded from the canonical stream (liveness is host-timing).
     HeartbeatMissed {
@@ -311,16 +285,19 @@ pub enum TraceEvent {
         /// Consecutive missed periods so far.
         misses: u32,
     },
-    /// A shard exhausted its retry budget or missed-heartbeat limit and was
-    /// quarantined for the round; its child process was killed. Excluded
-    /// from the canonical stream (quarantine is a recovery action, not a
-    /// trajectory event — the reassigned work produces identical results).
+    /// A shard's link went down, or the shard could not be (re)started or
+    /// dispatched to, or it stalled past the io timeout: its child process
+    /// was killed and the shard is out for the round. Excluded from the
+    /// canonical stream (quarantine is a recovery action, not a trajectory
+    /// event — the reassigned work produces identical results).
     ShardQuarantined {
         /// Round index.
         round: usize,
         /// Quarantined shard.
         shard: usize,
-        /// Why it was quarantined.
+        /// The check that fired (`eof`, `frame checksum mismatch…`,
+        /// `sequence gap…`, `heartbeat…`, `io timeout…`, `shard handshake
+        /// failed…`, `killed by kill plan`, …).
         reason: String,
     },
     /// An unresolved ordinal from a quarantined shard was re-executed on
@@ -359,8 +336,6 @@ impl TraceEvent {
             TraceEvent::CheckpointWritten { .. } => "checkpoint_written",
             TraceEvent::CheckpointRecovered { .. } => "checkpoint_recovered",
             TraceEvent::CheckpointCorruptSkipped { .. } => "checkpoint_corrupt_skipped",
-            TraceEvent::TransportFaultInjected { .. } => "transport_fault_injected",
-            TraceEvent::FrameRetried { .. } => "frame_retried",
             TraceEvent::HeartbeatMissed { .. } => "heartbeat_missed",
             TraceEvent::ShardQuarantined { .. } => "shard_quarantined",
             TraceEvent::OrdinalReassigned { .. } => "ordinal_reassigned",
@@ -371,11 +346,11 @@ impl TraceEvent {
     /// stream. `RunStart` names the pool size and is excluded; checkpoint
     /// events name host paths and depend on the durability schedule, not
     /// the trajectory, so a resumed run's canonical suffix stays
-    /// byte-identical to the uninterrupted run's. Transport-supervision
-    /// events (fault injections, retries, heartbeat misses, quarantines,
-    /// reassignments) depend on host timing and the injected fault
-    /// schedule, never on the trajectory, so a faulted run's canonical
-    /// stream stays byte-identical to the fault-free run's.
+    /// byte-identical to the uninterrupted run's. Shard-failover events
+    /// (heartbeat misses, quarantines, reassignments) depend on host timing
+    /// and on which child died when, never on the trajectory, so a run that
+    /// lost shards keeps a canonical stream byte-identical to one that did
+    /// not.
     pub fn is_canonical(&self) -> bool {
         !matches!(
             self,
@@ -384,8 +359,6 @@ impl TraceEvent {
                 | TraceEvent::CheckpointWritten { .. }
                 | TraceEvent::CheckpointRecovered { .. }
                 | TraceEvent::CheckpointCorruptSkipped { .. }
-                | TraceEvent::TransportFaultInjected { .. }
-                | TraceEvent::FrameRetried { .. }
                 | TraceEvent::HeartbeatMissed { .. }
                 | TraceEvent::ShardQuarantined { .. }
                 | TraceEvent::OrdinalReassigned { .. }
@@ -1219,17 +1192,6 @@ mod tests {
             TraceEvent::Span {
                 name: "evaluate".into(),
             },
-            TraceEvent::TransportFaultInjected {
-                round: 2,
-                shard: 1,
-                direction: "to_shard".into(),
-                kind: "corrupt".into(),
-            },
-            TraceEvent::FrameRetried {
-                shard: 1,
-                seq: 42,
-                attempt: 3,
-            },
             TraceEvent::HeartbeatMissed {
                 shard: 0,
                 misses: 2,
@@ -1237,7 +1199,7 @@ mod tests {
             TraceEvent::ShardQuarantined {
                 round: 2,
                 shard: 1,
-                reason: "retry budget exhausted".into(),
+                reason: "heartbeat: 4 consecutive silent periods".into(),
             },
             TraceEvent::OrdinalReassigned {
                 round: 2,
@@ -1255,20 +1217,9 @@ mod tests {
     }
 
     #[test]
-    fn transport_supervision_events_are_offstream_only() {
-        // Variable fault/retry counts must never shift canonical seqs.
+    fn shard_failover_events_are_offstream_only() {
+        // A run that lost shards must never shift canonical seqs.
         let events = [
-            TraceEvent::TransportFaultInjected {
-                round: 0,
-                shard: 0,
-                direction: "from_shard".into(),
-                kind: "drop".into(),
-            },
-            TraceEvent::FrameRetried {
-                shard: 0,
-                seq: 1,
-                attempt: 1,
-            },
             TraceEvent::HeartbeatMissed {
                 shard: 0,
                 misses: 1,

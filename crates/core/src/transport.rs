@@ -1,664 +1,260 @@
-//! Supervised shard transport: a per-connection [`Link`] giving the shard
-//! protocol exactly-once, in-order delivery over a lossy byte stream.
+//! The shard link: framing plus liveness over one Unix socket, and one
+//! failure signal.
 //!
 //! Both endpoints of a coordinator↔shard socket wrap their half in a
-//! `Link`. Outbound application frames get per-message sequence numbers
-//! and a payload checksum (the [`fedca_compress::wire`] frame layer), are
-//! retained until acknowledged, and are resent with deterministic capped
-//! exponential backoff. Inbound frames are acknowledged, deduplicated by
-//! sequence number, and released to the owner strictly in order — so any
-//! duplicate/reorder schedule the wire produces is invisible above the
-//! link. A fault-injecting shim sits between the link and the socket:
-//! every *physical* transmission draws from a
-//! [`TransportFaultPlan`](fedca_sim::faults::TransportFaultPlan) and may be
-//! dropped, duplicated, held back one slot, delayed, or byte-corrupted
-//! (corruption is confined to checksummed bytes, so it always surfaces as
-//! a typed [`FrameError::ChecksumMismatch`] at the receiver, never as a
-//! desynchronized stream).
+//! [`Link`]. `send` stamps each application frame with the next sequence
+//! number and a checksum (the [`fedca_compress::wire`] frame layer) and
+//! writes it; a reader thread decodes inbound frames and hands them to the
+//! owner's sink in wire order. A `SOCK_STREAM` Unix socket neither drops,
+//! duplicates nor reorders, so the link repairs nothing — it only
+//! *detects*. EOF, an I/O error, any [`FrameError`](wire::FrameError) (bad
+//! magic, unknown kind, oversize length prefix, checksum mismatch,
+//! truncation), a sequence number other than the next one, or — on the
+//! root side, which probes its child with Ping/Pong — `missed_limit`
+//! consecutive silent heartbeat periods each end the link with exactly one
+//! [`LinkEvent::Down`] naming the check that fired, and no frame is
+//! delivered after it. What to do about it is the owner's business (see
+//! [`crate::shard`]: kill the child, run its outstanding work locally).
 //!
-//! Supervision is asymmetric: the **root** link heartbeats its child
-//! (Ping/Pong control frames with missed-beat accounting) and carries a
-//! finite retry budget — exhausting either declares the peer dead
-//! ([`LinkEvent::PeerDead`]) so the pool can quarantine the shard and
-//! re-execute its work locally. The **child** link answers pings but never
-//! initiates them and never gives up resending: the root is the sole
-//! supervisor, and a truly dead root surfaces as EOF.
-//!
-//! Because resends draw fresh faults per transmission, any schedule with
-//! per-frame loss probability < 1 delivers every message eventually; the
-//! supervision layer therefore recovers *bit-identically* — the recovered
-//! run's records, parameters, and canonical trace equal the fault-free
-//! run's for every topology.
+//! Threads: one reader per link; the root side adds a liveness thread that
+//! wakes once per heartbeat period. The child side answers pings from its
+//! reader and initiates nothing — a dead root surfaces there as EOF.
 
 use crate::trace::TraceEvent;
 use bytes::Bytes;
-use fedca_compress::wire::{self, Frame, FrameError, FrameKind, FRAME_HEADER_LEN};
-use fedca_sim::faults::{Direction, TransportFaultPlan};
+use fedca_compress::wire::{self, Frame, FrameKind};
 use parking_lot::Mutex;
 use serde::Serialize;
-use std::collections::BTreeMap;
-use std::io::{BufReader, BufWriter, Write};
+use std::io::{BufReader, Write};
 use std::os::unix::net::UnixStream;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-/// Errors surfaced to a link's owner on the send path.
-#[derive(Debug)]
-pub enum LinkError {
-    /// Socket-level I/O failure.
-    Io(std::io::Error),
-    /// Message metadata failed to serialize.
-    Serialize(String),
-    /// The link already declared its peer dead (reason attached).
-    Dead(String),
-}
+/// The [`LinkEvent::Down`] reason for a peer that closed the socket cleanly.
+pub const EOF: &str = "eof";
 
-impl std::fmt::Display for LinkError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            LinkError::Io(e) => write!(f, "link i/o error: {e}"),
-            LinkError::Serialize(why) => write!(f, "link serialize error: {why}"),
-            LinkError::Dead(why) => write!(f, "link peer is dead: {why}"),
-        }
-    }
-}
-
-impl std::error::Error for LinkError {}
-
-/// What a link delivers to its owner, in order, via the sink closure.
+/// What a link delivers to its owner's sink.
 #[derive(Debug)]
 pub enum LinkEvent {
-    /// The next in-order application frame (Control or Update kind, each
-    /// delivered exactly once regardless of wire duplicates/reorders).
+    /// The next application frame (Control or Update kind), in wire order.
     Frame(Frame),
-    /// The connection ended: clean EOF or a fatal (non-checksum) frame or
-    /// I/O error. Crash semantics — the peer process is gone.
+    /// The link is finished, and why (`eof`, `frame checksum mismatch…`,
+    /// `sequence gap…`, `heartbeat…`, …). Sent once; nothing follows it.
     Down(String),
-    /// Supervision gave up on the peer: retry budget or missed-heartbeat
-    /// limit exhausted. Quarantine semantics — the peer may be alive but
-    /// unreachable; the owner should kill it and reassign its work.
-    PeerDead(String),
 }
 
-/// Construction-time knobs for a [`Link`].
-pub struct LinkConfig {
-    /// Shard index (fault-draw coordinate and note labelling).
-    pub shard: usize,
-    /// Direction of frames *this* side transmits.
-    pub direction: Direction,
-    /// Fault schedule applied to this side's physical transmissions.
-    pub plan: TransportFaultPlan,
-    /// Current round, as a fault-draw coordinate. Shared by the owner
-    /// (the pool stores it at `begin_round`; the child at `RoundStart`).
-    pub round: Arc<AtomicU64>,
-    /// Largest accepted inbound frame.
-    pub max_frame_len: usize,
-    /// Resends allowed per frame before the peer is declared dead;
-    /// `u32::MAX` never gives up (the child side).
-    pub retry_budget: u32,
-    /// Wait before the first resend; doubles per resend.
-    pub resend_initial: Duration,
-    /// Cap on the exponential resend backoff.
-    pub resend_max: Duration,
-    /// `Some((period, missed_limit))` to initiate heartbeats (the root
-    /// side); `None` answers pings but never sends them (the child side).
-    pub heartbeat: Option<(Duration, u32)>,
-    /// Supervision tick (resend/held-frame/heartbeat granularity).
-    pub tick: Duration,
+/// The owner's event sink plus the flag that makes `Down` final. Both
+/// link threads deliver through this one lock, so no frame can slip out
+/// after a `Down`.
+struct Delivery {
+    down: bool,
+    sink: Box<dyn FnMut(LinkEvent) + Send>,
 }
-
-impl LinkConfig {
-    /// Permissive defaults for a child before `Init` arrives: inert
-    /// faults, unlimited retries, no heartbeat initiation, 1 GiB cap.
-    pub fn child_handshake(shard: usize, round: Arc<AtomicU64>) -> Self {
-        LinkConfig {
-            shard,
-            direction: Direction::FromShard,
-            plan: TransportFaultPlan::new(fedca_sim::faults::TransportFaultConfig::none()),
-            round,
-            max_frame_len: 1 << 30,
-            retry_budget: u32::MAX,
-            resend_initial: Duration::from_millis(40),
-            resend_max: Duration::from_secs(1),
-            heartbeat: None,
-            tick: Duration::from_millis(5),
-        }
-    }
-}
-
-/// Operational counters drained per round by the pool. All values are
-/// host-timing- and fault-schedule-dependent: never part of bit-identity.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct LinkRoundStats {
-    /// Frames resent after an ack timeout.
-    pub retries: u64,
-    /// Heartbeat periods that elapsed with nothing heard.
-    pub heartbeat_missed: u64,
-    /// Faults injected by this side's transmit shim (all classes).
-    pub injected: u64,
-    /// Inbound frames discarded on a checksum mismatch.
-    pub checksum_dropped: u64,
-    /// Inbound application frames deduplicated by sequence number.
-    pub dup_frames: u64,
-}
-
-impl LinkRoundStats {
-    /// Accumulates another link's counters into this one.
-    pub fn absorb(&mut self, other: &LinkRoundStats) {
-        self.retries += other.retries;
-        self.heartbeat_missed += other.heartbeat_missed;
-        self.injected += other.injected;
-        self.checksum_dropped += other.checksum_dropped;
-        self.dup_frames += other.dup_frames;
-    }
-}
-
-#[derive(Default)]
-struct Stats {
-    retries: AtomicU64,
-    heartbeat_missed: AtomicU64,
-    injected: AtomicU64,
-    checksum_dropped: AtomicU64,
-    dup_frames: AtomicU64,
-}
-
-struct Unacked {
-    bytes: Bytes,
-    /// Transmissions so far (1 after the initial send).
-    attempts: u32,
-    next_resend: Instant,
-}
-
-struct Shared {
-    writer: BufWriter<UnixStream>,
-    plan: TransportFaultPlan,
-    retry_budget: u32,
-    resend_initial: Duration,
-    resend_max: Duration,
-    /// Next application sequence number to assign.
-    next_seq: u64,
-    /// Physical wire-transmission counter (the fault-draw `seq`).
-    wire_seq: u64,
-    unacked: BTreeMap<u64, Unacked>,
-    /// Delayed frames awaiting their due time.
-    held: Vec<(Instant, Vec<u8>)>,
-    /// A frame held back one transmission slot (reorder fault).
-    reorder_slot: Option<Vec<u8>>,
-    /// Set once the peer is declared dead; sends fail from then on.
-    dead: Option<String>,
-}
-
-/// Bound on buffered trace notes between drains (counters keep counting).
-const MAX_NOTES: usize = 4096;
 
 struct LinkCore {
     shard: usize,
-    direction: Direction,
-    round: Arc<AtomicU64>,
-    shared: Mutex<Shared>,
-    notes: Mutex<Vec<TraceEvent>>,
-    stats: Stats,
-    last_heard: Mutex<Instant>,
-    max_frame_len: AtomicUsize,
-    stop: AtomicBool,
-    sink: Box<dyn Fn(LinkEvent) + Send + Sync>,
+    max_frame_len: usize,
+    /// Handle for `shutdown` only, so closing never waits behind a writer.
     stream: UnixStream,
+    /// Write half and the next application sequence number.
+    writer: Mutex<(UnixStream, u64)>,
+    delivery: Mutex<Delivery>,
+    /// Set by the reader on every valid frame; cleared once per heartbeat
+    /// period by the liveness thread.
+    heard: AtomicBool,
+    /// Buffered [`TraceEvent::HeartbeatMissed`] notes, drained by the owner.
+    notes: Mutex<Vec<TraceEvent>>,
 }
 
 impl LinkCore {
-    fn note(&self, ev: TraceEvent) {
-        let mut notes = self.notes.lock();
-        if notes.len() < MAX_NOTES {
-            notes.push(ev);
+    /// Hands `ev` to the sink unless the link is already down, and reports
+    /// whether it did. A `Down` is final: it also closes the socket, which
+    /// wakes whichever thread (or blocked `send`) is still using it.
+    fn emit(&self, ev: LinkEvent) -> bool {
+        let ends = matches!(ev, LinkEvent::Down(_));
+        let mut d = self.delivery.lock();
+        let live = !d.down;
+        if live {
+            d.down = ends;
+            (d.sink)(ev);
         }
-    }
-
-    fn inject_note(&self, round: usize, kind: &str) {
-        self.stats.injected.fetch_add(1, Ordering::Relaxed);
-        self.note(TraceEvent::TransportFaultInjected {
-            round,
-            shard: self.shard,
-            direction: match self.direction {
-                Direction::ToShard => "to_shard".into(),
-                Direction::FromShard => "from_shard".into(),
-            },
-            kind: kind.into(),
-        });
-    }
-
-    /// One physical transmission through the fault shim. Corruption is
-    /// confined to the checksummed bytes that never desynchronize framing:
-    /// the seq and crc header fields plus the body (meta ∪ payload) —
-    /// magic, kind, and the length prefixes are never touched.
-    fn transmit_locked(&self, sh: &mut Shared, bytes: &[u8]) -> std::io::Result<()> {
-        let round = self.round.load(Ordering::Relaxed) as usize;
-        let wire_seq = sh.wire_seq;
-        sh.wire_seq += 1;
-        let f = sh.plan.draw(round, self.shard, self.direction, wire_seq);
-        if f.is_none() {
-            sh.writer.write_all(bytes)?;
-            if let Some(old) = sh.reorder_slot.take() {
-                sh.writer.write_all(&old)?;
-            }
-            sh.writer.flush()?;
-            return Ok(());
+        drop(d);
+        if ends {
+            let _ = self.stream.shutdown(std::net::Shutdown::Both);
         }
-        if f.drop {
-            self.inject_note(round, "drop");
-            return Ok(());
-        }
-        let mut frame = bytes.to_vec();
-        if let Some((pos_seed, mask)) = f.corrupt {
-            debug_assert!(frame.len() >= FRAME_HEADER_LEN);
-            let eligible = 12 + (frame.len() - FRAME_HEADER_LEN);
-            let p = (pos_seed % eligible as u64) as usize;
-            // Eligible region: seq bytes [3, 11) ∪ crc bytes [11, 15) ∪
-            // body [FRAME_HEADER_LEN, len).
-            let idx = if p < 12 {
-                3 + p
-            } else {
-                FRAME_HEADER_LEN + (p - 12)
-            };
-            frame[idx] ^= mask;
-            self.inject_note(round, "corrupt");
-        }
-        if f.delay_ms > 0.0 {
-            let due = Instant::now() + Duration::from_secs_f64(f.delay_ms / 1000.0);
-            self.inject_note(round, "delay");
-            if f.duplicate {
-                self.inject_note(round, "duplicate");
-                sh.held.push((due, frame.clone()));
-            }
-            sh.held.push((due, frame));
-            return Ok(());
-        }
-        if f.reorder {
-            self.inject_note(round, "reorder");
-            if let Some(old) = sh.reorder_slot.take() {
-                sh.writer.write_all(&old)?;
-            }
-            if f.duplicate {
-                self.inject_note(round, "duplicate");
-                sh.writer.write_all(&frame)?;
-            }
-            sh.reorder_slot = Some(frame);
-            sh.writer.flush()?;
-            return Ok(());
-        }
-        sh.writer.write_all(&frame)?;
-        if f.duplicate {
-            self.inject_note(round, "duplicate");
-            sh.writer.write_all(&frame)?;
-        }
-        if let Some(old) = sh.reorder_slot.take() {
-            sh.writer.write_all(&old)?;
-        }
-        sh.writer.flush()?;
-        Ok(())
-    }
-
-    /// Transmits a payloadless control frame (ack/ping/pong), ignoring
-    /// I/O errors — a dying peer surfaces through the reader.
-    fn send_control(&self, kind: FrameKind, seq: u64) {
-        let bytes = wire::encode_frame(&Frame {
-            kind,
-            seq,
-            meta: Bytes::default(),
-            payload: Bytes::default(),
-        });
-        let mut sh = self.shared.lock();
-        if sh.dead.is_some() {
-            return;
-        }
-        let _ = self.transmit_locked(&mut sh, bytes.as_ref());
+        live
     }
 }
 
-/// A supervised, exactly-once, in-order connection endpoint. See the
-/// module docs for the full protocol.
+fn encode(kind: FrameKind, seq: u64, meta: Bytes, payload: Bytes) -> Bytes {
+    wire::encode_frame(&Frame {
+        kind,
+        seq,
+        meta,
+        payload,
+    })
+}
+
+/// A payloadless Ping/Pong frame; `seq` carries the probe's nonce.
+fn probe(kind: FrameKind, nonce: u64) -> Bytes {
+    encode(kind, nonce, Bytes::default(), Bytes::default())
+}
+
+/// One endpoint of a coordinator↔shard connection. See the module docs.
 pub struct Link {
     core: Arc<LinkCore>,
-    reader: Option<JoinHandle<()>>,
-    ticker: Option<JoinHandle<()>>,
+    threads: Vec<JoinHandle<()>>,
+    /// Dropping the sender stops the liveness thread (root side only).
+    stop: Option<Sender<()>>,
 }
 
 impl Link {
-    /// Wraps one side of a connected stream. The sink closure receives
-    /// every [`LinkEvent`]; it is called from the link's internal threads
-    /// and must not block on the link's own API.
+    /// Wraps one side of a connected stream. `sink` receives every
+    /// [`LinkEvent`] from the link's threads and must not call back into
+    /// the link. `heartbeat` is `Some((period, missed_limit))` on the root
+    /// side and `None` on the child side; `max_frame_len` caps inbound
+    /// frames before anything is allocated.
     pub fn new(
         stream: UnixStream,
-        cfg: LinkConfig,
-        sink: impl Fn(LinkEvent) + Send + Sync + 'static,
+        shard: usize,
+        max_frame_len: usize,
+        heartbeat: Option<(Duration, u32)>,
+        sink: impl FnMut(LinkEvent) + Send + 'static,
     ) -> std::io::Result<Self> {
-        let write_stream = stream.try_clone()?;
+        let read_stream = stream.try_clone()?;
         let core = Arc::new(LinkCore {
-            shard: cfg.shard,
-            direction: cfg.direction,
-            round: cfg.round,
-            shared: Mutex::new(Shared {
-                writer: BufWriter::new(write_stream),
-                plan: cfg.plan,
-                retry_budget: cfg.retry_budget,
-                resend_initial: cfg.resend_initial,
-                resend_max: cfg.resend_max,
-                next_seq: 0,
-                wire_seq: 0,
-                unacked: BTreeMap::new(),
-                held: Vec::new(),
-                reorder_slot: None,
-                dead: None,
-            }),
-            notes: Mutex::new(Vec::new()),
-            stats: Stats::default(),
-            last_heard: Mutex::new(Instant::now()),
-            max_frame_len: AtomicUsize::new(cfg.max_frame_len),
-            stop: AtomicBool::new(false),
-            sink: Box::new(sink),
+            shard,
+            max_frame_len,
+            writer: Mutex::new((stream.try_clone()?, 0)),
             stream,
+            delivery: Mutex::new(Delivery {
+                down: false,
+                sink: Box::new(sink),
+            }),
+            heard: AtomicBool::new(false),
+            notes: Mutex::new(Vec::new()),
         });
-        let reader = {
-            let core = core.clone();
-            std::thread::Builder::new()
-                .name(format!("fedca-link-rx-{}", cfg.shard))
-                .spawn(move || reader_loop(core))?
+        let mut link = Link {
+            core: core.clone(),
+            threads: Vec::new(),
+            stop: None,
         };
-        let ticker = {
-            let core = core.clone();
-            let heartbeat = cfg.heartbeat;
-            let tick = cfg.tick.max(Duration::from_millis(1));
+        let rx_core = core.clone();
+        link.threads.push(
             std::thread::Builder::new()
-                .name(format!("fedca-link-tick-{}", cfg.shard))
-                .spawn(move || ticker_loop(core, heartbeat, tick))?
-        };
-        Ok(Link {
-            core,
-            reader: Some(reader),
-            ticker: Some(ticker),
-        })
+                .name(format!("fedca-link-rx-{shard}"))
+                .spawn(move || reader_loop(&rx_core, read_stream))?,
+        );
+        if let Some((period, limit)) = heartbeat {
+            let (stop_tx, stop_rx) = channel();
+            link.stop = Some(stop_tx);
+            link.threads.push(
+                std::thread::Builder::new()
+                    .name(format!("fedca-link-hb-{shard}"))
+                    .spawn(move || liveness_loop(&core, &stop_rx, period, limit))?,
+            );
+        }
+        Ok(link)
     }
 
     /// Sends one application message: JSON metadata plus an optional
-    /// binary payload, sequenced, checksummed, and retained until acked.
-    pub fn send<T: Serialize>(&self, msg: &T, payload: Option<Bytes>) -> Result<(), LinkError> {
-        let meta = serde_json::to_string(msg).map_err(|e| LinkError::Serialize(e.to_string()))?;
+    /// binary payload, sequenced and checksummed.
+    pub fn send<T: Serialize>(&self, msg: &T, payload: Option<Bytes>) -> std::io::Result<()> {
+        let meta = serde_json::to_string(msg)
+            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
         let payload = payload.unwrap_or_default();
-        let mut sh = self.core.shared.lock();
-        if let Some(reason) = &sh.dead {
-            return Err(LinkError::Dead(reason.clone()));
-        }
-        let seq = sh.next_seq;
-        sh.next_seq += 1;
-        let bytes = wire::encode_frame(&Frame {
-            kind: if payload.is_empty() {
-                FrameKind::Control
-            } else {
-                FrameKind::Update
-            },
-            seq,
-            meta: Bytes::from(meta.into_bytes()),
-            payload,
-        });
-        let resend_initial = sh.resend_initial;
-        sh.unacked.insert(
-            seq,
-            Unacked {
-                bytes: bytes.clone(),
-                attempts: 1,
-                next_resend: Instant::now() + resend_initial,
-            },
-        );
-        self.core
-            .transmit_locked(&mut sh, bytes.as_ref())
-            .map_err(LinkError::Io)
+        let kind = if payload.is_empty() {
+            FrameKind::Control
+        } else {
+            FrameKind::Update
+        };
+        let mut w = self.core.writer.lock();
+        let bytes = encode(kind, w.1, Bytes::from(meta.into_bytes()), payload);
+        w.1 += 1;
+        w.0.write_all(bytes.as_ref())
     }
 
-    /// Upgrades the link's knobs mid-flight (the child after `Init`).
-    pub fn configure(
-        &self,
-        plan: TransportFaultPlan,
-        max_frame_len: usize,
-        resend_initial: Duration,
-        resend_max: Duration,
-    ) {
-        self.core
-            .max_frame_len
-            .store(max_frame_len, Ordering::Relaxed);
-        let mut sh = self.core.shared.lock();
-        sh.plan = plan;
-        sh.resend_initial = resend_initial;
-        sh.resend_max = resend_max;
-    }
-
-    /// Whether supervision has declared the peer dead.
-    pub fn is_dead(&self) -> bool {
-        self.core.shared.lock().dead.is_some()
-    }
-
-    /// Drains the operational counters (they restart from zero).
-    pub fn take_round_stats(&self) -> LinkRoundStats {
-        LinkRoundStats {
-            retries: self.core.stats.retries.swap(0, Ordering::Relaxed),
-            heartbeat_missed: self.core.stats.heartbeat_missed.swap(0, Ordering::Relaxed),
-            injected: self.core.stats.injected.swap(0, Ordering::Relaxed),
-            checksum_dropped: self.core.stats.checksum_dropped.swap(0, Ordering::Relaxed),
-            dup_frames: self.core.stats.dup_frames.swap(0, Ordering::Relaxed),
-        }
-    }
-
-    /// Drains buffered supervision trace notes (offstream events).
+    /// Drains the buffered heartbeat-miss notes (offstream trace events).
     pub fn take_notes(&self) -> Vec<TraceEvent> {
         std::mem::take(&mut *self.core.notes.lock())
     }
-
-    /// Stops the supervision threads and closes the socket. Idempotent;
-    /// also runs on drop.
-    pub fn close(&mut self) {
-        self.core.stop.store(true, Ordering::SeqCst);
-        let _ = self.core.stream.shutdown(std::net::Shutdown::Both);
-        if let Some(h) = self.reader.take() {
-            let _ = h.join();
-        }
-        if let Some(h) = self.ticker.take() {
-            let _ = h.join();
-        }
-    }
 }
 
+/// Dropping a link silences its sink, closes the socket and joins its
+/// threads.
 impl Drop for Link {
     fn drop(&mut self) {
-        self.close();
+        self.core.delivery.lock().down = true;
+        let _ = self.core.stream.shutdown(std::net::Shutdown::Both);
+        self.stop = None;
+        for handle in self.threads.drain(..) {
+            let _ = handle.join();
+        }
     }
 }
 
-fn reader_loop(core: Arc<LinkCore>) {
-    let read_stream = match core.stream.try_clone() {
-        Ok(s) => s,
-        Err(e) => {
-            (core.sink)(LinkEvent::Down(format!("reader clone failed: {e}")));
-            return;
+fn reader_loop(core: &LinkCore, read_stream: UnixStream) {
+    let mut reader = BufReader::new(read_stream);
+    let mut next_seq: u64 = 0;
+    let reason = loop {
+        let frame = match wire::read_frame(&mut reader, core.max_frame_len) {
+            Ok(Some(frame)) => frame,
+            Ok(None) => break EOF.to_string(),
+            Err(e) => break e.to_string(),
+        };
+        core.heard.store(true, Ordering::Relaxed);
+        match frame.kind {
+            FrameKind::Ping => {
+                // A write error here means the peer is going away; the next
+                // read reports it.
+                let pong = probe(FrameKind::Pong, frame.seq);
+                let _ = core.writer.lock().0.write_all(pong.as_ref());
+            }
+            FrameKind::Pong => {}
+            FrameKind::Control | FrameKind::Update => {
+                if frame.seq != next_seq {
+                    break format!("sequence gap: expected {next_seq}, got {}", frame.seq);
+                }
+                next_seq += 1;
+                if !core.emit(LinkEvent::Frame(frame)) {
+                    return;
+                }
+            }
         }
     };
-    let mut reader = BufReader::new(read_stream);
-    let mut next_expected: u64 = 0;
-    let mut out_of_order: BTreeMap<u64, Frame> = BTreeMap::new();
-    loop {
-        let max_len = core.max_frame_len.load(Ordering::Relaxed);
-        match wire::read_frame(&mut reader, max_len) {
-            Ok(None) => {
-                if !core.stop.load(Ordering::SeqCst) {
-                    (core.sink)(LinkEvent::Down("connection closed".into()));
-                }
-                return;
-            }
-            Err(FrameError::ChecksumMismatch { .. }) => {
-                // The full body was consumed before verification, so the
-                // stream is still frame-aligned: drop and carry on. The
-                // sender's resend recovers the message.
-                core.stats.checksum_dropped.fetch_add(1, Ordering::Relaxed);
-                continue;
-            }
-            Err(e) => {
-                if !core.stop.load(Ordering::SeqCst) {
-                    (core.sink)(LinkEvent::Down(format!("frame error: {e}")));
-                }
-                return;
-            }
-            Ok(Some(frame)) => {
-                *core.last_heard.lock() = Instant::now();
-                match frame.kind {
-                    FrameKind::Ack => {
-                        core.shared.lock().unacked.remove(&frame.seq);
-                    }
-                    FrameKind::Ping => core.send_control(FrameKind::Pong, frame.seq),
-                    FrameKind::Pong => {}
-                    FrameKind::Control | FrameKind::Update => {
-                        // Ack every arrival — duplicates included, so a
-                        // lost ack is healed by the sender's resend.
-                        core.send_control(FrameKind::Ack, frame.seq);
-                        if frame.seq < next_expected {
-                            core.stats.dup_frames.fetch_add(1, Ordering::Relaxed);
-                        } else if frame.seq == next_expected {
-                            next_expected += 1;
-                            (core.sink)(LinkEvent::Frame(frame));
-                            while let Some(f) = out_of_order.remove(&next_expected) {
-                                next_expected += 1;
-                                (core.sink)(LinkEvent::Frame(f));
-                            }
-                        } else if out_of_order.insert(frame.seq, frame).is_some() {
-                            core.stats.dup_frames.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
-                }
-            }
-        }
-    }
+    core.emit(LinkEvent::Down(reason));
 }
 
-fn ticker_loop(core: Arc<LinkCore>, heartbeat: Option<(Duration, u32)>, tick: Duration) {
-    let mut next_ping = Instant::now();
-    let mut ping_seq: u64 = 0;
+/// Root-side liveness: one ping and one silence check per period.
+fn liveness_loop(core: &LinkCore, stop: &Receiver<()>, period: Duration, limit: u32) {
     let mut misses: u32 = 0;
-    loop {
-        std::thread::sleep(tick);
-        if core.stop.load(Ordering::SeqCst) {
+    for nonce in 0u64.. {
+        // Never wait for the write lock: a `send` blocked on a peer that
+        // stopped reading holds it, and that is exactly the peer this
+        // thread must be free to declare dead.
+        if let Some(mut w) = core.writer.try_lock() {
+            let ping = probe(FrameKind::Ping, nonce);
+            let _ = w.0.write_all(ping.as_ref());
+        }
+        if !matches!(stop.recv_timeout(period), Err(RecvTimeoutError::Timeout)) {
             return;
         }
-        let now = Instant::now();
-        let mut peer_dead: Option<String> = None;
-        {
-            let mut sh = core.shared.lock();
-            if sh.dead.is_some() {
-                return;
-            }
-            // Release delayed frames whose due time arrived (raw writes:
-            // their fault draw happened at the original transmission).
-            if !sh.held.is_empty() {
-                let mut due = Vec::new();
-                sh.held.retain(|(t, bytes)| {
-                    if *t <= now {
-                        due.push(bytes.clone());
-                        false
-                    } else {
-                        true
-                    }
-                });
-                let mut failed = false;
-                for bytes in &due {
-                    if sh.writer.write_all(bytes).is_err() {
-                        failed = true;
-                        break;
-                    }
-                }
-                if !due.is_empty() && !failed {
-                    let _ = sh.writer.flush();
-                }
-            }
-            // A reordered frame with no successor transmission must still
-            // make progress: flush the slot every tick.
-            if let Some(old) = sh.reorder_slot.take() {
-                let _ = sh.writer.write_all(&old);
-                let _ = sh.writer.flush();
-            }
-            // Ack-driven resends with capped exponential backoff.
-            let budget = sh.retry_budget;
-            let due: Vec<u64> = sh
-                .unacked
-                .iter()
-                .filter(|(_, u)| u.next_resend <= now)
-                .map(|(s, _)| *s)
-                .collect();
-            for seq in due {
-                let resend_initial = sh.resend_initial;
-                let resend_max = sh.resend_max;
-                let (bytes, attempt) = {
-                    let u = sh.unacked.get_mut(&seq).expect("due seq present");
-                    if budget != u32::MAX && u.attempts > budget {
-                        peer_dead = Some(format!(
-                            "retry budget exhausted ({budget} resends of frame {seq})"
-                        ));
-                        break;
-                    }
-                    u.attempts += 1;
-                    let resends_done = u.attempts - 1;
-                    let factor = 1u32 << resends_done.min(20);
-                    let backoff = resend_initial
-                        .checked_mul(factor)
-                        .map_or(resend_max, |b| b.min(resend_max));
-                    u.next_resend = now + backoff;
-                    (u.bytes.clone(), resends_done)
-                };
-                core.stats.retries.fetch_add(1, Ordering::Relaxed);
-                core.note(TraceEvent::FrameRetried {
-                    shard: core.shard,
-                    seq,
-                    attempt,
-                });
-                let _ = core.transmit_locked(&mut sh, bytes.as_ref());
-            }
-            // Heartbeats (root side only).
-            if peer_dead.is_none() {
-                if let Some((period, limit)) = heartbeat {
-                    if now >= next_ping {
-                        let bytes = wire::encode_frame(&Frame {
-                            kind: FrameKind::Ping,
-                            seq: ping_seq,
-                            meta: Bytes::default(),
-                            payload: Bytes::default(),
-                        });
-                        ping_seq += 1;
-                        next_ping = now + period;
-                        let _ = core.transmit_locked(&mut sh, bytes.as_ref());
-                    }
-                    let silent = now.duration_since(*core.last_heard.lock());
-                    if silent < period {
-                        misses = 0;
-                    } else if silent > period.mul_f64((misses + 1) as f64) {
-                        misses += 1;
-                        core.stats.heartbeat_missed.fetch_add(1, Ordering::Relaxed);
-                        core.note(TraceEvent::HeartbeatMissed {
-                            shard: core.shard,
-                            misses,
-                        });
-                        if misses >= limit {
-                            peer_dead =
-                                Some(format!("missed {misses} consecutive heartbeat periods"));
-                        }
-                    }
-                }
-            }
-            if let Some(reason) = &peer_dead {
-                sh.dead = Some(reason.clone());
-            }
+        if core.heard.swap(false, Ordering::Relaxed) {
+            misses = 0;
+            continue;
         }
-        if let Some(reason) = peer_dead {
-            (core.sink)(LinkEvent::PeerDead(reason));
-            return;
-        }
-        // Re-check after the lock: another path may have declared death.
-        if core.shared.lock().dead.is_some() {
+        misses += 1;
+        core.notes.lock().push(TraceEvent::HeartbeatMissed {
+            shard: core.shard,
+            misses,
+        });
+        if misses >= limit {
+            core.emit(LinkEvent::Down(format!(
+                "heartbeat: {misses} consecutive silent periods"
+            )));
             return;
         }
     }
@@ -667,234 +263,122 @@ fn ticker_loop(core: Arc<LinkCore>, heartbeat: Option<(Duration, u32)>, tick: Du
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fedca_sim::faults::TransportFaultConfig;
-    use std::sync::mpsc::channel;
 
-    fn plan(cfg: TransportFaultConfig) -> TransportFaultPlan {
-        TransportFaultPlan::new(cfg)
+    const CAP: usize = 1 << 16;
+
+    fn link(stream: UnixStream, heartbeat: Option<(Duration, u32)>) -> (Link, Receiver<LinkEvent>) {
+        let (tx, rx) = channel();
+        let link = Link::new(stream, 0, CAP, heartbeat, move |ev| {
+            let _ = tx.send(ev);
+        })
+        .expect("link");
+        (link, rx)
     }
 
-    fn link_cfg(
-        shard: usize,
-        direction: Direction,
-        cfg: TransportFaultConfig,
-        retry_budget: u32,
-        heartbeat: Option<(Duration, u32)>,
-    ) -> LinkConfig {
-        LinkConfig {
-            shard,
-            direction,
-            plan: plan(cfg),
-            round: Arc::new(AtomicU64::new(0)),
-            max_frame_len: 1 << 20,
-            retry_budget,
-            resend_initial: Duration::from_millis(5),
-            resend_max: Duration::from_millis(80),
-            heartbeat,
-            tick: Duration::from_millis(2),
+    fn frame(seq: u64) -> Vec<u8> {
+        let meta = Bytes::from(seq.to_string().into_bytes());
+        encode(FrameKind::Update, seq, meta, Bytes::from_static(&[1, 2, 3])).to_vec()
+    }
+
+    /// Everything the link delivers until it goes quiet for 300 ms.
+    fn drain(rx: &Receiver<LinkEvent>) -> Vec<LinkEvent> {
+        let mut got = Vec::new();
+        while let Ok(ev) = rx.recv_timeout(Duration::from_millis(300)) {
+            got.push(ev);
         }
-    }
-
-    fn meta_num(frame: &Frame) -> u64 {
-        std::str::from_utf8(frame.meta.as_ref())
-            .expect("utf-8 meta")
-            .parse()
-            .expect("numeric meta")
+        got
     }
 
     #[test]
-    fn chaos_schedule_delivers_every_message_exactly_once_in_order() {
-        let (a, b) = UnixStream::pair().expect("socketpair");
-        let (tx_a, rx_a) = channel();
-        let (tx_b, rx_b) = channel();
-        let la = Link::new(
-            a,
-            link_cfg(
-                0,
-                Direction::ToShard,
-                TransportFaultConfig::chaos(7),
-                u32::MAX,
-                None,
-            ),
-            move |ev| {
-                let _ = tx_a.send(ev);
-            },
-        )
-        .expect("link a");
-        let lb = Link::new(
-            b,
-            link_cfg(
-                0,
-                Direction::FromShard,
-                TransportFaultConfig::chaos(7),
-                u32::MAX,
-                None,
-            ),
-            move |ev| {
-                let _ = tx_b.send(ev);
-            },
-        )
-        .expect("link b");
-
-        const N: u64 = 40;
-        for i in 0..N {
-            la.send(&i, None).expect("send a->b");
-            lb.send(&(1000 + i), None).expect("send b->a");
-        }
-        // b's sink sees a's messages, and vice versa — each exactly once,
-        // strictly in order, despite drops, dups, reorders, and flips.
-        let deadline = Instant::now() + Duration::from_secs(60);
-        let collect = |rx: &std::sync::mpsc::Receiver<LinkEvent>| {
-            let mut got = Vec::new();
-            while got.len() < N as usize {
-                let left = deadline.saturating_duration_since(Instant::now());
-                match rx.recv_timeout(left.max(Duration::from_millis(1))) {
-                    Ok(LinkEvent::Frame(f)) => got.push(meta_num(&f)),
-                    Ok(other) => panic!("unexpected event: {other:?}"),
-                    Err(_) => panic!("timed out with {} of {N} delivered", got.len()),
-                }
-            }
-            got
+    fn every_stream_fault_yields_exactly_one_down_and_no_frame_after_it() {
+        let mut flipped = frame(1);
+        *flipped.last_mut().expect("payload byte") ^= 0x40;
+        let mut bad_magic = frame(1);
+        bad_magic[0] ^= 0xFF;
+        let mut oversize = frame(1);
+        oversize[19..23].copy_from_slice(&(CAP as u32).to_le_bytes());
+        let unknown_kind = |k: u8| {
+            let mut f = frame(1);
+            f[2] = k;
+            f
         };
-        let on_b = collect(&rx_b);
-        let on_a = collect(&rx_a);
-        assert_eq!(on_b, (0..N).collect::<Vec<_>>());
-        assert_eq!(on_a, (1000..1000 + N).collect::<Vec<_>>());
-        let stats_a = la.take_round_stats();
-        let stats_b = lb.take_round_stats();
-        // Chaos at these rates must have touched *something* on each side.
-        assert!(stats_a.injected > 0, "a injected nothing: {stats_a:?}");
-        assert!(stats_b.injected > 0, "b injected nothing: {stats_b:?}");
-    }
-
-    #[test]
-    fn exhausted_retry_budget_declares_the_peer_dead() {
-        let (a, b) = UnixStream::pair().expect("socketpair");
-        let (tx_a, rx_a) = channel();
-        let cfg = TransportFaultConfig {
-            drop_prob: 1.0,
-            ..TransportFaultConfig::none()
-        };
-        let la = Link::new(
-            a,
-            link_cfg(1, Direction::ToShard, cfg, 3, None),
-            move |ev| {
-                let _ = tx_a.send(ev);
-            },
-        )
-        .expect("link a");
-        la.send(&7u64, None).expect("send");
-        let ev = rx_a
-            .recv_timeout(Duration::from_secs(30))
-            .expect("peer-dead event");
-        match ev {
-            LinkEvent::PeerDead(reason) => {
-                assert!(reason.contains("retry budget"), "reason: {reason}")
+        // (label, the bytes that follow a valid frame 0, what the Down
+        // reason must name). The peer closes after writing.
+        let cases: Vec<(&str, Vec<u8>, &str)> = vec![
+            ("eof", Vec::new(), EOF),
+            ("bad magic", bad_magic, "magic"),
+            ("flipped payload byte", flipped, "checksum mismatch"),
+            ("skipped seq", frame(2), "sequence gap"),
+            ("repeated seq", frame(0), "sequence gap"),
+            ("oversize length prefix", oversize, "exceeds cap"),
+            ("retired ack kind", unknown_kind(2), "unknown frame kind 2"),
+            ("unknown kind", unknown_kind(9), "unknown frame kind 9"),
+        ];
+        for (label, fault, names) in cases {
+            let (a, mut peer) = UnixStream::pair().expect("socketpair");
+            let (_link, rx) = link(a, None);
+            let mut bytes = frame(0);
+            bytes.extend_from_slice(&fault);
+            if !fault.is_empty() {
+                // A well-formed frame after the fault must not be delivered.
+                bytes.extend_from_slice(&frame(1));
             }
-            other => panic!("expected PeerDead, got {other:?}"),
+            peer.write_all(&bytes).expect("peer write");
+            drop(peer);
+            let got = drain(&rx);
+            assert!(
+                matches!(&got[..], [LinkEvent::Frame(f), LinkEvent::Down(r)]
+                    if f.seq == 0 && r.contains(names)),
+                "{label}: {got:?}"
+            );
         }
-        assert!(la.is_dead());
-        assert!(matches!(la.send(&8u64, None), Err(LinkError::Dead(_))));
-        let stats = la.take_round_stats();
-        assert!(stats.retries >= 3, "retries: {stats:?}");
-        let notes = la.take_notes();
-        assert!(notes
-            .iter()
-            .any(|n| matches!(n, TraceEvent::FrameRetried { .. })));
-        drop(b);
     }
 
     #[test]
-    fn silent_peer_fails_the_heartbeat_and_is_declared_dead() {
+    fn a_clean_stream_delivers_every_frame_once_in_order() {
         let (a, b) = UnixStream::pair().expect("socketpair");
-        let (tx_a, rx_a) = channel();
-        let la = Link::new(
-            a,
-            link_cfg(
-                2,
-                Direction::ToShard,
-                TransportFaultConfig::none(),
-                u32::MAX,
-                Some((Duration::from_millis(20), 3)),
-            ),
-            move |ev| {
-                let _ = tx_a.send(ev);
-            },
-        )
-        .expect("link a");
-        // `b` stays a raw socket: never reads, never answers a ping.
-        let ev = rx_a
-            .recv_timeout(Duration::from_secs(30))
-            .expect("peer-dead event");
-        match ev {
-            LinkEvent::PeerDead(reason) => assert!(reason.contains("heartbeat"), "{reason}"),
-            other => panic!("expected PeerDead, got {other:?}"),
+        let (la, rx_a) = link(a, None);
+        let (lb, rx_b) = link(b, None);
+        for i in 0..40u64 {
+            la.send(&i, (i % 2 == 0).then(|| Bytes::from_static(b"p")))
+                .expect("a->b");
+            lb.send(&(1000 + i), None).expect("b->a");
         }
-        let stats = la.take_round_stats();
-        assert!(stats.heartbeat_missed >= 3, "{stats:?}");
-        let notes = la.take_notes();
-        assert!(notes
-            .iter()
-            .any(|n| matches!(n, TraceEvent::HeartbeatMissed { .. })));
-        drop(b);
+        let metas = |rx: &Receiver<LinkEvent>| -> Vec<String> {
+            let frames = drain(rx).into_iter().map(|ev| match ev {
+                LinkEvent::Frame(f) => String::from_utf8(f.meta.to_vec()).expect("utf-8"),
+                LinkEvent::Down(r) => panic!("healthy link went down: {r}"),
+            });
+            frames.collect()
+        };
+        let want = |base: u64| (base..base + 40).map(|i| i.to_string()).collect::<Vec<_>>();
+        assert_eq!(metas(&rx_b), want(0));
+        assert_eq!(metas(&rx_a), want(1000));
+    }
+
+    #[test]
+    fn silence_past_the_heartbeat_limit_is_one_down() {
+        let (a, _silent_peer) = UnixStream::pair().expect("socketpair");
+        let (la, rx) = link(a, Some((Duration::from_millis(20), 3)));
+        let got = drain(&rx);
+        assert!(
+            matches!(&got[..], [LinkEvent::Down(r)] if r.contains("heartbeat")),
+            "{got:?}"
+        );
+        let misses = (1..=3).map(|misses| TraceEvent::HeartbeatMissed { shard: 0, misses });
+        assert_eq!(la.take_notes(), misses.collect::<Vec<_>>());
+        assert!(la.send(&0u64, None).is_err());
     }
 
     #[test]
     fn responsive_peer_never_trips_the_heartbeat() {
         let (a, b) = UnixStream::pair().expect("socketpair");
-        let (tx_a, rx_a) = channel();
-        let la = Link::new(
-            a,
-            link_cfg(
-                3,
-                Direction::ToShard,
-                TransportFaultConfig::none(),
-                8,
-                Some((Duration::from_millis(15), 3)),
-            ),
-            move |ev| {
-                let _ = tx_a.send(ev);
-            },
-        )
-        .expect("link a");
-        let _lb = Link::new(
-            b,
-            link_cfg(
-                3,
-                Direction::FromShard,
-                TransportFaultConfig::none(),
-                u32::MAX,
-                None,
-            ),
-            move |_| {},
-        )
-        .expect("link b");
+        let (la, rx_a) = link(a, Some((Duration::from_millis(15), 3)));
         // The child side answers pings from its reader thread even though
-        // it never initiates anything; no PeerDead may arrive.
+        // it never initiates anything; no Down may arrive on either side.
+        let (_lb, rx_b) = link(b, None);
         std::thread::sleep(Duration::from_millis(300));
-        assert!(
-            rx_a.try_recv().is_err(),
-            "no event should arrive from a healthy pair"
-        );
-        assert!(!la.is_dead());
-    }
-
-    #[test]
-    fn eof_surfaces_as_down_not_peer_dead() {
-        let (a, b) = UnixStream::pair().expect("socketpair");
-        let (tx_a, rx_a) = channel();
-        let _la = Link::new(
-            a,
-            link_cfg(4, Direction::ToShard, TransportFaultConfig::none(), 8, None),
-            move |ev| {
-                let _ = tx_a.send(ev);
-            },
-        )
-        .expect("link a");
-        drop(b);
-        match rx_a.recv_timeout(Duration::from_secs(10)).expect("event") {
-            LinkEvent::Down(reason) => assert!(reason.contains("closed"), "{reason}"),
-            other => panic!("expected Down, got {other:?}"),
-        }
+        assert!(rx_a.try_recv().is_err() && rx_b.try_recv().is_err());
+        assert!(la.take_notes().is_empty());
     }
 }

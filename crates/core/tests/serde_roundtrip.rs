@@ -423,7 +423,7 @@ fn checkpoint_envelope_tolerates_missing_defaulted_fields() {
 // ---------------------------------------------------------------------------
 
 use fedca_core::client::RoundPlan;
-use fedca_core::config::{FlConfig, ShardAssignment, ShardConfig, TransportFaultConfig};
+use fedca_core::config::{FaultConfig, FlConfig, ShardAssignment, ShardConfig};
 use fedca_core::eager::LayerOutcome;
 use fedca_core::shard::{DoneMsg, FromShard, ToShard, WireEvent, WorkItem};
 use fedca_sim::faults::ClientFaults;
@@ -609,16 +609,8 @@ proptest! {
             spawn_timeout_secs: io * 0.5,
             max_frame_mib: n_shards * 64,
             child_args: vec!["shard_child_entry".into(), "--exact".into()],
-            transport_faults: if mixed == 1 {
-                TransportFaultConfig::chaos(seed)
-            } else {
-                TransportFaultConfig::none()
-            },
             heartbeat_period_ms: io * 10.0,
             heartbeat_missed_limit: n_shards as u32,
-            retry_budget: (n_shards as u32) * 2,
-            resend_initial_ms: io,
-            resend_max_ms: io * 25.0,
             handshake_timeout_secs: io * 0.25,
         };
         let json = serde_json::to_string(&cfg).expect("serialize");
@@ -644,4 +636,33 @@ fn fl_config_tolerates_documents_without_the_shard_section() {
     assert_eq!(back.shard.n_shards, 0, "default stays in-process");
     assert_eq!(back.n_clients, fl.n_clients);
     assert_eq!(back.seed, fl.seed);
+}
+
+/// An `FlConfig` document the commit before the resend protocol was retired
+/// wrote (the fixture is that build's own `serde_json::to_string` output,
+/// with every later-removed `shard` key set to a non-default value) still
+/// loads: the retired keys are ignored, every surviving key keeps its value.
+#[test]
+fn fl_config_written_before_the_link_rewrite_still_loads() {
+    let old = include_str!(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../tests/fixtures/fl_config_pr14.json"
+    ));
+    let fl: FlConfig = serde_json::from_str(old).expect("old configs must keep loading");
+    assert_eq!(
+        fl.shard,
+        ShardConfig {
+            n_shards: 2,
+            assignment: ShardAssignment::Mixed { seed: 9 },
+            io_timeout_secs: 12.5,
+            spawn_timeout_secs: 0.0,
+            max_frame_mib: 64,
+            child_args: vec!["shard_child_entry".into(), "--exact".into()],
+            heartbeat_period_ms: 50.0,
+            heartbeat_missed_limit: 3,
+            handshake_timeout_secs: 1.5,
+        }
+    );
+    assert_eq!((fl.n_clients, fl.seed), (12, 47));
+    assert_eq!(fl.faults, FaultConfig::chaos(47));
 }

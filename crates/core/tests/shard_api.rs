@@ -3,8 +3,9 @@
 //! `ClientDone` out: every wait is bounded (an idle pool times out instead
 //! of hanging), work dispatched with `begin_round` drains through
 //! `recv_timeout` exactly once per item with the client's state coming
-//! home, and a killed shard resolves its outstanding ordinals as failures —
-//! then respawns lazily on the next round that routes it work.
+//! home, and a killed shard's outstanding ordinals are re-run in the root and
+//! complete like any other — then the shard respawns lazily on the next
+//! round that routes it work.
 
 use bytes::Bytes;
 use fedca_core::client::RoundPlan;
@@ -13,6 +14,7 @@ use fedca_core::executor::{ClientDone, ClientWork, RoundCtx};
 use fedca_core::params::ModelLayout;
 use fedca_core::population::ClientFactory;
 use fedca_core::shard::{DoneMsg, FromShard, ShardError, ShardPool};
+use fedca_core::trace::TraceEvent;
 use fedca_core::{Scheme, Workload};
 use fedca_data::PartitionSpec;
 use fedca_sim::device::DynamicsConfig;
@@ -146,37 +148,7 @@ fn real_work_drains_through_recv_timeout_exactly_once_per_item() {
     fx.pool
         .begin_round(fx.work(0, N))
         .expect("dispatch on a healthy pool");
-    let mut ords = BTreeSet::new();
-    for _ in 0..N {
-        match fx
-            .pool
-            .recv_timeout(Duration::from_secs(60))
-            .expect("work must resolve well within the bound")
-        {
-            ClientDone::Completed(done) => {
-                assert_eq!(done.client.id, done.ord, "work was keyed id == ord");
-                assert_eq!(done.report.client_id, done.ord);
-                assert_eq!(done.report.iters_done, 3);
-                assert_eq!(
-                    done.client.participations, 1,
-                    "the checked-out state comes home"
-                );
-                assert!(
-                    done.report
-                        .wire_update
-                        .as_ref()
-                        .is_some_and(|b| !b.is_empty()),
-                    "a fault-free client's wire update travels with Done"
-                );
-                assert!(
-                    ords.insert(done.ord),
-                    "ordinal {} delivered twice",
-                    done.ord
-                );
-            }
-            ClientDone::Failed(f) => panic!("fault-free client failed: {}", f.panic_msg),
-        }
-    }
+    let ords = drain_completed(&mut fx.pool, N, "work must resolve well within the bound");
     assert_eq!(ords, (0..N).collect::<BTreeSet<_>>());
     // The round is drained: the next bounded receive times out.
     assert!(matches!(
@@ -185,76 +157,82 @@ fn real_work_drains_through_recv_timeout_exactly_once_per_item() {
     ));
 }
 
+/// Drains `n` events, all of which must be completions with the client's
+/// state home and its wire update aboard; returns their ordinals.
+fn drain_completed(pool: &mut ShardPool, n: usize, what: &str) -> BTreeSet<usize> {
+    let mut ords = BTreeSet::new();
+    for _ in 0..n {
+        match pool.recv_timeout(Duration::from_secs(60)).expect(what) {
+            ClientDone::Completed(done) => {
+                assert_eq!(done.client.id, done.ord, "work was keyed id == ord");
+                assert_eq!(done.report.client_id, done.ord);
+                assert_eq!(done.report.iters_done, 3);
+                assert_eq!(
+                    done.client.participations, 1,
+                    "the checked-out state comes home"
+                );
+                let update = done.report.wire_update.as_ref();
+                assert!(
+                    update.is_some_and(|b| !b.is_empty()),
+                    "a fault-free client's wire update travels with it"
+                );
+                assert!(ords.insert(done.ord), "ordinal {} twice", done.ord);
+            }
+            ClientDone::Failed(f) => panic!("{what}: healthy work failed: {}", f.panic_msg),
+        }
+    }
+    ords
+}
+
 #[test]
-fn killed_shard_fails_outstanding_work_then_respawns_lazily() {
+fn killed_shard_reruns_outstanding_work_locally_then_respawns_lazily() {
     let mut fx = make_pool(1);
     const N: usize = 3;
 
-    // Kill shard 0 at dispatch of round 0, before any work can land.
+    // Kill shard 0 at dispatch of round 0, before any work can land: the
+    // root runs the cohort itself, and nothing is reported as failed.
     fx.pool.schedule_kill(0, 0, 0);
     fx.pool
         .begin_round(fx.work(0, N))
-        .expect("dispatch still succeeds; the kill degrades to failures");
-    let mut failed = BTreeSet::new();
-    for _ in 0..N {
-        match fx
-            .pool
-            .recv_timeout(Duration::from_secs(60))
-            .expect("the failures must already be queued")
-        {
-            ClientDone::Failed(f) => {
-                assert!(
-                    f.panic_msg.contains("killed"),
-                    "failure must name the kill: {}",
-                    f.panic_msg
-                );
-                assert_eq!(f.client_id, f.ord);
-                assert!(failed.insert(f.ord), "ordinal {} failed twice", f.ord);
-            }
-            ClientDone::Completed(done) => {
-                panic!(
-                    "ordinal {} completed on a shard killed at dispatch",
-                    done.ord
-                )
-            }
-        }
-    }
-    assert_eq!(failed, (0..N).collect::<BTreeSet<_>>());
+        .expect("dispatch still succeeds; the kill degrades to a local run");
+    assert_eq!(fx.pool.child_pid_for_test(0), None, "the child is gone");
+    let ords = drain_completed(&mut fx.pool, N, "the local results must already be queued");
+    assert_eq!(ords, (0..N).collect::<BTreeSet<_>>());
+    let notes = fx.pool.take_round_notes();
+    let quarantines: Vec<_> = notes
+        .iter()
+        .filter_map(|ev| match ev {
+            TraceEvent::ShardQuarantined { reason, .. } => Some(reason.as_str()),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(quarantines, ["killed by kill plan"]);
+    let reassigned = notes
+        .iter()
+        .filter(|ev| matches!(ev, TraceEvent::OrdinalReassigned { shard: 0, .. }))
+        .count();
+    assert_eq!(reassigned, N, "every re-run ordinal is journaled");
 
     // The next round that routes the dead shard work respawns it, and the
-    // same cohort now completes normally.
+    // same cohort now completes on the shard.
     fx.pool
         .begin_round(fx.work(1, N))
         .expect("lazy respawn on dispatch");
-    let mut ords = BTreeSet::new();
-    for _ in 0..N {
-        match fx
-            .pool
-            .recv_timeout(Duration::from_secs(60))
-            .expect("respawned shard must serve the round")
-        {
-            ClientDone::Completed(done) => {
-                assert!(
-                    ords.insert(done.ord),
-                    "ordinal {} delivered twice",
-                    done.ord
-                );
-            }
-            ClientDone::Failed(f) => {
-                panic!("respawned shard failed healthy work: {}", f.panic_msg)
-            }
-        }
-    }
+    assert!(fx.pool.child_pid_for_test(0).is_some(), "respawned");
+    let ords = drain_completed(&mut fx.pool, N, "respawned shard must serve the round");
     assert_eq!(ords, (0..N).collect::<BTreeSet<_>>());
+    assert!(
+        fx.pool.take_round_notes().is_empty(),
+        "a healthy round is silent"
+    );
 }
 
 /// Exactly-once ingest property: duplicated, reordered, and
 /// stale-incarnation `Done`/`Failed` frames injected straight into the
 /// coordinator's event queue resolve each ordinal exactly once, never
-/// double-fold, and never wedge the pool. The supervised link normally
-/// filters all of these by sequence number; the coordinator's
-/// ordinal-keyed dedup must stay correct even if a ghost leaks through
-/// (or a test injects one). Randomized injection schedules are drawn from
+/// double-fold, and never wedge the pool. A link delivers each frame once
+/// and dies on any sequence gap, so nothing but a test produces these; the
+/// coordinator's ordinal-keyed claim must stay correct all the same. Randomized injection schedules are drawn from
 /// a fixed-seed [`proptest::TestRng`] directly — each case drives real
 /// shard processes, so the shim's fixed 256-case `proptest!` loop would
 /// be prohibitive.
@@ -339,40 +317,28 @@ fn injected_duplicate_and_stale_frames_never_double_resolve_an_ordinal() {
 }
 
 #[test]
-fn mid_round_kill_fails_exactly_the_unresolved_ordinals() {
+fn mid_round_kill_reruns_exactly_the_unresolved_ordinals() {
     let mut fx = make_pool(1);
     const N: usize = 3;
 
     // Let exactly one event land, then kill the shard: the remaining two
-    // ordinals must resolve as failures without any unbounded wait.
+    // ordinals must complete on the root without any unbounded wait.
     fx.pool.schedule_kill(0, 0, 1);
     fx.pool
         .begin_round(fx.work(0, N))
         .expect("dispatch on a healthy pool");
-    let mut done = BTreeSet::new();
-    let mut failed = BTreeSet::new();
     let t0 = Instant::now();
-    for _ in 0..N {
-        match fx
-            .pool
-            .recv_timeout(Duration::from_secs(60))
-            .expect("every ordinal must resolve, completed or failed")
-        {
-            ClientDone::Completed(c) => {
-                assert!(done.insert(c.ord));
-            }
-            ClientDone::Failed(f) => {
-                assert!(failed.insert(f.ord));
-            }
-        }
-    }
+    let ords = drain_completed(&mut fx.pool, N, "every ordinal must complete");
     assert!(
         t0.elapsed() < Duration::from_secs(60),
         "kill path must not consume the full receive bound"
     );
-    assert_eq!(done.len(), 1, "the kill fires after exactly one event");
-    assert_eq!(failed.len(), N - 1);
-    let mut all = done;
-    all.extend(failed);
-    assert_eq!(all, (0..N).collect::<BTreeSet<_>>());
+    assert_eq!(ords, (0..N).collect::<BTreeSet<_>>());
+    let reassigned = fx
+        .pool
+        .take_round_notes()
+        .iter()
+        .filter(|ev| matches!(ev, TraceEvent::OrdinalReassigned { .. }))
+        .count();
+    assert_eq!(reassigned, N - 1, "the kill fires after exactly one event");
 }

@@ -1,21 +1,21 @@
-//! Transport-chaos suite: byte-level fault injection on the
-//! coordinator↔shard links must be invisible to the trajectory.
+//! Failover table: whatever happens to a shard, the trajectory is the
+//! in-process one.
 //!
-//! The supervised link gives the shard protocol exactly-once, in-order
-//! delivery (sequence numbers, acks, deterministic capped-backoff resends,
-//! payload checksums) plus heartbeat liveness, so any transport fault
-//! schedule under which every message is eventually delivered — or its
-//! shard quarantined and re-executed locally — produces round records,
-//! final parameters, and a canonical trace bit-identical to the fault-free
-//! run, for every topology in the parity matrix. Every case runs inside a
-//! watchdog so a supervision bug that wedges the coordinator fails fast
-//! instead of hanging the suite. Sweep width follows `FEDCA_CHAOS_SEEDS`
-//! (default 8; `scripts/transport_check.sh` runs the 32-seed acceptance
-//! sweep in release mode).
+//! The shard layer has one failure rule — a link fault, a failed (re)spawn,
+//! handshake or dispatch, or an io timeout kills the child and runs the
+//! shard's outstanding `ClientWork` on the root's local executor — so every
+//! way of losing a shard must produce round records, final parameters and a
+//! canonical trace bit-identical to a run that never left the process, for
+//! every topology in the parity matrix, with client-side chaos faults still
+//! on. `n_reassigned > 0` proves the failover path (not a lucky healthy run)
+//! produced the result, and the offstream trace must say which check fired
+//! and which ordinals moved. Every case runs inside a watchdog so a bug that
+//! wedges the coordinator fails fast instead of hanging the suite.
+//! `scripts/shard_check.sh` runs this suite in release mode.
 
-use fedca_core::config::{FaultConfig, FlConfig, TransportFaultConfig};
+use fedca_core::config::{FaultConfig, FlConfig};
 use fedca_core::metrics::RoundRecord;
-use fedca_core::trace::TraceConfig;
+use fedca_core::trace::{TraceConfig, TraceEvent};
 use fedca_core::{Scheme, Trainer, Workload};
 use std::sync::mpsc;
 use std::sync::OnceLock;
@@ -26,22 +26,25 @@ use std::time::Duration;
 // its shard child processes (see `shard::test_child_args`).
 fedca_core::shard_child_entry!();
 
+/// A second re-exec entry point: a child that connects and then never says
+/// a word — no `Hello`, no pongs. Without the socket variable it is an
+/// instant no-op pass, like `shard_child_entry`.
+#[test]
+fn mute_child_entry() {
+    if let Ok(path) = std::env::var(fedca_core::shard::ENV_SOCKET) {
+        let _stream = std::os::unix::net::UnixStream::connect(path).expect("connect");
+        thread::sleep(Duration::from_secs(600));
+    }
+}
+
 const SEED: u64 = 47;
 const ROUNDS: usize = 4;
 
-/// Hard wall-clock budget for one guarded run. Transport chaos stretches
-/// rounds by delays and resends, but never past a few seconds; the budget
-/// is generous so loaded CI machines never flake, while a true hang
-/// (a lost frame nobody resends, an unbounded wait) still fails fast.
+/// Hard wall-clock budget for one guarded run. Failover costs a process
+/// kill and a local re-run, plus a sub-second watchdog in the timeout
+/// scenarios; the budget is generous so loaded CI machines never flake,
+/// while a true hang (an unbounded wait) still fails fast.
 const WATCHDOG: Duration = Duration::from_secs(120);
-
-fn chaos_seeds() -> Vec<u64> {
-    let n: u64 = std::env::var("FEDCA_CHAOS_SEEDS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(8);
-    (0..n).collect()
-}
 
 /// Runs `f` on its own thread and panics if it does not finish within the
 /// watchdog budget — the no-hang assertion every case rides on.
@@ -52,22 +55,22 @@ where
 {
     let (tx, rx) = mpsc::channel();
     let handle = thread::Builder::new()
-        .name(format!("transport-{label}"))
+        .name(format!("failover-{label}"))
         .spawn(move || {
             let _ = tx.send(f());
         })
         .expect("spawn watchdog subject");
     let out = rx
         .recv_timeout(WATCHDOG)
-        .unwrap_or_else(|e| panic!("transport case `{label}` hung or died: {e:?}"));
+        .unwrap_or_else(|e| panic!("failover case `{label}` hung or died: {e:?}"));
     handle
         .join()
-        .expect("transport case panicked after reporting");
+        .expect("failover case panicked after reporting");
     out
 }
 
-/// Client-side chaos stays ON: transport supervision must be invisible
-/// even while clients crash, panic, and lose results in virtual time.
+/// Client-side chaos stays ON: losing a shard must be invisible even while
+/// clients crash, panic, and lose results in virtual time.
 fn base_fl() -> FlConfig {
     FlConfig {
         n_clients: 12,
@@ -81,18 +84,14 @@ fn base_fl() -> FlConfig {
     }
 }
 
-/// Shards the config and arms the transport fault schedule, with resend
-/// knobs tightened so chaos rounds stay fast.
-fn with_transport(mut fl: FlConfig, shards: usize, faults: TransportFaultConfig) -> FlConfig {
+fn sharded_fl(shards: usize, child_entry: &str) -> FlConfig {
+    let mut fl = base_fl();
     fl.shard.n_shards = shards;
-    fl.shard.child_args = fedca_core::shard::test_child_args();
-    fl.shard.transport_faults = faults;
-    fl.shard.resend_initial_ms = 5.0;
-    fl.shard.resend_max_ms = 100.0;
+    fl.shard.child_args = vec![child_entry.into(), "--exact".into(), "--nocapture".into()];
     fl
 }
 
-fn run_study(fl: FlConfig, n_workers: usize) -> Trainer {
+fn trainer(fl: FlConfig, n_workers: usize) -> Trainer {
     let mut t = Trainer::new_with_workers(
         fl,
         Scheme::fedca_default(),
@@ -100,13 +99,11 @@ fn run_study(fl: FlConfig, n_workers: usize) -> Trainer {
         n_workers,
     );
     t.eval_every = 2;
-    t.run(ROUNDS);
     t
 }
 
-/// Zeroes the operational (host-side and transport-supervision) fields
-/// that legitimately differ between runs; everything else must be
-/// bit-identical.
+/// Zeroes the operational (host-side and failover) fields that
+/// legitimately differ between runs; everything else must be bit-identical.
 fn scrubbed(records: &[RoundRecord]) -> Vec<RoundRecord> {
     records
         .iter()
@@ -119,7 +116,6 @@ fn scrubbed(records: &[RoundRecord]) -> Vec<RoundRecord> {
             r.hydrate_host_us = 0.0;
             r.decode_host_us = 0.0;
             r.aggregate_host_us = 0.0;
-            r.n_retries = 0;
             r.n_heartbeat_missed = 0;
             r.n_quarantined = 0;
             r.n_reassigned = 0;
@@ -138,100 +134,166 @@ fn fingerprint(t: &Trainer) -> Fingerprint {
     )
 }
 
-/// The fault-free in-process reference trajectory, computed once.
+/// The in-process reference trajectory, computed once.
 fn reference() -> &'static Fingerprint {
     static REF: OnceLock<Fingerprint> = OnceLock::new();
-    REF.get_or_init(|| fingerprint(&run_study(base_fl(), 2)))
+    REF.get_or_init(|| {
+        let mut t = trainer(base_fl(), 2);
+        t.run(ROUNDS);
+        fingerprint(&t)
+    })
 }
 
-fn assert_matches_reference(got: &Fingerprint, label: &str) {
-    let (ref_records, ref_params, ref_trace) = reference();
-    assert_eq!(&got.0, ref_records, "round records diverged [{label}]");
-    assert_eq!(&got.1, ref_params, "final parameters diverged [{label}]");
-    assert_eq!(&got.2, ref_trace, "canonical trace diverged [{label}]");
+/// SIGSTOPs a process: it stays connected and alive but does nothing, so
+/// no EOF, no error and no frame ever reaches the coordinator — only the
+/// heartbeat can tell.
+fn sigstop(pid: u32) {
+    let status = std::process::Command::new("sh")
+        .args(["-c", &format!("kill -STOP {pid}")])
+        .status()
+        .expect("run kill");
+    assert!(status.success(), "kill -STOP {pid} failed");
 }
 
-/// Per-seed sweep: chaotic drops, duplicates, reorders, delays, and byte
-/// corruption on every link, rotated across the topology matrix. Every
-/// message is eventually delivered (per-frame loss < 1, fresh fault draws
-/// per resend), so each run must be bit-identical to the fault-free
-/// in-process reference — while the retry counters prove the schedule
-/// actually fired.
+/// One way of losing shards: how to configure the federation, what to do
+/// to the pool before each round, and what the quarantine reason must name.
+struct Scenario {
+    name: &'static str,
+    configure: fn(usize) -> FlConfig,
+    before_round: fn(&mut Trainer, usize, usize),
+    reason_names: &'static str,
+}
+
+fn healthy_children(shards: usize) -> FlConfig {
+    sharded_fl(shards, "shard_child_entry")
+}
+
+fn kill_plan(t: &mut Trainer, round: usize, shard: usize, after_done: usize) {
+    t.shard_pool_mut()
+        .expect("trainer is sharded")
+        .schedule_kill(round, shard, after_done);
+}
+
+const SCENARIOS: &[Scenario] = &[
+    Scenario {
+        name: "kill at dispatch",
+        configure: healthy_children,
+        before_round: |t, round, shards| {
+            for s in 0..shards {
+                kill_plan(t, round, s, 0);
+            }
+        },
+        reason_names: "killed by kill plan",
+    },
+    Scenario {
+        // Six clients over at most four shards: some shard always has two,
+        // so the even rounds' kill after one event always strands an
+        // ordinal; the odd rounds kill after two.
+        name: "kill after k events",
+        configure: healthy_children,
+        before_round: |t, round, shards| {
+            for s in 0..shards {
+                kill_plan(t, round, s, 1 + round % 2);
+            }
+        },
+        reason_names: "killed by kill plan",
+    },
+    Scenario {
+        name: "alternating kill every round",
+        configure: healthy_children,
+        before_round: |t, round, shards| {
+            kill_plan(t, round, round % shards, 0);
+            kill_plan(t, round, (round + 1) % shards, 1);
+        },
+        reason_names: "killed by kill plan",
+    },
+    Scenario {
+        name: "child that never says Hello",
+        configure: |shards| {
+            let mut fl = sharded_fl(shards, "mute_child_entry");
+            fl.shard.handshake_timeout_secs = 0.3;
+            fl
+        },
+        before_round: |_, _, _| {},
+        reason_names: "handshake",
+    },
+    Scenario {
+        name: "child stopped so only the heartbeat can notice",
+        configure: |shards| {
+            let mut fl = healthy_children(shards);
+            fl.shard.heartbeat_period_ms = 40.0;
+            fl.shard.heartbeat_missed_limit = 3;
+            fl
+        },
+        before_round: |t, round, shards| {
+            let pool = t.shard_pool_mut().expect("trainer is sharded");
+            for pid in (0..shards).filter_map(|s| pool.child_pid_for_test(s)) {
+                if round % 2 == 1 {
+                    sigstop(pid);
+                }
+            }
+        },
+        reason_names: "heartbeat",
+    },
+    Scenario {
+        name: "every (re)spawn fails",
+        // libtest finds no such test, runs nothing and exits before the
+        // child ever connects.
+        configure: |shards| sharded_fl(shards, "no_such_child_entry"),
+        before_round: |_, _, _| {},
+        reason_names: "failed to start shard process",
+    },
+];
+
 #[test]
-fn chaotic_transport_is_bit_identical_for_every_seed_and_topology() {
+fn every_way_of_losing_a_shard_matches_the_in_process_run_on_every_topology() {
     // Force the reference before the sweep so its cost is not billed to
     // the first guarded case.
-    let _ = reference();
-    for seed in chaos_seeds() {
-        let shards = [1usize, 2, 4][(seed % 3) as usize];
-        let workers = [1usize, 4][(seed % 2) as usize];
-        let label = format!("seed {seed}: {shards} shards x {workers} workers");
-        let (fp, retries) = run_guarded(&label, move || {
-            let fl = with_transport(base_fl(), shards, TransportFaultConfig::chaos(seed));
-            let t = run_study(fl, workers);
-            let retries: usize = t.records().iter().map(|r| r.n_retries).sum();
-            (fingerprint(&t), retries)
-        });
-        assert_matches_reference(&fp, &label);
-        assert!(
-            retries > 0,
-            "chaos schedule injected no retries — faults inert? [{label}]"
-        );
-    }
-}
-
-/// The full PR-8 topology matrix under one fixed chaotic schedule: {1, 2,
-/// 4} shards × {1, 4} workers, each bit-identical to the reference.
-#[test]
-fn one_chaotic_schedule_holds_across_the_full_topology_matrix() {
-    let _ = reference();
-    for shards in [1usize, 2, 4] {
-        for workers in [1usize, 4] {
-            let label = format!("matrix: {shards} shards x {workers} workers");
-            let fp = run_guarded(&label, move || {
-                let fl = with_transport(base_fl(), shards, TransportFaultConfig::chaos(3));
-                fingerprint(&run_study(fl, workers))
-            });
-            assert_matches_reference(&fp, &label);
+    let (ref_records, ref_params, ref_trace) = reference();
+    for scenario in SCENARIOS {
+        for shards in [1usize, 2, 4] {
+            for workers in [1usize, 4] {
+                let label = format!("{}: {shards} shards x {workers} workers", scenario.name);
+                let (fp, reassigned, notes) = run_guarded(&label, move || {
+                    let mut t = trainer((scenario.configure)(shards), workers);
+                    for round in 0..ROUNDS {
+                        (scenario.before_round)(&mut t, round, shards);
+                        t.run_round();
+                    }
+                    let reassigned: usize = t.records().iter().map(|r| r.n_reassigned).sum();
+                    let notes: Vec<TraceEvent> = t
+                        .tracer()
+                        .ring_records()
+                        .into_iter()
+                        .map(|rec| rec.event)
+                        .filter(|ev| !ev.is_canonical())
+                        .collect();
+                    (fingerprint(&t), reassigned, notes)
+                });
+                assert_eq!(&fp.0, ref_records, "round records diverged [{label}]");
+                assert_eq!(&fp.1, ref_params, "final parameters diverged [{label}]");
+                assert_eq!(&fp.2, ref_trace, "canonical trace diverged [{label}]");
+                assert!(reassigned > 0, "the failover path never ran [{label}]");
+                // The trace stays auditable: every quarantine names the
+                // check that fired, every re-run ordinal is journaled.
+                let moved = notes
+                    .iter()
+                    .filter(|ev| matches!(ev, TraceEvent::OrdinalReassigned { .. }))
+                    .count();
+                assert_eq!(moved, reassigned, "unjournaled re-runs [{label}]");
+                let reasons: Vec<&str> = notes
+                    .iter()
+                    .filter_map(|ev| match ev {
+                        TraceEvent::ShardQuarantined { reason, .. } => Some(reason.as_str()),
+                        _ => None,
+                    })
+                    .collect();
+                assert!(
+                    reasons.iter().any(|r| r.contains(scenario.reason_names)),
+                    "no quarantine names `{}` [{label}]: {reasons:?}",
+                    scenario.reason_names
+                );
+            }
         }
     }
-}
-
-/// Graceful degradation: with 100% frame loss no shard can ever complete
-/// its handshake, so every round quarantines the shards and re-executes
-/// all ordinals on the root's local executor — still bit-identical, still
-/// well inside the watchdog, with the quarantine accounting to prove the
-/// degraded path (not a lucky delivery) produced the result.
-#[test]
-fn a_permanently_unreachable_shard_quarantines_and_stays_bit_identical() {
-    let _ = reference();
-    let label = "total transport loss";
-    let (fp, quarantined, reassigned) = run_guarded(label, move || {
-        let mut fl = with_transport(
-            base_fl(),
-            2,
-            TransportFaultConfig {
-                drop_prob: 1.0,
-                ..TransportFaultConfig::none()
-            },
-        );
-        // Tight supervision bounds so total loss is detected in hundreds
-        // of milliseconds, not the defaults' multi-second budgets.
-        fl.shard.handshake_timeout_secs = 1.5;
-        fl.shard.retry_budget = 3;
-        fl.shard.resend_initial_ms = 5.0;
-        fl.shard.resend_max_ms = 40.0;
-        fl.shard.heartbeat_period_ms = 50.0;
-        fl.shard.heartbeat_missed_limit = 3;
-        let t = run_study(fl, 2);
-        let quarantined: usize = t.records().iter().map(|r| r.n_quarantined).sum();
-        let reassigned: usize = t.records().iter().map(|r| r.n_reassigned).sum();
-        (fingerprint(&t), quarantined, reassigned)
-    });
-    assert_matches_reference(&fp, label);
-    assert!(quarantined > 0, "total loss must quarantine shards");
-    assert!(
-        reassigned > 0,
-        "quarantined ordinals must be reassigned to local re-execution"
-    );
 }

@@ -28,7 +28,7 @@
 //! across clients: every `(round, client)` pair seeds its own RNG, so a
 //! plan queried from any number of worker threads yields identical faults.
 
-use crate::stream::{mix, DOMAIN_TRANSPORT};
+use crate::stream::mix;
 use crate::SimTime;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -330,228 +330,6 @@ impl FaultPlan {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Transport faults: deterministic byte-level frame mischief for the shard
-// transport. Where `FaultPlan` attacks *clients* per `(round, client)`, a
-// `TransportFaultPlan` attacks *frames* per `(round, shard, direction, seq)`:
-// drop, duplicate, reorder, delay, or bit-corrupt an individual wire
-// transmission. `seq` is the physical transmission counter, so a retried
-// frame gets a fresh draw — under any probability below 1.0, resend
-// eventually pushes every message through, which is what makes the
-// supervision layer's bit-identity invariant testable.
-// ---------------------------------------------------------------------------
-
-/// Which way a frame is travelling, as a fault-draw coordinate.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum Direction {
-    /// Coordinator → shard child (Init, RoundStart, acks, pings…).
-    ToShard = 0,
-    /// Shard child → coordinator (Hello, Done, acks, pongs…).
-    FromShard = 1,
-}
-
-/// Per-frame fault probabilities and intensities. All probabilities are per
-/// physical transmission; `TransportFaultConfig::none()` (the `Default`)
-/// injects nothing and is behaviourally invisible.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct TransportFaultConfig {
-    /// Seed of the transport fault stream, independent of the experiment
-    /// seed (and domain-separated even when numerically equal to it).
-    #[serde(default)]
-    pub seed: u64,
-    /// Probability a transmitted frame is silently discarded.
-    #[serde(default)]
-    pub drop_prob: f64,
-    /// Probability a transmitted frame is delivered twice.
-    #[serde(default)]
-    pub duplicate_prob: f64,
-    /// Probability a transmitted frame is held back and delivered after the
-    /// next transmission (a one-slot reorder).
-    #[serde(default)]
-    pub reorder_prob: f64,
-    /// Probability a transmitted frame is delayed.
-    #[serde(default)]
-    pub delay_prob: f64,
-    /// Maximum delay (host milliseconds) added to a delayed frame.
-    #[serde(default)]
-    pub delay_max_ms: f64,
-    /// Probability one byte of the frame is XOR-corrupted in flight. The
-    /// shim confines the flip to checksummed bytes (seq, crc, body), so
-    /// corruption always surfaces as a typed checksum mismatch.
-    #[serde(default)]
-    pub corrupt_prob: f64,
-}
-
-impl Default for TransportFaultConfig {
-    fn default() -> Self {
-        TransportFaultConfig::none()
-    }
-}
-
-impl TransportFaultConfig {
-    /// The inert configuration: no frame is ever touched.
-    pub fn none() -> Self {
-        TransportFaultConfig {
-            seed: 0,
-            drop_prob: 0.0,
-            duplicate_prob: 0.0,
-            reorder_prob: 0.0,
-            delay_prob: 0.0,
-            delay_max_ms: 0.0,
-            corrupt_prob: 0.0,
-        }
-    }
-
-    /// A moderate everything-on mix for transport chaos sweeps: every fault
-    /// class has nonzero probability, scaled so retry budgets are rarely
-    /// exhausted and rounds still complete briskly.
-    pub fn chaos(seed: u64) -> Self {
-        TransportFaultConfig {
-            seed,
-            drop_prob: 0.15,
-            duplicate_prob: 0.10,
-            reorder_prob: 0.10,
-            delay_prob: 0.15,
-            delay_max_ms: 20.0,
-            corrupt_prob: 0.10,
-        }
-    }
-
-    /// Whether this configuration can ever touch a frame.
-    pub fn is_inert(&self) -> bool {
-        self.drop_prob == 0.0
-            && self.duplicate_prob == 0.0
-            && self.reorder_prob == 0.0
-            && self.delay_prob == 0.0
-            && self.corrupt_prob == 0.0
-    }
-
-    fn validate(&self) {
-        for (name, p) in [
-            ("drop_prob", self.drop_prob),
-            ("duplicate_prob", self.duplicate_prob),
-            ("reorder_prob", self.reorder_prob),
-            ("delay_prob", self.delay_prob),
-            ("corrupt_prob", self.corrupt_prob),
-        ] {
-            assert!(
-                (0.0..=1.0).contains(&p),
-                "{name} must be in [0, 1], got {p}"
-            );
-        }
-        assert!(self.delay_max_ms >= 0.0, "negative delay_max_ms");
-    }
-}
-
-/// The faults one physical frame transmission suffers.
-#[derive(Clone, Debug, PartialEq)]
-pub struct FrameFaults {
-    /// The frame is silently discarded.
-    pub drop: bool,
-    /// The frame is delivered twice.
-    pub duplicate: bool,
-    /// The frame is held back one transmission slot.
-    pub reorder: bool,
-    /// Extra host milliseconds before the frame is written (0 = on time).
-    pub delay_ms: f64,
-    /// XOR one byte: `(position seed, non-zero mask)`. The shim maps the
-    /// position seed onto the frame's checksummed byte range.
-    pub corrupt: Option<(u64, u8)>,
-}
-
-impl FrameFaults {
-    /// The fault-free assignment.
-    pub fn none() -> Self {
-        FrameFaults {
-            drop: false,
-            duplicate: false,
-            reorder: false,
-            delay_ms: 0.0,
-            corrupt: None,
-        }
-    }
-
-    /// Whether this assignment injects nothing.
-    pub fn is_none(&self) -> bool {
-        *self == FrameFaults::none()
-    }
-}
-
-impl Default for FrameFaults {
-    fn default() -> Self {
-        FrameFaults::none()
-    }
-}
-
-/// A seeded, deterministic transport fault schedule: a pure function from
-/// `(round, shard, direction, seq)` to [`FrameFaults`].
-///
-/// Each coordinate tuple seeds its own RNG, so draws are independent of
-/// query order and topology — the same discipline as [`FaultPlan`], extended
-/// by two coordinates for the transport's geometry.
-#[derive(Clone, Debug)]
-pub struct TransportFaultPlan {
-    cfg: TransportFaultConfig,
-}
-
-impl TransportFaultPlan {
-    /// Builds a plan, validating the configuration.
-    ///
-    /// # Panics
-    /// Panics if any probability is outside `[0, 1]` or the delay bound is
-    /// negative.
-    pub fn new(cfg: TransportFaultConfig) -> Self {
-        cfg.validate();
-        TransportFaultPlan { cfg }
-    }
-
-    /// The configuration this plan draws from.
-    pub fn config(&self) -> &TransportFaultConfig {
-        &self.cfg
-    }
-
-    /// Whether this plan can ever touch a frame.
-    pub fn is_inert(&self) -> bool {
-        self.cfg.is_inert()
-    }
-
-    /// The faults the `seq`-th physical transmission on `(round, shard,
-    /// direction)` suffers. Deterministic in the full coordinate tuple.
-    pub fn draw(&self, round: usize, shard: usize, direction: Direction, seq: u64) -> FrameFaults {
-        if self.cfg.is_inert() {
-            return FrameFaults::none();
-        }
-        let key = mix(
-            mix(self.cfg.seed ^ DOMAIN_TRANSPORT, round as u64, shard as u64),
-            direction as u64,
-            seq,
-        );
-        let mut rng = StdRng::seed_from_u64(key);
-        // Every branch consumes the same number of draws, so toggling one
-        // fault class's probability never reshuffles the others; new classes
-        // must be appended last.
-        let drop_roll = rng.gen_range(0.0..1.0);
-        let dup_roll = rng.gen_range(0.0..1.0);
-        let reorder_roll = rng.gen_range(0.0..1.0);
-        let delay_roll = rng.gen_range(0.0..1.0);
-        let delay = rng.gen_range(0.0..1.0) * self.cfg.delay_max_ms;
-        let corrupt_roll = rng.gen_range(0.0..1.0);
-        let corrupt_pos = rng.gen::<u64>();
-        let corrupt_mask = rng.gen_range(1..=255u8);
-        FrameFaults {
-            drop: drop_roll < self.cfg.drop_prob,
-            duplicate: dup_roll < self.cfg.duplicate_prob,
-            reorder: reorder_roll < self.cfg.reorder_prob,
-            delay_ms: if delay_roll < self.cfg.delay_prob {
-                delay
-            } else {
-                0.0
-            },
-            corrupt: (corrupt_roll < self.cfg.corrupt_prob).then_some((corrupt_pos, corrupt_mask)),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -693,143 +471,5 @@ mod tests {
         let json = serde_json::to_string(&cfg).unwrap();
         let back: FaultConfig = serde_json::from_str(&json).unwrap();
         assert_eq!(back, cfg);
-    }
-
-    #[test]
-    fn inert_transport_plan_draws_nothing() {
-        let plan = TransportFaultPlan::new(TransportFaultConfig::none());
-        assert!(plan.is_inert());
-        for round in 0..5 {
-            for shard in 0..4 {
-                for seq in 0..50 {
-                    assert!(plan.draw(round, shard, Direction::ToShard, seq).is_none());
-                    assert!(plan.draw(round, shard, Direction::FromShard, seq).is_none());
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn zero_probability_transport_draws_nothing_even_with_a_seed() {
-        let plan = TransportFaultPlan::new(TransportFaultConfig {
-            seed: 0xDEAD_BEEF,
-            ..TransportFaultConfig::none()
-        });
-        for seq in 0..50 {
-            assert_eq!(
-                plan.draw(2, 1, Direction::FromShard, seq),
-                FrameFaults::none()
-            );
-        }
-    }
-
-    #[test]
-    fn transport_draws_are_deterministic_and_query_order_free() {
-        let plan = TransportFaultPlan::new(TransportFaultConfig::chaos(7));
-        let a: Vec<_> = (0..100)
-            .map(|s| plan.draw(3, 1, Direction::ToShard, s))
-            .collect();
-        let b: Vec<_> = (0..100)
-            .rev()
-            .map(|s| plan.draw(3, 1, Direction::ToShard, s))
-            .collect();
-        for (s, fa) in a.iter().enumerate() {
-            assert_eq!(*fa, b[99 - s], "seq {s} diverged across query order");
-            assert_eq!(
-                *fa,
-                plan.draw(3, 1, Direction::ToShard, s as u64),
-                "seq {s} not deterministic"
-            );
-        }
-    }
-
-    #[test]
-    fn transport_coordinates_are_all_separated() {
-        // Same seq must draw independently across rounds, shards, and
-        // directions — a topology change must not replay another
-        // coordinate's schedule.
-        let plan = TransportFaultPlan::new(TransportFaultConfig::chaos(13));
-        let base: Vec<_> = (0..200)
-            .map(|s| plan.draw(1, 1, Direction::ToShard, s))
-            .collect();
-        let other_round: Vec<_> = (0..200)
-            .map(|s| plan.draw(2, 1, Direction::ToShard, s))
-            .collect();
-        let other_shard: Vec<_> = (0..200)
-            .map(|s| plan.draw(1, 2, Direction::ToShard, s))
-            .collect();
-        let other_dir: Vec<_> = (0..200)
-            .map(|s| plan.draw(1, 1, Direction::FromShard, s))
-            .collect();
-        assert_ne!(base, other_round, "round must separate schedules");
-        assert_ne!(base, other_shard, "shard must separate schedules");
-        assert_ne!(base, other_dir, "direction must separate schedules");
-    }
-
-    #[test]
-    fn different_transport_seeds_give_different_schedules() {
-        let a = TransportFaultPlan::new(TransportFaultConfig::chaos(1));
-        let b = TransportFaultPlan::new(TransportFaultConfig::chaos(2));
-        let differs = (0..200)
-            .any(|s| a.draw(0, 0, Direction::ToShard, s) != b.draw(0, 0, Direction::ToShard, s));
-        assert!(differs, "transport schedules must depend on the seed");
-    }
-
-    #[test]
-    fn certain_transport_faults_always_fire_within_bounds() {
-        let plan = TransportFaultPlan::new(TransportFaultConfig {
-            seed: 3,
-            drop_prob: 1.0,
-            duplicate_prob: 1.0,
-            reorder_prob: 1.0,
-            delay_prob: 1.0,
-            delay_max_ms: 25.0,
-            corrupt_prob: 1.0,
-        });
-        for seq in 0..100 {
-            let f = plan.draw(1, 0, Direction::FromShard, seq);
-            assert!(f.drop && f.duplicate && f.reorder);
-            assert!((0.0..=25.0).contains(&f.delay_ms));
-            let (_, mask) = f.corrupt.expect("corruption must fire");
-            assert_ne!(mask, 0, "a zero XOR mask would be a no-op");
-        }
-    }
-
-    #[test]
-    fn transport_fault_frequencies_track_probabilities() {
-        let plan = TransportFaultPlan::new(TransportFaultConfig {
-            seed: 11,
-            drop_prob: 0.3,
-            ..TransportFaultConfig::none()
-        });
-        let n = 2000u64;
-        let drops = (0..n)
-            .filter(|&s| plan.draw(0, 0, Direction::ToShard, s).drop)
-            .count();
-        let rate = drops as f64 / n as f64;
-        assert!(
-            (0.25..0.35).contains(&rate),
-            "drop rate {rate} far from 0.3"
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "drop_prob")]
-    fn rejects_out_of_range_transport_probability() {
-        let _ = TransportFaultPlan::new(TransportFaultConfig {
-            drop_prob: 1.5,
-            ..TransportFaultConfig::none()
-        });
-    }
-
-    #[test]
-    fn transport_config_serializes_round_trip() {
-        let cfg = TransportFaultConfig::chaos(9);
-        let json = serde_json::to_string(&cfg).unwrap();
-        let back: TransportFaultConfig = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, cfg);
-        // An empty object is the inert default: old configs keep parsing.
-        let old: TransportFaultConfig = serde_json::from_str("{}").unwrap();
-        assert_eq!(old, TransportFaultConfig::none());
     }
 }

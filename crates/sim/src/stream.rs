@@ -32,14 +32,6 @@ pub const DOMAIN_CLIENT: u64 = 0x434C_4945_4E21_7A05;
 /// gets its own domain so a hash seed equal to the experiment seed cannot
 /// correlate placement with the data partition.
 pub const DOMAIN_TOPOLOGY: u64 = 0x544F_504F_4C21_7A06;
-/// Stream domain: the shard transport's per-frame fault draws
-/// (`TransportFaultPlan`). Transport faults are trajectory-neutral by
-/// construction (the supervision layer recovers every injected fault), but
-/// the schedule still needs its own domain so a transport seed equal to the
-/// experiment seed cannot correlate frame faults with anything the
-/// trajectory depends on.
-pub const DOMAIN_TRANSPORT: u64 = 0x5452_414E_5321_7A07;
-
 /// SplitMix64-style mixing of a master seed with two stream coordinates
 /// (domain/round and client id). Shared by every counter-derived stream in
 /// the workspace, including the fault plan's `(seed, round, client)` draws.
@@ -84,7 +76,6 @@ mod tests {
             DOMAIN_PROFILER,
             DOMAIN_CLIENT,
             DOMAIN_TOPOLOGY,
-            DOMAIN_TRANSPORT,
         ];
         for (i, &a) in domains.iter().enumerate() {
             for &b in &domains[i + 1..] {

@@ -70,6 +70,3 @@ scripts/population_check.sh
 
 echo "== shard check"
 scripts/shard_check.sh
-
-echo "== transport check"
-scripts/transport_check.sh

@@ -1,15 +1,18 @@
 #!/usr/bin/env bash
 # Sharded-execution gate (mirrors population_check.sh):
-#   1. runs the topology-invariance suite in release mode — every topology
-#      in {1, 2, 4} shard processes x {1, 4} workers must be bit-identical
-#      to the in-process run (records, parameters, canonical trace), under
-#      chaos faults, compression, and randomized shard assignments;
+#   1. runs the release-mode topology suites — every topology in {1, 2, 4}
+#      shard processes x {1, 4} workers must be bit-identical to the
+#      in-process run (records, parameters, canonical trace) under chaos
+#      faults, compression and randomized shard assignments
+#      (shard_parity), through the pool API (shard_api), and under every
+#      way of losing a shard: kills, a mute child, a stopped child, spawn
+#      failures (shard_transport, the failover table);
 #   2. runs the `shard` probe at 1 and 4 shard processes on the wrn
 #      workload: the parameter fingerprints must match exactly (release-
-#      mode topology invariance on a real workload), per-topology
-#      throughput must hold a SHARD_MAX_REGRESSION (default 30%) band
-#      against BENCH_shard.json, and the 4-shard run must clear the
-#      speedup gate.
+#      mode topology invariance on a real workload) and the 4-shard run
+#      must clear the within-run speedup gate against the 1-shard run.
+#      No absolute rounds/s floor: a number recorded on another host says
+#      nothing about this one.
 #
 # The speedup gate is core-aware: with >= 4 usable cores the 4-shard
 # topology must deliver SHARD_MIN_SPEEDUP (default 1.5x) the 1-shard round
@@ -22,8 +25,6 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-MAX_REG="${SHARD_MAX_REGRESSION:-30}"
-BASELINE="BENCH_shard.json"
 CORES="$(nproc 2>/dev/null || echo 1)"
 if [ "$CORES" -ge 4 ]; then
   MIN_SPEEDUP="${SHARD_MIN_SPEEDUP:-1.5}"
@@ -32,9 +33,10 @@ else
   echo "shard_check: $CORES core(s) — speedup gate degrades to the ${MIN_SPEEDUP}x overhead bound" >&2
 fi
 
-echo "== topology-invariance suite (release)"
+echo "== topology-invariance and failover suites (release)"
 cargo test --release -q -p fedca-core --test shard_parity
 cargo test --release -q -p fedca-core --test shard_api
+cargo test --release -q -p fedca-core --test shard_transport
 
 echo "== shard throughput probe (release, wrn)"
 cargo build --release -q -p fedca-bench --bin shard
@@ -45,14 +47,7 @@ for S in 1 4; do
   OUT="$(./target/release/shard --shards "$S" --workers 1 --rounds 6 --workload wrn 2>/dev/null)"
   RPS[$S]="$(jq -r '.rounds_per_sec' <<<"$OUT")"
   FP[$S]="$(jq -r '.params_fingerprint' <<<"$OUT")"
-  BASE_RPS="$(jq -r ".topologies[\"$S\"].rounds_per_sec" "$BASELINE")"
-  RPS_FLOOR="$(awk "BEGIN{print $BASE_RPS * (1 - $MAX_REG / 100)}")"
-  if awk "BEGIN{exit !(${RPS[$S]} < $RPS_FLOOR)}"; then
-    echo "shard_check: $S shards at ${RPS[$S]} rounds/s below floor ${RPS_FLOOR} (baseline ${BASE_RPS} - ${MAX_REG}%)" >&2
-    FAIL=1
-  else
-    echo "shard_check: $S shards ${RPS[$S]} rounds/s (baseline ${BASE_RPS}, floor ${RPS_FLOOR}) — ok"
-  fi
+  echo "shard_check: $S shards ${RPS[$S]} rounds/s"
 done
 
 if [ "${FP[1]}" != "${FP[4]}" ]; then
