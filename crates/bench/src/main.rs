@@ -1,0 +1,81 @@
+//! `fedca-bench <study>… | all | list | probe-population | probe-shard`: see
+//! the library docs and `fedca-bench list`.
+
+use fedca_bench::cli::usage;
+use fedca_bench::{probe, studies, Cells, Cli, CliError, Command, ExpScale, Log};
+use std::fs::{self, File};
+use std::io::Write;
+use std::path::Path;
+
+fn main() {
+    // Shard children re-enter this binary with no arguments: serve the
+    // protocol and exit. Nothing may read the command line before this.
+    if fedca_core::shard::maybe_run_child() {
+        return;
+    }
+    let code = match Cli::parse(std::env::args().skip(1)).and_then(|cli| run(&cli)) {
+        Ok(code) => code,
+        Err(e) => {
+            eprintln!("fedca-bench: {e}\n{}", usage());
+            2
+        }
+    };
+    std::process::exit(code);
+}
+
+/// Runs the command; the exit code is 1 when a study's verdict failed.
+fn run(cli: &Cli) -> Result<i32, CliError> {
+    match &cli.command {
+        Command::List => print!("{}", studies::list()),
+        Command::ProbePopulation => println!("{}", probe::population(cli)?),
+        Command::ProbeShard => println!("{}", probe::shard(cli)?),
+        Command::Studies(names) => return run_studies(cli, names),
+    }
+    Ok(0)
+}
+
+/// Runs the studies in order over one shared cell store, so a trajectory
+/// two studies read is trained once. A failed verdict does not stop the
+/// studies after it.
+fn run_studies(cli: &Cli, names: &[&'static str]) -> Result<i32, CliError> {
+    let io_error =
+        |path: &Path, e: std::io::Error| CliError::Io(format!("{}: {e}", path.display()));
+    let mut cells = Cells::new(cli);
+    for name in names {
+        let study = studies::find(name).expect("parse() only admits registry names");
+        let mut csv_path = None;
+        if let Some(dir) = &cli.out {
+            fs::create_dir_all(dir).map_err(|e| io_error(dir, e))?;
+            let log_path = dir.join(format!("{name}.log"));
+            let log = File::create(&log_path).map_err(|e| io_error(&log_path, e))?;
+            cells.log = Log(Some(log));
+            csv_path = Some(dir.join(format!("{name}.csv")));
+            eprintln!("[fedca-bench] {name} -> {}", dir.display());
+        }
+        // Provenance: GEMM tiers differ in low-order bits, so a committed
+        // CSV only reproduces on the tier its log names.
+        let kernel = fedca_tensor::gemm::active_kernel().name();
+        let (scale, seed) = (cli.scale.pick(ExpScale::NAMES), cli.seed());
+        cells.note(format!(
+            "{name}: scale {scale}, seed {seed}, gemm kernel {kernel}"
+        ));
+        let mut csv = format!("{}\n", study.header);
+        for row in (study.run)(study, &mut cells) {
+            csv.push_str(&row);
+            csv.push('\n');
+        }
+        match &csv_path {
+            Some(path) => fs::write(path, csv).map_err(|e| io_error(path, e))?,
+            // A closed stdout (`| head`) must not panic the run.
+            None => drop(std::io::stdout().write_all(csv.as_bytes())),
+        }
+    }
+    if cells.verdicts_failed.is_empty() {
+        return Ok(0);
+    }
+    eprintln!(
+        "[fedca-bench] verdict failed: {}",
+        cells.verdicts_failed.join(" ")
+    );
+    Ok(1)
+}

@@ -47,6 +47,22 @@ for w in cnn_fedca wide_int8; do
   fi
 done
 
+# The committed smoke results are what the tree prints: regenerate the whole
+# study in one process and diff. Recorded on the AVX2 tier, like the
+# fingerprints above; other tiers print and skip.
+echo "== study smoke vs results/smoke"
+if [[ "$kernel" == "avx2" ]]; then
+  cargo build --release -q -p fedca-bench
+  tmp="$(mktemp -d)"
+  trap 'rm -rf "$tmp"' EXIT
+  ./target/release/fedca-bench all --scale smoke --out "$tmp"
+  diff -r -x '*.log' "$tmp" results/smoke \
+    || { echo "study smoke: CSVs differ from results/smoke (regenerate with fedca-bench all --scale smoke --out results/smoke)" >&2; exit 1; }
+  echo "study smoke: 14 CSVs match results/smoke — ok"
+else
+  echo "study smoke: kernel $kernel (results/smoke is avx2; skipped)"
+fi
+
 echo "== chaos sweep"
 scripts/chaos.sh "${CHAOS_SEEDS:-32}"
 
@@ -55,6 +71,11 @@ scripts/trace_check.sh
 
 echo "== recovery check"
 scripts/recovery_check.sh
+
+# Host-independent gates (within-run ratios, bit-identity) all run before
+# the first gate that compares against numbers recorded on another host.
+echo "== shard check"
+scripts/shard_check.sh
 
 echo "== perf check"
 scripts/perf_check.sh
@@ -67,6 +88,3 @@ scripts/dataplane_check.sh
 
 echo "== population check"
 scripts/population_check.sh
-
-echo "== shard check"
-scripts/shard_check.sh

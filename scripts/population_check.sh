@@ -2,7 +2,7 @@
 # Virtual-population gate (mirrors perf_check.sh):
 #   1. runs the eager-vs-lazy parity suite in release mode — the lazy
 #      client store must be bit-identical to materializing everyone;
-#   2. runs the `population` probe once per pinned size (one process per
+#   2. runs `fedca-bench probe-population` once per pinned size (one process per
 #      size: peak RSS is process-monotone) and compares throughput and
 #      peak memory against BENCH_population.json.
 #
@@ -23,11 +23,11 @@ echo "== population parity suite (release)"
 cargo test --release -q -p fedca-core --test population_parity
 
 echo "== population scaling probe (release)"
-cargo build --release -q -p fedca-bench --bin population
+cargo build --release -q -p fedca-bench
 
 FAIL=0
 for N in $(jq -r '.populations | keys[]' "$BASELINE"); do
-  OUT="$(./target/release/population --n-clients "$N" --cohort 128 --rounds 50 2>/dev/null)"
+  OUT="$(./target/release/fedca-bench probe-population --n-clients "$N" --cohort 128 --rounds 50 2>/dev/null)"
   RPS="$(jq -r '.rounds_per_sec' <<<"$OUT")"
   RSS="$(jq -r '.peak_rss_mib' <<<"$OUT")"
   BASE_RPS="$(jq -r ".populations[\"$N\"].rounds_per_sec" "$BASELINE")"

@@ -17,22 +17,21 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-BIN=ext_dropout
-export FEDCA_SCALE=smoke FEDCA_SEED=7
+STUDY=(target/release/fedca-bench ext_dropout --scale smoke --seed 7)
 WORK="$(mktemp -d)"
 trap 'rm -rf "$WORK"' EXIT
 CKPT="$WORK/ckpt"
 GEN2="$CKPT/checkpoint-000002.ckpt"
 
-echo "== recovery check: building $BIN (release)"
-cargo build --release -q -p fedca-bench --bin "$BIN"
+echo "== recovery check: building fedca-bench (release)"
+cargo build --release -q -p fedca-bench
 
 echo "== reference run (uninterrupted, no checkpointing)"
-"target/release/$BIN" >"$WORK/reference.csv" 2>"$WORK/reference.log"
+"${STUDY[@]}" >"$WORK/reference.csv" 2>"$WORK/reference.log"
 
 echo "== doomed run (SIGKILL once generation 2 lands)"
 set +e
-"target/release/$BIN" --checkpoint-dir "$CKPT" \
+"${STUDY[@]}" --checkpoint-dir "$CKPT" \
   >"$WORK/doomed.csv" 2>"$WORK/doomed.log" &
 PID=$!
 for _ in $(seq 1 1200); do
@@ -50,7 +49,7 @@ if [ ! -f "$GEN2" ]; then
 fi
 
 echo "== resumed run (--resume from $CKPT)"
-"target/release/$BIN" --checkpoint-dir "$CKPT" --resume \
+"${STUDY[@]}" --checkpoint-dir "$CKPT" --resume \
   >"$WORK/resumed.csv" 2>"$WORK/resumed.log"
 
 if ! grep -q "resumed from" "$WORK/resumed.log"; then

@@ -7,7 +7,7 @@
 #      (shard_parity), through the pool API (shard_api), and under every
 #      way of losing a shard: kills, a mute child, a stopped child, spawn
 #      failures (shard_transport, the failover table);
-#   2. runs the `shard` probe at 1 and 4 shard processes on the wrn
+#   2. runs `fedca-bench probe-shard` at 1 and 4 shard processes on the wrn
 #      workload: the parameter fingerprints must match exactly (release-
 #      mode topology invariance on a real workload) and the 4-shard run
 #      must clear the within-run speedup gate against the 1-shard run.
@@ -39,12 +39,12 @@ cargo test --release -q -p fedca-core --test shard_api
 cargo test --release -q -p fedca-core --test shard_transport
 
 echo "== shard throughput probe (release, wrn)"
-cargo build --release -q -p fedca-bench --bin shard
+cargo build --release -q -p fedca-bench
 
 FAIL=0
 declare -A RPS FP
 for S in 1 4; do
-  OUT="$(./target/release/shard --shards "$S" --workers 1 --rounds 6 --workload wrn 2>/dev/null)"
+  OUT="$(./target/release/fedca-bench probe-shard --shards "$S" --workers 1 --rounds 6 --workload wrn 2>/dev/null)"
   RPS[$S]="$(jq -r '.rounds_per_sec' <<<"$OUT")"
   FP[$S]="$(jq -r '.params_fingerprint' <<<"$OUT")"
   echo "shard_check: $S shards ${RPS[$S]} rounds/s"
