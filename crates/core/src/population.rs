@@ -416,15 +416,6 @@ impl ClientStore {
         (self.round_hydrated, self.round_evicted)
     }
 
-    /// Hydrates the entire population (the eager path: parity tests and
-    /// small federations).
-    pub fn hydrate_all(&mut self) -> Result<(), TrainerError> {
-        for id in 0..self.factory.fl.n_clients {
-            self.hydrate(id)?;
-        }
-        Ok(())
-    }
-
     /// The mutated-client set for a checkpoint: the dirty overlay plus every
     /// resident client that participated, sorted by id. Errors if any client
     /// is still checked out (a checkpoint only runs between rounds).

@@ -291,12 +291,6 @@ impl Trainer {
         &self.store
     }
 
-    /// Hydrates the entire population up front — the eager path. Only
-    /// sensible for small federations (parity tests, examples).
-    pub fn hydrate_all(&mut self) -> Result<(), TrainerError> {
-        self.store.hydrate_all()
-    }
-
     /// Current global parameters.
     pub fn global_params(&self) -> &[f32] {
         self.server.global().as_slice()

@@ -321,29 +321,6 @@ impl Server {
             decode_host_us: 0.0,
         }
     }
-
-    /// Collects the earliest `aggregation_fraction` of uploads, applies the
-    /// weighted-mean update to the global model, and updates the duration
-    /// estimates of the collected clients.
-    ///
-    /// Batch convenience over [`Server::begin_round`]: ingests every report
-    /// in order and closes the streaming aggregator.
-    ///
-    /// # Panics
-    /// Panics if `reports` is empty.
-    pub fn aggregate_round(
-        &mut self,
-        round_start: SimTime,
-        reports: &[ClientRoundReport],
-    ) -> AggregationResult {
-        assert!(!reports.is_empty(), "no client reports");
-        let mut agg = self.begin_round(round_start, reports.len());
-        for (ord, r) in reports.iter().enumerate() {
-            agg.ingest(ord, r.clone());
-        }
-        let (result, _reports) = agg.close(self);
-        result
-    }
 }
 
 /// Incremental aggregation state for one round.
@@ -352,7 +329,7 @@ impl Server {
 /// arrival cut is tracked incrementally via [`ArrivalCut`]. The actual
 /// weighted fold is deferred to [`close`](Self::close), where it runs over
 /// the collected reports in canonical (report-ordinal) order — so the
-/// result is bit-identical to the batch path regardless of ingestion order.
+/// result is bit-identical regardless of ingestion order.
 pub struct StreamingAggregator {
     round_start: SimTime,
     layout: Arc<ModelLayout>,
@@ -560,6 +537,16 @@ mod tests {
         }]))
     }
 
+    /// The batch oracle: every report ingested in ordinal order, then one
+    /// close.
+    fn aggregate_round(server: &mut Server, reports: &[ClientRoundReport]) -> AggregationResult {
+        let mut agg = server.begin_round(0.0, reports.len());
+        for (ord, r) in reports.iter().enumerate() {
+            agg.ingest(ord, r.clone());
+        }
+        agg.close(server).0
+    }
+
     /// A report whose upload is `update` shipped as one dense wire layer.
     fn report(
         client_id: usize,
@@ -659,7 +646,7 @@ mod tests {
             report(0, 1.0, vec![1.0, 0.0], 1.0),
             report(1, 2.0, vec![3.0, 0.0], 3.0),
         ];
-        let res = s.aggregate_round(0.0, &reports);
+        let res = aggregate_round(&mut s, &reports);
         assert_eq!(res.collected, vec![0, 1]);
         // Weighted mean: (1·1 + 3·3)/4 = 2.5 on the first coordinate.
         assert!((s.global().as_slice()[0] - 12.5).abs() < 1e-5);
@@ -675,7 +662,7 @@ mod tests {
             report(3, 2.0, vec![-1.5, 0.25], 3.0),
         ];
         let mut batch = server();
-        let batch_res = batch.aggregate_round(0.0, &reports);
+        let batch_res = aggregate_round(&mut batch, &reports);
 
         // Ingest in a scrambled completion order; results must be
         // bit-identical to the batch path.
@@ -708,7 +695,7 @@ mod tests {
             report(3, 1.5, vec![2.0, 0.0], 2.0),
         ];
         let mut batch = server();
-        let _ = batch.aggregate_round(0.0, &survivors);
+        let _ = aggregate_round(&mut batch, &survivors);
 
         let mut streaming = server();
         let mut agg = streaming.begin_round(0.0, 4);
@@ -774,7 +761,7 @@ mod tests {
             .map(|i| report(i, 1.0 + i as f64 * 0.01, vec![0.1, 0.0], 1.0))
             .collect();
         reports.push(report(9, 100.0, vec![1000.0, 0.0], 1.0));
-        let res = s.aggregate_round(0.0, &reports);
+        let res = aggregate_round(&mut s, &reports);
         assert_eq!(res.collected.len(), 9);
         assert!(!res.collected.contains(&9));
         assert!((s.global().as_slice()[0] - 0.1).abs() < 1e-5);
@@ -790,7 +777,7 @@ mod tests {
             report(1, 2.0, vec![3.0, 0.0], 1.0),
         ];
         let mut baseline = server();
-        let _ = baseline.aggregate_round(0.0, &clean);
+        let _ = aggregate_round(&mut baseline, &clean);
 
         let mut s = server();
         let mut agg = s.begin_round(0.0, 3);
@@ -993,8 +980,8 @@ mod tests {
     #[test]
     fn server_state_snapshot_restores_exactly() {
         let mut a = server();
-        let _ = a.aggregate_round(
-            0.0,
+        let _ = aggregate_round(
+            &mut a,
             &[
                 report(0, 1.0, vec![1.0, -1.0], 1.0),
                 report(1, 2.0, vec![0.5, 0.5], 2.0),

@@ -4,7 +4,7 @@
 use fedca_compress::wire::{self, Payload, UpdateMessage};
 use fedca_core::client::ClientRoundReport;
 use fedca_core::params::ModelLayout;
-use fedca_core::server::Server;
+use fedca_core::server::{AggregationResult, Server};
 use fedca_nn::model::ParamSpan;
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -56,6 +56,16 @@ fn server() -> Server {
     Server::new(layout(), vec![0.0; DIM], 0.9, 5.0)
 }
 
+/// The batch reference: every report ingested in ordinal order, then one
+/// close.
+fn aggregate_round(server: &mut Server, reports: &[ClientRoundReport]) -> AggregationResult {
+    let mut agg = server.begin_round(0.0, reports.len());
+    for (ord, r) in reports.iter().enumerate() {
+        agg.ingest(ord, r.clone());
+    }
+    agg.close(server).0
+}
+
 proptest! {
     #[test]
     fn streaming_aggregation_matches_batch_for_any_arrival_order(
@@ -86,7 +96,7 @@ proptest! {
         // The batch reference sees failed clients as +inf stragglers whose
         // update never aggregates — the paper-§5.1 cut semantics.
         let mut batch = server();
-        let batch_res = batch.aggregate_round(0.0, &reports);
+        let batch_res = aggregate_round(&mut batch, &reports);
 
         let mut order: Vec<usize> = (0..n).collect();
         order.sort_by_key(|&i| (prios[i], i));

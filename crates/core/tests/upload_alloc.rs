@@ -96,7 +96,6 @@ fn wide_workload(seed: u64) -> Workload {
 
 #[test]
 fn warmed_up_int8_round_allocates_only_the_wire_buffer() {
-    std::env::set_var("FEDCA_THREADS", "1");
     let w = wide_workload(5);
     let mut arena = ClientArena::new(&w);
     assert_eq!(arena.model.num_params(), PARAMS);

@@ -86,9 +86,6 @@ fn assert_zero_alloc_steady_state(name: &str, mut model: Model, x: Tensor, y: Ve
 
 #[test]
 fn warmed_up_training_iteration_allocates_nothing() {
-    // Single-threaded GEMM keeps the measurement on this thread only (the
-    // latch reads the env var on first use, before any tensor op runs).
-    std::env::set_var("FEDCA_THREADS", "1");
     let mut rng = StdRng::seed_from_u64(99);
     let n = 16;
 

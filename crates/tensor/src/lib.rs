@@ -5,22 +5,20 @@
 //! The FedCA paper ([Lyu et al., ICPP '24]) implements its mechanism atop
 //! PyTorch; this crate is the from-scratch replacement for the slice of
 //! PyTorch the paper actually uses: dense row-major `f32` tensors, the
-//! linear-algebra kernels needed for forward/backward passes (blocked and
-//! optionally multi-threaded matrix multiplication, elementwise maps,
-//! reductions), and the vector geometry (dot products, norms, cosine
-//! similarity) at the heart of the paper's *statistical progress* metric
-//! (Eq. 1).
+//! linear-algebra kernels needed for forward/backward passes (packed,
+//! cache-blocked matrix multiplication, elementwise maps, reductions), and
+//! the vector geometry (dot products, norms, cosine similarity) at the
+//! heart of the paper's *statistical progress* metric (Eq. 1).
 //!
 //! Design notes, following the HPC-Rust guidance this repo was built under:
 //!
 //! * Hot kernels take slices, not `Vec`s, and write into caller-provided
 //!   buffers where it matters (`matmul_into`, `Tensor::add_assign`) so inner
 //!   loops allocate nothing.
-//! * Parallelism is explicit and scoped: [`parallel::par_chunks_mut`] splits
-//!   work across threads with `crossbeam::scope`, guaranteeing data-race
-//!   freedom without a global runtime. Kernels fall back to the sequential
-//!   path below a size threshold because thread spawn latency dominates for
-//!   the small layers FL clients train.
+//! * Every kernel is single-threaded. FL clients are independent, so the
+//!   one level of parallelism is across clients — `fedca-core`'s round
+//!   executor owns the threads and each worker calls these kernels; the
+//!   only per-thread state here is `gemm`'s pack scratch.
 //! * Everything is deterministic given a seed: random init goes through
 //!   caller-supplied [`rand::Rng`] state, never a thread-local generator.
 //!
@@ -30,7 +28,6 @@ pub mod dataplane;
 pub mod gemm;
 pub mod linalg;
 pub mod ops;
-pub mod parallel;
 pub mod shape;
 pub mod simd;
 pub mod tensor;

@@ -11,10 +11,8 @@
 //! caller-provided tensors so hot loops allocate nothing.
 //!
 //! Every variant routes through the packed, register-blocked engine in
-//! [`crate::gemm`] — one kernel, one blocking scheme, one parallel schedule.
-//! Parallelism uses the shared [`crate::parallel::matmul_thread_count`]
-//! heuristic (including the weight-gradient path, which historically stayed
-//! single-threaded), and results are bit-identical across thread counts.
+//! [`crate::gemm`] — one kernel, one blocking scheme, one single-threaded
+//! tile schedule per dispatch tier.
 //!
 //! # Accumulation policy
 //!
@@ -284,8 +282,8 @@ mod tests {
     }
 
     #[test]
-    fn large_matmul_parallel_path_agrees() {
-        // Big enough to cross PAR_FLOPS_THRESHOLD with >1 thread configured.
+    fn large_matmul_agrees() {
+        // Over 2^20 multiply-adds, two MC row blocks tall.
         let mut rng = StdRng::seed_from_u64(8);
         let a = Tensor::randn([128, 96], 1.0, &mut rng);
         let b = Tensor::randn([96, 112], 1.0, &mut rng);

@@ -2,13 +2,11 @@
 //!
 //! Checks every transpose variant against a naive f64 reference over random
 //! shapes — including zero dims, non-tile-multiple m/n/k, and degenerate
-//! 1×1 / single-row / single-column cases — plus the thread-count-invariance
-//! property: the fixed tile schedule must produce the *same bits* no matter
-//! how many threads compute the output.
+//! 1×1 / single-row / single-column cases — on the dispatched tier and on
+//! every tier the host can run, and every SIMD tier against the scalar one.
 
 use fedca_tensor::gemm::{
-    active_kernel, available_kernels, gemm_acc_with_threads, gemm_acc_with_threads_on, Kernel, KC,
-    MR, NR,
+    active_kernel, available_kernels, gemm_acc, gemm_acc_on, Kernel, KC, MR, NR,
 };
 use fedca_tensor::{ops, Tensor};
 use proptest::prelude::*;
@@ -82,26 +80,10 @@ fn structural_shapes_match_f64_reference_all_variants() {
                 let a = randn(m * k, &mut rng);
                 let b = randn(k * n, &mut rng);
                 let mut c = vec![0.0f32; m * n];
-                gemm_acc_with_threads(ta, tb, m, n, k, &a, &b, &mut c, 1);
+                gemm_acc(ta, tb, m, n, k, &a, &b, &mut c);
                 let want = naive(ta, tb, m, n, k, &a, &b);
                 assert_close(&c, &want, &format!("({m},{n},{k}) ta={ta} tb={tb}"));
             }
-        }
-    }
-}
-
-#[test]
-fn thread_count_invariance_on_structural_shapes() {
-    let mut rng = StdRng::seed_from_u64(43);
-    for (m, n, k) in structural_shapes() {
-        let a = randn(m * k, &mut rng);
-        let b = randn(k * n, &mut rng);
-        let mut c1 = vec![0.0f32; m * n];
-        gemm_acc_with_threads(false, false, m, n, k, &a, &b, &mut c1, 1);
-        for threads in [2, 4, 5] {
-            let mut ct = vec![0.0f32; m * n];
-            gemm_acc_with_threads(false, false, m, n, k, &a, &b, &mut ct, threads);
-            assert_eq!(c1, ct, "({m},{n},{k}) threads={threads} changed bits");
         }
     }
 }
@@ -115,25 +97,14 @@ fn ops_wrappers_route_through_the_same_kernel() {
     let a = Tensor::randn([m, k], 1.0, &mut rng);
     let b = Tensor::randn([k, n], 1.0, &mut rng);
     let mut raw = vec![0.0f32; m * n];
-    gemm_acc_with_threads(
-        false,
-        false,
-        m,
-        n,
-        k,
-        a.as_slice(),
-        b.as_slice(),
-        &mut raw,
-        1,
-    );
+    gemm_acc(false, false, m, n, k, a.as_slice(), b.as_slice(), &mut raw);
     assert_eq!(ops::matmul(&a, &b).as_slice(), &raw[..]);
 }
 
 // ---------------------------------------------------------------------------
 // Tiered parity: every compiled SIMD tier vs the f64 reference and vs the
-// scalar tier, plus per-tier thread bit-invariance. These run on the
-// explicit-kernel entry point so one process covers all tiers regardless of
-// what the global dispatch latched to.
+// scalar tier. These run on the explicit-kernel entry point so one process
+// covers all tiers regardless of what the global dispatch latched to.
 // ---------------------------------------------------------------------------
 
 #[test]
@@ -147,7 +118,7 @@ fn every_tier_matches_f64_reference_on_structural_shapes() {
                 let want = naive(ta, tb, m, n, k, &a, &b);
                 for kernel in available_kernels() {
                     let mut c = vec![0.0f32; m * n];
-                    gemm_acc_with_threads_on(kernel, ta, tb, m, n, k, &a, &b, &mut c, 1);
+                    gemm_acc_on(kernel, ta, tb, m, n, k, &a, &b, &mut c);
                     assert_close(
                         &c,
                         &want,
@@ -169,49 +140,15 @@ fn every_tier_stays_within_fma_rounding_of_scalar() {
         let a = randn(m * k, &mut rng);
         let b = randn(k * n, &mut rng);
         let mut scalar = vec![0.0f32; m * n];
-        gemm_acc_with_threads_on(
-            Kernel::Scalar,
-            false,
-            false,
-            m,
-            n,
-            k,
-            &a,
-            &b,
-            &mut scalar,
-            1,
-        );
+        gemm_acc_on(Kernel::Scalar, false, false, m, n, k, &a, &b, &mut scalar);
         for kernel in available_kernels() {
             let mut c = vec![0.0f32; m * n];
-            gemm_acc_with_threads_on(kernel, false, false, m, n, k, &a, &b, &mut c, 1);
+            gemm_acc_on(kernel, false, false, m, n, k, &a, &b, &mut c);
             for (i, (&x, &y)) in c.iter().zip(&scalar).enumerate() {
                 let tol = 2.0 * f32::EPSILON * (k as f32).max(1.0) * (1.0 + y.abs());
                 assert!(
                     (x - y).abs() <= tol,
                     "{} ({m},{n},{k})[{i}]: {x} vs scalar {y}",
-                    kernel.name()
-                );
-            }
-        }
-    }
-}
-
-#[test]
-fn every_tier_is_thread_count_invariant() {
-    let mut rng = StdRng::seed_from_u64(47);
-    for kernel in available_kernels() {
-        for (m, n, k) in structural_shapes() {
-            let a = randn(m * k, &mut rng);
-            let b = randn(k * n, &mut rng);
-            let mut c1 = vec![0.0f32; m * n];
-            gemm_acc_with_threads_on(kernel, false, false, m, n, k, &a, &b, &mut c1, 1);
-            for threads in [2, 4, 5] {
-                let mut ct = vec![0.0f32; m * n];
-                gemm_acc_with_threads_on(kernel, false, false, m, n, k, &a, &b, &mut ct, threads);
-                assert_eq!(
-                    c1,
-                    ct,
-                    "{} ({m},{n},{k}) threads={threads} changed bits",
                     kernel.name()
                 );
             }
@@ -265,7 +202,7 @@ proptest! {
         let want = naive(ta, tb, m, n, k, &a, &b);
         for kernel in available_kernels() {
             let mut c = vec![0.0f32; m * n];
-            gemm_acc_with_threads_on(kernel, ta, tb, m, n, k, &a, &b, &mut c, 1);
+            gemm_acc_on(kernel, ta, tb, m, n, k, &a, &b, &mut c);
             for (i, (&x, &y)) in c.iter().zip(want.iter()).enumerate() {
                 let tol = 1e-4 * (1.0 + x.abs().max(y.abs()));
                 prop_assert!(
@@ -273,26 +210,6 @@ proptest! {
                     "{} [{i}]: {x} vs {y}", kernel.name()
                 );
             }
-        }
-    }
-
-    #[test]
-    fn random_shapes_are_thread_count_invariant_on_every_tier(
-        m in 1usize..50,
-        n in 1usize..30,
-        k in 1usize..60,
-        threads in 2usize..8,
-        seed in 0u64..10_000,
-    ) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let a = randn(m * k, &mut rng);
-        let b = randn(k * n, &mut rng);
-        for kernel in available_kernels() {
-            let mut c1 = vec![0.0f32; m * n];
-            gemm_acc_with_threads_on(kernel, false, false, m, n, k, &a, &b, &mut c1, 1);
-            let mut ct = vec![0.0f32; m * n];
-            gemm_acc_with_threads_on(kernel, false, false, m, n, k, &a, &b, &mut ct, threads);
-            prop_assert_eq!(&c1, &ct, "{} changed bits across threads", kernel.name());
         }
     }
 
@@ -310,29 +227,11 @@ proptest! {
         let a = randn(m * k, &mut rng);
         let b = randn(k * n, &mut rng);
         let mut c = vec![0.0f32; m * n];
-        gemm_acc_with_threads(ta, tb, m, n, k, &a, &b, &mut c, 1);
+        gemm_acc(ta, tb, m, n, k, &a, &b, &mut c);
         let want = naive(ta, tb, m, n, k, &a, &b);
         for (i, (&x, &y)) in c.iter().zip(want.iter()).enumerate() {
             let tol = 1e-4 * (1.0 + x.abs().max(y.abs()));
             prop_assert!((x - y).abs() <= tol, "[{i}]: {x} vs {y}");
         }
-    }
-
-    #[test]
-    fn random_shapes_are_thread_count_invariant(
-        m in 1usize..50,
-        n in 1usize..30,
-        k in 1usize..60,
-        threads in 2usize..8,
-        seed in 0u64..10_000,
-    ) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let a = randn(m * k, &mut rng);
-        let b = randn(k * n, &mut rng);
-        let mut c1 = vec![0.0f32; m * n];
-        gemm_acc_with_threads(false, false, m, n, k, &a, &b, &mut c1, 1);
-        let mut ct = vec![0.0f32; m * n];
-        gemm_acc_with_threads(false, false, m, n, k, &a, &b, &mut ct, threads);
-        prop_assert_eq!(c1, ct);
     }
 }
