@@ -1,19 +1,38 @@
-//! 2-D convolution via batched im2col + one GEMM per batch.
+//! 2-D convolution as im2col + GEMMs that read their operands in place.
 //!
 //! The weight layout is PyTorch's `[out_c, in_c, kh, kw]` flattened to
-//! `[out_c, in_c·kh·kw]` so both forward and backward reduce to the packed
-//! GEMM kernels in `fedca-tensor`. The im2col buffer unrolls the **whole
+//! `[out_c, in_c·kh·kw]`. The im2col buffer `col` unrolls the **whole
 //! batch** into one `[in_c·k·k, N·oh·ow]` matrix (sample `s` occupies the
-//! column band `[s·oh·ow, (s+1)·oh·ow)`), so forward is a single
-//! `W · col` product instead of N small ones, and the buffer is cached
-//! across forward/backward — the backward pass reuses it for the weight
-//! gradient without re-unrolling, and no copy of the input is kept at all.
+//! column band `[s·oh·ow, (s+1)·oh·ow)`) and is kept from forward to
+//! backward; no copy of the input is kept at all. There is one forward and
+//! one backward path:
+//!
+//! * **forward** unrolls a few samples (`BAND_FLOATS` of `col`), multiplies
+//!   that column band — `yt[:, band] = W · col[:, band]`, B read where
+//!   im2col just wrote it, no packing — and moves on, so `col` is consumed
+//!   from cache even when a batch-64 evaluation makes it larger than L2;
+//! * **backward** forms `dW += gt · colᵀ` (the one product that reduces over
+//!   `N·oh·ow`, for which `fedca_tensor::gemm` transposes `col` strip by
+//!   strip in 8×8 register blocks), `db`, and — only when the caller needs
+//!   it — `dcol = Wᵀ · gt` (both operands in place) scattered back by
+//!   `col2im_acc`.
+//!
+//! Every product goes through `fedca_tensor::gemm`, so each output element
+//! follows that module's per-tier summation contract; the band-by-band
+//! forward computes disjoint columns of the one whole-batch product and is
+//! bit-identical to it. `tests/conv_parity.rs` checks forward, `dW`, `db`
+//! and `dX` bit for bit against a naive im2col + contract-order reference.
 
 use crate::init::kaiming_normal;
 use crate::layer::Layer;
 use crate::param::Parameter;
 use crate::workspace::Workspace;
-use fedca_tensor::{ops, Tensor};
+use fedca_tensor::{gemm, ops, Tensor};
+use std::ops::Range;
+
+/// Floats of `col` unrolled between forward GEMM calls (128 KiB): small
+/// enough to still be in L2 when the GEMM reads it back.
+const BAND_FLOATS: usize = 1 << 15;
 
 /// 2-D convolution with square kernel, configurable stride and zero padding.
 pub struct Conv2d {
@@ -27,7 +46,7 @@ pub struct Conv2d {
     // Batched im2col buffer [in_c·k·k, N·oh·ow], persisted across
     // forward/backward; plus the input geometry backward needs.
     col: Tensor,
-    cached_dims: Option<(usize, usize, usize, usize, usize)>, // (n, h, w, oh, ow)
+    geom: Option<Geom>,
 }
 
 impl Conv2d {
@@ -58,7 +77,7 @@ impl Conv2d {
             stride,
             padding,
             col: Tensor::zeros([0]),
-            cached_dims: None,
+            geom: None,
         }
     }
 
@@ -82,138 +101,114 @@ impl Conv2d {
         )
     }
 
-    /// Unrolls one sample into `self.col`'s column band starting at `col0`.
-    /// `ld` is the column stride of the batched buffer (`N·oh·ow`).
-    #[allow(clippy::too_many_arguments)]
-    fn im2col_sample(
-        &mut self,
-        x: &[f32],
-        h: usize,
-        w: usize,
-        oh: usize,
-        ow: usize,
-        ld: usize,
-        col0: usize,
-    ) {
+    /// Unrolls samples `samples` of the batch `x` into their column bands of
+    /// `self.col`. The kernel offsets are the outer loops, so the padding
+    /// spans are worked out `k + k²` times a call and each `(c, di, dj)` row
+    /// of `col` is written as one contiguous run across the samples.
+    fn im2col(&mut self, x: &[f32], g: Geom, samples: Range<usize>) {
         let (k, s, p) = (self.k, self.stride, self.padding);
+        let Geom { n, h, w, oh, ow } = g;
+        let (ohw, chw) = (oh * ow, self.in_c * h * w);
+        let x = &x[samples.start * chw..samples.end * chw];
         let col = self.col.as_mut_slice();
-        let mut row = 0usize;
-        for c in 0..self.in_c {
-            let plane = &x[c * h * w..(c + 1) * h * w];
-            for di in 0..k {
-                for dj in 0..k {
-                    let dst = &mut col[row * ld + col0..row * ld + col0 + oh * ow];
-                    if s == 1 {
-                        // Stride-1 fast path: src_j = j + dj − p, so each
-                        // output row is one contiguous slice of the input
-                        // row flanked by the zero-padding fringe.
-                        let off_j = dj as isize - p as isize;
-                        let j_lo = ((-off_j).max(0) as usize).min(ow);
-                        let j_hi = ((w as isize - off_j).max(j_lo as isize) as usize).min(ow);
-                        for i in 0..oh {
-                            let src_i = (i + di) as isize - p as isize;
-                            let dst_row = &mut dst[i * ow..(i + 1) * ow];
-                            if src_i < 0 || src_i >= h as isize {
-                                dst_row.fill(0.0);
-                                continue;
-                            }
-                            let src_base = src_i as usize * w;
-                            dst_row[..j_lo].fill(0.0);
-                            if j_hi > j_lo {
-                                let s0 = src_base + (j_lo as isize + off_j) as usize;
-                                dst_row[j_lo..j_hi].copy_from_slice(&plane[s0..s0 + (j_hi - j_lo)]);
-                            }
-                            dst_row[j_hi..].fill(0.0);
+        for di in 0..k {
+            let (i_lo, i_hi) = live_span(s, p, di, h, oh);
+            for dj in 0..k {
+                let (j_lo, j_hi) = live_span(s, p, dj, w, ow);
+                let live = j_hi - j_lo;
+                let rows = if live == 0 { 0 } else { i_hi - i_lo };
+                let padded = live < ow || rows < oh;
+                for c in 0..self.in_c {
+                    let row = ((c * k + di) * k + dj) * n * ohw;
+                    let bands = &mut col[row + samples.start * ohw..row + samples.end * ohw];
+                    for (band, xs) in bands.chunks_exact_mut(ohw).zip(x.chunks_exact(chw)) {
+                        if padded {
+                            band.fill(0.0);
                         }
-                        row += 1;
-                        continue;
-                    }
-                    for i in 0..oh {
-                        let src_i = (i * s + di) as isize - p as isize;
-                        let dst_row = &mut dst[i * ow..(i + 1) * ow];
-                        if src_i < 0 || src_i >= h as isize {
-                            dst_row.fill(0.0);
-                            continue;
-                        }
-                        let src_base = src_i as usize * w;
-                        for (j, cell) in dst_row.iter_mut().enumerate() {
-                            let src_j = (j * s + dj) as isize - p as isize;
-                            *cell = if src_j < 0 || src_j >= w as isize {
-                                0.0
+                        // First live output of the band and its source;
+                        // later rows step by `ow` and by `s` input rows.
+                        let mut at = i_lo * ow + j_lo;
+                        let mut from = c * h * w + (i_lo * s + di).saturating_sub(p) * w;
+                        from += (j_lo * s + dj).saturating_sub(p);
+                        for _ in 0..rows {
+                            let dst = &mut band[at..at + live];
+                            if s == 1 {
+                                dst.copy_from_slice(&xs[from..from + live]);
                             } else {
-                                plane[src_base + src_j as usize]
-                            };
+                                for (d, &v) in dst.iter_mut().zip(xs[from..].iter().step_by(s)) {
+                                    *d = v;
+                                }
+                            }
+                            at += ow;
+                            from += s * w;
                         }
                     }
-                    row += 1;
                 }
             }
         }
     }
 
-    /// Scatters one sample's column band of a `[in_c·k·k, N·oh·ow]` gradient
-    /// back onto that input sample.
-    #[allow(clippy::too_many_arguments)]
-    fn col2im_acc(
-        &self,
-        dcol: &[f32],
-        gx: &mut [f32],
-        h: usize,
-        w: usize,
-        oh: usize,
-        ow: usize,
-        ld: usize,
-        col0: usize,
-    ) {
+    /// Adds the `[in_c·k·k, N·oh·ow]` gradient `dcol` back onto the input
+    /// batch `gx`, walking `col` as [`Conv2d::im2col`] does: every input
+    /// cell receives its terms in `(di, dj, i, j)` order.
+    fn col2im_acc(&self, dcol: &[f32], gx: &mut [f32], g: Geom) {
         let (k, s, p) = (self.k, self.stride, self.padding);
-        let mut row = 0usize;
-        for c in 0..self.in_c {
-            let plane = &mut gx[c * h * w..(c + 1) * h * w];
-            for di in 0..k {
-                for dj in 0..k {
-                    let src = &dcol[row * ld + col0..row * ld + col0 + oh * ow];
-                    if s == 1 {
-                        // Stride-1 fast path mirrors `im2col_sample`: the
-                        // in-bounds span of each row is contiguous, and the
-                        // accumulation visits the same cells in the same
-                        // j-order as the general path (bit-identical).
-                        let off_j = dj as isize - p as isize;
-                        let j_lo = ((-off_j).max(0) as usize).min(ow);
-                        let j_hi = ((w as isize - off_j).max(j_lo as isize) as usize).min(ow);
-                        for i in 0..oh {
-                            let dst_i = (i + di) as isize - p as isize;
-                            if dst_i < 0 || dst_i >= h as isize || j_hi == j_lo {
-                                continue;
+        let Geom { n, h, w, oh, ow } = g;
+        let (ohw, chw) = (oh * ow, self.in_c * h * w);
+        for di in 0..k {
+            let (i_lo, i_hi) = live_span(s, p, di, h, oh);
+            for dj in 0..k {
+                let (j_lo, j_hi) = live_span(s, p, dj, w, ow);
+                let live = j_hi - j_lo;
+                let rows = if live == 0 { 0 } else { i_hi - i_lo };
+                for c in 0..self.in_c {
+                    let row = ((c * k + di) * k + dj) * n * ohw;
+                    let bands = dcol[row..row + n * ohw].chunks_exact(ohw);
+                    for (band, gs) in bands.zip(gx.chunks_exact_mut(chw)) {
+                        let mut at = i_lo * ow + j_lo;
+                        let mut to = c * h * w + (i_lo * s + di).saturating_sub(p) * w;
+                        to += (j_lo * s + dj).saturating_sub(p);
+                        for _ in 0..rows {
+                            let src = &band[at..at + live];
+                            if s == 1 {
+                                for (d, &v) in gs[to..to + live].iter_mut().zip(src) {
+                                    *d += v;
+                                }
+                            } else {
+                                for (d, &v) in gs[to..].iter_mut().step_by(s).zip(src) {
+                                    *d += v;
+                                }
                             }
-                            let base = dst_i as usize * w;
-                            let d0 = base + (j_lo as isize + off_j) as usize;
-                            let dst = &mut plane[d0..d0 + (j_hi - j_lo)];
-                            let srow = &src[i * ow + j_lo..i * ow + j_hi];
-                            for (dv, &sv) in dst.iter_mut().zip(srow) {
-                                *dv += sv;
-                            }
-                        }
-                        row += 1;
-                        continue;
-                    }
-                    for i in 0..oh {
-                        let dst_i = (i * s + di) as isize - p as isize;
-                        if dst_i < 0 || dst_i >= h as isize {
-                            continue;
-                        }
-                        let base = dst_i as usize * w;
-                        for j in 0..ow {
-                            let dst_j = (j * s + dj) as isize - p as isize;
-                            if dst_j >= 0 && dst_j < w as isize {
-                                plane[base + dst_j as usize] += src[i * ow + j];
-                            }
+                            at += ow;
+                            to += s * w;
                         }
                     }
-                    row += 1;
                 }
             }
         }
     }
+}
+
+/// Batch and image geometry of one forward call.
+#[derive(Clone, Copy)]
+struct Geom {
+    n: usize,
+    h: usize,
+    w: usize,
+    oh: usize,
+    ow: usize,
+}
+
+/// Along one axis, for kernel offset `d`: the outputs `lo..hi` of `out`
+/// whose source index `o·stride + d − padding` lies inside an input of
+/// extent `len`; every other output reads the zero padding.
+fn live_span(stride: usize, padding: usize, d: usize, len: usize, out: usize) -> (usize, usize) {
+    let lo = padding.saturating_sub(d).div_ceil(stride).min(out);
+    let hi = (len + padding)
+        .saturating_sub(d)
+        .div_ceil(stride)
+        .clamp(lo, out);
+    (lo, hi)
 }
 
 impl Layer for Conv2d {
@@ -235,14 +230,27 @@ impl Layer for Conv2d {
         let ck2 = self.in_c * self.k * self.k;
         let ohw = oh * ow;
         let nohw = n * ohw;
+        let geom = Geom { n, h, w, oh, ow };
         self.col.resize(&[ck2, nohw]);
-        for s in 0..n {
-            let xs = &x.as_slice()[s * c * h * w..(s + 1) * c * h * w];
-            self.im2col_sample(xs, h, w, oh, ow, nohw, s * ohw);
+        // yt[out_c, N·oh·ow] = W · col, a few samples at a time: each band
+        // of col is multiplied while the unroll that wrote it is still in
+        // cache. The bands are disjoint columns of one product, so every
+        // element is the one a single whole-batch GEMM computes.
+        let mut yt = ws.take_zeroed(&[self.out_c, nohw]);
+        let band = (BAND_FLOATS / (ck2 * ohw).max(1)).max(1);
+        for s0 in (0..n).step_by(band) {
+            let s1 = n.min(s0 + band);
+            self.im2col(x.as_slice(), geom, s0..s1);
+            gemm::gemm_acc_cols(
+                self.out_c,
+                nohw,
+                ck2,
+                self.weight.value.as_slice(),
+                self.col.as_slice(),
+                yt.as_mut_slice(),
+                s0 * ohw..s1 * ohw,
+            );
         }
-        // yt[out_c, N·oh·ow] = W · col — one GEMM for the whole batch.
-        let mut yt = ws.take(&[self.out_c, nohw]);
-        ops::matmul_into(&self.weight.value, &self.col, &mut yt);
         // Scatter to batch-major [N, out_c, oh, ow], adding the bias.
         let mut out = ws.take(&[n, self.out_c, oh, ow]);
         {
@@ -260,7 +268,7 @@ impl Layer for Conv2d {
             }
         }
         ws.give(yt);
-        self.cached_dims = Some((n, h, w, oh, ow));
+        self.geom = Some(geom);
         out
     }
 
@@ -270,7 +278,8 @@ impl Layer for Conv2d {
         need_input_grad: bool,
         ws: &mut Workspace,
     ) -> Option<Tensor> {
-        let (n, h, w, oh, ow) = self.cached_dims.expect("Conv2d::backward before forward");
+        let geom = self.geom.expect("Conv2d::backward before forward");
+        let Geom { n, h, w, oh, ow } = geom;
         let c = self.in_c;
         let ck2 = self.in_c * self.k * self.k;
         let ohw = oh * ow;
@@ -292,7 +301,7 @@ impl Layer for Conv2d {
                 }
             }
         }
-        // dW += gt · colᵀ — reuses the forward's cached im2col buffer.
+        // dW += gt · colᵀ — reuses the forward's im2col buffer.
         ops::matmul_transpose_b_acc(&gt, &self.col, &mut self.weight.grad);
         // db += row sums of gt
         {
@@ -311,10 +320,7 @@ impl Layer for Conv2d {
         ops::matmul_transpose_a_into(&self.weight.value, &gt, &mut dcol);
         ws.give(gt);
         let mut gin = ws.take_zeroed(&[n, c, h, w]);
-        for s in 0..n {
-            let gx = &mut gin.as_mut_slice()[s * c * h * w..(s + 1) * c * h * w];
-            self.col2im_acc(dcol.as_slice(), gx, h, w, oh, ow, nohw, s * ohw);
-        }
+        self.col2im_acc(dcol.as_slice(), gin.as_mut_slice(), geom);
         ws.give(dcol);
         Some(gin)
     }

@@ -1,8 +1,8 @@
 //! Pins the zero-allocation property of a warmed-up training iteration.
 //!
 //! A counting global allocator wraps `System`; after a few warm-up
-//! iterations populate the workspace pool, the layer caches, and the GEMM
-//! pack buffers, one full forward + loss + backward + step must perform
+//! iterations populate the workspace pool and the layer caches (the GEMM's
+//! strip buffer is a fixed-size thread-local), one full forward + loss + backward + step must perform
 //! ZERO heap allocations for every model family — through the training
 //! step's `backward_params` and through the full `backward` alike.
 //!

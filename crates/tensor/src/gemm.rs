@@ -1,89 +1,106 @@
-//! Packed, cache-blocked GEMM with a register-tiled microkernel.
+//! Register-tiled GEMM that reads its operands where they are.
 //!
 //! This is the single matrix-multiply engine behind every `ops::matmul*`
-//! variant (and, through im2col, the convolution layers). The structure is
-//! the classic BLIS/GotoBLAS decomposition:
+//! variant and, through im2col, the convolution layers. One tile orientation
+//! serves every product: a tile of C is up to `R` rows by `W` columns held
+//! in registers, **lanes run along `n`**, each depth step loads one `W`-wide
+//! row of B and broadcasts `R` elements of A.
 //!
-//! * an `MR`×`NR` (8×4) f32 **microkernel** that keeps the output tile in a
-//!   local accumulator array — small enough for registers, shaped so LLVM
-//!   auto-vectorizes the inner update on the SSE2 baseline;
-//! * **packing**: before use, panels of A and B are copied into contiguous
-//!   strip-major scratch buffers (`MR`- resp. `NR`-wide strips, depth-major)
-//!   so the microkernel streams both operands with unit stride regardless of
-//!   the logical transpose;
-//! * **cache blocking** with `MC`×`KC` blocks of A (sized for L2) and
-//!   `KC`×`NC` panels of B (L1-resident strips), amortizing each pack across
-//!   many microkernel invocations.
+//! | tier   | tile `R`×`W` | accumulators                         |
+//! |--------|--------------|--------------------------------------|
+//! | scalar | 4×8          | `[[f32; 8]; R]`, auto-vectorized     |
+//! | AVX2   | 6×16         | 2·R `ymm`, two passes (see below)    |
+//! | NEON   | 6×16         | 4·R `float32x4_t`                    |
 //!
-//! Edge tiles (when `m`/`n` are not multiples of the tile sizes) are packed
-//! zero-padded, computed with the full-width kernel, and only the real
-//! `mr`×`nr` region is written back — the padding never contributes to a
-//! stored element's dot product, so edge tiles see the *same summation
-//! order* as interior ones.
+//! * **A is never copied.** Element `(i, p)` is read at `i·a_rs + p·a_ps`
+//!   whichever way A is stored, by a scalar broadcast.
+//! * **A B stored `[k,n]` is never copied.** Its rows already run along `n`,
+//!   so the tile loads them in place (`ldb = n`). This is every convolution
+//!   forward (`W·col`), every `dX = g·W` and every `dW = gᵀ·x`.
+//! * **A B stored `[n,k]`** (`trans_b`: Linear/LSTM forward, conv `dW`) is
+//!   transposed one `KC`×`W` strip at a time into a 16 KiB thread-local
+//!   buffer — 8×8 register blocks on AVX2 — and the same tile reads the
+//!   strip at `ldb = W`. The partial last strip of any B (`n` not a multiple
+//!   of `W`) is staged the same way, zero-padded, so every tile loads
+//!   full-width rows and only its update of C is cut to the live columns.
+//! * **`m` is split evenly** into `⌈m/R⌉` tiles of `⌊m/tiles⌋` or one more
+//!   rows, each instantiated for its exact height (`const R`), so no tile is
+//!   padded (conv1's `m = 6` is one full AVX2 tile; wrn's `m = 8` is 4 + 4).
+//!   No tile spills and none goes through a scalar epilogue.
+//! * **Loop order** per `KC` depth block: blocks of `NB` columns, then row
+//!   tiles, then the block's strips — a row tile sweeps a contiguous run of
+//!   C while its rows of A and the block's rows of B stay cache-resident.
+//!
+//! The packed 8×4 lanes-along-`m` microkernel this replaces copied both
+//! operands into strips on every call; on conv1's forward (`6×2304×75`)
+//! that was 25 % dead lanes, a 691 KB re-copy of `col` and a scalar
+//! epilogue: 13 GFLOP/s against 66 here, same bits (DESIGN §10 has the
+//! per-shape table, including the transposed-B shapes that justify one
+//! orientation rather than two).
+//!
+//! # Determinism: the summation contract
+//!
+//! The bits of `C` depend on **one rule per tier and on nothing else** —
+//! not the tile shape, the loop order, the transposition, the masking or
+//! which columns a call covers. For every output element, depth is cut into
+//! consecutive blocks of `KC`; within a block the products `a·b` are summed
+//! in increasing depth starting from `+0.0`:
+//!
+//! * **scalar** — one chain, multiply then add (two roundings);
+//! * **AVX2** — two fused-multiply-add chains, one over the block's even
+//!   depths and one over its odd depths, then `even + odd`;
+//! * **NEON** — one fused-multiply-add chain;
+//!
+//! and the block's sum is added into the element of `C` once, blocks in
+//! increasing depth. `tests/gemm_parity.rs` states this rule as a ten-line
+//! reference and asserts `to_bits` equality for every tier, transposition
+//! and edge shape, so a re-tiling that keeps that suite green cannot move a
+//! fingerprint. Tiers differ from each other in low-order bits (fusion, the
+//! two AVX2 chains), which is why golden-trace fixtures pin the scalar tier.
+//! The engine is single-threaded; threads belong to the round executor, one
+//! level up, whose workers each issue whole GEMMs.
 //!
 //! # Accumulation policy
 //!
-//! All matmul variants accumulate in **f32** inside the microkernel
-//! (previously `matmul_transpose_b` accumulated in f64 while the other
-//! kernels used f32 axpy — an inconsistency this module resolves). Rounding
-//! error grows like `O(√k · ε)` for random data (`O(k · ε)` worst case),
-//! which is well inside training noise for the layer sizes this workspace
-//! simulates; `ops` carries a large-`k` regression test against an f64
-//! reference pinning this. The *statistical progress* metric (FedCA Eq. 1)
-//! still uses `linalg::dot`'s f64 accumulation — that path aggregates entire
-//! flattened models, where precision is load-bearing.
+//! Accumulation is **f32**. Rounding error grows like `O(√k · ε)` for random
+//! data (`O(k · ε)` worst case), well inside training noise for the layer
+//! sizes this workspace simulates; `ops` carries a large-`k` regression test
+//! against an f64 reference pinning this. The *statistical progress* metric
+//! (FedCA Eq. 1) still uses `linalg::dot`'s f64 accumulation — that path
+//! aggregates entire flattened models, where precision is load-bearing.
 //!
 //! # SIMD dispatch
 //!
-//! The microkernel has three implementations — portable scalar (the
-//! auto-vectorized SSE2 baseline), AVX2+FMA (`x86_64`), and NEON
-//! (`aarch64`) — selected once per process by [`active_kernel`]: runtime
+//! The tier is selected once per process by [`active_kernel`]: runtime
 //! feature detection picks the best compiled-in tier, and the
 //! `FEDCA_FORCE_KERNEL={scalar,avx2,neon}` environment variable overrides it
-//! (so CI can exercise the scalar fallback on SIMD hardware). All tiers
-//! share the same blocking, packing layout, and strictly-sequential K loop;
-//! only the in-register accumulation schedule differs.
-//!
-//! # Determinism
-//!
-//! There is **one fixed tile schedule per dispatch tier**: the engine is
-//! single-threaded, the depth (`k`) loop is strictly sequential, and the
-//! block/strip loops visit tiles in a fixed order, so every output element
-//! is produced by the exact same sequence of f32 additions on every call.
-//! Threads belong to the round executor, one level up — its workers each
-//! issue whole GEMMs. Different tiers may legitimately produce different
-//! low-order bits (FMA contracts the multiply-add rounding; the AVX2 kernel
-//! interleaves two accumulation chains over `k`), which is why golden-trace
-//! fixtures are recorded *per tier* and the golden suite pins the scalar
-//! kernel explicitly. `tests/gemm_parity.rs` checks every tier the host can
-//! run against an f64 reference and against the scalar tier.
+//! (so CI can exercise the scalar fallback on SIMD hardware). The NEON tile
+//! mirrors the scalar one with fused multiply-adds; the `aarch64` target is
+//! not installed where this was written, so it has been neither compiled
+//! nor run.
 
 use std::cell::RefCell;
+use std::ops::Range;
 use std::sync::OnceLock;
 
-/// Microkernel tile height (output rows per register tile).
-pub const MR: usize = 8;
-/// Microkernel tile width (output columns per register tile).
-pub const NR: usize = 4;
-/// Rows of A packed per L2-resident block (multiple of `MR`).
-pub const MC: usize = 64;
-/// Depth (k extent) of each packed panel.
+/// Depth (k extent) of one accumulation block: the unit of the per-tier
+/// summation contract in the module header.
 pub const KC: usize = 256;
-/// Columns of B packed per panel (multiple of `NR`).
-pub const NC: usize = 512;
+/// Columns of an in-place B walked per row tile.
+const NB: usize = 256;
+/// Widest register tile of any tier, in columns.
+const MAX_LANES: usize = 16;
 
 thread_local! {
-    // Reusable pack scratch. Thread-local because the callers are: the
-    // persistent executor workers and the main thread each issue GEMMs and
-    // each keep a warm buffer, so after the first few calls at a given
-    // shape packing performs zero heap allocations.
-    static PACK_A: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
-    static PACK_B: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+    // One staged column strip of B (see `stage_b_strip`).
+    // Thread-local because the callers are: the persistent executor workers
+    // and the main thread each issue GEMMs; no GEMM touches the heap.
+    static STRIP: RefCell<[f32; KC * MAX_LANES]> = const { RefCell::new([0.0; KC * MAX_LANES]) };
 }
 
-/// A microkernel implementation tier. Every tier consumes the same packed
-/// strips and produces a full `MR`×`NR` register tile; they differ only in
-/// the instructions (and accumulation schedule) used to do it.
+/// A register-tile implementation tier. Tiers differ in tile shape,
+/// instructions and — the only difference that reaches the output — the
+/// summation contract of the module header.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Kernel {
     /// Portable scalar kernel (LLVM auto-vectorizes on the SSE2 baseline).
@@ -114,6 +131,15 @@ impl Kernel {
             "avx2" => Some(Kernel::Avx2),
             "neon" => Some(Kernel::Neon),
             _ => None,
+        }
+    }
+
+    /// The tier's register tile: most output rows per tile, and its width
+    /// in columns. A shape, not a contract — no output bit depends on it.
+    fn tile(self) -> (usize, usize) {
+        match self {
+            Kernel::Scalar => (4, 8),
+            Kernel::Avx2 | Kernel::Neon => (6, 16),
         }
     }
 
@@ -189,6 +215,20 @@ pub fn force_kernel(kernel: Kernel) -> Kernel {
     *ACTIVE.get_or_init(|| kernel)
 }
 
+/// Instantiates a `const R`-generic tile for a runtime row count.
+macro_rules! with_rows {
+    ($rows:expr, $tile:ident, $($arg:expr),*) => {
+        match $rows {
+            1 => $tile::<1>($($arg),*),
+            2 => $tile::<2>($($arg),*),
+            3 => $tile::<3>($($arg),*),
+            4 => $tile::<4>($($arg),*),
+            5 => $tile::<5>($($arg),*),
+            _ => $tile::<6>($($arg),*),
+        }
+    };
+}
+
 /// `C += op(A) · op(B)` on the process-wide dispatch tier
 /// ([`active_kernel`]).
 ///
@@ -209,7 +249,7 @@ pub fn gemm_acc(
     b: &[f32],
     c: &mut [f32],
 ) {
-    gemm_acc_on(active_kernel(), trans_a, trans_b, m, n, k, a, b, c);
+    gemm_cols_on(active_kernel(), trans_a, trans_b, m, n, k, a, b, c, 0..n);
 }
 
 /// [`gemm_acc`] on an explicit microkernel tier. Public so the parity suite
@@ -231,6 +271,42 @@ pub fn gemm_acc_on(
     b: &[f32],
     c: &mut [f32],
 ) {
+    gemm_cols_on(kernel, trans_a, trans_b, m, n, k, a, b, c, 0..n);
+}
+
+/// `C[:, cols] += A · B[:, cols]` for untransposed, dense `A: [m,k]`,
+/// `B: [k,n]`, `C: [m,n]`: [`gemm_acc`] over the output columns `cols` only.
+/// Every element it writes is the element [`gemm_acc`] would write, so a
+/// caller that produces B band by band (`Conv2d`'s im2col) can multiply
+/// each band while it is still cache-hot.
+///
+/// # Panics
+/// As [`gemm_acc`], and if `cols` does not lie within `0..n`.
+pub fn gemm_acc_cols(
+    m: usize,
+    n: usize,
+    k: usize,
+    a: &[f32],
+    b: &[f32],
+    c: &mut [f32],
+    cols: Range<usize>,
+) {
+    gemm_cols_on(active_kernel(), false, false, m, n, k, a, b, c, cols);
+}
+
+#[allow(clippy::too_many_arguments)]
+fn gemm_cols_on(
+    kernel: Kernel,
+    trans_a: bool,
+    trans_b: bool,
+    m: usize,
+    n: usize,
+    k: usize,
+    a: &[f32],
+    b: &[f32],
+    c: &mut [f32],
+    cols: Range<usize>,
+) {
     assert!(
         kernel.is_available(),
         "kernel tier {} unavailable on this host",
@@ -239,369 +315,358 @@ pub fn gemm_acc_on(
     assert_eq!(a.len(), m * k, "gemm lhs length mismatch");
     assert_eq!(b.len(), k * n, "gemm rhs length mismatch");
     assert_eq!(c.len(), m * n, "gemm out length mismatch");
-    if m == 0 || n == 0 || k == 0 {
+    assert!(cols.end <= n, "gemm column range outside the output");
+    if m == 0 || k == 0 || cols.is_empty() {
         return;
     }
-    PACK_B.with(|cell| {
-        let mut bp = cell.borrow_mut();
-        for jc in (0..n).step_by(NC) {
-            let nc = NC.min(n - jc);
-            for p0 in (0..k).step_by(KC) {
-                let kc = KC.min(k - p0);
-                let need = nc.div_ceil(NR) * kc * NR;
-                if bp.len() < need {
-                    bp.resize(need, 0.0);
+    // A is always read in place: element (i, p) sits at `i·a_rs + p·a_ps`.
+    let (a_rs, a_ps) = if trans_a { (1, m) } else { (k, 1) };
+    // B's stored row stride.
+    let ld = if trans_b { k } else { n };
+    let (max_rows, lanes) = kernel.tile();
+    // `m` splits into equal-as-possible tiles of at most the tier's height:
+    // no tile is padded and none is starved of accumulation chains.
+    let tiles = m.div_ceil(max_rows);
+    STRIP.with(|cell| {
+        let strip = &mut *cell.borrow_mut();
+        for p0 in (0..k).step_by(KC) {
+            let kc = KC.min(k - p0);
+            // A transposed B is staged one strip at a time, so there the
+            // strip is the block; a B read in place is walked in blocks of
+            // `NB` columns so each row tile sweeps a run of C it can stream.
+            let nb = if trans_b { lanes } else { NB };
+            for jc in cols.clone().step_by(nb) {
+                let block_end = cols.end.min(jc + nb);
+                // A transposed strip is staged, and so is the block's
+                // partial last strip if it has one (zero-padded), so every
+                // tile loads full-width rows.
+                let tail = (block_end - jc) % lanes;
+                if trans_b || tail > 0 {
+                    let nr = if trans_b { block_end - jc } else { tail };
+                    stage_b_strip(
+                        kernel,
+                        strip,
+                        lanes,
+                        trans_b,
+                        b,
+                        ld,
+                        p0,
+                        kc,
+                        block_end - nr,
+                        nr,
+                    );
                 }
-                pack_b_block(&mut bp[..need], b, trans_b, k, n, p0, kc, jc, nc);
-                compute_rows(kernel, c, a, trans_a, m, k, &bp[..need], jc, nc, p0, kc, n);
+                let mut i0 = 0;
+                for t in 0..tiles {
+                    let rows = m / tiles + usize::from(t < m % tiles);
+                    let at = &a[i0 * a_rs + p0 * a_ps..];
+                    for j0 in (jc..block_end).step_by(lanes) {
+                        let nr = lanes.min(block_end - j0);
+                        let (bt, ldb) = if trans_b || nr < lanes {
+                            (&strip[..], lanes)
+                        } else {
+                            // B's rows already run along n: read them in place.
+                            (&b[p0 * n + j0..], n)
+                        };
+                        let ct = &mut c[i0 * n + j0..];
+                        let s = Strides {
+                            a_rs,
+                            a_ps,
+                            ldb,
+                            ldc: n,
+                        };
+                        // The three bounds every tile relies on (its SAFETY contract).
+                        assert!((rows - 1) * a_rs + (kc - 1) * a_ps < at.len());
+                        assert!((kc - 1) * ldb + lanes <= bt.len());
+                        assert!((rows - 1) * n + nr <= ct.len());
+                        match kernel {
+                            #[cfg(target_arch = "x86_64")]
+                            // SAFETY: the availability assert confirmed avx2+fma at
+                            // runtime; the asserts above are the tile's contract.
+                            Kernel::Avx2 => unsafe {
+                                with_rows!(rows, tile_avx2, kc, at, bt, ct, s, nr)
+                            },
+                            #[cfg(target_arch = "aarch64")]
+                            // SAFETY: NEON is baseline on aarch64; bounds as above.
+                            Kernel::Neon => unsafe {
+                                with_rows!(rows, tile_neon, kc, at, bt, ct, s, nr)
+                            },
+                            // SAFETY: bounds as above. (A tier whose arch is not
+                            // compiled in was rejected by the availability assert.)
+                            _ => unsafe { tile_scalar_rows(rows, kc, at, bt, ct, s, nr) },
+                        }
+                    }
+                    i0 += rows;
+                }
             }
         }
     });
 }
 
-/// Processes every output row against one packed B panel: packs A in
-/// `MC`-row blocks and runs the microkernel grid into `c` (all of C).
-#[allow(clippy::too_many_arguments)]
-fn compute_rows(
-    kernel: Kernel,
-    c: &mut [f32],
-    a: &[f32],
-    trans_a: bool,
-    m: usize,
-    k: usize,
-    b_pack: &[f32],
-    jc: usize,
-    nc: usize,
-    p0: usize,
+/// How a tile's operands stride: A's row and depth steps, B's and C's row
+/// steps (both run unit-stride along n).
+#[derive(Clone, Copy)]
+struct Strides {
+    a_rs: usize,
+    a_ps: usize,
+    ldb: usize,
+    ldc: usize,
+}
+
+/// [`tile_scalar`] for a runtime row count. Kept out of line: six inlined
+/// instantiations in the driver's loop body slow every tier's dispatch.
+///
+/// # Safety
+/// As [`tile_scalar`].
+#[inline(never)]
+unsafe fn tile_scalar_rows(
+    rows: usize,
     kc: usize,
-    n: usize,
-) {
-    PACK_A.with(|cell| {
-        let mut ap = cell.borrow_mut();
-        for ic in (0..m).step_by(MC) {
-            let mc = MC.min(m - ic);
-            let need = mc.div_ceil(MR) * kc * MR;
-            if ap.len() < need {
-                ap.resize(need, 0.0);
-            }
-            pack_a_block(&mut ap[..need], a, trans_a, m, k, ic, mc, p0, kc);
-            let n_strips = nc.div_ceil(NR);
-            let m_strips = mc.div_ceil(MR);
-            for js in 0..n_strips {
-                let bs = &b_pack[js * kc * NR..(js + 1) * kc * NR];
-                let nr = NR.min(nc - js * NR);
-                for is in 0..m_strips {
-                    let asl = &ap[is * kc * MR..(is + 1) * kc * MR];
-                    let mr = MR.min(mc - is * MR);
-                    let base = (ic + is * MR) * n + jc + js * NR;
-                    micro_kernel_dispatch(kernel, asl, bs, &mut c[base..], n, mr, nr);
-                }
-            }
-        }
-    });
-}
-
-/// Runs one register tile on the requested tier and adds its live
-/// `mr`×`nr` region into C (`c` starts at the tile's top-left element,
-/// row stride `ldc`). The availability check happened at the
-/// `gemm_acc_on` boundary, so calling the `target_feature`
-/// kernels here is sound. Every tier adds each output element into C
-/// exactly once with the same value, so routing the store through the
-/// tier (the AVX2 kernel stores full tiles directly, skipping the
-/// accumulator round-trip) never changes the bits.
-#[inline(always)]
-fn micro_kernel_dispatch(
-    kernel: Kernel,
     a: &[f32],
     b: &[f32],
     c: &mut [f32],
-    ldc: usize,
-    mr: usize,
+    s: Strides,
     nr: usize,
 ) {
-    match kernel {
-        Kernel::Scalar => store_tile(&micro_kernel_scalar(a, b), c, ldc, mr, nr),
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: dispatch only selects Avx2 after `is_available` confirmed
-        // the avx2+fma features at runtime.
-        Kernel::Avx2 => unsafe { micro_kernel_avx2(a, b, c, ldc, mr, nr) },
-        #[cfg(target_arch = "aarch64")]
-        // SAFETY: NEON is a baseline aarch64 feature; `is_available`
-        // confirmed the target arch.
-        Kernel::Neon => store_tile(&unsafe { micro_kernel_neon(a, b) }, c, ldc, mr, nr),
-        // A tier whose arch is not compiled in can never be dispatched (the
-        // availability assert upstream rejects it); fall back defensively.
-        #[allow(unreachable_patterns)]
-        _ => store_tile(&micro_kernel_scalar(a, b), c, ldc, mr, nr),
-    }
+    with_rows!(rows, tile_scalar, kc, a, b, c, s, nr)
 }
 
-/// The scalar register tile: `acc[i][j] += Σ_p a[p*MR+i] * b[p*NR+j]` over
-/// the full packed depth. Both operands stream with unit stride; the
-/// accumulator array is small enough to live in registers and the
-/// fixed-trip inner loops auto-vectorize on the SSE2 baseline.
+/// Scalar tile, `R ≤ 4` rows × 8 columns: one mul-then-add chain per
+/// element over the depth block, added into C once. The fixed-trip column
+/// loop auto-vectorizes on the SSE2 baseline.
+///
+/// # Safety
+/// `a`, `b`, `c` must satisfy the three bounds asserted by the driver.
 #[inline(always)]
-fn micro_kernel_scalar(a: &[f32], b: &[f32]) -> [[f32; NR]; MR] {
-    let mut acc = [[0.0f32; NR]; MR];
-    for (ap, bp) in a.chunks_exact(MR).zip(b.chunks_exact(NR)) {
-        for i in 0..MR {
-            let av = ap[i];
-            for j in 0..NR {
-                acc[i][j] += av * bp[j];
+unsafe fn tile_scalar<const R: usize>(
+    kc: usize,
+    a: &[f32],
+    b: &[f32],
+    c: &mut [f32],
+    s: Strides,
+    nr: usize,
+) {
+    let (ap, bp, cp) = (a.as_ptr(), b.as_ptr(), c.as_mut_ptr());
+    let mut acc = [[0.0f32; 8]; R];
+    for p in 0..kc {
+        let bv = *bp.add(p * s.ldb).cast::<[f32; 8]>();
+        for (i, acc_row) in acc.iter_mut().enumerate() {
+            let av = *ap.add(i * s.a_rs + p * s.a_ps);
+            for (x, &bj) in acc_row.iter_mut().zip(&bv) {
+                *x += av * bj;
             }
         }
     }
-    acc
+    for (i, acc_row) in acc.iter().enumerate() {
+        for (j, &v) in acc_row[..nr].iter().enumerate() {
+            *cp.add(i * s.ldc + j) += v;
+        }
+    }
 }
 
-/// AVX2+FMA register tile. Each output column is one `ymm` register over
-/// the `MR = 8` rows; the depth loop is unrolled by two with a second set
-/// of column accumulators so the 8 FMA dependency chains cover the FMA
-/// latency on one core. The odd/even chains are combined once at the end —
-/// a fixed, tile-local summation order.
-///
-/// The epilogue transposes the four column registers into rows with lane
-/// shuffles and, for full tiles, adds them straight into C — small-depth
-/// GEMMs (conv backward has k = 6 and k = 16 tiles) are epilogue-bound, so
-/// skipping the scalar transpose + `store_tile` round-trip matters. Partial
-/// tiles spill to an accumulator array and reuse `store_tile`. Either way C
-/// receives the identical f32 values, added exactly once per element.
+/// AVX2+FMA tile, `R ≤ 6` rows × 16 columns (two `ymm` per row). Each
+/// element keeps the tier's two FMA chains over the depth block — even
+/// depths, then odd depths — which are summed and added into C once. The
+/// chains run as two passes so one pass holds `2R ≤ 12` accumulators plus
+/// the two B vectors and one broadcast of A: no spill, and `R < 6` simply
+/// instantiates fewer rows. Columns past `nr` are masked out of the update
+/// of C.
 ///
 /// # Safety
-/// Requires the `avx2` and `fma` CPU features, and `c` must hold the live
-/// `mr`×`nr` tile region at row stride `ldc` (guaranteed by the blocking
-/// loop in `compute_rows`).
+/// Requires `avx2` and `fma`; `a`, `b`, `c` must satisfy the three bounds
+/// asserted by the driver.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn micro_kernel_avx2(a: &[f32], b: &[f32], c: &mut [f32], ldc: usize, mr: usize, nr: usize) {
+unsafe fn tile_avx2<const R: usize>(
+    kc: usize,
+    a: &[f32],
+    b: &[f32],
+    c: &mut [f32],
+    s: Strides,
+    nr: usize,
+) {
     use std::arch::x86_64::*;
-    let kc = a.len() / MR;
-    debug_assert_eq!(a.len(), kc * MR);
-    debug_assert_eq!(b.len(), kc * NR);
-    let ap = a.as_ptr();
-    let bp = b.as_ptr();
-    let mut c0 = _mm256_setzero_ps();
-    let mut c1 = _mm256_setzero_ps();
-    let mut c2 = _mm256_setzero_ps();
-    let mut c3 = _mm256_setzero_ps();
-    let mut d0 = _mm256_setzero_ps();
-    let mut d1 = _mm256_setzero_ps();
-    let mut d2 = _mm256_setzero_ps();
-    let mut d3 = _mm256_setzero_ps();
-    let mut p = 0usize;
-    while p + 2 <= kc {
-        let av0 = _mm256_loadu_ps(ap.add(p * MR));
-        let bs0 = bp.add(p * NR);
-        c0 = _mm256_fmadd_ps(av0, _mm256_broadcast_ss(&*bs0), c0);
-        c1 = _mm256_fmadd_ps(av0, _mm256_broadcast_ss(&*bs0.add(1)), c1);
-        c2 = _mm256_fmadd_ps(av0, _mm256_broadcast_ss(&*bs0.add(2)), c2);
-        c3 = _mm256_fmadd_ps(av0, _mm256_broadcast_ss(&*bs0.add(3)), c3);
-        let av1 = _mm256_loadu_ps(ap.add((p + 1) * MR));
-        let bs1 = bp.add((p + 1) * NR);
-        d0 = _mm256_fmadd_ps(av1, _mm256_broadcast_ss(&*bs1), d0);
-        d1 = _mm256_fmadd_ps(av1, _mm256_broadcast_ss(&*bs1.add(1)), d1);
-        d2 = _mm256_fmadd_ps(av1, _mm256_broadcast_ss(&*bs1.add(2)), d2);
-        d3 = _mm256_fmadd_ps(av1, _mm256_broadcast_ss(&*bs1.add(3)), d3);
-        p += 2;
-    }
-    if p < kc {
-        let av = _mm256_loadu_ps(ap.add(p * MR));
-        let bs = bp.add(p * NR);
-        c0 = _mm256_fmadd_ps(av, _mm256_broadcast_ss(&*bs), c0);
-        c1 = _mm256_fmadd_ps(av, _mm256_broadcast_ss(&*bs.add(1)), c1);
-        c2 = _mm256_fmadd_ps(av, _mm256_broadcast_ss(&*bs.add(2)), c2);
-        c3 = _mm256_fmadd_ps(av, _mm256_broadcast_ss(&*bs.add(3)), c3);
-    }
-    c0 = _mm256_add_ps(c0, d0);
-    c1 = _mm256_add_ps(c1, d1);
-    c2 = _mm256_add_ps(c2, d2);
-    c3 = _mm256_add_ps(c3, d3);
-    // 8×4 transpose in-register: `pairs[i]` carries row `i` in its low
-    // 128-bit lane and row `i + 4` in its high lane.
-    let t0 = _mm256_unpacklo_ps(c0, c1);
-    let t1 = _mm256_unpackhi_ps(c0, c1);
-    let t2 = _mm256_unpacklo_ps(c2, c3);
-    let t3 = _mm256_unpackhi_ps(c2, c3);
-    let pairs = [
-        _mm256_shuffle_ps::<0x44>(t0, t2),
-        _mm256_shuffle_ps::<0xEE>(t0, t2),
-        _mm256_shuffle_ps::<0x44>(t1, t3),
-        _mm256_shuffle_ps::<0xEE>(t1, t3),
+    let (ap, bp, cp) = (a.as_ptr(), b.as_ptr(), c.as_mut_ptr());
+    let full = nr == 16;
+    let lane = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+    let masks = [
+        _mm256_cmpgt_epi32(_mm256_set1_epi32(nr as i32), lane),
+        _mm256_cmpgt_epi32(_mm256_set1_epi32(nr as i32 - 8), lane),
     ];
-    if mr == MR && nr == NR {
-        for (i, &p) in pairs.iter().enumerate() {
-            let lo = c.as_mut_ptr().add(i * ldc);
-            let hi = c.as_mut_ptr().add((i + 4) * ldc);
-            _mm_storeu_ps(lo, _mm_add_ps(_mm_loadu_ps(lo), _mm256_castps256_ps128(p)));
-            _mm_storeu_ps(
-                hi,
-                _mm_add_ps(_mm_loadu_ps(hi), _mm256_extractf128_ps::<1>(p)),
-            );
+    // The even chain's sums wait here while the odd chain runs.
+    let mut even = [[0.0f32; 16]; R];
+    for parity in 0..2 {
+        let mut acc = [[_mm256_setzero_ps(); 2]; R];
+        let mut p = parity;
+        while p < kc {
+            let row = bp.add(p * s.ldb);
+            let bv = [_mm256_loadu_ps(row), _mm256_loadu_ps(row.add(8))];
+            for (i, acc_row) in acc.iter_mut().enumerate() {
+                let av = _mm256_broadcast_ss(&*ap.add(i * s.a_rs + p * s.a_ps));
+                acc_row[0] = _mm256_fmadd_ps(av, bv[0], acc_row[0]);
+                acc_row[1] = _mm256_fmadd_ps(av, bv[1], acc_row[1]);
+            }
+            p += 2;
         }
-    } else {
-        let mut acc = [[0.0f32; NR]; MR];
-        for (i, &p) in pairs.iter().enumerate() {
-            _mm_storeu_ps(acc[i].as_mut_ptr(), _mm256_castps256_ps128(p));
-            _mm_storeu_ps(acc[i + 4].as_mut_ptr(), _mm256_extractf128_ps::<1>(p));
+        for (i, acc_row) in acc.iter().enumerate() {
+            for (v, &x) in acc_row.iter().enumerate() {
+                let held = even[i].as_mut_ptr().add(8 * v);
+                if parity == 0 {
+                    _mm256_storeu_ps(held, x);
+                    continue;
+                }
+                let sum = _mm256_add_ps(_mm256_loadu_ps(held), x);
+                let out = cp.add(i * s.ldc + 8 * v);
+                if full {
+                    _mm256_storeu_ps(out, _mm256_add_ps(_mm256_loadu_ps(out), sum));
+                } else {
+                    let old = _mm256_maskload_ps(out, masks[v]);
+                    _mm256_maskstore_ps(out, masks[v], _mm256_add_ps(old, sum));
+                }
+            }
         }
-        store_tile(&acc, c, ldc, mr, nr);
     }
 }
 
-/// NEON register tile: each output column is a low/high `float32x4_t` pair
-/// over the `MR = 8` rows, updated by lane-broadcast FMAs. One accumulation
-/// chain per column half — a fixed, tile-local summation order.
+/// NEON tile, `R ≤ 6` rows × 16 columns (four `float32x4_t` per row): one
+/// FMA chain per element over the depth block, added into C once. Mirrors
+/// [`tile_scalar`] with fused multiply-adds; this host cannot compile it.
 ///
 /// # Safety
-/// Requires the `neon` target feature (baseline on aarch64).
+/// Requires `neon`; `a`, `b`, `c` must satisfy the three bounds asserted by
+/// the driver.
 #[cfg(target_arch = "aarch64")]
 #[target_feature(enable = "neon")]
-unsafe fn micro_kernel_neon(a: &[f32], b: &[f32]) -> [[f32; NR]; MR] {
-    use std::arch::aarch64::*;
-    let kc = a.len() / MR;
-    debug_assert_eq!(a.len(), kc * MR);
-    debug_assert_eq!(b.len(), kc * NR);
-    let ap = a.as_ptr();
-    let bp = b.as_ptr();
-    let mut lo0 = vdupq_n_f32(0.0);
-    let mut lo1 = vdupq_n_f32(0.0);
-    let mut lo2 = vdupq_n_f32(0.0);
-    let mut lo3 = vdupq_n_f32(0.0);
-    let mut hi0 = vdupq_n_f32(0.0);
-    let mut hi1 = vdupq_n_f32(0.0);
-    let mut hi2 = vdupq_n_f32(0.0);
-    let mut hi3 = vdupq_n_f32(0.0);
-    for p in 0..kc {
-        let al = vld1q_f32(ap.add(p * MR));
-        let ah = vld1q_f32(ap.add(p * MR + 4));
-        let bv = vld1q_f32(bp.add(p * NR));
-        lo0 = vfmaq_laneq_f32::<0>(lo0, al, bv);
-        hi0 = vfmaq_laneq_f32::<0>(hi0, ah, bv);
-        lo1 = vfmaq_laneq_f32::<1>(lo1, al, bv);
-        hi1 = vfmaq_laneq_f32::<1>(hi1, ah, bv);
-        lo2 = vfmaq_laneq_f32::<2>(lo2, al, bv);
-        hi2 = vfmaq_laneq_f32::<2>(hi2, ah, bv);
-        lo3 = vfmaq_laneq_f32::<3>(lo3, al, bv);
-        hi3 = vfmaq_laneq_f32::<3>(hi3, ah, bv);
-    }
-    let mut cols = [[0.0f32; MR]; NR];
-    vst1q_f32(cols[0].as_mut_ptr(), lo0);
-    vst1q_f32(cols[0].as_mut_ptr().add(4), hi0);
-    vst1q_f32(cols[1].as_mut_ptr(), lo1);
-    vst1q_f32(cols[1].as_mut_ptr().add(4), hi1);
-    vst1q_f32(cols[2].as_mut_ptr(), lo2);
-    vst1q_f32(cols[2].as_mut_ptr().add(4), hi2);
-    vst1q_f32(cols[3].as_mut_ptr(), lo3);
-    vst1q_f32(cols[3].as_mut_ptr().add(4), hi3);
-    let mut acc = [[0.0f32; NR]; MR];
-    for (j, col) in cols.iter().enumerate() {
-        for (i, &v) in col.iter().enumerate() {
-            acc[i][j] = v;
-        }
-    }
-    acc
-}
-
-/// Adds the live `mr`×`nr` region of a register tile into C. `c` starts at
-/// the tile's top-left element; `ldc` is C's row stride.
-#[inline(always)]
-fn store_tile(acc: &[[f32; NR]; MR], c: &mut [f32], ldc: usize, mr: usize, nr: usize) {
-    for (i, acc_row) in acc.iter().enumerate().take(mr) {
-        let row = &mut c[i * ldc..i * ldc + nr];
-        for (out, &v) in row.iter_mut().zip(acc_row.iter()) {
-            *out += v;
-        }
-    }
-}
-
-/// Packs rows `[i0, i0+mc)` × depth `[p0, p0+kc)` of logical-`[m,k]` A into
-/// `MR`-row strips, depth-major within each strip, zero-padding the last
-/// strip's missing rows.
-#[allow(clippy::too_many_arguments)]
-fn pack_a_block(
-    dst: &mut [f32],
-    a: &[f32],
-    trans: bool,
-    m: usize,
-    k: usize,
-    i0: usize,
-    mc: usize,
-    p0: usize,
+unsafe fn tile_neon<const R: usize>(
     kc: usize,
+    a: &[f32],
+    b: &[f32],
+    c: &mut [f32],
+    s: Strides,
+    nr: usize,
 ) {
-    let strips = mc.div_ceil(MR);
-    for s in 0..strips {
-        let strip = &mut dst[s * kc * MR..(s + 1) * kc * MR];
-        let rows = MR.min(mc - s * MR);
-        if trans {
-            // A stored [k, m]: element (i, p) = a[p*m + i]; rows are
-            // adjacent in memory, so copy them per depth step.
-            for p in 0..kc {
-                let src = &a[(p0 + p) * m + i0 + s * MR..];
-                let d = &mut strip[p * MR..(p + 1) * MR];
-                d[..rows].copy_from_slice(&src[..rows]);
-                d[rows..].fill(0.0);
+    use std::arch::aarch64::*;
+    let (ap, bp, cp) = (a.as_ptr(), b.as_ptr(), c.as_mut_ptr());
+    let mut acc = [[vdupq_n_f32(0.0); 4]; R];
+    for p in 0..kc {
+        let row = bp.add(p * s.ldb);
+        let bv = [
+            vld1q_f32(row),
+            vld1q_f32(row.add(4)),
+            vld1q_f32(row.add(8)),
+            vld1q_f32(row.add(12)),
+        ];
+        for (i, acc_row) in acc.iter_mut().enumerate() {
+            let av = *ap.add(i * s.a_rs + p * s.a_ps);
+            for (x, &bj) in acc_row.iter_mut().zip(&bv) {
+                *x = vfmaq_n_f32(*x, bj, av);
             }
-        } else {
-            // A stored [m, k]: read each row contiguously, scatter into the
-            // strip's interleaved layout.
-            for r in 0..rows {
-                let src = &a[(i0 + s * MR + r) * k + p0..][..kc];
-                for (p, &v) in src.iter().enumerate() {
-                    strip[p * MR + r] = v;
-                }
-            }
-            for r in rows..MR {
-                for p in 0..kc {
-                    strip[p * MR + r] = 0.0;
-                }
-            }
+        }
+    }
+    let mut staged = [0.0f32; 16];
+    for (i, acc_row) in acc.iter().enumerate() {
+        for (v, &x) in acc_row.iter().enumerate() {
+            vst1q_f32(staged.as_mut_ptr().add(4 * v), x);
+        }
+        for (j, &v) in staged[..nr].iter().enumerate() {
+            *cp.add(i * s.ldc + j) += v;
         }
     }
 }
 
-/// Packs depth `[p0, p0+kc)` × columns `[j0, j0+nc)` of logical-`[k,n]` B
-/// into `NR`-column strips, depth-major within each strip, zero-padding the
-/// last strip's missing columns.
+/// Copies depth `[p0, p0+kc)` × columns `[j0, j0+nr)` of B into `strip`,
+/// depth-major at row stride `lanes` with the columns past `nr` zeroed — the
+/// layout a tile reads. `ld` is B's stored row stride (`k` when transposed,
+/// else `n`). Pure data movement, so no tier can change a bit here: a B
+/// stored `[k,n]` is copied row by row; a B stored `[n,k]` is transposed,
+/// the AVX2 tier in 8×8 register blocks, the others in 4×4 blocks through a
+/// local array (four loads, a shuffle network, four stores), and the edges
+/// element by element down each source row.
 #[allow(clippy::too_many_arguments)]
-fn pack_b_block(
-    dst: &mut [f32],
+fn stage_b_strip(
+    kernel: Kernel,
+    strip: &mut [f32],
+    lanes: usize,
+    trans_b: bool,
     b: &[f32],
-    trans: bool,
-    k: usize,
-    n: usize,
+    ld: usize,
     p0: usize,
     kc: usize,
     j0: usize,
-    nc: usize,
+    nr: usize,
 ) {
-    let strips = nc.div_ceil(NR);
-    for s in 0..strips {
-        let strip = &mut dst[s * kc * NR..(s + 1) * kc * NR];
-        let cols = NR.min(nc - s * NR);
-        if trans {
-            // B stored [n, k]: element (p, j) = b[j*k + p]; read each
-            // column's depth run contiguously.
-            for c in 0..cols {
-                let src = &b[(j0 + s * NR + c) * k + p0..][..kc];
-                for (p, &v) in src.iter().enumerate() {
-                    strip[p * NR + c] = v;
-                }
+    let staged = strip[..kc * lanes].chunks_exact_mut(lanes);
+    if !trans_b {
+        for (p, row) in staged.enumerate() {
+            row[..nr].copy_from_slice(&b[(p0 + p) * ld + j0..][..nr]);
+            row[nr..].fill(0.0);
+        }
+        return;
+    }
+    if nr < lanes {
+        staged.for_each(|row| row[nr..].fill(0.0));
+    }
+    let side = if kernel == Kernel::Avx2 { 8 } else { 4 };
+    // Extent covered by whole blocks.
+    let (jb, pb) = (nr - nr % side, kc - kc % side);
+    for j in (0..jb).step_by(side) {
+        for p in (0..pb).step_by(side) {
+            let src = &b[(j0 + j) * ld + p0 + p..];
+            let dst = &mut strip[p * lanes + j..];
+            #[cfg(target_arch = "x86_64")]
+            if kernel == Kernel::Avx2 {
+                assert!(7 * ld + 8 <= src.len() && 7 * lanes + 8 <= dst.len());
+                // SAFETY: the availability assert confirmed avx2; the assert
+                // covers the eight 8-float rows read at stride `ld` and
+                // written at stride `lanes`.
+                unsafe { transpose_8x8_avx2(src.as_ptr(), ld, dst.as_mut_ptr(), lanes) };
+                continue;
             }
-            for c in cols..NR {
-                for p in 0..kc {
-                    strip[p * NR + c] = 0.0;
-                }
-            }
-        } else {
-            // B stored [k, n]: columns are adjacent per depth step.
-            for p in 0..kc {
-                let src = &b[(p0 + p) * n + j0 + s * NR..];
-                let d = &mut strip[p * NR..(p + 1) * NR];
-                d[..cols].copy_from_slice(&src[..cols]);
-                d[cols..].fill(0.0);
+            let block: [[f32; 4]; 4] =
+                std::array::from_fn(|r| src[r * ld..r * ld + 4].try_into().expect("4 floats"));
+            for d in 0..4 {
+                let out = [block[0][d], block[1][d], block[2][d], block[3][d]];
+                dst[d * lanes..d * lanes + 4].copy_from_slice(&out);
             }
         }
+    }
+    for j in 0..nr {
+        let from = if j < jb { pb } else { 0 };
+        let src = &b[(j0 + j) * ld + p0..][..kc];
+        for (p, &v) in src.iter().enumerate().skip(from) {
+            strip[p * lanes + j] = v;
+        }
+    }
+}
+
+/// `dst[c·ldd + r] = src[r·lds + c]` for an 8×8 block. Rows `r` and
+/// `r + 4` are loaded as the two halves of one register, so two in-lane 4×4
+/// transposes finish the job without a cross-lane shuffle.
+///
+/// # Safety
+/// Requires `avx2`; `src` and `dst` must hold eight rows of eight floats at
+/// strides `lds` / `ldd`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn transpose_8x8_avx2(src: *const f32, lds: usize, dst: *mut f32, ldd: usize) {
+    use std::arch::x86_64::*;
+    for half in 0..2 {
+        // Columns 4·half.. of the block; `r[i]` = row i | row i + 4.
+        let mut r = [_mm256_setzero_ps(); 4];
+        for (i, row) in r.iter_mut().enumerate() {
+            let lo = _mm_loadu_ps(src.add(i * lds + 4 * half));
+            let hi = _mm_loadu_ps(src.add((i + 4) * lds + 4 * half));
+            *row = _mm256_insertf128_ps::<1>(_mm256_castps128_ps256(lo), hi);
+        }
+        let t0 = _mm256_unpacklo_ps(r[0], r[1]);
+        let t1 = _mm256_unpackhi_ps(r[0], r[1]);
+        let t2 = _mm256_unpacklo_ps(r[2], r[3]);
+        let t3 = _mm256_unpackhi_ps(r[2], r[3]);
+        let out = dst.add(4 * half * ldd);
+        _mm256_storeu_ps(out, _mm256_shuffle_ps::<0x44>(t0, t2));
+        _mm256_storeu_ps(out.add(ldd), _mm256_shuffle_ps::<0xEE>(t0, t2));
+        _mm256_storeu_ps(out.add(2 * ldd), _mm256_shuffle_ps::<0x44>(t1, t3));
+        _mm256_storeu_ps(out.add(3 * ldd), _mm256_shuffle_ps::<0xEE>(t1, t3));
     }
 }
 

@@ -5,8 +5,8 @@
 //! The FedCA paper ([Lyu et al., ICPP '24]) implements its mechanism atop
 //! PyTorch; this crate is the from-scratch replacement for the slice of
 //! PyTorch the paper actually uses: dense row-major `f32` tensors, the
-//! linear-algebra kernels needed for forward/backward passes (packed,
-//! cache-blocked matrix multiplication, elementwise maps, reductions), and
+//! linear-algebra kernels needed for forward/backward passes (register-tiled
+//! matrix multiplication, elementwise maps, reductions), and
 //! the vector geometry (dot products, norms, cosine similarity) at the
 //! heart of the paper's *statistical progress* metric (Eq. 1).
 //!
@@ -18,7 +18,7 @@
 //! * Every kernel is single-threaded. FL clients are independent, so the
 //!   one level of parallelism is across clients — `fedca-core`'s round
 //!   executor owns the threads and each worker calls these kernels; the
-//!   only per-thread state here is `gemm`'s pack scratch.
+//!   only per-thread state here is `gemm`'s strip buffer.
 //! * Everything is deterministic given a seed: random init goes through
 //!   caller-supplied [`rand::Rng`] state, never a thread-local generator.
 //!

@@ -10,14 +10,13 @@
 //! plus `_into` (overwrite) and `_acc` (accumulate) forms that write into
 //! caller-provided tensors so hot loops allocate nothing.
 //!
-//! Every variant routes through the packed, register-blocked engine in
-//! [`crate::gemm`] — one kernel, one blocking scheme, one single-threaded
-//! tile schedule per dispatch tier.
+//! Every variant routes through the register-tiled engine in
+//! [`crate::gemm`] — one tile orientation, operands read in place, one
+//! summation contract per dispatch tier.
 //!
 //! # Accumulation policy
 //!
-//! All variants accumulate in **f32** inside the microkernel's register
-//! tile. Before the unification, `matmul_transpose_b` accumulated in f64
+//! All variants accumulate in **f32** inside the register tile. Before the unification, `matmul_transpose_b` accumulated in f64
 //! while the other kernels used f32 axpy — gradients and activations saw
 //! different rounding. The single policy is f32: error grows `O(√k · ε)`
 //! on real data (see `large_k_accumulation_stays_close_to_f64` below),

@@ -1,6 +1,6 @@
 //! Tier-gated SIMD transcendentals for the training hot loops.
 //!
-//! The packed GEMM ([`crate::gemm`]) removes most of the matrix-multiply
+//! The register-tiled GEMM ([`crate::gemm`]) removes most of the matrix-multiply
 //! cost, which leaves the LSTM's per-gate `sigmoid`/`tanh` loop as the
 //! dominant term of its iteration time (≈80k libm calls per batch-16
 //! iteration at the scaled shapes). This module provides vectorized

@@ -1,12 +1,16 @@
-//! Parity suite for the packed register-blocked GEMM.
+//! Parity suite for the register-tiled GEMM.
 //!
 //! Checks every transpose variant against a naive f64 reference over random
 //! shapes — including zero dims, non-tile-multiple m/n/k, and degenerate
 //! 1×1 / single-row / single-column cases — on the dispatched tier and on
-//! every tier the host can run, and every SIMD tier against the scalar one.
+//! every tier the host can run, and every tier **bit for bit** against
+//! [`dot_ref`], the per-tier summation contract of `gemm.rs`'s header
+//! written out as a scalar loop. The bits of a product depend on that
+//! contract alone, so any re-tiling that keeps this suite green moved no
+//! fingerprint.
 
 use fedca_tensor::gemm::{
-    active_kernel, available_kernels, gemm_acc, gemm_acc_on, Kernel, KC, MR, NR,
+    active_kernel, available_kernels, gemm_acc, gemm_acc_cols, gemm_acc_on, Kernel, KC,
 };
 use fedca_tensor::{ops, Tensor};
 use proptest::prelude::*;
@@ -52,23 +56,64 @@ fn randn(len: usize, rng: &mut StdRng) -> Vec<f32> {
 }
 
 /// Shapes that exercise the interesting structural cases: degenerate 1×1,
-/// single row / single column, exact tile multiples, off-by-one around the
-/// MR/NR/KC boundaries, and zero dims.
+/// single row / single column, exact tile multiples and off-by-one around
+/// every tier's tile (4×8 and 6×16) and the KC boundary, and zero dims.
 fn structural_shapes() -> Vec<(usize, usize, usize)> {
     vec![
         (1, 1, 1),
-        (1, 1, 513),          // long dot product, crosses KC
-        (1, 37, 5),           // single output row
-        (29, 1, 5),           // single output column
-        (MR, NR, 8),          // exactly one tile
-        (MR - 1, NR - 1, 3),  // strictly inside one tile
-        (MR + 1, NR + 1, 9),  // one past the tile edge
-        (3 * MR, 5 * NR, KC), // exact multiples, exact KC
-        (17, 13, KC + 7),     // non-multiples, k crosses a KC boundary
-        (0, 4, 3),            // zero dims: empty output / empty depth
+        (1, 1, 513), // long dot product, crosses KC twice
+        (1, 37, 5),  // single output row
+        (29, 1, 5),  // single output column
+        (4, 8, 8),   // exactly one tile, per tier
+        (6, 16, 8),
+        (3, 7, 3), // strictly inside one tile
+        (5, 15, 3),
+        (5, 9, 9), // one past the tile edge
+        (7, 17, 9),
+        (18, 80, KC),     // exact multiples, exact KC
+        (17, 13, KC + 7), // non-multiples, k crosses a KC boundary
+        (0, 4, 3),        // zero dims: empty output / empty depth
         (4, 0, 3),
         (4, 3, 0),
     ]
+}
+
+/// The GEMMs `Conv2d` issues for cnn's conv1/conv2 and wrn's first block
+/// (`W·col`, `gt·colᵀ`, `Wᵀ·gt`), and column tails of 1–7 past a strip.
+fn conv_shapes() -> Vec<(usize, usize, usize)> {
+    let mut shapes = vec![
+        (6, 2304, 75),
+        (6, 75, 2304),
+        (16, 64, 150),
+        (150, 64, 16),
+        (8, 4096, 72),
+    ];
+    shapes.extend((1..=7).map(|tail| (6, 32 + tail, 75)));
+    shapes
+}
+
+/// One output element by the summation contract of `tier`, starting from
+/// the value `c` already holds: per `KC` block of depth, the scalar tier
+/// runs one mul-then-add chain, AVX2 an even-depth and an odd-depth FMA
+/// chain that are then summed, NEON one FMA chain; the block's sum is added
+/// into `c` once.
+fn dot_ref(tier: Kernel, c: f32, a_row: &[f32], b_col: &[f32]) -> f32 {
+    let mut c = c;
+    for (ab, bb) in a_row.chunks(KC).zip(b_col.chunks(KC)) {
+        let pairs = ab.iter().zip(bb);
+        c += match tier {
+            Kernel::Scalar => pairs.fold(0.0, |s, (&x, &y)| s + x * y),
+            Kernel::Neon => pairs.fold(0.0, |s, (&x, &y)| x.mul_add(y, s)),
+            Kernel::Avx2 => {
+                let mut chains = [0.0f32; 2];
+                for (p, (&x, &y)) in pairs.enumerate() {
+                    chains[p % 2] = x.mul_add(y, chains[p % 2]);
+                }
+                chains[0] + chains[1]
+            }
+        };
+    }
+    c
 }
 
 #[test]
@@ -102,9 +147,9 @@ fn ops_wrappers_route_through_the_same_kernel() {
 }
 
 // ---------------------------------------------------------------------------
-// Tiered parity: every compiled SIMD tier vs the f64 reference and vs the
-// scalar tier. These run on the explicit-kernel entry point so one process
-// covers all tiers regardless of what the global dispatch latched to.
+// Tiered parity: every compiled tier vs the f64 reference and vs its own
+// summation contract. These run on the explicit-kernel entry point so one
+// process covers all tiers regardless of what the global dispatch latched to.
 // ---------------------------------------------------------------------------
 
 #[test]
@@ -130,29 +175,74 @@ fn every_tier_matches_f64_reference_on_structural_shapes() {
     }
 }
 
-/// SIMD tiers may fuse multiplies and adds (FMA) but keep the same
-/// sequential-k accumulation order, so they must agree with the scalar
-/// tier to within FMA rounding — a far tighter bound than the f64 check.
+/// Every tier, every transpose combination, every element: the engine's
+/// output equals the tier's summation contract bit for bit, accumulating
+/// into a non-zero C. This is what makes a change of tile shape, loop order
+/// or packing provably unable to move a fingerprint.
 #[test]
-fn every_tier_stays_within_fma_rounding_of_scalar() {
+fn every_tier_equals_its_summation_contract_bit_for_bit() {
     let mut rng = StdRng::seed_from_u64(46);
-    for (m, n, k) in structural_shapes() {
-        let a = randn(m * k, &mut rng);
-        let b = randn(k * n, &mut rng);
-        let mut scalar = vec![0.0f32; m * n];
-        gemm_acc_on(Kernel::Scalar, false, false, m, n, k, &a, &b, &mut scalar);
-        for kernel in available_kernels() {
-            let mut c = vec![0.0f32; m * n];
-            gemm_acc_on(kernel, false, false, m, n, k, &a, &b, &mut c);
-            for (i, (&x, &y)) in c.iter().zip(&scalar).enumerate() {
-                let tol = 2.0 * f32::EPSILON * (k as f32).max(1.0) * (1.0 + y.abs());
-                assert!(
-                    (x - y).abs() <= tol,
-                    "{} ({m},{n},{k})[{i}]: {x} vs scalar {y}",
-                    kernel.name()
-                );
+    let shapes = structural_shapes().into_iter().chain(conv_shapes());
+    for (m, n, k) in shapes {
+        for ta in [false, true] {
+            for tb in [false, true] {
+                let a = randn(m * k, &mut rng);
+                let b = randn(k * n, &mut rng);
+                let c0 = randn(m * n, &mut rng);
+                // Row i of op(A) and column j of op(B), gathered once.
+                let rows: Vec<Vec<f32>> = (0..m)
+                    .map(|i| {
+                        (0..k)
+                            .map(|p| if ta { a[p * m + i] } else { a[i * k + p] })
+                            .collect()
+                    })
+                    .collect();
+                let cols: Vec<Vec<f32>> = (0..n)
+                    .map(|j| {
+                        (0..k)
+                            .map(|p| if tb { b[j * k + p] } else { b[p * n + j] })
+                            .collect()
+                    })
+                    .collect();
+                for kernel in available_kernels() {
+                    let mut c = c0.clone();
+                    gemm_acc_on(kernel, ta, tb, m, n, k, &a, &b, &mut c);
+                    for i in 0..m {
+                        for j in 0..n {
+                            let want = dot_ref(kernel, c0[i * n + j], &rows[i], &cols[j]);
+                            assert_eq!(
+                                c[i * n + j].to_bits(),
+                                want.to_bits(),
+                                "{} ({m},{n},{k}) ta={ta} tb={tb} [{i},{j}]: {} vs {want}",
+                                kernel.name(),
+                                c[i * n + j]
+                            );
+                        }
+                    }
+                }
             }
         }
+    }
+}
+
+/// Column bands of one product are that product: any split of `0..n` —
+/// mid-strip, empty, single-column — writes the bits one whole call writes
+/// (`Conv2d` multiplies `col` a few samples at a time through this entry).
+#[test]
+fn column_bands_compose_to_the_whole_product_bit_for_bit() {
+    let mut rng = StdRng::seed_from_u64(47);
+    for (m, n, k) in [(6, 100, 75), (16, 37, KC + 9), (5, 16, 3)] {
+        let a = randn(m * k, &mut rng);
+        let b = randn(k * n, &mut rng);
+        let c0 = randn(m * n, &mut rng);
+        let mut whole = c0.clone();
+        gemm_acc(false, false, m, n, k, &a, &b, &mut whole);
+        let mut banded = c0.clone();
+        for cols in [0..0, 0..1, 1..n / 3, n / 3..n - 1, n - 1..n] {
+            gemm_acc_cols(m, n, k, &a, &b, &mut banded, cols);
+        }
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&banded), bits(&whole), "({m},{n},{k})");
     }
 }
 

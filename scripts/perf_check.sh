@@ -17,7 +17,9 @@ MAX_REG="${PERF_MAX_REGRESSION:-20}"
 BASELINE="BENCH_kernels.json"
 
 echo "== kernel benches (release)"
-OUT="$(cargo bench -p fedca-bench --bench training_iteration --bench round_orchestration 2>&1 | tee /dev/stderr)"
+# `tee >(cat >&2)`, not `tee /dev/stderr`: the latter reopens (and truncates)
+# a log file that check.sh's stderr was redirected to.
+OUT="$(cargo bench -p fedca-bench --bench training_iteration --bench round_orchestration 2>&1 | tee >(cat >&2))"
 
 FAIL=0
 for NAME in $(jq -r '.benchmarks | keys[]' "$BASELINE"); do

@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # SIMD dispatch gate, two halves:
 #
-#  1. Correctness: runs the tiered GEMM parity suite once per kernel tier
-#     the host can execute, with FEDCA_FORCE_KERNEL pinning the dispatch —
-#     so the scalar fallback stays exercised on SIMD hardware and every
-#     compiled tier proves f64-reference accuracy and scalar-proximity.
+#  1. Correctness: runs the GEMM and Conv2d parity suites once per kernel
+#     tier the host can execute, with FEDCA_FORCE_KERNEL pinning the
+#     dispatch — so the scalar fallback stays exercised on SIMD hardware and
+#     every compiled tier proves f64-reference accuracy and bit-equality
+#     with its summation contract (gemm.rs header), through Conv2d too.
 #
 #  2. Performance: on hosts with a SIMD tier, re-runs the train_iteration
 #     benches and requires each median to beat the packed scalar kernel
@@ -35,8 +36,9 @@ echo "== simd_check: host tiers: $TIERS"
 
 FAIL=0
 for TIER in $TIERS; do
-  echo "== gemm parity suite (FEDCA_FORCE_KERNEL=$TIER)"
-  if ! FEDCA_FORCE_KERNEL="$TIER" cargo test -q -p fedca-tensor --test gemm_parity; then
+  echo "== gemm + conv parity suites (FEDCA_FORCE_KERNEL=$TIER)"
+  if ! FEDCA_FORCE_KERNEL="$TIER" cargo test -q -p fedca-tensor --test gemm_parity ||
+    ! FEDCA_FORCE_KERNEL="$TIER" cargo test -q -p fedca-nn --test conv_parity; then
     echo "simd_check: parity suite failed on tier $TIER" >&2
     FAIL=1
   fi
@@ -48,7 +50,9 @@ if [[ "$TIERS" == "scalar" ]]; then
 fi
 
 echo "== train_iteration benches (release, auto-dispatched tier)"
-OUT="$(cargo bench -p fedca-bench --bench training_iteration 2>&1 | tee /dev/stderr)"
+# `tee >(cat >&2)`, not `tee /dev/stderr`: the latter reopens (and truncates)
+# a log file that check.sh's stderr was redirected to.
+OUT="$(cargo bench -p fedca-bench --bench training_iteration 2>&1 | tee >(cat >&2))"
 
 FLOOR="$(awk "BEGIN{print $MIN_SPEEDUP * (1 - $TOLERANCE / 100)}")"
 for NAME in $(jq -r '.benchmarks | keys[] | select(startswith("train_iteration/"))' "$BASELINE"); do
