@@ -11,43 +11,21 @@
 //! `[N, H]` of the top layer (the usual classification head for keyword
 //! spotting).
 //!
-//! The per-timestep BPTT caches are persistent slots resized in place, and
-//! every sequence/gate intermediate is drawn from the [`Workspace`], so a
-//! warmed-up forward+backward allocates nothing.
+//! Internally the sequence runs **time-major**: [`Lstm`] transposes the input
+//! to `[T, N, F]` once, and every per-step quantity of a core is the
+//! contiguous block `t` of a persistent `[T, N, ·]` buffer resized in place.
+//! A step therefore copies nothing — its pre-activation block is accumulated
+//! into where the batched input GEMM left it, its gate gradients are written
+//! where the weight-gradient GEMMs read them, and a core reads the hidden
+//! states of the core below as a borrowed slice. Scratch comes from the
+//! [`Workspace`], so a warmed-up forward+backward allocates nothing.
 
 use crate::layer::Layer;
 use crate::layers::activation::sigmoid_scalar;
 use crate::param::Parameter;
 use crate::workspace::Workspace;
-use fedca_tensor::{ops, Tensor};
-
-/// Per-timestep cache of one LSTM layer. Slots persist across iterations
-/// and are re-dimensioned in place.
-struct StepCache {
-    x: Tensor,      // [N, in]  input at t
-    h_prev: Tensor, // [N, H]
-    c_prev: Tensor, // [N, H]
-    i: Tensor,      // [N, H] gate activations
-    f: Tensor,
-    g: Tensor,
-    o: Tensor,
-    tanh_c: Tensor, // [N, H] tanh of the new cell state
-}
-
-impl StepCache {
-    fn empty() -> Self {
-        StepCache {
-            x: Tensor::zeros([0]),
-            h_prev: Tensor::zeros([0]),
-            c_prev: Tensor::zeros([0]),
-            i: Tensor::zeros([0]),
-            f: Tensor::zeros([0]),
-            g: Tensor::zeros([0]),
-            o: Tensor::zeros([0]),
-            tanh_c: Tensor::zeros([0]),
-        }
-    }
-}
+use fedca_tensor::gemm::gemm_acc;
+use fedca_tensor::{axpy, simd, Tensor};
 
 /// One LSTM layer (a "core"); the public [`Lstm`] stacks these.
 struct LstmCore {
@@ -57,10 +35,14 @@ struct LstmCore {
     b_hh: Parameter, // [4H]
     input_size: usize,
     hidden: usize,
-    cache: Vec<StepCache>,
-    // Recurrent state buffers, reused across steps and iterations.
-    h: Tensor,
-    c: Tensor,
+    // The sequence of the last forward, time-major. `h_all` and `c_all` are
+    // `[T+1, N, H]`: block 0 is the zero initial state and block t+1 the
+    // state after step t, so block t is step t's `h_prev` / `c_prev`.
+    h_all: Tensor,
+    c_all: Tensor,
+    // Gate activations `i, f, g, o` and tanh of the new cell state,
+    // `[T, N, H]` each.
+    acts: [Tensor; 5],
 }
 
 impl LstmCore {
@@ -93,263 +75,180 @@ impl LstmCore {
             ),
             input_size,
             hidden,
-            cache: Vec::new(),
-            h: Tensor::zeros([0]),
-            c: Tensor::zeros([0]),
+            h_all: Tensor::zeros([0]),
+            c_all: Tensor::zeros([0]),
+            acts: std::array::from_fn(|_| Tensor::zeros([0])),
         }
     }
 
-    /// Runs the layer over a sequence `[N, T, in]`, returning all hidden
-    /// states `[N, T, H]` (workspace-owned) and caching activations for
-    /// BPTT.
-    fn forward_seq(&mut self, xs: &Tensor, ws: &mut Workspace) -> Tensor {
-        let (n, t, fin) = (xs.dims()[0], xs.dims()[1], xs.dims()[2]);
-        assert_eq!(
-            fin,
-            self.input_size,
-            "LSTM {}: input width mismatch",
-            self.w_ih.name()
-        );
-        let hdim = self.hidden;
-        let h4 = 4 * hdim;
-        let kernel = fedca_tensor::gemm::active_kernel();
-        let fast = fedca_tensor::simd::has_fast_transcendentals(kernel);
-        self.cache.truncate(t);
-        while self.cache.len() < t {
-            self.cache.push(StepCache::empty());
+    /// Runs the layer over the time-major sequence `xs: [T, N, in]`, leaving
+    /// every hidden state in `h_all[1..]` and the activations BPTT needs in
+    /// the other sequence buffers.
+    fn forward_seq(&mut self, xs: &[f32], n: usize, t: usize, ws: &mut Workspace) {
+        let (fin, hdim) = (self.input_size, self.hidden);
+        let (h4, block) = (4 * hdim, n * hdim);
+        let fast = simd::has_fast_transcendentals(fedca_tensor::gemm::active_kernel());
+        for state in [&mut self.h_all, &mut self.c_all] {
+            state.resize(&[t + 1, n, hdim]);
+            state.as_mut_slice()[..block].fill(0.0);
         }
-        self.h.resize(&[n, hdim]);
-        self.h.fill_zero();
-        self.c.resize(&[n, hdim]);
-        self.c.fill_zero();
-        let mut out = ws.take(&[n, t, hdim]);
-        let mut z = ws.take(&[n, h4]);
+        for act in &mut self.acts {
+            act.resize(&[t, n, hdim]);
+        }
         // The input contribution has no recurrent dependency, so all T
-        // timestep GEMMs batch into one: viewing [N, T, F] as [(N·T), F],
-        // zx row (s·T + t) = x_t(s)·W_ihᵀ. Each output element is the same
-        // strictly-sequential-k dot product the per-step GEMM computed, so
-        // this is a pure batching restructure — bit-identical on every
-        // tier — that packs W_ih once instead of T times.
-        let mut zx = ws.take_zeroed(&[n * t, h4]);
-        fedca_tensor::gemm::gemm_acc(
-            false,
-            true,
-            n * t,
-            h4,
-            fin,
-            xs.as_slice(),
-            self.w_ih.value.as_slice(),
-            zx.as_mut_slice(),
-        );
+        // timestep GEMMs batch into one: zx row (t·N + s) = x_t(s)·W_ihᵀ.
+        // Each output element is the same strictly-sequential-k dot product
+        // a per-step GEMM computes — bit-identical on every tier — and step
+        // t's pre-activations are the contiguous block t of the result.
+        let mut zx = ws.take_zeroed(&[t * n, h4]);
+        let w_ih = self.w_ih.value.as_slice();
+        gemm_acc(false, true, t * n, h4, fin, xs, w_ih, zx.as_mut_slice());
+        // W_hhᵀ once per forward: the T recurrent GEMMs then read their B in
+        // place instead of each staging the same transposed strips.
+        let mut w_hh_t = ws.take(&[hdim, h4]);
+        let w_hh = self.w_hh.value.as_slice();
+        swap_leading_axes(w_hh, h4, hdim, 1, w_hh_t.as_mut_slice());
+        let mut bias = ws.take(&[h4]);
+        let (bi, bh) = (self.b_ih.value.as_slice(), self.b_hh.value.as_slice());
+        for (k, b) in bias.as_mut_slice().iter_mut().enumerate() {
+            *b = bi[k] + bh[k];
+        }
         for step in 0..t {
-            let slot = &mut self.cache[step];
-            // Slice x_t out of the [N, T, F] tensor into the cache slot.
-            slot.x.resize(&[n, fin]);
-            for s in 0..n {
-                let src = &xs.as_slice()[(s * t + step) * fin..(s * t + step + 1) * fin];
-                slot.x.as_mut_slice()[s * fin..(s + 1) * fin].copy_from_slice(src);
-            }
-            slot.h_prev.copy_from(&self.h);
-            slot.c_prev.copy_from(&self.c);
-            // z = x_t·W_ihᵀ + h·W_hhᵀ + b_ih + b_hh : [N, 4H]
-            for s in 0..n {
-                let src = &zx.as_slice()[(s * t + step) * h4..(s * t + step + 1) * h4];
-                z.as_mut_slice()[s * h4..(s + 1) * h4].copy_from_slice(src);
-            }
-            ops::matmul_transpose_b_acc(&self.h, &self.w_hh.value, &mut z);
-            {
-                let zb = z.as_mut_slice();
-                let bi = self.b_ih.value.as_slice();
-                let bh = self.b_hh.value.as_slice();
-                for s in 0..n {
-                    let row = &mut zb[s * h4..(s + 1) * h4];
-                    for k in 0..h4 {
-                        row[k] += bi[k] + bh[k];
-                    }
+            let at = step * block..(step + 1) * block;
+            // Blocks `step` and `step + 1` of the state: before and after.
+            let both = at.start..at.end + block;
+            let (h_prev, h) = self.h_all.as_mut_slice()[both.clone()].split_at_mut(block);
+            let (c_prev, c) = self.c_all.as_mut_slice()[both].split_at_mut(block);
+            let acts = self.acts.each_mut();
+            let [i, f, g, o, tanh_c] = acts.map(|a| &mut a.as_mut_slice()[at.clone()]);
+            // z = x_t·W_ihᵀ + h_{t-1}·W_hhᵀ + (b_ih + b_hh) : [N, 4H]
+            let z = &mut zx.as_mut_slice()[step * n * h4..(step + 1) * n * h4];
+            gemm_acc(false, false, n, h4, hdim, h_prev, w_hh_t.as_slice(), z);
+            for row in z.chunks_exact_mut(h4) {
+                for (zk, &bk) in row.iter_mut().zip(bias.as_slice()) {
+                    *zk += bk;
                 }
             }
-            slot.i.resize(&[n, hdim]);
-            slot.f.resize(&[n, hdim]);
-            slot.g.resize(&[n, hdim]);
-            slot.o.resize(&[n, hdim]);
-            slot.tanh_c.resize(&[n, hdim]);
             // Gate activations and the cell update. The scalar tier keeps
             // the libm path (its trajectories back the committed golden
             // fixtures); SIMD tiers take the vectorized transcendentals,
             // which are bit-stable within a tier but not across tiers —
             // the same contract the GEMM microkernels follow.
             if fast {
-                let zd = z.as_slice();
-                for s in 0..n {
-                    let (lo, hi) = (s * hdim, (s + 1) * hdim);
-                    fedca_tensor::simd::lstm_gates_fast(
-                        &zd[s * h4..(s + 1) * h4],
+                for (s, row) in z.chunks_exact(h4).enumerate() {
+                    let r = s * hdim..(s + 1) * hdim;
+                    simd::lstm_gates_fast(
+                        row,
                         hdim,
-                        &mut slot.i.as_mut_slice()[lo..hi],
-                        &mut slot.f.as_mut_slice()[lo..hi],
-                        &mut slot.g.as_mut_slice()[lo..hi],
-                        &mut slot.o.as_mut_slice()[lo..hi],
+                        &mut i[r.clone()],
+                        &mut f[r.clone()],
+                        &mut g[r.clone()],
+                        &mut o[r],
                     );
                 }
-                fedca_tensor::simd::lstm_cell_update_fast(
-                    slot.i.as_slice(),
-                    slot.f.as_slice(),
-                    slot.g.as_slice(),
-                    slot.o.as_slice(),
-                    slot.c_prev.as_slice(),
-                    self.c.as_mut_slice(),
-                    slot.tanh_c.as_mut_slice(),
-                    self.h.as_mut_slice(),
-                );
+                simd::lstm_cell_update_fast(i, f, g, o, c_prev, c, tanh_c, h);
             } else {
-                {
-                    let zd = z.as_slice();
-                    for s in 0..n {
-                        let row = &zd[s * h4..(s + 1) * h4];
-                        for k in 0..hdim {
-                            slot.i.as_mut_slice()[s * hdim + k] = sigmoid_scalar(row[k]);
-                            slot.f.as_mut_slice()[s * hdim + k] = sigmoid_scalar(row[hdim + k]);
-                            slot.g.as_mut_slice()[s * hdim + k] = row[2 * hdim + k].tanh();
-                            slot.o.as_mut_slice()[s * hdim + k] = sigmoid_scalar(row[3 * hdim + k]);
-                        }
+                for (s, row) in z.chunks_exact(h4).enumerate() {
+                    for k in 0..hdim {
+                        i[s * hdim + k] = sigmoid_scalar(row[k]);
+                        f[s * hdim + k] = sigmoid_scalar(row[hdim + k]);
+                        g[s * hdim + k] = row[2 * hdim + k].tanh();
+                        o[s * hdim + k] = sigmoid_scalar(row[3 * hdim + k]);
                     }
                 }
-                // c = f*c_prev + i*g ; h = o*tanh(c), updated in place (the
-                // previous state is already copied into the cache slot).
-                let cd = self.c.as_mut_slice();
-                let hd = self.h.as_mut_slice();
-                let tc_d = slot.tanh_c.as_mut_slice();
-                let (id, fd, gd, od) = (
-                    slot.i.as_slice(),
-                    slot.f.as_slice(),
-                    slot.g.as_slice(),
-                    slot.o.as_slice(),
-                );
-                let cp = slot.c_prev.as_slice();
-                for idx in 0..n * hdim {
-                    let cv = fd[idx] * cp[idx] + id[idx] * gd[idx];
-                    cd[idx] = cv;
+                // c = f*c_prev + i*g ; h = o*tanh(c)
+                for idx in 0..block {
+                    let cv = f[idx] * c_prev[idx] + i[idx] * g[idx];
+                    c[idx] = cv;
                     let tc = cv.tanh();
-                    tc_d[idx] = tc;
-                    hd[idx] = od[idx] * tc;
+                    tanh_c[idx] = tc;
+                    h[idx] = o[idx] * tc;
                 }
             }
-            for s in 0..n {
-                let dst = &mut out.as_mut_slice()[(s * t + step) * hdim..(s * t + step + 1) * hdim];
-                dst.copy_from_slice(&self.h.as_slice()[s * hdim..(s + 1) * hdim]);
-            }
         }
-        ws.give(z);
         ws.give(zx);
-        out
+        ws.give(w_hh_t);
+        ws.give(bias);
     }
 
-    /// BPTT over the cached sequence. `dh_out` is `[N, T, H]` (gradient on
-    /// every hidden state emitted). Returns `dx` as `[N, T, in]` when
-    /// `need_dx` is set (the bottom layer of a training step has no
-    /// consumer for it).
+    /// BPTT over the cached sequence. `xs` is the `[T, N, in]` input the
+    /// forward saw; `dh_out` is the gradient on the hidden states, time-major:
+    /// all `T` blocks (from the core above) or only the last (the top core,
+    /// whose earlier steps receive none). Returns `dx` as `[T, N, in]` when
+    /// `need_dx` is set (the bottom layer of a training step has no consumer
+    /// for it).
     fn backward_seq(
         &mut self,
-        dh_out: &Tensor,
+        xs: &[f32],
+        dh_out: &[f32],
+        n: usize,
+        t: usize,
         need_dx: bool,
         ws: &mut Workspace,
     ) -> Option<Tensor> {
-        let t = self.cache.len();
-        assert!(t > 0, "LstmCore::backward_seq before forward_seq");
-        let n = self.cache[0].x.dims()[0];
-        let hdim = self.hidden;
-        let h4 = 4 * hdim;
-        let fin = self.input_size;
-        assert_eq!(dh_out.dims(), &[n, t, hdim], "dh_out shape mismatch");
+        let (fin, hdim) = (self.input_size, self.hidden);
+        let (h4, block) = (4 * hdim, n * hdim);
+        let kernel = fedca_tensor::gemm::active_kernel();
+        // The first step with a block in `dh_out`.
+        let first = if dh_out.len() == t * block { 0 } else { t - 1 };
+        assert_eq!(dh_out.len(), (t - first) * block, "dh_out shape mismatch");
 
-        let mut dx = need_dx.then(|| ws.take(&[n, t, fin]));
+        let (w_ih, w_hh) = (self.w_ih.value.as_slice(), self.w_hh.value.as_slice());
+        let (dw_ih, dw_hh) = (self.w_ih.grad.as_mut_slice(), self.w_hh.grad.as_mut_slice());
         let mut dh = ws.take_zeroed(&[n, hdim]); // carried recurrent gradient
-        let mut dh_next = ws.take(&[n, hdim]);
         let mut dc = ws.take_zeroed(&[n, hdim]);
-        let mut dz = ws.take(&[n, h4]);
-        // Per-step gate gradients, gathered so the input-gradient GEMM can
-        // run once over all timesteps (same batching argument as the
-        // forward's `zx`; each dx row is an unchanged sequential-k dot).
-        let mut dz_all = need_dx.then(|| ws.take(&[n * t, h4]));
+        // Every step's gate gradients, each written once into its own block:
+        // the A operand of that step's weight-gradient and recurrent GEMMs,
+        // and as a whole of the one input-gradient GEMM after the loop.
+        let mut dz_all = ws.take(&[t * n, h4]);
         for step in (0..t).rev() {
-            let cache = &self.cache[step];
             // dh += gradient flowing directly into h_t from the output.
-            for s in 0..n {
-                let src = &dh_out.as_slice()[(s * t + step) * hdim..(s * t + step + 1) * hdim];
-                fedca_tensor::axpy(1.0, src, &mut dh.as_mut_slice()[s * hdim..(s + 1) * hdim]);
+            if step >= first {
+                let direct = &dh_out[(step - first) * block..][..block];
+                axpy(1.0, direct, dh.as_mut_slice());
             }
-            {
-                let dhd = dh.as_slice();
-                let dcd = dc.as_mut_slice();
-                let dzd = dz.as_mut_slice();
-                for idx in 0..n * hdim {
-                    let o = cache.o.as_slice()[idx];
-                    let tc = cache.tanh_c.as_slice()[idx];
-                    let do_ = dhd[idx] * tc;
-                    let dct = dcd[idx] + dhd[idx] * o * (1.0 - tc * tc);
-                    let i = cache.i.as_slice()[idx];
-                    let f = cache.f.as_slice()[idx];
-                    let g = cache.g.as_slice()[idx];
-                    let di = dct * g;
-                    let dg = dct * i;
-                    let df = dct * cache.c_prev.as_slice()[idx];
-                    dcd[idx] = dct * f; // becomes dc_{t-1}
-                    let (s, k) = (idx / hdim, idx % hdim);
-                    let row = &mut dzd[s * h4..(s + 1) * h4];
-                    row[k] = di * i * (1.0 - i);
-                    row[hdim + k] = df * f * (1.0 - f);
-                    row[2 * hdim + k] = dg * (1.0 - g * g);
-                    row[3 * hdim + k] = do_ * o * (1.0 - o);
-                }
-            }
-            // Parameter gradients.
-            ops::matmul_transpose_a_acc(&dz, &cache.x, &mut self.w_ih.grad);
-            ops::matmul_transpose_a_acc(&dz, &cache.h_prev, &mut self.w_hh.grad);
-            {
-                let dzd = dz.as_slice();
-                let dbi = self.b_ih.grad.as_mut_slice();
-                let dbh = self.b_hh.grad.as_mut_slice();
-                for s in 0..n {
-                    let row = &dzd[s * h4..(s + 1) * h4];
-                    fedca_tensor::axpy(1.0, row, dbi);
-                    fedca_tensor::axpy(1.0, row, dbh);
-                }
-            }
-            // Stash this step's gate gradients for the batched dx GEMM.
-            if let Some(dz_all) = dz_all.as_mut() {
-                for s in 0..n {
-                    let dst =
-                        &mut dz_all.as_mut_slice()[(s * t + step) * h4..(s * t + step + 1) * h4];
-                    dst.copy_from_slice(&dz.as_slice()[s * h4..(s + 1) * h4]);
-                }
-            }
-            // Recurrent gradient.
-            ops::matmul_into(&dz, &self.w_hh.value, &mut dh_next); // dh_{t-1}
-            std::mem::swap(&mut dh, &mut dh_next);
-        }
-        // Input gradients for every timestep in one GEMM:
-        // dx[(s·T+t), :] = dz_all[(s·T+t), :] · W_ih.
-        if let (Some(dx), Some(dz_all)) = (dx.as_mut(), dz_all.as_ref()) {
-            dx.fill_zero();
-            fedca_tensor::gemm::gemm_acc(
-                false,
-                false,
-                n * t,
-                fin,
-                h4,
-                dz_all.as_slice(),
-                self.w_ih.value.as_slice(),
-                dx.as_mut_slice(),
+            let at = step * block..(step + 1) * block;
+            let [i, f, g, o, tanh_c] = self.acts.each_ref().map(|a| &a.as_slice()[at.clone()]);
+            let (h_prev, c_prev) = (
+                &self.h_all.as_slice()[at.clone()],
+                &self.c_all.as_slice()[at],
             );
+            let dz = &mut dz_all.as_mut_slice()[step * n * h4..(step + 1) * n * h4];
+            let (dh, dc) = (dh.as_mut_slice(), dc.as_mut_slice());
+            simd::lstm_cell_backward(kernel, hdim, dh, dc, i, f, g, o, tanh_c, c_prev, dz);
+            // Parameter gradients: dW_ih += dz_tᵀ·x_t, dW_hh += dz_tᵀ·h_{t-1}.
+            let x_t = &xs[step * n * fin..(step + 1) * n * fin];
+            gemm_acc(true, false, h4, fin, n, dz, x_t, dw_ih);
+            gemm_acc(true, false, h4, hdim, n, dz, h_prev, dw_hh);
+            for row in dz.chunks_exact(h4) {
+                axpy(1.0, row, self.b_ih.grad.as_mut_slice());
+                axpy(1.0, row, self.b_hh.grad.as_mut_slice());
+            }
+            // Recurrent gradient, over the one already consumed: dh_{t-1} = dz_t·W_hh.
+            dh.fill(0.0);
+            gemm_acc(false, false, n, hdim, h4, dz, w_hh, dh);
         }
+        // Input gradients for every timestep in one GEMM (same batching
+        // argument as the forward's `zx`): dx row (t·N + s) = dz_all row (t·N + s)·W_ih.
+        let dx = need_dx.then(|| {
+            let (mut dx, dz) = (ws.take_zeroed(&[t, n, fin]), dz_all.as_slice());
+            gemm_acc(false, false, t * n, fin, h4, dz, w_ih, dx.as_mut_slice());
+            dx
+        });
         ws.give(dh);
-        ws.give(dh_next);
         ws.give(dc);
-        ws.give(dz);
-        if let Some(dz_all) = dz_all {
-            ws.give(dz_all);
-        }
+        ws.give(dz_all);
         dx
+    }
+}
+
+/// `dst[b][a][..w] = src[a][b][..w]` for `src: [A, B, w]`, `dst: [B, A, w]`:
+/// batch-major ↔ time-major for a sequence, a plain transpose at `w = 1`.
+fn swap_leading_axes(src: &[f32], a: usize, b: usize, w: usize, dst: &mut [f32]) {
+    for (ia, rows) in src.chunks_exact(b * w).enumerate() {
+        for (ib, row) in rows.chunks_exact(w).enumerate() {
+            dst[(ib * a + ia) * w..][..w].copy_from_slice(row);
+        }
     }
 }
 
@@ -357,7 +256,11 @@ impl LstmCore {
 pub struct Lstm {
     layers: Vec<LstmCore>,
     hidden: usize,
-    seq_len: Option<usize>,
+    // The last forward's input, transposed to `[T, N, F]`: what the bottom
+    // core reads, in the forward and again for its `dW_ih`.
+    x_tm: Tensor,
+    // `(N, T)` of the last forward.
+    seq_dims: Option<(usize, usize)>,
 }
 
 impl Lstm {
@@ -382,8 +285,20 @@ impl Lstm {
         Lstm {
             layers,
             hidden,
-            seq_len: None,
+            x_tm: Tensor::zeros([0]),
+            seq_dims: None,
         }
+    }
+
+    /// Core `l` and the time-major sequence it consumes: the transposed
+    /// input for the bottom core, else the hidden states of the core below.
+    fn core_and_input(&mut self, l: usize, n: usize) -> (&mut LstmCore, &[f32]) {
+        let (below, rest) = self.layers.split_at_mut(l);
+        let xs = match below.last() {
+            Some(prev) => &prev.h_all.as_slice()[n * self.hidden..],
+            None => self.x_tm.as_slice(),
+        };
+        (&mut rest[0], xs)
     }
 }
 
@@ -395,28 +310,26 @@ impl Layer for Lstm {
             "Lstm expects [N,T,F], got {}",
             x.shape()
         );
-        let (n, t) = (x.dims()[0], x.dims()[1]);
-        self.seq_len = Some(t);
-        let mut cur: Option<Tensor> = None;
-        for core in &mut self.layers {
-            let next = match &cur {
-                Some(seq) => core.forward_seq(seq, ws),
-                None => core.forward_seq(x, ws),
-            };
-            if let Some(prev) = cur.take() {
-                ws.give(prev);
-            }
-            cur = Some(next);
+        let (n, t, fin) = (x.dims()[0], x.dims()[1], x.dims()[2]);
+        assert!(t > 0, "Lstm needs at least one timestep, got {}", x.shape());
+        assert_eq!(
+            fin,
+            self.layers[0].input_size,
+            "LSTM {}: input width mismatch",
+            self.layers[0].w_ih.name()
+        );
+        self.seq_dims = Some((n, t));
+        self.x_tm.resize(&[t, n, fin]);
+        swap_leading_axes(x.as_slice(), n, t, fin, self.x_tm.as_mut_slice());
+        for l in 0..self.layers.len() {
+            let (core, xs) = self.core_and_input(l, n);
+            core.forward_seq(xs, n, t, ws);
         }
-        let seq = cur.expect("LSTM has at least one layer");
-        // Return last timestep of the top layer: [N, H].
-        let hdim = self.hidden;
-        let mut out = ws.take(&[n, hdim]);
-        for s in 0..n {
-            let src = &seq.as_slice()[(s * t + (t - 1)) * hdim..(s * t + t) * hdim];
-            out.as_mut_slice()[s * hdim..(s + 1) * hdim].copy_from_slice(src);
-        }
-        ws.give(seq);
+        // Return the last timestep of the top layer: [N, H].
+        let top = self.layers.last().expect("LSTM has at least one layer");
+        let mut out = ws.take(&[n, self.hidden]);
+        out.as_mut_slice()
+            .copy_from_slice(&top.h_all.as_slice()[t * n * self.hidden..]);
         out
     }
 
@@ -426,25 +339,31 @@ impl Layer for Lstm {
         need_input_grad: bool,
         ws: &mut Workspace,
     ) -> Option<Tensor> {
-        let t = self.seq_len.expect("Lstm::backward before forward");
-        let n = grad_out.dims()[0];
-        let hdim = self.hidden;
-        assert_eq!(grad_out.dims(), &[n, hdim], "Lstm grad_out must be [N,H]");
-        // Only the last timestep of the top layer receives output gradient.
-        let mut grad = ws.take_zeroed(&[n, t, hdim]);
-        for s in 0..n {
-            let dst = &mut grad.as_mut_slice()[(s * t + (t - 1)) * hdim..(s * t + t) * hdim];
-            dst.copy_from_slice(&grad_out.as_slice()[s * hdim..(s + 1) * hdim]);
+        let (n, t) = self.seq_dims.expect("Lstm::backward before forward");
+        assert_eq!(
+            grad_out.dims(),
+            &[n, self.hidden],
+            "Lstm grad_out must be [N,H]"
+        );
+        // Only the last timestep of the top layer receives output gradient;
+        // every core below is fed the full `dx` sequence of the one above,
+        // and only the bottom core's input gradient depends on the caller.
+        let mut grad: Option<Tensor> = None;
+        for l in (0..self.layers.len()).rev() {
+            let (core, xs) = self.core_and_input(l, n);
+            let dh_out = grad.as_ref().map_or(grad_out.as_slice(), Tensor::as_slice);
+            let dx = core.backward_seq(xs, dh_out, n, t, need_input_grad || l > 0, ws);
+            if let Some(consumed) = std::mem::replace(&mut grad, dx) {
+                ws.give(consumed);
+            }
         }
-        // Upper cores always feed the one below; only the bottom core's
-        // input gradient depends on the caller.
-        let mut grad = Some(grad);
-        for (l, core) in self.layers.iter_mut().enumerate().rev() {
-            let g = grad.take().expect("every core above the bottom returns dx");
-            grad = core.backward_seq(&g, need_input_grad || l > 0, ws);
-            ws.give(g);
-        }
-        grad
+        grad.map(|dx_tm| {
+            let fin = self.layers[0].input_size;
+            let mut dx = ws.take(&[n, t, fin]);
+            swap_leading_axes(dx_tm.as_slice(), t, n, fin, dx.as_mut_slice());
+            ws.give(dx_tm);
+            dx
+        })
     }
 
     fn params(&self) -> Vec<&Parameter> {
@@ -537,6 +456,20 @@ mod tests {
             "{} vs {expected}",
             y.as_slice()[0]
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "Lstm needs at least one timestep")]
+    fn empty_sequence_is_rejected_with_a_message() {
+        let mut lstm = Lstm::new("rnn", 4, 5, 2, &mut StdRng::seed_from_u64(45));
+        lstm.forward(&Tensor::zeros([2, 0, 4]), &mut Workspace::new());
+    }
+
+    #[test]
+    #[should_panic(expected = "Lstm::backward before forward")]
+    fn backward_before_forward_is_rejected_with_a_message() {
+        let mut lstm = Lstm::new("rnn", 4, 5, 2, &mut StdRng::seed_from_u64(46));
+        lstm.backward(&Tensor::zeros([2, 5]), true, &mut Workspace::new());
     }
 
     #[test]

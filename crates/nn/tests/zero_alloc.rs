@@ -84,6 +84,37 @@ fn assert_zero_alloc_steady_state(name: &str, mut model: Model, x: Tensor, y: Ve
     }
 }
 
+/// A client evaluates at batch 64 and trains at batch 16 on one model. The
+/// LSTM's persistent sequence buffers resize in place to the larger shape,
+/// so after one pass at each batch size, alternating the two allocates
+/// nothing.
+fn assert_lstm_alternates_eval_and_train_without_allocating(
+    cfg: &LstmConfig,
+    x_train: Tensor,
+    y: Vec<usize>,
+    rng: &mut StdRng,
+) {
+    let mut model = lstm(cfg, 7);
+    let x_eval = Tensor::randn([64, 12, cfg.input_size], 1.0, rng);
+    let opt = Sgd::new(0.01, 1e-4);
+    let mut grad = Tensor::zeros([0]);
+    let mut eval_then_train = |model: &mut Model| {
+        let logits = model.forward(&x_eval);
+        model.recycle(logits);
+        train_iteration(model, &x_train, &y, &mut grad, &opt, false);
+    };
+    eval_then_train(&mut model);
+    let before = ALLOCS.load(Ordering::Relaxed);
+    for _ in 0..3 {
+        eval_then_train(&mut model);
+    }
+    let allocs = ALLOCS.load(Ordering::Relaxed) - before;
+    assert_eq!(
+        allocs, 0,
+        "lstm: alternating batch 64 evaluation and batch 16 training performed {allocs} heap allocations"
+    );
+}
+
 #[test]
 fn warmed_up_training_iteration_allocates_nothing() {
     let mut rng = StdRng::seed_from_u64(99);
@@ -101,7 +132,8 @@ fn warmed_up_training_iteration_allocates_nothing() {
     let cfg = LstmConfig::scaled();
     let x = Tensor::randn([n, 12, cfg.input_size], 1.0, &mut rng);
     let y: Vec<usize> = (0..n).map(|i| i % cfg.classes).collect();
-    assert_zero_alloc_steady_state("lstm", lstm(&cfg, 7), x, y);
+    assert_zero_alloc_steady_state("lstm", lstm(&cfg, 7), x.clone(), y.clone());
+    assert_lstm_alternates_eval_and_train_without_allocating(&cfg, x, y, &mut rng);
 
     let cfg = WrnConfig::scaled();
     let x = Tensor::randn(

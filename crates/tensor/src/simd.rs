@@ -1,4 +1,4 @@
-//! Tier-gated SIMD transcendentals for the training hot loops.
+//! Tier-gated SIMD elementwise kernels for the LSTM's hot loops.
 //!
 //! The register-tiled GEMM ([`crate::gemm`]) removes most of the matrix-multiply
 //! cost, which leaves the LSTM's per-gate `sigmoid`/`tanh` loop as the
@@ -21,6 +21,10 @@
 //! Only an AVX2+FMA implementation exists today; on the NEON tier callers
 //! fall back to the scalar path, which keeps aarch64 trajectories
 //! identical to the pre-SIMD ones.
+//!
+//! [`lstm_cell_backward`] is the exception to all of the above: it has no
+//! transcendental and no FMA, so its AVX2 compilation is the portable loop
+//! at a wider vector and every tier produces the same bits.
 
 /// True when [`lstm_gates_fast`] / [`lstm_cell_update_fast`] have a
 /// vectorized implementation for `kernel`. Callers use this to pick
@@ -110,6 +114,107 @@ pub fn lstm_cell_update_fast(
     {
         let _ = (i, f, g, o, c_prev, c, tanh_c, h);
         unreachable!("lstm_cell_update_fast called without a SIMD tier");
+    }
+}
+
+/// Elementwise LSTM cell backward for one timestep of `dz.len() / (4·hdim)`
+/// samples: from the gradient `dh` on `h_t` and the carried `dc`, writes the
+/// gate pre-activation gradients into `dz` (rows `[di|df|dg|do]`, each block
+/// `hdim` wide) and leaves `dc` holding the gradient on `c_{t−1}`.
+///
+/// Unlike the `_fast` pair above this needs no gating: the body is
+/// mul/add/sub only — no FMA, no transcendental — so the copy compiled for
+/// the AVX2 tier (8 lanes) and the portable one produce the same bits, and
+/// `kernel` only picks the faster of the two.
+///
+/// # Panics
+/// Panics if slice lengths disagree.
+#[allow(clippy::too_many_arguments)]
+pub fn lstm_cell_backward(
+    kernel: crate::gemm::Kernel,
+    hdim: usize,
+    dh: &[f32],
+    dc: &mut [f32],
+    i: &[f32],
+    f: &[f32],
+    g: &[f32],
+    o: &[f32],
+    tanh_c: &[f32],
+    c_prev: &[f32],
+    dz: &mut [f32],
+) {
+    let n = dh.len();
+    assert!(
+        dc.len() == n
+            && i.len() == n
+            && f.len() == n
+            && g.len() == n
+            && o.len() == n
+            && tanh_c.len() == n
+            && c_prev.len() == n
+            && dz.len() == 4 * n
+            && hdim > 0
+            && n.is_multiple_of(hdim),
+        "cell-backward slice lengths disagree"
+    );
+    assert!(
+        kernel.is_available(),
+        "kernel tier {} unavailable on this host",
+        kernel.name()
+    );
+    #[cfg(target_arch = "x86_64")]
+    if kernel == crate::gemm::Kernel::Avx2 {
+        // SAFETY: the availability assert confirmed avx2 at runtime, which
+        // is all the callee — the safe body below, compiled for avx2 —
+        // requires.
+        unsafe { avx2::cell_backward(hdim, dh, dc, i, f, g, o, tanh_c, c_prev, dz) };
+        return;
+    }
+    cell_backward_rows(hdim, dh, dc, i, f, g, o, tanh_c, c_prev, dz);
+}
+
+/// The one body of [`lstm_cell_backward`], inlined into a portable and an
+/// AVX2-compiled caller. Every expression is written out in the order the
+/// scalar BPTT loop always used; Rust never contracts `a * b + c` into an
+/// FMA, so vector width is the only thing the two compilations differ in.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn cell_backward_rows(
+    hdim: usize,
+    dh: &[f32],
+    dc: &mut [f32],
+    i: &[f32],
+    f: &[f32],
+    g: &[f32],
+    o: &[f32],
+    tanh_c: &[f32],
+    c_prev: &[f32],
+    dz: &mut [f32],
+) {
+    for (s, dz_row) in dz.chunks_exact_mut(4 * hdim).enumerate() {
+        let at = s * hdim..(s + 1) * hdim;
+        let (dh, dc) = (&dh[at.clone()], &mut dc[at.clone()]);
+        let (i, f, g, o) = (
+            &i[at.clone()],
+            &f[at.clone()],
+            &g[at.clone()],
+            &o[at.clone()],
+        );
+        let (tanh_c, c_prev) = (&tanh_c[at.clone()], &c_prev[at]);
+        let (dzi, rest) = dz_row.split_at_mut(hdim);
+        let (dzf, rest) = rest.split_at_mut(hdim);
+        let (dzg, dzo) = rest.split_at_mut(hdim);
+        for k in 0..hdim {
+            let tc = tanh_c[k];
+            let d_o = dh[k] * tc;
+            let dct = dc[k] + dh[k] * o[k] * (1.0 - tc * tc);
+            let (di, df, dg) = (dct * g[k], dct * c_prev[k], dct * i[k]);
+            dc[k] = dct * f[k]; // becomes dc_{t-1}
+            dzi[k] = di * i[k] * (1.0 - i[k]);
+            dzf[k] = df * f[k] * (1.0 - f[k]);
+            dzg[k] = dg * (1.0 - g[k] * g[k]);
+            dzo[k] = d_o * o[k] * (1.0 - o[k]);
+        }
     }
 }
 
@@ -258,6 +363,27 @@ mod avx2 {
             p += 1;
         }
     }
+
+    /// [`super::cell_backward_rows`] compiled 8 lanes wide.
+    ///
+    /// # Safety
+    /// Requires `avx2`.
+    #[target_feature(enable = "avx2")]
+    #[allow(clippy::too_many_arguments)]
+    pub unsafe fn cell_backward(
+        hdim: usize,
+        dh: &[f32],
+        dc: &mut [f32],
+        i: &[f32],
+        f: &[f32],
+        g: &[f32],
+        o: &[f32],
+        tanh_c: &[f32],
+        c_prev: &[f32],
+        dz: &mut [f32],
+    ) {
+        super::cell_backward_rows(hdim, dh, dc, i, f, g, o, tanh_c, c_prev, dz)
+    }
 }
 
 #[cfg(test)]
@@ -313,6 +439,63 @@ mod tests {
             assert!((tc[k] - cv.tanh()).abs() < 1e-6);
             assert!((h[k] - o[k] * cv.tanh()).abs() < 1e-6);
         }
+    }
+
+    #[test]
+    fn cell_backward_is_bit_identical_on_every_tier() {
+        // Odd widths: whole vectors, a remainder, and fewer lanes than one.
+        for (rows, hdim) in [(1, 1), (3, 5), (2, 13), (4, 19), (16, 32)] {
+            let n = rows * hdim;
+            let v = |s: f32| -> Vec<f32> { (0..n).map(|k| ((k as f32) * 0.7 + s).sin()).collect() };
+            let (dh, dc0) = (v(0.1), v(0.2));
+            let (i, f, g, o, tc, cp) = (v(0.3), v(0.4), v(0.5), v(0.6), v(0.7), v(0.8));
+            // The loop written out the slow way, one cell at a time.
+            let (mut dc_ref, mut dz_ref) = (dc0.clone(), vec![0.0f32; 4 * n]);
+            for idx in 0..n {
+                let d_o = dh[idx] * tc[idx];
+                let dct = dc_ref[idx] + dh[idx] * o[idx] * (1.0 - tc[idx] * tc[idx]);
+                dc_ref[idx] = dct * f[idx];
+                let row = &mut dz_ref[idx / hdim * 4 * hdim..][..4 * hdim];
+                let k = idx % hdim;
+                row[k] = dct * g[idx] * i[idx] * (1.0 - i[idx]);
+                row[hdim + k] = dct * cp[idx] * f[idx] * (1.0 - f[idx]);
+                row[2 * hdim + k] = dct * i[idx] * (1.0 - g[idx] * g[idx]);
+                row[3 * hdim + k] = d_o * o[idx] * (1.0 - o[idx]);
+            }
+            let bits = |v: &[f32]| -> Vec<u32> { v.iter().map(|x| x.to_bits()).collect() };
+            for tier in crate::gemm::available_kernels() {
+                let (mut dc, mut dz) = (dc0.clone(), vec![f32::NAN; 4 * n]);
+                lstm_cell_backward(tier, hdim, &dh, &mut dc, &i, &f, &g, &o, &tc, &cp, &mut dz);
+                let ctx = format!("{} {rows}x{hdim}", tier.name());
+                assert_eq!(bits(&dz), bits(&dz_ref), "{ctx}: dz");
+                assert_eq!(bits(&dc), bits(&dc_ref), "{ctx}: dc");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "unavailable")]
+    fn cell_backward_rejects_unavailable_tiers() {
+        // One of Avx2/Neon is always unavailable (no host has both arches).
+        let missing = if Kernel::Avx2.is_available() {
+            Kernel::Neon
+        } else {
+            Kernel::Avx2
+        };
+        let z = [0.0f32; 1];
+        lstm_cell_backward(
+            missing,
+            1,
+            &z,
+            &mut [0.0],
+            &z,
+            &z,
+            &z,
+            &z,
+            &z,
+            &z,
+            &mut [0.0; 4],
+        );
     }
 
     #[cfg(target_arch = "x86_64")]

@@ -54,7 +54,9 @@ for TIER in $TIERS; do
 done
 
 echo "== data_plane benches (release, auto-dispatched tier)"
-OUT="$(cargo bench -p fedca-bench --bench data_plane 2>&1 | tee /dev/stderr)"
+# `tee >(cat >&2)`, not `tee /dev/stderr`: the latter reopens (and truncates)
+# a log file that check.sh's stderr was redirected to.
+OUT="$(cargo bench -p fedca-bench --bench data_plane 2>&1 | tee >(cat >&2))"
 
 # Extracts the median of one bench line from $OUT, in microseconds.
 median_us() {

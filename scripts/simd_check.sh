@@ -1,11 +1,12 @@
 #!/usr/bin/env bash
 # SIMD dispatch gate, two halves:
 #
-#  1. Correctness: runs the GEMM and Conv2d parity suites once per kernel
-#     tier the host can execute, with FEDCA_FORCE_KERNEL pinning the
+#  1. Correctness: runs the GEMM, Conv2d and Lstm parity suites once per
+#     kernel tier the host can execute, with FEDCA_FORCE_KERNEL pinning the
 #     dispatch — so the scalar fallback stays exercised on SIMD hardware and
 #     every compiled tier proves f64-reference accuracy and bit-equality
-#     with its summation contract (gemm.rs header), through Conv2d too.
+#     with its summation contract (gemm.rs header), through Conv2d and the
+#     time-major Lstm too.
 #
 #  2. Performance: on hosts with a SIMD tier, re-runs the train_iteration
 #     benches and requires each median to beat the packed scalar kernel
@@ -36,9 +37,9 @@ echo "== simd_check: host tiers: $TIERS"
 
 FAIL=0
 for TIER in $TIERS; do
-  echo "== gemm + conv parity suites (FEDCA_FORCE_KERNEL=$TIER)"
+  echo "== gemm + conv + lstm parity suites (FEDCA_FORCE_KERNEL=$TIER)"
   if ! FEDCA_FORCE_KERNEL="$TIER" cargo test -q -p fedca-tensor --test gemm_parity ||
-    ! FEDCA_FORCE_KERNEL="$TIER" cargo test -q -p fedca-nn --test conv_parity; then
+    ! FEDCA_FORCE_KERNEL="$TIER" cargo test -q -p fedca-nn --test conv_parity --test lstm_parity; then
     echo "simd_check: parity suite failed on tier $TIER" >&2
     FAIL=1
   fi

@@ -28,7 +28,9 @@ fi
 
 echo "== trace_overhead bench (overhead-regression guard)"
 MAX_NS="${TRACE_EMIT_DISABLED_MAX_NS:-25}"
-OUT="$(cargo bench -p fedca-bench --bench profiler_overhead -- trace_overhead 2>&1 | tee /dev/stderr)"
+# `tee >(cat >&2)`, not `tee /dev/stderr`: the latter reopens (and truncates)
+# a log file that check.sh's stderr was redirected to.
+OUT="$(cargo bench -p fedca-bench --bench profiler_overhead -- trace_overhead 2>&1 | tee >(cat >&2))"
 
 # The disabled-emit median must stay within the zero-cost budget.
 LINE="$(grep "trace_overhead/emit_disabled" <<<"$OUT" || true)"
