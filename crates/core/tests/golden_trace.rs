@@ -43,23 +43,8 @@ fn traced_fl() -> FlConfig {
     }
 }
 
-/// Pins GEMM dispatch to the scalar tier: the fixture was recorded with
-/// scalar kernels, and only the scalar tier is bit-identical on every host.
-fn pin_scalar_kernel() {
-    use fedca_tensor::gemm::{force_kernel, Kernel};
-    let active = force_kernel(Kernel::Scalar);
-    assert_eq!(
-        active,
-        Kernel::Scalar,
-        "GEMM dispatch latched to {} before the golden-trace tests could pin \
-         the scalar tier",
-        active.name()
-    );
-}
-
 /// Runs the study on an `n_workers` pool and returns the canonical JSONL.
 fn run_trace(n_workers: usize) -> String {
-    pin_scalar_kernel();
     let mut t = Trainer::new_with_workers(
         traced_fl(),
         Scheme::fedca_default(),

@@ -18,10 +18,10 @@
 //!   `col2im_acc`.
 //!
 //! Every product goes through `fedca_tensor::gemm`, so each output element
-//! follows that module's per-tier summation contract; the band-by-band
+//! follows that module's one summation rule; the band-by-band
 //! forward computes disjoint columns of the one whole-batch product and is
 //! bit-identical to it. `tests/conv_parity.rs` checks forward, `dW`, `db`
-//! and `dX` bit for bit against a naive im2col + contract-order reference.
+//! and `dX` bit for bit against a naive im2col + rule-order reference.
 
 use crate::init::kaiming_normal;
 use crate::layer::Layer;

@@ -21,7 +21,6 @@
 //! [`Workspace`], so a warmed-up forward+backward allocates nothing.
 
 use crate::layer::Layer;
-use crate::layers::activation::sigmoid_scalar;
 use crate::param::Parameter;
 use crate::workspace::Workspace;
 use fedca_tensor::gemm::gemm_acc;
@@ -87,7 +86,7 @@ impl LstmCore {
     fn forward_seq(&mut self, xs: &[f32], n: usize, t: usize, ws: &mut Workspace) {
         let (fin, hdim) = (self.input_size, self.hidden);
         let (h4, block) = (4 * hdim, n * hdim);
-        let fast = simd::has_fast_transcendentals(fedca_tensor::gemm::active_kernel());
+        let kernel = fedca_tensor::gemm::active_kernel();
         for state in [&mut self.h_all, &mut self.c_all] {
             state.resize(&[t + 1, n, hdim]);
             state.as_mut_slice()[..block].fill(0.0);
@@ -129,42 +128,9 @@ impl LstmCore {
                     *zk += bk;
                 }
             }
-            // Gate activations and the cell update. The scalar tier keeps
-            // the libm path (its trajectories back the committed golden
-            // fixtures); SIMD tiers take the vectorized transcendentals,
-            // which are bit-stable within a tier but not across tiers —
-            // the same contract the GEMM microkernels follow.
-            if fast {
-                for (s, row) in z.chunks_exact(h4).enumerate() {
-                    let r = s * hdim..(s + 1) * hdim;
-                    simd::lstm_gates_fast(
-                        row,
-                        hdim,
-                        &mut i[r.clone()],
-                        &mut f[r.clone()],
-                        &mut g[r.clone()],
-                        &mut o[r],
-                    );
-                }
-                simd::lstm_cell_update_fast(i, f, g, o, c_prev, c, tanh_c, h);
-            } else {
-                for (s, row) in z.chunks_exact(h4).enumerate() {
-                    for k in 0..hdim {
-                        i[s * hdim + k] = sigmoid_scalar(row[k]);
-                        f[s * hdim + k] = sigmoid_scalar(row[hdim + k]);
-                        g[s * hdim + k] = row[2 * hdim + k].tanh();
-                        o[s * hdim + k] = sigmoid_scalar(row[3 * hdim + k]);
-                    }
-                }
-                // c = f*c_prev + i*g ; h = o*tanh(c)
-                for idx in 0..block {
-                    let cv = f[idx] * c_prev[idx] + i[idx] * g[idx];
-                    c[idx] = cv;
-                    let tc = cv.tanh();
-                    tanh_c[idx] = tc;
-                    h[idx] = o[idx] * tc;
-                }
-            }
+            // Gate activations and the cell update: c = f*c_prev + i*g,
+            // h = o*tanh(c).
+            simd::lstm_cell_forward(kernel, hdim, z, c_prev, i, f, g, o, c, tanh_c, h);
         }
         ws.give(zx);
         ws.give(w_hh_t);
@@ -393,6 +359,7 @@ impl Layer for Lstm {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layers::activation::sigmoid_scalar;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 

@@ -1,37 +1,27 @@
 //! `Conv2d` against an oracle that shares no code with it: a naive im2col
 //! (the defining index formula, bounds-checked per element) followed by
-//! every product written out in `fedca_tensor::gemm`'s per-tier summation
-//! contract. Forward, `dW`, `db` and `dX` must match **bit for bit** — on
-//! the dispatched tier in-process, and on every other tier the host can run
-//! by re-executing this binary with `FEDCA_FORCE_KERNEL` pinned (dispatch
-//! latches once per process), the way `backward_params.rs` does.
+//! every product written out in `fedca_tensor::gemm`'s summation rule.
+//! Forward, `dW`, `db` and `dX` must match **bit for bit**, on whichever
+//! tier is dispatched (`scripts/simd_check.sh` runs this suite once per
+//! tier).
 
 use fedca_nn::layers::Conv2d;
 use fedca_nn::{Layer, Workspace};
-use fedca_tensor::gemm::{active_kernel, available_kernels, Kernel, KC};
+use fedca_tensor::gemm::{active_kernel, KC};
 use fedca_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-const BODY: &str = "conv2d_equals_the_im2col_contract_oracle_bit_for_bit";
-
-/// One output element by the summation contract of `tier`, starting from
-/// the value `c` already holds (see `gemm.rs`'s header).
-fn dot_ref(tier: Kernel, c: f32, a: &[f32], b: &[f32]) -> f32 {
+/// One output element by the summation rule, starting from the value `c`
+/// already holds (see `gemm.rs`'s header).
+fn dot_ref(c: f32, a: &[f32], b: &[f32]) -> f32 {
     let mut c = c;
     for (ab, bb) in a.chunks(KC).zip(b.chunks(KC)) {
-        let pairs = ab.iter().zip(bb);
-        c += match tier {
-            Kernel::Scalar => pairs.fold(0.0, |s, (&x, &y)| s + x * y),
-            Kernel::Neon => pairs.fold(0.0, |s, (&x, &y)| x.mul_add(y, s)),
-            Kernel::Avx2 => {
-                let mut chains = [0.0f32; 2];
-                for (p, (&x, &y)) in pairs.enumerate() {
-                    chains[p % 2] = x.mul_add(y, chains[p % 2]);
-                }
-                chains[0] + chains[1]
-            }
-        };
+        let mut chains = [0.0f32; 2];
+        for (p, (&x, &y)) in ab.iter().zip(bb).enumerate() {
+            chains[p % 2] = x.mul_add(y, chains[p % 2]);
+        }
+        c += chains[0] + chains[1];
     }
     c
 }
@@ -58,7 +48,6 @@ struct Oracle {
 /// accumulated.
 #[allow(clippy::too_many_arguments)]
 fn oracle(
-    tier: Kernel,
     case: Case,
     n: usize,
     w: &[f32],
@@ -122,14 +111,13 @@ fn oracle(
     for oc in 0..out_c {
         let w_row = &w[oc * ck2..(oc + 1) * ck2];
         for q in 0..nohw {
-            y[((q / ohw) * out_c + oc) * ohw + q % ohw] =
-                dot_ref(tier, 0.0, w_row, &colt[q]) + b[oc];
+            y[((q / ohw) * out_c + oc) * ohw + q % ohw] = dot_ref(0.0, w_row, &colt[q]) + b[oc];
         }
     }
     let mut dw = dw0.to_vec();
     for oc in 0..out_c {
         for r in 0..ck2 {
-            dw[oc * ck2 + r] = dot_ref(tier, dw0[oc * ck2 + r], &gt[oc], &col[r]);
+            dw[oc * ck2 + r] = dot_ref(dw0[oc * ck2 + r], &gt[oc], &col[r]);
         }
     }
     let db = (0..out_c)
@@ -141,7 +129,7 @@ fn oracle(
         let w_col: Vec<f32> = (0..out_c).map(|oc| w[oc * ck2 + r]).collect();
         for q in 0..nohw {
             if let Some(at) = origin[r][q] {
-                dx[at] += dot_ref(tier, 0.0, &w_col, &gtt[q]);
+                dx[at] += dot_ref(0.0, &w_col, &gtt[q]);
             }
         }
     }
@@ -153,8 +141,7 @@ fn bits(v: &[f32]) -> Vec<u32> {
 }
 
 fn check(case: Case, n: usize, rng: &mut StdRng) {
-    let tier = active_kernel();
-    let ctx = format!("{} {case:?} batch {n}", tier.name());
+    let ctx = format!("{} {case:?} batch {n}", active_kernel().name());
     let mut ws = Workspace::new();
     let Case {
         in_c,
@@ -191,7 +178,6 @@ fn check(case: Case, n: usize, rng: &mut StdRng) {
         let y = conv.forward(&x, &mut ws);
         let g = Tensor::randn(y.shape().clone(), 1.0, rng);
         let want = oracle(
-            tier,
             case,
             n,
             &values[0],
@@ -267,27 +253,5 @@ fn conv2d_equals_the_im2col_contract_oracle_bit_for_bit() {
         check(case(3, 4, 3, 1, 0, 7), n, &mut rng);
         check(case(2, 7, 3, 1, 1, 13), n, &mut rng);
         check(case(1, 2, 3, 2, 2, 6), n, &mut rng);
-    }
-}
-
-#[test]
-fn the_equality_holds_on_every_other_available_tier() {
-    let exe = std::env::current_exe().expect("test binary path");
-    for tier in available_kernels() {
-        if tier == active_kernel() {
-            continue; // covered in-process by the test above
-        }
-        let out = std::process::Command::new(&exe)
-            .args(["--exact", BODY, "--test-threads", "1"])
-            .env("FEDCA_FORCE_KERNEL", tier.name())
-            .output()
-            .expect("re-run the test binary");
-        let stdout = String::from_utf8_lossy(&out.stdout);
-        assert!(
-            out.status.success() && stdout.contains("1 passed"),
-            "tier {}: {stdout}\n{}",
-            tier.name(),
-            String::from_utf8_lossy(&out.stderr)
-        );
     }
 }

@@ -3,21 +3,17 @@
 //! per product per step and runs BPTT one cell at a time. The layer's
 //! time-major, in-place, batched form changes where operands live and how
 //! many GEMM calls carry them — never a product's `(m, n, k)`, its operand
-//! values or its depth order — so by `gemm.rs`'s summation contract the
-//! output, every parameter gradient and `dx` must match **bit for bit**: on
-//! the dispatched tier in-process, and on every other tier the host can run
-//! by re-executing this binary with `FEDCA_FORCE_KERNEL` pinned (dispatch
-//! latches once per process), the way `conv_parity.rs` does.
+//! values or its depth order — so by `gemm.rs`'s summation rule the
+//! output, every parameter gradient and `dx` must match **bit for bit**, on
+//! whichever tier is dispatched (`scripts/simd_check.sh` runs this suite
+//! once per tier).
 
-use fedca_nn::layers::activation::sigmoid_scalar;
 use fedca_nn::layers::Lstm;
 use fedca_nn::{Layer, Workspace};
-use fedca_tensor::gemm::{active_kernel, available_kernels, gemm_acc};
+use fedca_tensor::gemm::{active_kernel, gemm_acc, Kernel};
 use fedca_tensor::{simd, Tensor};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-
-const BODY: &str = "lstm_equals_the_step_by_step_reference_bit_for_bit";
 
 /// One core's parameters, `[w_ih, w_hh, b_ih, b_hh]`: values going in,
 /// gradients going in and (accumulated into) coming out.
@@ -44,7 +40,6 @@ fn core_forward(
     (n, t, fin, hdim): (usize, usize, usize, usize),
 ) -> (Vec<f32>, Cache) {
     let h4 = 4 * hdim;
-    let fast = simd::has_fast_transcendentals(active_kernel());
     let [w_ih, w_hh, b_ih, b_hh] = &core.value;
     let (mut h, mut c) = (vec![0.0f32; n * hdim], vec![0.0f32; n * hdim]);
     let mut hs = vec![0.0f32; n * t * hdim];
@@ -62,28 +57,11 @@ fn core_forward(
         }
         let mut gates: [Vec<f32>; 4] = std::array::from_fn(|_| vec![0.0f32; n * hdim]);
         let mut tanh_c = vec![0.0f32; n * hdim];
-        // The transcendentals are the tier's own (vector polynomial on
-        // AVX2, libm elsewhere); what is under test is everything else.
-        if fast {
-            for (s, row) in z.chunks_exact(h4).enumerate() {
-                let [i, f, g, o] = gates.each_mut().map(|v| &mut v[s * hdim..][..hdim]);
-                simd::lstm_gates_fast(row, hdim, i, f, g, o);
-            }
-            let [i, f, g, o] = &gates;
-            simd::lstm_cell_update_fast(i, f, g, o, &c_prev, &mut c, &mut tanh_c, &mut h);
-        } else {
-            for idx in 0..n * hdim {
-                let row = &z[idx / hdim * h4..][..h4];
-                let k = idx % hdim;
-                gates[0][idx] = sigmoid_scalar(row[k]);
-                gates[1][idx] = sigmoid_scalar(row[hdim + k]);
-                gates[2][idx] = row[2 * hdim + k].tanh();
-                gates[3][idx] = sigmoid_scalar(row[3 * hdim + k]);
-                c[idx] = gates[1][idx] * c_prev[idx] + gates[0][idx] * gates[2][idx];
-                tanh_c[idx] = c[idx].tanh();
-                h[idx] = gates[3][idx] * tanh_c[idx];
-            }
-        }
+        // The activations are `tensor::simd`'s portable body, whatever tier
+        // the layer dispatched to; what is under test is everything else.
+        let [i, f, g, o] = &mut gates;
+        let (c, tc, h) = (&mut c, &mut tanh_c, &mut h);
+        simd::lstm_cell_forward(Kernel::Scalar, hdim, &z, &c_prev, i, f, g, o, c, tc, h);
         for s in 0..n {
             hs[(s * t + step) * hdim..][..hdim].copy_from_slice(&h[s * hdim..][..hdim]);
         }
@@ -241,27 +219,5 @@ fn lstm_equals_the_step_by_step_reference_bit_for_bit() {
         for (n, t) in [(16, 6), (64, 6), (3, 1), (1, 7), (1, 1), (5, 9)] {
             check(&mut lstm, &mut ws, (n, t, fin, hdim), &mut rng);
         }
-    }
-}
-
-#[test]
-fn the_equality_holds_on_every_other_available_tier() {
-    let exe = std::env::current_exe().expect("test binary path");
-    for tier in available_kernels() {
-        if tier == active_kernel() {
-            continue; // covered in-process by the test above
-        }
-        let out = std::process::Command::new(&exe)
-            .args(["--exact", BODY, "--test-threads", "1"])
-            .env("FEDCA_FORCE_KERNEL", tier.name())
-            .output()
-            .expect("re-run the test binary");
-        let stdout = String::from_utf8_lossy(&out.stdout);
-        assert!(
-            out.status.success() && stdout.contains("1 passed"),
-            "tier {}: {stdout}\n{}",
-            tier.name(),
-            String::from_utf8_lossy(&out.stderr)
-        );
     }
 }

@@ -3,15 +3,12 @@
 //! dequantize-accumulate the aggregator folds quantized uploads with.
 //!
 //! These are the elementwise/integer kernels behind `compress::quantize`,
-//! `compress::wire`, and the coordinator's streaming fold. They reuse the
-//! GEMM dispatch machinery ([`crate::gemm::active_kernel`],
-//! `FEDCA_FORCE_KERNEL`) but follow a **stricter numerics contract than the
-//! GEMM microkernels**: every tier is bit-identical to the scalar reference.
-//! GEMM tiers may reassociate their accumulation chains (and FMA contracts
-//! the multiply-add rounding), so golden traces are pinned per tier; the
-//! data plane has no reductions to reassociate — each output element is a
-//! short, fixed sequence of individually-rounded ops — so the vector tiers
-//! can and must reproduce the scalar bits exactly:
+//! `compress::wire`, and the coordinator's streaming fold. They share the
+//! GEMM's dispatch ([`crate::gemm::active_kernel`], `FEDCA_FORCE_KERNEL`)
+//! and the crate's one contract: **one rule per kernel, tiers choose
+//! width**. Each output element is a short, fixed sequence of individually
+//! rounded ops; the `scalar` module is that sequence written out and every
+//! other tier reproduces its bits exactly:
 //!
 //! * `max_abs` maxes non-negative floats — exact, order-free — and both
 //!   paths ignore NaN inputs (`f32::max` returns the other operand on NaN;
@@ -21,15 +18,16 @@
 //!   by `copysign(1, t)`; the `t − rte` probe is exact (Sterbenz), so the
 //!   bump fires precisely on the ties. NaN survives the signed clamp (limit
 //!   operands first) and converts to level 0, matching scalar `NaN as i8`.
-//! * `axpy` and the fused `axpy_quantized` use mul-then-add — never FMA —
-//!   because scalar `y + alpha * x` rounds the product before the sum.
+//! * `axpy` and the fused `axpy_quantized` are mul-then-add — this rule has
+//!   no FMA, unlike the GEMM's — because `y + alpha * x` rounds the product
+//!   before the sum.
 //! * Bit-packing is pure integer shuffling; eight `width`-bit fields always
 //!   span exactly `width` bytes, which is what the u64-blocked fast paths
 //!   exploit.
 //!
-//! Only AVX2 has vector implementations today; the NEON tier falls back to
-//! the scalar path (the [`crate::simd`] precedent), which is free here
-//! precisely because the contract is bit-identity.
+//! Only AVX2 has vector implementations; every other target runs the
+//! scalar path, which is free precisely because the contract is
+//! bit-identity.
 
 use crate::gemm::{active_kernel, Kernel};
 
@@ -101,7 +99,7 @@ pub fn pack_levels_on(kernel: Kernel, levels: &[i8], num_levels: u8, width: u32,
         // The "vector" tier for packing is the u64-blocked path: eight
         // fields assemble into one word with three shifts per field, no
         // per-bit carry loop. Same bytes, ~8x fewer iterations.
-        Kernel::Avx2 | Kernel::Neon => blocked::pack_levels(levels, num_levels, width, out),
+        Kernel::Avx2 => blocked::pack_levels(levels, num_levels, width, out),
     }
 }
 

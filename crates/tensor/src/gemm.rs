@@ -6,11 +6,10 @@
 //! in registers, **lanes run along `n`**, each depth step loads one `W`-wide
 //! row of B and broadcasts `R` elements of A.
 //!
-//! | tier   | tile `R`×`W` | accumulators                         |
-//! |--------|--------------|--------------------------------------|
-//! | scalar | 4×8          | `[[f32; 8]; R]`, auto-vectorized     |
-//! | AVX2   | 6×16         | 2·R `ymm`, two passes (see below)    |
-//! | NEON   | 6×16         | 4·R `float32x4_t`                    |
+//! | tier     | tile `R`×`W` | accumulators                             |
+//! |----------|--------------|------------------------------------------|
+//! | portable | 4×8          | 2·`[[f32; 8]; R]`, `f32::mul_add`        |
+//! | AVX2     | 6×16         | 2·R `ymm`, two passes (see below)        |
 //!
 //! * **A is never copied.** Element `(i, p)` is read at `i·a_rs + p·a_ps`
 //!   whichever way A is stored, by a scalar broadcast.
@@ -38,25 +37,25 @@
 //! per-shape table, including the transposed-B shapes that justify one
 //! orientation rather than two).
 //!
-//! # Determinism: the summation contract
+//! # Determinism: one summation rule, tiers choose width
 //!
-//! The bits of `C` depend on **one rule per tier and on nothing else** —
-//! not the tile shape, the loop order, the transposition, the masking or
+//! The bits of `C` depend on **one rule and on nothing else** — not the
+//! tier, the tile shape, the loop order, the transposition, the masking or
 //! which columns a call covers. For every output element, depth is cut into
-//! consecutive blocks of `KC`; within a block the products `a·b` are summed
-//! in increasing depth starting from `+0.0`:
-//!
-//! * **scalar** — one chain, multiply then add (two roundings);
-//! * **AVX2** — two fused-multiply-add chains, one over the block's even
-//!   depths and one over its odd depths, then `even + odd`;
-//! * **NEON** — one fused-multiply-add chain;
-//!
-//! and the block's sum is added into the element of `C` once, blocks in
-//! increasing depth. `tests/gemm_parity.rs` states this rule as a ten-line
-//! reference and asserts `to_bits` equality for every tier, transposition
-//! and edge shape, so a re-tiling that keeps that suite green cannot move a
-//! fingerprint. Tiers differ from each other in low-order bits (fusion, the
-//! two AVX2 chains), which is why golden-trace fixtures pin the scalar tier.
+//! consecutive blocks of `KC`; within a block the products `a·b` are
+//! accumulated by two fused-multiply-add chains that each start from
+//! `+0.0` and run in increasing depth — one over the block's even depths,
+//! one over its odd depths — then `even + odd` is added into the element of
+//! `C` once, blocks in increasing depth. A fused multiply-add rounds once
+//! and is correctly rounded wherever it runs (`vfmadd` on AVX2, `fmla` on
+//! aarch64, libm's `fmaf` in an x86 build's portable tile), so the rule has
+//! one answer:
+//! the same seed gives the same bytes on every host, and a tier is only a
+//! choice of vector width and instructions — the contract
+//! [`crate::dataplane`] and [`crate::simd`] keep as well.
+//! `tests/gemm_parity.rs` states the rule as a ten-line reference and
+//! asserts `to_bits` equality for every tier, transposition and edge shape,
+//! so a re-tiling that keeps that suite green cannot move a fingerprint.
 //! The engine is single-threaded; threads belong to the round executor, one
 //! level up, whose workers each issue whole GEMMs.
 //!
@@ -73,18 +72,19 @@
 //!
 //! The tier is selected once per process by [`active_kernel`]: runtime
 //! feature detection picks the best compiled-in tier, and the
-//! `FEDCA_FORCE_KERNEL={scalar,avx2,neon}` environment variable overrides it
-//! (so CI can exercise the scalar fallback on SIMD hardware). The NEON tile
-//! mirrors the scalar one with fused multiply-adds; the `aarch64` target is
-//! not installed where this was written, so it has been neither compiled
-//! nor run.
+//! `FEDCA_FORCE_KERNEL={scalar,avx2}` environment variable overrides it (so
+//! CI can prove the portable tile computes the AVX2 tile's bits). Every
+//! target but AVX2 `x86_64` runs the portable tile. An x86 build compiles
+//! it for the SSE2 baseline, where each `mul_add` is a call to libm's
+//! `fmaf` — the same answer ~25× slower (DESIGN §4), which an x86 CPU
+//! without AVX2+FMA pays and which is not a performance target.
 
 use std::cell::RefCell;
 use std::ops::Range;
 use std::sync::OnceLock;
 
-/// Depth (k extent) of one accumulation block: the unit of the per-tier
-/// summation contract in the module header.
+/// Depth (k extent) of one accumulation block: the unit of the summation
+/// rule in the module header.
 pub const KC: usize = 256;
 /// Columns of an in-place B walked per row tile.
 const NB: usize = 256;
@@ -98,28 +98,25 @@ thread_local! {
     static STRIP: RefCell<[f32; KC * MAX_LANES]> = const { RefCell::new([0.0; KC * MAX_LANES]) };
 }
 
-/// A register-tile implementation tier. Tiers differ in tile shape,
-/// instructions and — the only difference that reaches the output — the
-/// summation contract of the module header.
+/// A register-tile implementation tier. Tiers differ in tile shape and
+/// instructions; none of that reaches the output (module header).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Kernel {
-    /// Portable scalar kernel (LLVM auto-vectorizes on the SSE2 baseline).
-    /// Always available; the reference tier for golden-trace fixtures.
+    /// Portable kernel, always available: the module header's rule written
+    /// with `f32::mul_add` (an `fmla` on aarch64, a libm `fmaf` call in an
+    /// x86 build).
     Scalar,
     /// AVX2 + FMA intrinsics (`x86_64` only, runtime-detected).
     Avx2,
-    /// NEON intrinsics (`aarch64` only, baseline feature there).
-    Neon,
 }
 
 impl Kernel {
-    /// The tier's stable lowercase name (`scalar` / `avx2` / `neon`), as
+    /// The tier's stable lowercase name (`scalar` / `avx2`), as
     /// accepted by `FEDCA_FORCE_KERNEL`.
     pub fn name(self) -> &'static str {
         match self {
             Kernel::Scalar => "scalar",
             Kernel::Avx2 => "avx2",
-            Kernel::Neon => "neon",
         }
     }
 
@@ -129,7 +126,6 @@ impl Kernel {
         match name {
             "scalar" => Some(Kernel::Scalar),
             "avx2" => Some(Kernel::Avx2),
-            "neon" => Some(Kernel::Neon),
             _ => None,
         }
     }
@@ -139,7 +135,7 @@ impl Kernel {
     fn tile(self) -> (usize, usize) {
         match self {
             Kernel::Scalar => (4, 8),
-            Kernel::Avx2 | Kernel::Neon => (6, 16),
+            Kernel::Avx2 => (6, 16),
         }
     }
 
@@ -159,16 +155,25 @@ impl Kernel {
                     false
                 }
             }
-            Kernel::Neon => cfg!(target_arch = "aarch64"),
         }
+    }
+
+    /// Panics unless this tier can run here: the guard of every entry point
+    /// that takes an explicit tier.
+    pub(crate) fn assert_available(self) {
+        assert!(
+            self.is_available(),
+            "kernel tier {} unavailable on this host",
+            self.name()
+        );
     }
 }
 
 /// Every tier the current host can execute, best first. `Scalar` is always
-/// present (and always last), so the parity suite can iterate this to test
-/// each compiled SIMD tier against the scalar kernel.
+/// present (and always last), so the parity suites can iterate this to hold
+/// each tier to the one rule.
 pub fn available_kernels() -> Vec<Kernel> {
-    [Kernel::Avx2, Kernel::Neon, Kernel::Scalar]
+    [Kernel::Avx2, Kernel::Scalar]
         .into_iter()
         .filter(|k| k.is_available())
         .collect()
@@ -179,9 +184,8 @@ static ACTIVE: OnceLock<Kernel> = OnceLock::new();
 
 fn detect_kernel() -> Kernel {
     if let Ok(name) = std::env::var("FEDCA_FORCE_KERNEL") {
-        let k = Kernel::from_name(name.trim()).unwrap_or_else(|| {
-            panic!("FEDCA_FORCE_KERNEL={name:?}: expected scalar, avx2, or neon")
-        });
+        let k = Kernel::from_name(name.trim())
+            .unwrap_or_else(|| panic!("FEDCA_FORCE_KERNEL={name:?}: expected scalar or avx2"));
         assert!(
             k.is_available(),
             "FEDCA_FORCE_KERNEL={} but that tier is unavailable on this host",
@@ -196,23 +200,6 @@ fn detect_kernel() -> Kernel {
 /// the `FEDCA_FORCE_KERNEL` override if set, else the best available tier.
 pub fn active_kernel() -> Kernel {
     *ACTIVE.get_or_init(detect_kernel)
-}
-
-/// Latches the process-wide dispatch to `kernel` (golden-trace suites pin
-/// `Scalar` so their fixtures stay byte-identical on SIMD hosts). Returns
-/// the tier actually active: if dispatch already latched — by an earlier
-/// call or a prior matmul — the existing tier wins, so callers must assert
-/// on the return value rather than assume.
-///
-/// # Panics
-/// Panics if `kernel` is unavailable on this host.
-pub fn force_kernel(kernel: Kernel) -> Kernel {
-    assert!(
-        kernel.is_available(),
-        "cannot force unavailable kernel tier {}",
-        kernel.name()
-    );
-    *ACTIVE.get_or_init(|| kernel)
 }
 
 /// Instantiates a `const R`-generic tile for a runtime row count.
@@ -307,11 +294,7 @@ fn gemm_cols_on(
     c: &mut [f32],
     cols: Range<usize>,
 ) {
-    assert!(
-        kernel.is_available(),
-        "kernel tier {} unavailable on this host",
-        kernel.name()
-    );
+    kernel.assert_available();
     assert_eq!(a.len(), m * k, "gemm lhs length mismatch");
     assert_eq!(b.len(), k * n, "gemm rhs length mismatch");
     assert_eq!(c.len(), m * n, "gemm out length mismatch");
@@ -386,11 +369,6 @@ fn gemm_cols_on(
                             Kernel::Avx2 => unsafe {
                                 with_rows!(rows, tile_avx2, kc, at, bt, ct, s, nr)
                             },
-                            #[cfg(target_arch = "aarch64")]
-                            // SAFETY: NEON is baseline on aarch64; bounds as above.
-                            Kernel::Neon => unsafe {
-                                with_rows!(rows, tile_neon, kc, at, bt, ct, s, nr)
-                            },
                             // SAFETY: bounds as above. (A tier whose arch is not
                             // compiled in was rejected by the availability assert.)
                             _ => unsafe { tile_scalar_rows(rows, kc, at, bt, ct, s, nr) },
@@ -431,9 +409,9 @@ unsafe fn tile_scalar_rows(
     with_rows!(rows, tile_scalar, kc, a, b, c, s, nr)
 }
 
-/// Scalar tile, `R ≤ 4` rows × 8 columns: one mul-then-add chain per
-/// element over the depth block, added into C once. The fixed-trip column
-/// loop auto-vectorizes on the SSE2 baseline.
+/// Portable tile, `R ≤ 4` rows × 8 columns: the module header's rule as
+/// written — per element an even-depth and an odd-depth `mul_add` chain
+/// over the depth block, summed and added into C once.
 ///
 /// # Safety
 /// `a`, `b`, `c` must satisfy the three bounds asserted by the driver.
@@ -447,25 +425,26 @@ unsafe fn tile_scalar<const R: usize>(
     nr: usize,
 ) {
     let (ap, bp, cp) = (a.as_ptr(), b.as_ptr(), c.as_mut_ptr());
-    let mut acc = [[0.0f32; 8]; R];
+    let mut acc = [[[0.0f32; 8]; R]; 2];
     for p in 0..kc {
         let bv = *bp.add(p * s.ldb).cast::<[f32; 8]>();
-        for (i, acc_row) in acc.iter_mut().enumerate() {
+        for (i, acc_row) in acc[p & 1].iter_mut().enumerate() {
             let av = *ap.add(i * s.a_rs + p * s.a_ps);
             for (x, &bj) in acc_row.iter_mut().zip(&bv) {
-                *x += av * bj;
+                *x = av.mul_add(bj, *x);
             }
         }
     }
-    for (i, acc_row) in acc.iter().enumerate() {
-        for (j, &v) in acc_row[..nr].iter().enumerate() {
-            *cp.add(i * s.ldc + j) += v;
+    let [even, odd] = acc;
+    for (i, (even_row, odd_row)) in even.iter().zip(&odd).enumerate() {
+        for (j, (&e, &o)) in even_row[..nr].iter().zip(odd_row).enumerate() {
+            *cp.add(i * s.ldc + j) += e + o;
         }
     }
 }
 
 /// AVX2+FMA tile, `R ≤ 6` rows × 16 columns (two `ymm` per row). Each
-/// element keeps the tier's two FMA chains over the depth block — even
+/// element keeps the rule's two FMA chains over the depth block — even
 /// depths, then odd depths — which are summed and added into C once. The
 /// chains run as two passes so one pass holds `2R ≤ 12` accumulators plus
 /// the two B vectors and one broadcast of A: no spill, and `R < 6` simply
@@ -524,52 +503,6 @@ unsafe fn tile_avx2<const R: usize>(
                     _mm256_maskstore_ps(out, masks[v], _mm256_add_ps(old, sum));
                 }
             }
-        }
-    }
-}
-
-/// NEON tile, `R ≤ 6` rows × 16 columns (four `float32x4_t` per row): one
-/// FMA chain per element over the depth block, added into C once. Mirrors
-/// [`tile_scalar`] with fused multiply-adds; this host cannot compile it.
-///
-/// # Safety
-/// Requires `neon`; `a`, `b`, `c` must satisfy the three bounds asserted by
-/// the driver.
-#[cfg(target_arch = "aarch64")]
-#[target_feature(enable = "neon")]
-unsafe fn tile_neon<const R: usize>(
-    kc: usize,
-    a: &[f32],
-    b: &[f32],
-    c: &mut [f32],
-    s: Strides,
-    nr: usize,
-) {
-    use std::arch::aarch64::*;
-    let (ap, bp, cp) = (a.as_ptr(), b.as_ptr(), c.as_mut_ptr());
-    let mut acc = [[vdupq_n_f32(0.0); 4]; R];
-    for p in 0..kc {
-        let row = bp.add(p * s.ldb);
-        let bv = [
-            vld1q_f32(row),
-            vld1q_f32(row.add(4)),
-            vld1q_f32(row.add(8)),
-            vld1q_f32(row.add(12)),
-        ];
-        for (i, acc_row) in acc.iter_mut().enumerate() {
-            let av = *ap.add(i * s.a_rs + p * s.a_ps);
-            for (x, &bj) in acc_row.iter_mut().zip(&bv) {
-                *x = vfmaq_n_f32(*x, bj, av);
-            }
-        }
-    }
-    let mut staged = [0.0f32; 16];
-    for (i, acc_row) in acc.iter().enumerate() {
-        for (v, &x) in acc_row.iter().enumerate() {
-            vst1q_f32(staged.as_mut_ptr().add(4 * v), x);
-        }
-        for (j, &v) in staged[..nr].iter().enumerate() {
-            *cp.add(i * s.ldc + j) += v;
         }
     }
 }
@@ -755,7 +688,7 @@ mod tests {
 
     #[test]
     fn kernel_names_round_trip_and_scalar_is_always_available() {
-        for k in [Kernel::Scalar, Kernel::Avx2, Kernel::Neon] {
+        for k in [Kernel::Scalar, Kernel::Avx2] {
             assert_eq!(Kernel::from_name(k.name()), Some(k));
         }
         assert_eq!(Kernel::from_name("sse9"), None);
@@ -765,46 +698,29 @@ mod tests {
     }
 
     #[test]
-    fn every_available_tier_matches_the_scalar_kernel_closely() {
+    fn every_available_tier_computes_the_portable_tiles_bits() {
         let (m, n, k) = (21, 14, 130);
         let a = fill(m * k, 5);
         let b = fill(k * n, 6);
-        let mut reference = vec![0.0f32; m * n];
-        gemm_acc_on(
-            Kernel::Scalar,
-            false,
-            false,
-            m,
-            n,
-            k,
-            &a,
-            &b,
-            &mut reference,
-        );
+        let mut portable = vec![0.0f32; m * n];
+        gemm_acc_on(Kernel::Scalar, false, false, m, n, k, &a, &b, &mut portable);
         for tier in available_kernels() {
             let mut c = vec![0.0f32; m * n];
             gemm_acc_on(tier, false, false, m, n, k, &a, &b, &mut c);
-            for (i, (&x, &y)) in c.iter().zip(reference.iter()).enumerate() {
-                let tol = 1e-3 * (1.0 + y.abs());
-                assert!(
-                    (x - y).abs() <= tol,
-                    "{}[{i}]: {x} vs scalar {y}",
-                    tier.name()
-                );
-            }
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&c), bits(&portable), "{}", tier.name());
         }
     }
 
     #[test]
-    #[should_panic(expected = "unavailable")]
-    fn explicit_tier_entry_rejects_unavailable_tiers() {
-        // One of Avx2/Neon is always unavailable (no host has both arches).
-        let missing = if Kernel::Avx2.is_available() {
-            Kernel::Neon
-        } else {
-            Kernel::Avx2
-        };
-        let mut c = vec![0.0f32; 1];
-        gemm_acc_on(missing, false, false, 1, 1, 1, &[1.0], &[1.0], &mut c);
+    fn explicit_tier_entry_rejects_an_unavailable_tier() {
+        if Kernel::Avx2.is_available() {
+            return; // every tier runs on this host: nothing to reject
+        }
+        let refused = std::panic::catch_unwind(|| {
+            let mut c = vec![0.0f32; 1];
+            gemm_acc_on(Kernel::Avx2, false, false, 1, 1, 1, &[1.0], &[1.0], &mut c);
+        });
+        assert!(refused.is_err(), "an unavailable tier must be refused");
     }
 }

@@ -12,7 +12,7 @@
 //!
 //! Every variant routes through the register-tiled engine in
 //! [`crate::gemm`] — one tile orientation, operands read in place, one
-//! summation contract per dispatch tier.
+//! summation rule on every dispatch tier.
 //!
 //! # Accumulation policy
 //!

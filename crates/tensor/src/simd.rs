@@ -1,120 +1,171 @@
-//! Tier-gated SIMD elementwise kernels for the LSTM's hot loops.
+//! The LSTM's elementwise hot loops: one definition of every output bit,
+//! tiers choose width.
 //!
 //! The register-tiled GEMM ([`crate::gemm`]) removes most of the matrix-multiply
 //! cost, which leaves the LSTM's per-gate `sigmoid`/`tanh` loop as the
-//! dominant term of its iteration time (≈80k libm calls per batch-16
-//! iteration at the scaled shapes). This module provides vectorized
-//! drop-ins for exactly that loop.
+//! dominant term of its iteration time (≈80k transcendentals per batch-16
+//! iteration at the scaled shapes). This module owns exactly that loop and
+//! its backward twin.
 //!
-//! # Numerics and tiering
+//! # One rule
 //!
-//! The vector `exp` is the classic Cephes-style polynomial (range-reduced
-//! by `log2 e`, 6th-order minimax, exponent reassembled through the IEEE
-//! bit pattern). It agrees with libm to a few ulps but is **not**
-//! bit-identical to it, so these routines follow the same contract as the
-//! GEMM microkernels: trajectories are bit-identical across thread counts
-//! *within* a dispatch tier, never across tiers. Callers must gate on
-//! [`crate::gemm::active_kernel`] and keep the scalar tier on the scalar
-//! libm path — that is what keeps the committed scalar-tier golden traces
-//! valid (see DESIGN.md §10).
+//! `exp` is the classic Cephes-style polynomial (range-reduced by `log2 e`,
+//! 6th-order minimax evaluated with fused multiply-adds, exponent
+//! reassembled through the IEEE bit pattern); `sigmoid`, `tanh` and the
+//! cell update are short fixed sequences of individually rounded ops around
+//! it. It agrees with libm to a few ulps, and — unlike libm — every step is
+//! correctly rounded wherever it runs, so the sequence has one answer.
+//! `exp`, `sigmoid`, `tanh` and `cell_update` below **are** that
+//! sequence, written once in portable Rust; the `avx2` module spells the
+//! same sequence eight lanes at a time and sends what does not fill a
+//! vector through the portable body. The tests below hold every tier to
+//! the portable bits, NaN, ±∞, −0.0 and both clamp edges included.
+//! (Compiling the portable body under `avx2,fma` instead of keeping the
+//! intrinsics does not vectorize the `floor`/exponent steps and costs
+//! `lstm_fedavg` ~20 % — DESIGN §10.)
 //!
-//! Only an AVX2+FMA implementation exists today; on the NEON tier callers
-//! fall back to the scalar path, which keeps aarch64 trajectories
-//! identical to the pre-SIMD ones.
-//!
-//! [`lstm_cell_backward`] is the exception to all of the above: it has no
-//! transcendental and no FMA, so its AVX2 compilation is the portable loop
-//! at a wider vector and every tier produces the same bits.
+//! [`lstm_cell_backward`] needs no intrinsics at all: mul/add/sub only, so
+//! its AVX2 form is the portable loop compiled at a wider vector.
 
-/// True when [`lstm_gates_fast`] / [`lstm_cell_update_fast`] have a
-/// vectorized implementation for `kernel`. Callers use this to pick
-/// between the scalar (libm) loop and the fast path.
-pub fn has_fast_transcendentals(kernel: crate::gemm::Kernel) -> bool {
-    #[cfg(target_arch = "x86_64")]
-    {
-        kernel == crate::gemm::Kernel::Avx2
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        let _ = kernel;
-        false
+use crate::gemm::Kernel;
+
+// Cephes exp constants (single precision).
+const EXP_HI: f32 = 88.376_26;
+const EXP_LO: f32 = -87.336_55;
+const LOG2EF: f32 = std::f32::consts::LOG2_E;
+const C1: f32 = 0.693_359_4; // ln 2, high part
+const C2: f32 = -2.121_944_4e-4; // ln 2, low part
+const P0: f32 = 1.987_569_1e-4;
+const P1: f32 = 1.398_199_9e-3;
+const P2: f32 = 8.333_452e-3;
+const P3: f32 = 4.166_579_5e-2;
+const P4: f32 = 1.666_666_6e-1;
+const P5: f32 = 5e-1;
+/// |x| ≥ 10 comfortably rounds `tanh` to ±1 in f32; clamping there keeps
+/// `2x` inside `exp`'s exact range.
+const TANH_CLAMP: f32 = 10.0;
+
+/// `x` clamped to `[lo, hi]` the way `_mm256_min_ps(x, hi)` then
+/// `_mm256_max_ps(x, lo)` clamp it: a NaN goes to `hi` (`f32::clamp` would
+/// keep it).
+#[inline(always)]
+fn clamp(x: f32, lo: f32, hi: f32) -> f32 {
+    let x = if x < hi { x } else { hi };
+    if x > lo {
+        x
+    } else {
+        lo
     }
 }
 
-/// Activates one LSTM pre-activation row `z = [i|f|g|o]` (each block
-/// `hdim` wide) into the four gate buffers: `i,f,o ← σ(z)`, `g ← tanh(z)`.
+/// `e^x`, |rel err| ≲ 2e-7 over the clamped range.
+#[inline(always)]
+fn exp(x: f32) -> f32 {
+    let x = clamp(x, EXP_LO, EXP_HI);
+    // n = round(x / ln2) via floor(x·log2e + 0.5).
+    let n = x.mul_add(LOG2EF, 0.5).floor();
+    // r = x − n·ln2, split into high/low parts for extra precision.
+    let r = (-n).mul_add(C2, (-n).mul_add(C1, x));
+    // Minimax polynomial for e^r on [−ln2/2, ln2/2].
+    let mut y = P0;
+    for p in [P1, P2, P3, P4, P5] {
+        y = y.mul_add(r, p);
+    }
+    let y = y.mul_add(r * r, r) + 1.0;
+    // 2^n through the exponent field.
+    y * f32::from_bits(((n as i32 + 0x7f) as u32) << 23)
+}
+
+/// σ(x) = 1 / (1 + e^{−x}).
+#[inline(always)]
+fn sigmoid(x: f32) -> f32 {
+    1.0 / (1.0 + exp(0.0 - x))
+}
+
+/// tanh(x) = 1 − 2/(e^{2x} + 1), clamped where it saturates in f32.
+#[inline(always)]
+fn tanh(x: f32) -> f32 {
+    let x = clamp(x, -TANH_CLAMP, TANH_CLAMP);
+    1.0 - 2.0 / (exp(x + x) + 1.0)
+}
+
+/// LSTM cell forward for one timestep of `c.len() / hdim` samples. `z` holds
+/// the pre-activation rows `[i|f|g|o]` (each block `hdim` wide): activates
+/// them into the gate buffers — `i,f,o ← σ(z)`, `g ← tanh(z)` — then
+/// `c ← f⊙c_prev + i⊙g`, `tanh_c ← tanh(c)`, `h ← o⊙tanh_c`.
+///
+/// Every tier writes the bits of the portable body (module header).
 ///
 /// # Panics
-/// Panics if a fast path is unavailable (callers must check
-/// [`has_fast_transcendentals`] first) or if slice lengths disagree.
-pub fn lstm_gates_fast(
-    z: &[f32],
+/// Panics if slice lengths disagree or `kernel` is unavailable on this host.
+#[allow(clippy::too_many_arguments)]
+pub fn lstm_cell_forward(
+    kernel: Kernel,
     hdim: usize,
+    z: &[f32],
+    c_prev: &[f32],
     i: &mut [f32],
     f: &mut [f32],
     g: &mut [f32],
     o: &mut [f32],
-) {
-    assert_eq!(z.len(), 4 * hdim, "z must hold 4 gate blocks");
-    assert!(
-        i.len() >= hdim && f.len() >= hdim && g.len() >= hdim && o.len() >= hdim,
-        "gate buffers too short"
-    );
-    #[cfg(target_arch = "x86_64")]
-    {
-        // SAFETY: the Avx2 tier is only ever latched when runtime detection
-        // confirmed avx2+fma (see `gemm::detect_kernel`).
-        unsafe {
-            avx2::sigmoid_slice(&z[..hdim], &mut i[..hdim]);
-            avx2::sigmoid_slice(&z[hdim..2 * hdim], &mut f[..hdim]);
-            avx2::tanh_slice(&z[2 * hdim..3 * hdim], &mut g[..hdim]);
-            avx2::sigmoid_slice(&z[3 * hdim..4 * hdim], &mut o[..hdim]);
-        }
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        let _ = (z, hdim, i, f, g, o);
-        unreachable!("lstm_gates_fast called without a SIMD tier");
-    }
-}
-
-/// Fused LSTM cell update: `c ← f⊙c_prev + i⊙g`, `tanh_c ← tanh(c)`,
-/// `h ← o⊙tanh_c`, elementwise over `n` cells.
-///
-/// # Panics
-/// Panics if a fast path is unavailable or if slice lengths disagree.
-#[allow(clippy::too_many_arguments)]
-pub fn lstm_cell_update_fast(
-    i: &[f32],
-    f: &[f32],
-    g: &[f32],
-    o: &[f32],
-    c_prev: &[f32],
     c: &mut [f32],
     tanh_c: &mut [f32],
     h: &mut [f32],
 ) {
     let n = c.len();
     assert!(
-        i.len() == n
+        z.len() == 4 * n
+            && c_prev.len() == n
+            && i.len() == n
             && f.len() == n
             && g.len() == n
             && o.len() == n
-            && c_prev.len() == n
             && tanh_c.len() == n
-            && h.len() == n,
-        "cell-update slice lengths disagree"
+            && h.len() == n
+            && hdim > 0
+            && n.is_multiple_of(hdim),
+        "cell-forward slice lengths disagree"
     );
+    kernel.assert_available();
     #[cfg(target_arch = "x86_64")]
-    {
-        // SAFETY: only reachable on the Avx2 tier (see above).
-        unsafe { avx2::cell_update(i, f, g, o, c_prev, c, tanh_c, h) }
+    if kernel == Kernel::Avx2 {
+        // SAFETY: the availability assert confirmed avx2+fma at runtime.
+        unsafe { avx2::cell_forward(hdim, z, c_prev, i, f, g, o, c, tanh_c, h) };
+        return;
     }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        let _ = (i, f, g, o, c_prev, c, tanh_c, h);
-        unreachable!("lstm_cell_update_fast called without a SIMD tier");
+    cell_forward_rows(hdim, z, c_prev, i, f, g, o, c, tanh_c, h);
+}
+
+/// [`lstm_cell_forward`] written out one cell at a time.
+#[allow(clippy::too_many_arguments)]
+fn cell_forward_rows(
+    hdim: usize,
+    z: &[f32],
+    c_prev: &[f32],
+    i: &mut [f32],
+    f: &mut [f32],
+    g: &mut [f32],
+    o: &mut [f32],
+    c: &mut [f32],
+    tanh_c: &mut [f32],
+    h: &mut [f32],
+) {
+    for at in 0..c.len() {
+        let (row, k) = (&z[at / hdim * 4 * hdim..][..4 * hdim], at % hdim);
+        i[at] = sigmoid(row[k]);
+        f[at] = sigmoid(row[hdim + k]);
+        g[at] = tanh(row[2 * hdim + k]);
+        o[at] = sigmoid(row[3 * hdim + k]);
+        (c[at], tanh_c[at], h[at]) = cell_update(i[at], f[at], g[at], o[at], c_prev[at]);
     }
+}
+
+/// `(c, tanh c, h)` of one cell from its gates and previous state.
+#[inline(always)]
+fn cell_update(i: f32, f: f32, g: f32, o: f32, c_prev: f32) -> (f32, f32, f32) {
+    let c = f.mul_add(c_prev, i * g);
+    let tanh_c = tanh(c);
+    (c, tanh_c, o * tanh_c)
 }
 
 /// Elementwise LSTM cell backward for one timestep of `dz.len() / (4·hdim)`
@@ -122,16 +173,15 @@ pub fn lstm_cell_update_fast(
 /// gate pre-activation gradients into `dz` (rows `[di|df|dg|do]`, each block
 /// `hdim` wide) and leaves `dc` holding the gradient on `c_{t−1}`.
 ///
-/// Unlike the `_fast` pair above this needs no gating: the body is
-/// mul/add/sub only — no FMA, no transcendental — so the copy compiled for
-/// the AVX2 tier (8 lanes) and the portable one produce the same bits, and
-/// `kernel` only picks the faster of the two.
+/// The body is mul/add/sub only — no FMA, no transcendental — so the copy
+/// compiled for the AVX2 tier (8 lanes) and the portable one produce the
+/// same bits, and `kernel` only picks the faster of the two.
 ///
 /// # Panics
-/// Panics if slice lengths disagree.
+/// Panics if slice lengths disagree or `kernel` is unavailable on this host.
 #[allow(clippy::too_many_arguments)]
 pub fn lstm_cell_backward(
-    kernel: crate::gemm::Kernel,
+    kernel: Kernel,
     hdim: usize,
     dh: &[f32],
     dc: &mut [f32],
@@ -157,13 +207,9 @@ pub fn lstm_cell_backward(
             && n.is_multiple_of(hdim),
         "cell-backward slice lengths disagree"
     );
-    assert!(
-        kernel.is_available(),
-        "kernel tier {} unavailable on this host",
-        kernel.name()
-    );
+    kernel.assert_available();
     #[cfg(target_arch = "x86_64")]
-    if kernel == crate::gemm::Kernel::Avx2 {
+    if kernel == Kernel::Avx2 {
         // SAFETY: the availability assert confirmed avx2 at runtime, which
         // is all the callee — the safe body below, compiled for avx2 —
         // requires.
@@ -220,23 +266,10 @@ fn cell_backward_rows(
 
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
+    use super::*;
     use std::arch::x86_64::*;
 
-    // Cephes exp constants (single precision).
-    const EXP_HI: f32 = 88.376_26;
-    const EXP_LO: f32 = -87.336_55;
-    const LOG2EF: f32 = std::f32::consts::LOG2_E;
-    const C1: f32 = 0.693_359_4; // ln 2, high part
-    const C2: f32 = -2.121_944_4e-4; // ln 2, low part
-    const P0: f32 = 1.987_569_1e-4;
-    const P1: f32 = 1.398_199_9e-3;
-    const P2: f32 = 8.333_452e-3;
-    const P3: f32 = 4.166_579_5e-2;
-    const P4: f32 = 1.666_666_6e-1;
-    const P5: f32 = 5e-1;
-
-    /// Vector `e^x` for one lane group, |rel err| ≲ 2e-7 over the clamped
-    /// range.
+    /// [`super::exp`] for one lane group.
     #[inline(always)]
     unsafe fn exp_ps(x: __m256) -> __m256 {
         let x = _mm256_min_ps(x, _mm256_set1_ps(EXP_HI));
@@ -265,20 +298,18 @@ mod avx2 {
         _mm256_mul_ps(y, _mm256_castsi256_ps(exp_bits))
     }
 
-    /// σ(x) = 1 / (1 + e^{−x}).
+    /// [`super::sigmoid`] for one lane group.
     #[inline(always)]
     unsafe fn sigmoid_ps(x: __m256) -> __m256 {
         let e = exp_ps(_mm256_sub_ps(_mm256_setzero_ps(), x));
         _mm256_div_ps(_mm256_set1_ps(1.0), _mm256_add_ps(_mm256_set1_ps(1.0), e))
     }
 
-    /// tanh(x) = 1 − 2/(e^{2x} + 1), clamped where it saturates in f32.
+    /// [`super::tanh`] for one lane group.
     #[inline(always)]
     unsafe fn tanh_ps(x: __m256) -> __m256 {
-        // |x| ≥ 10 comfortably rounds to ±1 in f32; clamping keeps 2x inside
-        // exp's exact range.
-        let x = _mm256_min_ps(x, _mm256_set1_ps(10.0));
-        let x = _mm256_max_ps(x, _mm256_set1_ps(-10.0));
+        let x = _mm256_min_ps(x, _mm256_set1_ps(TANH_CLAMP));
+        let x = _mm256_max_ps(x, _mm256_set1_ps(-TANH_CLAMP));
         let e2x = exp_ps(_mm256_add_ps(x, x));
         let two = _mm256_set1_ps(2.0);
         _mm256_sub_ps(
@@ -287,59 +318,55 @@ mod avx2 {
         )
     }
 
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub unsafe fn sigmoid_slice(x: &[f32], out: &mut [f32]) {
-        let n = x.len();
-        let mut p = 0;
-        while p + 8 <= n {
+    /// `out ← σ(x)` (or `tanh(x)`): whole vectors here, the rest through the
+    /// portable function.
+    ///
+    /// # Safety
+    /// Requires `avx2` and `fma`.
+    #[inline(always)]
+    unsafe fn activate<const TANH: bool>(x: &[f32], out: &mut [f32]) {
+        let out = &mut out[..x.len()];
+        let whole = x.len() - x.len() % 8;
+        for p in (0..whole).step_by(8) {
             let v = _mm256_loadu_ps(x.as_ptr().add(p));
-            _mm256_storeu_ps(out.as_mut_ptr().add(p), sigmoid_ps(v));
-            p += 8;
+            let y = if TANH { tanh_ps(v) } else { sigmoid_ps(v) };
+            _mm256_storeu_ps(out.as_mut_ptr().add(p), y);
         }
-        if p < n {
-            // Remainder through the same vector math (via a stack pad) so
-            // every element sees identical arithmetic.
-            let mut pad = [0.0f32; 8];
-            pad[..n - p].copy_from_slice(&x[p..]);
-            let v = _mm256_loadu_ps(pad.as_ptr());
-            _mm256_storeu_ps(pad.as_mut_ptr(), sigmoid_ps(v));
-            out[p..n].copy_from_slice(&pad[..n - p]);
+        for p in whole..x.len() {
+            out[p] = if TANH { tanh(x[p]) } else { sigmoid(x[p]) };
         }
     }
 
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub unsafe fn tanh_slice(x: &[f32], out: &mut [f32]) {
-        let n = x.len();
-        let mut p = 0;
-        while p + 8 <= n {
-            let v = _mm256_loadu_ps(x.as_ptr().add(p));
-            _mm256_storeu_ps(out.as_mut_ptr().add(p), tanh_ps(v));
-            p += 8;
-        }
-        if p < n {
-            let mut pad = [0.0f32; 8];
-            pad[..n - p].copy_from_slice(&x[p..]);
-            let v = _mm256_loadu_ps(pad.as_ptr());
-            _mm256_storeu_ps(pad.as_mut_ptr(), tanh_ps(v));
-            out[p..n].copy_from_slice(&pad[..n - p]);
-        }
-    }
-
+    /// [`super::cell_forward_rows`] eight lanes at a time: each row's four
+    /// gate blocks, then the cell update over the whole step.
+    ///
+    /// # Safety
+    /// Requires `avx2` and `fma`; slice lengths as asserted by
+    /// [`super::lstm_cell_forward`].
     #[target_feature(enable = "avx2", enable = "fma")]
     #[allow(clippy::too_many_arguments)]
-    pub unsafe fn cell_update(
-        i: &[f32],
-        f: &[f32],
-        g: &[f32],
-        o: &[f32],
+    pub unsafe fn cell_forward(
+        hdim: usize,
+        z: &[f32],
         c_prev: &[f32],
+        i: &mut [f32],
+        f: &mut [f32],
+        g: &mut [f32],
+        o: &mut [f32],
         c: &mut [f32],
         tanh_c: &mut [f32],
         h: &mut [f32],
     ) {
+        for (s, row) in z.chunks_exact(4 * hdim).enumerate() {
+            let at = s * hdim..(s + 1) * hdim;
+            activate::<false>(&row[..hdim], &mut i[at.clone()]);
+            activate::<false>(&row[hdim..2 * hdim], &mut f[at.clone()]);
+            activate::<true>(&row[2 * hdim..3 * hdim], &mut g[at.clone()]);
+            activate::<false>(&row[3 * hdim..], &mut o[at]);
+        }
         let n = c.len();
-        let mut p = 0;
-        while p + 8 <= n {
+        let whole = n - n % 8;
+        for p in (0..whole).step_by(8) {
             let iv = _mm256_loadu_ps(i.as_ptr().add(p));
             let fv = _mm256_loadu_ps(f.as_ptr().add(p));
             let gv = _mm256_loadu_ps(g.as_ptr().add(p));
@@ -350,17 +377,9 @@ mod avx2 {
             let tc = tanh_ps(cv);
             _mm256_storeu_ps(tanh_c.as_mut_ptr().add(p), tc);
             _mm256_storeu_ps(h.as_mut_ptr().add(p), _mm256_mul_ps(ov, tc));
-            p += 8;
         }
-        while p < n {
-            let cv = f[p].mul_add(c_prev[p], i[p] * g[p]);
-            c[p] = cv;
-            // Scalar remainder of the same rational tanh as `tanh_ps`.
-            let xc = cv.clamp(-10.0, 10.0);
-            let tc = 1.0 - 2.0 / ((2.0 * xc).exp() + 1.0);
-            tanh_c[p] = tc;
-            h[p] = o[p] * tc;
-            p += 1;
+        for p in whole..n {
+            (c[p], tanh_c[p], h[p]) = cell_update(i[p], f[p], g[p], o[p], c_prev[p]);
         }
     }
 
@@ -382,62 +401,106 @@ mod avx2 {
         c_prev: &[f32],
         dz: &mut [f32],
     ) {
-        super::cell_backward_rows(hdim, dh, dc, i, f, g, o, tanh_c, c_prev, dz)
+        cell_backward_rows(hdim, dh, dc, i, f, g, o, tanh_c, c_prev, dz)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gemm::Kernel;
+    use crate::gemm::available_kernels;
 
-    #[test]
-    fn fast_paths_exist_exactly_where_expected() {
-        assert!(!has_fast_transcendentals(Kernel::Scalar));
-        #[cfg(target_arch = "x86_64")]
-        assert!(has_fast_transcendentals(Kernel::Avx2));
+    /// `[i, f, g, o, c, tanh_c, h]` of one [`lstm_cell_forward`] on `tier`.
+    fn forward(tier: Kernel, hdim: usize, z: &[f32], c_prev: &[f32]) -> [Vec<f32>; 7] {
+        let mut out: [Vec<f32>; 7] = std::array::from_fn(|_| vec![f32::NAN; c_prev.len()]);
+        let [i, f, g, o, c, tanh_c, h] = &mut out;
+        lstm_cell_forward(tier, hdim, z, c_prev, i, f, g, o, c, tanh_c, h);
+        out
     }
 
-    #[cfg(target_arch = "x86_64")]
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
     #[test]
-    fn vector_gates_match_libm_closely() {
-        if !Kernel::Avx2.is_available() {
-            return;
-        }
-        let hdim = 13; // odd width exercises the pad remainder
+    fn gates_match_libm_closely() {
+        let hdim = 13; // odd width: a whole vector and a remainder
         let z: Vec<f32> = (0..4 * hdim)
             .map(|k| ((k as f32) * 0.37 - 9.5).sin() * 6.0)
             .collect();
-        let (mut i, mut f) = (vec![0.0f32; hdim], vec![0.0f32; hdim]);
-        let (mut g, mut o) = (vec![0.0f32; hdim], vec![0.0f32; hdim]);
-        lstm_gates_fast(&z, hdim, &mut i, &mut f, &mut g, &mut o);
-        for k in 0..hdim {
-            let sig = |x: f32| 1.0 / (1.0 + (-x).exp());
-            assert!((i[k] - sig(z[k])).abs() < 1e-6, "i[{k}]");
-            assert!((f[k] - sig(z[hdim + k])).abs() < 1e-6, "f[{k}]");
-            assert!((g[k] - z[2 * hdim + k].tanh()).abs() < 1e-6, "g[{k}]");
-            assert!((o[k] - sig(z[3 * hdim + k])).abs() < 1e-6, "o[{k}]");
+        for tier in available_kernels() {
+            let [i, f, g, o, ..] = forward(tier, hdim, &z, &vec![0.0; hdim]);
+            for k in 0..hdim {
+                let sig = |x: f32| 1.0 / (1.0 + (-x).exp());
+                assert!((i[k] - sig(z[k])).abs() < 1e-6, "i[{k}]");
+                assert!((f[k] - sig(z[hdim + k])).abs() < 1e-6, "f[{k}]");
+                assert!((g[k] - z[2 * hdim + k].tanh()).abs() < 1e-6, "g[{k}]");
+                assert!((o[k] - sig(z[3 * hdim + k])).abs() < 1e-6, "o[{k}]");
+            }
         }
     }
 
-    #[cfg(target_arch = "x86_64")]
     #[test]
     fn vector_cell_update_matches_scalar_formula() {
-        if !Kernel::Avx2.is_available() {
-            return;
-        }
         let n = 19;
         let v = |s: f32| -> Vec<f32> { (0..n).map(|k| ((k as f32) + s).cos()).collect() };
-        let (i, f, g, o, cp) = (v(0.1), v(0.2), v(0.3), v(0.4), v(0.5));
-        let mut c = vec![0.0f32; n];
-        let mut tc = vec![0.0f32; n];
-        let mut h = vec![0.0f32; n];
-        lstm_cell_update_fast(&i, &f, &g, &o, &cp, &mut c, &mut tc, &mut h);
-        for k in 0..n {
-            let cv = f[k] * cp[k] + i[k] * g[k];
-            assert!((c[k] - cv).abs() < 1e-6);
-            assert!((tc[k] - cv.tanh()).abs() < 1e-6);
-            assert!((h[k] - o[k] * cv.tanh()).abs() < 1e-6);
+        let (z, cp) = ([v(0.1), v(0.2), v(0.3), v(0.4)].concat(), v(0.5));
+        for tier in available_kernels() {
+            let [i, f, g, o, c, tc, h] = forward(tier, n, &z, &cp);
+            for k in 0..n {
+                // Every cell, wherever it sits in a vector or past the last.
+                let gates = [sigmoid(z[k]), sigmoid(z[n + k]), tanh(z[2 * n + k])];
+                assert_eq!(bits(&[i[k], f[k], g[k]]), bits(&gates), "{k}");
+                assert_eq!(o[k].to_bits(), sigmoid(z[3 * n + k]).to_bits(), "{k}");
+                let cv = f[k].mul_add(cp[k], i[k] * g[k]);
+                let want = [cv, tanh(cv), o[k] * tanh(cv)];
+                assert_eq!(bits(&[c[k], tc[k], h[k]]), bits(&want), "{k}");
+                assert!((tc[k] - cv.tanh()).abs() < 1e-6);
+            }
+        }
+    }
+
+    #[test]
+    fn every_tier_equals_the_portable_body_bit_for_bit() {
+        // NaN, ±∞, ±0, both clamps of `exp` and of `tanh` (as x, as −x, as
+        // 2x) with their neighbours, and the subnormal edge.
+        let mut edges = vec![f32::NAN, f32::INFINITY, f32::NEG_INFINITY, 0.0, -0.0];
+        for x in [
+            EXP_HI,
+            EXP_LO,
+            EXP_HI / 2.0,
+            EXP_LO / 2.0,
+            TANH_CLAMP,
+            120.0,
+        ] {
+            for x in [x, -x] {
+                let step = |d: i32| f32::from_bits((x.to_bits() as i32 + d) as u32);
+                edges.extend([step(-1), x, step(1)]);
+            }
+        }
+        edges.extend([f32::MIN_POSITIVE, -1e-40, 1e-8]);
+        for (rows, hdim) in [(3, 1), (3, 5), (2, 13), (4, 19), (8, 512)] {
+            let n = rows * hdim;
+            // Edges land on every gate and lane position as the sweep slides.
+            let sweep = |len: usize, phase: usize| -> Vec<f32> {
+                (0..len)
+                    .map(|k| match (k + phase) % 3 {
+                        0 => edges[(k / 3 + phase) % edges.len()],
+                        _ => ((k as f32) * 0.61 + phase as f32).sin() * 12.0,
+                    })
+                    .collect()
+            };
+            for phase in 0..3 {
+                let (z, cp) = (sweep(4 * n, phase), sweep(n, phase + 1));
+                let want = forward(Kernel::Scalar, hdim, &z, &cp);
+                for tier in available_kernels() {
+                    let got = forward(tier, hdim, &z, &cp);
+                    for (name, (got, want)) in "ifgocth".chars().zip(got.iter().zip(&want)) {
+                        let ctx = format!("{} {rows}x{hdim} phase {phase}: {name}", tier.name());
+                        assert_eq!(bits(got), bits(want), "{ctx}");
+                    }
+                }
+            }
         }
     }
 
@@ -463,7 +526,7 @@ mod tests {
                 row[3 * hdim + k] = d_o * o[idx] * (1.0 - o[idx]);
             }
             let bits = |v: &[f32]| -> Vec<u32> { v.iter().map(|x| x.to_bits()).collect() };
-            for tier in crate::gemm::available_kernels() {
+            for tier in available_kernels() {
                 let (mut dc, mut dz) = (dc0.clone(), vec![f32::NAN; 4 * n]);
                 lstm_cell_backward(tier, hdim, &dh, &mut dc, &i, &f, &g, &o, &tc, &cp, &mut dz);
                 let ctx = format!("{} {rows}x{hdim}", tier.name());
@@ -474,36 +537,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "unavailable")]
-    fn cell_backward_rejects_unavailable_tiers() {
-        // One of Avx2/Neon is always unavailable (no host has both arches).
-        let missing = if Kernel::Avx2.is_available() {
-            Kernel::Neon
-        } else {
-            Kernel::Avx2
-        };
-        let z = [0.0f32; 1];
-        lstm_cell_backward(
-            missing,
-            1,
-            &z,
-            &mut [0.0],
-            &z,
-            &z,
-            &z,
-            &z,
-            &z,
-            &z,
-            &mut [0.0; 4],
-        );
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    #[test]
-    fn vector_transcendentals_saturate_cleanly_at_the_extremes() {
-        if !Kernel::Avx2.is_available() {
-            return;
-        }
+    fn transcendentals_saturate_cleanly_at_the_extremes() {
         let hdim = 8;
         let mut z = vec![0.0f32; 4 * hdim];
         for k in 0..hdim {
@@ -512,17 +546,17 @@ mod tests {
             z[2 * hdim + k] = if k % 2 == 0 { 40.0 } else { -40.0 }; // tanh → ±1
             z[3 * hdim + k] = 0.0; // σ → 0.5
         }
-        let (mut i, mut f) = (vec![0.0f32; hdim], vec![0.0f32; hdim]);
-        let (mut g, mut o) = (vec![0.0f32; hdim], vec![0.0f32; hdim]);
-        lstm_gates_fast(&z, hdim, &mut i, &mut f, &mut g, &mut o);
-        for k in 0..hdim {
-            assert_eq!(i[k], 1.0);
-            // exp clamps rather than overflowing, so σ(−120) is a
-            // subnormal whisker above zero instead of exactly 0.0.
-            assert!(f[k] >= 0.0 && f[k] < 1e-30, "f[{k}] = {}", f[k]);
-            assert_eq!(g[k], if k % 2 == 0 { 1.0 } else { -1.0 });
-            assert_eq!(o[k], 0.5);
-            assert!(i[k].is_finite() && g[k].is_finite());
+        for tier in available_kernels() {
+            let [i, f, g, o, ..] = forward(tier, hdim, &z, &vec![0.0; hdim]);
+            for k in 0..hdim {
+                assert_eq!(i[k], 1.0);
+                // exp clamps rather than overflowing, so σ(−120) is a
+                // subnormal whisker above zero instead of exactly 0.0.
+                assert!(f[k] >= 0.0 && f[k] < 1e-30, "f[{k}] = {}", f[k]);
+                assert_eq!(g[k], if k % 2 == 0 { 1.0 } else { -1.0 });
+                assert_eq!(o[k], 0.5);
+                assert!(i[k].is_finite() && g[k].is_finite());
+            }
         }
     }
 }

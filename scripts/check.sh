@@ -27,41 +27,31 @@ bench=(cargo run --release --offline --quiet --manifest-path examples/benchmark/
   || { echo "benchmark smoke: cnn_fedca_shard2 did not report \"correct\":true" >&2; exit 1; }
 
 # "A perf change did not change the arithmetic" as a gate: the seed-42
-# trajectory fingerprints must equal the recorded ones. They are recorded on
-# the AVX2 tier (GEMM tiers differ in low-order bits), so other tiers print
-# theirs and skip.
+# trajectory fingerprints must equal the recorded ones, on any host — every
+# kernel tier computes the same bits.
 echo "== benchmark fingerprints vs baselines/set1.json"
 baseline=examples/benchmark/baselines/set1.json
 for w in cnn_fedca wide_int8; do
-  info="$("${bench[@]}" --workload "$w" --seed 42 --seconds 2 --trace 0 | grep '^{"info"' | tail -n 1)"
-  kernel="$(jq -r '.info.kernel' <<<"$info")"
-  got="$(jq -r '.info.fingerprint' <<<"$info")"
+  got="$("${bench[@]}" --workload "$w" --seed 42 --seconds 2 --trace 0 \
+    | grep '^{"info"' | tail -n 1 | jq -r '.info.fingerprint')"
   want="$(jq -r ".workloads.$w.fingerprint" "$baseline")"
-  if [[ "$kernel" != "avx2" ]]; then
-    echo "fingerprint $w: $got on kernel $kernel (baseline is avx2; skipped)"
-  elif [[ "$got" != "$want" ]]; then
+  if [[ "$got" != "$want" ]]; then
     echo "fingerprint $w: $got differs from the recorded $want" >&2
     exit 1
-  else
-    echo "fingerprint $w: $got — ok"
   fi
+  echo "fingerprint $w: $got — ok"
 done
 
 # The committed smoke results are what the tree prints: regenerate the whole
-# study in one process and diff. Recorded on the AVX2 tier, like the
-# fingerprints above; other tiers print and skip.
+# study in one process and diff.
 echo "== study smoke vs results/smoke"
-if [[ "$kernel" == "avx2" ]]; then
-  cargo build --release -q -p fedca-bench
-  tmp="$(mktemp -d)"
-  trap 'rm -rf "$tmp"' EXIT
-  ./target/release/fedca-bench all --scale smoke --out "$tmp"
-  diff -r -x '*.log' "$tmp" results/smoke \
-    || { echo "study smoke: CSVs differ from results/smoke (regenerate with fedca-bench all --scale smoke --out results/smoke)" >&2; exit 1; }
-  echo "study smoke: 14 CSVs match results/smoke — ok"
-else
-  echo "study smoke: kernel $kernel (results/smoke is avx2; skipped)"
-fi
+cargo build --release -q -p fedca-bench
+tmp="$(mktemp -d)"
+trap 'rm -rf "$tmp"' EXIT
+./target/release/fedca-bench all --scale smoke --out "$tmp"
+diff -r -x '*.log' "$tmp" results/smoke \
+  || { echo "study smoke: CSVs differ from results/smoke (regenerate with fedca-bench all --scale smoke --out results/smoke)" >&2; exit 1; }
+echo "study smoke: 14 CSVs match results/smoke — ok"
 
 echo "== chaos sweep"
 scripts/chaos.sh "${CHAOS_SEEDS:-32}"

@@ -33,8 +33,6 @@ TIERS="scalar"
 ARCH="$(uname -m)"
 if [[ "$ARCH" == "x86_64" ]] && grep -q avx2 /proc/cpuinfo && grep -q fma /proc/cpuinfo; then
   TIERS="avx2 scalar"
-elif [[ "$ARCH" == "aarch64" || "$ARCH" == "arm64" ]]; then
-  TIERS="neon scalar"
 fi
 echo "== dataplane_check: host tiers: $TIERS"
 

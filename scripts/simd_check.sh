@@ -1,21 +1,22 @@
 #!/usr/bin/env bash
 # SIMD dispatch gate, two halves:
 #
-#  1. Correctness: runs the GEMM, Conv2d and Lstm parity suites once per
-#     kernel tier the host can execute, with FEDCA_FORCE_KERNEL pinning the
-#     dispatch — so the scalar fallback stays exercised on SIMD hardware and
-#     every compiled tier proves f64-reference accuracy and bit-equality
-#     with its summation contract (gemm.rs header), through Conv2d and the
-#     time-major Lstm too.
+#  1. Correctness: runs the GEMM, Conv2d, Lstm and backward_params parity
+#     suites and the golden-trace fixture once per kernel tier the host can
+#     execute, with FEDCA_FORCE_KERNEL pinning the dispatch — so the
+#     portable tier stays exercised on SIMD hardware and every tier proves
+#     f64-reference accuracy, bit-equality with the one summation rule
+#     (gemm.rs header) through Conv2d and the time-major Lstm too, and the
+#     same committed fixture bytes.
 #
 #  2. Performance: on hosts with a SIMD tier, re-runs the train_iteration
 #     benches and requires each median to beat the packed scalar kernel
 #     baseline (packed_ms in BENCH_kernels.json) by at least
 #     SIMD_MIN_SPEEDUP x (default 2.0), less a SIMD_SPEEDUP_TOLERANCE
-#     (default 10%) noise band: effective floor 1.8x by default. The scalar
-#     tier only reaches ~1.3x of packed_ms on these shapes, so the band
-#     still distinguishes "dispatch silently fell back to scalar" from
-#     bench jitter. Scalar-only hosts skip this half with a note.
+#     (default 10%) noise band: effective floor 1.8x by default. The
+#     portable tier is slower than packed_ms on these shapes, so the band
+#     distinguishes "dispatch silently fell back to scalar" from bench
+#     jitter. Scalar-only hosts skip this half with a note.
 #
 # Usage: scripts/simd_check.sh
 set -euo pipefail
@@ -30,16 +31,16 @@ TIERS="scalar"
 ARCH="$(uname -m)"
 if [[ "$ARCH" == "x86_64" ]] && grep -q avx2 /proc/cpuinfo && grep -q fma /proc/cpuinfo; then
   TIERS="avx2 scalar"
-elif [[ "$ARCH" == "aarch64" || "$ARCH" == "arm64" ]]; then
-  TIERS="neon scalar"
 fi
 echo "== simd_check: host tiers: $TIERS"
 
 FAIL=0
 for TIER in $TIERS; do
-  echo "== gemm + conv + lstm parity suites (FEDCA_FORCE_KERNEL=$TIER)"
+  echo "== gemm + conv + lstm + backward_params parity suites, golden trace (FEDCA_FORCE_KERNEL=$TIER)"
   if ! FEDCA_FORCE_KERNEL="$TIER" cargo test -q -p fedca-tensor --test gemm_parity ||
-    ! FEDCA_FORCE_KERNEL="$TIER" cargo test -q -p fedca-nn --test conv_parity --test lstm_parity; then
+    ! FEDCA_FORCE_KERNEL="$TIER" cargo test -q -p fedca-nn \
+      --test conv_parity --test lstm_parity --test backward_params ||
+    ! FEDCA_FORCE_KERNEL="$TIER" cargo test -q -p fedca-core --test golden_trace; then
     echo "simd_check: parity suite failed on tier $TIER" >&2
     FAIL=1
   fi
