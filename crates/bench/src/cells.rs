@@ -10,12 +10,13 @@
 //! sharing is invisible in a study's output.
 
 use crate::study::{progress_study, Curves, CONSECUTIVE_ROUNDS, TESTBED_K};
-use crate::{build_workload, Cli, Log};
+use crate::{Cli, Log};
 use fedca_core::metrics::RoundRecord;
 use fedca_core::trace::JsonlSink;
+use fedca_core::workload::Scale;
 use fedca_core::{
     CheckpointConfig, CheckpointStore, FlConfig, Scheme, TraceConfig, Trainer, TrainerOutput,
-    Workload,
+    Workload, WorkloadSpec,
 };
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -63,17 +64,25 @@ impl Cells {
         self.log.note(&msg);
     }
 
-    /// The registry workload `name` at the run's scale and seed, built once.
+    /// The registry workload `name` (`cnn`, `lstm`, `wrn`, `tiny_mlp`) at
+    /// the run's scale and seed, built once.
     ///
     /// # Panics
     /// Panics on a name outside the workload registry (studies name their
-    /// workloads themselves; user-supplied names go through
-    /// [`build_workload`]).
+    /// workloads themselves).
     pub fn workload(&mut self, name: &str) -> Workload {
-        let (scale, seed) = (self.cli.scale, self.cli.seed());
+        let cli = &self.cli;
+        let build = || {
+            let spec = WorkloadSpec {
+                name: name.to_string(),
+                paper_scale: cli.scale.workload_scale() == Scale::Paper,
+                seed: cli.seed(),
+            };
+            spec.build().expect("registry workload")
+        };
         self.workloads
             .entry(name.to_string())
-            .or_insert_with(|| build_workload(name, scale, seed).expect("registry workload"))
+            .or_insert_with(build)
             .clone()
     }
 

@@ -10,8 +10,8 @@ use std::path::PathBuf;
 /// The usage text printed with every [`CliError`]: every flag with its
 /// accepted forms.
 pub fn usage() -> String {
-    let mut out = "usage: fedca-bench <study>... | all | list | probe-population | probe-shard \
-                   [flags]\n  (flags take `--flag VALUE` or `--flag=VALUE`)"
+    let mut out = "usage: fedca-bench <study>... | all | list  [flags]\n  \
+                   (flags take `--flag VALUE` or `--flag=VALUE`)"
         .to_string();
     for (flag, forms) in FLAGS {
         out.push_str(&format!("\n  {flag:<17} {forms}"));
@@ -28,10 +28,6 @@ pub enum Command {
     /// Run these registry studies, in the order given (`all` = registry
     /// order).
     Studies(Vec<&'static str>),
-    /// The virtual-population scaling probe.
-    ProbePopulation,
-    /// The sharded-execution probe.
-    ProbeShard,
 }
 
 /// Every user-settable value of one invocation.
@@ -58,16 +54,6 @@ pub struct Cli {
     pub resume: bool,
     /// `--out`: write `DIR/<study>.csv` + `.log` instead of stdout/stderr.
     pub out: Option<PathBuf>,
-    /// Probe-only: `--cohort`, clients per round.
-    pub cohort: Option<usize>,
-    /// Probe-only: `--rounds`.
-    pub rounds: Option<usize>,
-    /// Probe-only: `--workers`, worker threads per process.
-    pub workers: Option<usize>,
-    /// Probe-only: `--workload`, a registry workload name.
-    pub workload: Option<String>,
-    /// Probe-only: `--local-iters`, K.
-    pub local_iters: Option<usize>,
 }
 
 /// A command line that cannot be run. `main` prints it with [`usage`] and
@@ -89,8 +75,6 @@ pub enum CliError {
     },
     /// A positional argument that names no study or command.
     UnknownStudy(String),
-    /// A probe-only flag was given to a study run.
-    ProbeOnly(&'static str),
     /// An `--out` file could not be created or written: `path: OS error`.
     Io(String),
 }
@@ -98,7 +82,7 @@ pub enum CliError {
 impl fmt::Display for CliError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            CliError::MissingCommand => write!(f, "name a study, `all`, `list` or a probe"),
+            CliError::MissingCommand => write!(f, "name a study, `all` or `list`"),
             CliError::UnknownFlag(flag) => write!(f, "unknown flag {flag}"),
             CliError::BadValue {
                 flag,
@@ -113,7 +97,6 @@ impl fmt::Display for CliError {
                 "unknown study {name:?}; the registry has: {}",
                 studies::names().join(" ")
             ),
-            CliError::ProbeOnly(flag) => write!(f, "{flag} is only read by the probes"),
             CliError::Io(what) => f.write_str(what),
         }
     }
@@ -121,9 +104,8 @@ impl fmt::Display for CliError {
 
 impl std::error::Error for CliError {}
 
-/// Every flag with its accepted forms: the first [`N_SHARED`] are read by
-/// every command, the rest only by the probes.
-const FLAGS: [(&str, &str); 14] = [
+/// Every flag with its accepted forms.
+const FLAGS: [(&str, &str); 9] = [
     ("--scale", "smoke|scaled|paper (default scaled)"),
     ("--seed", "a non-negative integer (default 42)"),
     ("--compression", "none|int8|f16|q1..q8|topP, 0 < P <= 100"),
@@ -133,13 +115,7 @@ const FLAGS: [(&str, &str); 14] = [
     ("--checkpoint-dir", "a directory (numbered per cell)"),
     ("--out", "a directory for <study>.csv and <study>.log"),
     ("--resume", "no value (continue from checkpoints)"),
-    ("--cohort", "a positive integer (probes only)"),
-    ("--rounds", "a positive integer (probes only)"),
-    ("--workers", "a positive integer (probes only)"),
-    ("--workload", "cnn|lstm|wrn|tiny_mlp (probes only)"),
-    ("--local-iters", "a positive integer (probes only)"),
 ];
-const N_SHARED: usize = 9;
 
 /// Parses a compression spec: `none`, `int8` (deterministic 8-bit), `f16`,
 /// `qN` (stochastic QSGD with `N` bits, e.g. `q4`), or `topP` (top-`P`%
@@ -161,16 +137,12 @@ pub fn parse_compression(spec: &str) -> Option<Compression> {
     (pct > 0.0 && pct <= 100.0).then_some(Compression::TopK { keep: pct / 100.0 })
 }
 
-fn positive(v: &str) -> Option<usize> {
-    v.parse().ok().filter(|n| *n > 0)
-}
-
 impl Cli {
     /// Parses the arguments after `argv[0]`. Flags take `--flag value` or
     /// `--flag=value`; everything else names a study or a command.
     pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Cli, CliError> {
         let mut cli = Cli::default();
-        let (mut names, mut probe_only) = (Vec::new(), None);
+        let mut names = Vec::new();
         let mut args = args.into_iter().peekable();
         while let Some(arg) = args.next() {
             if !arg.starts_with("--") {
@@ -181,9 +153,8 @@ impl Cli {
                 Some((n, v)) => (n, Some(v.to_string())),
                 None => (arg.as_str(), None),
             };
-            let i = FLAGS.iter().position(|(f, _)| *f == name);
-            let i = i.ok_or_else(|| CliError::UnknownFlag(arg.clone()))?;
-            let (flag, expected) = FLAGS[i];
+            let known = FLAGS.iter().find(|(f, _)| *f == name);
+            let &(flag, expected) = known.ok_or_else(|| CliError::UnknownFlag(arg.clone()))?;
             if flag == "--resume" && inline.is_none() {
                 cli.resume = true;
                 continue;
@@ -195,15 +166,9 @@ impl Cli {
                 value,
                 expected,
             })?;
-            if i >= N_SHARED {
-                probe_only = Some(flag);
-            }
         }
         cli.command = command(&names)?;
-        match (&cli.command, probe_only) {
-            (Command::Studies(_), Some(flag)) => Err(CliError::ProbeOnly(flag)),
-            _ => Ok(cli),
-        }
+        Ok(cli)
     }
 
     /// `--seed`, or the default master seed 42.
@@ -217,16 +182,11 @@ impl Cli {
             "--scale" => self.scale = ExpScale::parse(v)?,
             "--seed" => self.seed = Some(v.parse().ok()?),
             "--compression" => self.compression = Some(parse_compression(v)?),
-            "--n-clients" => self.n_clients = Some(positive(v)?),
+            "--n-clients" => self.n_clients = Some(v.parse().ok().filter(|n| *n > 0)?),
             "--shards" => self.shards = Some(v.parse().ok()?),
             "--trace" => self.trace = Some(v.into()),
             "--checkpoint-dir" => self.checkpoint_dir = Some(v.into()),
             "--out" => self.out = Some(v.into()),
-            "--cohort" => self.cohort = Some(positive(v)?),
-            "--rounds" => self.rounds = Some(positive(v)?),
-            "--workers" => self.workers = Some(positive(v)?),
-            "--workload" => self.workload = Some(v.to_string()),
-            "--local-iters" => self.local_iters = Some(positive(v)?),
             // `--resume=x`: the flag takes no value.
             _ => return None,
         }
@@ -240,8 +200,6 @@ fn command(names: &[String]) -> Result<Command, CliError> {
     match names[..] {
         [] => Err(CliError::MissingCommand),
         ["list"] => Ok(Command::List),
-        ["probe-population"] => Ok(Command::ProbePopulation),
-        ["probe-shard"] => Ok(Command::ProbeShard),
         ["all"] => Ok(Command::Studies(studies::names())),
         _ => names
             .iter()

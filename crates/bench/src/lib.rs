@@ -2,7 +2,7 @@
 //! and figure of the FedCA paper.
 //!
 //! ```text
-//! fedca-bench <study>… | all | list | probe-population | probe-shard  [flags]
+//! fedca-bench <study>… | all | list  [flags]
 //! ```
 //!
 //! * [`cli`] parses the command line exactly once into a [`Cli`]; every
@@ -14,9 +14,8 @@
 //! * [`cells`] owns what a run trains: a workload is built once, a trainer
 //!   cell is trained once per distinct `(config, scheme, workload, wire
 //!   size, eval cadence)` and every study reads a prefix of its records.
-//! * [`study`] is the §3.2.2 statistical-pattern harness (Figs. 2–4),
-//!   [`totals`] the one place run counters are summed, and [`probe`] the two
-//!   JSON probes the population and shard gates consume.
+//! * [`study`] is the §3.2.2 statistical-pattern harness (Figs. 2–4) and
+//!   [`totals`] the one place run counters are summed.
 //!
 //! A study writes CSV rows (stdout, or `DIR/<study>.csv` with `--out DIR`)
 //! and progress notes (stderr, or `DIR/<study>.log`). `--scale` selects
@@ -29,7 +28,6 @@
 
 pub mod cells;
 pub mod cli;
-pub mod probe;
 pub mod studies;
 pub mod study;
 pub mod totals;
@@ -39,7 +37,7 @@ pub use cli::{Cli, CliError, Command};
 pub use totals::Totals;
 
 use fedca_core::workload::Scale;
-use fedca_core::{FlConfig, Workload, WorkloadSpec};
+use fedca_core::{FlConfig, Workload};
 use std::io::Write;
 
 /// Experiment scale tier.
@@ -76,21 +74,6 @@ impl ExpScale {
             _ => Scale::Scaled,
         }
     }
-}
-
-/// Builds a registry workload (`cnn`, `lstm`, `wrn`, `tiny_mlp`); a name
-/// outside the registry is the `--workload` flag's error.
-pub fn build_workload(name: &str, scale: ExpScale, seed: u64) -> Result<Workload, CliError> {
-    let spec = WorkloadSpec {
-        name: name.to_string(),
-        paper_scale: scale.workload_scale() == Scale::Paper,
-        seed,
-    };
-    spec.build().ok_or_else(|| CliError::BadValue {
-        flag: "--workload",
-        value: Some(name.to_string()),
-        expected: "cnn|lstm|wrn|tiny_mlp",
-    })
 }
 
 /// Builds the federation config for a workload at the run's scale tier and

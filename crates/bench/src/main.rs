@@ -1,8 +1,8 @@
-//! `fedca-bench <study>… | all | list | probe-population | probe-shard`: see
-//! the library docs and `fedca-bench list`.
+//! `fedca-bench <study>… | all | list`: see the library docs and
+//! `fedca-bench list`.
 
 use fedca_bench::cli::usage;
-use fedca_bench::{probe, studies, Cells, Cli, CliError, Command, ExpScale, Log};
+use fedca_bench::{studies, Cells, Cli, CliError, Command, ExpScale, Log};
 use std::fs::{self, File};
 use std::io::Write;
 use std::path::Path;
@@ -26,12 +26,12 @@ fn main() {
 /// Runs the command; the exit code is 1 when a study's verdict failed.
 fn run(cli: &Cli) -> Result<i32, CliError> {
     match &cli.command {
-        Command::List => print!("{}", studies::list()),
-        Command::ProbePopulation => println!("{}", probe::population(cli)?),
-        Command::ProbeShard => println!("{}", probe::shard(cli)?),
-        Command::Studies(names) => return run_studies(cli, names),
+        Command::List => {
+            print!("{}", studies::list());
+            Ok(0)
+        }
+        Command::Studies(names) => run_studies(cli, names),
     }
-    Ok(0)
 }
 
 /// Runs the studies in order over one shared cell store, so a trajectory

@@ -84,26 +84,6 @@ fn every_accepted_spelling_parses_to_the_expected_cli() {
         }
     }
 
-    let probe = parse(&[
-        "probe-shard",
-        "--shards=2",
-        "--workers",
-        "1",
-        "--rounds=3",
-        "--workload",
-        "tiny_mlp",
-        "--local-iters=4",
-        "--cohort",
-        "8",
-    ])
-    .expect("probe flags parse");
-    assert_eq!(probe.command, Command::ProbeShard);
-    assert_eq!(
-        (probe.shards, probe.workers, probe.rounds, probe.cohort),
-        (Some(2), Some(1), Some(3), Some(8))
-    );
-    assert_eq!(probe.workload.as_deref(), Some("tiny_mlp"));
-    assert_eq!(probe.local_iters, Some(4));
     assert_eq!(parse(&["list"]).map(|c| c.command), Ok(Command::List));
     let two = parse(&["fig8_cdf", "overhead"]).expect("two studies");
     assert_eq!(
@@ -124,14 +104,13 @@ fn kind(e: &CliError) -> (&'static str, String) {
         } => ("missing-value", flag.to_string()),
         CliError::BadValue { flag, .. } => ("bad-value", flag.to_string()),
         CliError::UnknownStudy(name) => ("unknown-study", name.clone()),
-        CliError::ProbeOnly(flag) => ("probe-only", flag.to_string()),
         CliError::Io { .. } => ("io", String::new()),
     }
 }
 
 #[test]
 fn every_malformed_command_line_is_a_typed_error() {
-    let table: [(&[&str], &str, &str); 22] = [
+    let table: [(&[&str], &str, &str); 27] = [
         (&[], "missing-command", ""),
         (&["--scale", "smoke"], "missing-command", ""),
         (&["overhead", "--scale", "x"], "bad-value", "--scale"),
@@ -186,8 +165,22 @@ fn every_malformed_command_line_is_a_typed_error() {
             "--frobnicate",
         ),
         (&["overhead", "fig11"], "unknown-study", "fig11"),
-        (&["overhead", "--workers", "2"], "probe-only", "--workers"),
-        (&["probe-shard", "--rounds", "0"], "bad-value", "--rounds"),
+        // The retired probe spellings.
+        (&["probe-shard"], "unknown-study", "probe-shard"),
+        (&["probe-population"], "unknown-study", "probe-population"),
+        (&["list", "--cohort", "4"], "unknown-flag", "--cohort"),
+        (&["overhead", "--rounds=3"], "unknown-flag", "--rounds=3"),
+        (&["overhead", "--workers", "2"], "unknown-flag", "--workers"),
+        (
+            &["overhead", "--workload", "wrn"],
+            "unknown-flag",
+            "--workload",
+        ),
+        (
+            &["overhead", "--local-iters", "4"],
+            "unknown-flag",
+            "--local-iters",
+        ),
         (&["list", "overhead"], "unknown-study", "list"),
         (&["all", "overhead"], "unknown-study", "all"),
     ];
@@ -245,6 +238,8 @@ fn retired_environment_variables_change_nothing() {
     // Bad input exits 2 with a usage line instead of unwinding.
     assert_eq!(fedca_bench(&["overhead", "--scale", "x"], &[]).0, Some(2));
     assert_eq!(fedca_bench(&["fig11"], &[]).0, Some(2));
+    assert_eq!(fedca_bench(&["probe-shard"], &[]).0, Some(2));
+    assert_eq!(fedca_bench(&["list", "--cohort", "4"], &[]).0, Some(2));
 }
 
 // --- (b) the registry -------------------------------------------------------

@@ -14,6 +14,9 @@
 //!    forces constant eviction/rehydration.
 //! 3. **Checkpoints shrink to the dirty set**: the envelope of a large
 //!    population holds only clients that actually participated.
+//! 4. **A million clients cost what ten thousand do**: resident and dirty
+//!    entry counts are bounded by the cache cap and the participants, at
+//!    either population size.
 
 use fedca_core::config::{FaultConfig, FlConfig};
 use fedca_core::metrics::RoundRecord;
@@ -143,6 +146,49 @@ fn checkpoint_shrinks_to_the_dirty_set() {
     // Every persisted id is a real participant, and the tables are sorted.
     assert!(env.clients.windows(2).all(|w| w[0].id < w[1].id));
     assert!(env.participations.iter().all(|&(id, n)| id < N && n > 0));
+}
+
+/// Memory follows the cohort, not the population: a cohort-128 FedAvg study
+/// under a 512-client residency cap ends every round with at most 512
+/// clients resident, and preserves evicted state for no more clients than
+/// ever participated — the same bounds at 10 000 and at 1 000 000 clients.
+#[test]
+fn store_entries_are_bounded_by_the_cap_at_any_population_size() {
+    const COHORT: usize = 128;
+    const CAP: usize = 4 * COHORT;
+    const ROUNDS: usize = 10;
+    for n_clients in [10_000, 1_000_000] {
+        let workload = Workload::tiny_mlp(SEED);
+        let mut fl = FlConfig {
+            n_clients,
+            clients_per_round: COHORT,
+            local_iters: 6,
+            batch_size: 8,
+            lr: workload.lr,
+            weight_decay: workload.weight_decay,
+            seed: SEED,
+            ..FlConfig::default()
+        };
+        fl.population.cache_clients = CAP;
+        let mut t = Trainer::new_with_workers(fl, Scheme::FedAvg, workload, 2);
+        t.eval_every = 0;
+        for round in 0..ROUNDS {
+            t.run_round();
+            let resident = t.store().n_resident();
+            assert!(
+                resident <= CAP,
+                "n={n_clients} round {round}: {resident} clients resident, cap {CAP}"
+            );
+        }
+        let participants = t.store().participations_snapshot().len();
+        let evicted: usize = t.records().iter().map(|r| r.n_evicted).sum();
+        assert!(evicted > 0, "n={n_clients}: the cap never evicted anything");
+        let dirty = t.store().n_dirty();
+        assert!(
+            dirty > 0 && dirty <= participants,
+            "n={n_clients}: {dirty} dirty entries for {participants} distinct participants"
+        );
+    }
 }
 
 proptest! {

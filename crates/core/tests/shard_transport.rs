@@ -11,7 +11,7 @@
 //! produced the result, and the offstream trace must say which check fired
 //! and which ordinals moved. Every case runs inside a watchdog so a bug that
 //! wedges the coordinator fails fast instead of hanging the suite.
-//! `scripts/shard_check.sh` runs this suite in release mode.
+//! `scripts/check.sh` runs this suite in release mode too.
 
 use fedca_core::config::{FaultConfig, FlConfig};
 use fedca_core::metrics::RoundRecord;
@@ -20,7 +20,7 @@ use fedca_core::{Scheme, Trainer, Workload};
 use std::sync::mpsc;
 use std::sync::OnceLock;
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 // Re-exec entry point: the coordinator spawns this very test binary as
 // its shard child processes (see `shard::test_child_args`).
@@ -146,13 +146,30 @@ fn reference() -> &'static Fingerprint {
 
 /// SIGSTOPs a process: it stays connected and alive but does nothing, so
 /// no EOF, no error and no frame ever reaches the coordinator — only the
-/// heartbeat can tell.
+/// heartbeat can tell. Returns once every thread of the process reads
+/// stopped: `kill` only leaves the signal pending, and on a busy host the
+/// child's woken main thread can wait for a CPU longer than a `tiny_mlp`
+/// round takes — the child then serves the whole round "stopped".
 fn sigstop(pid: u32) {
     let status = std::process::Command::new("sh")
         .args(["-c", &format!("kill -STOP {pid}")])
         .status()
         .expect("run kill");
     assert!(status.success(), "kill -STOP {pid} failed");
+    let all_stopped = || {
+        let tasks = std::fs::read_dir(format!("/proc/{pid}/task")).expect("child is alive");
+        tasks.flatten().all(|task| {
+            // "tid (comm) S …": the state letter follows the last ')'.
+            let stat = std::fs::read_to_string(task.path().join("stat")).unwrap_or_default();
+            let state = stat.rsplit(')').next().unwrap_or_default();
+            state.trim_start().starts_with('T')
+        })
+    };
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while !all_stopped() {
+        assert!(Instant::now() < deadline, "pid {pid} never stopped");
+        thread::sleep(Duration::from_millis(1));
+    }
 }
 
 /// One way of losing shards: how to configure the federation, what to do
@@ -225,13 +242,19 @@ const SCENARIOS: &[Scenario] = &[
             fl.shard.heartbeat_missed_limit = 3;
             fl
         },
+        // Round 1 stops every child (all were spawned with the pool), so
+        // every ordinal of that round is stranded; by round 3 the shards
+        // that had work in round 2 are back up.
         before_round: |t, round, shards| {
-            let pool = t.shard_pool_mut().expect("trainer is sharded");
-            for pid in (0..shards).filter_map(|s| pool.child_pid_for_test(s)) {
-                if round % 2 == 1 {
-                    sigstop(pid);
-                }
+            if round % 2 == 0 {
+                return;
             }
+            let pool = t.shard_pool_mut().expect("trainer is sharded");
+            let live: Vec<u32> = (0..shards)
+                .filter_map(|s| pool.child_pid_for_test(s))
+                .collect();
+            assert!(!live.is_empty(), "round {round}: no live child to stop");
+            live.into_iter().for_each(sigstop);
         },
         reason_names: "heartbeat",
     },

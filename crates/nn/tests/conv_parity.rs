@@ -2,8 +2,8 @@
 //! (the defining index formula, bounds-checked per element) followed by
 //! every product written out in `fedca_tensor::gemm`'s summation rule.
 //! Forward, `dW`, `db` and `dX` must match **bit for bit**, on whichever
-//! tier is dispatched (`scripts/simd_check.sh` runs this suite once per
-//! tier).
+//! tier is dispatched (`scripts/check.sh` runs this suite on the portable
+//! tier too).
 
 use fedca_nn::layers::Conv2d;
 use fedca_nn::{Layer, Workspace};

@@ -5,8 +5,8 @@
 //! many GEMM calls carry them — never a product's `(m, n, k)`, its operand
 //! values or its depth order — so by `gemm.rs`'s summation rule the
 //! output, every parameter gradient and `dx` must match **bit for bit**, on
-//! whichever tier is dispatched (`scripts/simd_check.sh` runs this suite
-//! once per tier).
+//! whichever tier is dispatched (`scripts/check.sh` runs this suite on the
+//! portable tier too).
 
 use fedca_nn::layers::Lstm;
 use fedca_nn::{Layer, Workspace};
