@@ -7,10 +7,14 @@
 //! systems). FedCA is *orthogonal* to these (§6), so the repository also
 //! ships an ablation bench combining them with FedCA.
 //!
-//! The crate additionally provides the binary [`wire`] codec used to put
-//! updates on the simulated network: the byte counts the virtual links
-//! charge are exactly the encoded lengths, so quantized/sparsified uploads
-//! genuinely shrink transmission time in experiments.
+//! Its other half is the update [`wire`] codec, the one byte format the
+//! crate owns: the byte counts the virtual links charge are exactly the
+//! encoded lengths, so quantized/sparsified uploads genuinely shrink
+//! transmission time in experiments, and the bytes a client prices are the
+//! bytes the server decodes. [`Compression::encode_layer`] compresses
+//! straight into a [`wire::MessageWriter`]; [`wire::PayloadView::decode_into`]
+//! is the one decoder. (The shard processes' frame envelope is not an update
+//! format; it lives with its one speaker, `fedca-core`'s `transport`.)
 
 pub mod error_feedback;
 pub mod f16;
@@ -23,14 +27,12 @@ pub use f16::{f16_to_f32, f32_to_f16};
 pub use quantize::{dequantize, quantize, quantize_det, QuantizedVec};
 pub use sparsify::{densify, top_k, SparseVec};
 
-/// Reusable buffers for [`Compression::compress_into`]: once they have seen
-/// a model's largest layer, compressing allocates nothing (top-k excepted,
-/// whose selection builds its own index vectors).
+/// The quantizers' level buffer, reused by [`Compression::encode_layer`]:
+/// once it has seen a model's largest layer, encoding allocates nothing
+/// (top-k excepted, whose selection builds its own index vectors).
 #[derive(Debug, Default)]
 pub struct CodecScratch {
     levels: Vec<i8>,
-    halves: Vec<u16>,
-    sparse: Option<SparseVec>,
 }
 
 use rand::Rng;
@@ -65,29 +67,6 @@ pub enum Compression {
 }
 
 impl Compression {
-    /// Approximate wire bytes for `n` elements under this compression
-    /// (indices for sparse vectors are 4-byte offsets; quantized payloads
-    /// are bit-packed with one f32 scale). [`wire::message_wire_len`]
-    /// gives the exact framed size; this estimator exists for planning
-    /// deadlines before an update is materialized.
-    pub fn wire_bytes(&self, n: usize) -> f64 {
-        match *self {
-            Compression::None => 4.0 * n as f64,
-            Compression::Int8 => n as f64 + 4.0,
-            Compression::F16 => 2.0 * n as f64,
-            Compression::Quantize { bits } => {
-                // The codec packs signed levels offset-binary in `bits + 1`
-                // bits (sign costs one bit), capped at a byte.
-                let width = (bits + 1).min(8) as f64;
-                (n as f64 * width / 8.0) + 4.0
-            }
-            Compression::TopK { keep } => {
-                let kept = (n as f32 * keep).ceil() as f64;
-                kept * (4.0 + 4.0)
-            }
-        }
-    }
-
     /// Exact encoded size ([`wire::Payload::wire_len`]) of what
     /// [`Compression::compress`] produces for `n` elements — known before
     /// compressing, so an upload's buffer can be sized once.
@@ -103,45 +82,35 @@ impl Compression {
         }
     }
 
-    /// [`Compression::compress`] without the owned payload: the result
-    /// borrows `x` (no compression) or `scratch`, ready for
-    /// [`wire::MessageWriter::put`]. Same values, same `rng` draws.
-    pub fn compress_into<'a>(
+    /// [`Compression::compress`] straight onto the wire: quantizes, halves
+    /// or sparsifies `x` and frames it as layer `id` of `writer`'s open
+    /// message, through `scratch` instead of an owned payload. Same bytes as
+    /// [`wire::encode`] of `compress`'s result, same `rng` draws.
+    pub fn encode_layer(
         &self,
-        x: &'a [f32],
+        writer: &mut wire::MessageWriter,
+        id: u32,
+        x: &[f32],
         rng: &mut impl Rng,
-        scratch: &'a mut CodecScratch,
-    ) -> wire::PayloadRef<'a> {
-        let quantized = |bits, (scale, num_levels), levels| wire::PayloadRef::Quantized {
-            bits,
-            num_levels,
-            scale,
-            levels,
-        };
+        scratch: &mut CodecScratch,
+    ) {
+        let levels = &mut scratch.levels;
         match *self {
-            Compression::None => wire::PayloadRef::Dense(x),
+            Compression::None => writer.put_dense(id, x),
             Compression::Int8 => {
-                scratch.levels.resize(x.len(), 0);
-                let header = quantize::quantize_det_into(x, 8, &mut scratch.levels);
-                quantized(8, header, &scratch.levels)
+                levels.resize(x.len(), 0);
+                let (scale, num_levels) = quantize::quantize_det_into(x, 8, levels);
+                writer.put_quantized(id, 8, num_levels, scale, levels);
             }
-            Compression::F16 => {
-                scratch.halves.clear();
-                scratch.halves.extend(x.iter().map(|&v| f32_to_f16(v)));
-                wire::PayloadRef::F16(&scratch.halves)
-            }
+            Compression::F16 => writer.put_f16(id, x.iter().map(|&v| f32_to_f16(v))),
             Compression::Quantize { bits } => {
-                scratch.levels.resize(x.len(), 0);
-                let header = quantize::quantize_into(x, bits, rng, &mut scratch.levels);
-                quantized(bits, header, &scratch.levels)
+                levels.resize(x.len(), 0);
+                let (scale, num_levels) = quantize::quantize_into(x, bits, rng, levels);
+                writer.put_quantized(id, bits, num_levels, scale, levels);
             }
             Compression::TopK { keep } => {
-                let s = scratch.sparse.insert(top_k(x, keep));
-                wire::PayloadRef::Sparse {
-                    len: s.len,
-                    indices: &s.indices,
-                    values: &s.values,
-                }
+                let s = top_k(x, keep);
+                writer.put_sparse(id, s.len, &s.indices, &s.values);
             }
         }
     }
@@ -189,30 +158,23 @@ mod tests {
     }
 
     #[test]
-    fn compress_into_matches_compress_with_a_reused_scratch() {
+    fn encode_layer_writes_what_encode_writes_with_a_reused_scratch() {
         let mut scratch = CodecScratch::default();
         for c in CODECS {
             // Shrinking and growing sizes: stale scratch contents must not leak,
             // and an all-zero layer must come out as all-zero levels.
             for x in [values(300), values(17), vec![0.0; 40], values(512)] {
                 let owned = c.compress(&x, &mut StdRng::seed_from_u64(9));
-                let borrowed = c.compress_into(&x, &mut StdRng::seed_from_u64(9), &mut scratch);
-                assert_eq!(borrowed, owned.as_ref(), "{c:?} n={}", x.len());
+                let want = wire::encode(&wire::UpdateMessage {
+                    round: 1,
+                    client: 2,
+                    layers: vec![(3, owned)],
+                });
+                let mut w = wire::MessageWriter::with_capacity(want.len());
+                w.begin(1, 2, 1);
+                c.encode_layer(&mut w, 3, &x, &mut StdRng::seed_from_u64(9), &mut scratch);
+                assert_eq!(w.finish(), want, "{c:?} n={}", x.len());
             }
         }
-    }
-
-    #[test]
-    fn wire_bytes_orderings() {
-        let n = 10_000;
-        let full = Compression::None.wire_bytes(n);
-        let q8 = Compression::Quantize { bits: 8 }.wire_bytes(n);
-        let q2 = Compression::Quantize { bits: 2 }.wire_bytes(n);
-        let s10 = Compression::TopK { keep: 0.1 }.wire_bytes(n);
-        assert!(q8 < full);
-        assert!(q2 < q8);
-        assert!(s10 < full);
-        // 10% top-k with index+value = 8 bytes/kept ≈ 20% of full size.
-        assert!((s10 / full - 0.2).abs() < 0.01);
     }
 }

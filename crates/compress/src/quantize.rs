@@ -64,14 +64,20 @@ pub fn quantize_into(x: &[f32], bits: u8, rng: &mut impl Rng, levels: &mut [i8])
     (scale, num_levels)
 }
 
+/// Positive quantization levels at `bits` ∈ [1, 8]: `2^(bits-1) − 1`
+/// steps, at least 1. The wire reader rejects any other count.
+pub(crate) fn num_levels(bits: u8) -> u8 {
+    ((1u16 << (bits - 1)) - 1).max(1) as u8
+}
+
 /// Shared preamble of both quantizers: validates `bits`, derives the level
-/// count (`2^(bits-1) − 1` positive steps, at least 1) and scans the max-|x|
-/// scale through the dispatched data-plane kernel. A zero scale zeroes
-/// `levels`, which is then already the final answer.
+/// count ([`num_levels`]) and scans the max-|x| scale through the
+/// dispatched data-plane kernel. A zero scale zeroes `levels`, which is
+/// then already the final answer.
 fn scale_and_levels(x: &[f32], bits: u8, levels: &mut [i8]) -> (f32, u8) {
     assert!((1..=8).contains(&bits), "bits must be in [1, 8]");
     assert_eq!(levels.len(), x.len(), "level buffer length mismatch");
-    let num_levels = ((1u16 << (bits - 1)) - 1).max(1) as u8;
+    let num_levels = num_levels(bits);
     let scale = fedca_tensor::dataplane::max_abs(x);
     if scale == 0.0 {
         levels.fill(0);
@@ -113,35 +119,19 @@ pub fn quantize_det_into(x: &[f32], bits: u8, levels: &mut [i8]) -> (f32, u8) {
     (scale, num_levels)
 }
 
-/// Reconstructs the dense vector.
+/// Reconstructs the dense vector, `level / num_levels · scale` per element
+/// in a plain scalar loop (the reference the wire decoder is held to). A
+/// zero scale gives exact zeros (`level/l · 0.0` would produce `-0.0` for
+/// negative levels).
 pub fn dequantize(q: &QuantizedVec) -> Vec<f32> {
-    let mut out = vec![0.0f32; q.levels.len()];
-    dequantize_into(q, &mut out);
-    out
-}
-
-/// Reconstructs the dense vector into a caller-provided buffer — the
-/// zero-allocation path the aggregator's pooled scratch uses. A zero scale
-/// writes exact zeros (`level/l · 0.0` would produce `-0.0` for negative
-/// levels).
-///
-/// # Panics
-/// Panics if `out.len() != q.levels.len()`.
-pub fn dequantize_into(q: &QuantizedVec, out: &mut [f32]) {
-    dequantize_levels_into(&q.levels, q.scale, q.num_levels, out);
-}
-
-/// [`dequantize_into`] on the bare fields of a [`QuantizedVec`].
-///
-/// # Panics
-/// Panics if `out.len() != levels.len()`.
-pub fn dequantize_levels_into(levels: &[i8], scale: f32, num_levels: u8, out: &mut [f32]) {
-    assert_eq!(out.len(), levels.len(), "dequantize_into: length mismatch");
-    if scale == 0.0 {
-        out.fill(0.0);
-        return;
+    if q.scale == 0.0 {
+        return vec![0.0; q.levels.len()];
     }
-    fedca_tensor::dataplane::dequantize_levels(levels, scale, num_levels, out);
+    let l = q.num_levels as f32;
+    q.levels
+        .iter()
+        .map(|&lev| lev as f32 / l * q.scale)
+        .collect()
 }
 
 #[cfg(test)]

@@ -61,17 +61,10 @@ pub fn kept_count(n: usize, keep: f32) -> usize {
 /// Reconstructs the dense vector (zeros elsewhere).
 pub fn densify(s: &SparseVec) -> Vec<f32> {
     let mut out = vec![0.0f32; s.len];
-    densify_into(&s.indices, &s.values, &mut out);
-    out
-}
-
-/// [`densify`] on the bare fields of a [`SparseVec`], into a caller-provided
-/// buffer of the dense length (every element is written).
-pub fn densify_into(indices: &[u32], values: &[f32], out: &mut [f32]) {
-    out.fill(0.0);
-    for (&i, &v) in indices.iter().zip(values) {
+    for (&i, &v) in s.indices.iter().zip(&s.values) {
         out[i as usize] = v;
     }
+    out
 }
 
 #[cfg(test)]

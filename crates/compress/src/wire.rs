@@ -3,8 +3,17 @@
 //! The virtual network in `fedca-sim` charges transmissions by byte count;
 //! this codec defines those bytes precisely. A message carries one or more
 //! layer payloads, each dense (f32), quantized (bit-packed levels + scale),
-//! or sparse (index/value pairs). Round-trip tests guarantee the decoder
-//! reconstructs exactly what the encoder consumed.
+//! sparse (index/value pairs) or binary16. Round-trip tests guarantee the
+//! decoder reconstructs exactly what the encoder consumed.
+//!
+//! After the compressor an update has one borrowed form, its encoded bytes:
+//! [`MessageWriter`] is the format's only encoder and [`MessageReader`] its
+//! only parser, and [`PayloadView::decode_into`] is the only decoder the
+//! product runs — the server folds what it yields, and a client rebuilds
+//! what it sent (its error-feedback residual, its eager snapshots) by
+//! parsing the bytes it just wrote. The owned [`Payload`] / [`UpdateMessage`]
+//! with [`encode`] / [`decode`] are thin wrappers for tests and probes, and
+//! [`Payload::to_dense`] is the scalar reference they compare against.
 
 use crate::quantize::QuantizedVec;
 use crate::sparsify::SparseVec;
@@ -16,7 +25,13 @@ const MAGIC: u16 = 0x4643;
 /// Codec version.
 const VERSION: u8 = 1;
 
-/// One layer's payload.
+/// Payload tags.
+const TAG_DENSE: u8 = 0;
+const TAG_QUANTIZED: u8 = 1;
+const TAG_SPARSE: u8 = 2;
+const TAG_F16: u8 = 3;
+
+/// One layer's payload, owned.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Payload {
     /// Full-precision values.
@@ -30,28 +45,14 @@ pub enum Payload {
 }
 
 impl Payload {
-    /// Borrows the payload in the form [`MessageWriter::put`] frames.
-    pub fn as_ref(&self) -> PayloadRef<'_> {
-        match self {
-            Payload::Dense(v) => PayloadRef::Dense(v),
-            Payload::Quantized(q) => PayloadRef::Quantized {
-                bits: q.bits,
-                num_levels: q.num_levels,
-                scale: q.scale,
-                levels: &q.levels,
-            },
-            Payload::Sparse(s) => PayloadRef::Sparse {
-                len: s.len,
-                indices: &s.indices,
-                values: &s.values,
-            },
-            Payload::F16(v) => PayloadRef::F16(v),
-        }
-    }
-
     /// Dense length of the decoded vector.
     pub fn len(&self) -> usize {
-        self.as_ref().len()
+        match self {
+            Payload::Dense(v) => v.len(),
+            Payload::Quantized(q) => q.levels.len(),
+            Payload::Sparse(s) => s.len,
+            Payload::F16(v) => v.len(),
+        }
     }
 
     /// Whether the payload decodes to an empty vector.
@@ -59,106 +60,25 @@ impl Payload {
         self.len() == 0
     }
 
-    /// Reconstructs the dense values.
+    /// Reconstructs the dense values with plain scalar loops — the
+    /// reference [`PayloadView::decode_into`] is held to bit for bit.
     pub fn to_dense(&self) -> Vec<f32> {
-        let mut out = vec![0.0f32; self.len()];
-        self.as_ref().decode_into(&mut out);
-        out
+        match self {
+            Payload::Dense(v) => v.clone(),
+            Payload::Quantized(q) => crate::quantize::dequantize(q),
+            Payload::Sparse(s) => crate::sparsify::densify(s),
+            Payload::F16(v) => v.iter().map(|&h| crate::f16::f16_to_f32(h)).collect(),
+        }
     }
 
     /// Exact encoded size of this payload in bytes (tag byte included),
-    /// matching [`encode`] without materializing the buffer. The runner
-    /// prices eager per-layer sends with this so the hot path never
-    /// allocates a scratch encoding.
-    pub fn wire_len(&self) -> usize {
-        self.as_ref().wire_len()
-    }
-}
-
-/// One layer's payload, borrowed: what a compressor produces into reusable
-/// buffers and what [`MessageWriter::put`] frames. [`Payload`] is its owned
-/// form.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum PayloadRef<'a> {
-    /// Full-precision values.
-    Dense(&'a [f32]),
-    /// QSGD-quantized values (the fields of a
-    /// [`QuantizedVec`](crate::quantize::QuantizedVec)).
-    Quantized {
-        /// Quantization bit budget.
-        bits: u8,
-        /// Level count per sign.
-        num_levels: u8,
-        /// Max-abs scale.
-        scale: f32,
-        /// Signed levels, one per element.
-        levels: &'a [i8],
-    },
-    /// Top-k sparsified values (the fields of a
-    /// [`SparseVec`](crate::sparsify::SparseVec)).
-    Sparse {
-        /// Dense length of the decoded vector.
-        len: usize,
-        /// Kept indices, strictly increasing.
-        indices: &'a [u32],
-        /// Values at the kept indices.
-        values: &'a [f32],
-    },
-    /// IEEE binary16 values (see [`crate::f16`]).
-    F16(&'a [u16]),
-}
-
-impl PayloadRef<'_> {
-    /// Dense length of the decoded vector.
-    pub fn len(&self) -> usize {
-        match self {
-            PayloadRef::Dense(v) => v.len(),
-            PayloadRef::Quantized { levels, .. } => levels.len(),
-            PayloadRef::Sparse { len, .. } => *len,
-            PayloadRef::F16(v) => v.len(),
-        }
-    }
-
-    /// Whether the payload decodes to an empty vector.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Exact encoded size in bytes (tag byte included).
+    /// matching [`encode`] without materializing the buffer.
     pub fn wire_len(&self) -> usize {
         match self {
-            PayloadRef::Dense(v) => dense_payload_wire_len(v.len()),
-            PayloadRef::Quantized { bits, levels, .. } => {
-                quantized_payload_wire_len(levels.len(), *bits)
-            }
-            PayloadRef::Sparse { indices, .. } => sparse_payload_wire_len(indices.len()),
-            PayloadRef::F16(v) => f16_payload_wire_len(v.len()),
-        }
-    }
-
-    /// Writes the values the receiver will reconstruct into `out` —
-    /// bit-identical to [`PayloadView::decode_into`] on the encoded bytes.
-    ///
-    /// # Panics
-    /// Panics if `out.len() != self.len()`.
-    pub fn decode_into(&self, out: &mut [f32]) {
-        assert_eq!(out.len(), self.len(), "decode_into: length mismatch");
-        match *self {
-            PayloadRef::Dense(v) => out.copy_from_slice(v),
-            PayloadRef::Quantized {
-                num_levels,
-                scale,
-                levels,
-                ..
-            } => crate::quantize::dequantize_levels_into(levels, scale, num_levels, out),
-            PayloadRef::Sparse {
-                indices, values, ..
-            } => crate::sparsify::densify_into(indices, values, out),
-            PayloadRef::F16(v) => {
-                for (o, &h) in out.iter_mut().zip(v) {
-                    *o = crate::f16::f16_to_f32(h);
-                }
-            }
+            Payload::Dense(v) => dense_payload_wire_len(v.len()),
+            Payload::Quantized(q) => quantized_payload_wire_len(q.levels.len(), q.bits),
+            Payload::Sparse(s) => sparse_payload_wire_len(s.indices.len()),
+            Payload::F16(v) => f16_payload_wire_len(v.len()),
         }
     }
 }
@@ -191,7 +111,7 @@ pub fn f16_payload_wire_len(n: usize) -> usize {
 
 /// Packed bits per level on the wire: the sign costs one bit on top of the
 /// magnitude's `bits`, capped at a byte.
-fn quantized_width(bits: u8) -> u32 {
+pub fn quantized_width(bits: u8) -> u32 {
     (bits + 1).min(8) as u32
 }
 
@@ -231,7 +151,7 @@ pub struct UpdateMessage {
 pub enum WireError {
     /// Buffer ended prematurely.
     Truncated,
-    /// Bad magic/version/tag.
+    /// Bad magic/version/tag, or a payload that does not fit its receiver.
     Malformed(&'static str),
 }
 
@@ -254,13 +174,12 @@ fn put_words_le(buf: &mut BytesMut, words: impl ExactSizeIterator<Item = [u8; 4]
     }
 }
 
-/// Streaming encoder over one pre-sized buffer — the writer twin of
-/// [`MessageReader`] and the format's only encoder ([`encode`] is a loop
-/// over it). [`MessageWriter::begin`] opens a message, [`MessageWriter::put`]
-/// frames each declared layer straight from borrowed values, and a further
-/// `begin` appends the next message to the same buffer, which is how an
-/// upload carries its eager sidecar (readers walk it via
-/// [`MessageReader::consumed`]).
+/// Streaming encoder over one pre-sized buffer — the format's only encoder
+/// ([`encode`] is a loop over it). [`MessageWriter::begin`] opens a message,
+/// each `put_*` frames one declared layer straight from the caller's values,
+/// and a further `begin` appends the next message to the same buffer, which
+/// is how an upload carries its eager sidecar (readers walk it with
+/// [`for_each_layer`]).
 pub struct MessageWriter {
     buf: BytesMut,
     // Layers the open message declared but has not framed yet.
@@ -270,7 +189,7 @@ pub struct MessageWriter {
 impl MessageWriter {
     /// A writer whose buffer holds `capacity` bytes without reallocating;
     /// callers pass the exact total ([`message_wire_len`], or
-    /// [`HEADER_LEN`] plus `4 +` each payload's `wire_len`).
+    /// [`HEADER_LEN`] plus `4 +` each payload's wire length).
     pub fn with_capacity(capacity: usize) -> Self {
         MessageWriter {
             buf: BytesMut::with_capacity(capacity),
@@ -292,57 +211,73 @@ impl MessageWriter {
         self.pending = n_layers;
     }
 
-    /// Frames the next layer of the open message.
+    /// Starts the next declared layer of the open message: its id and tag.
     ///
     /// # Panics
     /// Panics if the open message already has all its declared layers.
-    pub fn put(&mut self, id: u32, payload: PayloadRef<'_>) {
+    fn layer(&mut self, id: u32, tag: u8) -> &mut BytesMut {
         assert!(self.pending > 0, "more layers than the header declared");
         self.pending -= 1;
-        let buf = &mut self.buf;
-        buf.put_u32_le(id);
+        self.buf.put_u32_le(id);
+        self.buf.put_u8(tag);
+        &mut self.buf
+    }
+
+    /// Writes an owned payload as the next layer.
+    pub fn put(&mut self, id: u32, payload: &Payload) {
         match payload {
-            PayloadRef::Dense(v) => {
-                buf.put_u8(0);
-                buf.put_u32_le(v.len() as u32);
-                put_words_le(buf, v.iter().map(|x| x.to_le_bytes()));
+            Payload::Dense(v) => self.put_dense(id, v),
+            Payload::Quantized(q) => {
+                self.put_quantized(id, q.bits, q.num_levels, q.scale, &q.levels)
             }
-            PayloadRef::Quantized {
-                bits,
-                num_levels,
-                scale,
-                levels,
-            } => {
-                buf.put_u8(1);
-                buf.put_u8(bits);
-                buf.put_u8(num_levels);
-                buf.put_f32_le(scale);
-                buf.put_u32_le(levels.len() as u32);
-                // Bit-pack signed levels as offset-binary (level +
-                // num_levels), in place through the tier-dispatched kernel.
-                let width = quantized_width(bits);
-                let packed = buf.put_zeroed(dataplane::packed_len(levels.len(), width));
-                dataplane::pack_levels(levels, num_levels, width, packed);
-            }
-            PayloadRef::Sparse {
-                len,
-                indices,
-                values,
-            } => {
-                buf.put_u8(2);
-                buf.put_u32_le(len as u32);
-                buf.put_u32_le(indices.len() as u32);
-                put_words_le(buf, indices.iter().map(|i| i.to_le_bytes()));
-                put_words_le(buf, values.iter().map(|x| x.to_le_bytes()));
-            }
-            PayloadRef::F16(v) => {
-                buf.put_u8(3);
-                buf.put_u32_le(v.len() as u32);
-                let dst = buf.put_zeroed(2 * v.len());
-                for (d, h) in dst.chunks_exact_mut(2).zip(v) {
-                    d.copy_from_slice(&h.to_le_bytes());
-                }
-            }
+            Payload::Sparse(s) => self.put_sparse(id, s.len, &s.indices, &s.values),
+            Payload::F16(v) => self.put_f16(id, v.iter().copied()),
+        }
+    }
+
+    /// Writes full-precision values as the next layer.
+    pub fn put_dense(&mut self, id: u32, values: &[f32]) {
+        let buf = self.layer(id, TAG_DENSE);
+        buf.put_u32_le(values.len() as u32);
+        put_words_le(buf, values.iter().map(|x| x.to_le_bytes()));
+    }
+
+    /// Writes signed QSGD levels as the next layer, bit-packed offset-binary
+    /// (level + `num_levels`) in place through the tier-dispatched kernel.
+    pub(crate) fn put_quantized(
+        &mut self,
+        id: u32,
+        bits: u8,
+        num_levels: u8,
+        scale: f32,
+        levels: &[i8],
+    ) {
+        let buf = self.layer(id, TAG_QUANTIZED);
+        buf.put_u8(bits);
+        buf.put_u8(num_levels);
+        buf.put_f32_le(scale);
+        buf.put_u32_le(levels.len() as u32);
+        let width = quantized_width(bits);
+        let packed = buf.put_zeroed(dataplane::packed_len(levels.len(), width));
+        dataplane::pack_levels(levels, num_levels, width, packed);
+    }
+
+    /// Writes top-k index/value runs over a dense length as the next layer.
+    pub(crate) fn put_sparse(&mut self, id: u32, len: usize, indices: &[u32], values: &[f32]) {
+        let buf = self.layer(id, TAG_SPARSE);
+        buf.put_u32_le(len as u32);
+        buf.put_u32_le(indices.len() as u32);
+        put_words_le(buf, indices.iter().map(|i| i.to_le_bytes()));
+        put_words_le(buf, values.iter().map(|x| x.to_le_bytes()));
+    }
+
+    /// Writes binary16 values as the next layer, as they are drawn.
+    pub(crate) fn put_f16(&mut self, id: u32, halves: impl ExactSizeIterator<Item = u16>) {
+        let buf = self.layer(id, TAG_F16);
+        buf.put_u32_le(halves.len() as u32);
+        let dst = buf.put_zeroed(2 * halves.len());
+        for (d, h) in dst.chunks_exact_mut(2).zip(halves) {
+            d.copy_from_slice(&h.to_le_bytes());
         }
     }
 
@@ -371,7 +306,7 @@ pub fn encode(msg: &UpdateMessage) -> Bytes {
     let mut w = MessageWriter::with_capacity(message_wire_len(msg));
     w.begin(msg.round, msg.client, msg.layers.len());
     for (id, payload) in &msg.layers {
-        w.put(*id, payload.as_ref());
+        w.put(*id, payload);
     }
     w.finish()
 }
@@ -392,16 +327,33 @@ pub fn decode(bytes: &Bytes) -> Result<UpdateMessage, WireError> {
     })
 }
 
+/// Walks a buffer of concatenated messages — an upload and its eager
+/// sidecar — handing every `(layer id, view)` to `f` in wire order. Stops
+/// at the first parse error or the first error `f` returns.
+pub fn for_each_layer<'a>(
+    buf: &'a [u8],
+    mut f: impl FnMut(u32, PayloadView<'a>) -> Result<(), WireError>,
+) -> Result<(), WireError> {
+    let mut pos = 0usize;
+    while pos < buf.len() {
+        let mut reader = MessageReader::new(&buf[pos..])?;
+        while let Some(layer) = reader.next_layer() {
+            let (id, view) = layer?;
+            f(id, view)?;
+        }
+        pos += reader.consumed();
+    }
+    Ok(())
+}
+
 // ---------------------------------------------------------------------------
 // Zero-copy message reader: borrowed payload views over an encoded buffer.
 //
-// `decode` materializes every layer into owned vectors — one allocation per
-// layer plus a `Vec<i8>` widening pass for quantized payloads. The server's
-// ingest path only needs to (a) memcpy dense values into a pooled slot and
-// (b) remember where the packed quantized run lives so the round-close fold
-// can feed it straight into the fused dequantize-accumulate kernel. The
-// reader below parses the wire format into `&[u8]` views without allocating;
-// it is the format's only parser (`decode` is a loop over it).
+// The server's ingest path only needs to (a) decode dense-representable
+// payloads into a pooled slot and (b) remember where the packed quantized
+// run lives so the round-close fold can feed it straight into the fused
+// dequantize-accumulate kernel. The reader parses the wire format into
+// `&[u8]` views without allocating; it is the format's only parser.
 // ---------------------------------------------------------------------------
 
 /// A borrowed view of one layer payload inside an encoded message buffer.
@@ -507,10 +459,10 @@ impl PayloadView<'_> {
         }
     }
 
-    /// Decodes into a caller-provided buffer, bit-identical to
-    /// [`Payload::to_dense`] but without intermediate allocations. The
-    /// quantized arm runs the tier-dispatched fused unpack-dequantize
-    /// kernel directly over the packed wire bytes.
+    /// Decodes into a caller-provided buffer — the product's one decoder:
+    /// the server's ingest and a client's read-back of its own upload both
+    /// run it. The quantized arm runs the tier-dispatched fused
+    /// unpack-dequantize kernel directly over the packed wire bytes.
     ///
     /// # Panics
     /// Panics if `out.len() != self.len()`.
@@ -574,10 +526,10 @@ pub fn subslice_offset(whole: &[u8], part: &[u8]) -> usize {
 /// Streaming zero-copy parser over one encoded [`UpdateMessage`].
 ///
 /// Validates the header eagerly, then yields `(layer id, PayloadView)`
-/// entries on demand. Validates structure (magic, version, bits range, sparse
-/// index bounds, truncation) and ignores any bytes after the last declared
-/// layer — which is what lets callers walk concatenated messages via
-/// [`MessageReader::consumed`].
+/// entries on demand. Validates structure (magic, version, bits range, the
+/// level count `bits` implies, sparse index bounds, truncation) and ignores
+/// any bytes after the last declared layer — which is what lets callers
+/// walk concatenated messages via [`MessageReader::consumed`].
 pub struct MessageReader<'a> {
     buf: &'a [u8],
     pos: usize,
@@ -662,18 +614,21 @@ impl<'a> MessageReader<'a> {
         let mut parse = || -> Result<(u32, PayloadView<'a>), WireError> {
             let id = self.take_u32_le()?;
             let view = match self.take_u8()? {
-                0 => {
+                TAG_DENSE => {
                     let n = self.take_u32_le()? as usize;
                     PayloadView::Dense {
                         data: self.take(4 * n)?,
                     }
                 }
-                1 => {
+                TAG_QUANTIZED => {
                     let bits = self.take_u8()?;
                     if !(1..=8).contains(&bits) {
                         return Err(WireError::Malformed("quantization bits"));
                     }
                     let num_levels = self.take_u8()?;
+                    if num_levels != crate::quantize::num_levels(bits) {
+                        return Err(WireError::Malformed("quantization levels"));
+                    }
                     let b = self.take(4)?;
                     let scale = f32::from_le_bytes([b[0], b[1], b[2], b[3]]);
                     let n = self.take_u32_le()? as usize;
@@ -686,7 +641,7 @@ impl<'a> MessageReader<'a> {
                         packed: self.take(dataplane::packed_len(n, width))?,
                     }
                 }
-                2 => {
+                TAG_SPARSE => {
                     let len = self.take_u32_le()? as usize;
                     let k = self.take_u32_le()? as usize;
                     let indices = self.take(4 * k)?;
@@ -702,7 +657,7 @@ impl<'a> MessageReader<'a> {
                         values,
                     }
                 }
-                3 => {
+                TAG_F16 => {
                     let n = self.take_u32_le()? as usize;
                     PayloadView::F16 {
                         data: self.take(2 * n)?,
@@ -719,382 +674,6 @@ impl<'a> MessageReader<'a> {
         }
         Some(r)
     }
-}
-
-// ---------------------------------------------------------------------------
-// Frame layer: length-delimited envelopes for inter-process transport.
-//
-// The update codec above describes *one* message in a buffer whose bounds are
-// already known. When messages flow over a byte stream (Unix sockets between
-// shard processes and the coordinator), something must delimit them and say
-// what they are. A frame is that envelope:
-//
-//   magic u16 LE | kind u8 | seq u64 LE | crc u32 LE
-//     | meta_len u32 LE | payload_len u32 LE | meta | payload
-//
-// `meta` is a small structured header (the shard protocol puts JSON there);
-// `payload` is bulk binary data — a `wire::encode` update or raw f32 LE
-// parameters. `seq` is a per-connection, per-direction sequence number: the
-// shard link requires application frames to arrive with consecutive values
-// and treats any gap as a dead connection; for `Ping`/`Pong` it carries a
-// nonce. `crc` is a CRC-32 (IEEE) over kind + seq + meta + payload, so a
-// bit-corrupted frame surfaces as a typed `ChecksumMismatch` instead of a
-// silent bad decode. Control-like frames (everything except `Update`) carry
-// no payload by definition, and the decoder enforces it. Lengths are
-// validated against a caller-supplied cap *before* any allocation, so a
-// corrupt or hostile length prefix yields a typed `Oversize` error instead
-// of an OOM.
-// ---------------------------------------------------------------------------
-
-/// Frame magic ("FS" — frame/shard), distinct from the update magic so a
-/// misdirected buffer fails loudly at the first two bytes.
-pub const FRAME_MAGIC: u16 = 0x5346;
-
-/// Fixed frame header size: magic, kind, sequence number, checksum, meta
-/// length, payload length.
-pub const FRAME_HEADER_LEN: usize = 2 + 1 + 8 + 4 + 4 + 4;
-
-// Byte offsets of the header fields (after the 2-byte magic and kind byte).
-const SEQ_OFF: usize = 3;
-const CRC_OFF: usize = 11;
-const META_LEN_OFF: usize = 15;
-const PAYLOAD_LEN_OFF: usize = 19;
-
-/// What a frame carries.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum FrameKind {
-    /// Structured metadata only; `payload` must be empty.
-    Control,
-    /// Metadata plus a bulk binary payload.
-    Update,
-    /// Liveness probe; `seq` carries a nonce the peer must echo.
-    Ping,
-    /// Liveness reply; `seq` echoes the probe's nonce.
-    Pong,
-}
-
-impl FrameKind {
-    fn to_u8(self) -> u8 {
-        match self {
-            FrameKind::Control => 0,
-            FrameKind::Update => 1,
-            FrameKind::Ping => 3,
-            FrameKind::Pong => 4,
-        }
-    }
-
-    /// Kind byte 2 was the acknowledgement frame of the retired resend
-    /// protocol; it is unknown now, never reassigned.
-    fn from_u8(b: u8) -> Option<FrameKind> {
-        match b {
-            0 => Some(FrameKind::Control),
-            1 => Some(FrameKind::Update),
-            3 => Some(FrameKind::Ping),
-            4 => Some(FrameKind::Pong),
-            _ => None,
-        }
-    }
-}
-
-/// CRC-32 (IEEE 802.3 polynomial, reflected) lookup table, built at compile
-/// time so the checksum costs ~1 table lookup per byte with no runtime init.
-const CRC32_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 {
-                0xEDB8_8320 ^ (c >> 1)
-            } else {
-                c >> 1
-            };
-            k += 1;
-        }
-        table[i] = c;
-        i += 1;
-    }
-    table
-};
-
-fn crc32_update(mut crc: u32, bytes: &[u8]) -> u32 {
-    for &b in bytes {
-        crc = CRC32_TABLE[((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
-    }
-    crc
-}
-
-/// CRC-32 (IEEE) over a frame's covered bytes: kind, seq (LE), meta, payload.
-fn frame_crc(kind: u8, seq: u64, meta: &[u8], payload: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
-    crc = crc32_update(crc, &[kind]);
-    crc = crc32_update(crc, &seq.to_le_bytes());
-    crc = crc32_update(crc, meta);
-    crc = crc32_update(crc, payload);
-    !crc
-}
-
-/// One framed message.
-#[derive(Clone, Debug, PartialEq)]
-pub struct Frame {
-    /// Envelope kind.
-    pub kind: FrameKind,
-    /// Per-connection, per-direction sequence number; for Ping/Pong it is
-    /// the probe nonce.
-    pub seq: u64,
-    /// Structured header bytes (the shard protocol stores JSON here).
-    pub meta: Bytes,
-    /// Bulk binary payload; empty for everything except [`FrameKind::Update`].
-    pub payload: Bytes,
-}
-
-/// Frame codec error.
-#[derive(Debug)]
-pub enum FrameError {
-    /// Buffer or stream ended inside a frame.
-    Truncated,
-    /// First two bytes were not [`FRAME_MAGIC`].
-    BadMagic(u16),
-    /// Kind byte is not a known [`FrameKind`].
-    UnknownKind(u8),
-    /// A length prefix exceeds the caller's cap; nothing was allocated.
-    Oversize {
-        /// Combined meta + payload length the header claimed.
-        len: u64,
-        /// The cap the caller passed.
-        max: u64,
-    },
-    /// Structurally invalid (e.g. a control frame with a payload).
-    Malformed(&'static str),
-    /// The frame body did not match its header checksum: the bytes were
-    /// corrupted in transit. The full body was consumed from the stream, so
-    /// the reader stays frame-synchronized and can keep reading.
-    ChecksumMismatch {
-        /// Checksum the header claimed.
-        expected: u32,
-        /// Checksum computed over the received bytes.
-        actual: u32,
-    },
-    /// Transport error from the underlying reader/writer.
-    Io(std::io::Error),
-}
-
-impl PartialEq for FrameError {
-    fn eq(&self, other: &Self) -> bool {
-        use FrameError::*;
-        match (self, other) {
-            (Truncated, Truncated) => true,
-            (BadMagic(a), BadMagic(b)) => a == b,
-            (UnknownKind(a), UnknownKind(b)) => a == b,
-            (Oversize { len: a, max: ma }, Oversize { len: b, max: mb }) => a == b && ma == mb,
-            (Malformed(a), Malformed(b)) => a == b,
-            (
-                ChecksumMismatch {
-                    expected: ea,
-                    actual: aa,
-                },
-                ChecksumMismatch {
-                    expected: eb,
-                    actual: ab,
-                },
-            ) => ea == eb && aa == ab,
-            (Io(a), Io(b)) => a.kind() == b.kind(),
-            _ => false,
-        }
-    }
-}
-
-impl std::fmt::Display for FrameError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            FrameError::Truncated => write!(f, "truncated frame"),
-            FrameError::BadMagic(m) => write!(f, "bad frame magic {m:#06x}"),
-            FrameError::UnknownKind(k) => write!(f, "unknown frame kind {k}"),
-            FrameError::Oversize { len, max } => {
-                write!(f, "frame length {len} exceeds cap {max}")
-            }
-            FrameError::Malformed(what) => write!(f, "malformed frame: {what}"),
-            FrameError::ChecksumMismatch { expected, actual } => write!(
-                f,
-                "frame checksum mismatch: header {expected:#010x}, body {actual:#010x}"
-            ),
-            FrameError::Io(e) => write!(f, "frame transport error: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for FrameError {}
-
-impl From<std::io::Error> for FrameError {
-    fn from(e: std::io::Error) -> Self {
-        FrameError::Io(e)
-    }
-}
-
-/// Encodes a frame to bytes, stamping the body checksum into the header.
-pub fn encode_frame(frame: &Frame) -> Bytes {
-    debug_assert!(
-        frame.kind == FrameKind::Update || frame.payload.is_empty(),
-        "only update frames carry a payload"
-    );
-    let mut buf =
-        BytesMut::with_capacity(FRAME_HEADER_LEN + frame.meta.len() + frame.payload.len());
-    buf.put_u16_le(FRAME_MAGIC);
-    buf.put_u8(frame.kind.to_u8());
-    buf.put_u64_le(frame.seq);
-    buf.put_u32_le(frame_crc(
-        frame.kind.to_u8(),
-        frame.seq,
-        frame.meta.as_ref(),
-        frame.payload.as_ref(),
-    ));
-    buf.put_u32_le(frame.meta.len() as u32);
-    buf.put_u32_le(frame.payload.len() as u32);
-    buf.put_slice(frame.meta.as_ref());
-    buf.put_slice(frame.payload.as_ref());
-    buf.freeze()
-}
-
-/// Parsed fixed-size frame header.
-struct FrameHeader {
-    kind: FrameKind,
-    seq: u64,
-    crc: u32,
-    meta_len: usize,
-    payload_len: usize,
-}
-
-/// Validates a frame header. Length validation against `max_len` happens
-/// here, before any body bytes are read or allocated. The checksum is *not*
-/// verified here — it covers the body, which hasn't been read yet.
-fn check_header(
-    header: &[u8; FRAME_HEADER_LEN],
-    max_len: usize,
-) -> Result<FrameHeader, FrameError> {
-    let magic = u16::from_le_bytes([header[0], header[1]]);
-    if magic != FRAME_MAGIC {
-        return Err(FrameError::BadMagic(magic));
-    }
-    let kind = FrameKind::from_u8(header[2]).ok_or(FrameError::UnknownKind(header[2]))?;
-    let seq = u64::from_le_bytes(header[SEQ_OFF..SEQ_OFF + 8].try_into().unwrap());
-    let crc = u32::from_le_bytes(header[CRC_OFF..CRC_OFF + 4].try_into().unwrap());
-    let meta_len = u32::from_le_bytes(header[META_LEN_OFF..META_LEN_OFF + 4].try_into().unwrap());
-    let payload_len = u32::from_le_bytes(
-        header[PAYLOAD_LEN_OFF..PAYLOAD_LEN_OFF + 4]
-            .try_into()
-            .unwrap(),
-    );
-    let total = meta_len as u64 + payload_len as u64;
-    if total > max_len as u64 {
-        return Err(FrameError::Oversize {
-            len: total,
-            max: max_len as u64,
-        });
-    }
-    if kind != FrameKind::Update && payload_len != 0 {
-        return Err(FrameError::Malformed("control frame with payload"));
-    }
-    Ok(FrameHeader {
-        kind,
-        seq,
-        crc,
-        meta_len: meta_len as usize,
-        payload_len: payload_len as usize,
-    })
-}
-
-fn verify_crc(h: &FrameHeader, meta: &[u8], payload: &[u8]) -> Result<(), FrameError> {
-    let actual = frame_crc(h.kind.to_u8(), h.seq, meta, payload);
-    if actual != h.crc {
-        return Err(FrameError::ChecksumMismatch {
-            expected: h.crc,
-            actual,
-        });
-    }
-    Ok(())
-}
-
-/// Decodes one frame from the front of `buf`, returning the frame and the
-/// number of bytes consumed. Pure — property tests feed it arbitrary bytes.
-pub fn decode_frame(buf: &[u8], max_len: usize) -> Result<(Frame, usize), FrameError> {
-    if buf.len() < FRAME_HEADER_LEN {
-        return Err(FrameError::Truncated);
-    }
-    let header: [u8; FRAME_HEADER_LEN] = buf[..FRAME_HEADER_LEN].try_into().unwrap();
-    let h = check_header(&header, max_len)?;
-    let total = FRAME_HEADER_LEN + h.meta_len + h.payload_len;
-    if buf.len() < total {
-        return Err(FrameError::Truncated);
-    }
-    let meta = &buf[FRAME_HEADER_LEN..FRAME_HEADER_LEN + h.meta_len];
-    let payload = &buf[FRAME_HEADER_LEN + h.meta_len..total];
-    verify_crc(&h, meta, payload)?;
-    Ok((
-        Frame {
-            kind: h.kind,
-            seq: h.seq,
-            meta: Bytes::copy_from_slice(meta),
-            payload: Bytes::copy_from_slice(payload),
-        },
-        total,
-    ))
-}
-
-/// Reads exactly `buf.len()` bytes. Distinguishes EOF before the first byte
-/// (`Ok(false)`) from EOF mid-buffer (`Err(Truncated)`).
-fn read_exact_or_eof(r: &mut impl std::io::Read, buf: &mut [u8]) -> Result<bool, FrameError> {
-    let mut filled = 0;
-    while filled < buf.len() {
-        match r.read(&mut buf[filled..]) {
-            Ok(0) => {
-                if filled == 0 {
-                    return Ok(false);
-                }
-                return Err(FrameError::Truncated);
-            }
-            Ok(n) => filled += n,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(FrameError::Io(e)),
-        }
-    }
-    Ok(true)
-}
-
-/// Reads one frame from a byte stream. Returns `Ok(None)` on a clean EOF at
-/// a frame boundary; EOF inside a frame is [`FrameError::Truncated`]. The
-/// header's lengths are validated against `max_len` before the body is
-/// allocated or read. On [`FrameError::ChecksumMismatch`] the frame's full
-/// body has already been consumed, so the stream stays synchronized and the
-/// caller may keep reading subsequent frames.
-pub fn read_frame(r: &mut impl std::io::Read, max_len: usize) -> Result<Option<Frame>, FrameError> {
-    let mut header = [0u8; FRAME_HEADER_LEN];
-    if !read_exact_or_eof(r, &mut header)? {
-        return Ok(None);
-    }
-    let h = check_header(&header, max_len)?;
-    let mut meta = vec![0u8; h.meta_len];
-    if !read_exact_or_eof(r, &mut meta)? && h.meta_len > 0 {
-        return Err(FrameError::Truncated);
-    }
-    let mut payload = vec![0u8; h.payload_len];
-    if !read_exact_or_eof(r, &mut payload)? && h.payload_len > 0 {
-        return Err(FrameError::Truncated);
-    }
-    verify_crc(&h, &meta, &payload)?;
-    Ok(Some(Frame {
-        kind: h.kind,
-        seq: h.seq,
-        meta: Bytes::from(meta),
-        payload: Bytes::from(payload),
-    }))
-}
-
-/// Writes one frame to a byte stream. The caller flushes.
-pub fn write_frame(w: &mut impl std::io::Write, frame: &Frame) -> Result<(), FrameError> {
-    let bytes = encode_frame(frame);
-    w.write_all(bytes.as_ref())?;
-    Ok(())
 }
 
 #[cfg(test)]
@@ -1224,187 +803,6 @@ mod tests {
         ));
     }
 
-    #[test]
-    fn frame_round_trip_buffer_and_stream() {
-        let frame = Frame {
-            kind: FrameKind::Update,
-            seq: 0xDEAD_BEEF_0042,
-            meta: Bytes::from_static(b"{\"x\":1}"),
-            payload: Bytes::from_static(&[1, 2, 3, 4, 5]),
-        };
-        let bytes = encode_frame(&frame);
-        let (back, used) = decode_frame(bytes.as_ref(), 1 << 20).expect("decodes");
-        assert_eq!(back, frame);
-        assert_eq!(used, bytes.len());
-
-        let mut cursor = std::io::Cursor::new(bytes.to_vec());
-        let streamed = read_frame(&mut cursor, 1 << 20)
-            .expect("reads")
-            .expect("one frame");
-        assert_eq!(streamed, frame);
-        assert_eq!(read_frame(&mut cursor, 1 << 20).expect("clean eof"), None);
-    }
-
-    #[test]
-    fn frame_ping_pong_round_trip() {
-        for kind in [FrameKind::Ping, FrameKind::Pong] {
-            let frame = Frame {
-                kind,
-                seq: 913,
-                meta: Bytes::default(),
-                payload: Bytes::default(),
-            };
-            let bytes = encode_frame(&frame);
-            let (back, used) = decode_frame(bytes.as_ref(), 1 << 20).expect("decodes");
-            assert_eq!(back, frame, "{kind:?}");
-            assert_eq!(used, FRAME_HEADER_LEN, "{kind:?}");
-        }
-    }
-
-    #[test]
-    fn frame_control_must_be_payloadless() {
-        for kind in [0u8, 3, 4] {
-            let mut bytes = encode_frame(&Frame {
-                kind: FrameKind::Update,
-                seq: 1,
-                meta: Bytes::from_static(b"m"),
-                payload: Bytes::from_static(b"p"),
-            })
-            .to_vec();
-            bytes[2] = kind; // flip kind to a payloadless one, keep payload_len = 1
-            assert_eq!(
-                decode_frame(&bytes, 1 << 20),
-                Err(FrameError::Malformed("control frame with payload")),
-                "kind={kind}"
-            );
-        }
-    }
-
-    #[test]
-    fn frame_oversize_prefix_is_typed_before_allocation() {
-        let mut bytes = encode_frame(&Frame {
-            kind: FrameKind::Update,
-            seq: 7,
-            meta: Bytes::from_static(b"m"),
-            payload: Bytes::default(),
-        })
-        .to_vec();
-        bytes[19..23].copy_from_slice(&u32::MAX.to_le_bytes()); // absurd payload_len
-        match decode_frame(&bytes, 1024) {
-            Err(FrameError::Oversize { len, max: 1024 }) => {
-                assert_eq!(len, 1 + u32::MAX as u64)
-            }
-            other => panic!("expected Oversize, got {other:?}"),
-        }
-        let mut cursor = std::io::Cursor::new(bytes);
-        assert!(matches!(
-            read_frame(&mut cursor, 1024),
-            Err(FrameError::Oversize { .. })
-        ));
-    }
-
-    #[test]
-    fn frame_truncation_and_bad_magic() {
-        let bytes = encode_frame(&Frame {
-            kind: FrameKind::Control,
-            seq: 3,
-            meta: Bytes::from_static(b"hello"),
-            payload: Bytes::default(),
-        });
-        for cut in 0..bytes.len() {
-            assert_eq!(
-                decode_frame(&bytes.as_ref()[..cut], 1 << 20),
-                Err(FrameError::Truncated),
-                "cut={cut}"
-            );
-        }
-        let mut bad = bytes.to_vec();
-        bad[0] ^= 0xFF;
-        assert!(matches!(
-            decode_frame(&bad, 1 << 20),
-            Err(FrameError::BadMagic(_))
-        ));
-        let mut unk = bytes.to_vec();
-        unk[2] = 99;
-        assert_eq!(
-            decode_frame(&unk, 1 << 20),
-            Err(FrameError::UnknownKind(99))
-        );
-    }
-
-    #[test]
-    fn frame_checksum_mismatch_is_typed_and_keeps_the_stream_synced() {
-        let first = Frame {
-            kind: FrameKind::Update,
-            seq: 11,
-            meta: Bytes::from_static(b"{\"a\":1}"),
-            payload: Bytes::from_static(&[9, 8, 7]),
-        };
-        let second = Frame {
-            kind: FrameKind::Control,
-            seq: 12,
-            meta: Bytes::from_static(b"{\"b\":2}"),
-            payload: Bytes::default(),
-        };
-        let mut stream = encode_frame(&first).to_vec();
-        let first_len = stream.len();
-        stream.extend_from_slice(encode_frame(&second).as_ref());
-
-        // Corrupt one payload byte of the first frame: typed mismatch with
-        // the header's CRC as `expected`.
-        stream[first_len - 1] ^= 0x40;
-        let err = decode_frame(&stream, 1 << 20).expect_err("corrupt");
-        match err {
-            FrameError::ChecksumMismatch { expected, actual } => assert_ne!(expected, actual),
-            other => panic!("expected ChecksumMismatch, got {other:?}"),
-        }
-
-        // A stream reader consumes the corrupted frame's full body, so the
-        // next read lands on the second frame's boundary.
-        let mut cursor = std::io::Cursor::new(stream);
-        assert!(matches!(
-            read_frame(&mut cursor, 1 << 20),
-            Err(FrameError::ChecksumMismatch { .. })
-        ));
-        let next = read_frame(&mut cursor, 1 << 20)
-            .expect("reads past the corrupt frame")
-            .expect("second frame present");
-        assert_eq!(next, second);
-    }
-
-    #[test]
-    fn frame_checksum_covers_kind_and_seq() {
-        let frame = Frame {
-            kind: FrameKind::Control,
-            seq: 21,
-            meta: Bytes::from_static(b"x"),
-            payload: Bytes::default(),
-        };
-        let good = encode_frame(&frame);
-        // Flip a seq byte: framing still parses, checksum catches it.
-        let mut bad_seq = good.to_vec();
-        bad_seq[5] ^= 0x01;
-        assert!(matches!(
-            decode_frame(&bad_seq, 1 << 20),
-            Err(FrameError::ChecksumMismatch { .. })
-        ));
-        // Flip kind to another known payloadless kind: lengths stay valid,
-        // checksum catches the change.
-        let mut bad_kind = good.to_vec();
-        bad_kind[2] = 3; // Control -> Ping
-        assert!(matches!(
-            decode_frame(&bad_kind, 1 << 20),
-            Err(FrameError::ChecksumMismatch { .. })
-        ));
-        // Flip a CRC byte itself.
-        let mut bad_crc = good.to_vec();
-        bad_crc[12] ^= 0x10;
-        assert!(matches!(
-            decode_frame(&bad_crc, 1 << 20),
-            Err(FrameError::ChecksumMismatch { .. })
-        ));
-    }
-
     /// One message exercising every payload kind, including the edge cases
     /// the reader must not diverge on: empty layers and zero-scale
     /// quantization.
@@ -1482,7 +880,7 @@ mod tests {
         for msg in [&first, &second] {
             w.begin(msg.round, msg.client, msg.layers.len());
             for (id, p) in &msg.layers {
-                w.put(*id, p.as_ref());
+                w.put(*id, p);
             }
         }
         assert_eq!(w.len(), total);
@@ -1521,6 +919,20 @@ mod tests {
         assert_eq!(id, 2);
         assert_eq!(view.len(), 5);
         assert_eq!(ra.consumed() + rb.consumed(), all.len());
+        // `for_each_layer` walks the same layers in the same order.
+        let mut ids = Vec::new();
+        for_each_layer(&all, |id, _| {
+            ids.push(id);
+            Ok(())
+        })
+        .expect("walks");
+        let want: Vec<u32> = a
+            .layers
+            .iter()
+            .chain(&b.layers)
+            .map(|(id, _)| *id)
+            .collect();
+        assert_eq!(ids, want);
     }
 
     #[test]
@@ -1586,5 +998,24 @@ mod tests {
         );
         // An error poisons the reader.
         assert!(r.next_layer().is_none());
+        // A level count other than the one `bits` implies: a zero would
+        // divide every level by zero, a larger one shift the scale.
+        let int8 = encode(&UpdateMessage {
+            round: 0,
+            client: 0,
+            layers: vec![(0, Payload::Quantized(crate::quantize_det(&[1.0, -0.5], 8)))],
+        });
+        for num_levels in [0u8, 126, 128, 255] {
+            let mut bad = int8.to_vec();
+            bad[HEADER_LEN + 4 + 1 + 1] = num_levels; // after id, tag and bits
+            let want = Some(WireError::Malformed("quantization levels"));
+            assert_eq!(
+                decode(&Bytes::from(bad.clone())).err(),
+                want,
+                "L={num_levels}"
+            );
+            let mut r = MessageReader::new(&bad).expect("header fine");
+            assert_eq!(r.next_layer().expect("yields").err(), want);
+        }
     }
 }

@@ -92,7 +92,7 @@ pub struct ClientRoundReport {
     /// The update as the bytes that crossed the wire — its only form: the
     /// final `UpdateMessage` (non-eager layers under the configured
     /// compression) followed by a dense sidecar message carrying the
-    /// eager-accepted snapshots, walkable with [`wire::MessageReader`].
+    /// eager-accepted snapshots, walkable with [`wire::for_each_layer`].
     /// Together the messages tile the layout exactly; the server decodes
     /// them at ingest. `None` when nothing was sent (dropped or crashed).
     pub wire_update: Option<bytes::Bytes>,
@@ -376,21 +376,29 @@ pub fn run_client_round(
                     let nominal = workload.wire_bytes_for(r.len(), total_params);
                     // Each eager send is its own framed message (header +
                     // layer id + payload). Under compression the snapshot
-                    // the server keeps is what the decoder reconstructs,
-                    // and the priced bytes shrink by the exact
-                    // encoded/dense ratio.
-                    let dense_frame =
-                        (wire::HEADER_LEN + 4 + wire::dense_payload_wire_len(r.len())) as f64;
+                    // the server keeps is what its decoder reconstructs —
+                    // so the client encodes that message and reads it back
+                    // with the server's parser — and the priced bytes
+                    // shrink by the exact encoded/dense ratio.
+                    let dense_len = wire::dense_payload_wire_len(r.len());
+                    let dense_frame = (wire::HEADER_LEN + 4 + dense_len) as f64;
                     let (snapshot, bytes, frame) = if fl.compression == Compression::None {
                         (delta, nominal, dense_frame)
                     } else {
-                        let payload = fl.compression.compress_into(&delta, &mut qrng, codec);
-                        let bytes = nominal * payload.wire_len() as f64
-                            / wire::dense_payload_wire_len(r.len()) as f64;
-                        let frame = (wire::HEADER_LEN + 4 + payload.wire_len()) as f64;
+                        let payload_len = fl.compression.payload_wire_len(r.len());
+                        let frame_len = wire::HEADER_LEN + 4 + payload_len;
+                        let mut msg = wire::MessageWriter::with_capacity(frame_len);
+                        msg.begin(plan.round as u32, state.id as u32, 1);
+                        let c = fl.compression;
+                        c.encode_layer(&mut msg, l as u32, &delta, &mut qrng, codec);
                         let mut snapshot = vec![0.0f32; r.len()];
-                        payload.decode_into(&mut snapshot);
-                        (snapshot, bytes, frame)
+                        wire::for_each_layer(msg.finish().as_ref(), |_, view| {
+                            view.decode_into(&mut snapshot);
+                            Ok(())
+                        })
+                        .expect("a client parses its own message");
+                        let bytes = nominal * payload_len as f64 / dense_len as f64;
+                        (snapshot, bytes, frame_len as f64)
                     };
                     wire_bytes_uploaded += frame;
                     wire_bytes_dense += dense_frame;
@@ -578,13 +586,13 @@ struct Upload {
 ///
 /// `delta` is the accumulated update `w − g`, lying in the arena's flat
 /// scratch. Eq. 6 reads layer slices of it, error feedback compensates it
-/// where it lies, and each non-eager layer is
-/// framed straight from its slice into one buffer of the exact final size;
-/// the encoded bytes are the report's only form of the update, so what the
-/// server aggregates is exactly what the wire carried. Eager-accepted
-/// layers never travel in the final message (the server already holds
-/// their snapshots), so the wire form of the *complete* update appends a
-/// dense sidecar message carrying them: the two messages tile the layout.
+/// where it lies, and each non-eager layer is compressed straight from its
+/// slice into one buffer of the exact final size; the encoded bytes are the
+/// report's only form of the update, so what the server aggregates is
+/// exactly what the wire carried. Eager-accepted layers never travel in the
+/// final message (the server already holds their snapshots), so the wire
+/// form of the *complete* update appends a dense sidecar message carrying
+/// them: the two messages tile the layout.
 /// The sidecar is server-side bookkeeping, not a retransmission — it
 /// contributes no priced wire bytes.
 ///
@@ -595,8 +603,11 @@ struct Upload {
 /// upload. Per element, with `r` the stored residual: `c = (w − g) + r`
 /// is what gets compressed (scale = max |c| over the layer), and the new
 /// residual is `c − dequant(q(c))`, or `c − snapshot` for an eager-accepted
-/// layer — written layer by layer, with the residual's own slice as the
-/// dequantization buffer.
+/// layer. The transmitted values are not recomputed on the side: the client
+/// parses the bytes it just wrote with the server's [`wire::for_each_layer`]
+/// and decodes each layer with [`wire::PayloadView::decode_into`] into the
+/// residual's own slice, so what it subtracts is, by construction, what the
+/// server folds.
 fn finish_upload(
     delta: &mut [f32],
     eager_state: &EagerState,
@@ -664,30 +675,30 @@ fn finish_upload(
     let mut writer = wire::MessageWriter::with_capacity(capacity);
     writer.begin(cx.round, cx.client, layout.num_layers() - n_eager);
     for l in (0..layout.num_layers()).filter(|&l| !is_eager(l)) {
-        let range = layout.range(l);
-        let compensated = &delta[range.clone()];
-        let payload = cx.compression.compress_into(compensated, qrng, codec);
-        writer.put(l as u32, payload);
-        if compressing {
-            error_feedback.absorb_layer(range.start, compensated, |t| payload.decode_into(t));
-        }
+        let compensated = &delta[layout.range(l)];
+        cx.compression
+            .encode_layer(&mut writer, l as u32, compensated, qrng, codec);
     }
     debug_assert_eq!(writer.len(), wire_len);
     if n_eager > 0 {
         writer.begin(cx.round, cx.client, n_eager);
         for l in (0..layout.num_layers()).filter(|&l| is_eager(l)) {
-            let range = layout.range(l);
             let snapshot = eager_state.snapshot(l).expect("sent layer has snapshot");
-            writer.put(l as u32, wire::PayloadRef::Dense(snapshot));
-            if compressing {
-                error_feedback.absorb_layer(range.start, &delta[range.clone()], |t| {
-                    t.copy_from_slice(snapshot)
-                });
-            }
+            writer.put_dense(l as u32, snapshot);
         }
     }
     debug_assert_eq!(writer.len(), capacity);
+    let wire = writer.finish();
     if compressing {
+        // What was transmitted is read back from the bytes just written,
+        // with the server's parser and decoder, into the residual's own
+        // slice, which then becomes `compensated − transmitted`.
+        wire::for_each_layer(wire.as_ref(), |l, view| {
+            let range = layout.range(l as usize);
+            error_feedback.absorb_layer(range.start, &delta[range], |t| view.decode_into(t));
+            Ok(())
+        })
+        .expect("a client parses its own upload");
         // Re-price the final payload at the exact encoded/dense ratio (the
         // wire model scales with the workload's nominal size).
         payload_bytes *= wire_len as f64 / dense_wire_len as f64;
@@ -697,7 +708,7 @@ fn finish_upload(
         payload_bytes,
         wire_len,
         dense_wire_len,
-        wire: Some(writer.finish()),
+        wire: Some(wire),
     }
 }
 
@@ -730,15 +741,11 @@ mod tests {
     fn decoded_update(report: &ClientRoundReport, layout: &ModelLayout) -> Vec<f32> {
         let buf = report.wire_update.as_ref().expect("upload sent");
         let mut dense = vec![0.0f32; layout.total_params()];
-        let mut pos = 0;
-        while pos < buf.len() {
-            let mut reader = wire::MessageReader::new(&buf.as_ref()[pos..]).expect("header");
-            while let Some(layer) = reader.next_layer() {
-                let (l, view) = layer.expect("layer parses");
-                view.decode_into(&mut dense[layout.range(l as usize)]);
-            }
-            pos += reader.consumed();
-        }
+        wire::for_each_layer(buf.as_ref(), |l, view| {
+            view.decode_into(&mut dense[layout.range(l as usize)]);
+            Ok(())
+        })
+        .expect("upload parses");
         dense
     }
 

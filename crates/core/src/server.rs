@@ -4,7 +4,7 @@ use crate::algorithms::{fedada_iterations, Scheme};
 use crate::client::ClientRoundReport;
 use crate::deadline::{compute_deadline, DurationEstimator};
 use crate::params::{ModelLayout, UpdateVec};
-use fedca_compress::wire::{self, MessageReader, PayloadView};
+use fedca_compress::wire::{self, PayloadView, WireError};
 use fedca_sim::engine::ArrivalCut;
 use fedca_sim::SimTime;
 use fedca_tensor::dataplane;
@@ -91,58 +91,64 @@ impl UpdateArena {
     /// dense-representable payloads land in the staging vector, quantized
     /// runs are recorded as packed byte spans. Fails — the caller rejects
     /// the upload — when the bytes are structurally invalid, the segments
-    /// do not tile the layout exactly, or anything would decode non-finite:
-    /// a dense value, or a quantized scale (levels are bounded, so the
-    /// dequantized values are finite exactly when the scale is).
-    fn decode_slot(&mut self, ord: usize, buf: &[u8], layout: &ModelLayout) -> Result<(), ()> {
+    /// do not tile the layout exactly, or anything could decode non-finite:
+    /// a dense value, or a quantized run whose widest field would (checked
+    /// on the header alone, so the fold stays the only pass over the bits).
+    fn decode_slot(
+        &mut self,
+        ord: usize,
+        buf: &[u8],
+        layout: &ModelLayout,
+    ) -> Result<(), WireError> {
         let total = self.total_params;
         let slot = &mut self.slots[ord];
         slot.segs.clear();
-        let mut pos = 0usize;
-        while pos < buf.len() {
-            let msg = &buf[pos..];
-            let mut reader = MessageReader::new(msg).map_err(|_| ())?;
-            while let Some(next) = reader.next_layer() {
-                let (id, view) = next.map_err(|_| ())?;
-                let l = id as usize;
-                if l >= layout.num_layers() {
-                    return Err(());
-                }
-                let range = layout.range(l);
-                if view.len() != range.len() {
-                    return Err(());
-                }
-                match view {
-                    PayloadView::Quantized {
-                        bits,
-                        num_levels,
+        wire::for_each_layer(buf, |id, view| {
+            let l = id as usize;
+            if l >= layout.num_layers() {
+                return Err(WireError::Malformed("layer id outside the layout"));
+            }
+            let range = layout.range(l);
+            if view.len() != range.len() {
+                return Err(WireError::Malformed("layer length"));
+            }
+            match view {
+                PayloadView::Quantized {
+                    bits,
+                    num_levels,
+                    scale,
+                    n,
+                    packed,
+                } if scale != 0.0 && n > 0 => {
+                    // A `width`-bit field decodes to at most `2^width − 1 −
+                    // L` in magnitude, and never past 128 (fields wrap
+                    // through `i8`); `lev / L · scale` grows with |lev|, so
+                    // every value is finite exactly when that one is. The
+                    // reader already pinned L to what `bits` implies.
+                    let width = wire::quantized_width(bits);
+                    let widest = ((1u32 << width) - 1 - num_levels as u32).min(128);
+                    if !(widest as f32 / num_levels as f32 * scale).is_finite() {
+                        return Err(WireError::Malformed("quantized run decodes non-finite"));
+                    }
+                    slot.segs.push(Seg::Quant {
+                        range,
                         scale,
-                        n,
-                        packed,
-                    } if scale != 0.0 && n > 0 => {
-                        if !scale.is_finite() {
-                            return Err(());
-                        }
-                        slot.segs.push(Seg::Quant {
-                            range,
-                            scale,
-                            num_levels,
-                            width: (bits + 1).min(8) as u32,
-                            off: pos + wire::subslice_offset(msg, packed),
-                            len: packed.len(),
-                        });
+                        num_levels,
+                        width,
+                        off: wire::subslice_offset(buf, packed),
+                        len: packed.len(),
+                    });
+                }
+                _ => {
+                    view.decode_into(&mut slot.dense[range.clone()]);
+                    if !dataplane::all_finite(&slot.dense[range.clone()]) {
+                        return Err(WireError::Malformed("non-finite value"));
                     }
-                    _ => {
-                        view.decode_into(&mut slot.dense[range.clone()]);
-                        if !dataplane::all_finite(&slot.dense[range.clone()]) {
-                            return Err(());
-                        }
-                        slot.segs.push(Seg::Dense { range });
-                    }
+                    slot.segs.push(Seg::Dense { range });
                 }
             }
-            pos += reader.consumed();
-        }
+            Ok(())
+        })?;
         // The concatenated messages must tile the layout exactly — no gap,
         // no overlap, no repeated layer — or the fold would read stale
         // staging data. Sort in place (capacity retained) and walk.
@@ -157,12 +163,12 @@ impl UpdateArena {
                 Seg::Dense { range } | Seg::Quant { range, .. } => range,
             };
             if range.start != covered {
-                return Err(());
+                return Err(WireError::Malformed("layers do not tile the layout"));
             }
             covered = range.end;
         }
         if covered != total {
-            return Err(());
+            return Err(WireError::Malformed("layers do not tile the layout"));
         }
         Ok(())
     }
@@ -348,7 +354,7 @@ impl StreamingAggregator {
     /// An upload is its wire bytes and nothing else: they decode into the
     /// pooled arena *here*, in arrival order — round close only folds. One
     /// rule decides acceptance: bytes that do not decode to an exact tiling
-    /// of the layout, or decode to a non-finite value or scale (which would
+    /// of the layout, or could decode to a non-finite value (which would
     /// poison the global model through the weighted fold), are rejected —
     /// as is an arrived upload with no bytes or a non-finite weight. A
     /// rejection takes the same path as [`mark_failed`](Self::mark_failed):
@@ -898,6 +904,17 @@ mod tests {
         let concat = |a: &bytes::Bytes, b: &bytes::Bytes| -> bytes::Bytes {
             [a.as_ref(), b.as_ref()].concat().into()
         };
+        // An honest upload with one byte of its quantized layer 0 forged;
+        // the layer's header starts after the message header and layer id.
+        let forged = |q: fedca_compress::QuantizedVec, at: usize, byte: u8| {
+            let mut bytes = encode(vec![
+                (0, wire::Payload::Quantized(q)),
+                dense(1, vec![2.0; 2]),
+            ])
+            .to_vec();
+            bytes[wire::HEADER_LEN + 4 + at] = byte;
+            Some(bytes::Bytes::from(bytes))
+        };
         let cases: Vec<(&str, Option<bytes::Bytes>)> = vec![
             (
                 "garbage bytes",
@@ -938,6 +955,27 @@ mod tests {
             (
                 "Inf quantized scale",
                 Some(encode(vec![(0, inf_scale), dense(1, vec![2.0; 2])])),
+            ),
+            (
+                // Tag, bits, then the level count: L = 0 divides by zero.
+                "Int8 level count forged to 0",
+                forged(fedca_compress::quantize_det(&[1.0, -0.5, 0.25], 8), 2, 0),
+            ),
+            (
+                // bits = 1 (L = 1, 2-bit fields): field 3 is level 2, and
+                // 2 · 3e38 overflows although the scale is finite.
+                "1-bit field past the scale",
+                forged(
+                    fedca_compress::QuantizedVec {
+                        bits: 1,
+                        scale: 3e38,
+                        levels: vec![1i8; 3],
+                        num_levels: 1,
+                    },
+                    // tag, bits, L, scale (4), n (4): the one packed byte
+                    1 + 1 + 1 + 4 + 4,
+                    0xFF,
+                ),
             ),
             ("arrived upload with no bytes", None),
         ];

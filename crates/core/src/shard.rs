@@ -52,10 +52,9 @@ use crate::executor::{
 use crate::params::ModelLayout;
 use crate::population::{apply_snapshot, snapshot_client, ClientFactory};
 use crate::trace::{ClientTraceBuf, PendingEvent, TraceEvent};
-use crate::transport::{Link, LinkEvent};
+use crate::transport::{Frame, Link, LinkEvent};
 use crate::workload::{Workload, WorkloadSpec};
 use bytes::{BufMut, Bytes, BytesMut};
-use fedca_compress::wire::Frame;
 use fedca_data::PartitionSpec;
 use fedca_sim::device::DynamicsConfig;
 use serde::{Deserialize, Serialize};
@@ -1203,7 +1202,7 @@ mod tests {
         // A frame of a kind the protocol does not have (a level-1 round
         // summary, say) is a protocol violation, not a silent skip.
         let frame = Frame {
-            kind: fedca_compress::wire::FrameKind::Control,
+            kind: crate::transport::FrameKind::Control,
             seq: 1,
             meta: Bytes::from_static(br#"{"RoundSummary":{"round":0,"n_resolved":1}}"#),
             payload: Bytes::default(),

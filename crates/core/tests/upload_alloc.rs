@@ -1,10 +1,13 @@
 //! Pins the allocation profile of a warmed-up client round's upload tail.
 //!
-//! On a 199 434-parameter MLP under `Int8`, everything model-sized the round
-//! touches — the flat delta, the quantization levels, the error-feedback
-//! residual — lives in the worker's arena or the client's state, so a
+//! On a 199 434-parameter MLP under `Int8`, `F16` and `Quantize { bits: 4 }`,
+//! everything model-sized the round touches — the flat delta, the
+//! quantization levels, the error-feedback residual — lives in the worker's
+//! arena or the client's state, the encoder writes straight into the wire
+//! buffer, and the residual is read back from that buffer in place, so a
 //! warmed-up `run_client_round` makes exactly ONE allocation of 100 KB or
-//! more: the wire buffer its report carries away.
+//! more: the wire buffer its report carries away. `TopK` is not pinned:
+//! `top_k` builds its own index and value vectors for every layer.
 //!
 //! Everything runs inside ONE `#[test]` — libtest runs tests on parallel
 //! threads by default, and a second test's allocations would pollute the
@@ -95,67 +98,77 @@ fn wide_workload(seed: u64) -> Workload {
 }
 
 #[test]
-fn warmed_up_int8_round_allocates_only_the_wire_buffer() {
+fn warmed_up_lossy_round_allocates_only_the_wire_buffer() {
     let w = wide_workload(5);
-    let mut arena = ClientArena::new(&w);
-    assert_eq!(arena.model.num_params(), PARAMS);
-    let layout = Arc::new(ModelLayout::from_spans(arena.model.spans()));
-    let global = arena.model.flat_params();
-    let shard: Vec<usize> = (0..w.train.len()).collect();
-    let mut client = ClientState {
-        id: 0,
-        shard: shard.clone(),
-        sampler: BatchSampler::new(shard, 8),
-        device: DeviceSpeed::new(1.0, DynamicsConfig::static_device(), 42),
-        uplink: Link::new(1.0e6),
-        downlink: Link::new(1.0e6),
-        profiler: SampledProfiler::new(layout.clone(), 100, 7),
-        seed: 99,
-        participations: 0,
-        error_feedback: ErrorFeedback::new(),
-    };
-    let fl = FlConfig {
-        lr: w.lr,
-        weight_decay: w.weight_decay,
-        batch_size: 8,
-        compression: Compression::Int8,
-        ..FlConfig::scaled()
-    };
-    let mut round = |round: usize| {
-        let plan = RoundPlan {
-            round,
-            start: round as f64 * 1e3,
-            deadline: 1e9,
-            planned_iters: 2,
-            is_anchor: false,
-            faults: ClientFaults::none(),
+    for compression in [
+        Compression::Int8,
+        Compression::F16,
+        Compression::Quantize { bits: 4 },
+    ] {
+        let mut arena = ClientArena::new(&w);
+        assert_eq!(arena.model.num_params(), PARAMS);
+        let layout = Arc::new(ModelLayout::from_spans(arena.model.spans()));
+        let global = arena.model.flat_params();
+        let shard: Vec<usize> = (0..w.train.len()).collect();
+        let mut client = ClientState {
+            id: 0,
+            shard: shard.clone(),
+            sampler: BatchSampler::new(shard, 8),
+            device: DeviceSpeed::new(1.0, DynamicsConfig::static_device(), 42),
+            uplink: Link::new(1.0e6),
+            downlink: Link::new(1.0e6),
+            profiler: SampledProfiler::new(layout.clone(), 100, 7),
+            seed: 99,
+            participations: 0,
+            error_feedback: ErrorFeedback::new(),
         };
-        let before = LARGE_ALLOCS.load(Ordering::Relaxed);
-        let report = run_client_round(
-            &mut client,
-            &mut arena,
-            &layout,
-            &global,
-            &w.train,
-            &w,
-            &fl,
-            &ClientOptions::default(),
-            &plan,
+        let fl = FlConfig {
+            lr: w.lr,
+            weight_decay: w.weight_decay,
+            batch_size: 8,
+            compression,
+            ..FlConfig::scaled()
+        };
+        let mut round = |round: usize| {
+            let plan = RoundPlan {
+                round,
+                start: round as f64 * 1e3,
+                deadline: 1e9,
+                planned_iters: 2,
+                is_anchor: false,
+                faults: ClientFaults::none(),
+            };
+            let before = LARGE_ALLOCS.load(Ordering::Relaxed);
+            let report = run_client_round(
+                &mut client,
+                &mut arena,
+                &layout,
+                &global,
+                &w.train,
+                &w,
+                &fl,
+                &ClientOptions::default(),
+                &plan,
+            );
+            let large = LARGE_ALLOCS.load(Ordering::Relaxed) - before;
+            (report, large)
+        };
+        // Warm-up: sizes the arena scratch, the workspace pool and the residual.
+        let (_, cold) = round(0);
+        assert!(
+            cold > 1,
+            "{compression:?}: the first round sizes its buffers ({cold})"
         );
-        let large = LARGE_ALLOCS.load(Ordering::Relaxed) - before;
-        (report, large)
-    };
-    // Warm-up: sizes the arena scratch, the workspace pool and the residual.
-    let (_, cold) = round(0);
-    assert!(cold > 1, "the first round sizes its buffers ({cold})");
-    for r in 1..=2 {
-        let (report, large) = round(r);
-        let wire = report.wire_update.expect("upload sent");
-        assert!(wire.len() >= LARGE, "the wire buffer itself is large");
-        assert_eq!(report.wire_bytes_uploaded, wire.len() as f64);
-        assert_eq!(
-            large, 1,
-            "round {r}: a warmed-up round makes one large allocation, the wire buffer"
-        );
+        for r in 1..=2 {
+            let (report, large) = round(r);
+            let wire = report.wire_update.expect("upload sent");
+            assert!(wire.len() >= LARGE, "the wire buffer itself is large");
+            assert_eq!(report.wire_bytes_uploaded, wire.len() as f64);
+            assert_eq!(
+                large, 1,
+                "{compression:?} round {r}: a warmed-up round makes one large allocation, \
+                 the wire buffer"
+            );
+        }
     }
 }

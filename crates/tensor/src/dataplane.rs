@@ -1,6 +1,7 @@
 //! Tier-dispatched server data-plane kernels: scale scans, deterministic
-//! level quantization, wire bit-pack/unpack, AXPY, and the fused
-//! dequantize-accumulate the aggregator folds quantized uploads with.
+//! level quantization, wire bit-packing, the packed-bytes dequantizer every
+//! decode goes through, AXPY, and the fused dequantize-accumulate the
+//! aggregator folds quantized uploads with.
 //!
 //! These are the elementwise/integer kernels behind `compress::quantize`,
 //! `compress::wire`, and the coordinator's streaming fold. They share the
@@ -111,12 +112,14 @@ pub fn pack_levels(levels: &[i8], num_levels: u8, width: u32, out: &mut [u8]) {
 /// Inverse of [`pack_levels`]: extracts `out.len()` offset-binary fields
 /// and recenters them to signed levels. Arbitrary (even malformed) packed
 /// bytes decode deterministically: the field value is truncated to `i8`
-/// exactly as the scalar `as i8` cast does.
+/// exactly as the scalar `as i8` cast does. One scalar body: its only
+/// caller is the owned, test-facing `wire::decode` (the product decodes
+/// with [`dequantize_packed`] and folds with [`axpy_quantized`]).
 ///
 /// # Panics
 /// Panics if `width` is outside `[1, 8]` or `packed` is shorter than
 /// [`packed_len`] bytes.
-pub fn unpack_levels_on(kernel: Kernel, packed: &[u8], num_levels: u8, width: u32, out: &mut [i8]) {
+pub fn unpack_levels(packed: &[u8], num_levels: u8, width: u32, out: &mut [i8]) {
     assert!(
         (1..=8).contains(&width),
         "unpack_levels: width out of range"
@@ -125,48 +128,7 @@ pub fn unpack_levels_on(kernel: Kernel, packed: &[u8], num_levels: u8, width: u3
         packed.len() >= packed_len(out.len(), width),
         "unpack_levels: packed buffer too short"
     );
-    #[cfg(target_arch = "x86_64")]
-    if kernel == Kernel::Avx2 {
-        // SAFETY: tier availability checked at dispatch (see `max_abs_on`).
-        return unsafe { avx2::unpack_levels(packed, num_levels, width, out) };
-    }
-    let _ = kernel;
     scalar::unpack_levels(packed, num_levels, width, out)
-}
-
-/// [`unpack_levels_on`] with the process-wide dispatched tier.
-pub fn unpack_levels(packed: &[u8], num_levels: u8, width: u32, out: &mut [i8]) {
-    unpack_levels_on(active_kernel(), packed, num_levels, width, out)
-}
-
-/// Dequantizes widened levels: `out[i] = levels[i] / num_levels · scale`.
-///
-/// # Panics
-/// Panics if the slices differ in length.
-pub fn dequantize_levels_on(
-    kernel: Kernel,
-    levels: &[i8],
-    scale: f32,
-    num_levels: u8,
-    out: &mut [f32],
-) {
-    assert_eq!(
-        levels.len(),
-        out.len(),
-        "dequantize_levels: length mismatch"
-    );
-    #[cfg(target_arch = "x86_64")]
-    if kernel == Kernel::Avx2 {
-        // SAFETY: tier availability checked at dispatch (see `max_abs_on`).
-        return unsafe { avx2::dequantize_levels(levels, scale, num_levels, out) };
-    }
-    let _ = kernel;
-    scalar::dequantize_levels(levels, scale, num_levels, out)
-}
-
-/// [`dequantize_levels_on`] with the process-wide dispatched tier.
-pub fn dequantize_levels(levels: &[i8], scale: f32, num_levels: u8, out: &mut [f32]) {
-    dequantize_levels_on(active_kernel(), levels, scale, num_levels, out)
 }
 
 /// Dequantizes straight from packed wire bytes, skipping the widened `i8`
@@ -337,13 +299,6 @@ mod scalar {
             acc >>= width;
             nbits -= width;
             *o = (u as i16 - num_levels as i16) as i8;
-        }
-    }
-
-    pub fn dequantize_levels(levels: &[i8], scale: f32, num_levels: u8, out: &mut [f32]) {
-        let l = num_levels as f32;
-        for (o, &lev) in out.iter_mut().zip(levels) {
-            *o = lev as f32 / l * scale;
         }
     }
 
@@ -555,42 +510,6 @@ mod avx2 {
     }
 
     #[target_feature(enable = "avx2", enable = "fma")]
-    pub unsafe fn unpack_levels(packed: &[u8], num_levels: u8, width: u32, out: &mut [i8]) {
-        let n = out.len();
-        let mask: u32 = (1 << width) - 1;
-        let wbytes = width as usize;
-        let voff = _mm256_set1_epi32(num_levels as i32);
-        let mut p = 0;
-        while p + 8 <= n && p / 8 * wbytes + 8 <= packed.len() {
-            let word = u64::from_le_bytes(packed[p / 8 * wbytes..][..8].try_into().unwrap());
-            let lev = _mm256_sub_epi32(unpack8(word, width, mask), voff);
-            store_low_bytes(lev, out.as_mut_ptr().add(p));
-            p += 8;
-        }
-        super::scalar::unpack_levels(&packed[p / 8 * wbytes..], num_levels, width, &mut out[p..]);
-    }
-
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub unsafe fn dequantize_levels(levels: &[i8], scale: f32, num_levels: u8, out: &mut [f32]) {
-        let n = levels.len();
-        let l = num_levels as f32;
-        let vl = _mm256_set1_ps(l);
-        let vs = _mm256_set1_ps(scale);
-        let mut p = 0;
-        while p + 8 <= n {
-            let b = _mm_loadl_epi64(levels.as_ptr().add(p) as *const __m128i);
-            let f = _mm256_cvtepi32_ps(_mm256_cvtepi8_epi32(b));
-            let r = _mm256_mul_ps(_mm256_div_ps(f, vl), vs);
-            _mm256_storeu_ps(out.as_mut_ptr().add(p), r);
-            p += 8;
-        }
-        while p < n {
-            out[p] = levels[p] as f32 / l * scale;
-            p += 1;
-        }
-    }
-
-    #[target_feature(enable = "avx2", enable = "fma")]
     pub unsafe fn dequantize_packed(
         packed: &[u8],
         scale: f32,
@@ -726,7 +645,7 @@ mod tests {
             let mut packed = vec![0u8; packed_len(levels.len(), width)];
             pack_levels_on(Kernel::Scalar, &levels, num_levels, width, &mut packed);
             let mut back = vec![0i8; levels.len()];
-            unpack_levels_on(Kernel::Scalar, &packed, num_levels, width, &mut back);
+            unpack_levels(&packed, num_levels, width, &mut back);
             assert_eq!(back, levels, "bits={bits}");
         }
     }
@@ -741,7 +660,14 @@ mod tests {
         let scale = 1.375f32;
         let alpha = -0.625f32;
         let mut dense = vec![0.0f32; levels.len()];
-        dequantize_levels_on(Kernel::Scalar, &levels, scale, num_levels, &mut dense);
+        dequantize_packed_on(
+            Kernel::Scalar,
+            &packed,
+            scale,
+            num_levels,
+            width,
+            &mut dense,
+        );
         let mut y_ref: Vec<f32> = (0..29).map(|i| i as f32 * 0.5).collect();
         let mut y_fused = y_ref.clone();
         axpy_on(Kernel::Scalar, alpha, &dense, &mut y_ref);

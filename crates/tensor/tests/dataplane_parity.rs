@@ -2,17 +2,17 @@
 //!
 //! The GEMM parity suite tolerates small numeric drift between tiers; this
 //! one does not. Data-plane kernels (scale scan, deterministic level
-//! quantization, wire bit-pack/unpack, AXPY, fused dequantize-accumulate)
-//! are contracted to produce the *same bits* on every tier, which is what
-//! lets the aggregator's fold run vectorized under the committed
-//! scalar-recorded golden fixtures. Each property draws lengths straddling
+//! quantization, wire bit-packing, packed dequantization, AXPY, fused
+//! dequantize-accumulate) are contracted to produce the *same bits* on
+//! every tier, which is what lets the aggregator's fold run vectorized
+//! under the committed scalar-recorded golden fixtures. Each property draws lengths straddling
 //! the 8-lane vector width (tails included), splices non-finite specials
 //! into the float inputs, and compares every available tier against the
 //! scalar reference via `to_bits`.
 
 use fedca_tensor::dataplane::{
-    all_finite_on, axpy_on, axpy_quantized_on, dequantize_levels_on, dequantize_packed_on,
-    max_abs_on, pack_levels_on, packed_len, quantize_levels_on, unpack_levels_on,
+    all_finite_on, axpy_on, axpy_quantized_on, dequantize_packed_on, max_abs_on, pack_levels_on,
+    packed_len, quantize_levels_on, unpack_levels,
 };
 use fedca_tensor::gemm::{available_kernels, Kernel};
 use proptest::prelude::*;
@@ -30,6 +30,12 @@ fn splice(x: &mut [f32], specials: &[(usize, usize)]) {
 
 fn bits_of(v: &[f32]) -> Vec<u32> {
     v.iter().map(|x| x.to_bits()).collect()
+}
+
+/// The dequantization rule written out: `level / num_levels · scale`.
+fn dequantize_ref(levels: &[i8], scale: f32, num_levels: u8) -> Vec<f32> {
+    let l = num_levels as f32;
+    levels.iter().map(|&lev| lev as f32 / l * scale).collect()
 }
 
 fn derived(bits: u8) -> (u8, u32) {
@@ -100,60 +106,9 @@ proptest! {
             pack_levels_on(k, &levels, num_levels, width, &mut got);
             prop_assert_eq!(&got, &want, "pack_levels kernel {} bits {}", k.name(), bits);
         }
-        // Unpack parity over the (valid) packed stream...
         let mut back = vec![0i8; levels.len()];
-        unpack_levels_on(Kernel::Scalar, &want, num_levels, width, &mut back);
-        prop_assert_eq!(&back, &levels, "scalar round trip bits {}", bits);
-        for k in available_kernels() {
-            let mut got = vec![0i8; levels.len()];
-            unpack_levels_on(k, &want, num_levels, width, &mut got);
-            prop_assert_eq!(&got, &back, "unpack_levels kernel {} bits {}", k.name(), bits);
-        }
-    }
-
-    #[test]
-    fn unpack_of_arbitrary_bytes_matches_scalar(
-        (packed, n, bits) in (
-            prop::collection::vec(0usize..256, 0..128),
-            0usize..100,
-            1u8..9,
-        )
-    ) {
-        // Malformed wire bytes must decode deterministically and
-        // identically on every tier (the truncating `as i8` cast).
-        let packed: Vec<u8> = packed.iter().map(|&b| b as u8).collect();
-        let (num_levels, width) = derived(bits);
-        prop_assume!(packed.len() >= packed_len(n, width));
-        let mut want = vec![0i8; n];
-        unpack_levels_on(Kernel::Scalar, &packed, num_levels, width, &mut want);
-        for k in available_kernels() {
-            let mut got = vec![0i8; n];
-            unpack_levels_on(k, &packed, num_levels, width, &mut got);
-            prop_assert_eq!(&got, &want, "unpack arbitrary kernel {} bits {}", k.name(), bits);
-        }
-    }
-
-    #[test]
-    fn dequantize_levels_matches_scalar_bitwise(
-        (raw, bits, scale) in (
-            prop::collection::vec(0usize..256, 0..100),
-            1u8..9,
-            -3.0f32..3.0,
-        )
-    ) {
-        let (num_levels, _) = derived(bits);
-        let span = 2 * num_levels as i32 + 1;
-        let levels: Vec<i8> = raw
-            .iter()
-            .map(|&b| ((b as i32 % span) - num_levels as i32) as i8)
-            .collect();
-        let mut want = vec![0.0f32; levels.len()];
-        dequantize_levels_on(Kernel::Scalar, &levels, scale, num_levels, &mut want);
-        for k in available_kernels() {
-            let mut got = vec![0.0f32; levels.len()];
-            dequantize_levels_on(k, &levels, scale, num_levels, &mut got);
-            prop_assert_eq!(bits_of(&got), bits_of(&want), "dequantize kernel {}", k.name());
-        }
+        unpack_levels(&want, num_levels, width, &mut back);
+        prop_assert_eq!(&back, &levels, "round trip bits {}", bits);
     }
 
     #[test]
@@ -197,9 +152,8 @@ proptest! {
         axpy_quantized_on(Kernel::Scalar, alpha, scale, num_levels, width, &packed, &mut want);
         // ...and must itself equal unpack → dequantize → axpy.
         let mut levels = vec![0i8; n];
-        unpack_levels_on(Kernel::Scalar, &packed, num_levels, width, &mut levels);
-        let mut dense = vec![0.0f32; n];
-        dequantize_levels_on(Kernel::Scalar, &levels, scale, num_levels, &mut dense);
+        unpack_levels(&packed, num_levels, width, &mut levels);
+        let dense = dequantize_ref(&levels, scale, num_levels);
         let mut unfused = y0.clone();
         axpy_on(Kernel::Scalar, alpha, &dense, &mut unfused);
         prop_assert_eq!(bits_of(&want), bits_of(&unfused), "fused != unfused (scalar)");
@@ -224,11 +178,11 @@ proptest! {
         prop_assume!(packed.len() >= packed_len(n, width));
         let mut want = vec![0.0f32; n];
         dequantize_packed_on(Kernel::Scalar, &packed, scale, num_levels, width, &mut want);
-        // Equals the two-step unpack + dequantize...
+        // Equals the two-step unpack + dequantize — on arbitrary bytes, so
+        // malformed wire input decodes identically on every tier too...
         let mut levels = vec![0i8; n];
-        unpack_levels_on(Kernel::Scalar, &packed, num_levels, width, &mut levels);
-        let mut two_step = vec![0.0f32; n];
-        dequantize_levels_on(Kernel::Scalar, &levels, scale, num_levels, &mut two_step);
+        unpack_levels(&packed, num_levels, width, &mut levels);
+        let two_step = dequantize_ref(&levels, scale, num_levels);
         prop_assert_eq!(bits_of(&want), bits_of(&two_step), "packed != two-step (scalar)");
         for k in available_kernels() {
             let mut got = vec![0.0f32; n];

@@ -33,11 +33,14 @@ cargo test --release -q -p fedca-core \
 # `cargo test` above ran these on the tier dispatch picks; this pins the
 # portable tier, so both are held to the one definition of every kernel's
 # bits — the committed golden fixture included — whatever the host's best is.
-echo "== kernel parity suites, golden trace, wire-vs-dense fold (FEDCA_FORCE_KERNEL=scalar)"
+# A client's error-feedback residual is decoded by the same tier-dispatched
+# `dequantize_packed` the server folds with, hence compression_equivalence.
+echo "== kernel parity suites, golden trace, wire-vs-dense fold, lossy uploads (FEDCA_FORCE_KERNEL=scalar)"
 FEDCA_FORCE_KERNEL=scalar cargo test -q -p fedca-tensor -p fedca-nn -p fedca-core \
   --test gemm_parity --test dataplane_parity \
   --test conv_parity --test lstm_parity --test backward_params \
-  --test golden_trace --test aggregation_equivalence --test ingest_zero_alloc
+  --test golden_trace --test aggregation_equivalence --test ingest_zero_alloc \
+  --test compression_equivalence
 
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
