@@ -307,22 +307,6 @@ fn smoke_cli() -> Cli {
     }
 }
 
-/// Zeroes the host-side fields that legitimately differ between two runs
-/// of one trajectory.
-fn scrubbed(records: &[RoundRecord]) -> Vec<RoundRecord> {
-    records
-        .iter()
-        .map(|r| RoundRecord {
-            host_ms: 0.0,
-            allocs_avoided: 0,
-            hydrate_host_us: 0.0,
-            decode_host_us: 0.0,
-            aggregate_host_us: 0.0,
-            ..r.clone()
-        })
-        .collect()
-}
-
 #[test]
 fn requests_that_differ_in_any_key_part_do_not_alias() {
     let cli = smoke_cli();
@@ -377,11 +361,15 @@ fn a_view_is_the_prefix_the_request_would_have_trained_alone() {
     let mut ask =
         |target: f32, rounds: usize| cells.run(Scheme::fedca_default(), &w, &fl, target, rounds, 1);
 
+    let canonical = |rounds: &[RoundRecord]| -> Vec<RoundRecord> {
+        rounds.iter().map(RoundRecord::canonical).collect()
+    };
+
     // 3 rounds, extended to 5: both prefixes equal a fresh trainer's.
     let three = ask(NO_TARGET, 3);
     let five = ask(NO_TARGET, 5);
-    assert_eq!(scrubbed(&three.rounds), scrubbed(&fresh(None, 3).rounds));
-    assert_eq!(scrubbed(&five.rounds), scrubbed(&fresh(None, 5).rounds));
+    assert_eq!(canonical(&three.rounds), canonical(&fresh(None, 3).rounds));
+    assert_eq!(canonical(&five.rounds), canonical(&fresh(None, 5).rounds));
     assert_eq!(ask(NO_TARGET, 3).rounds, three.rounds);
     assert_eq!(
         (three.scheme.as_str(), three.workload.as_str()),
@@ -393,7 +381,7 @@ fn a_view_is_the_prefix_the_request_would_have_trained_alone() {
     let target = five.rounds[1].accuracy.expect("evaluated every round");
     let reached = ask(target, 5);
     let alone = fresh(Some(target), 5);
-    assert_eq!(scrubbed(&reached.rounds), scrubbed(&alone.rounds));
+    assert_eq!(canonical(&reached.rounds), canonical(&alone.rounds));
     assert_eq!(
         reached.time_to_accuracy(target),
         alone.time_to_accuracy(target)

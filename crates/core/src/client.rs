@@ -163,7 +163,6 @@ pub fn run_client_round(
         flat,
         codec,
         grad,
-        allocs_avoided,
     } = arena;
     let mut rng = StdRng::seed_from_u64(
         state
@@ -354,7 +353,6 @@ pub fn run_client_round(
         // --- Profiling (anchor rounds) or eager transmission (others).
         if is_anchor {
             model.flat_params_into(flat);
-            *allocs_avoided += 1;
             state.profiler.record_iteration(global, flat);
         } else if use_eager {
             let layer_curves = &curves.as_ref().expect("checked").layers;
@@ -364,7 +362,6 @@ pub fn run_client_round(
                 .collect();
             if !pending.is_empty() {
                 model.flat_params_into(flat);
-                *allocs_avoided += 1;
                 let current: &[f32] = flat;
                 for l in pending {
                     let r = layout.range(l);
@@ -441,7 +438,6 @@ pub fn run_client_round(
     // --- TryRetransmit + final upload, in place in the arena: `flat`
     // becomes the accumulated update w − g.
     model.flat_delta_into(global, flat);
-    *allocs_avoided += 1;
     let Upload {
         eager_outcomes,
         payload_bytes: final_payload_bytes,

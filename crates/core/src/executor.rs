@@ -55,9 +55,6 @@ pub struct ClientArena {
     /// Persistent logits-gradient buffer for the SGD hot loop (resized in
     /// place by `softmax_cross_entropy_into`).
     pub grad: Tensor,
-    /// Running count of heap allocations avoided by reusing this arena's
-    /// scratch instead of materializing fresh vectors.
-    pub allocs_avoided: usize,
 }
 
 impl ClientArena {
@@ -74,7 +71,6 @@ impl ClientArena {
             flat,
             codec: fedca_compress::CodecScratch::default(),
             grad: Tensor::zeros([0]),
-            allocs_avoided: 0,
         }
     }
 }
@@ -129,11 +125,6 @@ pub struct ClientCompletion {
     pub client: ClientState,
     /// The round report.
     pub report: ClientRoundReport,
-    /// Whether the worker reused a previously-built model (vs. building
-    /// one for this work item).
-    pub model_reused: bool,
-    /// Scratch-buffer allocations this work item avoided.
-    pub allocs_avoided: usize,
     /// Host wall-clock microseconds the worker spent inside
     /// `run_client_round` for this item. Profiling data only — it rides on
     /// trace records as a host-time delta and never enters the canonical
@@ -182,8 +173,6 @@ enum WorkerMsg {
     Shutdown,
 }
 
-type WorkerResult = ClientDone;
-
 /// A persistent pool of client-execution workers.
 ///
 /// Spawned once (by `Trainer::new`), fed with [`submit`](Self::submit), and
@@ -194,7 +183,7 @@ type WorkerResult = ClientDone;
 /// rather than a blocked `recv`.
 pub struct RoundExecutor {
     work_tx: Sender<WorkerMsg>,
-    done_rx: Receiver<WorkerResult>,
+    done_rx: Receiver<ClientDone>,
     handles: Vec<JoinHandle<()>>,
 }
 
@@ -204,7 +193,7 @@ impl RoundExecutor {
         let n_workers = n_workers.max(1);
         let (work_tx, work_rx) = channel::<WorkerMsg>();
         let work_rx = Arc::new(Mutex::new(work_rx));
-        let (done_tx, done_rx) = channel::<WorkerResult>();
+        let (done_tx, done_rx) = channel::<ClientDone>();
         let handles = (0..n_workers)
             .map(|w| {
                 let rx = Arc::clone(&work_rx);
@@ -274,7 +263,7 @@ impl Drop for RoundExecutor {
     }
 }
 
-fn worker_loop(rx: Arc<Mutex<Receiver<WorkerMsg>>>, tx: Sender<WorkerResult>) {
+fn worker_loop(rx: Arc<Mutex<Receiver<WorkerMsg>>>, tx: Sender<ClientDone>) {
     // The arena persists across rounds; it is built lazily from the first
     // work item's context so the pool itself stays workload-agnostic.
     let mut arena: Option<ClientArena> = None;
@@ -319,9 +308,7 @@ fn execute(arena_slot: &mut Option<ClientArena>, work: ClientWork) -> ClientComp
         plan,
         ctx,
     } = work;
-    let model_reused = arena_slot.is_some();
     let arena = arena_slot.get_or_insert_with(|| ClientArena::new(&ctx.workload));
-    let allocs_before = arena.allocs_avoided;
     let started = std::time::Instant::now();
     let report = run_client_round(
         &mut client,
@@ -334,13 +321,10 @@ fn execute(arena_slot: &mut Option<ClientArena>, work: ClientWork) -> ClientComp
         &ctx.opts,
         &plan,
     );
-    let allocs_avoided = arena.allocs_avoided - allocs_before;
     ClientCompletion {
         ord,
         client,
         report,
-        model_reused,
-        allocs_avoided,
         host_us: started.elapsed().as_secs_f64() * 1e6,
     }
 }

@@ -17,7 +17,11 @@ pub struct EagerEvent {
     pub retransmitted: bool,
 }
 
-/// Everything the server records about one round.
+/// Everything the server records about one round: a canonical half, a
+/// pure function of the seed, and ten operational fields — host timings,
+/// residency churn and shard-failover counters — that vary with the host,
+/// the worker count, the residency cap and the topology.
+/// [`canonical`](Self::canonical) names which is which.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct RoundRecord {
     /// Round index (0-based).
@@ -43,7 +47,9 @@ pub struct RoundRecord {
     #[serde(default)]
     pub n_crashed: usize,
     /// Surviving clients whose upload arrived after the aggregation cut
-    /// (stragglers whose update was discarded, including delayed results).
+    /// (stragglers whose update was discarded, including delayed results)
+    /// or never arrived at all: a lost result arrives at +∞, after every
+    /// cut.
     #[serde(default)]
     pub n_deadline_missed: usize,
     /// Reports rejected by the server's non-finite guard (NaN/Inf in the
@@ -71,30 +77,27 @@ pub struct RoundRecord {
     pub is_anchor: bool,
     /// Host wall-clock milliseconds spent executing this round (real time
     /// spent orchestrating and training, unrelated to the virtual clock).
+    /// The trace's `round` span carries this number in microseconds.
     #[serde(default)]
     pub host_ms: f64,
-    /// Heap allocations avoided this round by reusing worker arenas
-    /// (cached model builds plus flat-parameter scratch refills).
-    #[serde(default)]
-    pub allocs_avoided: usize,
     /// Clients derived fresh from `(seed, id)` this round (lazy client
-    /// store). Operational, like `host_ms` — excluded from bit-identity
-    /// comparisons.
+    /// store).
     #[serde(default)]
     pub n_hydrated: usize,
     /// Clients evicted from residency at the end of this round.
     #[serde(default)]
     pub n_evicted: usize,
-    /// Host wall-clock microseconds spent hydrating this round's cohort.
+    /// Host wall-clock microseconds spent hydrating this round's cohort (the
+    /// trace's `hydrate` span).
     #[serde(default)]
     pub hydrate_host_us: f64,
     /// Host wall-clock microseconds spent decoding wire uploads into the
-    /// aggregation arena at ingest time. Operational — excluded from
-    /// bit-identity comparisons.
+    /// aggregation arena at ingest time.
     #[serde(default)]
     pub decode_host_us: f64,
-    /// Host wall-clock microseconds spent in the aggregation fold at round
-    /// close (weighted accumulate into the global model).
+    /// Host wall-clock microseconds spent closing the round's aggregator:
+    /// the weighted fold into the global model plus the estimator update
+    /// (the trace's `aggregate` span).
     #[serde(default)]
     pub aggregate_host_us: f64,
     /// Always 0: the shard link no longer resends anything (a link fault
@@ -104,8 +107,6 @@ pub struct RoundRecord {
     #[serde(default)]
     pub n_retries: usize,
     /// Heartbeat periods that elapsed with no valid frame from a shard.
-    /// Operational, like the two counters below — excluded from
-    /// bit-identity comparisons.
     #[serde(default)]
     pub n_heartbeat_missed: usize,
     /// Shards quarantined this round: a link fault, failed (re)spawn or
@@ -118,6 +119,26 @@ pub struct RoundRecord {
 }
 
 impl RoundRecord {
+    /// The canonical half: this record with its ten operational fields
+    /// zeroed. Two runs of one trajectory — any host, worker count,
+    /// residency cap or shard topology, failovers included — have `==`
+    /// canonical records. This is the one list of operational fields.
+    pub fn canonical(&self) -> RoundRecord {
+        RoundRecord {
+            host_ms: 0.0,
+            n_hydrated: 0,
+            n_evicted: 0,
+            hydrate_host_us: 0.0,
+            decode_host_us: 0.0,
+            aggregate_host_us: 0.0,
+            n_retries: 0,
+            n_heartbeat_missed: 0,
+            n_quarantined: 0,
+            n_reassigned: 0,
+            ..self.clone()
+        }
+    }
+
     /// Round duration in virtual seconds.
     pub fn duration(&self) -> f64 {
         self.end - self.start
@@ -278,7 +299,6 @@ mod tests {
             wire_bytes_dense: 0.0,
             is_anchor: false,
             host_ms: 0.0,
-            allocs_avoided: 0,
             n_hydrated: 0,
             n_evicted: 0,
             hydrate_host_us: 0.0,
@@ -345,6 +365,61 @@ mod tests {
         };
         assert_eq!(out.eager_iterations(true, 125), vec![30.0, 125.0]);
         assert_eq!(out.eager_iterations(false, 125), vec![30.0, 40.0]);
+    }
+
+    #[test]
+    fn canonical_forgets_exactly_the_operational_fields() {
+        let a = record(2, 5.0, Some(0.5));
+        let b = RoundRecord {
+            host_ms: 12.5,
+            n_hydrated: 3,
+            n_evicted: 2,
+            hydrate_host_us: 40.0,
+            decode_host_us: 7.5,
+            aggregate_host_us: 9.0,
+            n_retries: 1,
+            n_heartbeat_missed: 4,
+            n_quarantined: 1,
+            n_reassigned: 2,
+            ..a.clone()
+        };
+        assert_ne!(a, b);
+        assert_eq!(a.canonical(), b.canonical());
+        assert_eq!(b.canonical().canonical(), b.canonical());
+
+        let canonical_changes: [fn(&mut RoundRecord); 19] = [
+            |r| r.round += 1,
+            |r| r.start -= 0.5,
+            |r| r.end += 0.5,
+            |r| r.accuracy = None,
+            |r| r.mean_train_loss *= 2.0,
+            |r| r.n_selected += 1,
+            |r| r.n_aggregated -= 1,
+            |r| r.n_dropped += 1,
+            |r| r.n_crashed += 1,
+            |r| r.n_deadline_missed += 1,
+            |r| r.n_rejected += 1,
+            |r| r.iters_done[0] -= 1,
+            |r| r.iters_planned[1] += 1,
+            |r| r.early_stops[2] = true,
+            |r| {
+                r.eager_events.push(EagerEvent {
+                    client: 0,
+                    layer: 0,
+                    iter: 3,
+                    retransmitted: false,
+                })
+            },
+            |r| r.bytes_uploaded += 1.0,
+            |r| r.wire_bytes_uploaded += 1.0,
+            |r| r.wire_bytes_dense += 1.0,
+            |r| r.is_anchor = true,
+        ];
+        for (i, change) in canonical_changes.iter().enumerate() {
+            let mut c = b.clone();
+            change(&mut c);
+            assert_ne!(c.canonical(), b.canonical(), "change #{i} forgotten");
+        }
     }
 
     #[test]

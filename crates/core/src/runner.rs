@@ -33,8 +33,7 @@ use fedca_sim::SimTime;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
-
-pub use crate::metrics::TrainerOutput as Output;
+use std::time::Instant;
 
 /// How the round's client work is executed: an in-process worker pool
 /// (the default) or a pool of shard processes (`fl.shard.n_shards > 0`).
@@ -311,9 +310,12 @@ impl Trainer {
     }
 
     /// Runs one communication round; returns its record.
+    ///
+    /// Each host interval the record reports is measured once, and the
+    /// trace's `hydrate`, `aggregate` and `round` spans carry those same
+    /// numbers.
     pub fn run_round(&mut self) -> &RoundRecord {
-        let host_t0 = std::time::Instant::now();
-        let round_span = self.tracer.start_span("round");
+        let host_t0 = Instant::now();
         let tracing = self.tracer.is_enabled();
         let round = self.records.len();
         self.store.begin_round();
@@ -344,11 +346,10 @@ impl Trainer {
         // Hydrate the cohort: derive any client not already resident from
         // `(fl.seed, id)` (applying its dirty overlay if it was evicted
         // earlier). Hydration is trajectory-neutral — the per-client events
-        // are non-canonical and the host time is tracked separately — but
-        // the span itself is emitted identically on the eager and lazy
-        // paths, so it stays in the canonical stream.
-        let hydrate_t0 = std::time::Instant::now();
-        let hydrate_span = self.tracer.start_span("hydrate");
+        // are non-canonical and the host time is operational — but the span
+        // itself is emitted identically on the eager and lazy paths, so it
+        // stays in the canonical stream.
+        let hydrate_t0 = Instant::now();
         for &cid in &selected {
             let fresh = invariant(self.store.hydrate(cid));
             if tracing {
@@ -364,8 +365,9 @@ impl Trainer {
                 );
             }
         }
-        self.tracer.end_span(hydrate_span, self.clock);
         let hydrate_host_us = hydrate_t0.elapsed().as_secs_f64() * 1e6;
+        self.tracer
+            .span("hydrate", self.clock, hydrate_host_us, false);
 
         let mut plan_for: Vec<RoundPlan> = Vec::with_capacity(selected.len());
         for (ord, &cid) in selected.iter().enumerate() {
@@ -441,7 +443,6 @@ impl Trainer {
         // on which worker (or shard) reports first.
         let mut agg = self.server.begin_round(round_start, selected.len());
         agg.set_deadline(deadline);
-        let mut allocs_avoided = 0usize;
         let mut n_panicked = 0usize;
         // Client-side trace buffers, keyed by ordinal. Collected in
         // completion order but merged canonically below, so the journal
@@ -453,8 +454,6 @@ impl Trainer {
                 ord,
                 client,
                 mut report,
-                model_reused,
-                allocs_avoided: allocs,
                 host_us,
             }) => {
                 let cid = selected[ord];
@@ -482,7 +481,6 @@ impl Trainer {
                     trace_batches.push((ord, events));
                 }
                 invariant(store.check_in(client));
-                allocs_avoided += allocs + usize::from(model_reused);
                 agg.ingest(ord, report);
             }
             ClientDone::Failed(failure) => {
@@ -515,13 +513,14 @@ impl Trainer {
         let n_heartbeat_missed = n_notes("heartbeat_missed");
         let n_quarantined = n_notes("shard_quarantined");
         let n_reassigned = n_notes("ordinal_reassigned");
-        // The aggregate span is off-stream: it reaches sinks (metrics,
-        // journal) for observability but never consumes a canonical
-        // sequence number, so golden traces are unaffected.
-        let aggregate_span = self.tracer.start_span("aggregate");
+        let close_t0 = Instant::now();
         let (agg, reports) = agg.close(&mut self.server);
+        let aggregate_host_us = close_t0.elapsed().as_secs_f64() * 1e6;
+        // The aggregate span is off-stream: it reaches sinks for
+        // observability but never consumes a canonical sequence number, so
+        // golden traces are unaffected.
         self.tracer
-            .end_span_offstream(aggregate_span, agg.completion);
+            .span("aggregate", agg.completion, aggregate_host_us, true);
         self.clock = agg.completion;
         // Shard-failover notes (none in-process) are offstream events: they
         // reach sinks for observability but never consume canonical
@@ -544,9 +543,10 @@ impl Trainer {
         );
 
         let accuracy = if self.eval_every != 0 && round.is_multiple_of(self.eval_every) {
-            let eval_span = self.tracer.start_span("evaluate");
+            let eval_t0 = Instant::now();
             let acc = self.evaluate();
-            self.tracer.end_span(eval_span, self.clock);
+            let eval_us = eval_t0.elapsed().as_secs_f64() * 1e6;
+            self.tracer.span("evaluate", self.clock, eval_us, false);
             Some(acc)
         } else {
             None
@@ -560,23 +560,20 @@ impl Trainer {
                 .sum();
             (sum / collected.len().max(1) as f64) as f32
         };
-        let mut eager_events = Vec::new();
-        for r in reports.iter().flatten() {
-            eager_events.extend(outcomes_to_events(r.client_id, &r.eager_outcomes));
-        }
+        let eager_events = reports
+            .iter()
+            .flatten()
+            .flat_map(|r| outcomes_to_events(r.client_id, &r.eager_outcomes))
+            .collect();
         // Fault accounting: panics destroyed the client; crashes returned a
-        // report with the crash flag; survivors whose (finite) upload landed
-        // after the cut missed the deadline and had their update discarded.
+        // report with the crash flag; survivors whose upload landed after the
+        // cut — late, or lost and so arriving at +inf — missed the deadline
+        // and had their update discarded.
         let n_crashed = n_panicked + reports.iter().flatten().filter(|r| r.crashed).count();
         let n_deadline_missed = reports
             .iter()
             .flatten()
-            .filter(|r| {
-                !r.dropped
-                    && !r.crashed
-                    && r.upload_done.is_finite()
-                    && r.upload_done > agg.completion
-            })
+            .filter(|r| !r.dropped && !r.crashed && r.upload_done > agg.completion)
             .count();
         self.tracer.emit(
             agg.completion,
@@ -590,12 +587,14 @@ impl Trainer {
                 n_deadline_missed,
             },
         );
-        self.tracer.end_span(round_span, agg.completion);
         // Enforce the residency cap now that every client is home: beyond
         // `population.cache_clients`, least-recently-selected clients move
         // their mutated state to the compact dirty overlay.
         self.store.end_round();
         let (n_hydrated, n_evicted) = self.store.round_stats();
+        let host_ms = host_t0.elapsed().as_secs_f64() * 1e3;
+        self.tracer
+            .span("round", agg.completion, host_ms * 1e3, false);
         self.records.push(RoundRecord {
             round,
             start: round_start,
@@ -626,13 +625,12 @@ impl Trainer {
                 .sum(),
             wire_bytes_dense: reports.iter().flatten().map(|r| r.wire_bytes_dense).sum(),
             is_anchor: any_anchor,
-            host_ms: host_t0.elapsed().as_secs_f64() * 1e3,
-            allocs_avoided,
+            host_ms,
             n_hydrated,
             n_evicted,
             hydrate_host_us,
             decode_host_us: agg.decode_host_us,
-            aggregate_host_us: agg.aggregate_host_us,
+            aggregate_host_us,
             n_retries: 0,
             n_heartbeat_missed,
             n_quarantined,
@@ -964,14 +962,6 @@ mod tests {
         t.run(3);
         assert_eq!(t.n_workers(), n, "pool must persist across rounds");
         assert!(t.records().iter().all(|r| r.host_ms > 0.0));
-        // Every round's final-update scratch fill counts, and from the
-        // second round on cached models are reused too. How many workers
-        // build a model in which round depends on scheduling, so the
-        // comparison is pinned on a single worker.
-        let mut t = Trainer::new_with_workers(tiny_fl(), Scheme::FedAvg, Workload::tiny_mlp(6), 1);
-        t.run(2);
-        assert!(t.records()[0].allocs_avoided >= 4);
-        assert!(t.records()[1].allocs_avoided > t.records()[0].allocs_avoided);
     }
 
     #[test]
@@ -1035,7 +1025,13 @@ mod tests {
         for r in &out.rounds {
             assert!(r.end >= r.start, "round {} clock went backwards", r.round);
             assert_eq!(r.iters_done.len(), r.n_selected);
-            assert!(r.n_aggregated + r.n_crashed <= r.n_selected + r.n_crashed);
+            // Every selected client is accounted for exactly once.
+            assert_eq!(
+                r.n_aggregated + r.n_crashed + r.n_dropped + r.n_deadline_missed + r.n_rejected,
+                r.n_selected,
+                "round {}: {r:?}",
+                r.round
+            );
         }
         // Every client slot must be occupied again (panicked ones rebuilt).
         for id in 0..8 {
@@ -1089,6 +1085,29 @@ mod tests {
         {
             assert_eq!(r.seq, i as u64);
         }
+    }
+
+    #[test]
+    fn spans_carry_the_records_own_timings_bit_for_bit() {
+        let fl = FlConfig {
+            trace: crate::trace::TraceConfig::enabled(),
+            ..tiny_fl()
+        };
+        let mut t = Trainer::new(fl, Scheme::FedAvg, Workload::tiny_mlp(1));
+        t.run(3);
+        let recs = t.tracer().ring_records();
+        let span_us = |name: &str| -> Vec<f64> {
+            recs.iter()
+                .filter(|r| matches!(&r.event, TraceEvent::Span { name: n } if n == name))
+                .map(|r| r.host_us)
+                .collect()
+        };
+        let records = t.records();
+        let field = |f: fn(&RoundRecord) -> f64| records.iter().map(f).collect::<Vec<_>>();
+        assert_eq!(span_us("hydrate"), field(|r| r.hydrate_host_us));
+        assert_eq!(span_us("aggregate"), field(|r| r.aggregate_host_us));
+        assert_eq!(span_us("round"), field(|r| r.host_ms * 1000.0));
+        assert_eq!(span_us("evaluate").len(), 3);
     }
 
     #[test]

@@ -200,9 +200,6 @@ pub struct AggregationResult {
     /// Host microseconds spent decoding wire uploads at ingest time
     /// (including the non-finite scan). Operational only.
     pub decode_host_us: f64,
-    /// Host microseconds spent in the round-close weighted fold.
-    /// Operational only.
-    pub aggregate_host_us: f64,
 }
 
 impl Server {
@@ -453,7 +450,6 @@ impl StreamingAggregator {
             .filter(|(_, r)| r.as_ref().is_some_and(|r| r.upload_done <= completion))
             .map(|(i, _)| i)
             .collect();
-        let started = std::time::Instant::now();
         if !collected.is_empty() {
             let total_w: f64 = collected
                 .iter()
@@ -505,7 +501,6 @@ impl StreamingAggregator {
             }
             dataplane::axpy(1.0, &self.arena.fold, server.global.as_mut_slice());
         }
-        let aggregate_host_us = started.elapsed().as_secs_f64() * 1e6;
         for &i in &collected {
             let r = reports[i].as_ref().expect("collected implies present");
             server
@@ -521,7 +516,6 @@ impl StreamingAggregator {
                 n_finite: self.cut.finite_count(),
                 n_rejected: self.n_rejected,
                 decode_host_us: self.decode_host_us,
-                aggregate_host_us,
             },
             reports,
         )

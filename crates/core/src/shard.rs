@@ -12,11 +12,11 @@
 //! [`ClientDone`] out. The root owns all durable state: the lazy
 //! [`ClientStore`](crate::population::ClientStore), the selection RNG, the
 //! global model, the tracer, and checkpointing. The pool keeps each
-//! checked-out [`ClientState`](crate::client::ClientState) beside its
-//! outstanding ordinal; a [`WorkItem`] ships `{ordinal, client id,
-//! participations, plan, snapshot}` and the stateless child rebuilds the
-//! client as `factory.build(id)` + `apply_snapshot` — bit-identical to the
-//! root re-hydrating an evicted client — and the snapshot it sends back is
+//! checked-out [`ClientState`] beside its outstanding ordinal; a
+//! [`WorkItem`] ships `{ordinal, client id, participations, plan,
+//! snapshot}` and the stateless child rebuilds the client as
+//! `factory.build(id)` + `apply_snapshot` — bit-identical to the root
+//! re-hydrating an evicted client — and the snapshot it sends back is
 //! applied onto the retained state. Because of that, a lost shard loses
 //! nothing, and there is **one failure rule**: whatever goes wrong with a
 //! shard — its [`Link`] reports `Down` (EOF, a frame or checksum error, a
@@ -31,13 +31,13 @@
 //! pool ever produces is one a child reported from its own `catch_unwind`
 //! ([`FromShard::Failed`]) or the local executor produced the same way.
 //!
-//! Transport is the [`Link`](crate::transport::Link) over Unix domain
-//! sockets: sequenced, checksummed frames ([`fedca_compress::wire`]) and a
-//! root-side Ping/Pong heartbeat — detection only, no repair. Frame
-//! metadata is JSON (all non-finite-capable floats cross as IEEE bit
-//! patterns, because the vendored serde maps non-finite floats to `null`)
-//! plus an optional binary payload holding the client's encoded wire update
-//! or the broadcast global parameters. Every coordinator wait is bounded:
+//! Transport is the [`Link`] over Unix domain sockets: sequenced,
+//! checksummed frames ([`Frame`], defined beside the link in
+//! [`crate::transport`]) and a root-side Ping/Pong heartbeat — detection
+//! only, no repair. Frame metadata is JSON (all non-finite-capable floats
+//! cross as IEEE bit patterns, because the vendored serde maps non-finite
+//! floats to `null`) plus an optional binary payload holding the client's
+//! encoded wire update or the broadcast global parameters. Every coordinator wait is bounded:
 //! link threads pump events into an mpsc channel, and the coordinator only
 //! ever blocks in `recv_timeout`.
 
@@ -238,10 +238,6 @@ pub struct DoneMsg {
     pub dropped: bool,
     /// Crash fault fired.
     pub crashed: bool,
-    /// Worker reused the thread-local model.
-    pub model_reused: bool,
-    /// Allocation-avoidance counter from the worker.
-    pub allocs_avoided: usize,
     /// Host-side wall time in the worker (f64 bits).
     pub host_us_bits: u64,
     /// The client's trace buffer.
@@ -310,8 +306,6 @@ impl DoneMsg {
             train_loss_bits: r.train_loss.to_bits(),
             dropped: r.dropped,
             crashed: r.crashed,
-            model_reused: done.model_reused,
-            allocs_avoided: done.allocs_avoided,
             host_us_bits: done.host_us.to_bits(),
             trace: r
                 .trace
@@ -356,8 +350,6 @@ impl DoneMsg {
                         .collect(),
                 ),
             },
-            model_reused: self.model_reused,
-            allocs_avoided: self.allocs_avoided,
             host_us: f64::from_bits(self.host_us_bits),
         }
     }

@@ -74,25 +74,16 @@ fn checkpoint_into(dir: &Path) -> CheckpointConfig {
     CheckpointConfig::to_dir(dir.to_string_lossy().into_owned())
 }
 
-/// Field-by-field record equality, excluding host-side observability
-/// fields (`host_ms`, `allocs_avoided`, and the client-store hydration
-/// counters) which legitimately vary with the machine, worker count, and
-/// cache configuration.
+/// Round-by-round equality of the records' canonical halves.
 fn assert_records_identical(a: &[RoundRecord], b: &[RoundRecord], label: &str) {
     assert_eq!(a.len(), b.len(), "{label}: round counts");
     for (ra, rb) in a.iter().zip(b) {
-        let mut ra = ra.clone();
-        let mut rb = rb.clone();
-        for r in [&mut ra, &mut rb] {
-            r.host_ms = 0.0;
-            r.allocs_avoided = 0;
-            r.n_hydrated = 0;
-            r.n_evicted = 0;
-            r.hydrate_host_us = 0.0;
-            r.decode_host_us = 0.0;
-            r.aggregate_host_us = 0.0;
-        }
-        assert_eq!(ra, rb, "{label}: round {} diverged", ra.round);
+        assert_eq!(
+            ra.canonical(),
+            rb.canonical(),
+            "{label}: round {} diverged",
+            ra.round
+        );
     }
 }
 

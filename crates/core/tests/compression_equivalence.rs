@@ -53,31 +53,13 @@ fn run_study(fl: FlConfig, rounds: usize, n_workers: usize) -> Trainer {
     t
 }
 
-/// Zeroes the operational (host-side) fields that legitimately differ
-/// between runs on the same trajectory.
-fn scrubbed(records: &[RoundRecord]) -> Vec<RoundRecord> {
-    records
-        .iter()
-        .map(|r| {
-            let mut r = r.clone();
-            r.host_ms = 0.0;
-            r.allocs_avoided = 0;
-            r.n_hydrated = 0;
-            r.n_evicted = 0;
-            r.hydrate_host_us = 0.0;
-            r.decode_host_us = 0.0;
-            r.aggregate_host_us = 0.0;
-            r
-        })
-        .collect()
+/// The record's canonical half, round by round.
+fn canonical(t: &Trainer) -> Vec<RoundRecord> {
+    t.records().iter().map(RoundRecord::canonical).collect()
 }
 
 fn assert_same_trajectory(a: &Trainer, b: &Trainer, label: &str) {
-    assert_eq!(
-        scrubbed(a.records()),
-        scrubbed(b.records()),
-        "{label}: records"
-    );
+    assert_eq!(canonical(a), canonical(b), "{label}: records");
     assert_eq!(
         a.global_params(),
         b.global_params(),
@@ -154,7 +136,7 @@ fn checkpoint_resume_restores_quantization_residuals_bit_identically() {
     );
     reference.eval_every = 2;
     reference.run(ROUNDS);
-    let ref_records = scrubbed(reference.records());
+    let ref_records = canonical(&reference);
     let ref_params = reference.global_params().to_vec();
     let ref_residuals: Vec<Vec<f32>> = (0..8)
         .map(|id| reference.client(id).error_feedback.snapshot())
@@ -187,7 +169,7 @@ fn checkpoint_resume_restores_quantization_residuals_bit_identically() {
         resumed.run(ROUNDS - k);
 
         assert_eq!(
-            scrubbed(resumed.records()),
+            canonical(&resumed),
             ref_records,
             "kill after round {k}: records"
         );

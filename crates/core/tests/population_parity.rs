@@ -56,25 +56,6 @@ fn run_study(fl: FlConfig, rounds: usize, n_workers: usize) -> Trainer {
     t
 }
 
-/// Zeroes the operational (host-side) fields that legitimately differ
-/// between the eager and lazy paths.
-fn scrubbed(records: &[RoundRecord]) -> Vec<RoundRecord> {
-    records
-        .iter()
-        .map(|r| {
-            let mut r = r.clone();
-            r.host_ms = 0.0;
-            r.allocs_avoided = 0;
-            r.n_hydrated = 0;
-            r.n_evicted = 0;
-            r.hydrate_host_us = 0.0;
-            r.decode_host_us = 0.0;
-            r.aggregate_host_us = 0.0;
-            r
-        })
-        .collect()
-}
-
 /// The tentpole acceptance test: at `n = 128`, a residency cap tight enough
 /// to evict most of the population every round changes *nothing* about the
 /// trajectory — records, parameters, and the canonical trace are
@@ -86,9 +67,12 @@ fn lazy_study_is_bit_identical_to_eager_at_n_128() {
     let eager = run_study(study_fl(128, 0), ROUNDS, 2);
     let lazy = run_study(study_fl(128, 3), ROUNDS, 3);
 
+    let canonical = |t: &Trainer| -> Vec<RoundRecord> {
+        t.records().iter().map(RoundRecord::canonical).collect()
+    };
     assert_eq!(
-        scrubbed(eager.records()),
-        scrubbed(lazy.records()),
+        canonical(&eager),
+        canonical(&lazy),
         "round records diverged"
     );
     assert_eq!(

@@ -66,7 +66,6 @@ proptest! {
             wire_bytes_dense: base.2 * 4096.0,
             is_anchor: base.7 % 2 == 0,
             host_ms: base.2 * 0.5,
-            allocs_avoided: base.7,
             n_hydrated: base.4.min(n),
             n_evicted: base.5,
             hydrate_host_us: base.2 * 2.0,
@@ -173,13 +172,9 @@ proptest! {
     }
 }
 
-/// `#[serde(default)]`-drift guard: a `RoundRecord` document written before
-/// the defaulted fields existed (no `n_dropped`/`n_crashed`/
-/// `n_deadline_missed`/`host_ms`/`allocs_avoided` keys) still deserializes,
-/// with those fields at their defaults.
-#[test]
-fn round_record_tolerates_pre_fault_documents() {
-    let record = RoundRecord {
+/// A round record for the drift guards below.
+fn sample_record() -> RoundRecord {
+    RoundRecord {
         round: 3,
         start: 1.0,
         end: 2.5,
@@ -200,7 +195,6 @@ fn round_record_tolerates_pre_fault_documents() {
         wire_bytes_dense: 4096.0,
         is_anchor: false,
         host_ms: 12.0,
-        allocs_avoided: 9,
         n_hydrated: 4,
         n_evicted: 2,
         hydrate_host_us: 37.5,
@@ -210,14 +204,22 @@ fn round_record_tolerates_pre_fault_documents() {
         n_heartbeat_missed: 1,
         n_quarantined: 1,
         n_reassigned: 2,
-    };
-    const DEFAULTED: [&str; 17] = [
+    }
+}
+
+/// `#[serde(default)]`-drift guard: a `RoundRecord` document written before
+/// the defaulted fields existed (no `n_dropped`/`n_crashed`/
+/// `n_deadline_missed`/`host_ms`/… keys) still deserializes, with those
+/// fields at their defaults.
+#[test]
+fn round_record_tolerates_pre_fault_documents() {
+    let record = sample_record();
+    const DEFAULTED: [&str; 16] = [
         "n_dropped",
         "n_crashed",
         "n_deadline_missed",
         "n_rejected",
         "host_ms",
-        "allocs_avoided",
         "n_hydrated",
         "n_evicted",
         "hydrate_host_us",
@@ -244,7 +246,6 @@ fn round_record_tolerates_pre_fault_documents() {
     assert_eq!(back.n_deadline_missed, 0);
     assert_eq!(back.n_rejected, 0);
     assert_eq!(back.host_ms, 0.0);
-    assert_eq!(back.allocs_avoided, 0);
     assert_eq!(back.n_hydrated, 0);
     assert_eq!(back.n_evicted, 0);
     assert_eq!(back.hydrate_host_us, 0.0);
@@ -259,6 +260,24 @@ fn round_record_tolerates_pre_fault_documents() {
     assert_eq!(back.compression_ratio(), 1.0);
     assert_eq!(back.iters_done, record.iters_done);
     assert_eq!(back.accuracy, record.accuracy);
+}
+
+/// A record written while `RoundRecord` still counted `allocs_avoided` (a
+/// field since retired) still loads: the retired key is ignored and every
+/// surviving field keeps its value.
+#[test]
+fn round_record_written_with_a_retired_key_still_loads() {
+    let record = sample_record();
+    let serde::Value::Object(mut pairs) = serde_json::to_value(&record).expect("to_value") else {
+        panic!("RoundRecord must serialize to an object");
+    };
+    pairs.push((
+        "allocs_avoided".to_string(),
+        serde::Value::Number(serde::Number::PosInt(9)),
+    ));
+    let json = serde_json::to_string(&serde::Value::Object(pairs)).expect("serialize");
+    let back: RoundRecord = serde_json::from_str(&json).expect("a retired key must be ignored");
+    assert_eq!(back, record);
 }
 
 proptest! {
@@ -543,8 +562,6 @@ fn done_msg_preserves_non_finite_floats_bit_exactly() {
         train_loss_bits: f32::NAN.to_bits(),
         dropped: true,
         crashed: false,
-        model_reused: true,
-        allocs_avoided: 3,
         host_us_bits: 1234.5f64.to_bits(),
         trace: vec![WireEvent {
             time_bits: f64::INFINITY.to_bits(),
@@ -665,4 +682,6 @@ fn fl_config_written_before_the_link_rewrite_still_loads() {
     );
     assert_eq!((fl.n_clients, fl.seed), (12, 47));
     assert_eq!(fl.faults, FaultConfig::chaos(47));
+    // The fixture's trace section also names the retired ring size.
+    assert_eq!(fl.trace, fedca_core::TraceConfig::disabled());
 }

@@ -52,34 +52,16 @@ fn run_study(fl: FlConfig, scheme: Scheme, n_workers: usize) -> Trainer {
     t
 }
 
-/// Zeroes the operational (host-side) fields that legitimately differ
-/// between processes and machines.
-fn scrubbed(records: &[RoundRecord]) -> Vec<RoundRecord> {
-    records
-        .iter()
-        .map(|r| {
-            let mut r = r.clone();
-            r.host_ms = 0.0;
-            r.allocs_avoided = 0;
-            r.n_hydrated = 0;
-            r.n_evicted = 0;
-            r.hydrate_host_us = 0.0;
-            r.decode_host_us = 0.0;
-            r.aggregate_host_us = 0.0;
-            r.n_retries = 0;
-            r.n_heartbeat_missed = 0;
-            r.n_quarantined = 0;
-            r.n_reassigned = 0;
-            r
-        })
-        .collect()
+/// The record's canonical half, round by round.
+fn canonical(t: &Trainer) -> Vec<RoundRecord> {
+    t.records().iter().map(RoundRecord::canonical).collect()
 }
 
 /// The triple assertion: records, parameters, trace.
 fn assert_same(reference: &Trainer, sharded: &Trainer, label: &str) {
     assert_eq!(
-        scrubbed(reference.records()),
-        scrubbed(sharded.records()),
+        canonical(reference),
+        canonical(sharded),
         "round records diverged [{label}]"
     );
     assert_eq!(
@@ -167,7 +149,7 @@ fn reference_fingerprint() -> &'static (Vec<RoundRecord>, Vec<f32>, String) {
     REF.get_or_init(|| {
         let t = run_study(base_fl(), Scheme::fedca_default(), 2);
         (
-            scrubbed(t.records()),
+            canonical(&t),
             t.global_params().to_vec(),
             t.tracer().canonical_jsonl(),
         )
@@ -190,7 +172,7 @@ fn random_shard_assignments_are_trajectory_neutral() {
         let t = run_study(fl, Scheme::fedca_default(), 2);
         let (ref_records, ref_params, ref_trace) = reference_fingerprint();
         let label = format!("case {case}: seed {mix_seed:#x}, {shards} shards");
-        assert_eq!(&scrubbed(t.records()), ref_records, "records [{label}]");
+        assert_eq!(&canonical(&t), ref_records, "records [{label}]");
         assert_eq!(t.global_params(), &ref_params[..], "params [{label}]");
         assert_eq!(&t.tracer().canonical_jsonl(), ref_trace, "trace [{label}]");
     }

@@ -102,33 +102,11 @@ fn trainer(fl: FlConfig, n_workers: usize) -> Trainer {
     t
 }
 
-/// Zeroes the operational (host-side and failover) fields that
-/// legitimately differ between runs; everything else must be bit-identical.
-fn scrubbed(records: &[RoundRecord]) -> Vec<RoundRecord> {
-    records
-        .iter()
-        .map(|r| {
-            let mut r = r.clone();
-            r.host_ms = 0.0;
-            r.allocs_avoided = 0;
-            r.n_hydrated = 0;
-            r.n_evicted = 0;
-            r.hydrate_host_us = 0.0;
-            r.decode_host_us = 0.0;
-            r.aggregate_host_us = 0.0;
-            r.n_heartbeat_missed = 0;
-            r.n_quarantined = 0;
-            r.n_reassigned = 0;
-            r
-        })
-        .collect()
-}
-
 type Fingerprint = (Vec<RoundRecord>, Vec<f32>, String);
 
 fn fingerprint(t: &Trainer) -> Fingerprint {
     (
-        scrubbed(t.records()),
+        t.records().iter().map(RoundRecord::canonical).collect(),
         t.global_params().to_vec(),
         t.tracer().canonical_jsonl(),
     )

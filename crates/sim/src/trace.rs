@@ -33,10 +33,9 @@ pub fn fedscale_like(n: usize, rng: &mut impl Rng) -> Vec<f64> {
 }
 
 /// Counter-derived speed factor for one client: a pure function of
-/// `(seed, id)` on the [`DOMAIN_SPEED`](crate::stream::DOMAIN_SPEED)
-/// stream, so a population of any size costs O(1) per *hydrated* client
-/// instead of O(n) up front, and querying clients in any order yields
-/// byte-identical factors.
+/// `(seed, id)` on the [`DOMAIN_SPEED`] stream, so a population of any
+/// size costs O(1) per *hydrated* client instead of O(n) up front, and
+/// querying clients in any order yields byte-identical factors.
 ///
 /// The reference sequence is pinned by a unit test: the first factors for
 /// seed 42 are documented there bit-for-bit, so any change to the mixing

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
-# The repo's one gate: formatting, lints, the full test suite, the suites
-# that must also hold in release mode and on the portable kernel tier, the
-# benchmark's correctness checks and fingerprints, the committed study
-# results, the chaos sweep and kill -9 recovery. Nothing here compares a
+# The repo's one gate: formatting, lints, doc links, the full test suite,
+# the suites that must also hold in release mode and on the portable kernel
+# tier, the benchmark's correctness checks and fingerprints, the committed
+# study results, the chaos sweep and kill -9 recovery. Nothing here compares a
 # measured time, rate or RSS with a recorded number: a performance verdict
 # is two benchmark suite runs — parent and change — on one host (README,
 # "Gates").
@@ -19,6 +19,10 @@ if cargo clippy --version >/dev/null 2>&1; then
 else
   echo "== cargo clippy not installed; skipping lints" >&2
 fi
+
+# Doc links name items; a deleted or renamed item must not leave one dangling.
+echo "== cargo doc -D warnings"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 
 echo "== cargo test"
 cargo test --workspace -q
