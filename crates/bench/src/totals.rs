@@ -56,9 +56,7 @@ impl<'a> Totals<'a> {
                 aggregate_us / (rounds as f64).max(1.0),
             ),
             format!(
-                "  shards: {} heartbeats missed, {} quarantined, \
-                 {} ordinals re-run in the root",
-                self.sum(|r| r.n_heartbeat_missed),
+                "  shards: {} quarantined, {} ordinals re-run in the root",
                 self.sum(|r| r.n_quarantined),
                 self.sum(|r| r.n_reassigned),
             ),

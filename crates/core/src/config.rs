@@ -75,91 +75,32 @@ pub struct FlConfig {
     pub shard: ShardConfig,
 }
 
-/// How client ids map onto shard processes. Any assignment is
-/// trajectory-neutral; this only shapes load balance across shards.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
-pub enum ShardAssignment {
-    /// `client_id % n_shards` — the default, perfectly balanced for the
-    /// uniform selection the paper uses.
-    #[default]
-    Modulo,
-    /// `mix(seed, DOMAIN_TOPOLOGY, client_id) % n_shards` — a seeded hash,
-    /// used by the parity proptest to prove invariance over arbitrary
-    /// placements.
-    Mixed {
-        /// Hash seed; independent of the experiment seed.
-        seed: u64,
-    },
-}
-
-impl ShardAssignment {
-    /// The shard that owns `client_id` in an `n_shards`-process topology.
-    pub fn shard_of(&self, client_id: usize, n_shards: usize) -> usize {
-        let n = n_shards.max(1);
-        match self {
-            ShardAssignment::Modulo => client_id % n,
-            ShardAssignment::Mixed { seed } => {
-                let h = fedca_sim::stream::mix(
-                    *seed,
-                    fedca_sim::stream::DOMAIN_TOPOLOGY,
-                    client_id as u64,
-                );
-                (h % n as u64) as usize
-            }
-        }
-    }
-}
-
-/// Sharded-execution topology and link watchdogs.
+/// Sharded-execution topology and its one watchdog.
 ///
 /// `n_shards == 0` (the default) keeps the single-process in-memory worker
-/// pool; any positive value spawns that many shard processes. The remaining
-/// knobs bound how long the coordinator waits before it gives up on a child
-/// (every one of them ends the same way: the child is killed and its
-/// outstanding work runs in the root) and are 0 = "use the built-in default"
-/// so a config that only sets `n_shards` gets sane limits. A config written
-/// when this struct still carried the retired resend protocol's keys loads
-/// with those keys ignored (`tests/fixtures/fl_config_pr14.json`).
+/// pool; any positive value spawns that many shard processes, and client
+/// `id` runs on shard `id % n_shards`. A config written when this struct
+/// still carried the retired resend protocol's, heartbeat's, placement's and
+/// separate timeouts' keys loads with those keys ignored
+/// (`tests/fixtures/fl_config_pr14.json`).
 #[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct ShardConfig {
     /// Shard processes to spawn; 0 = in-process execution.
     #[serde(default)]
     pub n_shards: usize,
-    /// Client → shard placement rule.
-    #[serde(default)]
-    pub assignment: ShardAssignment,
-    /// Coordinator-side bound on every socket wait, in seconds; a shard
-    /// that makes no progress within it is killed and its outstanding work
-    /// runs in the root. 0 → 30 s.
+    /// The one bound on how long the coordinator waits on a shard child, in
+    /// seconds: for a spawned child to connect, for its `Init`/`Hello`
+    /// handshake, for each socket write to it, and for progress while it
+    /// owes work. A child that overruns it is killed and its outstanding
+    /// work runs in the root. 0 → 30 s.
     #[serde(default)]
     pub io_timeout_secs: f64,
-    /// Bound on shard process spawn + connect, in seconds. 0 → 10 s.
-    #[serde(default)]
-    pub spawn_timeout_secs: f64,
-    /// Largest protocol frame the coordinator accepts from a shard, in
-    /// MiB; oversize length prefixes fail typed before allocation.
-    /// 0 → 1024 MiB, which is also what a shard child accepts from its
-    /// coordinator whatever this says.
-    #[serde(default)]
-    pub max_frame_mib: usize,
     /// Extra argv for spawned shard children. Test harnesses re-enter their
     /// own binary through libtest and need `[test_name, "--exact",
     /// "--nocapture"]`; standalone binaries leave this empty and gate on
     /// `shard::maybe_run_child()` instead.
     #[serde(default)]
     pub child_args: Vec<String>,
-    /// Coordinator → shard heartbeat period, in milliseconds. 0 → 500 ms.
-    #[serde(default)]
-    pub heartbeat_period_ms: f64,
-    /// Consecutive silent heartbeat periods before a shard's link is
-    /// declared down. 0 → 4.
-    #[serde(default)]
-    pub heartbeat_missed_limit: u32,
-    /// Bound on the post-spawn `Hello` handshake wait, in seconds; a shard
-    /// that never says hello fails typed instead of riding the generic
-    /// coordinator deadline. 0 → 10 s.
-    #[serde(default)]
-    pub handshake_timeout_secs: f64,
 }
 
 impl ShardConfig {
@@ -169,55 +110,6 @@ impl ShardConfig {
             self.io_timeout_secs
         } else {
             30.0
-        };
-        std::time::Duration::from_secs_f64(secs)
-    }
-
-    /// Effective spawn/connect timeout.
-    pub fn spawn_timeout(&self) -> std::time::Duration {
-        let secs = if self.spawn_timeout_secs > 0.0 {
-            self.spawn_timeout_secs
-        } else {
-            10.0
-        };
-        std::time::Duration::from_secs_f64(secs)
-    }
-
-    /// Effective frame-size cap in bytes.
-    pub fn max_frame_len(&self) -> usize {
-        let mib = if self.max_frame_mib > 0 {
-            self.max_frame_mib
-        } else {
-            1024
-        };
-        mib << 20
-    }
-
-    /// Effective heartbeat period.
-    pub fn heartbeat_period(&self) -> std::time::Duration {
-        let ms = if self.heartbeat_period_ms > 0.0 {
-            self.heartbeat_period_ms
-        } else {
-            500.0
-        };
-        std::time::Duration::from_secs_f64(ms / 1000.0)
-    }
-
-    /// Effective missed-heartbeat limit.
-    pub fn heartbeat_missed(&self) -> u32 {
-        if self.heartbeat_missed_limit > 0 {
-            self.heartbeat_missed_limit
-        } else {
-            4
-        }
-    }
-
-    /// Effective handshake deadline.
-    pub fn handshake_timeout(&self) -> std::time::Duration {
-        let secs = if self.handshake_timeout_secs > 0.0 {
-            self.handshake_timeout_secs
-        } else {
-            10.0
         };
         std::time::Duration::from_secs_f64(secs)
     }
@@ -344,52 +236,13 @@ mod tests {
     }
 
     #[test]
-    fn shard_section_defaults_in_process_with_sane_limits() {
+    fn shard_section_defaults_in_process_with_a_sane_bound() {
         let c = FlConfig::default();
         assert_eq!(c.shard.n_shards, 0);
-        assert_eq!(c.shard.assignment, ShardAssignment::Modulo);
         assert_eq!(c.shard.io_timeout(), std::time::Duration::from_secs(30));
-        assert_eq!(c.shard.spawn_timeout(), std::time::Duration::from_secs(10));
-        assert_eq!(c.shard.max_frame_len(), 1024 << 20);
-        assert_eq!(
-            c.shard.heartbeat_period(),
-            std::time::Duration::from_millis(500)
-        );
-        assert_eq!(c.shard.heartbeat_missed(), 4);
-        assert_eq!(
-            c.shard.handshake_timeout(),
-            std::time::Duration::from_secs(10)
-        );
         // Older configs without a "shard" key parse to the same default.
         let back: FlConfig = serde_json::from_str("{\"n_clients\":4,\"clients_per_round\":2,\"local_iters\":1,\"batch_size\":1,\"lr\":0.1,\"weight_decay\":0.0,\"aggregation_fraction\":0.9,\"dirichlet_alpha\":0.1,\"seed\":1,\"heterogeneity\":false,\"dynamicity\":false}").unwrap();
         assert_eq!(back.shard, ShardConfig::default());
-    }
-
-    #[test]
-    fn shard_assignments_cover_every_shard_and_round_trip() {
-        for n in [1usize, 2, 4] {
-            let mut hit = vec![false; n];
-            for id in 0..64 {
-                hit[ShardAssignment::Modulo.shard_of(id, n)] = true;
-            }
-            assert!(hit.iter().all(|&h| h), "modulo misses a shard at n={n}");
-            let mixed = ShardAssignment::Mixed { seed: 7 };
-            let mut hit = vec![false; n];
-            for id in 0..256 {
-                let s = mixed.shard_of(id, n);
-                assert_eq!(s, mixed.shard_of(id, n), "placement must be stable");
-                hit[s] = true;
-            }
-            assert!(hit.iter().all(|&h| h), "mixed misses a shard at n={n}");
-        }
-        let c = ShardConfig {
-            n_shards: 4,
-            assignment: ShardAssignment::Mixed { seed: 9 },
-            ..ShardConfig::default()
-        };
-        let json = serde_json::to_string(&c).unwrap();
-        let back: ShardConfig = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, c);
     }
 
     #[test]

@@ -55,8 +55,7 @@ pub mod workload;
 pub use algorithms::{FedCaOptions, Scheme};
 pub use checkpoint::{CheckpointConfig, CheckpointEnvelope, CheckpointError, CheckpointStore};
 pub use config::PopulationConfig;
-pub use config::{FedCaConfig, FlConfig};
-pub use config::{ShardAssignment, ShardConfig};
+pub use config::{FedCaConfig, FlConfig, ShardConfig};
 pub use metrics::TrainerOutput;
 pub use params::UpdateVec;
 pub use population::{ClientFactory, ClientStore, TrainerError};

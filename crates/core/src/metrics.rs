@@ -106,7 +106,10 @@ pub struct RoundRecord {
     /// benchmark contract freezes, sums it into `transport.retries`.
     #[serde(default)]
     pub n_retries: usize,
-    /// Heartbeat periods that elapsed with no valid frame from a shard.
+    /// Always 0: there is no heartbeat any more (a silent shard is caught
+    /// by the io bound and counted in `n_quarantined`). Kept, like
+    /// `n_retries`, only because the frozen benchmark sums it into
+    /// `transport.heartbeats_missed`.
     #[serde(default)]
     pub n_heartbeat_missed: usize,
     /// Shards quarantined this round: a link fault, failed (re)spawn or

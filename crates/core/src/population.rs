@@ -27,11 +27,13 @@
 //! stores exactly the dirty set, so checkpoints of a million-client
 //! federation scale with the clients actually touched.
 
+use crate::algorithms::Scheme;
 use crate::checkpoint::ClientSnapshot;
 use crate::client::ClientState;
 use crate::config::FlConfig;
 use crate::params::ModelLayout;
 use crate::profiler::SampledProfiler;
+use crate::workload::Workload;
 use fedca_data::{BatchSampler, PartitionSpec};
 use fedca_sim::device::{DeviceSpeed, DynamicsConfig};
 use fedca_sim::network::Link;
@@ -131,6 +133,35 @@ pub struct ClientFactory {
 }
 
 impl ClientFactory {
+    /// The federation's derivation context: device dynamics from
+    /// `fl.dynamicity`, profiler samples from the scheme, and the data
+    /// partition over `workload`'s training labels. The trainer, every
+    /// shard child and any caller that must derive clients exactly as the
+    /// trainer does build it here.
+    pub fn new(
+        fl: &FlConfig,
+        scheme: &Scheme,
+        workload: &Workload,
+        layout: Arc<ModelLayout>,
+    ) -> Self {
+        ClientFactory {
+            fl: fl.clone(),
+            dynamics: if fl.dynamicity {
+                DynamicsConfig::paper()
+            } else {
+                DynamicsConfig::static_device()
+            },
+            layout,
+            max_samples: scheme.max_samples_per_layer(),
+            partition: PartitionSpec::new(
+                workload.train.labels(),
+                fl.n_clients,
+                fl.dirichlet_alpha,
+                fl.seed,
+            ),
+        }
+    }
+
     /// Derives client `id`'s initial state: a pure function of
     /// `(fl.seed, id)` — no shared RNG, no population-sized table.
     pub fn build(&self, id: usize) -> ClientState {
@@ -466,7 +497,6 @@ impl ClientStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::workload::Workload;
     use rand::SeedableRng;
 
     fn factory(n_clients: usize, cache: usize) -> ClientFactory {

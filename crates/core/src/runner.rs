@@ -23,10 +23,8 @@ use crate::server::Server;
 use crate::shard::ShardPool;
 use crate::trace::{PendingEvent, TraceEvent, Tracer, SERVER_ORD};
 use crate::workload::Workload;
-use fedca_data::PartitionSpec;
 use fedca_nn::loss::accuracy;
 use fedca_nn::Model;
-use fedca_sim::device::DynamicsConfig;
 use fedca_sim::faults::FaultPlan;
 use fedca_sim::network::Link;
 use fedca_sim::SimTime;
@@ -153,14 +151,20 @@ fn run_identity(fl: &FlConfig, scheme: &Scheme, workload: &str) -> String {
     format!("{config}|{scheme}|{workload}")
 }
 
+/// The default worker-pool size: one worker per selected client, at most
+/// one per core.
+fn default_workers(fl: &FlConfig) -> usize {
+    fl.clients_per_round.clamp(
+        1,
+        std::thread::available_parallelism().map_or(8, |n| n.get()),
+    )
+}
+
 impl Trainer {
     /// Builds the federation: partitions the data non-IID, assigns device
     /// speeds/dynamics, and initializes the global model.
     pub fn new(fl: FlConfig, scheme: Scheme, workload: Workload) -> Self {
-        let n_workers = fl.clients_per_round.clamp(
-            1,
-            std::thread::available_parallelism().map_or(8, |n| n.get()),
-        );
+        let n_workers = default_workers(&fl);
         Self::new_with_workers(fl, scheme, workload, n_workers)
     }
 
@@ -176,28 +180,10 @@ impl Trainer {
         let layout = Arc::new(ModelLayout::from_spans(model.spans()));
         let initial = model.flat_params();
 
-        let dynamics = if fl.dynamicity {
-            DynamicsConfig::paper()
-        } else {
-            DynamicsConfig::static_device()
-        };
-        let max_samples = scheme.max_samples_per_layer();
         // Derive-at-id population: no per-client table is built here. Any
         // client's shard, speed class, and RNG streams are pure functions of
         // `(fl.seed, id)`, hydrated on first selection.
-        let partition = PartitionSpec::new(
-            workload.train.labels(),
-            fl.n_clients,
-            fl.dirichlet_alpha,
-            fl.seed,
-        );
-        let store = ClientStore::new(ClientFactory {
-            fl: fl.clone(),
-            dynamics,
-            layout: layout.clone(),
-            max_samples,
-            partition,
-        });
+        let store = ClientStore::new(ClientFactory::new(&fl, &scheme, &workload, layout.clone()));
 
         // Optimistic default duration: nominal compute + both transfers.
         let link = Link::paper_client();
@@ -510,7 +496,6 @@ impl Trainer {
             .backend
             .run_cohort(work, self.fl.shard.io_timeout(), collect);
         let n_notes = |kind: &str| shard_notes.iter().filter(|ev| ev.kind() == kind).count();
-        let n_heartbeat_missed = n_notes("heartbeat_missed");
         let n_quarantined = n_notes("shard_quarantined");
         let n_reassigned = n_notes("ordinal_reassigned");
         let close_t0 = Instant::now();
@@ -632,7 +617,7 @@ impl Trainer {
             decode_host_us: agg.decode_host_us,
             aggregate_host_us,
             n_retries: 0,
-            n_heartbeat_missed,
+            n_heartbeat_missed: 0,
             n_quarantined,
             n_reassigned,
         });
@@ -818,10 +803,7 @@ impl Trainer {
         scheme: Scheme,
         workload: Workload,
     ) -> Result<Self, CheckpointError> {
-        let n_workers = fl.clients_per_round.clamp(
-            1,
-            std::thread::available_parallelism().map_or(8, |n| n.get()),
-        );
+        let n_workers = default_workers(&fl);
         Self::resume_with_workers(fl, scheme, workload, n_workers)
     }
 
@@ -909,9 +891,8 @@ mod tests {
         busy.trace = crate::trace::TraceConfig::enabled();
         busy.population.cache_clients = 5;
         busy.shard.n_shards = 4;
-        busy.shard.assignment = crate::config::ShardAssignment::Mixed { seed: 9 };
+        busy.shard.io_timeout_secs = 1.5;
         busy.shard.child_args = vec!["shard_child_entry".into()];
-        busy.shard.heartbeat_period_ms = 40.0;
         assert_eq!(identity(&busy), want);
         // Anything the trajectory does depend on still does.
         let mut other = base.clone();

@@ -1,12 +1,12 @@
 //! Sharded multi-process execution with hierarchical aggregation.
 //!
-//! The population is split across N shard processes by
-//! [`ShardAssignment`](crate::config::ShardAssignment). Each shard runs its
-//! own [`RoundExecutor`] worker pool and forwards every finished client to
-//! the root coordinator, which performs the one and only cut by folding
-//! reports in **ordinal order** — exactly what the single-process path does
-//! — so the merged `(SimTime, ordinal)`-sorted stream (golden trace, round
-//! records, final parameters) is byte-identical for any topology.
+//! The population is split across N shard processes, client `id` on shard
+//! `id % N`. Each shard runs its own [`RoundExecutor`] worker pool and
+//! forwards every finished client to the root coordinator, which performs
+//! the one and only cut by folding reports in **ordinal order** — exactly
+//! what the single-process path does — so the merged `(SimTime,
+//! ordinal)`-sorted stream (golden trace, round records, final parameters)
+//! is byte-identical for any topology.
 //!
 //! [`ShardPool`] speaks the executor's vocabulary: [`ClientWork`] in,
 //! [`ClientDone`] out. The root owns all durable state: the lazy
@@ -20,26 +20,33 @@
 //! applied onto the retained state. Because of that, a lost shard loses
 //! nothing, and there is **one failure rule**: whatever goes wrong with a
 //! shard — its [`Link`] reports `Down` (EOF, a frame or checksum error, a
-//! sequence gap, missed heartbeats), a (re)spawn or handshake fails, a
-//! dispatch cannot be written, a protocol message makes no sense, or
-//! nothing arrives within the io timeout — the child is killed and the
-//! shard's unresolved [`ClientWork`], live state and round context
-//! included, is handed as-is to a root-local [`RoundExecutor`]. That is
-//! exactly how `Backend::Local` would have run it, so a dead shard costs
-//! time and never the trajectory. The process is lazily respawned for the
-//! next round that routes work to it. The only [`ClientDone::Failed`] a
-//! pool ever produces is one a child reported from its own `catch_unwind`
-//! ([`FromShard::Failed`]) or the local executor produced the same way.
+//! sequence gap), a (re)spawn or handshake fails, a dispatch cannot be
+//! written, a protocol message makes no sense, or nothing arrives within the
+//! io timeout — the child is killed and the shard's unresolved
+//! [`ClientWork`], live state and round context included, is handed as-is
+//! to a root-local [`RoundExecutor`]. That is exactly how `Backend::Local`
+//! would have run it, so a dead shard costs time and never the trajectory.
+//! The process is lazily respawned for the next round that routes work to
+//! it. The only [`ClientDone::Failed`] a pool ever produces is one a child
+//! reported from its own `catch_unwind` ([`FromShard::Failed`]) or the
+//! local executor produced the same way. (The same work re-running in the
+//! root is also why a shard isolates the host killing or wedging a child,
+//! not a client that aborts its process: that client would abort the root
+//! next.)
 //!
 //! Transport is the [`Link`] over Unix domain sockets: sequenced,
 //! checksummed frames ([`Frame`], defined beside the link in
-//! [`crate::transport`]) and a root-side Ping/Pong heartbeat — detection
-//! only, no repair. Frame metadata is JSON (all non-finite-capable floats
-//! cross as IEEE bit patterns, because the vendored serde maps non-finite
-//! floats to `null`) plus an optional binary payload holding the client's
-//! encoded wire update or the broadcast global parameters. Every coordinator wait is bounded:
-//! link threads pump events into an mpsc channel, and the coordinator only
-//! ever blocks in `recv_timeout`.
+//! [`crate::transport`]) — detection only, no repair. Frame metadata is
+//! JSON (all non-finite-capable floats cross as IEEE bit patterns, because
+//! the vendored serde maps non-finite floats to `null`) plus an optional
+//! binary payload holding the client's encoded wire update or the broadcast
+//! global parameters. Every coordinator wait is bounded by the one
+//! [`io_timeout`](crate::config::ShardConfig::io_timeout): the accept of a
+//! spawned child, the `Init`/`Hello` handshake (read straight off the
+//! socket, before either end wraps it in a link), every write (the root's
+//! link carries a write timeout), and progress — link threads pump events
+//! into an mpsc channel, and the coordinator only ever blocks in
+//! `recv_timeout`.
 
 use crate::algorithms::Scheme;
 use crate::checkpoint::ClientSnapshot;
@@ -52,13 +59,14 @@ use crate::executor::{
 use crate::params::ModelLayout;
 use crate::population::{apply_snapshot, snapshot_client, ClientFactory};
 use crate::trace::{ClientTraceBuf, PendingEvent, TraceEvent};
-use crate::transport::{Frame, Link, LinkEvent};
+use crate::transport::{
+    encode_message, read_frame, Frame, FrameError, Link, LinkEvent, MAX_FRAME_LEN,
+};
 use crate::workload::{Workload, WorkloadSpec};
 use bytes::{BufMut, Bytes, BytesMut};
-use fedca_data::PartitionSpec;
-use fedca_sim::device::DynamicsConfig;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::io::Write;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
@@ -81,10 +89,11 @@ pub enum ShardError {
     Timeout,
     /// The pool has been shut down.
     Disconnected,
-    /// A shard process could not be spawned or did not connect.
+    /// A shard process could not be spawned or did not connect within the
+    /// io timeout.
     Spawn(String),
     /// A shard connected but the `Init`/`Hello` handshake did not complete
-    /// within [`handshake_timeout`](crate::config::ShardConfig::handshake_timeout).
+    /// within the io timeout.
     Handshake(String),
     /// Socket-level I/O failure.
     Io(std::io::Error),
@@ -146,8 +155,6 @@ pub enum ToShard {
     Init {
         /// This child's shard id.
         shard_id: usize,
-        /// Total number of shards.
-        n_shards: usize,
         /// Worker threads per shard.
         n_workers: usize,
         /// Federation hyperparameters.
@@ -284,6 +291,18 @@ fn parse_meta<T: serde::Deserialize>(frame: &Frame) -> Result<T, ShardError> {
         .map_err(|e| ShardError::Protocol(format!("bad frame metadata: {e}")))
 }
 
+/// Reads one handshake message straight off the socket, before either end
+/// has wrapped it in a [`Link`]. `read_frame` reads exactly one frame's
+/// bytes, so nothing that follows is lost to a buffer.
+fn read_handshake<T: serde::Deserialize>(stream: &mut UnixStream) -> Result<T, ShardError> {
+    match read_frame(stream, MAX_FRAME_LEN) {
+        Ok(Some(frame)) => parse_meta(&frame),
+        Ok(None) => Err(ShardError::Protocol("peer closed the socket".into())),
+        Err(FrameError::Io(e)) => Err(ShardError::Io(e)),
+        Err(e) => Err(ShardError::Protocol(e.to_string())),
+    }
+}
+
 impl DoneMsg {
     /// Encodes one completed client for the socket: the message plus the
     /// frame payload (the report's wire update).
@@ -379,30 +398,11 @@ fn build_world(
     let model = (workload.model_factory)();
     let layout = Arc::new(ModelLayout::from_spans(model.spans()));
     drop(model);
-    let opts = scheme.client_options();
-    let dynamics = if fl.dynamicity {
-        DynamicsConfig::paper()
-    } else {
-        DynamicsConfig::static_device()
-    };
-    let partition = PartitionSpec::new(
-        workload.train.labels(),
-        fl.n_clients,
-        fl.dirichlet_alpha,
-        fl.seed,
-    );
-    let factory = ClientFactory {
-        fl: fl.clone(),
-        dynamics,
-        layout: layout.clone(),
-        max_samples: scheme.max_samples_per_layer(),
-        partition,
-    };
     Ok(ShardWorld {
-        factory,
+        factory: ClientFactory::new(fl, scheme, &workload, layout.clone()),
         workload,
         layout,
-        opts,
+        opts: scheme.client_options(),
     })
 }
 
@@ -442,30 +442,16 @@ fn recv_link(rx: &Receiver<LinkEvent>) -> Result<Option<(ToShard, Bytes)>, Shard
 }
 
 fn run_child(path: &str) -> Result<(), ShardError> {
-    let stream = UnixStream::connect(path)?;
-    let shard_hint: usize = std::env::var(ENV_SHARD_ID)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0);
-    let (tx, rx) = channel::<LinkEvent>();
-    // The child never initiates heartbeats, and caps inbound frames at the
-    // built-in default: `max_frame_mib` arrives inside `Init`, which is
-    // itself a frame, and is the coordinator's guard against its children.
-    let max_frame_len = crate::config::ShardConfig::default().max_frame_len();
-    let link = Link::new(stream, shard_hint, max_frame_len, None, move |ev| {
-        let _ = tx.send(ev);
-    })?;
-
-    let (init, _) = recv_link(&rx)?
-        .ok_or_else(|| ShardError::Protocol("coordinator closed before Init".into()))?;
-    let (shard_id, n_workers, fl, scheme, spec) = match init {
+    // The handshake mirrors the coordinator's: one frame each way on the
+    // raw stream, then the link takes over with both directions at seq 0.
+    let mut stream = UnixStream::connect(path)?;
+    let (shard_id, n_workers, fl, scheme, spec) = match read_handshake::<ToShard>(&mut stream)? {
         ToShard::Init {
             shard_id,
             n_workers,
             fl,
             scheme,
             workload,
-            ..
         } => (shard_id, n_workers, fl, scheme, workload),
         other => {
             return Err(ShardError::Protocol(format!(
@@ -474,9 +460,13 @@ fn run_child(path: &str) -> Result<(), ShardError> {
         }
     };
     // Hello goes out *before* the world build so the coordinator's
-    // handshake timeout bounds transport latency only, never model or
+    // handshake bound covers transport latency only, never model or
     // dataset construction time.
-    link.send(&FromShard::Hello { shard_id }, None)?;
+    stream.write_all(encode_message(0, &FromShard::Hello { shard_id }, None)?.as_ref())?;
+    let (tx, rx) = channel::<LinkEvent>();
+    let link = Link::new(stream, shard_id, None, move |ev| {
+        let _ = tx.send(ev);
+    })?;
 
     let world = build_world(&fl, &scheme, &spec)?;
     let executor = RoundExecutor::new(n_workers);
@@ -618,7 +608,7 @@ struct KillPoint {
 static POOL_COUNTER: AtomicU64 = AtomicU64::new(0);
 
 /// The root-side coordinator: spawns shard processes, routes
-/// [`ClientWork`] by the configured assignment, and streams back
+/// [`ClientWork`] to shard `client id % n_shards`, and streams back
 /// [`ClientDone`] events like a [`RoundExecutor`] does. Every wait is
 /// bounded; there is no unbounded socket read anywhere on this side (link
 /// threads pump events into an mpsc channel, and the coordinator only
@@ -634,15 +624,12 @@ pub struct ShardPool {
     rx: Receiver<PoolEvent>,
     /// Locally re-executed results, served before touching the channel.
     pending: VecDeque<ClientDone>,
-    /// Pool events deferred during a handshake wait, replayed before the
-    /// channel is polled again.
-    held_events: VecDeque<PoolEvent>,
     kill_plan: Vec<KillPoint>,
     round: usize,
     /// Lazily built local executor a quarantined shard's work runs on.
     local_exec: Option<RoundExecutor>,
-    /// Failover trace notes (`HeartbeatMissed`, `ShardQuarantined`,
-    /// `OrdinalReassigned`), drained per round. All offstream.
+    /// Failover trace notes (`ShardQuarantined`, `OrdinalReassigned`),
+    /// drained per round. All offstream.
     notes: Vec<TraceEvent>,
     down: bool,
     spawn_counter: u64,
@@ -677,7 +664,6 @@ impl ShardPool {
             tx,
             rx,
             pending: VecDeque::new(),
-            held_events: VecDeque::new(),
             kill_plan: Vec::new(),
             round: 0,
             local_exec: None,
@@ -713,7 +699,7 @@ impl ShardPool {
 
         let exe =
             std::env::current_exe().map_err(|e| ShardError::Spawn(format!("current_exe: {e}")))?;
-        let mut child = Command::new(exe)
+        let child = Command::new(exe)
             .args(&self.fl.shard.child_args)
             .env(ENV_SOCKET, &sock)
             .env(ENV_SHARD_ID, s.to_string())
@@ -722,52 +708,82 @@ impl ShardPool {
             .stderr(Stdio::inherit())
             .spawn()
             .map_err(|e| ShardError::Spawn(format!("spawn: {e}")))?;
-
-        // Bounded accept: poll the nonblocking listener, watching for an
-        // early child exit so a crash surfaces as Spawn, not Timeout.
-        let deadline = Instant::now() + self.fl.shard.spawn_timeout();
-        let stream = loop {
-            match listener.accept() {
-                Ok((stream, _)) => break stream,
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    if let Ok(Some(status)) = child.try_wait() {
-                        let _ = std::fs::remove_file(&sock);
-                        return Err(ShardError::Spawn(format!(
-                            "shard {s} exited before connecting: {status}"
-                        )));
-                    }
-                    if Instant::now() >= deadline {
-                        let _ = child.kill();
-                        let _ = child.wait();
-                        let _ = std::fs::remove_file(&sock);
-                        return Err(ShardError::Spawn(format!(
-                            "shard {s} did not connect within the spawn timeout"
-                        )));
-                    }
-                    std::thread::sleep(Duration::from_millis(2));
-                }
-                Err(e) => {
-                    let _ = child.kill();
-                    let _ = child.wait();
-                    let _ = std::fs::remove_file(&sock);
-                    return Err(ShardError::Io(e));
-                }
-            }
-        };
-        let _ = std::fs::remove_file(&sock);
-        stream.set_nonblocking(false)?;
-
         self.conns[s].child = Some(child);
-        let greeted = self.greet(s, incarnation, stream);
-        if greeted.is_err() {
+
+        let up = self
+            .accept(s, &listener)
+            .and_then(|stream| self.greet(s, stream))
+            .and_then(|stream| self.attach(s, incarnation, stream));
+        let _ = std::fs::remove_file(&sock);
+        if up.is_err() {
             self.teardown_conn(s);
         }
-        greeted
+        up
     }
 
-    /// Wraps the accepted stream in a [`Link`] and completes the
-    /// `Init`/`Hello` handshake over it.
-    fn greet(&mut self, s: usize, incarnation: u64, stream: UnixStream) -> Result<(), ShardError> {
+    /// Bounded accept: polls the nonblocking listener for up to the io
+    /// timeout, watching for an early child exit so a crash surfaces at
+    /// once.
+    fn accept(&mut self, s: usize, listener: &UnixListener) -> Result<UnixStream, ShardError> {
+        let deadline = Instant::now() + self.fl.shard.io_timeout();
+        loop {
+            match listener.accept() {
+                Ok((stream, _)) => {
+                    stream.set_nonblocking(false)?;
+                    return Ok(stream);
+                }
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {}
+                Err(e) => return Err(ShardError::Io(e)),
+            }
+            let child = self.conns[s].child.as_mut().expect("spawned above");
+            if let Ok(Some(status)) = child.try_wait() {
+                return Err(ShardError::Spawn(format!(
+                    "shard {s} exited before connecting: {status}"
+                )));
+            }
+            if Instant::now() >= deadline {
+                return Err(ShardError::Spawn(format!(
+                    "shard {s} did not connect within the io timeout"
+                )));
+            }
+            std::thread::sleep(Duration::from_millis(2));
+        }
+    }
+
+    /// The `Init`/`Hello` handshake, on the raw stream: `Init` fits the
+    /// socket buffer of a child that never reads it, and the read of
+    /// `Hello` waits at most the io timeout. The read timeout is lifted
+    /// again before the stream is handed back — a link's reader inherits
+    /// it, and a child idle between rounds is not a dead one.
+    fn greet(&self, s: usize, mut stream: UnixStream) -> Result<UnixStream, ShardError> {
+        let init = ToShard::Init {
+            shard_id: s,
+            n_workers: self.n_workers,
+            fl: self.fl.clone(),
+            scheme: self.scheme.clone(),
+            workload: self.spec.clone(),
+        };
+        let mut handshake = || -> Result<(), ShardError> {
+            stream.set_read_timeout(Some(self.fl.shard.io_timeout()))?;
+            stream.write_all(encode_message(0, &init, None)?.as_ref())?;
+            match read_handshake::<FromShard>(&mut stream)? {
+                FromShard::Hello { shard_id } if shard_id == s => {}
+                other => {
+                    return Err(ShardError::Protocol(format!(
+                        "sent {other:?} instead of its Hello"
+                    )))
+                }
+            }
+            stream.set_read_timeout(None)?;
+            Ok(())
+        };
+        handshake().map_err(|e| ShardError::Handshake(format!("shard {s}: {e}")))?;
+        Ok(stream)
+    }
+
+    /// Wraps a greeted stream in the root's [`Link`], whose writes are
+    /// bounded by the io timeout, and makes it the shard's connection.
+    fn attach(&mut self, s: usize, incarnation: u64, stream: UnixStream) -> Result<(), ShardError> {
         let tx = self.tx.clone();
         let sink = move |ev: LinkEvent| {
             let body = match ev {
@@ -782,68 +798,20 @@ impl ShardPool {
                 body,
             });
         };
-        let heartbeat = (
-            self.fl.shard.heartbeat_period(),
-            self.fl.shard.heartbeat_missed(),
-        );
-        let max_frame_len = self.fl.shard.max_frame_len();
-        let link = Link::new(stream, s, max_frame_len, Some(heartbeat), sink)?;
-        let init = ToShard::Init {
-            shard_id: s,
-            n_shards: self.conns.len(),
-            n_workers: self.n_workers,
-            fl: self.fl.clone(),
-            scheme: self.scheme.clone(),
-            workload: self.spec.clone(),
-        };
-        link.send(&init, None)
-            .map_err(|e| ShardError::Handshake(format!("Init send failed: {e}")))?;
-        self.conns[s].link = Some(link);
-        self.wait_for_hello(s, incarnation)
+        let write_bound = Some(self.fl.shard.io_timeout());
+        self.conns[s].link = Some(Link::new(stream, s, write_bound, sink)?);
+        Ok(())
     }
 
-    /// Bounded wait for this incarnation's `Hello`. Events for other
-    /// shards or incarnations are deferred to `held_events`, never lost.
-    fn wait_for_hello(&mut self, s: usize, incarnation: u64) -> Result<(), ShardError> {
-        let deadline = Instant::now() + self.fl.shard.handshake_timeout();
-        loop {
-            let now = Instant::now();
-            if now >= deadline {
-                return Err(ShardError::Handshake(format!(
-                    "shard {s} did not say Hello within the handshake timeout"
-                )));
-            }
-            let ev = match self.rx.recv_timeout(deadline - now) {
-                Ok(ev) => ev,
-                Err(_) => continue, // the loop re-checks the deadline
-            };
-            if (ev.shard, ev.incarnation) != (s, incarnation) {
-                self.held_events.push_back(ev);
-                continue;
-            }
-            return match ev.body {
-                Ok((FromShard::Hello { shard_id }, _)) if shard_id == s => Ok(()),
-                Ok((msg, _)) => Err(ShardError::Handshake(format!(
-                    "shard {s} sent {msg:?} instead of its Hello"
-                ))),
-                Err(reason) => Err(ShardError::Handshake(format!(
-                    "shard {s} went down during handshake: {reason}"
-                ))),
-            };
-        }
-    }
-
-    /// Kills the child process and drops the link, keeping its notes.
-    /// Leaves `outstanding` untouched. Idempotent.
+    /// Kills the child process and drops the link. Leaves `outstanding`
+    /// untouched. Idempotent.
     fn teardown_conn(&mut self, s: usize) {
         let conn = &mut self.conns[s];
         if let Some(mut child) = conn.child.take() {
             let _ = child.kill();
             let _ = child.wait();
         }
-        if let Some(link) = conn.link.take() {
-            self.notes.extend(link.take_notes());
-        }
+        conn.link = None;
     }
 
     /// The one recovery path. Whatever went wrong with shard `s`, its
@@ -938,7 +906,7 @@ impl ShardPool {
         let n = self.conns.len();
         let mut by_shard: Vec<Vec<ClientWork>> = (0..n).map(|_| Vec::new()).collect();
         for w in work {
-            by_shard[self.fl.shard.assignment.shard_of(w.client.id, n)].push(w);
+            by_shard[w.client.id % n].push(w);
         }
 
         for (s, work) in by_shard.into_iter().enumerate() {
@@ -1002,19 +970,15 @@ impl ShardPool {
             if let Some(ev) = self.pending.pop_front() {
                 return Ok(ev);
             }
-            let ev = if let Some(ev) = self.held_events.pop_front() {
-                ev
-            } else {
-                // Disconnected is unreachable (we hold a Sender clone);
-                // fold it into the timeout defensively.
-                match self
-                    .rx
-                    .recv_timeout(deadline.saturating_duration_since(Instant::now()))
-                {
-                    Ok(ev) => ev,
-                    Err(_) if self.quarantine_stalled(timeout) => continue,
-                    Err(_) => return Err(ShardError::Timeout),
-                }
+            // Disconnected is unreachable (we hold a Sender clone); fold it
+            // into the timeout defensively.
+            let ev = match self
+                .rx
+                .recv_timeout(deadline.saturating_duration_since(Instant::now()))
+            {
+                Ok(ev) => ev,
+                Err(_) if self.quarantine_stalled(timeout) => continue,
+                Err(_) => return Err(ShardError::Timeout),
             };
             let shard = ev.shard;
             let conn = &self.conns[shard];
@@ -1023,7 +987,9 @@ impl ShardPool {
             }
             match ev.body {
                 Err(reason) => self.quarantine_outstanding(shard, &reason),
-                Ok((FromShard::Hello { .. }, _)) => {}
+                Ok((FromShard::Hello { .. }, _)) => {
+                    self.quarantine_outstanding(shard, "protocol: Hello after the handshake")
+                }
                 Ok((FromShard::Done(d), payload)) => {
                     if let Some(work) = self.claim(shard, d.round, d.ord) {
                         let done = d.into_completion(payload, work.client);
@@ -1088,14 +1054,9 @@ impl ShardPool {
         !stalled.is_empty()
     }
 
-    /// Drains the round's failover trace notes: those buffered by live
-    /// links plus everything kept from links torn down mid-round.
+    /// Drains the round's failover trace notes.
     pub fn take_round_notes(&mut self) -> Vec<TraceEvent> {
-        let mut notes = std::mem::take(&mut self.notes);
-        for link in self.conns.iter().filter_map(|c| c.link.as_ref()) {
-            notes.extend(link.take_notes());
-        }
-        notes
+        std::mem::take(&mut self.notes)
     }
 
     /// Feeds a raw protocol message into the coordinator's event queue as
@@ -1122,7 +1083,7 @@ impl ShardPool {
     }
 
     /// Process id of a shard's live child. Test seam: the failover suite
-    /// SIGSTOPs a child so that only the heartbeat can notice.
+    /// SIGSTOPs a child so that only the io watchdog can notice.
     #[doc(hidden)]
     pub fn child_pid_for_test(&self, shard: usize) -> Option<u32> {
         self.conns[shard].child.as_ref().map(Child::id)

@@ -256,16 +256,8 @@ pub enum TraceEvent {
         /// Why it was rejected.
         reason: String,
     },
-    /// A heartbeat period elapsed with no valid frame heard from a shard.
-    /// Excluded from the canonical stream (liveness is host-timing).
-    HeartbeatMissed {
-        /// Shard that went quiet.
-        shard: usize,
-        /// Consecutive missed periods so far.
-        misses: u32,
-    },
-    /// A shard's link went down, or the shard could not be (re)started or
-    /// dispatched to, or it stalled past the io timeout: its child process
+    /// A shard's link went down, or the shard could not be (re)started,
+    /// greeted or dispatched to, or it stalled past the io timeout: its child process
     /// was killed and the shard is out for the round. Excluded from the
     /// canonical stream (quarantine is a recovery action, not a trajectory
     /// event — the reassigned work produces identical results).
@@ -275,8 +267,8 @@ pub enum TraceEvent {
         /// Quarantined shard.
         shard: usize,
         /// The check that fired (`eof`, `frame checksum mismatch…`,
-        /// `sequence gap…`, `heartbeat…`, `io timeout…`, `shard handshake
-        /// failed…`, `killed by kill plan`, …).
+        /// `sequence gap…`, `io timeout…`, `shard handshake failed…`,
+        /// `killed by kill plan`, …).
         reason: String,
     },
     /// An unresolved ordinal from a quarantined shard was re-executed on
@@ -315,7 +307,6 @@ impl TraceEvent {
             TraceEvent::CheckpointWritten { .. } => "checkpoint_written",
             TraceEvent::CheckpointRecovered { .. } => "checkpoint_recovered",
             TraceEvent::CheckpointCorruptSkipped { .. } => "checkpoint_corrupt_skipped",
-            TraceEvent::HeartbeatMissed { .. } => "heartbeat_missed",
             TraceEvent::ShardQuarantined { .. } => "shard_quarantined",
             TraceEvent::OrdinalReassigned { .. } => "ordinal_reassigned",
         }
@@ -326,7 +317,7 @@ impl TraceEvent {
     /// events name host paths and depend on the durability schedule, not
     /// the trajectory, so a resumed run's canonical suffix stays
     /// byte-identical to the uninterrupted run's. Shard-failover events
-    /// (heartbeat misses, quarantines, reassignments) depend on host timing
+    /// (quarantines, reassignments) depend on host timing
     /// and on which child died when, never on the trajectory, so a run that
     /// lost shards keeps a canonical stream byte-identical to one that did
     /// not.
@@ -338,7 +329,6 @@ impl TraceEvent {
                 | TraceEvent::CheckpointWritten { .. }
                 | TraceEvent::CheckpointRecovered { .. }
                 | TraceEvent::CheckpointCorruptSkipped { .. }
-                | TraceEvent::HeartbeatMissed { .. }
                 | TraceEvent::ShardQuarantined { .. }
                 | TraceEvent::OrdinalReassigned { .. }
         )
@@ -971,14 +961,10 @@ mod tests {
             TraceEvent::Span {
                 name: "evaluate".into(),
             },
-            TraceEvent::HeartbeatMissed {
-                shard: 0,
-                misses: 2,
-            },
             TraceEvent::ShardQuarantined {
                 round: 2,
                 shard: 1,
-                reason: "heartbeat: 4 consecutive silent periods".into(),
+                reason: "io timeout: no progress in 30s".into(),
             },
             TraceEvent::OrdinalReassigned {
                 round: 2,
@@ -999,10 +985,6 @@ mod tests {
     fn shard_failover_events_are_offstream_only() {
         // A run that lost shards must never shift canonical seqs.
         let events = [
-            TraceEvent::HeartbeatMissed {
-                shard: 0,
-                misses: 1,
-            },
             TraceEvent::ShardQuarantined {
                 round: 0,
                 shard: 0,

@@ -1,5 +1,4 @@
-//! The shard link: framing plus liveness over one Unix socket, and one
-//! failure signal.
+//! The shard link: framing over one Unix socket, and one failure signal.
 //!
 //! The frame codec below is the envelope every coordinator↔shard message
 //! travels in, and this module is its only speaker. Both endpoints of a
@@ -9,25 +8,21 @@
 //! in wire order. A `SOCK_STREAM` Unix socket neither drops, duplicates nor
 //! reorders, so the link repairs nothing — it only *detects*. EOF, an I/O
 //! error, any [`FrameError`] (bad magic, unknown kind, oversize length
-//! prefix, checksum mismatch, truncation), a sequence number other than the
-//! next one, or — on the root side, which probes its child with Ping/Pong —
-//! `missed_limit` consecutive silent heartbeat periods each end the link
-//! with exactly one [`LinkEvent::Down`] naming the check that fired, and no
-//! frame is delivered after it. What to do about it is the owner's business
+//! prefix, checksum mismatch, truncation) or a sequence number other than
+//! the next one each end the link with exactly one [`LinkEvent::Down`]
+//! naming the check that fired, and no frame is delivered after it. A peer
+//! that goes silent is not the link's business: the owner bounds how long
+//! it waits for progress, and the root side bounds every write (see
+//! [`Link::new`]). What to do about a fault is the owner's business too
 //! (see [`crate::shard`]: kill the child, run its outstanding work locally).
 //!
-//! Threads: one reader per link; the root side adds a liveness thread that
-//! wakes once per heartbeat period. The child side answers pings from its
-//! reader and initiates nothing — a dead root surfaces there as EOF.
+//! Threads: one reader per link.
 
-use crate::trace::TraceEvent;
 use bytes::{BufMut, Bytes, BytesMut};
 use parking_lot::Mutex;
 use serde::Serialize;
 use std::io::{BufReader, Write};
 use std::os::unix::net::UnixStream;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -46,19 +41,21 @@ use std::time::Duration;
 // `payload` is bulk binary data — an encoded update or raw f32 LE
 // parameters. `seq` is a per-connection, per-direction sequence number: the
 // link requires application frames to arrive with consecutive values and
-// treats any gap as a dead connection; for `Ping`/`Pong` it carries a
-// nonce. `crc` is a CRC-32 (IEEE) over kind + seq + meta + payload, so a
-// bit-corrupted frame surfaces as a typed `ChecksumMismatch` instead of a
-// silent bad decode. Control-like frames (everything except `Update`) carry
+// treats any gap as a dead connection. `crc` is a CRC-32 (IEEE) over kind +
+// seq + meta + payload, so a bit-corrupted frame surfaces as a typed
+// `ChecksumMismatch` instead of a silent bad decode. `Control` frames carry
 // no payload by definition, and the reader enforces it. Lengths are
-// validated against a caller-supplied cap *before* any allocation, so a
-// corrupt or hostile length prefix yields a typed `Oversize` error instead
-// of an OOM.
+// validated against a caller-supplied cap (`MAX_FRAME_LEN` on both ends of
+// a link) *before* any allocation, so a corrupt or hostile length prefix
+// yields a typed `Oversize` error instead of an OOM.
 // ---------------------------------------------------------------------------
 
 /// Frame magic ("FS" — frame/shard), distinct from the update magic so a
 /// misdirected buffer fails loudly at the first two bytes.
 pub const FRAME_MAGIC: u16 = 0x5346;
+
+/// The largest frame (meta + payload) either end of a link accepts: 1 GiB.
+pub const MAX_FRAME_LEN: usize = 1 << 30;
 
 /// Fixed frame header size: magic, kind, sequence number, checksum, meta
 /// length, payload length.
@@ -77,10 +74,6 @@ pub enum FrameKind {
     Control,
     /// Metadata plus a bulk binary payload.
     Update,
-    /// Liveness probe; `seq` carries a nonce the peer must echo.
-    Ping,
-    /// Liveness reply; `seq` echoes the probe's nonce.
-    Pong,
 }
 
 impl FrameKind {
@@ -88,19 +81,16 @@ impl FrameKind {
         match self {
             FrameKind::Control => 0,
             FrameKind::Update => 1,
-            FrameKind::Ping => 3,
-            FrameKind::Pong => 4,
         }
     }
 
     /// Kind byte 2 was the acknowledgement frame of the retired resend
-    /// protocol; it is unknown now, never reassigned.
+    /// protocol, 3 and 4 the retired heartbeat's ping and pong; they are
+    /// unknown now, never reassigned.
     fn from_u8(b: u8) -> Option<FrameKind> {
         match b {
             0 => Some(FrameKind::Control),
             1 => Some(FrameKind::Update),
-            3 => Some(FrameKind::Ping),
-            4 => Some(FrameKind::Pong),
             _ => None,
         }
     }
@@ -150,8 +140,7 @@ fn frame_crc(kind: u8, seq: u64, meta: &[u8], payload: &[u8]) -> u32 {
 pub struct Frame {
     /// Envelope kind.
     pub kind: FrameKind,
-    /// Per-connection, per-direction sequence number; for Ping/Pong it is
-    /// the probe nonce.
+    /// Per-connection, per-direction sequence number.
     pub seq: u64,
     /// Structured header bytes (the shard protocol stores JSON here).
     pub meta: Bytes,
@@ -302,7 +291,7 @@ fn check_header(
             max: max_len as u64,
         });
     }
-    if kind != FrameKind::Update && payload_len != 0 {
+    if kind == FrameKind::Control && payload_len != 0 {
         return Err(FrameError::Malformed("control frame with payload"));
     }
     Ok(FrameHeader {
@@ -385,40 +374,33 @@ pub const EOF: &str = "eof";
 /// What a link delivers to its owner's sink.
 #[derive(Debug)]
 pub enum LinkEvent {
-    /// The next application frame (Control or Update kind), in wire order.
+    /// The next application frame, in wire order.
     Frame(Frame),
     /// The link is finished, and why (`eof`, `frame checksum mismatch…`,
-    /// `sequence gap…`, `heartbeat…`, …). Sent once; nothing follows it.
+    /// `sequence gap…`, …). Sent once; nothing follows it.
     Down(String),
 }
 
-/// The owner's event sink plus the flag that makes `Down` final. Both
-/// link threads deliver through this one lock, so no frame can slip out
-/// after a `Down`.
+/// The owner's event sink plus the flag that makes `Down` final. The reader
+/// delivers and `Drop` silences through this one lock, so no frame can slip
+/// out after a `Down` or a drop.
 struct Delivery {
     down: bool,
     sink: Box<dyn FnMut(LinkEvent) + Send>,
 }
 
 struct LinkCore {
-    shard: usize,
-    max_frame_len: usize,
     /// Handle for `shutdown` only, so closing never waits behind a writer.
     stream: UnixStream,
     /// Write half and the next application sequence number.
     writer: Mutex<(UnixStream, u64)>,
     delivery: Mutex<Delivery>,
-    /// Set by the reader on every valid frame; cleared once per heartbeat
-    /// period by the liveness thread.
-    heard: AtomicBool,
-    /// Buffered [`TraceEvent::HeartbeatMissed`] notes, drained by the owner.
-    notes: Mutex<Vec<TraceEvent>>,
 }
 
 impl LinkCore {
     /// Hands `ev` to the sink unless the link is already down, and reports
     /// whether it did. A `Down` is final: it also closes the socket, which
-    /// wakes whichever thread (or blocked `send`) is still using it.
+    /// wakes a `send` still blocked on it.
     fn emit(&self, ev: LinkEvent) -> bool {
         let ends = matches!(ev, LinkEvent::Down(_));
         let mut d = self.delivery.lock();
@@ -444,100 +426,84 @@ fn encode(kind: FrameKind, seq: u64, meta: Bytes, payload: Bytes) -> Bytes {
     })
 }
 
-/// A payloadless Ping/Pong frame; `seq` carries the probe's nonce.
-fn probe(kind: FrameKind, nonce: u64) -> Bytes {
-    encode(kind, nonce, Bytes::default(), Bytes::default())
+/// Encodes one application message — JSON metadata plus an optional binary
+/// payload — as the frame numbered `seq`. A [`Link`] numbers its frames
+/// from 0; the shard handshake, which runs before either end has a link,
+/// sends its one message each way with this directly.
+pub fn encode_message<T: Serialize>(
+    seq: u64,
+    msg: &T,
+    payload: Option<Bytes>,
+) -> std::io::Result<Bytes> {
+    let meta = serde_json::to_string(msg)
+        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
+    let payload = payload.unwrap_or_default();
+    let kind = if payload.is_empty() {
+        FrameKind::Control
+    } else {
+        FrameKind::Update
+    };
+    Ok(encode(kind, seq, Bytes::from(meta.into_bytes()), payload))
 }
 
 /// One endpoint of a coordinator↔shard connection. See the module docs.
 pub struct Link {
     core: Arc<LinkCore>,
-    threads: Vec<JoinHandle<()>>,
-    /// Dropping the sender stops the liveness thread (root side only).
-    stop: Option<Sender<()>>,
+    reader: Option<JoinHandle<()>>,
 }
 
 impl Link {
     /// Wraps one side of a connected stream. `sink` receives every
-    /// [`LinkEvent`] from the link's threads and must not call back into
-    /// the link. `heartbeat` is `Some((period, missed_limit))` on the root
-    /// side and `None` on the child side; `max_frame_len` caps inbound
-    /// frames before anything is allocated.
+    /// [`LinkEvent`] from the link's reader thread and must not call back
+    /// into the link. `write_timeout` bounds every write on the socket: the
+    /// root passes its io bound, so a `send` to a child that stopped reading
+    /// fails once the socket buffer is full instead of blocking forever; a
+    /// child passes `None` (a root that stops reading is the child's owner,
+    /// and kills it).
     pub fn new(
         stream: UnixStream,
         shard: usize,
-        max_frame_len: usize,
-        heartbeat: Option<(Duration, u32)>,
+        write_timeout: Option<Duration>,
         sink: impl FnMut(LinkEvent) + Send + 'static,
     ) -> std::io::Result<Self> {
+        stream.set_write_timeout(write_timeout)?;
         let read_stream = stream.try_clone()?;
         let core = Arc::new(LinkCore {
-            shard,
-            max_frame_len,
             writer: Mutex::new((stream.try_clone()?, 0)),
             stream,
             delivery: Mutex::new(Delivery {
                 down: false,
                 sink: Box::new(sink),
             }),
-            heard: AtomicBool::new(false),
-            notes: Mutex::new(Vec::new()),
         });
-        let mut link = Link {
-            core: core.clone(),
-            threads: Vec::new(),
-            stop: None,
-        };
         let rx_core = core.clone();
-        link.threads.push(
-            std::thread::Builder::new()
-                .name(format!("fedca-link-rx-{shard}"))
-                .spawn(move || reader_loop(&rx_core, read_stream))?,
-        );
-        if let Some((period, limit)) = heartbeat {
-            let (stop_tx, stop_rx) = channel();
-            link.stop = Some(stop_tx);
-            link.threads.push(
-                std::thread::Builder::new()
-                    .name(format!("fedca-link-hb-{shard}"))
-                    .spawn(move || liveness_loop(&core, &stop_rx, period, limit))?,
-            );
-        }
-        Ok(link)
+        let reader = std::thread::Builder::new()
+            .name(format!("fedca-link-rx-{shard}"))
+            .spawn(move || reader_loop(&rx_core, read_stream))?;
+        Ok(Link {
+            core,
+            reader: Some(reader),
+        })
     }
 
     /// Sends one application message: JSON metadata plus an optional
     /// binary payload, sequenced and checksummed.
     pub fn send<T: Serialize>(&self, msg: &T, payload: Option<Bytes>) -> std::io::Result<()> {
-        let meta = serde_json::to_string(msg)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
-        let payload = payload.unwrap_or_default();
-        let kind = if payload.is_empty() {
-            FrameKind::Control
-        } else {
-            FrameKind::Update
-        };
         let mut w = self.core.writer.lock();
-        let bytes = encode(kind, w.1, Bytes::from(meta.into_bytes()), payload);
+        let bytes = encode_message(w.1, msg, payload)?;
         w.1 += 1;
         w.0.write_all(bytes.as_ref())
-    }
-
-    /// Drains the buffered heartbeat-miss notes (offstream trace events).
-    pub fn take_notes(&self) -> Vec<TraceEvent> {
-        std::mem::take(&mut *self.core.notes.lock())
     }
 }
 
 /// Dropping a link silences its sink, closes the socket and joins its
-/// threads.
+/// reader.
 impl Drop for Link {
     fn drop(&mut self) {
         self.core.delivery.lock().down = true;
         let _ = self.core.stream.shutdown(std::net::Shutdown::Both);
-        self.stop = None;
-        for handle in self.threads.drain(..) {
-            let _ = handle.join();
+        if let Some(reader) = self.reader.take() {
+            let _ = reader.join();
         }
     }
 }
@@ -546,75 +512,32 @@ fn reader_loop(core: &LinkCore, read_stream: UnixStream) {
     let mut reader = BufReader::new(read_stream);
     let mut next_seq: u64 = 0;
     let reason = loop {
-        let frame = match read_frame(&mut reader, core.max_frame_len) {
+        let frame = match read_frame(&mut reader, MAX_FRAME_LEN) {
             Ok(Some(frame)) => frame,
             Ok(None) => break EOF.to_string(),
             Err(e) => break e.to_string(),
         };
-        core.heard.store(true, Ordering::Relaxed);
-        match frame.kind {
-            FrameKind::Ping => {
-                // A write error here means the peer is going away; the next
-                // read reports it.
-                let pong = probe(FrameKind::Pong, frame.seq);
-                let _ = core.writer.lock().0.write_all(pong.as_ref());
-            }
-            FrameKind::Pong => {}
-            FrameKind::Control | FrameKind::Update => {
-                if frame.seq != next_seq {
-                    break format!("sequence gap: expected {next_seq}, got {}", frame.seq);
-                }
-                next_seq += 1;
-                if !core.emit(LinkEvent::Frame(frame)) {
-                    return;
-                }
-            }
+        if frame.seq != next_seq {
+            break format!("sequence gap: expected {next_seq}, got {}", frame.seq);
+        }
+        next_seq += 1;
+        if !core.emit(LinkEvent::Frame(frame)) {
+            return;
         }
     };
     core.emit(LinkEvent::Down(reason));
-}
-
-/// Root-side liveness: one ping and one silence check per period.
-fn liveness_loop(core: &LinkCore, stop: &Receiver<()>, period: Duration, limit: u32) {
-    let mut misses: u32 = 0;
-    for nonce in 0u64.. {
-        // Never wait for the write lock: a `send` blocked on a peer that
-        // stopped reading holds it, and that is exactly the peer this
-        // thread must be free to declare dead.
-        if let Some(mut w) = core.writer.try_lock() {
-            let ping = probe(FrameKind::Ping, nonce);
-            let _ = w.0.write_all(ping.as_ref());
-        }
-        if !matches!(stop.recv_timeout(period), Err(RecvTimeoutError::Timeout)) {
-            return;
-        }
-        if core.heard.swap(false, Ordering::Relaxed) {
-            misses = 0;
-            continue;
-        }
-        misses += 1;
-        core.notes.lock().push(TraceEvent::HeartbeatMissed {
-            shard: core.shard,
-            misses,
-        });
-        if misses >= limit {
-            core.emit(LinkEvent::Down(format!(
-                "heartbeat: {misses} consecutive silent periods"
-            )));
-            return;
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    const CAP: usize = 1 << 16;
+    use std::sync::mpsc::{channel, Receiver};
+    use std::time::Instant;
 
-    fn link(stream: UnixStream, heartbeat: Option<(Duration, u32)>) -> (Link, Receiver<LinkEvent>) {
+    fn link(stream: UnixStream, write_timeout: Option<Duration>) -> (Link, Receiver<LinkEvent>) {
         let (tx, rx) = channel();
-        let link = Link::new(stream, 0, CAP, heartbeat, move |ev| {
+        let link = Link::new(stream, 0, write_timeout, move |ev| {
             let _ = tx.send(ev);
         })
         .expect("link");
@@ -657,29 +580,13 @@ mod tests {
     }
 
     #[test]
-    fn frame_ping_pong_round_trip() {
-        for kind in [FrameKind::Ping, FrameKind::Pong] {
-            let bytes = probe(kind, 913);
-            assert_eq!(bytes.len(), FRAME_HEADER_LEN, "{kind:?}");
-            let back = read_one(bytes.as_ref(), 1 << 20)
-                .expect("reads")
-                .expect("a frame");
-            assert_eq!((back.kind, back.seq), (kind, 913));
-            assert!(back.meta.is_empty() && back.payload.is_empty(), "{kind:?}");
-        }
-    }
-
-    #[test]
     fn frame_control_must_be_payloadless() {
-        for kind in [0u8, 3, 4] {
-            let mut bytes = frame(1);
-            bytes[2] = kind; // flip kind to a payloadless one, keep payload_len = 3
-            assert_eq!(
-                read_one(&bytes, 1 << 20),
-                Err(FrameError::Malformed("control frame with payload")),
-                "kind={kind}"
-            );
-        }
+        let mut bytes = frame(1);
+        bytes[2] = 0; // flip Update to Control, keep payload_len = 3
+        assert_eq!(
+            read_one(&bytes, 1 << 20),
+            Err(FrameError::Malformed("control frame with payload"))
+        );
     }
 
     #[test]
@@ -763,11 +670,11 @@ mod tests {
         // Flip a seq byte: framing still parses, checksum catches it.
         let mut bad_seq = good.to_vec();
         bad_seq[5] ^= 0x01;
-        // Flip kind to another known payloadless kind: lengths stay valid,
-        // checksum catches the change.
+        // Flip Control to the other known kind, Update: lengths stay valid
+        // (an update may have an empty payload), checksum catches the change.
         let mut bad_kind = good.to_vec();
-        bad_kind[2] = 3; // Control -> Ping
-                         // Flip a CRC byte itself.
+        bad_kind[2] = 1;
+        // Flip a CRC byte itself.
         let mut bad_crc = good.to_vec();
         bad_crc[12] ^= 0x10;
         for bad in [bad_seq, bad_kind, bad_crc] {
@@ -785,7 +692,7 @@ mod tests {
         let mut bad_magic = frame(1);
         bad_magic[0] ^= 0xFF;
         let mut oversize = frame(1);
-        oversize[19..23].copy_from_slice(&(CAP as u32).to_le_bytes());
+        oversize[19..23].copy_from_slice(&(MAX_FRAME_LEN as u32).to_le_bytes());
         let unknown_kind = |k: u8| {
             let mut f = frame(1);
             f[2] = k;
@@ -801,6 +708,8 @@ mod tests {
             ("repeated seq", frame(0), "sequence gap"),
             ("oversize length prefix", oversize, "exceeds cap"),
             ("retired ack kind", unknown_kind(2), "unknown frame kind 2"),
+            ("retired ping kind", unknown_kind(3), "unknown frame kind 3"),
+            ("retired pong kind", unknown_kind(4), "unknown frame kind 4"),
             ("unknown kind", unknown_kind(9), "unknown frame kind 9"),
         ];
         for (label, fault, names) in cases {
@@ -846,28 +755,24 @@ mod tests {
     }
 
     #[test]
-    fn silence_past_the_heartbeat_limit_is_one_down() {
-        let (a, _silent_peer) = UnixStream::pair().expect("socketpair");
-        let (la, rx) = link(a, Some((Duration::from_millis(20), 3)));
-        let got = drain(&rx);
-        assert!(
-            matches!(&got[..], [LinkEvent::Down(r)] if r.contains("heartbeat")),
-            "{got:?}"
-        );
-        let misses = (1..=3).map(|misses| TraceEvent::HeartbeatMissed { shard: 0, misses });
-        assert_eq!(la.take_notes(), misses.collect::<Vec<_>>());
-        assert!(la.send(&0u64, None).is_err());
-    }
-
-    #[test]
-    fn responsive_peer_never_trips_the_heartbeat() {
-        let (a, b) = UnixStream::pair().expect("socketpair");
-        let (la, rx_a) = link(a, Some((Duration::from_millis(15), 3)));
-        // The child side answers pings from its reader thread even though
-        // it never initiates anything; no Down may arrive on either side.
-        let (_lb, rx_b) = link(b, None);
-        std::thread::sleep(Duration::from_millis(300));
-        assert!(rx_a.try_recv().is_err() && rx_b.try_recv().is_err());
-        assert!(la.take_notes().is_empty());
+    fn no_send_outlives_the_write_bound() {
+        // The peer never reads, so the socket buffer fills and stays full;
+        // an 8 MiB payload is larger than any socket buffer.
+        let (a, deaf_peer) = UnixStream::pair().expect("socketpair");
+        let bound = Duration::from_millis(200);
+        let (tx, rx) = channel();
+        let sender = std::thread::spawn(move || {
+            let (la, _events) = link(a, Some(bound));
+            let t0 = Instant::now();
+            let sent = la.send(&0u64, Some(Bytes::from(vec![7u8; 8 << 20])));
+            let _ = tx.send((sent, t0.elapsed()));
+        });
+        let (sent, took) = rx
+            .recv_timeout(Duration::from_secs(30))
+            .expect("a send to a peer that never reads outlived its write bound");
+        sender.join().expect("the sending thread finished");
+        assert!(sent.is_err(), "8 MiB cannot fit a socket buffer");
+        assert!(took < 10 * bound, "the send took {took:?}");
+        drop(deaf_peer);
     }
 }

@@ -16,8 +16,6 @@ use fedca_core::population::ClientFactory;
 use fedca_core::shard::{DoneMsg, FromShard, ShardError, ShardPool};
 use fedca_core::trace::TraceEvent;
 use fedca_core::{Scheme, Workload};
-use fedca_data::PartitionSpec;
-use fedca_sim::device::DynamicsConfig;
 use fedca_sim::faults::ClientFaults;
 use proptest::prelude::*;
 use std::collections::BTreeSet;
@@ -63,22 +61,7 @@ fn make_pool(n_shards: usize) -> Fixture {
     let model = (workload.model_factory)();
     let layout = Arc::new(ModelLayout::from_spans(model.spans()));
     let pool = ShardPool::new(&fl, &scheme, spec, 1).expect("shard pool must come up");
-    let factory = ClientFactory {
-        fl: fl.clone(),
-        dynamics: if fl.dynamicity {
-            DynamicsConfig::paper()
-        } else {
-            DynamicsConfig::static_device()
-        },
-        layout: layout.clone(),
-        max_samples: scheme.max_samples_per_layer(),
-        partition: PartitionSpec::new(
-            workload.train.labels(),
-            fl.n_clients,
-            fl.dirichlet_alpha,
-            fl.seed,
-        ),
-    };
+    let factory = ClientFactory::new(&fl, &scheme, &workload, layout.clone());
     let ctx = Arc::new(RoundCtx {
         layout,
         global: model.flat_params(),
@@ -225,6 +208,33 @@ fn killed_shard_reruns_outstanding_work_locally_then_respawns_lazily() {
         fx.pool.take_round_notes().is_empty(),
         "a healthy round is silent"
     );
+}
+
+/// The handshake happens once, on the raw socket: a `Hello` arriving over
+/// the link afterwards is a protocol fault like any other — the shard is
+/// quarantined and every ordinal still completes exactly once.
+#[test]
+fn a_hello_after_the_handshake_is_a_protocol_fault() {
+    let mut fx = make_pool(1);
+    const N: usize = 3;
+    fx.pool
+        .begin_round(fx.work(0, N))
+        .expect("dispatch on a healthy pool");
+    let inc = fx.pool.incarnation_for_test(0);
+    fx.pool
+        .inject_msg_for_test(0, inc, FromShard::Hello { shard_id: 0 }, Bytes::default());
+    let ords = drain_completed(&mut fx.pool, N, "every ordinal must complete");
+    assert_eq!(ords, (0..N).collect::<BTreeSet<_>>());
+    let quarantines: Vec<_> = fx
+        .pool
+        .take_round_notes()
+        .into_iter()
+        .filter_map(|ev| match ev {
+            TraceEvent::ShardQuarantined { reason, .. } => Some(reason),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(quarantines, ["protocol: Hello after the handshake"]);
 }
 
 /// Exactly-once ingest property: duplicated, reordered, and

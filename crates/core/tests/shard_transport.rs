@@ -27,7 +27,7 @@ use std::time::{Duration, Instant};
 fedca_core::shard_child_entry!();
 
 /// A second re-exec entry point: a child that connects and then never says
-/// a word — no `Hello`, no pongs. Without the socket variable it is an
+/// a word — no `Hello`, nothing. Without the socket variable it is an
 /// instant no-op pass, like `shard_child_entry`.
 #[test]
 fn mute_child_entry() {
@@ -124,7 +124,7 @@ fn reference() -> &'static Fingerprint {
 
 /// SIGSTOPs a process: it stays connected and alive but does nothing, so
 /// no EOF, no error and no frame ever reaches the coordinator — only the
-/// heartbeat can tell. Returns once every thread of the process reads
+/// io watchdog can tell. Returns once every thread of the process reads
 /// stopped: `kill` only leaves the signal pending, and on a busy host the
 /// child's woken main thread can wait for a CPU longer than a `tiny_mlp`
 /// round takes — the child then serves the whole round "stopped".
@@ -206,18 +206,17 @@ const SCENARIOS: &[Scenario] = &[
         name: "child that never says Hello",
         configure: |shards| {
             let mut fl = sharded_fl(shards, "mute_child_entry");
-            fl.shard.handshake_timeout_secs = 0.3;
+            fl.shard.io_timeout_secs = 0.3;
             fl
         },
         before_round: |_, _, _| {},
         reason_names: "handshake",
     },
     Scenario {
-        name: "child stopped so only the heartbeat can notice",
+        name: "child stopped so only the io watchdog can notice",
         configure: |shards| {
             let mut fl = healthy_children(shards);
-            fl.shard.heartbeat_period_ms = 40.0;
-            fl.shard.heartbeat_missed_limit = 3;
+            fl.shard.io_timeout_secs = 1.0;
             fl
         },
         // Round 1 stops every child (all were spawned with the pool), so
@@ -234,7 +233,7 @@ const SCENARIOS: &[Scenario] = &[
             assert!(!live.is_empty(), "round {round}: no live child to stop");
             live.into_iter().for_each(sigstop);
         },
-        reason_names: "heartbeat",
+        reason_names: "io timeout",
     },
     Scenario {
         name: "every (re)spawn fails",

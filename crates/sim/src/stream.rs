@@ -27,11 +27,6 @@ pub const DOMAIN_DEVICE: u64 = 0x4445_5649_4321_7A03;
 pub const DOMAIN_PROFILER: u64 = 0x5052_4F46_4921_7A04;
 /// Stream domain: a client's per-round local-training RNG base seed.
 pub const DOMAIN_CLIENT: u64 = 0x434C_4945_4E21_7A05;
-/// Stream domain: a client's placement onto a shard process
-/// (`ShardAssignment::Mixed`). Placement is trajectory-neutral, but it still
-/// gets its own domain so a hash seed equal to the experiment seed cannot
-/// correlate placement with the data partition.
-pub const DOMAIN_TOPOLOGY: u64 = 0x544F_504F_4C21_7A06;
 /// SplitMix64-style mixing of a master seed with two stream coordinates
 /// (domain/round and client id). Shared by every counter-derived stream in
 /// the workspace, including the fault plan's `(seed, round, client)` draws.
@@ -75,7 +70,6 @@ mod tests {
             DOMAIN_DEVICE,
             DOMAIN_PROFILER,
             DOMAIN_CLIENT,
-            DOMAIN_TOPOLOGY,
         ];
         for (i, &a) in domains.iter().enumerate() {
             for &b in &domains[i + 1..] {
