@@ -13,7 +13,9 @@
 //!
 //! * **hydrate** — derive the client fresh from the factory; if it carries
 //!   mutated state from an earlier eviction, overlay its
-//!   [`ClientSnapshot`].
+//!   [`ClientSnapshot`]. Hydration draws no profiler sample: a
+//!   [`SampledProfiler`] draws its own on first use, at the client's first
+//!   anchor round, so a client that never profiles never pays for one.
 //! * **checkout / check-in** — move the state to a worker and back,
 //!   mirroring the old `Vec<Option<ClientState>>` slots but with typed
 //!   errors instead of panics.
@@ -163,7 +165,9 @@ impl ClientFactory {
     }
 
     /// Derives client `id`'s initial state: a pure function of
-    /// `(fl.seed, id)` — no shared RNG, no population-sized table.
+    /// `(fl.seed, id)` — no shared RNG, no population-sized table. The
+    /// profiler is handed its seed, not a sample; it draws the sample at the
+    /// client's first anchor round.
     pub fn build(&self, id: usize) -> ClientState {
         let seed = self.fl.seed;
         let shard = self.partition.shard_for(id);

@@ -21,7 +21,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use std::ops::Range;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Progress curves profiled at an anchor round.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
@@ -42,27 +42,21 @@ struct Recording {
     snapshots: Vec<Vec<f32>>,
 }
 
-/// Per-client sampling profiler.
-pub struct SampledProfiler {
-    layout: Arc<ModelLayout>,
+/// The per-layer parameter sample, drawn from the profiler's seed.
+struct Sample {
     /// Per-layer sampled indices, *local* to the layer's span.
-    sample_indices: Vec<Vec<usize>>,
+    indices: Vec<Vec<usize>>,
     /// Where each layer's samples live in the concatenated sample vector.
-    sample_ranges: Vec<Range<usize>>,
-    total_samples: usize,
-    recording: Option<Recording>,
-    curves: Option<ProfiledCurves>,
+    ranges: Vec<Range<usize>>,
+    total: usize,
 }
 
-impl SampledProfiler {
-    /// Chooses the per-layer parameter sample: `min(ceil(len/2),
-    /// max_samples)` distinct random indices per layer (paper: min(50%,
-    /// 100)). Deterministic per `seed`.
-    pub fn new(layout: Arc<ModelLayout>, max_samples: usize, seed: u64) -> Self {
-        assert!(max_samples > 0, "need at least one sample per layer");
+impl Sample {
+    /// `min(ceil(len/2), max_samples)` distinct random indices per layer.
+    fn draw(layout: &ModelLayout, max_samples: usize, seed: u64) -> Self {
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut sample_indices = Vec::with_capacity(layout.num_layers());
-        let mut sample_ranges = Vec::with_capacity(layout.num_layers());
+        let mut indices = Vec::with_capacity(layout.num_layers());
+        let mut ranges = Vec::with_capacity(layout.num_layers());
         let mut offset = 0usize;
         for l in 0..layout.num_layers() {
             let len = layout.layer_len(l);
@@ -75,42 +69,77 @@ impl SampledProfiler {
             }
             let mut chosen = pool[..take].to_vec();
             chosen.sort_unstable();
-            sample_indices.push(chosen);
-            sample_ranges.push(offset..offset + take);
+            indices.push(chosen);
+            ranges.push(offset..offset + take);
             offset += take;
         }
+        Sample {
+            indices,
+            ranges,
+            total: offset,
+        }
+    }
+}
+
+/// Per-client sampling profiler.
+///
+/// The sample is drawn on first use — the first anchor round, or the first
+/// query of it — so a client that never profiles (FedAvg, FedProx, FedAda,
+/// or FedCA between anchors) never pays for it. When it is drawn does not
+/// change what is drawn: it is a pure function of `(layout, max_samples,
+/// seed)`.
+pub struct SampledProfiler {
+    layout: Arc<ModelLayout>,
+    max_samples: usize,
+    seed: u64,
+    sample: OnceLock<Sample>,
+    recording: Option<Recording>,
+    curves: Option<ProfiledCurves>,
+}
+
+impl SampledProfiler {
+    /// A profiler whose per-layer parameter sample is `min(ceil(len/2),
+    /// max_samples)` distinct random indices per layer (paper: min(50%,
+    /// 100)). Deterministic per `seed`; drawn on first use.
+    pub fn new(layout: Arc<ModelLayout>, max_samples: usize, seed: u64) -> Self {
+        assert!(max_samples > 0, "need at least one sample per layer");
         SampledProfiler {
             layout,
-            sample_indices,
-            sample_ranges,
-            total_samples: offset,
+            max_samples,
+            seed,
+            sample: OnceLock::new(),
             recording: None,
             curves: None,
         }
     }
 
+    fn sample(&self) -> &Sample {
+        self.sample
+            .get_or_init(|| Sample::draw(&self.layout, self.max_samples, self.seed))
+    }
+
     /// Total sampled scalars across all layers (§5.5 reports 618 for CNN,
     /// 905 for LSTM, 9 974 for WRN at paper scale).
     pub fn sampled_param_count(&self) -> usize {
-        self.total_samples
+        self.sample().total
     }
 
     /// Per-layer sampled indices (local to each layer's span), sorted
     /// ascending. Deterministic per `(seed, layout)`.
     pub fn sample_indices(&self) -> &[Vec<usize>] {
-        &self.sample_indices
+        &self.sample().indices
     }
 
     /// Where each layer's samples live in the concatenated sample vector;
     /// consecutive and non-overlapping by construction.
     pub fn sample_ranges(&self) -> &[Range<usize>] {
-        &self.sample_ranges
+        &self.sample().ranges
     }
 
     /// Peak profiling memory for a `k`-iteration anchor round, in bytes
     /// (one f32 per sample per iteration).
     pub fn memory_bytes(&self, k: usize) -> usize {
-        self.total_samples * k * std::mem::size_of::<f32>()
+        self.sampled_param_count() * k * std::mem::size_of::<f32>()
     }
 
     /// Whether `round` is an anchor round for the given period.
@@ -118,8 +147,10 @@ impl SampledProfiler {
         profile_period != 0 && round.is_multiple_of(profile_period)
     }
 
-    /// Starts recording an anchor round.
+    /// Starts recording an anchor round (drawing the sample if this is the
+    /// profiler's first use).
     pub fn begin_anchor(&mut self, round: usize) {
+        self.sample();
         self.recording = Some(Recording {
             round,
             snapshots: Vec::new(),
@@ -147,10 +178,11 @@ impl SampledProfiler {
             "length mismatch"
         );
         assert_eq!(current.len(), round_start.len(), "length mismatch");
-        let mut snap = Vec::with_capacity(self.total_samples);
+        let sample = self.sample.get().expect("drawn by begin_anchor");
+        let mut snap = Vec::with_capacity(sample.total);
         for l in 0..self.layout.num_layers() {
             let base = self.layout.range(l).start;
-            for &local in &self.sample_indices[l] {
+            for &local in &sample.indices[l] {
                 let idx = base + local;
                 snap.push(current[idx] - round_start[idx]);
             }
@@ -174,7 +206,7 @@ impl SampledProfiler {
         let model = progress_curve(&rec.snapshots);
         let mut layers = Vec::with_capacity(self.layout.num_layers());
         for l in 0..self.layout.num_layers() {
-            let r = self.sample_ranges[l].clone();
+            let r = self.sample_ranges()[l].clone();
             let layer_snaps: Vec<Vec<f32>> = rec
                 .snapshots
                 .iter()
@@ -226,9 +258,9 @@ mod tests {
         let l = layout(&[10, 400, 3]);
         let p = SampledProfiler::new(l, 100, 1);
         // 10 -> ceil(5), 400 -> min(200,100)=100, 3 -> ceil(2).
-        assert_eq!(p.sample_indices[0].len(), 5);
-        assert_eq!(p.sample_indices[1].len(), 100);
-        assert_eq!(p.sample_indices[2].len(), 2);
+        assert_eq!(p.sample_indices()[0].len(), 5);
+        assert_eq!(p.sample_indices()[1].len(), 100);
+        assert_eq!(p.sample_indices()[2].len(), 2);
         assert_eq!(p.sampled_param_count(), 107);
         assert_eq!(p.memory_bytes(50), 107 * 50 * 4);
     }
@@ -237,7 +269,7 @@ mod tests {
     fn sample_indices_are_distinct_and_in_range() {
         let l = layout(&[64]);
         let p = SampledProfiler::new(l, 100, 2);
-        let idx = &p.sample_indices[0];
+        let idx = &p.sample_indices()[0];
         assert_eq!(idx.len(), 32);
         let mut dedup = idx.clone();
         dedup.dedup();

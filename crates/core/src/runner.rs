@@ -316,7 +316,6 @@ impl Trainer {
         let opts = self.scheme.client_options();
         let profile_period = self.scheme.profile_period();
 
-        // Per-client round plans (anchor cadence is per participation).
         let round_start = self.clock;
         self.tracer.emit(
             round_start,
@@ -334,10 +333,14 @@ impl Trainer {
         // earlier). Hydration is trajectory-neutral — the per-client events
         // are non-canonical and the host time is operational — but the span
         // itself is emitted identically on the eager and lazy paths, so it
-        // stays in the canonical stream.
-        let hydrate_t0 = Instant::now();
+        // stays in the canonical stream. Its host time is the sum of the
+        // per-client hydrate intervals: the journal's own cost is not
+        // hydration.
+        let mut hydrate_host_us = 0.0;
         for &cid in &selected {
+            let hydrate_t0 = Instant::now();
             let fresh = invariant(self.store.hydrate(cid));
+            hydrate_host_us += hydrate_t0.elapsed().as_secs_f64() * 1e6;
             if tracing {
                 self.tracer.emit(
                     self.clock,
@@ -351,31 +354,38 @@ impl Trainer {
                 );
             }
         }
-        let hydrate_host_us = hydrate_t0.elapsed().as_secs_f64() * 1e6;
         self.tracer
             .span("hydrate", self.clock, hydrate_host_us, false);
 
-        let mut plan_for: Vec<RoundPlan> = Vec::with_capacity(selected.len());
+        // Check each client out to the backend with its plan; the anchor
+        // cadence is per participation, read off the checked-out state.
+        let ctx = Arc::new(RoundCtx {
+            layout: self.layout.clone(),
+            workload: self.workload.clone(),
+            fl: self.fl.clone(),
+            opts,
+            global: self.server.global().as_slice().to_vec(),
+        });
+        let is_fedca = matches!(self.scheme, Scheme::FedCa(_));
+        let mut any_anchor = false;
+        let mut work: Vec<ClientWork> = Vec::with_capacity(selected.len());
         for (ord, &cid) in selected.iter().enumerate() {
-            let is_anchor = {
-                let client = invariant(self.store.client_mut(cid));
-                let anchor = matches!(self.scheme, Scheme::FedCa(_))
-                    && profile_period != 0
-                    && client.participations.is_multiple_of(profile_period);
-                client.participations += 1;
-                anchor
-            };
+            let mut client = invariant(self.store.checkout(cid));
+            let is_anchor = is_fedca
+                && profile_period != 0
+                && client.participations.is_multiple_of(profile_period);
+            any_anchor |= is_anchor;
+            client.participations += 1;
             self.store.bump_participation(cid);
-            plan_for.push(RoundPlan {
+            let plan = RoundPlan {
                 round,
                 start: round_start,
                 deadline,
                 planned_iters: plans[ord],
                 is_anchor,
                 faults: self.fault_plan.draw(round, cid, plans[ord]),
-            });
+            };
             if tracing {
-                let plan = plan_for.last().expect("just pushed");
                 self.tracer.emit(
                     round_start,
                     ord,
@@ -384,7 +394,7 @@ impl Trainer {
                         round,
                         client: cid,
                         planned_iters: plan.planned_iters,
-                        is_anchor: plan.is_anchor,
+                        is_anchor,
                     },
                 );
                 let kinds = plan.faults.active_kinds();
@@ -401,28 +411,13 @@ impl Trainer {
                     );
                 }
             }
-        }
-        let any_anchor = plan_for.iter().any(|p| p.is_anchor);
-
-        // Move the selected clients (and their plans) to the backend.
-        let ctx = Arc::new(RoundCtx {
-            layout: self.layout.clone(),
-            workload: self.workload.clone(),
-            fl: self.fl.clone(),
-            opts,
-            global: self.server.global().as_slice().to_vec(),
-        });
-        let work: Vec<ClientWork> = selected
-            .iter()
-            .zip(plan_for)
-            .enumerate()
-            .map(|(ord, (&cid, plan))| ClientWork {
+            work.push(ClientWork {
                 ord,
-                client: invariant(self.store.checkout(cid)),
+                client,
                 plan,
                 ctx: Arc::clone(&ctx),
-            })
-            .collect();
+            });
+        }
 
         // Stream completions into the aggregator as clients finish; the
         // fold at close() runs in ordinal order, so results do not depend

@@ -48,7 +48,9 @@ enum Seg {
 /// Per-ordinal decode slot: dense staging plus the segment map.
 #[derive(Default)]
 struct ArenaSlot {
-    /// Dense staging, `total_params` long once sized.
+    /// Dense staging, sized to `total_params` by the slot's first dense
+    /// decode: a slot that only ever holds quantized runs never allocates
+    /// it, since those are folded straight from the wire bytes.
     dense: Vec<f32>,
     /// Segment map covering the full layout exactly (validated at decode).
     segs: Vec<Seg>,
@@ -56,9 +58,10 @@ struct ArenaSlot {
 
 /// Pooled per-ordinal decode scratch, owned by the [`Server`] between
 /// rounds and lent to the [`StreamingAggregator`] for the round's lifetime.
-/// After the first round at a given cohort size and model, ingest-time
-/// decode performs zero heap allocations: slots, their staging vectors,
-/// their segment maps, and the fold buffer are all reused.
+/// Ingest-time decode performs zero heap allocations after the first round
+/// at a given cohort size and model and after a slot's first dense decode:
+/// slots, their staging vectors, their segment maps, and the fold buffer
+/// are all reused.
 #[derive(Default)]
 pub struct UpdateArena {
     slots: Vec<ArenaSlot>,
@@ -78,9 +81,6 @@ impl UpdateArena {
         }
         for slot in &mut self.slots[..n_selected] {
             slot.segs.clear();
-            if slot.dense.len() != total_params {
-                slot.dense.resize(total_params, 0.0);
-            }
         }
         if self.fold.len() != total_params {
             self.fold.resize(total_params, 0.0);
@@ -140,6 +140,9 @@ impl UpdateArena {
                     });
                 }
                 _ => {
+                    if slot.dense.len() != total {
+                        slot.dense.resize(total, 0.0);
+                    }
                     view.decode_into(&mut slot.dense[range.clone()]);
                     if !dataplane::all_finite(&slot.dense[range.clone()]) {
                         return Err(WireError::Malformed("non-finite value"));

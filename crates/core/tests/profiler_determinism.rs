@@ -1,12 +1,18 @@
 //! `SampledProfiler` determinism contract (§4.1 / §5.5): the per-layer
-//! parameter sample is a pure function of `(seed, layout)`, the sampled
-//! spans tile the concatenated sample vector without overlap, and the
-//! `min(ceil(len/2), max_samples)` cap holds for every layer.
+//! parameter sample is a pure function of `(seed, layout)` — whenever it is
+//! first drawn —, the sampled spans tile the concatenated sample vector
+//! without overlap, and the `min(ceil(len/2), max_samples)` cap holds for
+//! every layer.
 
+use fedca_core::client::RoundPlan;
+use fedca_core::executor::{ClientDone, ClientWork, RoundCtx, RoundExecutor};
 use fedca_core::params::ModelLayout;
+use fedca_core::population::{ClientFactory, ClientStore};
 use fedca_core::profiler::SampledProfiler;
-use fedca_core::Workload;
+use fedca_core::{FlConfig, Scheme, Workload};
 use fedca_nn::model::ParamSpan;
+use fedca_sim::faults::ClientFaults;
+use fedca_sim::stream::{mix, DOMAIN_PROFILER};
 use std::sync::Arc;
 
 fn layout(sizes: &[usize]) -> Arc<ModelLayout> {
@@ -37,6 +43,62 @@ fn same_seed_and_layout_reproduce_the_exact_sample() {
         assert_eq!(a.sample_ranges(), b.sample_ranges(), "seed {seed}");
         assert_eq!(a.sampled_param_count(), b.sampled_param_count());
     }
+}
+
+#[test]
+fn a_sample_first_drawn_at_the_anchor_round_is_the_one_drawn_at_construction() {
+    // A hydrated FedCA client carries an undrawn sample; it is checked out,
+    // moved through the executor, and draws it in `begin_anchor`.
+    let workload = Workload::tiny_mlp(1);
+    let layout = model_layout(1);
+    let scheme = Scheme::fedca_default();
+    let fl = FlConfig {
+        n_clients: 16,
+        lr: workload.lr,
+        weight_decay: workload.weight_decay,
+        ..FlConfig::scaled()
+    };
+    let mut store = ClientStore::new(ClientFactory::new(&fl, &scheme, &workload, layout.clone()));
+    let id = 5;
+    store.hydrate(id).unwrap();
+    let ctx = Arc::new(RoundCtx {
+        layout: layout.clone(),
+        workload: workload.clone(),
+        fl: fl.clone(),
+        opts: scheme.client_options(),
+        global: (workload.model_factory)().flat_params(),
+    });
+    let executor = RoundExecutor::new(1);
+    executor
+        .submit(ClientWork {
+            ord: 0,
+            client: store.checkout(id).unwrap(),
+            plan: RoundPlan {
+                round: 0,
+                start: 0.0,
+                deadline: 1e9,
+                planned_iters: 3,
+                is_anchor: true,
+                faults: ClientFaults::none(),
+            },
+            ctx,
+        })
+        .unwrap();
+    let ClientDone::Completed(done) = executor.recv().unwrap() else {
+        panic!("the anchor round failed");
+    };
+    let profiler = &done.client.profiler;
+    assert!(profiler.curves().is_some(), "the anchor round profiled");
+
+    let queried_at_construction = SampledProfiler::new(
+        layout,
+        scheme.max_samples_per_layer(),
+        mix(fl.seed, DOMAIN_PROFILER, id as u64),
+    );
+    let indices = queried_at_construction.sample_indices().to_vec();
+    let ranges = queried_at_construction.sample_ranges().to_vec();
+    assert_eq!(profiler.sample_indices(), indices.as_slice());
+    assert_eq!(profiler.sample_ranges(), ranges.as_slice());
 }
 
 #[test]
