@@ -14,10 +14,7 @@ use crate::{Cli, Log};
 use fedca_core::metrics::RoundRecord;
 use fedca_core::trace::JsonlSink;
 use fedca_core::workload::Scale;
-use fedca_core::{
-    CheckpointConfig, CheckpointStore, FlConfig, Scheme, TraceConfig, Trainer, TrainerOutput,
-    Workload, WorkloadSpec,
-};
+use fedca_core::{FlConfig, Scheme, TraceConfig, Trainer, TrainerOutput, Workload, WorkloadSpec};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
@@ -36,7 +33,7 @@ pub struct Cells {
     pub verdicts_failed: Vec<&'static str>,
     workloads: BTreeMap<String, Workload>,
     /// `(key, trainer)` in creation order; a cell's index numbers its trace
-    /// file and checkpoint directory.
+    /// file.
     trainers: Vec<(String, Trainer)>,
     curves: BTreeMap<String, Curves>,
 }
@@ -157,40 +154,15 @@ impl Cells {
         &self.curves[model]
     }
 
-    /// Builds the next cell's trainer, honoring the run's trace and
-    /// checkpoint requests: tracing is switched on in the config and a
-    /// JSONL sink attached; checkpoints go to the cell's own directory.
+    /// Builds the next cell's trainer, honoring the run's trace request:
+    /// tracing is switched on in the config and a JSONL sink attached.
     fn build_trainer(&mut self, fl: &FlConfig, scheme: Scheme, workload: &Workload) -> Trainer {
         let n = self.trainers.len();
         let mut fl = fl.clone();
         if self.cli.trace.is_some() && !fl.trace.enabled {
             fl.trace = TraceConfig::enabled();
         }
-        if let Some(base) = &self.cli.checkpoint_dir {
-            let dir = numbered_checkpoint_dir(base, n);
-            fl.checkpoint = CheckpointConfig::to_dir(dir.to_string_lossy().into_owned());
-        }
-        // Resume only once this cell's directory holds at least one
-        // generation: in a run killed during cell N, cells > N never wrote
-        // anything and must start fresh. A directory with generations that
-        // are *all* corrupt is still a hard error inside resume().
-        let resuming = self.cli.resume && fl.checkpoint.is_enabled();
-        let has_generations = resuming
-            && CheckpointStore::new(&fl.checkpoint)
-                .generations()
-                .is_ok_and(|g| !g.is_empty());
-        let dir = fl.checkpoint.dir.clone();
-        let t = if has_generations {
-            let t = Trainer::resume(fl, scheme, workload.clone())
-                .unwrap_or_else(|e| panic!("--resume failed: {e}"));
-            self.note(format!("resumed from {dir} at round {}", t.records().len()));
-            t
-        } else {
-            if resuming {
-                self.note(format!("no generations in {dir}; starting fresh"));
-            }
-            Trainer::new(fl, scheme, workload.clone())
-        };
+        let t = Trainer::new(fl, scheme, workload.clone());
         if let Some(base) = &self.cli.trace {
             let path = numbered_trace_path(base, n);
             match JsonlSink::create(&path) {
@@ -205,23 +177,8 @@ impl Cells {
     }
 }
 
-/// `base`'s file name with `.n` appended.
-fn with_suffix(base: &Path, n: usize) -> PathBuf {
-    let name = base.file_name().unwrap_or_default().to_string_lossy();
-    base.with_file_name(format!("{name}.{n}"))
-}
-
-/// The `n`-th cell's checkpoint directory: the base directory as given for
-/// the first cell, `base.N` for subsequent ones.
-fn numbered_checkpoint_dir(base: &Path, n: usize) -> PathBuf {
-    if n == 0 {
-        return base.to_path_buf();
-    }
-    with_suffix(base, n)
-}
-
 /// The `n`-th cell's trace file: the base path as given for the first
-/// cell, `stem.N.ext` for subsequent ones.
+/// cell, `stem.N.ext` for subsequent ones (`name.N` without an extension).
 fn numbered_trace_path(base: &Path, n: usize) -> PathBuf {
     match (n, base.file_stem(), base.extension()) {
         (0, ..) => base.to_path_buf(),
@@ -230,6 +187,9 @@ fn numbered_trace_path(base: &Path, n: usize) -> PathBuf {
             stem.to_string_lossy(),
             ext.to_string_lossy()
         )),
-        _ => with_suffix(base, n),
+        _ => {
+            let name = base.file_name().unwrap_or_default().to_string_lossy();
+            base.with_file_name(format!("{name}.{n}"))
+        }
     }
 }

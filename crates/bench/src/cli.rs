@@ -48,10 +48,6 @@ pub struct Cli {
     pub shards: Option<usize>,
     /// `--trace`: JSONL trace destination (tracing is off without it).
     pub trace: Option<PathBuf>,
-    /// `--checkpoint-dir`: durability is off without it.
-    pub checkpoint_dir: Option<PathBuf>,
-    /// `--resume`: start each cell from its newest valid generation.
-    pub resume: bool,
     /// `--out`: write `DIR/<study>.csv` + `.log` instead of stdout/stderr.
     pub out: Option<PathBuf>,
 }
@@ -105,16 +101,14 @@ impl fmt::Display for CliError {
 impl std::error::Error for CliError {}
 
 /// Every flag with its accepted forms.
-const FLAGS: [(&str, &str); 9] = [
+const FLAGS: [(&str, &str); 7] = [
     ("--scale", "smoke|scaled|paper (default scaled)"),
     ("--seed", "a non-negative integer (default 42)"),
     ("--compression", "none|int8|f16|q1..q8|topP, 0 < P <= 100"),
     ("--n-clients", "a positive integer (population size)"),
     ("--shards", "a non-negative integer (0 = in-process)"),
     ("--trace", "a file path (JSONL trace, numbered per cell)"),
-    ("--checkpoint-dir", "a directory (numbered per cell)"),
     ("--out", "a directory for <study>.csv and <study>.log"),
-    ("--resume", "no value (continue from checkpoints)"),
 ];
 
 /// Parses a compression spec: `none`, `int8` (deterministic 8-bit), `f16`,
@@ -155,10 +149,6 @@ impl Cli {
             };
             let known = FLAGS.iter().find(|(f, _)| *f == name);
             let &(flag, expected) = known.ok_or_else(|| CliError::UnknownFlag(arg.clone()))?;
-            if flag == "--resume" && inline.is_none() {
-                cli.resume = true;
-                continue;
-            }
             let value = inline.or_else(|| args.next_if(|next| !next.starts_with("--")));
             let stored = value.as_deref().and_then(|v| cli.set(flag, v));
             stored.ok_or(CliError::BadValue {
@@ -185,9 +175,7 @@ impl Cli {
             "--n-clients" => self.n_clients = Some(v.parse().ok().filter(|n| *n > 0)?),
             "--shards" => self.shards = Some(v.parse().ok()?),
             "--trace" => self.trace = Some(v.into()),
-            "--checkpoint-dir" => self.checkpoint_dir = Some(v.into()),
             "--out" => self.out = Some(v.into()),
-            // `--resume=x`: the flag takes no value.
             _ => return None,
         }
         Some(())

@@ -24,7 +24,9 @@
 //! * `smoke`  — seconds-long sanity runs (CI);
 //! * `scaled` — the default; minutes-long runs whose shapes are recorded in
 //!   EXPERIMENTS.md;
-//! * `paper`  — paper-faithful workload shapes (hours; for completeness).
+//! * `paper`  — paper-faithful workload shapes: about 30 s for a cnn
+//!   `table1` cell and about 35 h for a 150-round `wrn` cell on a 2-core
+//!   host; no gate runs it.
 
 pub mod cells;
 pub mod cli;
@@ -48,7 +50,10 @@ pub enum ExpScale {
     /// Default minutes-long runs.
     #[default]
     Scaled,
-    /// Paper-faithful shapes.
+    /// Paper-faithful shapes ([`Scale::Paper`]). A cnn `table1` cell took
+    /// about 30 s on a 2-core x86 host (3.2 s of setup, then 13.9 s and
+    /// 13.7 s for its two FedCA rounds); one `wrn` FedCA round took 844 s
+    /// there, so a 150-round `wrn` cell is about 35 h. No gate runs it.
     Paper,
 }
 

@@ -4,7 +4,7 @@
 //! trains `tiny_mlp` or a sub-second smoke study.
 
 use fedca_bench::cells::NO_TARGET;
-use fedca_bench::cli::parse_compression;
+use fedca_bench::cli::{parse_compression, usage};
 use fedca_bench::studies::{self, STUDIES};
 use fedca_bench::study::{CONSECUTIVE_ROUNDS, EARLY_LATE_ROUNDS};
 use fedca_bench::{apply_population, fl_config, Cells, Cli, CliError, Command, ExpScale};
@@ -28,7 +28,7 @@ fn every_accepted_spelling_parses_to_the_expected_cli() {
         ..Cli::default()
     };
     type Expect = fn(&mut Cli);
-    let table: [(&[&str], Expect); 21] = [
+    let table: [(&[&str], Expect); 19] = [
         (&[], |_| {}),
         (&["--scale", "smoke"], |c| c.scale = ExpScale::Smoke),
         (&["--scale=paper"], |c| c.scale = ExpScale::Paper),
@@ -61,13 +61,6 @@ fn every_accepted_spelling_parses_to_the_expected_cli() {
         }),
         (&["--trace=out/t.jsonl"], |c| {
             c.trace = Some("out/t.jsonl".into())
-        }),
-        (&["--checkpoint-dir", "ck", "--resume"], |c| {
-            c.checkpoint_dir = Some("ck".into());
-            c.resume = true;
-        }),
-        (&["--checkpoint-dir=ck"], |c| {
-            c.checkpoint_dir = Some("ck".into())
         }),
         (&["--out", "results/smoke"], |c| {
             c.out = Some("results/smoke".into())
@@ -110,7 +103,7 @@ fn kind(e: &CliError) -> (&'static str, String) {
 
 #[test]
 fn every_malformed_command_line_is_a_typed_error() {
-    let table: [(&[&str], &str, &str); 27] = [
+    let table: [(&[&str], &str, &str); 29] = [
         (&[], "missing-command", ""),
         (&["--scale", "smoke"], "missing-command", ""),
         (&["overhead", "--scale", "x"], "bad-value", "--scale"),
@@ -122,7 +115,7 @@ fn every_malformed_command_line_is_a_typed_error() {
         ),
         (&["overhead", "--n-clients"], "missing-value", "--n-clients"),
         (
-            &["overhead", "--n-clients", "--resume"],
+            &["overhead", "--n-clients", "--trace"],
             "missing-value",
             "--n-clients",
         ),
@@ -158,7 +151,18 @@ fn every_malformed_command_line_is_a_typed_error() {
         ),
         (&["overhead", "--shards", "-1"], "bad-value", "--shards"),
         (&["overhead", "--trace"], "missing-value", "--trace"),
-        (&["overhead", "--resume=yes"], "bad-value", "--resume"),
+        // The retired durability flags.
+        (&["overhead", "--resume"], "unknown-flag", "--resume"),
+        (
+            &["overhead", "--resume=yes"],
+            "unknown-flag",
+            "--resume=yes",
+        ),
+        (
+            &["overhead", "--checkpoint-dir", "ck"],
+            "unknown-flag",
+            "--checkpoint-dir",
+        ),
         (
             &["overhead", "--frobnicate"],
             "unknown-flag",
@@ -240,6 +244,29 @@ fn retired_environment_variables_change_nothing() {
     assert_eq!(fedca_bench(&["fig11"], &[]).0, Some(2));
     assert_eq!(fedca_bench(&["probe-shard"], &[]).0, Some(2));
     assert_eq!(fedca_bench(&["list", "--cohort", "4"], &[]).0, Some(2));
+}
+
+/// `--checkpoint-dir` and `--resume` are gone: each is an unknown flag that
+/// exits 2 with the usage, and neither writes anything.
+#[test]
+fn retired_durability_flags_exit_2_with_the_usage() {
+    let dir = std::env::temp_dir().join(format!("fedca-bench-ckpt-{}", std::process::id()));
+    let ckpt = dir.to_string_lossy().into_owned();
+    for args in [
+        &["overhead", "--scale", "smoke", "--checkpoint-dir", &ckpt][..],
+        &["overhead", "--scale", "smoke", "--resume"],
+    ] {
+        let out = Process::new(env!("CARGO_BIN_EXE_fedca-bench"))
+            .args(args)
+            .output()
+            .expect("fedca-bench runs");
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(out.stdout.is_empty(), "{args:?} ran a study");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("unknown flag --"), "{args:?}: {stderr}");
+        assert!(stderr.contains(&usage()), "{args:?} printed no usage");
+    }
+    assert!(!dir.exists(), "a retired flag wrote {ckpt}");
 }
 
 // --- (b) the registry -------------------------------------------------------
@@ -421,12 +448,9 @@ fn trace_paths_are_numbered_per_run() {
     };
     three_requests(&Cli {
         trace: Some(dir.join("t.jsonl")),
-        checkpoint_dir: Some(dir.join("ckpt")),
         ..smoke_cli()
     });
-    assert_eq!(listing(), ["ckpt", "ckpt.1", "t.1.jsonl", "t.jsonl"]);
-    let generations = std::fs::read_dir(dir.join("ckpt")).expect("cell 0's directory");
-    assert_eq!(generations.count(), 2, "one generation per round of cell 0");
+    assert_eq!(listing(), ["t.1.jsonl", "t.jsonl"]);
     // A base without an extension gets a plain numeric suffix.
     three_requests(&Cli {
         trace: Some(dir.join("trace")),

@@ -1,139 +1,35 @@
-//! Durable checkpoint/restore for the training loop.
+//! In-memory snapshot/restore of the training loop.
 //!
-//! A checkpoint is a complete snapshot of the cross-round training state:
-//! rounds completed, virtual clock, the selection RNG's stream position,
-//! global parameters, the server's duration-estimator table, and the
-//! mutable state of every client that ever *participated* (epoch sampler
-//! position, device-speed process, link queues, profiled curves,
-//! participation count, compression residual). Everything else a
+//! A [`CheckpointEnvelope`] is a complete snapshot of the cross-round
+//! training state: rounds completed, virtual clock, the selection RNG's
+//! stream position, global parameters, the server's duration-estimator
+//! table, and the mutable state of every client that ever *participated*
+//! (epoch sampler position, device-speed process, link queues, profiled
+//! curves, compression residual). Everything else a
 //! [`Trainer`](crate::Trainer) holds is a pure function of the
 //! configuration — the partition, device speed classes, profiler sample
-//! indices, and the fault plan all derive from `fl.seed` — so resume
-//! rebuilds the trainer from config and overwrites only the state captured
-//! here. The envelope is *sparse* over the population (format v2): clients
-//! that never participated are omitted entirely, and the estimator and
-//! participation tables store `(id, value)` pairs, so a checkpoint of a
-//! million-client federation costs memory proportional to the clients
-//! actually touched, not the population. Intra-round transients
-//! (eager-transmission snapshots, early-stop decisions, an anchor round's
-//! recording buffer) never cross a round boundary and therefore never
-//! appear in a checkpoint; the fault-plan "cursor" is simply the round
-//! index, because fault draws are a pure function of
-//! `(fault_seed, round, client)`.
+//! indices, and the fault plan all derive from `fl.seed` — so a restore
+//! overwrites only the state captured here on a trainer built from the same
+//! config. The envelope is *sparse* over the population: clients that never
+//! participated are omitted entirely, and the estimator and participation
+//! tables store `(id, value)` pairs, so a snapshot of a million-client
+//! federation costs memory proportional to the clients actually touched,
+//! not the population. Intra-round transients (eager-transmission
+//! snapshots, early-stop decisions, an anchor round's recording buffer)
+//! never cross a round boundary and therefore never appear in a snapshot;
+//! the fault-plan "cursor" is simply the round index, because fault draws
+//! are a pure function of `(fault_seed, round, client)`.
 //!
-//! # On-disk format
-//!
-//! One generation per file, `checkpoint-<rounds>.ckpt`, containing a fixed
-//! header followed by the JSON-serialized [`CheckpointEnvelope`]:
-//!
-//! ```text
-//! offset  size  field
-//! 0       8     magic  b"FEDCACKP"
-//! 8       4     format version (u32 LE)
-//! 12      8     payload length (u64 LE)
-//! 20      8     FNV-1a 64 checksum of the payload (u64 LE)
-//! 28      n     payload (JSON)
-//! ```
-//!
-//! Writes are atomic: the file is written and fsynced under a `.tmp` name,
-//! then renamed into place, so a `kill -9` mid-write can never leave a
-//! half-written generation under the real name. Old generations rotate out
-//! (keep-last-K); recovery scans newest → oldest, skipping any generation
-//! whose header or checksum fails, and errors out (never hangs) when no
-//! valid generation remains.
-//!
-//! The envelope's JSON round-trips bit-exactly: `f32`/`f64` values are
-//! printed in shortest-round-trip form and `u64` in full decimal, so a
-//! restored RNG position or parameter vector is byte-identical to the one
-//! snapshotted — the property the kill-and-resume sweep tests pin.
+//! Nothing here touches the filesystem (DESIGN §8 says why).
 
 use crate::metrics::RoundRecord;
 use crate::profiler::ProfiledCurves;
 use fedca_sim::device::DeviceSpeedSnapshot;
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use std::fs;
-use std::io::Write as _;
-use std::path::{Path, PathBuf};
 
-/// File magic of a checkpoint generation.
-pub const CHECKPOINT_MAGIC: &[u8; 8] = b"FEDCACKP";
-
-/// Current on-disk format version. v2 made the envelope sparse over the
-/// client population (dirty clients only, `(id, value)` tables); v1
-/// envelopes are rejected as an unsupported version and skipped by
-/// recovery like any other invalid generation.
-pub const CHECKPOINT_VERSION: u32 = 2;
-
-/// Header bytes before the payload (magic + version + length + checksum).
-pub const CHECKPOINT_HEADER_LEN: usize = 8 + 4 + 8 + 8;
-
-/// Generations kept on disk when the config leaves `keep` at 0.
-pub const DEFAULT_KEEP: usize = 3;
-
-/// Durability configuration, carried in
-/// [`FlConfig::checkpoint`](crate::FlConfig). Disabled (empty `dir`) by
-/// default; a disabled config never touches the filesystem.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct CheckpointConfig {
-    /// Directory generations are written to. Empty disables checkpointing.
-    #[serde(default)]
-    pub dir: String,
-    /// Write a generation every this many rounds; 0 means every round.
-    #[serde(default)]
-    pub every: usize,
-    /// Generations kept on disk (older ones are pruned); 0 means
-    /// [`DEFAULT_KEEP`].
-    #[serde(default)]
-    pub keep: usize,
-}
-
-impl Default for CheckpointConfig {
-    fn default() -> Self {
-        CheckpointConfig::disabled()
-    }
-}
-
-impl CheckpointConfig {
-    /// The inert configuration: no directory, no writes.
-    pub fn disabled() -> Self {
-        CheckpointConfig {
-            dir: String::new(),
-            every: 0,
-            keep: 0,
-        }
-    }
-
-    /// Checkpoint into `dir` every round, with default rotation.
-    pub fn to_dir(dir: impl Into<String>) -> Self {
-        CheckpointConfig {
-            dir: dir.into(),
-            every: 0,
-            keep: 0,
-        }
-    }
-
-    /// Whether checkpointing is on (a directory is configured).
-    pub fn is_enabled(&self) -> bool {
-        !self.dir.is_empty()
-    }
-
-    /// The write cadence in rounds (0 normalizes to 1).
-    pub fn effective_every(&self) -> usize {
-        self.every.max(1)
-    }
-
-    /// Generations retained on disk (0 normalizes to [`DEFAULT_KEEP`]).
-    pub fn effective_keep(&self) -> usize {
-        if self.keep == 0 {
-            DEFAULT_KEEP
-        } else {
-            self.keep
-        }
-    }
-}
-
-/// One client's persisted cross-round state. Identity-level state (shard,
+/// One client's mutable cross-round state: the store's dirty overlay, and
+/// what a shard child receives with its work. Identity-level state (shard,
 /// base speed, profiler sample indices, per-round RNG seeds) is
 /// config-derived and excluded.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
@@ -158,20 +54,20 @@ pub struct ClientSnapshot {
     pub error_feedback: Vec<f32>,
 }
 
-/// The full serialized training state (the checkpoint payload).
+/// The full training state between two rounds.
 ///
 /// Sparse over the population: `clients` holds only the *dirty* set —
 /// clients whose mutable state diverged from its config-derived initial
 /// value (i.e. they participated at least once) — and the estimator and
 /// participation tables are `(id, value)` pairs sorted by id. A client
 /// absent from every table is rederived from `(fl.seed, id)` on demand.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct CheckpointEnvelope {
-    /// Fingerprint of `(FlConfig minus durability/trace, scheme, workload)`;
-    /// restore refuses an envelope whose fingerprint does not match the
-    /// rebuilt trainer's.
+    /// Fingerprint of `(FlConfig minus its trajectory-neutral sections,
+    /// scheme, workload)`; restore refuses an envelope whose fingerprint does
+    /// not match the trainer's.
     pub fingerprint: u64,
-    /// Population size the envelope was written against; restore refuses a
+    /// Population size the envelope was taken against; restore refuses a
     /// mismatch (sparse ids would silently alias otherwise).
     pub n_clients: usize,
     /// Rounds completed when the snapshot was taken (the resume point).
@@ -190,29 +86,24 @@ pub struct CheckpointEnvelope {
     /// Mutable state of the dirty client set, sorted by id.
     pub clients: Vec<ClientSnapshot>,
     /// All completed round records, in order.
-    #[serde(default)]
     pub records: Vec<RoundRecord>,
 }
 
-/// Why a checkpoint operation failed.
+/// Why a restore was refused. A refused restore leaves the trainer as it
+/// was.
 #[derive(Debug)]
 pub enum CheckpointError {
-    /// Filesystem error (directory unreadable, write failed, …).
-    Io(std::io::Error),
-    /// A generation file failed structural or checksum validation.
-    Corrupt(String),
-    /// Checkpointing is disabled (no directory configured).
-    Disabled,
-    /// No generation in the directory passed validation.
-    NoValidCheckpoint(PathBuf),
-    /// The envelope was written by a run with a different configuration.
+    /// The envelope does not fit the trainer: population size, record
+    /// count, parameter count or RNG width.
+    Malformed(String),
+    /// The envelope was taken from a run with a different configuration.
     ConfigMismatch {
         /// Fingerprint stored in the envelope.
         expected: u64,
         /// Fingerprint of the trainer attempting the restore.
         actual: u64,
     },
-    /// The trainer's client store rejected a snapshot or restore (a client
+    /// The trainer's client store rejected the snapshot or restore (a client
     /// was still checked out to a worker, or an id fell outside the
     /// population).
     Trainer(crate::population::TrainerError),
@@ -221,17 +112,10 @@ pub enum CheckpointError {
 impl fmt::Display for CheckpointError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            CheckpointError::Io(e) => write!(f, "checkpoint I/O error: {e}"),
-            CheckpointError::Corrupt(why) => write!(f, "corrupt checkpoint: {why}"),
-            CheckpointError::Disabled => {
-                write!(f, "checkpointing is disabled (no directory configured)")
-            }
-            CheckpointError::NoValidCheckpoint(dir) => {
-                write!(f, "no valid checkpoint generation in {}", dir.display())
-            }
+            CheckpointError::Malformed(why) => write!(f, "malformed snapshot: {why}"),
             CheckpointError::ConfigMismatch { expected, actual } => write!(
                 f,
-                "checkpoint belongs to a different run configuration \
+                "snapshot belongs to a different run configuration \
                  (envelope fingerprint {expected:#018x}, trainer {actual:#018x})"
             ),
             CheckpointError::Trainer(e) => write!(f, "client store rejected the operation: {e}"),
@@ -241,20 +125,13 @@ impl fmt::Display for CheckpointError {
 
 impl std::error::Error for CheckpointError {}
 
-impl From<std::io::Error> for CheckpointError {
-    fn from(e: std::io::Error) -> Self {
-        CheckpointError::Io(e)
-    }
-}
-
 impl From<crate::population::TrainerError> for CheckpointError {
     fn from(e: crate::population::TrainerError) -> Self {
         CheckpointError::Trainer(e)
     }
 }
 
-/// FNV-1a 64-bit hash — the format's checksum. Not cryptographic; it only
-/// needs to catch truncation and bit flips.
+/// FNV-1a 64-bit hash, behind the run fingerprint. Not cryptographic.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for &b in bytes {
@@ -264,314 +141,14 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Serializes an envelope into the on-disk container (header + payload).
-pub fn encode_envelope(env: &CheckpointEnvelope) -> Vec<u8> {
-    let payload = serde_json::to_string(env)
-        .expect("checkpoint envelope serializes")
-        .into_bytes();
-    let mut out = Vec::with_capacity(CHECKPOINT_HEADER_LEN + payload.len());
-    out.extend_from_slice(CHECKPOINT_MAGIC);
-    out.extend_from_slice(&CHECKPOINT_VERSION.to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(&fnv1a(&payload).to_le_bytes());
-    out.extend_from_slice(&payload);
-    out
-}
-
-/// Validates the container (magic, version, length, checksum) and
-/// deserializes the envelope.
-pub fn decode_envelope(bytes: &[u8]) -> Result<CheckpointEnvelope, CheckpointError> {
-    if bytes.len() < CHECKPOINT_HEADER_LEN {
-        return Err(CheckpointError::Corrupt(format!(
-            "file shorter than the {CHECKPOINT_HEADER_LEN}-byte header ({} bytes)",
-            bytes.len()
-        )));
-    }
-    if &bytes[..8] != CHECKPOINT_MAGIC {
-        return Err(CheckpointError::Corrupt("bad magic".to_string()));
-    }
-    let version = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"));
-    if version != CHECKPOINT_VERSION {
-        return Err(CheckpointError::Corrupt(format!(
-            "unsupported format version {version} (expected {CHECKPOINT_VERSION})"
-        )));
-    }
-    let len = u64::from_le_bytes(bytes[12..20].try_into().expect("8 bytes")) as usize;
-    let checksum = u64::from_le_bytes(bytes[20..28].try_into().expect("8 bytes"));
-    let payload = &bytes[CHECKPOINT_HEADER_LEN..];
-    if payload.len() != len {
-        return Err(CheckpointError::Corrupt(format!(
-            "payload length {} does not match header ({len}) — truncated write",
-            payload.len()
-        )));
-    }
-    let actual = fnv1a(payload);
-    if actual != checksum {
-        return Err(CheckpointError::Corrupt(format!(
-            "checksum mismatch (stored {checksum:#018x}, computed {actual:#018x})"
-        )));
-    }
-    let text = std::str::from_utf8(payload)
-        .map_err(|e| CheckpointError::Corrupt(format!("payload is not UTF-8: {e}")))?;
-    serde_json::from_str::<CheckpointEnvelope>(text)
-        .map_err(|e| CheckpointError::Corrupt(format!("payload does not decode: {e:?}")))
-}
-
-/// Generation-rotated checkpoint directory.
-pub struct CheckpointStore {
-    dir: PathBuf,
-    keep: usize,
-}
-
-impl CheckpointStore {
-    /// Opens (and lazily creates) a store over `cfg.dir`.
-    ///
-    /// # Panics
-    /// Panics if the config is disabled (empty directory).
-    pub fn new(cfg: &CheckpointConfig) -> Self {
-        assert!(cfg.is_enabled(), "checkpoint directory not configured");
-        CheckpointStore {
-            dir: PathBuf::from(&cfg.dir),
-            keep: cfg.effective_keep(),
-        }
-    }
-
-    /// The store's directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    /// Path of the generation for `rounds_done` completed rounds.
-    pub fn generation_path(&self, rounds_done: usize) -> PathBuf {
-        self.dir.join(format!("checkpoint-{rounds_done:06}.ckpt"))
-    }
-
-    /// Existing generation files as `(rounds_done, path)`, oldest first.
-    /// Files that don't match the naming scheme are ignored.
-    pub fn generations(&self) -> Result<Vec<(usize, PathBuf)>, CheckpointError> {
-        let mut out = Vec::new();
-        let entries = match fs::read_dir(&self.dir) {
-            Ok(e) => e,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(out),
-            Err(e) => return Err(e.into()),
-        };
-        for entry in entries {
-            let path = entry?.path();
-            let Some(name) = path.file_name().and_then(|n| n.to_str()) else {
-                continue;
-            };
-            let Some(stem) = name
-                .strip_prefix("checkpoint-")
-                .and_then(|s| s.strip_suffix(".ckpt"))
-            else {
-                continue;
-            };
-            if let Ok(round) = stem.parse::<usize>() {
-                out.push((round, path));
-            }
-        }
-        out.sort_by_key(|(round, _)| *round);
-        Ok(out)
-    }
-
-    /// Atomically writes a generation (tmp + fsync + rename) and rotates
-    /// out generations beyond keep-last-K. Returns the generation path.
-    pub fn write(&self, env: &CheckpointEnvelope) -> Result<PathBuf, CheckpointError> {
-        fs::create_dir_all(&self.dir)?;
-        let bytes = encode_envelope(env);
-        let final_path = self.generation_path(env.rounds_done);
-        let tmp_path = final_path.with_extension("ckpt.tmp");
-        {
-            let mut f = fs::File::create(&tmp_path)?;
-            f.write_all(&bytes)?;
-            f.sync_all()?;
-        }
-        fs::rename(&tmp_path, &final_path)?;
-        // Rotation: drop the oldest generations beyond the retention count.
-        let generations = self.generations()?;
-        if generations.len() > self.keep {
-            for (_, path) in &generations[..generations.len() - self.keep] {
-                // Best-effort: a failed unlink must not fail the write.
-                let _ = fs::remove_file(path);
-            }
-        }
-        Ok(final_path)
-    }
-
-    /// Loads the newest generation that passes validation, reporting each
-    /// skipped (corrupt/unreadable) generation through `on_skip(path,
-    /// reason)`. Newest → oldest, so a bit-flipped latest generation falls
-    /// back to the one before it. Errors — never hangs — when no valid
-    /// generation exists.
-    pub fn load_latest(
-        &self,
-        mut on_skip: impl FnMut(&Path, &str),
-    ) -> Result<(PathBuf, CheckpointEnvelope), CheckpointError> {
-        let mut generations = self.generations()?;
-        generations.reverse();
-        for (_, path) in generations {
-            let bytes = match fs::read(&path) {
-                Ok(b) => b,
-                Err(e) => {
-                    on_skip(&path, &format!("unreadable: {e}"));
-                    continue;
-                }
-            };
-            match decode_envelope(&bytes) {
-                Ok(env) => return Ok((path, env)),
-                Err(e) => on_skip(&path, &e.to_string()),
-            }
-        }
-        Err(CheckpointError::NoValidCheckpoint(self.dir.clone()))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn tiny_envelope(rounds_done: usize) -> CheckpointEnvelope {
-        CheckpointEnvelope {
-            fingerprint: 0xABCD_EF01_2345_6789,
-            n_clients: 1_000_000,
-            rounds_done,
-            clock: 12.5 + rounds_done as f64,
-            selection_rng: vec![1, u64::MAX, 3, 0x9E37_79B9_7F4A_7C15],
-            global: vec![0.1, -2.5e-8, 3.0e7],
-            estimator_ema: vec![(1, 4.25), (999_999, 0.75)],
-            participations: vec![(0, 2)],
-            clients: vec![ClientSnapshot {
-                id: 0,
-                sampler_indices: vec![3, 1, 2, 0],
-                sampler_cursor: 2,
-                device: DeviceSpeedSnapshot {
-                    rng: vec![9, 8, 7, u64::MAX - 1],
-                    segments: vec![(1.5, 2.0), (4.0, 0.5)],
-                    horizon: 4.0,
-                    next_is_fast: false,
-                },
-                uplink_busy_until: 7.75,
-                downlink_busy_until: 0.0,
-                curves: Some(ProfiledCurves {
-                    anchor_round: 0,
-                    k: 2,
-                    model: vec![0.5, 1.0],
-                    layers: vec![vec![0.25, 1.0]],
-                }),
-                error_feedback: vec![0.125, -0.5],
-            }],
-            records: Vec::new(),
-        }
-    }
-
     #[test]
-    fn container_round_trips_bit_exactly() {
-        let env = tiny_envelope(7);
-        let bytes = encode_envelope(&env);
-        let back = decode_envelope(&bytes).expect("valid container");
-        assert_eq!(back, env);
-    }
-
-    #[test]
-    fn truncation_fails_checksum_at_every_length() {
-        let bytes = encode_envelope(&tiny_envelope(1));
-        for cut in [0, 5, CHECKPOINT_HEADER_LEN, bytes.len() - 1] {
-            assert!(
-                decode_envelope(&bytes[..cut]).is_err(),
-                "truncation to {cut} bytes must be rejected"
-            );
-        }
-    }
-
-    #[test]
-    fn every_single_bit_flip_is_detected() {
-        let bytes = encode_envelope(&tiny_envelope(2));
-        // Flip one bit per byte across the whole file (header included):
-        // either validation or the payload comparison must catch it.
-        for i in 0..bytes.len() {
-            let mut bad = bytes.clone();
-            bad[i] ^= 1 << (i % 8);
-            match decode_envelope(&bad) {
-                Err(_) => {}
-                Ok(env) => {
-                    // An undetected flip may only happen if FNV collides —
-                    // with a 1-bit flip it cannot, but guard regardless.
-                    assert_eq!(env, tiny_envelope(2), "flip at byte {i} corrupted data");
-                    panic!("flip at byte {i} went undetected");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn store_rotates_and_recovers_newest_first() {
-        let dir = std::env::temp_dir().join(format!("fedca-ckpt-test-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        let cfg = CheckpointConfig {
-            dir: dir.to_string_lossy().into_owned(),
-            every: 0,
-            keep: 2,
-        };
-        let store = CheckpointStore::new(&cfg);
-        for round in 1..=4 {
-            store.write(&tiny_envelope(round)).expect("write");
-        }
-        let generations = store.generations().expect("list");
-        let rounds: Vec<usize> = generations.iter().map(|(r, _)| *r).collect();
-        assert_eq!(rounds, vec![3, 4], "keep-last-2 rotation");
-
-        let (path, env) = store
-            .load_latest(|_, _| panic!("nothing corrupt yet"))
-            .expect("load");
-        assert_eq!(env.rounds_done, 4);
-        assert_eq!(path, store.generation_path(4));
-
-        // Corrupt the newest generation: recovery must fall back to gen 3.
-        let newest = store.generation_path(4);
-        let mut bytes = fs::read(&newest).expect("read");
-        let last = bytes.len() - 1;
-        bytes[last] ^= 0xFF;
-        fs::write(&newest, &bytes).expect("rewrite");
-        let mut skipped = Vec::new();
-        let (_, env) = store
-            .load_latest(|p, why| skipped.push((p.to_path_buf(), why.to_string())))
-            .expect("fallback");
-        assert_eq!(env.rounds_done, 3);
-        assert_eq!(skipped.len(), 1);
-        assert!(skipped[0].1.contains("checksum"), "{:?}", skipped[0]);
-
-        // Corrupt everything: a hard error, not a hang.
-        let third = store.generation_path(3);
-        let bytes = fs::read(&third).expect("read");
-        fs::write(&third, &bytes[..10]).expect("truncate");
-        let err = store.load_latest(|_, _| {}).unwrap_err();
-        assert!(matches!(err, CheckpointError::NoValidCheckpoint(_)));
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn missing_directory_is_a_clean_error() {
-        let cfg = CheckpointConfig {
-            dir: "/nonexistent/fedca-checkpoint-dir".to_string(),
-            every: 0,
-            keep: 0,
-        };
-        let store = CheckpointStore::new(&cfg);
-        assert!(store.generations().expect("empty listing").is_empty());
-        let err = store.load_latest(|_, _| {}).unwrap_err();
-        assert!(matches!(err, CheckpointError::NoValidCheckpoint(_)));
-    }
-
-    #[test]
-    fn config_defaults_are_inert_and_normalized() {
-        let c = CheckpointConfig::default();
-        assert!(!c.is_enabled());
-        assert_eq!(c.effective_every(), 1);
-        assert_eq!(c.effective_keep(), DEFAULT_KEEP);
-        let on = CheckpointConfig::to_dir("/tmp/x");
-        assert!(on.is_enabled());
-        let json = serde_json::to_string(&on).unwrap();
-        let back: CheckpointConfig = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, on);
+    fn fnv1a_matches_the_published_test_vectors() {
+        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a(b"foobar"), 0x8594_4171_f739_67e8);
     }
 }

@@ -5,7 +5,6 @@ use serde::{Deserialize, Serialize};
 
 pub use fedca_sim::faults::FaultConfig;
 
-pub use crate::checkpoint::CheckpointConfig;
 pub use crate::trace::TraceConfig;
 
 /// Federation-level configuration shared by all schemes.
@@ -55,22 +54,17 @@ pub struct FlConfig {
     /// pays a single branch.
     #[serde(default)]
     pub trace: TraceConfig,
-    /// Durable checkpoint/restore (`core::checkpoint`). Disabled by
-    /// default (no directory configured); when off the training loop never
-    /// touches the filesystem and trajectories are unchanged.
-    #[serde(default)]
-    pub checkpoint: CheckpointConfig,
     /// Virtual-population residency policy (`core::population`). Purely
     /// operational — it bounds how many hydrated clients stay in memory and
-    /// never affects the trajectory, so (like trace/checkpoint) it is
-    /// excluded from the run fingerprint.
+    /// never affects the trajectory, so (like trace) it is excluded from the
+    /// run fingerprint.
     #[serde(default)]
     pub population: PopulationConfig,
     /// Multi-process sharded execution (`core::shard`). Topology-neutral by
     /// construction — the coordinator folds reports in selection-ordinal
     /// order, so any shard/worker layout produces byte-identical records,
-    /// parameters, and canonical traces. Like trace/checkpoint/population,
-    /// this section is excluded from the run fingerprint.
+    /// parameters, and canonical traces. Like trace/population, this section
+    /// is excluded from the run fingerprint.
     #[serde(default)]
     pub shard: ShardConfig,
 }
@@ -148,7 +142,6 @@ impl Default for FlConfig {
             compression: Compression::None,
             faults: FaultConfig::none(),
             trace: TraceConfig::disabled(),
-            checkpoint: CheckpointConfig::disabled(),
             population: PopulationConfig::default(),
             shard: ShardConfig::default(),
         }

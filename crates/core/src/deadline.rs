@@ -85,8 +85,8 @@ impl DurationEstimator {
         self.ema.len()
     }
 
-    /// The sparse `(client, ema)` table sorted by client id, for
-    /// checkpointing. Alpha and the default are config-derived and excluded.
+    /// The sparse `(client, ema)` table sorted by client id, for a trainer
+    /// snapshot. Alpha and the default are config-derived and excluded.
     pub fn snapshot(&self) -> Vec<(usize, SimTime)> {
         let mut out: Vec<(usize, SimTime)> = self.ema.iter().map(|(&c, &e)| (c, e)).collect();
         out.sort_unstable_by_key(|&(c, _)| c);

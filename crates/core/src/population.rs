@@ -25,8 +25,8 @@
 //!   compact *dirty* overlay (its mutable state is the only thing that
 //!   cannot be rederived), an untouched one is simply dropped.
 //!
-//! The dirty overlay doubles as the sparse checkpoint payload: an envelope
-//! stores exactly the dirty set, so checkpoints of a million-client
+//! The dirty overlay doubles as the sparse snapshot payload: an envelope
+//! stores exactly the dirty set, so snapshots of a million-client
 //! federation scale with the clients actually touched.
 
 use crate::algorithms::Scheme;
@@ -46,7 +46,7 @@ use std::fmt;
 use std::sync::Arc;
 
 /// A client-store invariant violation, reported instead of panicking so
-/// callers (checkpointing in particular) can surface it as an error.
+/// callers (snapshot/restore in particular) can surface it as an error.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum TrainerError {
     /// The operation needs the client resident, but it is currently checked
@@ -182,8 +182,8 @@ impl ClientFactory {
             shard,
             sampler,
             device: DeviceSpeed::for_client(speed, self.dynamics.clone(), seed, id as u64),
-            uplink: Link::for_client(seed, id as u64),
-            downlink: Link::for_client(seed, id as u64),
+            uplink: Link::paper_client(),
+            downlink: Link::paper_client(),
             profiler: SampledProfiler::new(
                 self.layout.clone(),
                 self.max_samples,
@@ -451,9 +451,9 @@ impl ClientStore {
         (self.round_hydrated, self.round_evicted)
     }
 
-    /// The mutated-client set for a checkpoint: the dirty overlay plus every
+    /// The mutated-client set for a snapshot: the dirty overlay plus every
     /// resident client that participated, sorted by id. Errors if any client
-    /// is still checked out (a checkpoint only runs between rounds).
+    /// is still checked out (a snapshot only runs between rounds).
     pub fn snapshot_all(&self) -> Result<Vec<ClientSnapshot>, TrainerError> {
         if !self.checked_out.is_empty() {
             return Err(TrainerError::ClientsInFlight {
@@ -471,10 +471,11 @@ impl ClientStore {
         Ok(out)
     }
 
-    /// Restores the store to a checkpointed population state: the dirty set
+    /// Restores the store to a snapshotted population state: the dirty set
     /// becomes the overlay and residency starts empty (clients rehydrate on
     /// their next selection). Errors if clients are in flight or an id falls
-    /// outside the population.
+    /// outside the population; every check runs before the first write, so
+    /// an error leaves the store unchanged.
     pub fn restore(
         &mut self,
         clients: &[ClientSnapshot],

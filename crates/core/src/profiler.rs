@@ -228,7 +228,7 @@ impl SampledProfiler {
         self.curves.as_ref()
     }
 
-    /// Overwrites the stored curves (checkpoint/restore). Sample indices
+    /// Overwrites the stored curves (snapshot/restore). Sample indices
     /// are deterministic per `(seed, layout)` and never restored.
     pub fn restore_curves(&mut self, curves: Option<ProfiledCurves>) {
         self.curves = curves;

@@ -12,7 +12,7 @@
 //! regardless of which worker finishes first.
 
 use crate::algorithms::Scheme;
-use crate::checkpoint::{fnv1a, CheckpointEnvelope, CheckpointError, CheckpointStore};
+use crate::checkpoint::{fnv1a, CheckpointEnvelope, CheckpointError};
 use crate::client::{ClientState, RoundPlan};
 use crate::config::FlConfig;
 use crate::executor::{ClientCompletion, ClientDone, ClientWork, RoundCtx, RoundExecutor};
@@ -128,18 +128,18 @@ fn invariant<T>(r: Result<T, TrainerError>) -> T {
     r.unwrap_or_else(|e| panic!("client-store invariant violated: {e}"))
 }
 
-/// `FlConfig` sections that cannot change the trajectory: where and how
-/// often checkpoints go, whether tracing is on, how many hydrated clients
-/// stay resident, and the process topology.
-const TRAJECTORY_NEUTRAL_SECTIONS: [&str; 4] = ["checkpoint", "trace", "population", "shard"];
+/// `FlConfig` sections that cannot change the trajectory: whether tracing
+/// is on, how many hydrated clients stay resident, and the process
+/// topology.
+const TRAJECTORY_NEUTRAL_SECTIONS: [&str; 3] = ["trace", "population", "shard"];
 
-/// The text a checkpoint's fingerprint hashes: the `FlConfig` with its
+/// The text a snapshot's fingerprint hashes: the `FlConfig` with its
 /// [`TRAJECTORY_NEUTRAL_SECTIONS`] *removed*, plus the scheme and the
 /// workload name. Removed, not reset to their defaults: the shape of a
 /// section the trajectory does not depend on (a field added to or retired
-/// from `ShardConfig`, say) must not orphan the checkpoints on disk, and a
-/// resume may use a different checkpoint directory, tracing setup,
-/// residency cap or shard count than the run that wrote the generation.
+/// from `ShardConfig`, say) must not move the fingerprint, and a restore may
+/// use a different tracing setup, residency cap or shard count than the run
+/// that took the snapshot.
 fn run_identity(fl: &FlConfig, scheme: &Scheme, workload: &str) -> String {
     let serde::Value::Object(mut sections) = serde_json::to_value(fl).expect("config serializes")
     else {
@@ -649,13 +649,10 @@ impl Trainer {
         (correct / seen.max(1) as f64) as f32
     }
 
-    /// Runs `rounds` rounds, returning the full output. When
-    /// `FlConfig::checkpoint` is enabled, a generation is written after
-    /// every `every`-th completed round.
+    /// Runs `rounds` rounds, returning the full output.
     pub fn run(&mut self, rounds: usize) -> TrainerOutput {
         for _ in 0..rounds {
             self.run_round();
-            self.auto_checkpoint();
         }
         self.output()
     }
@@ -663,10 +660,7 @@ impl Trainer {
     /// Runs until test accuracy reaches `target` (or `max_rounds`).
     pub fn run_until_accuracy(&mut self, target: f32, max_rounds: usize) -> TrainerOutput {
         for _ in 0..max_rounds {
-            let rec = self.run_round();
-            let done = rec.accuracy.is_some_and(|a| a >= target);
-            self.auto_checkpoint();
-            if done {
+            if self.run_round().accuracy.is_some_and(|a| a >= target) {
                 break;
             }
         }
@@ -682,7 +676,7 @@ impl Trainer {
         }
     }
 
-    /// Fingerprint of the run identity a checkpoint belongs to: see
+    /// Fingerprint of the run identity a snapshot belongs to: see
     /// [`run_identity`]. Restore refuses envelopes from a different
     /// identity before any component-level restore runs.
     fn run_fingerprint(&self) -> u64 {
@@ -713,6 +707,9 @@ impl Trainer {
     /// identically-configured run. Everything config-derived (partition,
     /// speed classes, fault plan, profiler sample indices) was already
     /// rebuilt by the constructor and is left untouched.
+    ///
+    /// All or nothing: every check runs before the first write, so a refused
+    /// envelope leaves the trainer exactly as it was.
     pub fn restore(&mut self, env: &CheckpointEnvelope) -> Result<(), CheckpointError> {
         let actual = self.run_fingerprint();
         if env.fingerprint != actual {
@@ -721,20 +718,31 @@ impl Trainer {
                 actual,
             });
         }
-        if env.n_clients != self.fl.n_clients || env.records.len() != env.rounds_done {
-            return Err(CheckpointError::Corrupt(format!(
-                "envelope shape mismatch: population {} (trainer has {}), \
-                 {} records for rounds_done={}",
+        let (n_clients, n_params) = (self.fl.n_clients, self.layout.total_params());
+        if env.n_clients != n_clients
+            || env.records.len() != env.rounds_done
+            || env.global.len() != n_params
+        {
+            return Err(CheckpointError::Malformed(format!(
+                "population {} (trainer has {n_clients}), {} records for \
+                 rounds_done={}, {} global parameters (layout has {n_params})",
                 env.n_clients,
-                self.fl.n_clients,
                 env.records.len(),
-                env.rounds_done
+                env.rounds_done,
+                env.global.len(),
             )));
         }
-        let rng_state: [u64; 4] =
-            env.selection_rng.as_slice().try_into().map_err(|_| {
-                CheckpointError::Corrupt("selection RNG state must be 4 words".into())
-            })?;
+        let rng_state: [u64; 4] = env.selection_rng.as_slice().try_into().map_err(|_| {
+            CheckpointError::Malformed("selection RNG state must be 4 words".into())
+        })?;
+        if let Some(&(id, _)) = env.estimator_ema.iter().find(|&&(id, _)| id >= n_clients) {
+            return Err(TrainerError::UnknownClient { id, n_clients }.into());
+        }
+        // The sparse client set becomes the store's dirty overlay; clients
+        // rehydrate (fresh derivation + overlay) on their next selection.
+        // The store checks its ids and that no client is in flight before it
+        // writes anything, and nothing after it can fail.
+        self.store.restore(&env.clients, &env.participations)?;
         self.rng = StdRng::from_state(rng_state);
         self.clock = env.clock;
         self.records = env.records.clone();
@@ -742,100 +750,7 @@ impl Trainer {
         self.server
             .estimator_mut()
             .restore(env.estimator_ema.clone());
-        // The sparse client set becomes the store's dirty overlay; clients
-        // rehydrate (fresh derivation + overlay) on their next selection.
-        self.store.restore(&env.clients, &env.participations)?;
         Ok(())
-    }
-
-    /// Writes a checkpoint generation now (independent of the periodic
-    /// cadence). Requires `FlConfig::checkpoint` to be enabled.
-    pub fn checkpoint(&self) -> Result<std::path::PathBuf, CheckpointError> {
-        if !self.fl.checkpoint.is_enabled() {
-            return Err(CheckpointError::Disabled);
-        }
-        let store = CheckpointStore::new(&self.fl.checkpoint);
-        let env = self.snapshot()?;
-        let path = store.write(&env)?;
-        self.tracer.emit(
-            self.clock,
-            SERVER_ORD,
-            0.0,
-            TraceEvent::CheckpointWritten {
-                round: env.rounds_done,
-                path: path.display().to_string(),
-            },
-        );
-        Ok(path)
-    }
-
-    /// Periodic durability hook called after each completed round. A write
-    /// failure (full disk, permissions) is reported but never aborts
-    /// training — the run degrades to fewer generations, not a crash.
-    fn auto_checkpoint(&mut self) {
-        let cfg = &self.fl.checkpoint;
-        if !cfg.is_enabled() || !self.records.len().is_multiple_of(cfg.effective_every()) {
-            return;
-        }
-        if let Err(e) = self.checkpoint() {
-            eprintln!(
-                "warning: checkpoint after round {} failed: {e}",
-                self.records.len()
-            );
-        }
-    }
-
-    /// Builds a trainer and restores it from the newest valid generation in
-    /// `fl.checkpoint.dir`. Corrupt generations are skipped (with a
-    /// `CheckpointCorruptSkipped` trace event each) in favour of the one
-    /// before; if no valid generation exists this is a hard error, never a
-    /// hang. On success the trainer continues exactly where the
-    /// checkpointed run left off: the remaining rounds' records, final
-    /// parameters, and canonical trace events are bit-identical to an
-    /// uninterrupted run.
-    pub fn resume(
-        fl: FlConfig,
-        scheme: Scheme,
-        workload: Workload,
-    ) -> Result<Self, CheckpointError> {
-        let n_workers = default_workers(&fl);
-        Self::resume_with_workers(fl, scheme, workload, n_workers)
-    }
-
-    /// Like [`resume`](Self::resume) with an explicit worker-pool size.
-    pub fn resume_with_workers(
-        fl: FlConfig,
-        scheme: Scheme,
-        workload: Workload,
-        n_workers: usize,
-    ) -> Result<Self, CheckpointError> {
-        if !fl.checkpoint.is_enabled() {
-            return Err(CheckpointError::Disabled);
-        }
-        let store = CheckpointStore::new(&fl.checkpoint);
-        let mut skipped: Vec<(String, String)> = Vec::new();
-        let (path, env) =
-            store.load_latest(|p, why| skipped.push((p.display().to_string(), why.to_string())))?;
-        let mut trainer = Self::new_with_workers(fl, scheme, workload, n_workers);
-        for (path, reason) in skipped {
-            trainer.tracer.emit(
-                env.clock,
-                SERVER_ORD,
-                0.0,
-                TraceEvent::CheckpointCorruptSkipped { path, reason },
-            );
-        }
-        trainer.restore(&env)?;
-        trainer.tracer.emit(
-            trainer.clock,
-            SERVER_ORD,
-            0.0,
-            TraceEvent::CheckpointRecovered {
-                round: env.rounds_done,
-                path: path.display().to_string(),
-            },
-        );
-        Ok(trainer)
     }
 }
 
@@ -863,7 +778,6 @@ mod tests {
             compression: Default::default(),
             faults: FaultConfig::none(),
             trace: Default::default(),
-            checkpoint: Default::default(),
             population: Default::default(),
             shard: Default::default(),
         }
@@ -874,15 +788,13 @@ mod tests {
         let base = tiny_fl();
         let identity = |fl: &FlConfig| run_identity(fl, &Scheme::fedca_default(), "tiny_mlp");
         let want = identity(&base);
-        // The hashed text does not even name the four sections, so adding or
+        // The hashed text does not even name the three sections, so adding or
         // retiring a field inside one of them cannot move a fingerprint.
         for section in TRAJECTORY_NEUTRAL_SECTIONS {
             assert!(!want.contains(section), "`{section}` in {want}");
         }
         // No value of any of them changes it.
         let mut busy = base.clone();
-        busy.checkpoint.dir = "/somewhere/else".into();
-        busy.checkpoint.every = 3;
         busy.trace = crate::trace::TraceConfig::enabled();
         busy.population.cache_clients = 5;
         busy.shard.n_shards = 4;

@@ -228,7 +228,7 @@ impl Server {
         &self.global
     }
 
-    /// Overwrites the global parameters (checkpoint/restore).
+    /// Overwrites the global parameters (snapshot/restore).
     ///
     /// # Panics
     /// Panics if `data` does not match the model layout.
@@ -238,12 +238,12 @@ impl Server {
         self.global = UpdateVec::from_vec(layout, data);
     }
 
-    /// The per-client duration estimator (checkpoint/restore).
+    /// The per-client duration estimator (snapshot/restore).
     pub fn estimator(&self) -> &DurationEstimator {
         &self.estimator
     }
 
-    /// Mutable access to the duration estimator (checkpoint/restore).
+    /// Mutable access to the duration estimator (snapshot/restore).
     pub fn estimator_mut(&mut self) -> &mut DurationEstimator {
         &mut self.estimator
     }

@@ -9,9 +9,9 @@
 //! is byte-identical for any topology.
 //!
 //! [`ShardPool`] speaks the executor's vocabulary: [`ClientWork`] in,
-//! [`ClientDone`] out. The root owns all durable state: the lazy
+//! [`ClientDone`] out. The root owns all cross-round state: the lazy
 //! [`ClientStore`](crate::population::ClientStore), the selection RNG, the
-//! global model, the tracer, and checkpointing. The pool keeps each
+//! global model, the tracer, and snapshots. The pool keeps each
 //! checked-out [`ClientState`] beside its outstanding ordinal; a
 //! [`WorkItem`] ships `{ordinal, client id, participations, plan,
 //! snapshot}` and the stateless child rebuilds the client as

@@ -232,30 +232,6 @@ pub enum TraceEvent {
         /// Span name (`hydrate`, `aggregate`, `evaluate`, `round`).
         name: String,
     },
-    /// A durable checkpoint generation was written and fsync-renamed into
-    /// place. Excluded from the canonical stream (durability is an
-    /// operational concern; the trajectory is unchanged by it).
-    CheckpointWritten {
-        /// Rounds completed at the time of the snapshot.
-        round: usize,
-        /// Path of the generation file.
-        path: String,
-    },
-    /// Training state was restored from a checkpoint generation.
-    CheckpointRecovered {
-        /// Rounds completed in the recovered snapshot.
-        round: usize,
-        /// Path of the generation file recovery loaded.
-        path: String,
-    },
-    /// A checkpoint generation failed its checksum (truncated or bit-flipped)
-    /// and recovery fell back to the previous generation.
-    CheckpointCorruptSkipped {
-        /// Path of the rejected generation file.
-        path: String,
-        /// Why it was rejected.
-        reason: String,
-    },
     /// A shard's link went down, or the shard could not be (re)started,
     /// greeted or dispatched to, or it stalled past the io timeout: its child process
     /// was killed and the shard is out for the round. Excluded from the
@@ -304,19 +280,14 @@ impl TraceEvent {
             TraceEvent::AggregationCut { .. } => "aggregation_cut",
             TraceEvent::RoundClose { .. } => "round_close",
             TraceEvent::Span { .. } => "span",
-            TraceEvent::CheckpointWritten { .. } => "checkpoint_written",
-            TraceEvent::CheckpointRecovered { .. } => "checkpoint_recovered",
-            TraceEvent::CheckpointCorruptSkipped { .. } => "checkpoint_corrupt_skipped",
             TraceEvent::ShardQuarantined { .. } => "shard_quarantined",
             TraceEvent::OrdinalReassigned { .. } => "ordinal_reassigned",
         }
     }
 
     /// Whether the event belongs to the canonical (worker-count-invariant)
-    /// stream. `RunStart` names the pool size and is excluded; checkpoint
-    /// events name host paths and depend on the durability schedule, not
-    /// the trajectory, so a resumed run's canonical suffix stays
-    /// byte-identical to the uninterrupted run's. Shard-failover events
+    /// stream. `RunStart` names the pool size and is excluded, and so is
+    /// `ClientHydrated` (residency is a cache policy). Shard-failover events
     /// (quarantines, reassignments) depend on host timing
     /// and on which child died when, never on the trajectory, so a run that
     /// lost shards keeps a canonical stream byte-identical to one that did
@@ -326,9 +297,6 @@ impl TraceEvent {
             self,
             TraceEvent::RunStart { .. }
                 | TraceEvent::ClientHydrated { .. }
-                | TraceEvent::CheckpointWritten { .. }
-                | TraceEvent::CheckpointRecovered { .. }
-                | TraceEvent::CheckpointCorruptSkipped { .. }
                 | TraceEvent::ShardQuarantined { .. }
                 | TraceEvent::OrdinalReassigned { .. }
         )

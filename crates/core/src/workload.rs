@@ -16,7 +16,10 @@ use std::sync::Arc;
 /// Scale preset for workload construction.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Scale {
-    /// Paper-faithful shapes (slow; for overnight runs).
+    /// Paper-faithful shapes. Measured on a 2-core x86 host: a cnn cell
+    /// takes about 30 s (≈ 14 s of host time per FedCA round), a `wrn` FedCA
+    /// round 844 s, so a 150-round `wrn` cell is about 35 h. No gate runs
+    /// it (DESIGN §4).
     Paper,
     /// CI-friendly reduction exercising identical code paths.
     Scaled,

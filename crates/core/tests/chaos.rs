@@ -53,7 +53,6 @@ fn tiny_fl(seed: u64, faults: FaultConfig) -> FlConfig {
         compression: Default::default(),
         faults,
         trace: Default::default(),
-        checkpoint: Default::default(),
         population: Default::default(),
         shard: Default::default(),
     }

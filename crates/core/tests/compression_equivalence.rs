@@ -35,7 +35,6 @@ fn study_fl(compression: Compression) -> FlConfig {
         compression,
         faults: FaultConfig::chaos(SEED),
         trace: TraceConfig::enabled(),
-        checkpoint: Default::default(),
         population: Default::default(),
         shard: Default::default(),
     }

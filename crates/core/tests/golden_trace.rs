@@ -37,7 +37,6 @@ fn traced_fl() -> FlConfig {
         compression: Default::default(),
         faults: FaultConfig::chaos(SEED),
         trace: TraceConfig::enabled(),
-        checkpoint: Default::default(),
         population: Default::default(),
         shard: Default::default(),
     }

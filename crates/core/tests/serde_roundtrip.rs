@@ -1,11 +1,10 @@
 //! Property tests: serde round-trips for the experiment's persisted types
-//! (`RoundRecord`, `EagerEvent`, `TraceEvent`) — arbitrary values survive
+//! (`RoundRecord`, `EagerEvent`, `TraceEvent`, `ClientSnapshot`) and the
+//! shard protocol's messages — arbitrary values survive
 //! JSON serialization exactly, and `#[serde(default)]` fields deserialize
 //! from documents that predate them (the drift a new field would introduce).
 
-use fedca_core::checkpoint::{
-    decode_envelope, encode_envelope, CheckpointEnvelope, ClientSnapshot,
-};
+use fedca_core::checkpoint::ClientSnapshot;
 use fedca_core::metrics::{EagerEvent, RoundRecord};
 use fedca_core::profiler::ProfiledCurves;
 use fedca_core::trace::TraceEvent;
@@ -281,157 +280,72 @@ fn round_record_written_with_a_retired_key_still_loads() {
 }
 
 proptest! {
-    /// The checkpoint container round-trips arbitrary envelopes bit-exactly
-    /// (encode → decode → equal), including full-range `u64` RNG words and
-    /// negative/small floats — the property bit-identical resume rests on.
+    /// A `ClientSnapshot` — the dirty overlay a shard child receives inside
+    /// `WorkItem` and returns inside `DoneMsg` — round-trips through JSON
+    /// bit-exactly, including full-range `u64` RNG words, profiled curves and
+    /// an error-feedback residual of negative and small floats.
     #[test]
-    fn checkpoint_envelope_round_trips_bit_exactly(
-        (fingerprint, rounds_done, clock, rng_words, global, ema_raw, clients_raw) in (
-            0u64..u64::MAX,
-            0usize..1000,
-            0.0f64..1e6,
+    fn client_snapshot_round_trips_bit_exactly(
+        (id, rng, indices, busy, (has_curves, curve), feedback) in (
+            0usize..1_000_000,
             prop::collection::vec(0u64..u64::MAX, 4),
-            prop::collection::vec(-1e3f32..1e3, 0..8),
-            prop::collection::vec((0u8..2, 0.0f64..1e4), 0..6),
-            prop::collection::vec(
-                (
-                    prop::collection::vec(0u64..u64::MAX, 4),
-                    prop::collection::vec(0usize..64, 1..8),
-                    0.0f64..1e5,
-                    (0u8..2, prop::collection::vec(0.0f32..1.0, 1..6)),
-                    prop::collection::vec(-1.0f32..1.0, 0..5),
-                ),
-                0..4,
-            ),
+            prop::collection::vec(0usize..64, 1..8),
+            0.0f64..1e5,
+            (0u8..2, prop::collection::vec(0.0f32..1.0, 1..6)),
+            prop::collection::vec(-1.0f32..1.0, 0..5),
         )
     ) {
-        let clients: Vec<ClientSnapshot> = clients_raw
-            .into_iter()
-            .enumerate()
-            .map(|(id, (rng, indices, busy, (has_curves, curve), feedback))| ClientSnapshot {
-                id,
-                sampler_cursor: indices.len() - 1,
-                sampler_indices: indices,
-                device: DeviceSpeedSnapshot {
-                    rng,
-                    segments: vec![(busy * 0.5, 1.25), (busy, 0.75)],
-                    horizon: busy,
-                    next_is_fast: has_curves == 1,
-                },
-                uplink_busy_until: busy,
-                downlink_busy_until: busy * 0.25,
-                curves: (has_curves == 1).then(|| ProfiledCurves {
-                    anchor_round: id,
-                    k: curve.len(),
-                    model: curve.clone(),
-                    layers: vec![curve.clone()],
-                }),
-                error_feedback: feedback,
-            })
-            .collect();
-        let participations: Vec<(usize, usize)> =
-            clients.iter().map(|c| (c.id, c.id + 1)).collect();
-        let env = CheckpointEnvelope {
-            fingerprint,
-            rounds_done,
-            clock,
-            n_clients: clients.len().max(1) * 1000,
-            selection_rng: rng_words,
-            global,
-            estimator_ema: ema_raw
-                .into_iter()
-                .enumerate()
-                .filter(|(_, (present, _))| *present == 1)
-                .map(|(i, (_, v))| (i * 997, v))
-                .collect(),
-            participations,
-            clients,
-            records: Vec::new(),
+        let snap = ClientSnapshot {
+            id,
+            sampler_cursor: indices.len() - 1,
+            sampler_indices: indices,
+            device: DeviceSpeedSnapshot {
+                rng,
+                segments: vec![(busy * 0.5, 1.25), (busy, 0.75)],
+                horizon: busy,
+                next_is_fast: has_curves == 1,
+            },
+            uplink_busy_until: busy,
+            downlink_busy_until: busy * 0.25,
+            curves: (has_curves == 1).then(|| ProfiledCurves {
+                anchor_round: id,
+                k: curve.len(),
+                model: curve.clone(),
+                layers: vec![curve.clone()],
+            }),
+            error_feedback: feedback,
         };
-        let bytes = encode_envelope(&env);
-        let back = decode_envelope(&bytes).expect("valid container");
-        prop_assert_eq!(back, env);
+        let json = serde_json::to_string(&snap).expect("serialize");
+        let back: ClientSnapshot = serde_json::from_str(&json).expect("deserialize");
+        prop_assert_eq!(back, snap);
     }
 }
 
-/// `#[serde(default)]`-drift guard for the checkpoint envelope: a payload
-/// written before the defaulted fields existed (no `records` on the
-/// envelope, no `curves`/`error_feedback` on a client) still deserializes,
-/// with those fields at their defaults.
+/// `#[serde(default)]`-drift guard: a `ClientSnapshot` document without
+/// `curves`/`error_feedback` (written before either existed) still loads,
+/// with both at their defaults and every other field — extreme RNG words
+/// included — intact.
 #[test]
-fn checkpoint_envelope_tolerates_missing_defaulted_fields() {
-    let env = CheckpointEnvelope {
-        fingerprint: 7,
-        rounds_done: 2,
-        clock: 100.5,
-        n_clients: 1_000_000,
-        selection_rng: vec![1, 2, 3, 4],
-        global: vec![0.5, -0.25],
-        estimator_ema: vec![(1, 3.5), (999_999, 0.75)],
-        participations: vec![(0, 1), (999_999, 2)],
-        clients: vec![ClientSnapshot {
-            id: 0,
-            sampler_indices: vec![1, 0],
-            sampler_cursor: 1,
-            device: DeviceSpeedSnapshot {
-                rng: vec![5, 6, 7, 8],
-                segments: vec![(2.0, 1.5)],
-                horizon: 2.0,
-                next_is_fast: true,
-            },
-            uplink_busy_until: 9.0,
-            downlink_busy_until: 0.0,
-            curves: Some(ProfiledCurves {
-                anchor_round: 0,
-                k: 1,
-                model: vec![1.0],
-                layers: vec![vec![1.0]],
-            }),
-            error_feedback: vec![0.125],
-        }],
-        records: Vec::new(),
-    };
-    let serde::Value::Object(pairs) = serde_json::to_value(&env).expect("to_value") else {
-        panic!("CheckpointEnvelope must serialize to an object");
+fn client_snapshot_tolerates_missing_defaulted_fields() {
+    let mut snap = sample_snapshot(7);
+    snap.device.rng = vec![u64::MAX, 0, 1 << 63, 0x9E37_79B9_7F4A_7C15];
+    let serde::Value::Object(pairs) = serde_json::to_value(&snap).expect("to_value") else {
+        panic!("ClientSnapshot must serialize to an object");
     };
     let stripped: Vec<(String, serde::Value)> = pairs
         .into_iter()
-        .filter(|(k, _)| k != "records")
-        .map(|(k, v)| {
-            if k != "clients" {
-                return (k, v);
-            }
-            let serde::Value::Array(items) = v else {
-                panic!("clients must serialize to an array");
-            };
-            let cleaned = items
-                .into_iter()
-                .map(|item| {
-                    let serde::Value::Object(fields) = item else {
-                        panic!("a client snapshot must serialize to an object");
-                    };
-                    serde::Value::Object(
-                        fields
-                            .into_iter()
-                            .filter(|(k, _)| k != "curves" && k != "error_feedback")
-                            .collect(),
-                    )
-                })
-                .collect();
-            (k, serde::Value::Array(cleaned))
-        })
+        .filter(|(k, _)| k != "curves" && k != "error_feedback")
         .collect();
-    let back = CheckpointEnvelope::from_value(&serde::Value::Object(stripped))
+    let back = ClientSnapshot::from_value(&serde::Value::Object(stripped))
         .expect("defaulted fields must be optional");
-    assert!(back.records.is_empty());
-    assert_eq!(back.clients[0].curves, None);
-    assert!(back.clients[0].error_feedback.is_empty());
     assert_eq!(
-        back.clients[0].sampler_indices,
-        env.clients[0].sampler_indices
+        back,
+        ClientSnapshot {
+            curves: None,
+            error_feedback: Vec::new(),
+            ..snap
+        }
     );
-    assert_eq!(back.selection_rng, env.selection_rng);
-    assert_eq!(back.rounds_done, env.rounds_done);
 }
 
 // ---------------------------------------------------------------------------
@@ -650,8 +564,9 @@ fn fl_config_tolerates_documents_without_the_shard_section() {
 /// wrote (the fixture is that build's own `serde_json::to_string` output,
 /// with every later-removed `shard` key set to a non-default value) still
 /// loads: the retired keys — the resend protocol's, and since then the
-/// placement rule, the heartbeat, the frame cap and the separate spawn and
-/// handshake timeouts — are ignored, every surviving key keeps its value.
+/// placement rule, the heartbeat, the frame cap, the separate spawn and
+/// handshake timeouts and the whole `checkpoint` section — are ignored,
+/// every surviving key keeps its value.
 #[test]
 fn fl_config_written_before_the_link_rewrite_still_loads() {
     let old = include_str!(concat!(
@@ -671,4 +586,13 @@ fn fl_config_written_before_the_link_rewrite_still_loads() {
     assert_eq!(fl.faults, FaultConfig::chaos(47));
     // The fixture's trace section also names the retired ring size.
     assert_eq!(fl.trace, fedca_core::TraceConfig::disabled());
+    // ... and it carries the retired on-disk `checkpoint` section, which is
+    // ignored whatever it holds: nothing of it survives a reload.
+    let reloaded = serde_json::to_string(&fl).expect("serialize");
+    assert!(!reloaded.contains("checkpoint"), "{reloaded}");
+    let retired = r#""checkpoint":{"dir":"","every":0,"keep":0}"#;
+    assert!(old.contains(retired), "the fixture names the section");
+    let busy = old.replace(retired, r#""checkpoint":{"dir":"ckpt","every":3,"keep":9}"#);
+    let busy: FlConfig = serde_json::from_str(&busy).expect("the section is ignored");
+    assert_eq!(serde_json::to_string(&busy).expect("serialize"), reloaded);
 }

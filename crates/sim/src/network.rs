@@ -8,23 +8,9 @@
 //! completion is what the FL round logic observes.
 
 use crate::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// 13.7 Mbps in bytes/second (paper's per-client link).
 pub const PAPER_CLIENT_BANDWIDTH_BPS: f64 = 13.7e6 / 8.0;
-
-/// One completed transfer, for logging/asserting overlap behaviour.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct Transfer {
-    /// When the payload became ready to send.
-    pub ready: SimTime,
-    /// When the link actually started sending (≥ ready, FIFO).
-    pub start: SimTime,
-    /// When the last byte left the link.
-    pub end: SimTime,
-    /// Payload size in bytes.
-    pub bytes: f64,
-}
 
 /// A half-duplex FIFO link with fixed bandwidth.
 #[derive(Clone, Debug)]
@@ -35,7 +21,6 @@ pub struct Link {
     /// set). Always 1.0 on a healthy link.
     rate_scale: f64,
     busy_until: SimTime,
-    log: Vec<Transfer>,
 }
 
 impl Link {
@@ -49,22 +34,12 @@ impl Link {
             bandwidth_bytes_per_sec,
             rate_scale: 1.0,
             busy_until: 0.0,
-            log: Vec::new(),
         }
     }
 
     /// A client link at the paper's 13.7 Mbps.
     pub fn paper_client() -> Self {
         Link::new(PAPER_CLIENT_BANDWIDTH_BPS)
-    }
-
-    /// Counter-derived per-client link: the link's identity is a pure
-    /// function of `(master_seed, client id)`. The paper gives every client
-    /// the same wondershaper-throttled 13.7 Mbps, so no draw is consumed
-    /// today, but hydration routes through this constructor so a per-client
-    /// bandwidth distribution can slot in without touching the round loop.
-    pub fn for_client(_master_seed: u64, _id: u64) -> Self {
-        Link::paper_client()
     }
 
     /// Seconds needed to push `bytes` through an idle link at its current
@@ -103,12 +78,6 @@ impl Link {
         let start = ready.max(self.busy_until);
         let end = start + self.serialize_time(bytes);
         self.busy_until = end;
-        self.log.push(Transfer {
-            ready,
-            start,
-            end,
-            bytes,
-        });
         end
     }
 
@@ -117,35 +86,14 @@ impl Link {
         self.busy_until
     }
 
-    /// Restores the FIFO queue head (checkpoint/restore). The transfer log
-    /// is observational and not restored; rate scale is reapplied per round
-    /// by fault injection.
+    /// Restores the FIFO queue head (snapshot/restore). Rate scale is
+    /// reapplied per round by fault injection.
     ///
     /// # Panics
     /// Panics if `t < 0`.
     pub fn restore_busy_until(&mut self, t: SimTime) {
         assert!(t >= 0.0, "negative time");
         self.busy_until = t;
-    }
-
-    /// All transfers carried so far, in enqueue order.
-    pub fn log(&self) -> &[Transfer] {
-        &self.log
-    }
-
-    /// Total payload bytes this link has carried since the last reset —
-    /// compressed uploads show up here at their compressed size, which is
-    /// what the compression-equivalence tests assert on.
-    pub fn bytes_carried(&self) -> f64 {
-        self.log.iter().map(|t| t.bytes).sum()
-    }
-
-    /// Resets the link to idle at time 0 (new experiment), keeping bandwidth
-    /// and clearing any degradation.
-    pub fn reset(&mut self) {
-        self.busy_until = 0.0;
-        self.rate_scale = 1.0;
-        self.log.clear();
     }
 }
 
@@ -177,9 +125,6 @@ mod tests {
         assert!((e1 - 1.0).abs() < 1e-12);
         assert!((e2 - 2.0).abs() < 1e-12);
         assert!((e3 - 6.0).abs() < 1e-12);
-        let log = link.log();
-        assert_eq!(log[1].start, 1.0);
-        assert_eq!(log[2].start, 5.0);
     }
 
     #[test]
@@ -205,27 +150,5 @@ mod tests {
     #[should_panic(expected = "rate scale")]
     fn rejects_zero_rate_scale() {
         Link::new(10.0).set_rate_scale(0.0);
-    }
-
-    #[test]
-    fn bytes_carried_sums_the_transfer_log() {
-        let mut link = Link::new(100.0);
-        assert_eq!(link.bytes_carried(), 0.0);
-        let _ = link.transmit(0.0, 100.0);
-        let _ = link.transmit(0.5, 25.0);
-        assert!((link.bytes_carried() - 125.0).abs() < 1e-12);
-        link.reset();
-        assert_eq!(link.bytes_carried(), 0.0);
-    }
-
-    #[test]
-    fn reset_clears_state() {
-        let mut link = Link::new(10.0);
-        let _ = link.transmit(0.0, 50.0);
-        link.set_rate_scale(0.5);
-        link.reset();
-        assert_eq!(link.busy_until(), 0.0);
-        assert_eq!(link.rate_scale(), 1.0);
-        assert!(link.log().is_empty());
     }
 }

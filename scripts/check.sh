@@ -2,7 +2,7 @@
 # The repo's one gate: formatting, lints, doc links, the full test suite,
 # the suites that must also hold in release mode and on the portable kernel
 # tier, the benchmark's correctness checks and fingerprints, the committed
-# study results, the chaos sweep and kill -9 recovery. Nothing here compares a
+# study results and the chaos sweep. Nothing here compares a
 # measured time, rate or RSS with a recorded number: a performance verdict
 # is two benchmark suite runs — parent and change — on one host (README,
 # "Gates").
@@ -27,12 +27,14 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 echo "== cargo test"
 cargo test --workspace -q
 
-# Bit-identity across reruns, worker counts, shard topologies, failovers and
-# lazy populations, once more as the optimizer's release build compiles it.
+# Bit-identity across reruns, worker counts, shard topologies, failovers,
+# lazy populations and snapshot/restore at every round, once more as the
+# optimizer's release build compiles it.
 echo "== determinism, topology and population suites (release)"
 cargo test --release -q -p fedca-core \
   --test golden_trace --test executor_api --test profiler_determinism --test serde_roundtrip \
-  --test shard_parity --test shard_api --test shard_transport --test population_parity
+  --test shard_parity --test shard_api --test shard_transport --test population_parity \
+  --test snapshot_restore
 
 # `cargo test` above ran these on the tier dispatch picks; this pins the
 # portable tier, so both are held to the one definition of every kernel's
@@ -76,6 +78,3 @@ echo "study smoke: 14 CSVs match results/smoke — ok"
 
 echo "== chaos sweep"
 scripts/chaos.sh "${CHAOS_SEEDS:-32}"
-
-echo "== recovery check"
-scripts/recovery_check.sh

@@ -24,7 +24,6 @@ fn fl(seed: u64) -> FlConfig {
         compression: Default::default(),
         faults: Default::default(),
         trace: Default::default(),
-        checkpoint: Default::default(),
         population: Default::default(),
         shard: Default::default(),
     }

@@ -20,7 +20,6 @@ fn tiny_fl(seed: u64) -> FlConfig {
         compression: Default::default(),
         faults: Default::default(),
         trace: Default::default(),
-        checkpoint: Default::default(),
         population: Default::default(),
         shard: Default::default(),
     }

@@ -7,7 +7,7 @@ use fedca::core::eager::LayerOutcome;
 use fedca::core::executor::ClientArena;
 use fedca::core::params::ModelLayout;
 use fedca::core::profiler::SampledProfiler;
-use fedca::core::{FedCaOptions, FlConfig, Workload};
+use fedca::core::{FedCaOptions, FlConfig, TraceConfig, TraceEvent, Workload};
 use fedca::data::BatchSampler;
 use fedca::sim::device::{DeviceSpeed, DynamicsConfig};
 use fedca::sim::network::Link;
@@ -55,7 +55,11 @@ fn two_rounds(
     let layout = Arc::new(ModelLayout::from_spans(arena.model.spans()));
     let global = arena.model.flat_params();
     let mut client = client_for(w, 0, &layout);
-    let fl = fl_for(w);
+    // Traced: the reports carry the rounds' own event buffers.
+    let fl = FlConfig {
+        trace: TraceConfig::enabled(),
+        ..fl_for(w)
+    };
     let anchor_plan = RoundPlan {
         round: 0,
         start: 0.0,
@@ -127,25 +131,43 @@ fn eager_transmissions_overlap_with_compute_on_the_uplink() {
         prox_mu: 0.0,
         fedca: Some(opts_cfg),
     };
-    let (client, reports, _) = two_rounds(&w, &opts, 25, 1e9);
-    let r1 = &reports[1];
+    let (_, mut reports, _) = two_rounds(&w, &opts, 25, 1e9);
+    let r1 = reports.pop().expect("two rounds");
     let eager_layers = r1
         .eager_outcomes
         .iter()
         .filter(|o| !matches!(o, LayerOutcome::Regular))
         .count();
     assert!(eager_layers > 0, "no eager transmissions at T_e=0.90");
-    // The uplink log must show transfers that STARTED before compute ended
-    // (that's the overlap the mechanism exists for).
-    let overlapping = client
-        .uplink
-        .log()
-        .iter()
-        .filter(|t| t.start < r1.compute_done && t.ready > r1.download_done)
-        .count();
+    // The round's own journal: one send per eager layer, each queued on the
+    // uplink while the client was still computing (the overlap the
+    // mechanism exists for)...
+    let sends: Vec<(f64, f64)> = r1
+        .trace
+        .into_events()
+        .into_iter()
+        .filter_map(|e| match e.event {
+            TraceEvent::EagerTransmit { bytes, .. } => Some((e.time, bytes)),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(sends.len(), eager_layers);
+    for &(at, _) in &sends {
+        assert!(
+            r1.download_done < at && at < r1.compute_done,
+            "eager send at {at} outside compute ({} .. {})",
+            r1.download_done,
+            r1.compute_done
+        );
+    }
+    // ... and off the link before compute ended: the final upload starts
+    // at compute_done, not queued behind the eager bytes.
+    let final_bytes = r1.bytes_uploaded - sends.iter().map(|&(_, b)| b).sum::<f64>();
+    let alone = Link::paper_client().serialize_time(final_bytes);
+    let took = r1.upload_done - r1.compute_done;
     assert!(
-        overlapping > 0,
-        "eager transfers did not overlap with compute"
+        (took - alone).abs() <= 1e-9 * alone,
+        "final upload took {took}s, {alone}s on an idle link"
     );
 }
 
