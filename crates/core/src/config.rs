@@ -166,8 +166,9 @@ impl FlConfig {
 /// FedCA-specific knobs (paper defaults from §5.1).
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct FedCaConfig {
-    /// Profile once every this many rounds (paper: 10). Round 0 is always
-    /// an anchor.
+    /// Profile once every this many participations of that client (paper:
+    /// every 10 rounds; DESIGN.md §4). A client's first participation is
+    /// always an anchor; 0 never profiles.
     pub profile_period: usize,
     /// Max sampled scalars per layer; the actual sample is
     /// `min(ceil(len/2), max_samples_per_layer)` (paper: min(50%, 100)).

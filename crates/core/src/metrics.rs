@@ -2,10 +2,9 @@
 
 use crate::eager::LayerOutcome;
 use fedca_sim::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// One eager-transmission event (for Fig. 8b's CDFs).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct EagerEvent {
     /// Client that transmitted.
     pub client: usize,
@@ -22,7 +21,7 @@ pub struct EagerEvent {
 /// residency churn and shard-failover counters — that vary with the host,
 /// the worker count, the residency cap and the topology.
 /// [`canonical`](Self::canonical) names which is which.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct RoundRecord {
     /// Round index (0-based).
     pub round: usize,
@@ -40,21 +39,17 @@ pub struct RoundRecord {
     /// Clients whose uploads arrived before the aggregation cut.
     pub n_aggregated: usize,
     /// Selected clients that dropped out mid-round (availability churn).
-    #[serde(default)]
     pub n_dropped: usize,
     /// Selected clients whose round died to an injected fault: crashes
     /// (state intact, upload lost) plus worker panics (state destroyed).
-    #[serde(default)]
     pub n_crashed: usize,
     /// Surviving clients whose upload arrived after the aggregation cut
     /// (stragglers whose update was discarded, including delayed results)
     /// or never arrived at all: a lost result arrives at +∞, after every
     /// cut.
-    #[serde(default)]
     pub n_deadline_missed: usize,
     /// Reports rejected by the server's non-finite guard (NaN/Inf in the
     /// update or weight — e.g. an injected `corrupt_update` fault).
-    #[serde(default)]
     pub n_rejected: usize,
     /// Iterations actually executed per selected client.
     pub iters_done: Vec<usize>,
@@ -68,56 +63,44 @@ pub struct RoundRecord {
     pub bytes_uploaded: f64,
     /// Exact encoded wire bytes of this round's uploads (eager frames plus
     /// final messages) under the configured compression.
-    #[serde(default)]
     pub wire_bytes_uploaded: f64,
     /// What the same uploads would have occupied shipped dense (f32).
-    #[serde(default)]
     pub wire_bytes_dense: f64,
     /// Whether this was an unoptimized profiling (anchor) round.
     pub is_anchor: bool,
     /// Host wall-clock milliseconds spent executing this round (real time
     /// spent orchestrating and training, unrelated to the virtual clock).
     /// The trace's `round` span carries this number in microseconds.
-    #[serde(default)]
     pub host_ms: f64,
     /// Clients derived fresh from `(seed, id)` this round (lazy client
     /// store).
-    #[serde(default)]
     pub n_hydrated: usize,
     /// Clients evicted from residency at the end of this round.
-    #[serde(default)]
     pub n_evicted: usize,
     /// Host wall-clock microseconds spent hydrating this round's cohort (the
     /// trace's `hydrate` span).
-    #[serde(default)]
     pub hydrate_host_us: f64,
     /// Host wall-clock microseconds spent decoding wire uploads into the
     /// aggregation arena at ingest time.
-    #[serde(default)]
     pub decode_host_us: f64,
     /// Host wall-clock microseconds spent closing the round's aggregator:
     /// the weighted fold into the global model plus the estimator update
     /// (the trace's `aggregate` span).
-    #[serde(default)]
     pub aggregate_host_us: f64,
     /// Always 0: the shard link no longer resends anything (a link fault
     /// kills the child and its work runs in the root). The field survives
     /// only because `examples/benchmark/src/run.rs`, which this repository's
     /// benchmark contract freezes, sums it into `transport.retries`.
-    #[serde(default)]
     pub n_retries: usize,
     /// Always 0: there is no heartbeat any more (a silent shard is caught
     /// by the io bound and counted in `n_quarantined`). Kept, like
     /// `n_retries`, only because the frozen benchmark sums it into
     /// `transport.heartbeats_missed`.
-    #[serde(default)]
     pub n_heartbeat_missed: usize,
     /// Shards quarantined this round: a link fault, failed (re)spawn or
     /// dispatch, or io timeout; their child process was killed.
-    #[serde(default)]
     pub n_quarantined: usize,
     /// Ordinals re-executed locally after their shard was quarantined.
-    #[serde(default)]
     pub n_reassigned: usize,
 }
 
@@ -148,7 +131,7 @@ impl RoundRecord {
     }
 
     /// Achieved upload compression ratio (encoded / dense bytes), 1.0 when
-    /// nothing was transmitted or the record predates wire accounting.
+    /// nothing was transmitted.
     pub fn compression_ratio(&self) -> f64 {
         if self.wire_bytes_dense > 0.0 {
             self.wire_bytes_uploaded / self.wire_bytes_dense
@@ -197,7 +180,7 @@ pub fn empirical_cdf(values: &[f64]) -> Vec<(f64, f64)> {
 }
 
 /// Full output of a training run.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct TrainerOutput {
     /// Scheme name.
     pub scheme: String,

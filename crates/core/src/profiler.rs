@@ -5,7 +5,8 @@
 //!
 //! * **Periodical profiling** — curves are stable across consecutive rounds
 //!   (Fig. 4), so profile only at *anchor rounds* (every `profile_period`
-//!   rounds) and reuse the curve until the next anchor. Anchor rounds run
+//!   participations of the client — DESIGN.md §4) and reuse the curve until
+//!   the next anchor. Anchor rounds run
 //!   unoptimized (no early stop, no eager transmission — footnote 3).
 //! * **Intra-layer sampling** — parameters within a layer evolve at a
 //!   similar pace (Fig. 5), so record only `min(50%, 100)` scalars per
@@ -142,11 +143,6 @@ impl SampledProfiler {
         self.sampled_param_count() * k * std::mem::size_of::<f32>()
     }
 
-    /// Whether `round` is an anchor round for the given period.
-    pub fn is_anchor_round(round: usize, profile_period: usize) -> bool {
-        profile_period != 0 && round.is_multiple_of(profile_period)
-    }
-
     /// Starts recording an anchor round (drawing the sample if this is the
     /// profiler's first use).
     pub fn begin_anchor(&mut self, round: usize) {
@@ -155,11 +151,6 @@ impl SampledProfiler {
             round,
             snapshots: Vec::new(),
         });
-    }
-
-    /// Whether an anchor round is currently being recorded.
-    pub fn is_recording(&self) -> bool {
-        self.recording.is_some()
     }
 
     /// Records the sampled accumulated update after one iteration:
@@ -278,17 +269,6 @@ mod tests {
     }
 
     #[test]
-    fn anchor_round_schedule() {
-        assert!(SampledProfiler::is_anchor_round(0, 10));
-        assert!(!SampledProfiler::is_anchor_round(5, 10));
-        assert!(SampledProfiler::is_anchor_round(20, 10));
-        assert!(
-            !SampledProfiler::is_anchor_round(3, 0),
-            "period 0 disables profiling"
-        );
-    }
-
-    #[test]
     fn recorded_curve_reaches_one() {
         let l = layout(&[8, 4]);
         let mut p = SampledProfiler::new(l.clone(), 100, 3);
@@ -309,7 +289,6 @@ mod tests {
             assert!((layer_curve[0] - 0.2).abs() < 1e-5, "{layer_curve:?}");
         }
         assert!(p.curves().is_some());
-        assert!(!p.is_recording());
     }
 
     #[test]

@@ -117,9 +117,10 @@ pub struct Trainer {
     records: Vec<RoundRecord>,
     /// Evaluate the global model every this many rounds (default 1).
     pub eval_every: usize,
-    /// Test samples per evaluation (subsampled from the test set).
-    pub eval_samples: usize,
 }
+
+/// Test samples per evaluation: the first this many of the test set.
+const EVAL_SAMPLES: usize = 512;
 
 /// Hydration/checkout invariants are upheld by the round loop itself, so a
 /// violation mid-round is a bug, not a recoverable condition — but it now
@@ -239,7 +240,6 @@ impl Trainer {
             clock: 0.0,
             records: Vec::new(),
             eval_every: 1,
-            eval_samples: 512,
         }
     }
 
@@ -546,14 +546,19 @@ impl Trainer {
             .flat_map(|r| outcomes_to_events(r.client_id, &r.eager_outcomes))
             .collect();
         // Fault accounting: panics destroyed the client; crashes returned a
-        // report with the crash flag; survivors whose upload landed after the
-        // cut — late, or lost and so arriving at +inf — missed the deadline
-        // and had their update discarded.
+        // report with the crash flag; ingest rejected some arrived uploads;
+        // other survivors whose upload landed after the cut — late, or lost
+        // and so arriving at +inf — missed the deadline and had their update
+        // discarded. A rejected client's work and bytes still count below.
         let n_crashed = n_panicked + reports.iter().flatten().filter(|r| r.crashed).count();
         let n_deadline_missed = reports
             .iter()
-            .flatten()
-            .filter(|r| !r.dropped && !r.crashed && r.upload_done > agg.completion)
+            .enumerate()
+            .filter(|&(ord, r)| {
+                r.as_ref()
+                    .is_some_and(|r| !r.dropped && !r.crashed && r.upload_done > agg.completion)
+                    && agg.rejected.binary_search(&ord).is_err()
+            })
             .count();
         self.tracer.emit(
             agg.completion,
@@ -586,7 +591,7 @@ impl Trainer {
             n_dropped: reports.iter().flatten().filter(|r| r.dropped).count(),
             n_crashed,
             n_deadline_missed,
-            n_rejected: agg.n_rejected,
+            n_rejected: agg.rejected.len(),
             iters_done: reports
                 .iter()
                 .map(|r| r.as_ref().map_or(0, |r| r.iters_done))
@@ -631,7 +636,7 @@ impl Trainer {
             .set_flat_params(self.server.global().as_slice());
         self.eval_model.set_training(true);
         let test = &self.workload.test;
-        let n = test.len().min(self.eval_samples);
+        let n = test.len().min(EVAL_SAMPLES);
         let mut correct = 0.0f64;
         let mut seen = 0usize;
         let mut start = 0usize;
@@ -1024,6 +1029,77 @@ mod tests {
         assert!(rec.is_anchor, "first participations must profile");
         // All selected clients ran the full workload on their anchor round.
         assert!(rec.iters_done.iter().all(|&i| i == 6));
+    }
+
+    #[test]
+    fn anchor_cadence_counts_each_clients_own_participations() {
+        let scheme = Scheme::FedCa(FedCaOptions::full_with(crate::config::FedCaConfig {
+            profile_period: 3,
+            ..Default::default()
+        }));
+        let fl = FlConfig {
+            trace: crate::trace::TraceConfig::enabled(),
+            ..tiny_fl()
+        };
+        let mut t = Trainer::new(fl, scheme, Workload::tiny_mlp(4));
+        t.run(20);
+        // Per client, `is_anchor` of each checkout in participation order.
+        let mut anchors: Vec<Vec<bool>> = vec![Vec::new(); 8];
+        for r in t.tracer().ring_records() {
+            if let TraceEvent::ClientCheckout {
+                client, is_anchor, ..
+            } = r.event
+            {
+                anchors[client].push(is_anchor);
+            }
+        }
+        assert!(anchors.iter().any(|a| a.len() >= 7), "{anchors:?}");
+        for (client, a) in anchors.iter().enumerate() {
+            let want: Vec<bool> = (0..a.len()).map(|i| i % 3 == 0).collect();
+            assert_eq!(
+                a, &want,
+                "client {client}: anchors at participations 1, 4, 7, …"
+            );
+        }
+    }
+
+    #[test]
+    fn rejected_uploads_keep_their_work_and_bytes_in_the_record() {
+        let mut faults = FaultConfig::none();
+        faults.corrupt_update_prob = 0.3;
+        let fl = FlConfig {
+            faults,
+            trace: crate::trace::TraceConfig::enabled(),
+            ..tiny_fl()
+        };
+        let mut t = Trainer::new(fl, Scheme::FedAvg, Workload::tiny_mlp(1));
+        t.run(6);
+        // FedAvg uploads the same dense payload from every client, so a
+        // fault-free round prices each round's uploads.
+        let clean = Trainer::new(tiny_fl(), Scheme::FedAvg, Workload::tiny_mlp(1)).run(1);
+        let recs = t.tracer().ring_records();
+        let mut n_rejected = 0;
+        for r in t.records() {
+            n_rejected += r.n_rejected;
+            assert_eq!(
+                r.n_aggregated + r.n_crashed + r.n_dropped + r.n_deadline_missed + r.n_rejected,
+                r.n_selected,
+                "round {}: {r:?}",
+                r.round
+            );
+            assert_eq!(r.bytes_uploaded, clean.rounds[0].bytes_uploaded);
+            assert_eq!(r.wire_bytes_uploaded, clean.rounds[0].wire_bytes_uploaded);
+            for (ord, &iters) in r.iters_done.iter().enumerate() {
+                let traced = recs.iter().find_map(|rec| match rec.event {
+                    TraceEvent::ClientDone {
+                        round, iters_done, ..
+                    } if round == r.round && rec.ord == ord => Some(iters_done),
+                    _ => None,
+                });
+                assert_eq!(Some(iters), traced, "round {} ordinal {ord}", r.round);
+            }
+        }
+        assert!(n_rejected > 0, "corrupt_update_prob 0.3 rejected nothing");
     }
 
     #[test]

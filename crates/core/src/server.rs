@@ -197,9 +197,10 @@ pub struct AggregationResult {
     /// Uploads that actually arrived (finite arrival times), collected or
     /// not — the trace layer journals this next to the cut decision.
     pub n_finite: usize,
-    /// Reports rejected by the non-finite guard (NaN/Inf in the update or
-    /// weight) and routed through the failure path instead of aggregated.
-    pub n_rejected: usize,
+    /// Ordinals, ascending, whose arrived upload ingest rejected (bytes that
+    /// are not an exact finite tiling, or a non-finite weight). Their
+    /// reports are returned like any other but never collected or folded.
+    pub rejected: Vec<usize>,
     /// Host microseconds spent decoding wire uploads at ingest time
     /// (including the non-finite scan). Operational only.
     pub decode_host_us: f64,
@@ -322,7 +323,7 @@ impl Server {
             cut: ArrivalCut::with_capacity(self.aggregation_fraction, n_selected),
             reports: (0..n_selected).map(|_| None).collect(),
             fallback_completion: None,
-            n_rejected: 0,
+            rejected: Vec::new(),
             arena,
             decode_host_us: 0.0,
         }
@@ -342,7 +343,7 @@ pub struct StreamingAggregator {
     cut: ArrivalCut,
     reports: Vec<Option<ClientRoundReport>>,
     fallback_completion: Option<SimTime>,
-    n_rejected: usize,
+    rejected: Vec<usize>,
     arena: UpdateArena,
     decode_host_us: f64,
 }
@@ -356,12 +357,13 @@ impl StreamingAggregator {
     /// rule decides acceptance: bytes that do not decode to an exact tiling
     /// of the layout, or could decode to a non-finite value (which would
     /// poison the global model through the weighted fold), are rejected —
-    /// as is an arrived upload with no bytes or a non-finite weight. A
-    /// rejection takes the same path as [`mark_failed`](Self::mark_failed):
-    /// the cut sees a `+inf` arrival, nothing is stored or folded, and it is
-    /// counted in [`AggregationResult::n_rejected`]. Reports whose upload
-    /// never arrives (infinite `upload_done`) carry nothing to judge: they
-    /// are stored undecoded and can never make the cut.
+    /// as is an arrived upload with no bytes or a non-finite weight. The cut
+    /// sees a rejection as a `+inf` arrival and nothing of it is folded, but
+    /// the report is kept — the client's work and bytes happened — and
+    /// [`close`](Self::close) returns it, listed in
+    /// [`AggregationResult::rejected`]. Reports whose upload never arrives
+    /// (infinite `upload_done`) carry nothing to judge: they are stored
+    /// undecoded and can never make the cut.
     ///
     /// # Panics
     /// Panics if `ord` is out of range or was already ingested.
@@ -376,12 +378,12 @@ impl StreamingAggregator {
                         .is_ok()
                 }));
         self.decode_host_us += started.elapsed().as_secs_f64() * 1e6;
-        if !accepted {
-            self.n_rejected += 1;
+        if accepted {
+            self.cut.observe(report.upload_done);
+        } else {
+            self.rejected.push(ord);
             self.cut.observe(f64::INFINITY);
-            return;
         }
-        self.cut.observe(report.upload_done);
         self.reports[ord] = Some(report);
     }
 
@@ -416,7 +418,8 @@ impl StreamingAggregator {
 
     /// Folds the collected updates into `server`'s global model and returns
     /// the aggregation result plus the reports in ordinal order (`None`
-    /// where the client failed without producing a report).
+    /// where the client failed without producing a report; rejected reports
+    /// included).
     ///
     /// The fold replicates [`crate::params::aggregate`] operation for
     /// operation — weights summed and updates accumulated in ordinal order,
@@ -438,6 +441,7 @@ impl StreamingAggregator {
             "missing client report or failure mark"
         );
         let reports = self.reports;
+        self.rejected.sort_unstable();
         let completion = if self.cut.finite_count() == 0 {
             // Every client failed/dropped: no upload will ever arrive and
             // the cut is undefined. The server gives up at its deadline and
@@ -450,7 +454,10 @@ impl StreamingAggregator {
         let collected: Vec<usize> = reports
             .iter()
             .enumerate()
-            .filter(|(_, r)| r.as_ref().is_some_and(|r| r.upload_done <= completion))
+            .filter(|(i, r)| {
+                r.as_ref().is_some_and(|r| r.upload_done <= completion)
+                    && self.rejected.binary_search(i).is_err()
+            })
             .map(|(i, _)| i)
             .collect();
         if !collected.is_empty() {
@@ -517,7 +524,7 @@ impl StreamingAggregator {
                 completion,
                 collected,
                 n_finite: self.cut.finite_count(),
-                n_rejected: self.n_rejected,
+                rejected: self.rejected,
                 decode_host_us: self.decode_host_us,
             },
             reports,
@@ -773,8 +780,9 @@ mod tests {
 
     #[test]
     fn non_finite_updates_are_rejected_not_aggregated() {
-        // A NaN update must behave exactly like a failed client: excluded
-        // from the fold, counted in n_rejected, global model clean.
+        // A NaN update is excluded from the fold exactly like a failed
+        // client's and leaves the global model clean, but its report is
+        // returned: the client's work and bytes still count.
         let clean = vec![
             report(0, 1.0, vec![1.0, 0.0], 1.0),
             report(1, 2.0, vec![3.0, 0.0], 1.0),
@@ -788,9 +796,9 @@ mod tests {
         agg.ingest(2, report(2, 0.5, vec![f32::NAN, 7.0], 1.0));
         agg.ingest(1, report(1, 2.0, vec![3.0, 0.0], 1.0));
         let (res, back) = agg.close(&mut s);
-        assert_eq!(res.n_rejected, 1);
-        assert!(!res.collected.contains(&2));
-        assert!(back[2].is_none(), "rejected report must not be stored");
+        assert_eq!(res.rejected, vec![2]);
+        assert_eq!(res.collected, vec![0, 1]);
+        assert_eq!(back[2].as_ref().map(|r| r.client_id), Some(2));
         assert_eq!(baseline.global().as_slice(), s.global().as_slice());
 
         // Infinite weights are rejected too.
@@ -798,7 +806,7 @@ mod tests {
         agg.set_deadline(5.0);
         agg.ingest(0, report(0, 11.0, vec![1.0, 1.0], f64::INFINITY));
         let (res, _) = agg.close(&mut s);
-        assert_eq!(res.n_rejected, 1);
+        assert_eq!(res.rejected, vec![0]);
         assert!(res.collected.is_empty());
     }
 
@@ -861,7 +869,7 @@ mod tests {
         }
         let (res, _) = agg.close(&mut s);
         assert_eq!(res.collected, vec![0, 1]);
-        assert_eq!(res.n_rejected, 0);
+        assert!(res.rejected.is_empty());
         let refs: Vec<(&UpdateVec, f64)> = dense.iter().map(|(u, w)| (u, *w)).collect();
         let mut want = UpdateVec::from_vec(layout, vec![10.0; 5]);
         want.axpy(1.0, &crate::params::aggregate(&refs));
@@ -982,9 +990,9 @@ mod tests {
             agg.set_deadline(5.0);
             agg.ingest(0, bytes_report(0, 1.0, bytes, 1.0));
             let (res, back) = agg.close(&mut s);
-            assert_eq!(res.n_rejected, 1, "{what}");
+            assert_eq!(res.rejected, vec![0], "{what}");
             assert!(res.collected.is_empty(), "{what}");
-            assert!(back[0].is_none(), "{what}: rejected report stored");
+            assert!(back[0].is_some(), "{what}: rejected report dropped");
             assert_eq!(s.global().as_slice(), &[10.0; 5], "{what}: global moved");
         }
         // The same arena then accepts the exact tiling, split either way.
@@ -999,7 +1007,7 @@ mod tests {
             let mut agg = s.begin_round(0.0, 1);
             agg.ingest(0, bytes_report(0, 1.0, Some(bytes), 1.0));
             let (res, _) = agg.close(&mut s);
-            assert_eq!((res.n_rejected, res.collected), (0, vec![0]));
+            assert_eq!((res.rejected, res.collected), (vec![], vec![0]));
             assert_eq!(s.global().as_slice(), &[11.0, 11.0, 11.0, 12.0, 12.0]);
         }
         // An upload that never arrives carries nothing to judge: stored,
@@ -1008,7 +1016,7 @@ mod tests {
         agg.set_deadline(5.0);
         agg.ingest(0, bytes_report(0, f64::INFINITY, None, 1.0));
         let (res, back) = agg.close(&mut s);
-        assert_eq!(res.n_rejected, 0);
+        assert!(res.rejected.is_empty());
         assert!(res.collected.is_empty() && back[0].is_some());
     }
 

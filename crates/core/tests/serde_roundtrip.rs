@@ -1,85 +1,17 @@
-//! Property tests: serde round-trips for the experiment's persisted types
-//! (`RoundRecord`, `EagerEvent`, `TraceEvent`, `ClientSnapshot`) and the
-//! shard protocol's messages — arbitrary values survive
-//! JSON serialization exactly, and `#[serde(default)]` fields deserialize
-//! from documents that predate them (the drift a new field would introduce).
+//! Property tests: serde round-trips for the types that cross a JSON
+//! boundary (`TraceEvent`, `ClientSnapshot`, `FlConfig`) and the shard
+//! protocol's messages — arbitrary values survive JSON serialization
+//! exactly, and `#[serde(default)]` fields deserialize from documents that
+//! predate them (the drift a new field would introduce).
 
 use fedca_core::checkpoint::ClientSnapshot;
-use fedca_core::metrics::{EagerEvent, RoundRecord};
 use fedca_core::profiler::ProfiledCurves;
 use fedca_core::trace::TraceEvent;
 use fedca_sim::device::DeviceSpeedSnapshot;
 use proptest::prelude::*;
 use serde::Deserialize;
 
-fn eager_event((client, layer, iter, retrans): (usize, usize, usize, u8)) -> EagerEvent {
-    EagerEvent {
-        client,
-        layer,
-        iter,
-        retransmitted: retrans == 1,
-    }
-}
-
 proptest! {
-    #[test]
-    fn eager_event_round_trips(raw in (0usize..64, 0usize..8, 1usize..200, 0u8..2)) {
-        let event = eager_event(raw);
-        let json = serde_json::to_string(&event).expect("serialize");
-        let back: EagerEvent = serde_json::from_str(&json).expect("deserialize");
-        prop_assert_eq!(back, event);
-    }
-
-    #[test]
-    fn round_record_round_trips(
-        (base, acc, per_client, eager_raw) in (1usize..6).prop_flat_map(|n| (
-            // round, start, duration, loss, counters ×3, misc
-            (0usize..500, 0.0f64..1e4, 0.0f64..1e3, 0.0f32..10.0,
-             0usize..5, 0usize..5, 0usize..5, 0usize..1000),
-            // accuracy: present-flag + value
-            (0u8..2, 0.0f32..1.0),
-            // per selected client: iters_done, iters_planned, early-stop flag
-            prop::collection::vec((1usize..200, 1usize..200, 0u8..2), n),
-            prop::collection::vec((0usize..64, 0usize..8, 1usize..200, 0u8..2), 0..5),
-        ))
-    ) {
-        let n = per_client.len();
-        let record = RoundRecord {
-            round: base.0,
-            start: base.1,
-            end: base.1 + base.2,
-            accuracy: (acc.0 == 1).then_some(acc.1),
-            mean_train_loss: base.3,
-            n_selected: n,
-            n_aggregated: base.4.min(n),
-            n_dropped: base.5.min(n),
-            n_crashed: base.6.min(n),
-            n_deadline_missed: (base.4 + base.5).min(n),
-            n_rejected: base.6.min(n),
-            iters_done: per_client.iter().map(|c| c.0).collect(),
-            iters_planned: per_client.iter().map(|c| c.1).collect(),
-            early_stops: per_client.iter().map(|c| c.2 == 1).collect(),
-            eager_events: eager_raw.iter().map(|&r| eager_event(r)).collect(),
-            bytes_uploaded: base.2 * 4096.0,
-            wire_bytes_uploaded: base.2 * 1024.0,
-            wire_bytes_dense: base.2 * 4096.0,
-            is_anchor: base.7 % 2 == 0,
-            host_ms: base.2 * 0.5,
-            n_hydrated: base.4.min(n),
-            n_evicted: base.5,
-            hydrate_host_us: base.2 * 2.0,
-            decode_host_us: base.2 * 1.5,
-            aggregate_host_us: base.2 * 0.25,
-            n_retries: base.7 % 7,
-            n_heartbeat_missed: base.6,
-            n_quarantined: base.5,
-            n_reassigned: base.4 + base.5,
-        };
-        let json = serde_json::to_string(&record).expect("serialize");
-        let back: RoundRecord = serde_json::from_str(&json).expect("deserialize");
-        prop_assert_eq!(back, record);
-    }
-
     #[test]
     fn trace_event_round_trips(
         (variant, ints, floats, (flags, pick)) in (
@@ -169,114 +101,6 @@ proptest! {
         let back: TraceEvent = serde_json::from_str(&json).expect("deserialize");
         prop_assert_eq!(back, event);
     }
-}
-
-/// A round record for the drift guards below.
-fn sample_record() -> RoundRecord {
-    RoundRecord {
-        round: 3,
-        start: 1.0,
-        end: 2.5,
-        accuracy: Some(0.5),
-        mean_train_loss: 0.25,
-        n_selected: 4,
-        n_aggregated: 3,
-        n_dropped: 2,
-        n_crashed: 1,
-        n_deadline_missed: 1,
-        n_rejected: 1,
-        iters_done: vec![6, 6, 4, 0],
-        iters_planned: vec![6; 4],
-        early_stops: vec![false, false, true, false],
-        eager_events: vec![],
-        bytes_uploaded: 4096.0,
-        wire_bytes_uploaded: 1024.0,
-        wire_bytes_dense: 4096.0,
-        is_anchor: false,
-        host_ms: 12.0,
-        n_hydrated: 4,
-        n_evicted: 2,
-        hydrate_host_us: 37.5,
-        decode_host_us: 18.25,
-        aggregate_host_us: 4.5,
-        n_retries: 3,
-        n_heartbeat_missed: 1,
-        n_quarantined: 1,
-        n_reassigned: 2,
-    }
-}
-
-/// `#[serde(default)]`-drift guard: a `RoundRecord` document written before
-/// the defaulted fields existed (no `n_dropped`/`n_crashed`/
-/// `n_deadline_missed`/`host_ms`/… keys) still deserializes, with those
-/// fields at their defaults.
-#[test]
-fn round_record_tolerates_pre_fault_documents() {
-    let record = sample_record();
-    const DEFAULTED: [&str; 16] = [
-        "n_dropped",
-        "n_crashed",
-        "n_deadline_missed",
-        "n_rejected",
-        "host_ms",
-        "n_hydrated",
-        "n_evicted",
-        "hydrate_host_us",
-        "decode_host_us",
-        "aggregate_host_us",
-        "wire_bytes_uploaded",
-        "wire_bytes_dense",
-        "n_retries",
-        "n_heartbeat_missed",
-        "n_quarantined",
-        "n_reassigned",
-    ];
-    let serde::Value::Object(pairs) = serde_json::to_value(&record).expect("to_value") else {
-        panic!("RoundRecord must serialize to an object");
-    };
-    let stripped: Vec<(String, serde::Value)> = pairs
-        .into_iter()
-        .filter(|(k, _)| !DEFAULTED.contains(&k.as_str()))
-        .collect();
-    let back = RoundRecord::from_value(&serde::Value::Object(stripped))
-        .expect("defaulted fields must be optional");
-    assert_eq!(back.n_dropped, 0);
-    assert_eq!(back.n_crashed, 0);
-    assert_eq!(back.n_deadline_missed, 0);
-    assert_eq!(back.n_rejected, 0);
-    assert_eq!(back.host_ms, 0.0);
-    assert_eq!(back.n_hydrated, 0);
-    assert_eq!(back.n_evicted, 0);
-    assert_eq!(back.hydrate_host_us, 0.0);
-    assert_eq!(back.decode_host_us, 0.0);
-    assert_eq!(back.aggregate_host_us, 0.0);
-    assert_eq!(back.wire_bytes_uploaded, 0.0);
-    assert_eq!(back.wire_bytes_dense, 0.0);
-    assert_eq!(back.n_retries, 0);
-    assert_eq!(back.n_heartbeat_missed, 0);
-    assert_eq!(back.n_quarantined, 0);
-    assert_eq!(back.n_reassigned, 0);
-    assert_eq!(back.compression_ratio(), 1.0);
-    assert_eq!(back.iters_done, record.iters_done);
-    assert_eq!(back.accuracy, record.accuracy);
-}
-
-/// A record written while `RoundRecord` still counted `allocs_avoided` (a
-/// field since retired) still loads: the retired key is ignored and every
-/// surviving field keeps its value.
-#[test]
-fn round_record_written_with_a_retired_key_still_loads() {
-    let record = sample_record();
-    let serde::Value::Object(mut pairs) = serde_json::to_value(&record).expect("to_value") else {
-        panic!("RoundRecord must serialize to an object");
-    };
-    pairs.push((
-        "allocs_avoided".to_string(),
-        serde::Value::Number(serde::Number::PosInt(9)),
-    ));
-    let json = serde_json::to_string(&serde::Value::Object(pairs)).expect("serialize");
-    let back: RoundRecord = serde_json::from_str(&json).expect("a retired key must be ignored");
-    assert_eq!(back, record);
 }
 
 proptest! {

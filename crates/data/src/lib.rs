@@ -15,8 +15,9 @@
 //! What FedCA actually exercises is not the pixels but the *statistical
 //! structure of the federation*: clients hold non-IID label distributions
 //! drawn from a Dirichlet(α = 0.1) prior, exactly as in the paper
-//! (§3.2.2, §5.1). [`partition::dirichlet_partition`] reproduces that, and
-//! property tests assert every sample lands on exactly one client.
+//! (§3.2.2, §5.1). [`PartitionSpec`] derives any client's shard from
+//! `(seed, id)` alone, so a million-client population costs nothing until
+//! a client is selected.
 
 pub mod dataset;
 pub mod partition;
@@ -24,5 +25,5 @@ pub mod sampler;
 pub mod synthetic;
 
 pub use dataset::InMemoryDataset;
-pub use partition::{dirichlet_partition, PartitionSpec};
+pub use partition::PartitionSpec;
 pub use sampler::BatchSampler;

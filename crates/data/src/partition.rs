@@ -2,20 +2,15 @@
 //!
 //! The paper (§3.2.2, §5.1) gives every client a label distribution drawn
 //! from a Dirichlet prior with concentration α = 0.1 — heavily skewed, each
-//! client dominated by a few classes. Two constructions live here:
-//!
-//! * [`dirichlet_partition`] — the eager exact-cover scheme: for every
-//!   class, the class's samples are split across clients in proportions
-//!   drawn from `Dirichlet(α · 1_n)`. O(dataset + n_clients) up front.
-//! * [`PartitionSpec`] — the derive-at-id scheme for virtual populations:
-//!   each client's shard is a pure function of `(seed, id)` on a
-//!   counter-based RNG stream, so any client's data assignment is
-//!   rederivable on demand without materializing the other `n - 1` shards.
-//!   The client draws its own label distribution from the same Dirichlet
-//!   prior and then samples a fixed-size shard from per-class index pools
-//!   (with replacement *across* clients — unavoidable once `n_clients`
-//!   exceeds the dataset, and statistically equivalent for the federation
-//!   sizes the paper studies). See DESIGN.md §9.
+//! client dominated by a few classes. [`PartitionSpec`] is the derive-at-id
+//! scheme for virtual populations: each client's shard is a pure function
+//! of `(seed, id)` on a counter-based RNG stream, so any client's data
+//! assignment is rederivable on demand without materializing the other
+//! `n - 1` shards. The client draws its own label distribution from the
+//! Dirichlet prior and then samples a fixed-size shard from per-class index
+//! pools (with replacement *across* clients — unavoidable once `n_clients`
+//! exceeds the dataset, and statistically equivalent for the federation
+//! sizes the paper studies). See DESIGN.md §9.
 
 use fedca_sim::stream::{client_rng, DOMAIN_SHARD};
 use rand::Rng;
@@ -41,74 +36,6 @@ pub fn sample_dirichlet(n: usize, alpha: f64, rng: &mut impl Rng) -> Vec<f64> {
             return draws;
         }
     }
-}
-
-/// Partitions samples across `n_clients` with Dirichlet(`alpha`) label skew.
-///
-/// For each class, its sample indices are shuffled and split according to a
-/// fresh Dirichlet draw. Guarantees: every sample is assigned to exactly one
-/// client, and (by rotation of leftovers) every client receives at least one
-/// sample whenever `labels.len() >= n_clients`.
-///
-/// # Panics
-/// Panics if `n_clients == 0`.
-pub fn dirichlet_partition(
-    labels: &[usize],
-    n_clients: usize,
-    alpha: f64,
-    rng: &mut impl Rng,
-) -> Vec<Vec<usize>> {
-    assert!(n_clients > 0, "need at least one client");
-    let classes = labels.iter().copied().max().map_or(0, |m| m + 1);
-    let mut shards: Vec<Vec<usize>> = vec![Vec::new(); n_clients];
-    for class in 0..classes {
-        let mut idxs: Vec<usize> = labels
-            .iter()
-            .enumerate()
-            .filter(|(_, &l)| l == class)
-            .map(|(i, _)| i)
-            .collect();
-        if idxs.is_empty() {
-            continue;
-        }
-        // Fisher-Yates shuffle with the caller's RNG (deterministic per seed).
-        for i in (1..idxs.len()).rev() {
-            let j = rng.gen_range(0..=i);
-            idxs.swap(i, j);
-        }
-        let props = sample_dirichlet(n_clients, alpha, rng);
-        // Convert proportions to cumulative cut points over the class size.
-        let total = idxs.len();
-        let mut start = 0usize;
-        let mut acc = 0.0f64;
-        for (client, &p) in props.iter().enumerate() {
-            acc += p;
-            let end = if client + 1 == n_clients {
-                total
-            } else {
-                ((acc * total as f64).round() as usize).clamp(start, total)
-            };
-            shards[client].extend_from_slice(&idxs[start..end]);
-            start = end;
-        }
-    }
-    // Rebalance: move spare samples from the richest shards onto empty ones
-    // so every client can run local iterations (the paper's setup always
-    // gives clients data).
-    if labels.len() >= n_clients {
-        while let Some(empty) = shards.iter().position(|s| s.is_empty()) {
-            let richest = shards
-                .iter()
-                .enumerate()
-                .max_by_key(|(_, s)| s.len())
-                .map(|(i, _)| i)
-                .expect("non-empty shard exists");
-            let moved = shards[richest].pop().expect("richest shard non-empty");
-            shards[empty].push(moved);
-        }
-    }
-
-    shards
 }
 
 /// Smallest shard the derive-at-id scheme hands a client: enough samples
@@ -228,39 +155,6 @@ impl PartitionSpec {
     }
 }
 
-/// Summary statistics of a partition, used by tests and the examples.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PartitionStats {
-    /// Samples per client.
-    pub sizes: Vec<usize>,
-    /// Per-client label entropy in nats (low entropy ⇒ strong skew).
-    pub entropies: Vec<f64>,
-}
-
-/// Computes per-client size and label-entropy statistics.
-pub fn partition_stats(labels: &[usize], shards: &[Vec<usize>], classes: usize) -> PartitionStats {
-    let mut sizes = Vec::with_capacity(shards.len());
-    let mut entropies = Vec::with_capacity(shards.len());
-    for shard in shards {
-        sizes.push(shard.len());
-        let mut hist = vec![0usize; classes];
-        for &i in shard {
-            hist[labels[i]] += 1;
-        }
-        let n = shard.len().max(1) as f64;
-        let h: f64 = hist
-            .iter()
-            .filter(|&&c| c > 0)
-            .map(|&c| {
-                let p = c as f64 / n;
-                -p * p.ln()
-            })
-            .sum();
-        entropies.push(h);
-    }
-    PartitionStats { sizes, entropies }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -269,6 +163,27 @@ mod tests {
 
     fn labels(n: usize, classes: usize) -> Vec<usize> {
         (0..n).map(|i| i % classes).collect()
+    }
+
+    /// Mean per-client label entropy in nats (low entropy ⇒ strong skew).
+    fn mean_label_entropy(labels: &[usize], shards: &[Vec<usize>], classes: usize) -> f64 {
+        let mut total = 0.0;
+        for shard in shards {
+            let mut hist = vec![0usize; classes];
+            for &i in shard {
+                hist[labels[i]] += 1;
+            }
+            let n = shard.len().max(1) as f64;
+            total += hist
+                .iter()
+                .filter(|&&c| c > 0)
+                .map(|&c| {
+                    let p = c as f64 / n;
+                    -p * p.ln()
+                })
+                .sum::<f64>();
+        }
+        total / shards.len() as f64
     }
 
     #[test]
@@ -280,70 +195,6 @@ mod tests {
             assert!((s - 1.0).abs() < 1e-9, "alpha={alpha} sum={s}");
             assert!(v.iter().all(|&p| (0.0..=1.0).contains(&p)));
         }
-    }
-
-    #[test]
-    fn partition_is_exact_cover() {
-        let mut rng = StdRng::seed_from_u64(2);
-        let lab = labels(500, 10);
-        let shards = dirichlet_partition(&lab, 16, 0.1, &mut rng);
-        let mut seen = vec![false; 500];
-        for shard in &shards {
-            for &i in shard {
-                assert!(!seen[i], "sample {i} assigned twice");
-                seen[i] = true;
-            }
-        }
-        assert!(seen.iter().all(|&b| b), "some sample unassigned");
-    }
-
-    #[test]
-    fn no_empty_clients_when_enough_samples() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let lab = labels(200, 5);
-        let shards = dirichlet_partition(&lab, 32, 0.05, &mut rng);
-        assert!(shards.iter().all(|s| !s.is_empty()));
-    }
-
-    #[test]
-    fn low_alpha_is_more_skewed_than_high_alpha() {
-        let lab = labels(4000, 10);
-        let mut rng = StdRng::seed_from_u64(4);
-        let skewed = dirichlet_partition(&lab, 10, 0.1, &mut rng);
-        let uniform = dirichlet_partition(&lab, 10, 100.0, &mut rng);
-        let h_skew = partition_stats(&lab, &skewed, 10)
-            .entropies
-            .iter()
-            .sum::<f64>()
-            / 10.0;
-        let h_unif = partition_stats(&lab, &uniform, 10)
-            .entropies
-            .iter()
-            .sum::<f64>()
-            / 10.0;
-        assert!(
-            h_skew < h_unif - 0.3,
-            "alpha=0.1 entropy {h_skew} not clearly below alpha=100 entropy {h_unif}"
-        );
-    }
-
-    #[test]
-    fn deterministic_for_fixed_seed() {
-        let lab = labels(300, 6);
-        let a = dirichlet_partition(&lab, 8, 0.1, &mut StdRng::seed_from_u64(9));
-        let b = dirichlet_partition(&lab, 8, 0.1, &mut StdRng::seed_from_u64(9));
-        assert_eq!(a, b);
-        let c = dirichlet_partition(&lab, 8, 0.1, &mut StdRng::seed_from_u64(10));
-        assert_ne!(a, c);
-    }
-
-    #[test]
-    fn single_client_gets_everything() {
-        let lab = labels(50, 3);
-        let mut rng = StdRng::seed_from_u64(5);
-        let shards = dirichlet_partition(&lab, 1, 0.1, &mut rng);
-        assert_eq!(shards.len(), 1);
-        assert_eq!(shards[0].len(), 50);
     }
 
     #[test]
@@ -382,10 +233,8 @@ mod tests {
         let skewed = PartitionSpec::new(&lab, 10, 0.1, 4);
         let uniform = PartitionSpec::new(&lab, 10, 100.0, 4);
         let shards = |s: &PartitionSpec| (0..10).map(|id| s.shard_for(id)).collect::<Vec<_>>();
-        let h =
-            |sh: &[Vec<usize>]| partition_stats(&lab, sh, 10).entropies.iter().sum::<f64>() / 10.0;
-        let h_skew = h(&shards(&skewed));
-        let h_unif = h(&shards(&uniform));
+        let h_skew = mean_label_entropy(&lab, &shards(&skewed), 10);
+        let h_unif = mean_label_entropy(&lab, &shards(&uniform), 10);
         assert!(
             h_skew < h_unif - 0.3,
             "alpha=0.1 entropy {h_skew} not clearly below alpha=100 entropy {h_unif}"

@@ -5,7 +5,6 @@
 //! shard in shuffled epochs, reshuffling at each epoch boundary, with a
 //! client-owned RNG so parallel clients never contend on shared state.
 
-use crate::partition::PartitionSpec;
 use rand::Rng;
 
 /// Infinite shuffled-epoch batch iterator over a fixed index set.
@@ -29,15 +28,6 @@ impl BatchSampler {
             batch_size,
             cursor: 0,
         }
-    }
-
-    /// Derive-at-id constructor: builds the sampler over the shard
-    /// [`PartitionSpec::shard_for`] derives for `id`, without the caller
-    /// materializing any other client's shard. Pure in `(spec, id)` — two
-    /// calls return identical samplers regardless of what was derived in
-    /// between.
-    pub fn for_client(spec: &PartitionSpec, id: usize, batch_size: usize) -> Self {
-        BatchSampler::new(spec.shard_for(id), batch_size)
     }
 
     /// Number of samples in the underlying shard.
@@ -151,19 +141,5 @@ mod tests {
     #[should_panic(expected = "at least one sample")]
     fn rejects_empty_shard() {
         let _ = BatchSampler::new(vec![], 4);
-    }
-
-    #[test]
-    fn for_client_derives_the_same_sampler_in_any_order() {
-        let labels: Vec<usize> = (0..200).map(|i| i % 4).collect();
-        let spec = PartitionSpec::new(&labels, 16, 0.1, 11);
-        let mut a = BatchSampler::for_client(&spec, 5, 4);
-        let _other = BatchSampler::for_client(&spec, 9, 4); // interleaved derivation
-        let mut b = BatchSampler::for_client(&spec, 5, 4);
-        let mut ra = StdRng::seed_from_u64(1);
-        let mut rb = StdRng::seed_from_u64(1);
-        for _ in 0..8 {
-            assert_eq!(a.next_batch(&mut ra), b.next_batch(&mut rb));
-        }
     }
 }

@@ -1,7 +1,7 @@
 //! Property-based tests for partitioning and sampling invariants.
 
-use fedca_data::partition::{dirichlet_partition, sample_dirichlet};
-use fedca_data::BatchSampler;
+use fedca_data::partition::sample_dirichlet;
+use fedca_data::{BatchSampler, PartitionSpec};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -17,28 +17,42 @@ proptest! {
         prop_assert!(v.iter().all(|&p| (0.0..=1.0).contains(&p)));
     }
 
+    /// Random label sets (some classes below the largest label left empty)
+    /// over populations of 1 to 10⁶ clients: every derived shard has
+    /// `shard_size` entries, each an in-range sample of a non-empty class,
+    /// and a shard depends only on `(seed, id)`, never on what was derived
+    /// before it.
     #[test]
-    fn partition_is_exact_cover(
-        n_samples in 1usize..400,
+    fn spec_shards_are_full_valid_and_pure(
         classes in 1usize..12,
-        n_clients in 1usize..24,
-        seed in 0u64..1000,
+        used_mask in 0u16..4096,
+        raw in prop::collection::vec(0usize..1024, 1..300),
+        log_n in 0.0f64..6.0,
+        picks in prop::collection::vec(0.0f64..1.0, 1..6),
+        seed in 0u64..u64::MAX,
     ) {
-        let labels: Vec<usize> = (0..n_samples).map(|i| i % classes).collect();
-        let mut rng = StdRng::seed_from_u64(seed);
-        let shards = dirichlet_partition(&labels, n_clients, 0.1, &mut rng);
-        prop_assert_eq!(shards.len(), n_clients);
-        let mut seen = vec![false; n_samples];
-        for shard in &shards {
-            for &i in shard {
-                prop_assert!(i < n_samples);
-                prop_assert!(!seen[i], "sample {} assigned twice", i);
-                seen[i] = true;
-            }
+        // Log-uniform over 1..=10⁶ clients.
+        let n_clients = (10f64.powf(log_n).round() as usize).clamp(1, 1_000_000);
+        let mut used: Vec<usize> = (0..classes).filter(|c| used_mask >> c & 1 == 1).collect();
+        if used.is_empty() {
+            used.push(classes - 1);
         }
-        prop_assert!(seen.iter().all(|&b| b), "some sample unassigned");
-        if n_samples >= n_clients {
-            prop_assert!(shards.iter().all(|s| !s.is_empty()), "empty client shard");
+        let labels: Vec<usize> = raw.iter().map(|r| used[r % used.len()]).collect();
+        let spec = PartitionSpec::new(&labels, n_clients, 0.1, seed);
+        let ids: Vec<usize> = picks
+            .iter()
+            .map(|p| ((p * n_clients as f64) as usize).min(n_clients - 1))
+            .collect();
+        let forward: Vec<Vec<usize>> = ids.iter().map(|&id| spec.shard_for(id)).collect();
+        let mut backward: Vec<Vec<usize>> = ids.iter().rev().map(|&id| spec.shard_for(id)).collect();
+        backward.reverse();
+        prop_assert_eq!(&forward, &backward);
+        let fresh = PartitionSpec::new(&labels, n_clients, 0.1, seed);
+        for (shard, &id) in forward.iter().zip(&ids) {
+            prop_assert_eq!(shard.len(), spec.shard_size());
+            prop_assert!(shard.iter().all(|&i| i < labels.len()));
+            prop_assert!(shard.iter().all(|&i| used.contains(&labels[i])));
+            prop_assert_eq!(shard, &fresh.shard_for(id));
         }
     }
 

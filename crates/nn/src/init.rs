@@ -1,4 +1,4 @@
-//! Weight initialization schemes (Kaiming/He and Xavier/Glorot).
+//! Weight initialization: Kaiming/He normal for the ReLU layers.
 
 use fedca_tensor::Tensor;
 use rand::Rng;
@@ -9,19 +9,6 @@ pub fn kaiming_normal(shape: &[usize], fan_in: usize, rng: &mut impl Rng) -> Ten
     assert!(fan_in > 0, "fan_in must be positive");
     let std = (2.0 / fan_in as f32).sqrt();
     Tensor::randn(shape, std, rng)
-}
-
-/// Xavier-Glorot uniform init: `U(±sqrt(6/(fan_in+fan_out)))`. Used for the
-/// LSTM's recurrent weights where activations are tanh/sigmoid.
-pub fn xavier_uniform(
-    shape: &[usize],
-    fan_in: usize,
-    fan_out: usize,
-    rng: &mut impl Rng,
-) -> Tensor {
-    assert!(fan_in + fan_out > 0, "fan_in + fan_out must be positive");
-    let bound = (6.0 / (fan_in + fan_out) as f32).sqrt();
-    Tensor::rand_uniform(shape, -bound, bound, rng)
 }
 
 #[cfg(test)]
@@ -40,16 +27,6 @@ mod tests {
             (var - expected).abs() < expected * 0.15,
             "var {var} vs expected {expected}"
         );
-    }
-
-    #[test]
-    fn xavier_respects_bound() {
-        let mut rng = StdRng::seed_from_u64(12);
-        let t = xavier_uniform(&[64, 64], 64, 64, &mut rng);
-        let bound = (6.0f32 / 128.0).sqrt();
-        assert!(t.as_slice().iter().all(|x| x.abs() <= bound));
-        // And actually fills the range rather than collapsing to zero.
-        assert!(t.as_slice().iter().any(|x| x.abs() > bound * 0.5));
     }
 
     #[test]

@@ -31,7 +31,7 @@ pub mod param;
 pub mod workspace;
 
 pub use layer::Layer;
-pub use loss::{mse_loss, softmax_cross_entropy, softmax_cross_entropy_into};
+pub use loss::{softmax_cross_entropy, softmax_cross_entropy_into};
 pub use model::Model;
 pub use optim::Sgd;
 pub use param::Parameter;

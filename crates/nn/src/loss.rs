@@ -52,27 +52,6 @@ pub fn softmax_cross_entropy_into(logits: &Tensor, labels: &[usize], grad: &mut 
     (total / n as f64) as f32
 }
 
-/// Mean-squared-error over `[N, C]` predictions and targets, mean-reduced
-/// over all elements.
-pub fn mse_loss(pred: &Tensor, target: &Tensor) -> (f32, Tensor) {
-    assert_eq!(pred.dims(), target.dims(), "mse shape mismatch");
-    let n = pred.len().max(1);
-    let mut grad = Tensor::zeros(pred.shape().clone());
-    let mut total = 0.0f64;
-    let scale = 2.0 / n as f32;
-    for ((g, &p), &t) in grad
-        .as_mut_slice()
-        .iter_mut()
-        .zip(pred.as_slice())
-        .zip(target.as_slice())
-    {
-        let d = p - t;
-        total += (d as f64) * (d as f64);
-        *g = scale * d;
-    }
-    ((total / n as f64) as f32, grad)
-}
-
 /// Fraction of rows whose argmax equals the label.
 pub fn accuracy(logits: &Tensor, labels: &[usize]) -> f32 {
     let preds = logits.argmax_rows();
@@ -141,15 +120,6 @@ mod tests {
         assert_eq!(loss, loss2);
         assert_eq!(buf, grad);
         assert_eq!(buf.capacity(), cap, "refill must not reallocate");
-    }
-
-    #[test]
-    fn mse_basics() {
-        let p = Tensor::from_vec([2], vec![1.0, 3.0]);
-        let t = Tensor::from_vec([2], vec![0.0, 1.0]);
-        let (loss, grad) = mse_loss(&p, &t);
-        assert!((loss - 2.5).abs() < 1e-6); // (1 + 4)/2
-        assert_eq!(grad.as_slice(), &[1.0, 2.0]); // 2d/N
     }
 
     #[test]

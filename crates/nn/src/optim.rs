@@ -36,32 +36,10 @@ impl Sgd {
         self
     }
 
-    /// Applies one update step to `params`.
-    ///
-    /// `anchor` is the round-start flat parameter vector (required iff
-    /// `prox_mu > 0`), laid out in parameter traversal order.
-    ///
-    /// # Panics
-    /// Panics if a proximal term is configured without an anchor, or if the
-    /// anchor length does not match the parameter count.
-    pub fn step(&self, params: &mut [&mut Parameter], anchor: Option<&[f32]>) {
-        if self.prox_mu > 0.0 {
-            let total: usize = params.iter().map(|p| p.len()).sum();
-            let anchor = anchor.expect("FedProx step requires the round-start anchor weights");
-            assert_eq!(anchor.len(), total, "anchor length mismatch");
-        }
-        let mut offset = 0usize;
-        for p in params.iter_mut() {
-            let n = p.len();
-            self.step_param(p, anchor.map(|a| &a[offset..offset + n]));
-            offset += n;
-        }
-    }
-
     /// Updates a single parameter. `anchor_slice` is this parameter's slice
-    /// of the round-start flat vector (required iff `prox_mu > 0`). This is
-    /// the building block `Model::step` drives through its parameter
-    /// visitor, avoiding the per-step `Vec<&mut Parameter>` collection.
+    /// of the round-start flat vector (required iff `prox_mu > 0`).
+    /// [`Model::step`](crate::Model::step) drives it through its parameter
+    /// visitor, tracking each parameter's offset into the anchor.
     ///
     /// # Panics
     /// Panics if a proximal term is configured without an anchor, or if the
@@ -86,112 +64,14 @@ impl Sgd {
     }
 }
 
-/// SGD with classical momentum: `v ← μ·v + g; w ← w − lr·v`.
-///
-/// Not used by the paper's client loop (plain SGD, §5.1) but provided for
-/// the §6 future-work experiments on autonomous hyperparameter tuning.
-#[derive(Clone, Debug)]
-pub struct MomentumSgd {
-    /// Learning rate.
-    pub lr: f32,
-    /// Momentum coefficient μ.
-    pub momentum: f32,
-    /// Weight decay.
-    pub weight_decay: f32,
-    velocity: Vec<Vec<f32>>,
-}
-
-impl MomentumSgd {
-    /// Creates a momentum optimizer.
-    pub fn new(lr: f32, momentum: f32, weight_decay: f32) -> Self {
-        MomentumSgd {
-            lr,
-            momentum,
-            weight_decay,
-            velocity: Vec::new(),
-        }
-    }
-
-    /// Applies one update step.
-    pub fn step(&mut self, params: &mut [&mut Parameter]) {
-        if self.velocity.is_empty() {
-            self.velocity = params.iter().map(|p| vec![0.0; p.len()]).collect();
-        }
-        assert_eq!(self.velocity.len(), params.len(), "parameter set changed");
-        for (p, v) in params.iter_mut().zip(self.velocity.iter_mut()) {
-            let w = p.value.as_mut_slice();
-            let g = p.grad.as_slice();
-            for i in 0..w.len() {
-                let grad = g[i] + self.weight_decay * w[i];
-                v[i] = self.momentum * v[i] + grad;
-                w[i] -= self.lr * v[i];
-            }
-        }
-    }
-}
-
-/// Adam ([Kingma & Ba '15]) with bias correction.
-#[derive(Clone, Debug)]
-pub struct Adam {
-    /// Learning rate.
-    pub lr: f32,
-    /// First-moment decay β₁.
-    pub beta1: f32,
-    /// Second-moment decay β₂.
-    pub beta2: f32,
-    /// Numerical floor ε.
-    pub eps: f32,
-    m: Vec<Vec<f32>>,
-    v: Vec<Vec<f32>>,
-    t: u32,
-}
-
-impl Adam {
-    /// Adam with the standard (β₁, β₂, ε) = (0.9, 0.999, 1e-8).
-    pub fn new(lr: f32) -> Self {
-        Adam {
-            lr,
-            beta1: 0.9,
-            beta2: 0.999,
-            eps: 1e-8,
-            m: Vec::new(),
-            v: Vec::new(),
-            t: 0,
-        }
-    }
-
-    /// Applies one update step.
-    pub fn step(&mut self, params: &mut [&mut Parameter]) {
-        if self.m.is_empty() {
-            self.m = params.iter().map(|p| vec![0.0; p.len()]).collect();
-            self.v = params.iter().map(|p| vec![0.0; p.len()]).collect();
-        }
-        assert_eq!(self.m.len(), params.len(), "parameter set changed");
-        self.t += 1;
-        let bc1 = 1.0 - self.beta1.powi(self.t as i32);
-        let bc2 = 1.0 - self.beta2.powi(self.t as i32);
-        for ((p, m), v) in params
-            .iter_mut()
-            .zip(self.m.iter_mut())
-            .zip(self.v.iter_mut())
-        {
-            let w = p.value.as_mut_slice();
-            let g = p.grad.as_slice();
-            for i in 0..w.len() {
-                m[i] = self.beta1 * m[i] + (1.0 - self.beta1) * g[i];
-                v[i] = self.beta2 * v[i] + (1.0 - self.beta2) * g[i] * g[i];
-                let mhat = m[i] / bc1;
-                let vhat = v[i] / bc2;
-                w[i] -= self.lr * mhat / (vhat.sqrt() + self.eps);
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layers::Linear;
+    use crate::Model;
     use fedca_tensor::Tensor;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
     fn param(vals: &[f32], grads: &[f32]) -> Parameter {
         let mut p = Parameter::new("p", Tensor::from_vec([vals.len()], vals.to_vec()));
@@ -202,16 +82,14 @@ mod tests {
     #[test]
     fn vanilla_sgd_step() {
         let mut p = param(&[1.0, 2.0], &[0.5, -0.5]);
-        let sgd = Sgd::new(0.1, 0.0);
-        sgd.step(&mut [&mut p], None);
+        Sgd::new(0.1, 0.0).step_param(&mut p, None);
         assert_eq!(p.value.as_slice(), &[0.95, 2.05]);
     }
 
     #[test]
     fn weight_decay_shrinks_weights() {
         let mut p = param(&[1.0], &[0.0]);
-        let sgd = Sgd::new(0.1, 0.5);
-        sgd.step(&mut [&mut p], None);
+        Sgd::new(0.1, 0.5).step_param(&mut p, None);
         assert!((p.value.as_slice()[0] - 0.95).abs() < 1e-6);
     }
 
@@ -220,11 +98,11 @@ mod tests {
         let mut p = param(&[2.0], &[0.0]);
         let sgd = Sgd::new(0.1, 0.0).with_prox(1.0);
         // Anchor at 0: gradient = μ(w − a) = 2, so w ← 2 − 0.1·2 = 1.8.
-        sgd.step(&mut [&mut p], Some(&[0.0]));
+        sgd.step_param(&mut p, Some(&[0.0]));
         assert!((p.value.as_slice()[0] - 1.8).abs() < 1e-6);
         // At the anchor the proximal term vanishes.
         let mut q = param(&[3.0], &[0.0]);
-        sgd.step(&mut [&mut q], Some(&[3.0]));
+        sgd.step_param(&mut q, Some(&[3.0]));
         assert!((q.value.as_slice()[0] - 3.0).abs() < 1e-6);
     }
 
@@ -232,64 +110,18 @@ mod tests {
     #[should_panic(expected = "anchor")]
     fn prox_without_anchor_panics() {
         let mut p = param(&[1.0], &[0.0]);
-        Sgd::new(0.1, 0.0).with_prox(0.01).step(&mut [&mut p], None);
-    }
-
-    #[test]
-    fn momentum_accumulates_velocity() {
-        // Constant gradient 1.0, lr 0.1, momentum 0.5:
-        // steps: v=1 -> w -= .1 ; v=1.5 -> w -= .15 ; v=1.75 -> w -= .175
-        let mut p = param(&[0.0], &[1.0]);
-        let mut opt = MomentumSgd::new(0.1, 0.5, 0.0);
-        opt.step(&mut [&mut p]);
-        assert!((p.value.as_slice()[0] + 0.1).abs() < 1e-6);
-        opt.step(&mut [&mut p]);
-        assert!((p.value.as_slice()[0] + 0.25).abs() < 1e-6);
-        opt.step(&mut [&mut p]);
-        assert!((p.value.as_slice()[0] + 0.425).abs() < 1e-6);
-    }
-
-    #[test]
-    fn momentum_zero_equals_sgd() {
-        let mut a = param(&[1.0, -2.0], &[0.3, 0.7]);
-        let mut b = param(&[1.0, -2.0], &[0.3, 0.7]);
-        MomentumSgd::new(0.1, 0.0, 0.05).step(&mut [&mut a]);
-        Sgd::new(0.1, 0.05).step(&mut [&mut b], None);
-        assert_eq!(a.value.as_slice(), b.value.as_slice());
-    }
-
-    #[test]
-    fn adam_first_step_is_lr_signed() {
-        // With bias correction, the first Adam step is ≈ lr·sign(g).
-        let mut p = param(&[0.0, 0.0], &[5.0, -0.001]);
-        let mut opt = Adam::new(0.01);
-        opt.step(&mut [&mut p]);
-        assert!((p.value.as_slice()[0] + 0.01).abs() < 1e-4);
-        assert!((p.value.as_slice()[1] - 0.01).abs() < 1e-4);
-    }
-
-    #[test]
-    fn adam_converges_on_quadratic() {
-        // Minimize f(w) = (w-3)^2 by feeding grad = 2(w-3).
-        let mut p = param(&[0.0], &[0.0]);
-        let mut opt = Adam::new(0.2);
-        for _ in 0..200 {
-            let w = p.value.as_slice()[0];
-            p.grad.as_mut_slice()[0] = 2.0 * (w - 3.0);
-            opt.step(&mut [&mut p]);
-        }
-        let w = p.value.as_slice()[0];
-        assert!((w - 3.0).abs() < 0.05, "Adam stalled at {w}");
+        Sgd::new(0.1, 0.0).with_prox(0.01).step_param(&mut p, None);
     }
 
     #[test]
     fn multi_param_anchor_offsets() {
-        let mut a = param(&[1.0, 1.0], &[0.0, 0.0]);
-        let mut b = param(&[5.0], &[0.0]);
+        // One linear layer: `fc.weight` (2 elements), then `fc.bias` (1).
+        let mut model = Model::new(Linear::new("fc", 2, 1, &mut StdRng::seed_from_u64(0)));
+        model.set_flat_params(&[1.0, 1.0, 5.0]);
+        model.zero_grad();
         let sgd = Sgd::new(1.0, 0.0).with_prox(1.0);
-        sgd.step(&mut [&mut a, &mut b], Some(&[0.0, 2.0, 5.0]));
-        // a: w - 1.0*(w - anchor): [1-1, 1-(-1)] = [0, 2]; b unchanged.
-        assert_eq!(a.value.as_slice(), &[0.0, 2.0]);
-        assert_eq!(b.value.as_slice(), &[5.0]);
+        model.step(&sgd, Some(&[0.0, 2.0, 5.0]));
+        // weight: w − 1.0·(w − anchor) = [0, 2]; bias sits on its anchor.
+        assert_eq!(model.flat_params(), vec![0.0, 2.0, 5.0]);
     }
 }

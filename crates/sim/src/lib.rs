@@ -38,7 +38,3 @@ pub mod trace;
 
 /// Virtual time in seconds since the start of the experiment.
 pub type SimTime = f64;
-
-/// Bytes per f32 model parameter on the wire (no quantization — the paper's
-/// baseline transmits fp32).
-pub const BYTES_PER_PARAM: f64 = 4.0;

@@ -230,13 +230,6 @@ impl Tensor {
         out
     }
 
-    /// In-place elementwise map.
-    pub fn map_inplace(&mut self, f: impl Fn(f32) -> f32) {
-        for a in &mut self.data {
-            *a = f(*a);
-        }
-    }
-
     /// Out-of-place elementwise map.
     pub fn map(&self, f: impl Fn(f32) -> f32) -> Tensor {
         Tensor {
@@ -429,8 +422,6 @@ mod tests {
         let mut t = Tensor::from_vec([3], vec![1.0, -1.0, 2.0]);
         let relu = t.map(|x| x.max(0.0));
         assert_eq!(relu.as_slice(), &[1.0, 0.0, 2.0]);
-        t.map_inplace(|x| x * x);
-        assert_eq!(t.as_slice(), &[1.0, 1.0, 4.0]);
         t.fill_zero();
         assert_eq!(t.sum(), 0.0);
     }

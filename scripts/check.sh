@@ -48,6 +48,22 @@ FEDCA_FORCE_KERNEL=scalar cargo test -q -p fedca-tensor -p fedca-nn -p fedca-cor
   --test golden_trace --test aggregation_equivalence --test ingest_zero_alloc \
   --test compression_equivalence
 
+# The kernels' `unsafe` SIMD and packing sites run under AddressSanitizer on
+# both tiers: the same four parity suites, built by nightly (std stays
+# uninstrumented: there is no rust-src for -Zbuild-std). `--target` keeps
+# the instrumented artifacts apart from the host build's. ~20 s from cold.
+if cargo +nightly --version >/dev/null 2>&1; then
+  echo "== kernel parity suites under AddressSanitizer (nightly; unforced, then FEDCA_FORCE_KERNEL=scalar)"
+  host="$(rustc -vV | sed -n 's/^host: //p')"
+  asan=(env RUSTFLAGS=-Zsanitizer=address CARGO_TARGET_DIR=target/asan
+    cargo +nightly test --offline -q --target "$host" -p fedca-tensor -p fedca-nn
+    --test gemm_parity --test dataplane_parity --test conv_parity --test lstm_parity)
+  "${asan[@]}"
+  FEDCA_FORCE_KERNEL=scalar "${asan[@]}"
+else
+  echo "== nightly toolchain not installed; skipping the AddressSanitizer pass" >&2
+fi
+
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
 
