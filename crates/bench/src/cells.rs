@@ -91,9 +91,11 @@ impl Cells {
     /// run another study may have asked for.
     ///
     /// The cell key is everything the trajectory and its records depend on:
-    /// the serialized `fl` and `scheme`, the workload name, the bits of
-    /// `workload.wire_model_bytes` (the comm-bound studies inflate it) and
-    /// `eval_every`.
+    /// the serialized `fl` and `scheme`, the workload name and the bits of
+    /// `workload.wire_model_bytes` (the comm-bound studies inflate it).
+    /// Every cell evaluates every round: evaluation reads the global model
+    /// and writes nothing the trajectory reads, so a study that ignores
+    /// accuracy shares the cells of one that plots it.
     pub fn run(
         &mut self,
         scheme: Scheme,
@@ -101,11 +103,10 @@ impl Cells {
         fl: &FlConfig,
         target: f32,
         max_rounds: usize,
-        eval_every: usize,
     ) -> TrainerOutput {
         let (scheme_name, workload_name) = (scheme.name(), workload.name.clone());
         let key = format!(
-            "{}|{}|{}|{:016x}|{eval_every}",
+            "{}|{}|{}|{:016x}",
             serde_json::to_string(fl).expect("config serializes"),
             serde_json::to_string(&scheme).expect("scheme serializes"),
             workload.name,
@@ -114,8 +115,7 @@ impl Cells {
         let i = match self.trainers.iter().position(|(k, _)| *k == key) {
             Some(i) => i,
             None => {
-                let mut t = self.build_trainer(fl, scheme, workload);
-                t.eval_every = eval_every;
+                let t = self.build_trainer(fl, scheme, workload);
                 self.trainers.push((key, t));
                 self.trainers.len() - 1
             }
@@ -142,7 +142,7 @@ impl Cells {
     }
 
     /// The §3.2.2 testbed curves of one model, recorded once for every
-    /// `(round, client)` Figs. 2–4 read.
+    /// `(round, client)` Figs. 2–5 read.
     pub fn progress(&mut self, model: &str) -> &Curves {
         if !self.curves.contains_key(model) {
             let w = self.workload(model);

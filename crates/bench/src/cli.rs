@@ -104,14 +104,14 @@ impl std::error::Error for CliError {}
 const FLAGS: [(&str, &str); 7] = [
     ("--scale", "smoke|scaled|paper (default scaled)"),
     ("--seed", "a non-negative integer (default 42)"),
-    ("--compression", "none|int8|f16|q1..q8|topP, 0 < P <= 100"),
+    ("--compression", "none|int8|q1..q8|topP, 0 < P <= 100"),
     ("--n-clients", "a positive integer (population size)"),
     ("--shards", "a non-negative integer (0 = in-process)"),
     ("--trace", "a file path (JSONL trace, numbered per cell)"),
     ("--out", "a directory for <study>.csv and <study>.log"),
 ];
 
-/// Parses a compression spec: `none`, `int8` (deterministic 8-bit), `f16`,
+/// Parses a compression spec: `none`, `int8` (deterministic 8-bit),
 /// `qN` (stochastic QSGD with `N` bits, e.g. `q4`), or `topP` (top-`P`%
 /// sparsification, e.g. `top10`). `None` for anything else.
 pub fn parse_compression(spec: &str) -> Option<Compression> {
@@ -119,7 +119,6 @@ pub fn parse_compression(spec: &str) -> Option<Compression> {
     match s {
         "none" => return Some(Compression::None),
         "int8" => return Some(Compression::Int8),
-        "f16" => return Some(Compression::F16),
         _ => {}
     }
     if let Some(bits) = s.strip_prefix('q').and_then(|v| v.parse::<u8>().ok()) {

@@ -1,6 +1,7 @@
 //! §5 evaluation studies: Table 1 and Figs. 7–10. Each is a view over
-//! trainer cells; `table1`, `fig7`, `fig9` and `fig10` read many of the same
-//! `(model, scheme)` trajectories.
+//! trainer cells; they read many of the same `(model, scheme)`
+//! trajectories (Fig. 8 reads the cnn cells Table 1, Fig. 7 and Fig. 9
+//! train).
 
 use super::{accuracy_curves, Study, MODELS};
 use crate::cells::NO_TARGET;
@@ -42,7 +43,7 @@ pub fn table1(study: &Study, cells: &mut Cells) -> Vec<String> {
         for scheme in four_schemes() {
             let sname = scheme.name();
             cells.note(format!("table1: {name} / {sname} to accuracy {target}"));
-            let out = cells.run(scheme, &w, &fl, target, max_rounds, 1);
+            let out = cells.run(scheme, &w, &fl, target, max_rounds);
             let (total, rounds, reached) = match out.time_to_accuracy(target) {
                 Some((t, r)) => (t, r + 1, ""),
                 None => (
@@ -100,7 +101,7 @@ pub fn fig8(study: &Study, cells: &mut Cells) -> Vec<String> {
     let k = fl.local_iters;
     let mut run = |label: &str, scheme: Scheme| {
         cells.note(format!("fig8: {label} on cnn, {rounds} rounds"));
-        cells.run(scheme, &w, &fl, NO_TARGET, rounds, 0)
+        cells.run(scheme, &w, &fl, NO_TARGET, rounds)
     };
     let fedca = run("FedCA", Scheme::fedca_default());
     let fedada = run("FedAda", Scheme::fedada_default());
@@ -197,7 +198,7 @@ pub fn fig10(study: &Study, cells: &mut Cells) -> Vec<String> {
 
     // Reference FedAvg curve appears in both panels.
     cells.note("fig10: FedAvg reference".into());
-    let reference = cells.run(Scheme::FedAvg, &w, &fl, NO_TARGET, rounds, 1);
+    let reference = cells.run(Scheme::FedAvg, &w, &fl, NO_TARGET, rounds);
     for (t, a) in reference.accuracy_series() {
         rows.push(format!("beta,FedAvg,{t:.1},{a:.4}"));
         rows.push(format!("thresholds,FedAvg,{t:.1},{a:.4}"));

@@ -49,7 +49,7 @@ fn accuracy_curves(
 ) -> Vec<(String, TrainerOutput)> {
     let run = |(label, scheme, fl): (String, Scheme, FlConfig)| {
         cells.note(format!("{}: {label} for {rounds} rounds", study.name));
-        let out = cells.run(scheme, w, &fl, NO_TARGET, rounds, 1);
+        let out = cells.run(scheme, w, &fl, NO_TARGET, rounds);
         let series = out.accuracy_series();
         rows.extend(series.iter().map(|(t, a)| format!("{label},{t:.1},{a:.4}")));
         (label, out)
@@ -69,14 +69,14 @@ pub static STUDIES: [Study; 14] = [
     Study {
         name: "fig2_progress_clients",
         paper: "Fig. 2: whole-model progress curves, two clients",
-        rounds: [5, 25, 201],
+        rounds: [6, 25, 201],
         header: "model,round,client,iteration,progress",
         run: patterns::fig2,
     },
     Study {
         name: "fig3_progress_layers",
         paper: "Fig. 3: per-layer progress curves",
-        rounds: [5, 25, 201],
+        rounds: [6, 25, 201],
         header: "model,round,layer,iteration,progress",
         run: patterns::fig3,
     },
@@ -90,7 +90,7 @@ pub static STUDIES: [Study; 14] = [
     Study {
         name: "fig5_sampling",
         paper: "Fig. 5: full vs sampled per-layer profiling",
-        rounds: [5, 25, 201],
+        rounds: [6, 25, 201],
         header: "model,round,layer,mode,iteration,progress",
         run: patterns::fig5,
     },

@@ -1,18 +1,12 @@
 //! §3.2.2 statistical-pattern studies (Figs. 2–5) and the §5.5 memory
-//! overhead table. Figs. 2–4 are views over one shared 4-client FedAvg
-//! trajectory per model ([`Cells::progress`]); Fig. 5 trains its own.
+//! overhead table. Figs. 2–5 are views over one shared 4-client FedAvg
+//! trajectory per model ([`Cells::progress`]).
 
 use super::{Study, MODELS};
-use crate::study::{
-    push_curve, record_local_snapshots, CONSECUTIVE_ROUNDS, EARLY_LATE_ROUNDS, TESTBED_K,
-};
-use crate::{fl_config, Cells};
+use crate::study::{push_curve, CONSECUTIVE_ROUNDS, EARLY_LATE_ROUNDS};
+use crate::Cells;
 use fedca_core::params::ModelLayout;
 use fedca_core::profiler::SampledProfiler;
-use fedca_core::progress::progress_curve;
-use fedca_core::{Scheme, Trainer};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 
 /// Fig. 2: whole-model statistical-progress curves for two clients, per
@@ -130,11 +124,12 @@ pub fn fig4(_: &Study, cells: &mut Cells) -> Vec<String> {
 
 /// Fig. 5: per-layer progress curves profiled with ALL parameters vs with
 /// the min(50%, 100)-parameter sample — validating intra-layer sampling
-/// (§4.1). `mode` is `full` or `sampled`; the log gets the max
+/// (§4.1). A view over the testbed ([`Cells::progress`]): the sampled curve
+/// covers exactly the indices testbed client 0's own `SampledProfiler`
+/// samples. `mode` is `full` or `sampled`; the log gets the max
 /// full-vs-sampled gap per model.
-pub fn fig5(study: &Study, cells: &mut Cells) -> Vec<String> {
-    let (scale, seed) = (cells.cli().scale, cells.cli().seed());
-    let rounds = scale.pick(EARLY_LATE_ROUNDS);
+pub fn fig5(_: &Study, cells: &mut Cells) -> Vec<String> {
+    let rounds = cells.cli().scale.pick(EARLY_LATE_ROUNDS);
     // One representative mid-network layer per model (the paper picks one
     // random layer per model; these are fixed for reproducibility).
     let layer_for = |name: &str| -> &'static [&'static str] {
@@ -146,57 +141,24 @@ pub fn fig5(study: &Study, cells: &mut Cells) -> Vec<String> {
     };
     let mut rows = Vec::new();
     for name in MODELS {
-        let w = cells.workload(name);
-        let mut fl = fl_config(&w, cells.cli());
-        fl.n_clients = 4;
-        fl.clients_per_round = 4;
-        fl.local_iters = scale.pick(TESTBED_K);
-        fl.heterogeneity = false;
-        fl.dynamicity = false;
-        let mut trainer = Trainer::new(fl.clone(), Scheme::FedAvg, w.clone());
-        trainer.eval_every = 0;
-        let layout: Arc<ModelLayout> = trainer.layout().clone();
+        let curves = cells.progress(name);
+        let names = &curves[&(rounds[0], 0)].layers;
         let l = layer_for(name)
             .iter()
-            .find_map(|p| layout.layer_index(p))
+            .find_map(|p| names.iter().position(|(n, _)| n == p))
             .unwrap_or(0);
-        let layer_name = layout.name(l).to_string();
-        cells.note(format!("fig5: {name} layer {layer_name} rounds {rounds:?}"));
+        let layer_name = names[l].0.clone();
         let mut max_gap = 0.0f32;
-        for round in 0..study.rounds_at(scale) {
-            if rounds.contains(&round) {
-                let global = trainer.global_params().to_vec();
-                let shard = trainer.client(0).shard.clone();
-                let replay_seed = seed ^ (round as u64) << 4;
-                let snaps = record_local_snapshots(&w, &fl, &global, &shard, replay_seed);
-                let r = layout.range(l);
-                let full_snaps: Vec<Vec<f32>> =
-                    snaps.iter().map(|s| s[r.clone()].to_vec()).collect();
-                let full = progress_curve(&full_snaps);
-                // min(50%, 100) random sample of the layer's parameters.
-                let len = r.len();
-                let take = len.div_ceil(2).clamp(1, 100);
-                let mut rng = StdRng::seed_from_u64(seed ^ 0xFACE);
-                let mut pool: Vec<usize> = (0..len).collect();
-                for i in 0..take {
-                    let j = rng.gen_range(i..len);
-                    pool.swap(i, j);
-                }
-                let chosen = &pool[..take];
-                let sampled_snaps: Vec<Vec<f32>> = full_snaps
-                    .iter()
-                    .map(|s| chosen.iter().map(|&i| s[i]).collect())
-                    .collect();
-                let sampled = progress_curve(&sampled_snaps);
-                for (i, (f, s)) in full.iter().zip(&sampled).enumerate() {
-                    let label = format!("{name},{round},{layer_name}");
-                    rows.push(format!("{label},full,{},{:.4}", i + 1, f));
-                    rows.push(format!("{label},sampled,{},{:.4}", i + 1, s));
-                    max_gap = max_gap.max((f - s).abs());
-                }
+        for round in rounds {
+            let rec = &curves[&(round, 0)];
+            let label = format!("{name},{round},{layer_name}");
+            for (i, (f, s)) in rec.layers[l].1.iter().zip(&rec.sampled[l]).enumerate() {
+                rows.push(format!("{label},full,{},{:.4}", i + 1, f));
+                rows.push(format!("{label},sampled,{},{:.4}", i + 1, s));
+                max_gap = max_gap.max((f - s).abs());
             }
-            trainer.run_round();
         }
+        cells.note(format!("fig5: {name} layer {layer_name} rounds {rounds:?}"));
         cells.note(format!(
             "fig5: {name} max |full − sampled| gap: {max_gap:.3}"
         ));

@@ -5,7 +5,9 @@
 //! of a *real* training trajectory. This module reproduces that: it trains
 //! a federation with plain FedAvg, and at the rounds of interest replays a
 //! client's local round while recording **full** (unsampled) parameter
-//! snapshots, from which whole-model and per-layer curves are computed.
+//! snapshots, from which whole-model and per-layer curves are computed —
+//! and, per layer, the curve over just the parameters that client's own
+//! [`SampledProfiler`](fedca_core::profiler::SampledProfiler) samples.
 
 use crate::{Log, Totals};
 use fedca_core::params::ModelLayout;
@@ -25,7 +27,7 @@ pub const EARLY_LATE_ROUNDS: [[usize; 2]; 3] = [[1, 4], [3, 24], [10, 200]];
 
 /// The consecutive early-stage and late-stage rounds Fig. 4 looks at, per
 /// tier — a superset of [`EARLY_LATE_ROUNDS`], so one testbed run recording
-/// these serves Figs. 2–4.
+/// these serves Figs. 2–5.
 pub const CONSECUTIVE_ROUNDS: [&[usize]; 3] = [
     &[1, 2, 4, 5],
     &[3, 4, 5, 6, 7, 20, 21, 22, 23, 24],
@@ -39,6 +41,9 @@ pub struct RecordedCurves {
     pub model: Vec<f32>,
     /// `(layer name, curve)` per named parameter tensor.
     pub layers: Vec<(String, Vec<f32>)>,
+    /// Per layer (indexed like `layers`), the curve over only the
+    /// parameters the client's profiler samples.
+    pub sampled: Vec<Vec<f32>>,
 }
 
 /// Replays one client's local round (`fl`'s K, batch size and optimizer
@@ -73,41 +78,41 @@ pub fn record_local_snapshots(
     snapshots
 }
 
-/// Converts one local round's snapshots into whole-model and per-layer
-/// progress curves.
-fn curves_of(snapshots: &[Vec<f32>], layout: &ModelLayout) -> RecordedCurves {
-    let layers = (0..layout.num_layers())
-        .map(|l| {
-            let r = layout.range(l);
-            let layer_snaps: Vec<Vec<f32>> =
-                snapshots.iter().map(|s| s[r.clone()].to_vec()).collect();
-            (layout.name(l).to_string(), progress_curve(&layer_snaps))
-        })
-        .collect();
-    RecordedCurves {
+/// Converts one local round's snapshots into whole-model, per-layer and
+/// per-layer sampled progress curves; `sample` holds each layer's
+/// layer-local sampled indices.
+fn curves_of(
+    snapshots: &[Vec<f32>],
+    layout: &ModelLayout,
+    sample: &[Vec<usize>],
+) -> RecordedCurves {
+    let layer_curve = |l: usize, idx: &[usize]| {
+        let start = layout.range(l).start;
+        let at = |s: &Vec<f32>| idx.iter().map(|&i| s[start + i]).collect();
+        progress_curve(&snapshots.iter().map(at).collect::<Vec<_>>())
+    };
+    let mut curves = RecordedCurves {
         model: progress_curve(snapshots),
-        layers,
+        layers: Vec::new(),
+        sampled: Vec::new(),
+    };
+    for (l, idx) in sample.iter().enumerate() {
+        let all: Vec<usize> = (0..layout.layer_len(l)).collect();
+        curves
+            .layers
+            .push((layout.name(l).to_string(), layer_curve(l, &all)));
+        curves.sampled.push(layer_curve(l, idx));
     }
+    curves
 }
 
 /// Curves per `(round, client)` of one model's testbed trajectory.
 pub type Curves = BTreeMap<(usize, usize), RecordedCurves>;
 
-/// One full §3.2.2-style study: trains `workload` with FedAvg on a small
-/// 4-client testbed and records full curves for every `(round, client)` in
-/// `rounds × clients`. Recording replays a client's round on a fresh model
-/// with its own RNG stream, so what is recorded never changes the
-/// trajectory or any other pair's curves.
-pub fn progress_study(
-    workload: &Workload,
-    rounds: &[usize],
-    clients: &[usize],
-    k: usize,
-    seed: u64,
-    log: &mut Log,
-) -> Curves {
-    // The paper's motivation testbed: 4 clients, all selected each round.
-    let fl = FlConfig {
+/// The paper's motivation testbed: 4 clients, all selected each round,
+/// `k` local iterations, homogeneous and static devices.
+pub fn testbed_config(workload: &Workload, k: usize, seed: u64) -> FlConfig {
+    FlConfig {
         n_clients: 4,
         clients_per_round: 4,
         local_iters: k,
@@ -120,7 +125,28 @@ pub fn progress_study(
         heterogeneity: false,
         dynamicity: false,
         ..FlConfig::default()
-    };
+    }
+}
+
+/// The RNG seed a recording replays `client`'s local round at `round` with.
+pub fn replay_seed(seed: u64, round: usize, client: usize) -> u64 {
+    seed ^ (round as u64) << 8 ^ client as u64
+}
+
+/// One full §3.2.2-style study: trains `workload` with FedAvg on the
+/// [testbed](testbed_config) and records curves for every `(round, client)`
+/// in `rounds × clients`. Recording replays a client's round on a fresh
+/// model with its own RNG stream, so what is recorded never changes the
+/// trajectory or any other pair's curves.
+pub fn progress_study(
+    workload: &Workload,
+    rounds: &[usize],
+    clients: &[usize],
+    k: usize,
+    seed: u64,
+    log: &mut Log,
+) -> Curves {
+    let fl = testbed_config(workload, k, seed);
     let mut trainer = Trainer::new(fl.clone(), Scheme::FedAvg, workload.clone());
     trainer.eval_every = 0; // no accuracy needed; keep the study fast
     let layout = trainer.layout().clone();
@@ -130,15 +156,17 @@ pub fn progress_study(
         if rounds.contains(&round) {
             let global: Vec<f32> = trainer.global_params().to_vec();
             for &c in clients {
-                let shard = trainer.client(c).shard.clone();
+                let client = trainer.client(c);
+                let shard = client.shard.clone();
+                let sample = client.profiler.sample_indices().to_vec();
                 log.note(&format!(
                     "  recording {} round {round} client {c} ({} samples)",
                     workload.name,
                     shard.len()
                 ));
-                let replay_seed = seed ^ (round as u64) << 8 ^ c as u64;
-                let snapshots = record_local_snapshots(workload, &fl, &global, &shard, replay_seed);
-                out.insert((round, c), curves_of(&snapshots, &layout));
+                let replay = replay_seed(seed, round, c);
+                let snapshots = record_local_snapshots(workload, &fl, &global, &shard, replay);
+                out.insert((round, c), curves_of(&snapshots, &layout, &sample));
             }
         }
         trainer.run_round();

@@ -6,10 +6,14 @@
 use fedca_bench::cells::NO_TARGET;
 use fedca_bench::cli::{parse_compression, usage};
 use fedca_bench::studies::{self, STUDIES};
-use fedca_bench::study::{CONSECUTIVE_ROUNDS, EARLY_LATE_ROUNDS};
+use fedca_bench::study::{
+    record_local_snapshots, replay_seed, testbed_config, CONSECUTIVE_ROUNDS, EARLY_LATE_ROUNDS,
+    TESTBED_K,
+};
 use fedca_bench::{apply_population, fl_config, Cells, Cli, CliError, Command, ExpScale};
 use fedca_compress::Compression;
 use fedca_core::metrics::RoundRecord;
+use fedca_core::progress::progress_curve;
 use fedca_core::workload::Scale;
 use fedca_core::{Scheme, Trainer, Workload};
 use std::process::Command as Process;
@@ -28,7 +32,7 @@ fn every_accepted_spelling_parses_to_the_expected_cli() {
         ..Cli::default()
     };
     type Expect = fn(&mut Cli);
-    let table: [(&[&str], Expect); 19] = [
+    let table: [(&[&str], Expect); 18] = [
         (&[], |_| {}),
         (&["--scale", "smoke"], |c| c.scale = ExpScale::Smoke),
         (&["--scale=paper"], |c| c.scale = ExpScale::Paper),
@@ -39,9 +43,6 @@ fn every_accepted_spelling_parses_to_the_expected_cli() {
         }),
         (&["--compression=int8"], |c| {
             c.compression = Some(Compression::Int8)
-        }),
-        (&["--compression", "f16"], |c| {
-            c.compression = Some(Compression::F16)
         }),
         (&["--compression=q4"], |c| {
             c.compression = Some(Compression::Quantize { bits: 4 })
@@ -103,7 +104,7 @@ fn kind(e: &CliError) -> (&'static str, String) {
 
 #[test]
 fn every_malformed_command_line_is_a_typed_error() {
-    let table: [(&[&str], &str, &str); 29] = [
+    let table: [(&[&str], &str, &str); 30] = [
         (&[], "missing-command", ""),
         (&["--scale", "smoke"], "missing-command", ""),
         (&["overhead", "--scale", "x"], "bad-value", "--scale"),
@@ -141,6 +142,12 @@ fn every_malformed_command_line_is_a_typed_error() {
         ),
         (
             &["overhead", "--compression", "fp32"],
+            "bad-value",
+            "--compression",
+        ),
+        // The retired binary16 codec.
+        (
+            &["overhead", "--compression", "f16"],
             "bad-value",
             "--compression",
         ),
@@ -241,6 +248,10 @@ fn retired_environment_variables_change_nothing() {
     assert_ne!(seeded, clean);
     // Bad input exits 2 with a usage line instead of unwinding.
     assert_eq!(fedca_bench(&["overhead", "--scale", "x"], &[]).0, Some(2));
+    assert_eq!(
+        fedca_bench(&["overhead", "--compression", "f16"], &[]).0,
+        Some(2)
+    );
     assert_eq!(fedca_bench(&["fig11"], &[]).0, Some(2));
     assert_eq!(fedca_bench(&["probe-shard"], &[]).0, Some(2));
     assert_eq!(fedca_bench(&["list", "--cohort", "4"], &[]).0, Some(2));
@@ -340,33 +351,29 @@ fn requests_that_differ_in_any_key_part_do_not_alias() {
     let mut cells = Cells::new(&cli);
     let w = Workload::tiny_mlp(cli.seed());
     let fl = fl_config(&w, &cli);
-    let base = cells.run(Scheme::FedAvg, &w, &fl, NO_TARGET, 2, 1);
+    let base = cells.run(Scheme::FedAvg, &w, &fl, NO_TARGET, 2);
     assert_eq!(cells.rounds_trained(), 2);
+    assert!(base.rounds.iter().all(|r| r.accuracy.is_some()));
 
     let mut wide = w.clone();
     wide.wire_model_bytes *= 100.0;
-    let slow = cells.run(Scheme::FedAvg, &wide, &fl, NO_TARGET, 2, 1);
+    let slow = cells.run(Scheme::FedAvg, &wide, &fl, NO_TARGET, 2);
     assert_eq!(cells.rounds_trained(), 4, "wire size is part of the key");
     assert!(slow.rounds[1].end > base.rounds[1].end);
 
-    let blind = cells.run(Scheme::FedAvg, &w, &fl, NO_TARGET, 2, 0);
-    assert_eq!(cells.rounds_trained(), 6, "eval cadence is part of the key");
-    assert!(blind.rounds.iter().all(|r| r.accuracy.is_none()));
-    assert!(base.rounds.iter().all(|r| r.accuracy.is_some()));
-
     let mut int8 = fl.clone();
     int8.compression = Compression::Int8;
-    let packed = cells.run(Scheme::FedAvg, &w, &int8, NO_TARGET, 2, 1);
-    assert_eq!(cells.rounds_trained(), 8, "the config is part of the key");
+    let packed = cells.run(Scheme::FedAvg, &w, &int8, NO_TARGET, 2);
+    assert_eq!(cells.rounds_trained(), 6, "the config is part of the key");
     assert!(packed.rounds[0].wire_bytes_uploaded < base.rounds[0].wire_bytes_uploaded);
 
-    cells.run(Scheme::fedca_default(), &w, &fl, NO_TARGET, 2, 1);
-    assert_eq!(cells.rounds_trained(), 10, "the scheme is part of the key");
+    cells.run(Scheme::fedca_default(), &w, &fl, NO_TARGET, 2);
+    assert_eq!(cells.rounds_trained(), 8, "the scheme is part of the key");
 
-    let again = cells.run(Scheme::FedAvg, &w, &fl, NO_TARGET, 2, 1);
+    let again = cells.run(Scheme::FedAvg, &w, &fl, NO_TARGET, 2);
     assert_eq!(
         cells.rounds_trained(),
-        10,
+        8,
         "an identical request trains nothing"
     );
     assert_eq!(again.rounds, base.rounds);
@@ -386,7 +393,7 @@ fn a_view_is_the_prefix_the_request_would_have_trained_alone() {
         }
     };
     let mut ask =
-        |target: f32, rounds: usize| cells.run(Scheme::fedca_default(), &w, &fl, target, rounds, 1);
+        |target: f32, rounds: usize| cells.run(Scheme::fedca_default(), &w, &fl, target, rounds);
 
     let canonical = |rounds: &[RoundRecord]| -> Vec<RoundRecord> {
         rounds.iter().map(RoundRecord::canonical).collect()
@@ -442,9 +449,9 @@ fn trace_paths_are_numbered_per_run() {
         let mut cells = Cells::new(cli);
         let w = Workload::tiny_mlp(cli.seed());
         let fl = fl_config(&w, cli);
-        cells.run(Scheme::FedAvg, &w, &fl, NO_TARGET, 1, 0);
-        cells.run(Scheme::fedca_default(), &w, &fl, NO_TARGET, 1, 0);
-        cells.run(Scheme::FedAvg, &w, &fl, NO_TARGET, 2, 0);
+        cells.run(Scheme::FedAvg, &w, &fl, NO_TARGET, 1);
+        cells.run(Scheme::fedca_default(), &w, &fl, NO_TARGET, 1);
+        cells.run(Scheme::FedAvg, &w, &fl, NO_TARGET, 2);
     };
     three_requests(&Cli {
         trace: Some(dir.join("t.jsonl")),
@@ -458,6 +465,87 @@ fn trace_paths_are_numbered_per_run() {
     });
     assert!(listing().ends_with(&["trace".to_string(), "trace.1".to_string()]));
     std::fs::remove_dir_all(&dir).expect("clean up");
+}
+
+/// Fig. 8 reads trajectories the evaluation studies already train: evaluation
+/// is not part of a cell's key, so at smoke tier, after Table 1, Fig. 7 and
+/// Fig. 9, its FedCA, FedAda and FedCA-v2 requests add no round.
+#[test]
+fn fig8_trains_nothing_after_table1_fig7_and_fig9() {
+    let cli = Cli {
+        scale: ExpScale::Smoke,
+        ..Cli::default()
+    };
+    let mut cells = Cells::new(&cli);
+    for name in ["table1", "fig7_time_to_accuracy", "fig9_ablation"] {
+        let study = studies::find(name).expect("registered");
+        (study.run)(study, &mut cells);
+    }
+    let trained = cells.rounds_trained();
+    let fig8 = studies::find("fig8_cdf").expect("registered");
+    assert!(!(fig8.run)(fig8, &mut cells).is_empty());
+    assert_eq!(cells.rounds_trained(), trained, "fig8 trained a cell");
+}
+
+/// Fig. 5 is a view of the testbed: its `full` rows are the layer curves
+/// [`Cells::progress`] holds, and its `sampled` rows cover exactly the
+/// indices testbed client 0's own profiler samples — recomputed here from
+/// a fresh testbed trainer and `record_local_snapshots`.
+#[test]
+fn fig5_reads_the_testbed_and_client_0s_profiler_sample() {
+    let cli = Cli {
+        scale: ExpScale::Smoke,
+        ..Cli::default()
+    };
+    let mut cells = Cells::new(&cli);
+    let fig5 = studies::find("fig5_sampling").expect("registered");
+    let rows = (fig5.run)(fig5, &mut cells);
+    // `model,round,layer,mode,iteration,progress` → (layer, progress column).
+    let curve = |model: &str, round: usize, mode: &str| -> (String, Vec<String>) {
+        let cols: Vec<Vec<&str>> = rows
+            .iter()
+            .map(|r| r.split(',').collect::<Vec<_>>())
+            .filter(|c| c[0] == model && c[1] == round.to_string() && c[3] == mode)
+            .collect();
+        assert!(!cols.is_empty(), "no {mode} rows for {model} round {round}");
+        (
+            cols[0][2].to_string(),
+            cols.iter().map(|c| c[5].to_string()).collect(),
+        )
+    };
+    let fmt = |c: &[f32]| -> Vec<String> { c.iter().map(|p| format!("{p:.4}")).collect() };
+    let rounds = ExpScale::Smoke.pick(EARLY_LATE_ROUNDS);
+    for model in ["cnn", "lstm", "wrn"] {
+        for round in rounds {
+            let (layer, full) = curve(model, round, "full");
+            let rec = &cells.progress(model)[&(round, 0)];
+            let l = rec.layers.iter().position(|(n, _)| *n == layer);
+            let l = l.expect("fig5's layer is a testbed layer");
+            assert_eq!(full, fmt(&rec.layers[l].1), "{model} round {round}");
+            assert_eq!(curve(model, round, "sampled").1, fmt(&rec.sampled[l]));
+        }
+    }
+
+    let round = rounds[1];
+    let (layer, sampled) = curve("cnn", round, "sampled");
+    let w = cells.workload("cnn");
+    let fl = testbed_config(&w, ExpScale::Smoke.pick(TESTBED_K), cli.seed());
+    let mut testbed = Trainer::new(fl.clone(), Scheme::FedAvg, w.clone());
+    testbed.run(round);
+    let global = testbed.global_params().to_vec();
+    let layout = testbed.layout().clone();
+    let l = layout.layer_index(&layer).expect("a cnn layer");
+    let client = testbed.client(0);
+    let idx = client.profiler.sample_indices()[l].clone();
+    let r = layout.range(l);
+    assert_eq!(idx.len(), 100, "{layer} has {} parameters", r.len());
+    let seed = replay_seed(cli.seed(), round, 0);
+    let snaps = record_local_snapshots(&w, &fl, &global, &client.shard.clone(), seed);
+    let at_sample: Vec<Vec<f32>> = snaps
+        .iter()
+        .map(|s| idx.iter().map(|&i| s[r.start + i]).collect())
+        .collect();
+    assert_eq!(sampled, fmt(&progress_curve(&at_sample)));
 }
 
 // --- (d) config plumbing ----------------------------------------------------

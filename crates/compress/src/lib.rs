@@ -17,13 +17,11 @@
 //! format; it lives with its one speaker, `fedca-core`'s `transport`.)
 
 pub mod error_feedback;
-pub mod f16;
 pub mod quantize;
 pub mod sparsify;
 pub mod wire;
 
 pub use error_feedback::ErrorFeedback;
-pub use f16::{f16_to_f32, f32_to_f16};
 pub use quantize::{dequantize, quantize, quantize_det, QuantizedVec};
 pub use sparsify::{densify, top_k, SparseVec};
 
@@ -49,9 +47,6 @@ pub enum Compression {
     /// unlike [`Compression::Quantize`] — reproducible bit-for-bit across
     /// runs. The upload path pairs it with error feedback.
     Int8,
-    /// IEEE binary16: 2× smaller uploads at ~3 decimal digits of
-    /// precision, deterministic (round to nearest, ties to even).
-    F16,
     /// QSGD-style stochastic quantization to `bits` ∈ {1..=8} per element
     /// (plus one f32 scale per layer).
     Quantize {
@@ -74,7 +69,6 @@ impl Compression {
         match *self {
             Compression::None => wire::dense_payload_wire_len(n),
             Compression::Int8 => wire::quantized_payload_wire_len(n, 8),
-            Compression::F16 => wire::f16_payload_wire_len(n),
             Compression::Quantize { bits } => wire::quantized_payload_wire_len(n, bits),
             Compression::TopK { keep } => {
                 wire::sparse_payload_wire_len(sparsify::kept_count(n, keep))
@@ -82,8 +76,8 @@ impl Compression {
         }
     }
 
-    /// [`Compression::compress`] straight onto the wire: quantizes, halves
-    /// or sparsifies `x` and frames it as layer `id` of `writer`'s open
+    /// [`Compression::compress`] straight onto the wire: quantizes or
+    /// sparsifies `x` and frames it as layer `id` of `writer`'s open
     /// message, through `scratch` instead of an owned payload. Same bytes as
     /// [`wire::encode`] of `compress`'s result, same `rng` draws.
     pub fn encode_layer(
@@ -102,7 +96,6 @@ impl Compression {
                 let (scale, num_levels) = quantize::quantize_det_into(x, 8, levels);
                 writer.put_quantized(id, 8, num_levels, scale, levels);
             }
-            Compression::F16 => writer.put_f16(id, x.iter().map(|&v| f32_to_f16(v))),
             Compression::Quantize { bits } => {
                 levels.resize(x.len(), 0);
                 let (scale, num_levels) = quantize::quantize_into(x, bits, rng, levels);
@@ -122,7 +115,6 @@ impl Compression {
         match *self {
             Compression::None => wire::Payload::Dense(x.to_vec()),
             Compression::Int8 => wire::Payload::Quantized(quantize_det(x, 8)),
-            Compression::F16 => wire::Payload::F16(x.iter().map(|&v| f32_to_f16(v)).collect()),
             Compression::Quantize { bits } => wire::Payload::Quantized(quantize(x, bits, rng)),
             Compression::TopK { keep } => wire::Payload::Sparse(top_k(x, keep)),
         }
@@ -135,10 +127,9 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    const CODECS: [Compression; 5] = [
+    const CODECS: [Compression; 4] = [
         Compression::None,
         Compression::Int8,
-        Compression::F16,
         Compression::Quantize { bits: 4 },
         Compression::TopK { keep: 0.1 },
     ];

@@ -3,7 +3,7 @@
 //! The virtual network in `fedca-sim` charges transmissions by byte count;
 //! this codec defines those bytes precisely. A message carries one or more
 //! layer payloads, each dense (f32), quantized (bit-packed levels + scale),
-//! sparse (index/value pairs) or binary16. Round-trip tests guarantee the
+//! or sparse (index/value pairs). Round-trip tests guarantee the
 //! decoder reconstructs exactly what the encoder consumed.
 //!
 //! After the compressor an update has one borrowed form, its encoded bytes:
@@ -29,7 +29,6 @@ const VERSION: u8 = 1;
 const TAG_DENSE: u8 = 0;
 const TAG_QUANTIZED: u8 = 1;
 const TAG_SPARSE: u8 = 2;
-const TAG_F16: u8 = 3;
 
 /// One layer's payload, owned.
 #[derive(Clone, Debug, PartialEq)]
@@ -40,8 +39,6 @@ pub enum Payload {
     Quantized(QuantizedVec),
     /// Top-k sparsified values.
     Sparse(SparseVec),
-    /// IEEE binary16 values (see [`crate::f16`]).
-    F16(Vec<u16>),
 }
 
 impl Payload {
@@ -51,7 +48,6 @@ impl Payload {
             Payload::Dense(v) => v.len(),
             Payload::Quantized(q) => q.levels.len(),
             Payload::Sparse(s) => s.len,
-            Payload::F16(v) => v.len(),
         }
     }
 
@@ -67,7 +63,6 @@ impl Payload {
             Payload::Dense(v) => v.clone(),
             Payload::Quantized(q) => crate::quantize::dequantize(q),
             Payload::Sparse(s) => crate::sparsify::densify(s),
-            Payload::F16(v) => v.iter().map(|&h| crate::f16::f16_to_f32(h)).collect(),
         }
     }
 
@@ -78,7 +73,6 @@ impl Payload {
             Payload::Dense(v) => dense_payload_wire_len(v.len()),
             Payload::Quantized(q) => quantized_payload_wire_len(q.levels.len(), q.bits),
             Payload::Sparse(s) => sparse_payload_wire_len(s.indices.len()),
-            Payload::F16(v) => f16_payload_wire_len(v.len()),
         }
     }
 }
@@ -102,11 +96,6 @@ pub fn quantized_payload_wire_len(n: usize, bits: u8) -> usize {
 /// Exact encoded size of a sparse payload keeping `k` elements.
 pub fn sparse_payload_wire_len(k: usize) -> usize {
     1 + 4 + 4 + 8 * k
-}
-
-/// Exact encoded size of a binary16 payload of `n` elements.
-pub fn f16_payload_wire_len(n: usize) -> usize {
-    1 + 4 + 2 * n
 }
 
 /// Packed bits per level on the wire: the sign costs one bit on top of the
@@ -231,7 +220,6 @@ impl MessageWriter {
                 self.put_quantized(id, q.bits, q.num_levels, q.scale, &q.levels)
             }
             Payload::Sparse(s) => self.put_sparse(id, s.len, &s.indices, &s.values),
-            Payload::F16(v) => self.put_f16(id, v.iter().copied()),
         }
     }
 
@@ -269,16 +257,6 @@ impl MessageWriter {
         buf.put_u32_le(indices.len() as u32);
         put_words_le(buf, indices.iter().map(|i| i.to_le_bytes()));
         put_words_le(buf, values.iter().map(|x| x.to_le_bytes()));
-    }
-
-    /// Writes binary16 values as the next layer, as they are drawn.
-    pub(crate) fn put_f16(&mut self, id: u32, halves: impl ExactSizeIterator<Item = u16>) {
-        let buf = self.layer(id, TAG_F16);
-        buf.put_u32_le(halves.len() as u32);
-        let dst = buf.put_zeroed(2 * halves.len());
-        for (d, h) in dst.chunks_exact_mut(2).zip(halves) {
-            d.copy_from_slice(&h.to_le_bytes());
-        }
     }
 
     /// Bytes written so far.
@@ -390,11 +368,6 @@ pub enum PayloadView<'a> {
         /// Raw LE f32 value bytes (`4 * k`).
         values: &'a [u8],
     },
-    /// IEEE binary16 values: `2 * n` bytes of little-endian u16.
-    F16 {
-        /// Raw LE u16 bytes.
-        data: &'a [u8],
-    },
 }
 
 impl PayloadView<'_> {
@@ -404,7 +377,6 @@ impl PayloadView<'_> {
             PayloadView::Dense { data } => data.len() / 4,
             PayloadView::Quantized { n, .. } => *n,
             PayloadView::Sparse { len, .. } => *len,
-            PayloadView::F16 { data } => data.len() / 2,
         }
     }
 
@@ -451,11 +423,6 @@ impl PayloadView<'_> {
                     .map(|c| f32::from_bits(u32_at(c)))
                     .collect(),
             }),
-            PayloadView::F16 { data } => Payload::F16(
-                data.chunks_exact(2)
-                    .map(|c| u16::from_le_bytes([c[0], c[1]]))
-                    .collect(),
-            ),
         }
     }
 
@@ -497,11 +464,6 @@ impl PayloadView<'_> {
                 for (ic, vc) in indices.chunks_exact(4).zip(values.chunks_exact(4)) {
                     let i = u32::from_le_bytes([ic[0], ic[1], ic[2], ic[3]]) as usize;
                     out[i] = f32::from_le_bytes([vc[0], vc[1], vc[2], vc[3]]);
-                }
-            }
-            PayloadView::F16 { data } => {
-                for (o, c) in out.iter_mut().zip(data.chunks_exact(2)) {
-                    *o = crate::f16::f16_to_f32(u16::from_le_bytes([c[0], c[1]]));
                 }
             }
         }
@@ -655,12 +617,6 @@ impl<'a> MessageReader<'a> {
                         len,
                         indices,
                         values,
-                    }
-                }
-                TAG_F16 => {
-                    let n = self.take_u32_le()? as usize;
-                    PayloadView::F16 {
-                        data: self.take(2 * n)?,
                     }
                 }
                 _ => return Err(WireError::Malformed("payload tag")),
@@ -820,19 +776,10 @@ mod tests {
                     Payload::Quantized(quantize(&sample_vec(57, 71), 4, &mut rng)),
                 ),
                 (2, Payload::Sparse(top_k(&sample_vec(64, 72), 0.2))),
+                (3, Payload::Quantized(zero_q)),
+                (4, Payload::Dense(Vec::new())),
                 (
-                    3,
-                    Payload::F16(
-                        sample_vec(21, 73)
-                            .iter()
-                            .map(|&x| crate::f16::f32_to_f16(x))
-                            .collect(),
-                    ),
-                ),
-                (4, Payload::Quantized(zero_q)),
-                (5, Payload::Dense(Vec::new())),
-                (
-                    6,
+                    5,
                     Payload::Quantized(quantize(&sample_vec(40, 74), 8, &mut rng)),
                 ),
             ],
@@ -989,15 +936,19 @@ mod tests {
             MessageReader::new(&bad).err(),
             Some(WireError::Malformed("version"))
         );
-        let mut bad = good.to_vec();
-        bad[HEADER_LEN + 4] = 7; // first layer's payload tag
-        let mut r = MessageReader::new(&bad).expect("header fine");
-        assert_eq!(
-            r.next_layer().expect("yields"),
-            Err(WireError::Malformed("payload tag"))
-        );
-        // An error poisons the reader.
-        assert!(r.next_layer().is_none());
+        // Every tag past the three payload kinds, 3 included, is unknown.
+        for tag in [3u8, 7] {
+            let mut bad = good.to_vec();
+            bad[HEADER_LEN + 4] = tag; // first layer's payload tag
+            let mut r = MessageReader::new(&bad).expect("header fine");
+            assert_eq!(
+                r.next_layer().expect("yields"),
+                Err(WireError::Malformed("payload tag")),
+                "tag {tag}"
+            );
+            // An error poisons the reader.
+            assert!(r.next_layer().is_none());
+        }
         // A level count other than the one `bits` implies: a zero would
         // divide every level by zero, a larger one shift the scale.
         let int8 = encode(&UpdateMessage {

@@ -9,9 +9,7 @@ use fedca_compress::wire::{
     self, dense_message_wire_len, dense_payload_wire_len, message_wire_len, Payload, UpdateMessage,
     WireError,
 };
-use fedca_compress::{
-    dequantize, f16_to_f32, f32_to_f16, quantize_det, top_k, Compression, ErrorFeedback,
-};
+use fedca_compress::{dequantize, quantize_det, top_k, Compression, ErrorFeedback};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -50,23 +48,6 @@ proptest! {
     fn det_quantizer_is_reproducible(n in 1usize..200, seed in 0u64..1000) {
         let x = values(n, seed, 3.0);
         prop_assert_eq!(quantize_det(&x, 8), quantize_det(&x, 8));
-    }
-
-    /// f16 round-trip error is bounded by half an ulp (2⁻¹¹ relative) for
-    /// values in range, and the conversion is idempotent after one trip.
-    #[test]
-    fn f16_round_trip_is_half_ulp_and_idempotent(
-        n in 1usize..200,
-        seed in 0u64..1000,
-        scale in 1e-3f32..100.0,
-    ) {
-        for &x in &values(n, seed, scale) {
-            let once = f16_to_f32(f32_to_f16(x));
-            let tol = x.abs() * 2.0f32.powi(-11) + 2.0f32.powi(-25);
-            prop_assert!((once - x).abs() <= tol, "{x} → {once}");
-            let twice = f16_to_f32(f32_to_f16(once));
-            prop_assert_eq!(once.to_bits(), twice.to_bits(), "not idempotent at {}", x);
-        }
     }
 
     /// Error feedback conserves mass: across any number of lossy rounds,
@@ -126,9 +107,8 @@ proptest! {
             layers: vec![
                 (0, Compression::None.compress(&x, &mut rng)),
                 (1, Compression::Int8.compress(&x, &mut rng)),
-                (2, Compression::F16.compress(&x, &mut rng)),
-                (3, Compression::Quantize { bits: 4 }.compress(&x, &mut rng)),
-                (4, Compression::TopK { keep: 0.3 }.compress(&x, &mut rng)),
+                (2, Compression::Quantize { bits: 4 }.compress(&x, &mut rng)),
+                (3, Compression::TopK { keep: 0.3 }.compress(&x, &mut rng)),
             ],
         };
         let encoded = wire::encode(&msg);
@@ -136,7 +116,7 @@ proptest! {
         let dense_len = dense_message_wire_len(&msg);
         prop_assert_eq!(
             dense_len,
-            wire::HEADER_LEN + 5 * (4 + dense_payload_wire_len(n)),
+            wire::HEADER_LEN + 4 * (4 + dense_payload_wire_len(n)),
             "dense yardstick drifted"
         );
         // Framing constants dominate tiny layers; from a few dozen elements
@@ -174,7 +154,7 @@ proptest! {
         let payload = match kind {
             0 => Compression::None.compress(&x, &mut rng),
             1 => Compression::Int8.compress(&x, &mut rng),
-            2 => Compression::F16.compress(&x, &mut rng),
+            2 => Compression::Quantize { bits: 4 }.compress(&x, &mut rng),
             _ => Compression::TopK { keep: 0.5 }.compress(&x, &mut rng),
         };
         let msg = UpdateMessage { round: 1, client: 2, layers: vec![(0, payload)] };
@@ -221,12 +201,12 @@ proptest! {
 }
 
 /// Stochastic QSGD consumes the rng; the deterministic schemes must not —
-/// that independence is what keeps Int8/F16 trajectories bit-identical
+/// that independence is what keeps Int8 trajectories bit-identical
 /// regardless of what else drew from the stream.
 #[test]
 fn deterministic_schemes_do_not_touch_the_rng() {
     let x = values(64, 11, 1.0);
-    for c in [Compression::None, Compression::Int8, Compression::F16] {
+    for c in [Compression::None, Compression::Int8] {
         let mut a = StdRng::seed_from_u64(99);
         let _ = c.compress(&x, &mut a);
         let mut b = StdRng::seed_from_u64(99);
@@ -246,17 +226,14 @@ fn deterministic_schemes_do_not_touch_the_rng() {
     );
 }
 
-/// Int8, F16 and top-k payloads decode to exactly what their compressor
-/// promises (dequantize / widen / densify), and `None` stays dense.
+/// Int8 and top-k payloads decode to exactly what their compressor
+/// promises (dequantize / densify), and `None` stays dense.
 #[test]
 fn payload_to_dense_matches_scheme_reconstruction() {
     let x = values(200, 13, 5.0);
     let mut rng = StdRng::seed_from_u64(13);
     let int8 = Compression::Int8.compress(&x, &mut rng);
     assert_eq!(int8.to_dense(), dequantize(&quantize_det(&x, 8)));
-    let f16 = Compression::F16.compress(&x, &mut rng);
-    let widened: Vec<f32> = x.iter().map(|&v| f16_to_f32(f32_to_f16(v))).collect();
-    assert_eq!(f16.to_dense(), widened);
     let sparse = Compression::TopK { keep: 0.2 }.compress(&x, &mut rng);
     assert_eq!(sparse.to_dense(), fedca_compress::densify(&top_k(&x, 0.2)));
     match Compression::None.compress(&x, &mut rng) {

@@ -420,7 +420,10 @@ pub fn run_client_round(
     }
     let compute_done = now;
 
-    if is_anchor {
+    // An anchor round that ran no iteration (a crash or dropout before
+    // iteration 1) profiles nothing and keeps the previous curves; the next
+    // anchor's `begin_anchor` discards its empty recording.
+    if is_anchor && iters_done > 0 {
         let k = state.profiler.finish_anchor().k;
         if tracing {
             trace.push(
@@ -873,7 +876,6 @@ mod tests {
         for compression in [
             Compression::None,
             Compression::Int8,
-            Compression::F16,
             Compression::Quantize { bits: 4 },
             Compression::TopK { keep: 0.1 },
         ] {
@@ -1079,6 +1081,40 @@ mod tests {
         let curves = client.profiler.curves().expect("anchor produced curves");
         assert_eq!(curves.k, 8);
         assert!((curves.model.last().unwrap() - 1.0).abs() < 1e-5);
+    }
+
+    #[test]
+    fn anchor_round_without_an_iteration_keeps_the_previous_curves() {
+        let w = Workload::tiny_mlp(3);
+        let mut client = make_client(&w, 2);
+        let mut arena = ClientArena::from_model((w.model_factory)());
+        let layout = Arc::new(ModelLayout::from_spans(arena.model.spans()));
+        let global = arena.model.flat_params();
+        let fl = FlConfig::scaled();
+        let opts = ClientOptions {
+            prox_mu: 0.0,
+            fedca: Some(FedCaOptions::v3()),
+        };
+        let mut run = |client: &mut ClientState, round: usize, crash: Option<usize>| {
+            let mut plan = base_plan(8);
+            plan.round = round;
+            plan.is_anchor = true;
+            plan.faults.crash_at_iter = crash;
+            run_client_round(
+                client, &mut arena, &layout, &global, &w.train, &w, &fl, &opts, &plan,
+            )
+        };
+        // Before any profile, and after one: the curves are what they were.
+        for round in [0, 2] {
+            let before = client.profiler.curves().cloned();
+            let report = run(&mut client, round, Some(1));
+            assert!(report.crashed);
+            assert_eq!(report.iters_done, 0);
+            assert_eq!(client.profiler.curves().cloned(), before);
+            run(&mut client, round + 1, None);
+            let curves = client.profiler.curves().expect("anchor produced curves");
+            assert_eq!((curves.anchor_round, curves.k), (round + 1, 8));
+        }
     }
 
     #[test]

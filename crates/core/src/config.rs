@@ -37,7 +37,7 @@ pub struct FlConfig {
     #[serde(default)]
     pub dropout_prob: f64,
     /// Update compression on the upload path (§2.2 baselines: deterministic
-    /// int8 / f16, QSGD-style stochastic quantization, top-k
+    /// int8, QSGD-style stochastic quantization, top-k
     /// sparsification — all with error feedback). Applies to both the final
     /// payload and eager per-layer transmissions; the priced wire bytes are
     /// the exact encoded lengths. Default: none (fp32, as in the paper).

@@ -14,7 +14,7 @@ use std::sync::Arc;
 
 /// One decoded span of a client's wire update inside its arena slot.
 ///
-/// Dense-representable payloads (dense, sparse, f16, zero-scale quantized)
+/// Dense-representable payloads (dense, sparse, zero-scale quantized)
 /// are decoded into the slot's staging vector at ingest; quantized runs stay
 /// bit-packed on the wire (recorded as byte offsets into the report's
 /// retained buffer) and are folded by the fused dequantize-accumulate
@@ -812,7 +812,7 @@ mod tests {
 
     #[test]
     fn fold_matches_the_dense_reference_for_every_codec() {
-        use fedca_compress::{f32_to_f16, quantize_det, top_k};
+        use fedca_compress::{quantize_det, top_k};
         // Two clients, each layer under a different codec, the second
         // client's upload split into two concatenated messages (the eager
         // sidecar shape). The global must move by exactly
@@ -830,10 +830,7 @@ mod tests {
             ),
             (
                 vec![
-                    (
-                        1,
-                        wire::Payload::F16(b.iter().map(|&v| f32_to_f16(v)).collect()),
-                    ),
+                    (1, wire::Payload::Quantized(quantize_det(&b, 4))),
                     (0, wire::Payload::Dense(a.to_vec())),
                 ],
                 3.0,

@@ -224,25 +224,6 @@ fn eager_with_compression_is_accepted_and_shrinks_uploads() {
     );
 }
 
-/// F16 composes the same way at a ~2× shrink and also keeps worker-count
-/// bit-identity (it is fully deterministic).
-#[test]
-fn f16_trajectory_is_deterministic_and_halves_uploads() {
-    let one = run_study(study_fl(Compression::F16), ROUNDS, 1);
-    let four = run_study(study_fl(Compression::F16), ROUNDS, 4);
-    assert_same_trajectory(&one, &four, "f16 1w vs 4w");
-    for r in one.records() {
-        if r.wire_bytes_dense > 0.0 {
-            let ratio = r.compression_ratio();
-            assert!(
-                (0.45..0.60).contains(&ratio),
-                "round {}: f16 ratio {ratio:.3} not ~0.5",
-                r.round
-            );
-        }
-    }
-}
-
 /// Quantized FedCA still learns: same study, and the quantized run's best
 /// accuracy lands within a few points of full precision on this small
 /// fixed-seed task (the release study in `tta_quantized` checks the

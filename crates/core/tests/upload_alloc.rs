@@ -1,6 +1,6 @@
 //! Pins the allocation profile of a warmed-up client round's upload tail.
 //!
-//! On a 199 434-parameter MLP under `Int8`, `F16` and `Quantize { bits: 4 }`,
+//! On a 199 434-parameter MLP under `Int8` and `Quantize { bits: 4 }`,
 //! everything model-sized the round touches — the flat delta, the
 //! quantization levels, the error-feedback residual — lives in the worker's
 //! arena or the client's state, the encoder writes straight into the wire
@@ -100,11 +100,7 @@ fn wide_workload(seed: u64) -> Workload {
 #[test]
 fn warmed_up_lossy_round_allocates_only_the_wire_buffer() {
     let w = wide_workload(5);
-    for compression in [
-        Compression::Int8,
-        Compression::F16,
-        Compression::Quantize { bits: 4 },
-    ] {
+    for compression in [Compression::Int8, Compression::Quantize { bits: 4 }] {
         let mut arena = ClientArena::new(&w);
         assert_eq!(arena.model.num_params(), PARAMS);
         let layout = Arc::new(ModelLayout::from_spans(arena.model.spans()));

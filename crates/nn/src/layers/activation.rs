@@ -1,9 +1,7 @@
-//! Elementwise activations: ReLU, Tanh, Sigmoid.
+//! Elementwise activations: the ReLU layer and the scalar sigmoid.
 //!
-//! Each caches exactly what its backward needs (the forward *output* for
-//! tanh/sigmoid — their derivatives are cheapest in terms of the output —
-//! and the input sign pattern for ReLU). Caches are persistent slots
-//! resized in place; outputs come from the workspace.
+//! ReLU caches exactly what its backward needs, the input sign pattern, in
+//! a persistent slot resized in place; outputs come from the workspace.
 
 use crate::layer::Layer;
 use crate::workspace::{cache_resize, Workspace};
@@ -68,67 +66,8 @@ impl Layer for Relu {
     }
 }
 
-/// Hyperbolic tangent.
-#[derive(Default)]
-pub struct Tanh {
-    output: Option<Tensor>,
-}
-
-impl Tanh {
-    /// Creates a tanh activation.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl Layer for Tanh {
-    fn forward(&mut self, x: &Tensor, ws: &mut Workspace) -> Tensor {
-        let cached = cache_resize(&mut self.output, x.dims());
-        for (c, &xi) in cached.as_mut_slice().iter_mut().zip(x.as_slice()) {
-            *c = xi.tanh();
-        }
-        let mut y = ws.take(x.dims());
-        y.as_mut_slice().copy_from_slice(cached.as_slice());
-        y
-    }
-
-    fn backward(
-        &mut self,
-        grad_out: &Tensor,
-        need_input_grad: bool,
-        ws: &mut Workspace,
-    ) -> Option<Tensor> {
-        let y = self.output.as_ref().expect("Tanh::backward before forward");
-        if !need_input_grad {
-            return None;
-        }
-        let mut g = ws.take(grad_out.dims());
-        for ((gi, &go), yi) in g
-            .as_mut_slice()
-            .iter_mut()
-            .zip(grad_out.as_slice())
-            .zip(y.as_slice())
-        {
-            *gi = go * (1.0 - yi * yi);
-        }
-        Some(g)
-    }
-}
-
-/// Logistic sigmoid.
-#[derive(Default)]
-pub struct Sigmoid {
-    output: Option<Tensor>,
-}
-
-impl Sigmoid {
-    /// Creates a sigmoid activation.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-/// Numerically-stable scalar sigmoid, shared with the LSTM cell.
+/// Numerically-stable scalar sigmoid: the reference the LSTM tests check
+/// the `tensor::simd` gates against.
 #[inline]
 pub fn sigmoid_scalar(x: f32) -> f32 {
     if x >= 0.0 {
@@ -136,43 +75,6 @@ pub fn sigmoid_scalar(x: f32) -> f32 {
     } else {
         let e = x.exp();
         e / (1.0 + e)
-    }
-}
-
-impl Layer for Sigmoid {
-    fn forward(&mut self, x: &Tensor, ws: &mut Workspace) -> Tensor {
-        let cached = cache_resize(&mut self.output, x.dims());
-        for (c, &xi) in cached.as_mut_slice().iter_mut().zip(x.as_slice()) {
-            *c = sigmoid_scalar(xi);
-        }
-        let mut y = ws.take(x.dims());
-        y.as_mut_slice().copy_from_slice(cached.as_slice());
-        y
-    }
-
-    fn backward(
-        &mut self,
-        grad_out: &Tensor,
-        need_input_grad: bool,
-        ws: &mut Workspace,
-    ) -> Option<Tensor> {
-        let y = self
-            .output
-            .as_ref()
-            .expect("Sigmoid::backward before forward");
-        if !need_input_grad {
-            return None;
-        }
-        let mut g = ws.take(grad_out.dims());
-        for ((gi, &go), yi) in g
-            .as_mut_slice()
-            .iter_mut()
-            .zip(grad_out.as_slice())
-            .zip(y.as_slice())
-        {
-            *gi = go * yi * (1.0 - yi);
-        }
-        Some(g)
     }
 }
 
@@ -194,19 +96,6 @@ mod tests {
     }
 
     #[test]
-    fn tanh_gradient_matches_derivative() {
-        let mut ws = Workspace::new();
-        let mut t = Tanh::new();
-        let x = Tensor::from_vec([3], vec![-0.5, 0.0, 1.2]);
-        let _y = t.forward(&x, &mut ws);
-        let g = t.backward(&Tensor::full([3], 1.0), true, &mut ws).unwrap();
-        for (i, &xi) in x.as_slice().iter().enumerate() {
-            let expected = 1.0 - xi.tanh().powi(2);
-            assert!((g.as_slice()[i] - expected).abs() < 1e-6);
-        }
-    }
-
-    #[test]
     fn sigmoid_stable_at_extremes() {
         assert!((sigmoid_scalar(100.0) - 1.0).abs() < 1e-6);
         assert!(sigmoid_scalar(-100.0).abs() < 1e-6);
@@ -215,22 +104,7 @@ mod tests {
     }
 
     #[test]
-    fn sigmoid_gradient_matches_derivative() {
-        let mut ws = Workspace::new();
-        let mut s = Sigmoid::new();
-        let x = Tensor::from_vec([3], vec![-2.0, 0.0, 2.0]);
-        let _ = s.forward(&x, &mut ws);
-        let g = s.backward(&Tensor::full([3], 2.0), true, &mut ws).unwrap();
-        for (i, &xi) in x.as_slice().iter().enumerate() {
-            let y = sigmoid_scalar(xi);
-            assert!((g.as_slice()[i] - 2.0 * y * (1.0 - y)).abs() < 1e-6);
-        }
-    }
-
-    #[test]
     fn activations_have_no_params() {
         assert_eq!(Relu::new().num_params(), 0);
-        assert_eq!(Tanh::new().num_params(), 0);
-        assert_eq!(Sigmoid::new().num_params(), 0);
     }
 }

@@ -10,7 +10,7 @@ pub mod pool;
 pub mod residual;
 pub mod sequential;
 
-pub use activation::{Relu, Sigmoid, Tanh};
+pub use activation::Relu;
 pub use batchnorm::BatchNorm2d;
 pub use conv::Conv2d;
 pub use flatten::Flatten;

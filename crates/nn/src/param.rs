@@ -33,11 +33,6 @@ impl Parameter {
         &self.name
     }
 
-    /// Prefixes the name with `prefix.` — used by containers when nesting.
-    pub fn prepend_name(&mut self, prefix: &str) {
-        self.name = format!("{prefix}.{}", self.name);
-    }
-
     /// Number of scalar elements.
     #[inline]
     pub fn len(&self) -> usize {
@@ -67,15 +62,6 @@ mod tests {
         assert_eq!(p.grad.sum(), 0.0);
         assert_eq!(p.name(), "w");
         assert_eq!(p.len(), 6);
-    }
-
-    #[test]
-    fn prepend_name_builds_dotted_paths() {
-        let mut p = Parameter::new("weight", Tensor::zeros([1]));
-        p.prepend_name("0");
-        p.prepend_name("residual");
-        p.prepend_name("conv3.0");
-        assert_eq!(p.name(), "conv3.0.residual.0.weight");
     }
 
     #[test]

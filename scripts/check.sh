@@ -87,10 +87,18 @@ fi
 # study in one process and diff.
 echo "== study smoke vs results/smoke"
 cargo build --release -q -p fedca-bench
-./target/release/fedca-bench all --scale smoke --out "$tmp/smoke"
+# No study injects faults, so a worker panic on stderr is a bug even when
+# the executor recovers from it and every CSV still matches.
+./target/release/fedca-bench all --scale smoke --out "$tmp/smoke" 2>"$tmp/smoke.stderr" \
+  || { cat "$tmp/smoke.stderr" >&2; exit 1; }
+cat "$tmp/smoke.stderr" >&2
+if grep -q 'panicked at' "$tmp/smoke.stderr"; then
+  echo "study smoke: a worker panicked (see above)" >&2
+  exit 1
+fi
 diff -r -x '*.log' "$tmp/smoke" results/smoke \
   || { echo "study smoke: CSVs differ from results/smoke (regenerate with fedca-bench all --scale smoke --out results/smoke)" >&2; exit 1; }
-echo "study smoke: 14 CSVs match results/smoke — ok"
+echo "study smoke: 14 CSVs match results/smoke, no worker panicked — ok"
 
 echo "== chaos sweep"
 scripts/chaos.sh "${CHAOS_SEEDS:-32}"
