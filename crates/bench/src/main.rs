@@ -52,8 +52,8 @@ fn run_studies(cli: &Cli, names: &[&'static str]) -> Result<i32, CliError> {
             csv_path = Some(dir.join(format!("{name}.csv")));
             eprintln!("[fedca-bench] {name} -> {}", dir.display());
         }
-        // Provenance: GEMM tiers differ in low-order bits, so a committed
-        // CSV only reproduces on the tier its log names.
+        // Provenance: the tier decides only how fast the study ran; every
+        // tier computes the same bits, so the CSV is the same on any tier.
         let kernel = fedca_tensor::gemm::active_kernel().name();
         let (scale, seed) = (cli.scale.pick(ExpScale::NAMES), cli.seed());
         cells.note(format!(

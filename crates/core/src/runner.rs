@@ -177,6 +177,10 @@ impl Trainer {
         workload: Workload,
         n_workers: usize,
     ) -> Self {
+        // Latch the kernel tier here, on the caller's thread: a bad
+        // `FEDCA_FORCE_KERNEL` then fails once, now, instead of in every
+        // worker's first GEMM, where each panic would only fail a client.
+        fedca_tensor::gemm::active_kernel();
         let model = (workload.model_factory)();
         let layout = Arc::new(ModelLayout::from_spans(model.spans()));
         let initial = model.flat_params();

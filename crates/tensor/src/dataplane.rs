@@ -26,9 +26,9 @@
 //!   span exactly `width` bytes, which is what the u64-blocked fast paths
 //!   exploit.
 //!
-//! Only AVX2 has vector implementations; every other target runs the
-//! scalar path, which is free precisely because the contract is
-//! bit-identity.
+//! Only AVX2 has vector implementations, and the AVX-512 tier runs them
+//! too (it widens only the GEMM tile); every other target runs the scalar
+//! path, which is free precisely because the contract is bit-identity.
 
 use crate::gemm::{active_kernel, Kernel};
 
@@ -41,9 +41,9 @@ pub fn packed_len(n: usize, width: u32) -> usize {
 /// ignored (as `f32::max` does); the result is NaN-free and non-negative.
 pub fn max_abs_on(kernel: Kernel, x: &[f32]) -> f32 {
     #[cfg(target_arch = "x86_64")]
-    if kernel == Kernel::Avx2 {
-        // SAFETY: the Avx2 tier is only selectable when runtime detection
-        // confirmed avx2+fma (see `gemm::detect_kernel`).
+    if kernel.has_avx2() {
+        // SAFETY: a tier that has avx2 is only selectable when runtime
+        // detection confirmed avx2+fma (see `gemm::detect_kernel`).
         return unsafe { avx2::max_abs(x) };
     }
     let _ = kernel;
@@ -66,7 +66,7 @@ pub fn quantize_levels_on(kernel: Kernel, x: &[f32], scale: f32, num_levels: u8,
     assert_eq!(x.len(), out.len(), "quantize_levels: length mismatch");
     assert!(scale != 0.0, "quantize_levels: zero scale");
     #[cfg(target_arch = "x86_64")]
-    if kernel == Kernel::Avx2 {
+    if kernel.has_avx2() {
         // SAFETY: tier availability checked at dispatch (see `max_abs_on`).
         return unsafe { avx2::quantize_levels(x, scale, num_levels, out) };
     }
@@ -95,12 +95,13 @@ pub fn pack_levels_on(kernel: Kernel, levels: &[i8], num_levels: u8, width: u32,
         packed_len(levels.len(), width),
         "pack_levels: output length mismatch"
     );
-    match kernel {
-        Kernel::Scalar => scalar::pack_levels(levels, num_levels, width, out),
-        // The "vector" tier for packing is the u64-blocked path: eight
+    if kernel.has_avx2() {
+        // The "vector" body for packing is the u64-blocked path: eight
         // fields assemble into one word with three shifts per field, no
         // per-bit carry loop. Same bytes, ~8x fewer iterations.
-        Kernel::Avx2 => blocked::pack_levels(levels, num_levels, width, out),
+        blocked::pack_levels(levels, num_levels, width, out)
+    } else {
+        scalar::pack_levels(levels, num_levels, width, out)
     }
 }
 
@@ -154,7 +155,7 @@ pub fn dequantize_packed_on(
         "dequantize_packed: packed buffer too short"
     );
     #[cfg(target_arch = "x86_64")]
-    if kernel == Kernel::Avx2 {
+    if kernel.has_avx2() {
         // SAFETY: tier availability checked at dispatch (see `max_abs_on`).
         return unsafe { avx2::dequantize_packed(packed, scale, num_levels, width, out) };
     }
@@ -174,7 +175,7 @@ pub fn dequantize_packed(packed: &[u8], scale: f32, num_levels: u8, width: u32, 
 pub fn axpy_on(kernel: Kernel, alpha: f32, x: &[f32], y: &mut [f32]) {
     assert_eq!(x.len(), y.len(), "axpy: length mismatch");
     #[cfg(target_arch = "x86_64")]
-    if kernel == Kernel::Avx2 {
+    if kernel.has_avx2() {
         // SAFETY: tier availability checked at dispatch (see `max_abs_on`).
         return unsafe { avx2::axpy(alpha, x, y) };
     }
@@ -213,7 +214,7 @@ pub fn axpy_quantized_on(
         "axpy_quantized: packed buffer too short"
     );
     #[cfg(target_arch = "x86_64")]
-    if kernel == Kernel::Avx2 {
+    if kernel.has_avx2() {
         // SAFETY: tier availability checked at dispatch (see `max_abs_on`).
         return unsafe { avx2::axpy_quantized(alpha, scale, num_levels, width, packed, y) };
     }
@@ -236,7 +237,7 @@ pub fn axpy_quantized(
 /// Whether every element is finite — the aggregator's poison scan.
 pub fn all_finite_on(kernel: Kernel, x: &[f32]) -> bool {
     #[cfg(target_arch = "x86_64")]
-    if kernel == Kernel::Avx2 {
+    if kernel.has_avx2() {
         // SAFETY: tier availability checked at dispatch (see `max_abs_on`).
         return unsafe { avx2::all_finite(x) };
     }

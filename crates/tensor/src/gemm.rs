@@ -6,10 +6,16 @@
 //! in registers, **lanes run along `n`**, each depth step loads one `W`-wide
 //! row of B and broadcasts `R` elements of A.
 //!
-//! | tier     | tile `R`×`W` | accumulators                             |
-//! |----------|--------------|------------------------------------------|
-//! | portable | 4×8          | 2·`[[f32; 8]; R]`, `f32::mul_add`        |
-//! | AVX2     | 6×16         | 2·R `ymm`, two passes (see below)        |
+//! | tier     | tile `R`×`W` | accumulators                                   |
+//! |----------|--------------|------------------------------------------------|
+//! | portable | 4×8          | 2·`[[f32; 8]; R]`, `f32::mul_add`              |
+//! | AVX2     | 6×16         | 2·R `ymm`, even pass then odd pass (16 `ymm`)  |
+//! | AVX-512  | 12×16        | 2·R `zmm`, both chains in one pass (32 `zmm`)  |
+//!
+//! Both vector tiles keep the rule's two chains (below) per element; AVX2's
+//! sixteen registers hold only one chain's accumulators at a time, so it
+//! runs the even depths, parks their sums and then runs the odd depths,
+//! while AVX-512's thirty-two hold both and a depth block is a single pass.
 //!
 //! * **A is never copied.** Element `(i, p)` is read at `i·a_rs + p·a_ps`
 //!   whichever way A is stored, by a scalar broadcast.
@@ -18,14 +24,15 @@
 //!   forward (`W·col`), every `dX = g·W` and every `dW = gᵀ·x`.
 //! * **A B stored `[n,k]`** (`trans_b`: Linear/LSTM forward, conv `dW`) is
 //!   transposed one `KC`×`W` strip at a time into a 16 KiB thread-local
-//!   buffer — 8×8 register blocks on AVX2 — and the same tile reads the
-//!   strip at `ldb = W`. The partial last strip of any B (`n` not a multiple
+//!   buffer — 8×8 register blocks on the vector tiers — and the same tile
+//!   reads the strip at `ldb = W`. The partial last strip of any B (`n` not a multiple
 //!   of `W`) is staged the same way, zero-padded, so every tile loads
 //!   full-width rows and only its update of C is cut to the live columns.
 //! * **`m` is split evenly** into `⌈m/R⌉` tiles of `⌊m/tiles⌋` or one more
 //!   rows, each instantiated for its exact height (`const R`), so no tile is
-//!   padded (conv1's `m = 6` is one full AVX2 tile; wrn's `m = 8` is 4 + 4).
-//!   No tile spills and none goes through a scalar epilogue.
+//!   padded (conv1's `m = 6` is one full AVX2 tile; lstm's `m = 16` is
+//!   8 + 8 on AVX-512). No tile spills and none goes through a scalar
+//!   epilogue.
 //! * **Loop order** per `KC` depth block: blocks of `NB` columns, then row
 //!   tiles, then the block's strips — a row tile sweeps a contiguous run of
 //!   C while its rows of A and the block's rows of B stay cache-resident.
@@ -47,9 +54,9 @@
 //! `+0.0` and run in increasing depth — one over the block's even depths,
 //! one over its odd depths — then `even + odd` is added into the element of
 //! `C` once, blocks in increasing depth. A fused multiply-add rounds once
-//! and is correctly rounded wherever it runs (`vfmadd` on AVX2, `fmla` on
-//! aarch64, libm's `fmaf` in an x86 build's portable tile), so the rule has
-//! one answer:
+//! and is correctly rounded wherever it runs (`vfmadd` on AVX2 and AVX-512,
+//! `fmla` on aarch64, libm's `fmaf` in an x86 build's portable tile), so the
+//! rule has one answer:
 //! the same seed gives the same bytes on every host, and a tier is only a
 //! choice of vector width and instructions — the contract
 //! [`crate::dataplane`] and [`crate::simd`] keep as well.
@@ -72,10 +79,12 @@
 //!
 //! The tier is selected once per process by [`active_kernel`]: runtime
 //! feature detection picks the best compiled-in tier, and the
-//! `FEDCA_FORCE_KERNEL={scalar,avx2}` environment variable overrides it (so
-//! CI can prove the portable tile computes the AVX2 tile's bits). Every
-//! target but AVX2 `x86_64` runs the portable tile. An x86 build compiles
-//! it for the SSE2 baseline, where each `mul_add` is a call to libm's
+//! `FEDCA_FORCE_KERNEL={scalar,avx2,avx512}` environment variable overrides
+//! it (so CI can prove the portable and AVX2 tiles compute the best tile's
+//! bits). AVX-512 is a GEMM tier only: [`crate::dataplane`] and
+//! [`crate::simd`] have no 512-bit bodies and run their AVX2 bodies under it
+//! (`Kernel::has_avx2`). Every target but AVX2 `x86_64` runs the portable
+//! tile. An x86 build compiles it for the SSE2 baseline, where each `mul_add` is a call to libm's
 //! `fmaf` — the same answer ~25× slower (DESIGN §4), which an x86 CPU
 //! without AVX2+FMA pays and which is not a performance target.
 
@@ -108,15 +117,19 @@ pub enum Kernel {
     Scalar,
     /// AVX2 + FMA intrinsics (`x86_64` only, runtime-detected).
     Avx2,
+    /// AVX-512F intrinsics for the GEMM tile, the AVX2 bodies everywhere
+    /// else (`x86_64` only, runtime-detected).
+    Avx512,
 }
 
 impl Kernel {
-    /// The tier's stable lowercase name (`scalar` / `avx2`), as
+    /// The tier's stable lowercase name (`scalar` / `avx2` / `avx512`), as
     /// accepted by `FEDCA_FORCE_KERNEL`.
     pub fn name(self) -> &'static str {
         match self {
             Kernel::Scalar => "scalar",
             Kernel::Avx2 => "avx2",
+            Kernel::Avx512 => "avx512",
         }
     }
 
@@ -126,6 +139,7 @@ impl Kernel {
         match name {
             "scalar" => Some(Kernel::Scalar),
             "avx2" => Some(Kernel::Avx2),
+            "avx512" => Some(Kernel::Avx512),
             _ => None,
         }
     }
@@ -136,25 +150,36 @@ impl Kernel {
         match self {
             Kernel::Scalar => (4, 8),
             Kernel::Avx2 => (6, 16),
+            Kernel::Avx512 => (12, 16),
         }
+    }
+
+    /// Whether this tier implies AVX2 + FMA on the host, so that a kernel
+    /// with no body of the tier's own width runs its AVX2 body: the one
+    /// test behind every AVX2 branch of [`crate::dataplane`], [`crate::simd`]
+    /// and B staging. A `false` here would not change a bit (the portable
+    /// bodies compute the same), only run them many times slower.
+    pub(crate) fn has_avx2(self) -> bool {
+        matches!(self, Kernel::Avx2 | Kernel::Avx512)
     }
 
     /// Whether this tier can run on the current host (compiled in *and*
     /// supported by the CPU).
     pub fn is_available(self) -> bool {
-        match self {
-            Kernel::Scalar => true,
-            Kernel::Avx2 => {
-                #[cfg(target_arch = "x86_64")]
-                {
-                    std::arch::is_x86_feature_detected!("avx2")
-                        && std::arch::is_x86_feature_detected!("fma")
-                }
-                #[cfg(not(target_arch = "x86_64"))]
-                {
-                    false
+        #[cfg(target_arch = "x86_64")]
+        {
+            use std::arch::is_x86_feature_detected;
+            match self {
+                Kernel::Scalar => true,
+                Kernel::Avx2 => is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma"),
+                Kernel::Avx512 => {
+                    is_x86_feature_detected!("avx512f") && Kernel::Avx2.is_available()
                 }
             }
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        {
+            self == Kernel::Scalar
         }
     }
 
@@ -173,7 +198,7 @@ impl Kernel {
 /// present (and always last), so the parity suites can iterate this to hold
 /// each tier to the one rule.
 pub fn available_kernels() -> Vec<Kernel> {
-    [Kernel::Avx2, Kernel::Scalar]
+    [Kernel::Avx512, Kernel::Avx2, Kernel::Scalar]
         .into_iter()
         .filter(|k| k.is_available())
         .collect()
@@ -184,8 +209,9 @@ static ACTIVE: OnceLock<Kernel> = OnceLock::new();
 
 fn detect_kernel() -> Kernel {
     if let Ok(name) = std::env::var("FEDCA_FORCE_KERNEL") {
-        let k = Kernel::from_name(name.trim())
-            .unwrap_or_else(|| panic!("FEDCA_FORCE_KERNEL={name:?}: expected scalar or avx2"));
+        let k = Kernel::from_name(name.trim()).unwrap_or_else(|| {
+            panic!("FEDCA_FORCE_KERNEL={name:?}: expected scalar, avx2 or avx512")
+        });
         assert!(
             k.is_available(),
             "FEDCA_FORCE_KERNEL={} but that tier is unavailable on this host",
@@ -202,9 +228,10 @@ pub fn active_kernel() -> Kernel {
     *ACTIVE.get_or_init(detect_kernel)
 }
 
-/// Instantiates a `const R`-generic tile for a runtime row count.
+/// Instantiates a `const R`-generic tile for a runtime row count, up to
+/// the tile height named first (6 or 12).
 macro_rules! with_rows {
-    ($rows:expr, $tile:ident, $($arg:expr),*) => {
+    (6, $rows:expr, $tile:ident, $($arg:expr),*) => {
         match $rows {
             1 => $tile::<1>($($arg),*),
             2 => $tile::<2>($($arg),*),
@@ -212,6 +239,17 @@ macro_rules! with_rows {
             4 => $tile::<4>($($arg),*),
             5 => $tile::<5>($($arg),*),
             _ => $tile::<6>($($arg),*),
+        }
+    };
+    (12, $rows:expr, $tile:ident, $($arg:expr),*) => {
+        match $rows {
+            1..=6 => with_rows!(6, $rows, $tile, $($arg),*),
+            7 => $tile::<7>($($arg),*),
+            8 => $tile::<8>($($arg),*),
+            9 => $tile::<9>($($arg),*),
+            10 => $tile::<10>($($arg),*),
+            11 => $tile::<11>($($arg),*),
+            _ => $tile::<12>($($arg),*),
         }
     };
 }
@@ -364,10 +402,16 @@ fn gemm_cols_on(
                         assert!((rows - 1) * n + nr <= ct.len());
                         match kernel {
                             #[cfg(target_arch = "x86_64")]
+                            // SAFETY: the availability assert confirmed avx512f at
+                            // runtime; the asserts above are the tile's contract.
+                            Kernel::Avx512 => unsafe {
+                                with_rows!(12, rows, tile_avx512, kc, at, bt, ct, s, nr)
+                            },
+                            #[cfg(target_arch = "x86_64")]
                             // SAFETY: the availability assert confirmed avx2+fma at
                             // runtime; the asserts above are the tile's contract.
                             Kernel::Avx2 => unsafe {
-                                with_rows!(rows, tile_avx2, kc, at, bt, ct, s, nr)
+                                with_rows!(6, rows, tile_avx2, kc, at, bt, ct, s, nr)
                             },
                             // SAFETY: bounds as above. (A tier whose arch is not
                             // compiled in was rejected by the availability assert.)
@@ -406,7 +450,7 @@ unsafe fn tile_scalar_rows(
     s: Strides,
     nr: usize,
 ) {
-    with_rows!(rows, tile_scalar, kc, a, b, c, s, nr)
+    with_rows!(6, rows, tile_scalar, kc, a, b, c, s, nr)
 }
 
 /// Portable tile, `R ≤ 4` rows × 8 columns: the module header's rule as
@@ -445,11 +489,12 @@ unsafe fn tile_scalar<const R: usize>(
 
 /// AVX2+FMA tile, `R ≤ 6` rows × 16 columns (two `ymm` per row). Each
 /// element keeps the rule's two FMA chains over the depth block — even
-/// depths, then odd depths — which are summed and added into C once. The
-/// chains run as two passes so one pass holds `2R ≤ 12` accumulators plus
-/// the two B vectors and one broadcast of A: no spill, and `R < 6` simply
-/// instantiates fewer rows. Columns past `nr` are masked out of the update
-/// of C.
+/// depths, then odd depths — which are summed and added into C once. With
+/// sixteen `ymm` registers the chains run as two passes, so one pass holds
+/// `2R ≤ 12` accumulators plus the two B vectors and one broadcast of A: no
+/// spill, and `R < 6` simply instantiates fewer rows. The even sums wait in
+/// memory while the odd pass runs. Columns past `nr` are masked out of the
+/// update of C.
 ///
 /// # Safety
 /// Requires `avx2` and `fma`; `a`, `b`, `c` must satisfy the three bounds
@@ -507,14 +552,72 @@ unsafe fn tile_avx2<const R: usize>(
     }
 }
 
+/// AVX-512F tile, `R ≤ 12` rows × 16 columns (one `zmm` per row). With
+/// thirty-two `zmm` registers both of the rule's chains stay in registers —
+/// `2R ≤ 24` accumulators, each depth pair's two B rows, A broadcast from
+/// memory by the FMA itself — so a depth block is one pass that advances the
+/// even and the odd chain together; an odd `kc`'s last depth is even and
+/// runs alone. Columns past `nr` are masked out of the update of C.
+///
+/// # Safety
+/// Requires `avx512f`; `a`, `b`, `c` must satisfy the three bounds asserted
+/// by the driver.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn tile_avx512<const R: usize>(
+    kc: usize,
+    a: &[f32],
+    b: &[f32],
+    c: &mut [f32],
+    s: Strides,
+    nr: usize,
+) {
+    use std::arch::x86_64::*;
+    let (ap, bp, cp) = (a.as_ptr(), b.as_ptr(), c.as_mut_ptr());
+    let mut even = [_mm512_setzero_ps(); R];
+    let mut odd = [_mm512_setzero_ps(); R];
+    let mut p = 0;
+    while p + 1 < kc {
+        let b0 = _mm512_loadu_ps(bp.add(p * s.ldb));
+        let b1 = _mm512_loadu_ps(bp.add((p + 1) * s.ldb));
+        for i in 0..R {
+            let at = ap.add(i * s.a_rs + p * s.a_ps);
+            even[i] = _mm512_fmadd_ps(_mm512_set1_ps(*at), b0, even[i]);
+            odd[i] = _mm512_fmadd_ps(_mm512_set1_ps(*at.add(s.a_ps)), b1, odd[i]);
+        }
+        p += 2;
+    }
+    if p < kc {
+        let b0 = _mm512_loadu_ps(bp.add(p * s.ldb));
+        for (i, acc) in even.iter_mut().enumerate() {
+            let av = _mm512_set1_ps(*ap.add(i * s.a_rs + p * s.a_ps));
+            *acc = _mm512_fmadd_ps(av, b0, *acc);
+        }
+    }
+    let live: __mmask16 = if nr >= 16 { !0 } else { (1 << nr) - 1 };
+    // Every row of C is read before any is written: when `ldc < 16` a
+    // row's 64-byte masked store overlaps the next row's load, which then
+    // cannot be forwarded and waits for the store to retire (on Sapphire
+    // Rapids, writing row by row made lstm's `128×8×16` `dW_ih` 1.5× slower
+    // than the AVX2 tile).
+    let old: [__m512; R] = std::array::from_fn(|i| _mm512_maskz_loadu_ps(live, cp.add(i * s.ldc)));
+    for (i, ((&e, &o), &c0)) in even.iter().zip(&odd).zip(&old).enumerate() {
+        _mm512_mask_storeu_ps(
+            cp.add(i * s.ldc),
+            live,
+            _mm512_add_ps(c0, _mm512_add_ps(e, o)),
+        );
+    }
+}
+
 /// Copies depth `[p0, p0+kc)` × columns `[j0, j0+nr)` of B into `strip`,
 /// depth-major at row stride `lanes` with the columns past `nr` zeroed — the
 /// layout a tile reads. `ld` is B's stored row stride (`k` when transposed,
 /// else `n`). Pure data movement, so no tier can change a bit here: a B
 /// stored `[k,n]` is copied row by row; a B stored `[n,k]` is transposed,
-/// the AVX2 tier in 8×8 register blocks, the others in 4×4 blocks through a
-/// local array (four loads, a shuffle network, four stores), and the edges
-/// element by element down each source row.
+/// the vector tiers in 8×8 AVX2 register blocks, the portable one in 4×4
+/// blocks through a local array (four loads, a shuffle network, four
+/// stores), and the edges element by element down each source row.
 #[allow(clippy::too_many_arguments)]
 fn stage_b_strip(
     kernel: Kernel,
@@ -539,7 +642,7 @@ fn stage_b_strip(
     if nr < lanes {
         staged.for_each(|row| row[nr..].fill(0.0));
     }
-    let side = if kernel == Kernel::Avx2 { 8 } else { 4 };
+    let side = if kernel.has_avx2() { 8 } else { 4 };
     // Extent covered by whole blocks.
     let (jb, pb) = (nr - nr % side, kc - kc % side);
     for j in (0..jb).step_by(side) {
@@ -547,7 +650,7 @@ fn stage_b_strip(
             let src = &b[(j0 + j) * ld + p0 + p..];
             let dst = &mut strip[p * lanes + j..];
             #[cfg(target_arch = "x86_64")]
-            if kernel == Kernel::Avx2 {
+            if kernel.has_avx2() {
                 assert!(7 * ld + 8 <= src.len() && 7 * lanes + 8 <= dst.len());
                 // SAFETY: the availability assert confirmed avx2; the assert
                 // covers the eight 8-float rows read at stride `ld` and
@@ -688,7 +791,7 @@ mod tests {
 
     #[test]
     fn kernel_names_round_trip_and_scalar_is_always_available() {
-        for k in [Kernel::Scalar, Kernel::Avx2] {
+        for k in [Kernel::Scalar, Kernel::Avx2, Kernel::Avx512] {
             assert_eq!(Kernel::from_name(k.name()), Some(k));
         }
         assert_eq!(Kernel::from_name("sse9"), None);
@@ -714,13 +817,26 @@ mod tests {
 
     #[test]
     fn explicit_tier_entry_rejects_an_unavailable_tier() {
-        if Kernel::Avx2.is_available() {
+        let Some(missing) = [Kernel::Avx512, Kernel::Avx2]
+            .into_iter()
+            .find(|k| !k.is_available())
+        else {
             return; // every tier runs on this host: nothing to reject
-        }
+        };
         let refused = std::panic::catch_unwind(|| {
             let mut c = vec![0.0f32; 1];
-            gemm_acc_on(Kernel::Avx2, false, false, 1, 1, 1, &[1.0], &[1.0], &mut c);
+            gemm_acc_on(missing, false, false, 1, 1, 1, &[1.0], &[1.0], &mut c);
         });
-        assert!(refused.is_err(), "an unavailable tier must be refused");
+        assert!(refused.is_err(), "{} must be refused", missing.name());
+    }
+
+    #[test]
+    fn both_vector_tiers_and_only_they_run_the_avx2_bodies() {
+        // `dataplane` and `simd` have no AVX-512 bodies: under that tier
+        // they must take their AVX2 branch, not fall back to the portable
+        // one, which computes the same bits and so no parity suite can see.
+        assert!(Kernel::Avx2.has_avx2());
+        assert!(Kernel::Avx512.has_avx2());
+        assert!(!Kernel::Scalar.has_avx2());
     }
 }

@@ -18,7 +18,8 @@
 //! `exp`, `sigmoid`, `tanh` and `cell_update` below **are** that
 //! sequence, written once in portable Rust; the `avx2` module spells the
 //! same sequence eight lanes at a time and sends what does not fill a
-//! vector through the portable body. The tests below hold every tier to
+//! vector through the portable body (on the AVX-512 tier too, which widens
+//! only the GEMM tile). The tests below hold every tier to
 //! the portable bits, NaN, ±∞, −0.0 and both clamp edges included.
 //! (Compiling the portable body under `avx2,fma` instead of keeping the
 //! intrinsics does not vectorize the `floor`/exponent steps and costs
@@ -128,7 +129,7 @@ pub fn lstm_cell_forward(
     );
     kernel.assert_available();
     #[cfg(target_arch = "x86_64")]
-    if kernel == Kernel::Avx2 {
+    if kernel.has_avx2() {
         // SAFETY: the availability assert confirmed avx2+fma at runtime.
         unsafe { avx2::cell_forward(hdim, z, c_prev, i, f, g, o, c, tanh_c, h) };
         return;
@@ -209,7 +210,7 @@ pub fn lstm_cell_backward(
     );
     kernel.assert_available();
     #[cfg(target_arch = "x86_64")]
-    if kernel == Kernel::Avx2 {
+    if kernel.has_avx2() {
         // SAFETY: the availability assert confirmed avx2 at runtime, which
         // is all the callee — the safe body below, compiled for avx2 —
         // requires.

@@ -57,7 +57,8 @@ fn randn(len: usize, rng: &mut StdRng) -> Vec<f32> {
 
 /// Shapes that exercise the interesting structural cases: degenerate 1×1,
 /// single row / single column, exact tile multiples and off-by-one around
-/// every tier's tile (4×8 and 6×16) and the KC boundary, and zero dims.
+/// every tier's tile (4×8, 6×16 and 12×16) and the KC boundary, and zero
+/// dims.
 fn structural_shapes() -> Vec<(usize, usize, usize)> {
     vec![
         (1, 1, 1),
@@ -66,6 +67,7 @@ fn structural_shapes() -> Vec<(usize, usize, usize)> {
         (29, 1, 5),  // single output column
         (4, 8, 8),   // exactly one tile, per tier
         (6, 16, 8),
+        (12, 16, 8),
         (3, 7, 3), // strictly inside one tile
         (5, 15, 3),
         (5, 9, 9), // one past the tile edge
@@ -89,6 +91,22 @@ fn conv_shapes() -> Vec<(usize, usize, usize)> {
         (8, 4096, 72),
     ];
     shapes.extend((1..=7).map(|tail| (6, 32 + tail, 75)));
+    shapes
+}
+
+/// Shapes around the 12×16 tile: every `m` that is one short of, exactly
+/// or one past one or two full tiles (11 and 13 rows are split 11 and
+/// 7 + 6; 23 and 25 rows 12 + 11 and 9 + 8 + 8), every live width of the
+/// last 16-column strip, and depths that are a single step, odd (the even
+/// chain takes the last depth) or cross `KC` leaving one odd depth behind.
+fn tall_tile_shapes() -> Vec<(usize, usize, usize)> {
+    let depths = [1, 9, KC + 1];
+    let mut shapes = Vec::new();
+    for (i, m) in [11, 12, 13, 23, 24, 25].into_iter().enumerate() {
+        for live in 1..=16 {
+            shapes.push((m, 16 + live, depths[(i + live) % depths.len()]));
+        }
+    }
     shapes
 }
 
@@ -174,7 +192,10 @@ fn every_tier_matches_f64_reference_on_structural_shapes() {
 #[test]
 fn every_tier_equals_the_summation_rule_bit_for_bit() {
     let mut rng = StdRng::seed_from_u64(46);
-    let shapes = structural_shapes().into_iter().chain(conv_shapes());
+    let shapes = structural_shapes()
+        .into_iter()
+        .chain(conv_shapes())
+        .chain(tall_tile_shapes());
     for (m, n, k) in shapes {
         for ta in [false, true] {
             for tb in [false, true] {
@@ -246,6 +267,7 @@ fn column_bands_compose_to_the_whole_product_bit_for_bit() {
 fn dispatch_is_stable_and_respects_the_force_override() {
     assert!(Kernel::from_name("scalar") == Some(Kernel::Scalar));
     assert!(Kernel::from_name("avx2") == Some(Kernel::Avx2));
+    assert!(Kernel::from_name("avx512") == Some(Kernel::Avx512));
     assert!(Kernel::from_name("neon").is_none());
     assert!(
         Kernel::from_name("Scalar").is_none(),

@@ -41,15 +41,27 @@ cargo test --release -q -p fedca-core \
 # bits — the committed golden fixture included — whatever the host's best is.
 # A client's error-feedback residual is decoded by the same tier-dispatched
 # `dequantize_packed` the server folds with, hence compression_equivalence.
+forced=(cargo test -q -p fedca-tensor -p fedca-nn -p fedca-core
+  --test gemm_parity --test dataplane_parity
+  --test conv_parity --test lstm_parity --test backward_params
+  --test golden_trace --test aggregation_equivalence --test ingest_zero_alloc
+  --test compression_equivalence)
 echo "== kernel parity suites, golden trace, wire-vs-dense fold, lossy uploads (FEDCA_FORCE_KERNEL=scalar)"
-FEDCA_FORCE_KERNEL=scalar cargo test -q -p fedca-tensor -p fedca-nn -p fedca-core \
-  --test gemm_parity --test dataplane_parity \
-  --test conv_parity --test lstm_parity --test backward_params \
-  --test golden_trace --test aggregation_equivalence --test ingest_zero_alloc \
-  --test compression_equivalence
+FEDCA_FORCE_KERNEL=scalar "${forced[@]}"
+
+# On an AVX-512 host dispatch picks the avx512 tier, so the passes above
+# never run the AVX2 tile — the only fast tile of every host without
+# AVX-512. Pin it too, here and under the sanitizer below. (Where avx2 is
+# the best tier, the unforced passes already ran it.)
+avx512_host=false
+if grep -qw avx512f /proc/cpuinfo 2>/dev/null; then
+  avx512_host=true
+  echo "== the same suites on the AVX2 tile (FEDCA_FORCE_KERNEL=avx2; this host's best tier is avx512)"
+  FEDCA_FORCE_KERNEL=avx2 "${forced[@]}"
+fi
 
 # The kernels' `unsafe` SIMD and packing sites run under AddressSanitizer on
-# both tiers: the same four parity suites, built by nightly (std stays
+# every tier: the same four parity suites, built by nightly (std stays
 # uninstrumented: there is no rust-src for -Zbuild-std). `--target` keeps
 # the instrumented artifacts apart from the host build's. ~20 s from cold.
 if cargo +nightly --version >/dev/null 2>&1; then
@@ -60,6 +72,10 @@ if cargo +nightly --version >/dev/null 2>&1; then
     --test gemm_parity --test dataplane_parity --test conv_parity --test lstm_parity)
   "${asan[@]}"
   FEDCA_FORCE_KERNEL=scalar "${asan[@]}"
+  if $avx512_host; then
+    echo "== the same suites under AddressSanitizer on the AVX2 tile (FEDCA_FORCE_KERNEL=avx2)"
+    FEDCA_FORCE_KERNEL=avx2 "${asan[@]}"
+  fi
 else
   echo "== nightly toolchain not installed; skipping the AddressSanitizer pass" >&2
 fi
