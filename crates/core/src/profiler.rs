@@ -14,7 +14,9 @@
 //!
 //! The profiler gathers sampled accumulated updates after each anchor-round
 //! iteration and converts them into per-layer and whole-model progress
-//! curves at round end.
+//! curves at round end. The client finishes only an anchor round that was
+//! not cut short: after a crash or dropout it keeps the previous curves, and
+//! the next `begin_anchor` discards the partial recording.
 
 use crate::params::ModelLayout;
 use crate::progress::progress_curve;
