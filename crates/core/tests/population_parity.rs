@@ -2,7 +2,7 @@
 //! be indistinguishable — bit for bit — from eagerly materializing the
 //! whole federation.
 //!
-//! Three properties ride here:
+//! Five properties ride here:
 //!
 //! 1. **Hydration order is irrelevant** (proptest): deriving clients in any
 //!    permutation, with any interleaved re-touches, yields byte-identical
@@ -17,11 +17,13 @@
 //! 4. **A million clients cost what ten thousand do**: resident and dirty
 //!    entry counts are bounded by the cache cap and the participants, at
 //!    either population size.
+//! 5. **Residency is conserved**: after every round, the resident count is
+//!    all hydrations minus all evictions, with or without chaos.
 
 use fedca_core::config::{FaultConfig, FlConfig};
 use fedca_core::metrics::RoundRecord;
 use fedca_core::population::snapshot_client;
-use fedca_core::trace::TraceConfig;
+use fedca_core::trace::{TraceConfig, TraceEvent};
 use fedca_core::{Scheme, Trainer, Workload};
 use proptest::prelude::*;
 
@@ -172,6 +174,52 @@ fn store_entries_are_bounded_by_the_cap_at_any_population_size() {
             dirty > 0 && dirty <= participants,
             "n={n_clients}: {dirty} dirty entries for {participants} distinct participants"
         );
+    }
+}
+
+/// Residency is conserved: after every round of a traced FedCA run, the
+/// resident count is everything hydrated minus everything evicted, and a
+/// round's `n_hydrated` is its number of fresh `ClientHydrated` events. Chaos
+/// panics rebuild clients in place, which is neither.
+#[test]
+fn residency_is_hydrations_minus_evictions_after_every_round() {
+    const ROUNDS: usize = 12;
+    for faults in [FaultConfig::none(), FaultConfig::chaos(3)] {
+        for cache in [0, 2, 3, 5] {
+            let fl = FlConfig {
+                clients_per_round: 4,
+                faults: faults.clone(),
+                ..study_fl(16, cache)
+            };
+            let tag = format!("cache {cache}, fault seed {}", faults.seed);
+            let mut t = run_study(fl, 0, 2);
+            let (mut hydrated, mut evicted) = (0, 0);
+            for round in 0..ROUNDS {
+                let (n_hydrated, n_evicted) = {
+                    let r = t.run_round();
+                    (r.n_hydrated, r.n_evicted)
+                };
+                hydrated += n_hydrated;
+                evicted += n_evicted;
+                assert_eq!(
+                    t.store().n_resident(),
+                    hydrated - evicted,
+                    "{tag}, round {round}"
+                );
+                let fresh = t
+                    .tracer()
+                    .ring_records()
+                    .iter()
+                    .filter(|rec| match rec.event {
+                        TraceEvent::ClientHydrated {
+                            round: r, fresh, ..
+                        } => r == round && fresh,
+                        _ => false,
+                    })
+                    .count();
+                assert_eq!(n_hydrated, fresh, "{tag}, round {round}");
+            }
+        }
     }
 }
 
