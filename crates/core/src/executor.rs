@@ -27,11 +27,10 @@ use crate::params::ModelLayout;
 use crate::workload::Workload;
 use fedca_nn::Model;
 use fedca_tensor::Tensor;
-use parking_lot::Mutex;
 use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -268,7 +267,7 @@ fn worker_loop(rx: Arc<Mutex<Receiver<WorkerMsg>>>, tx: Sender<ClientDone>) {
     // work item's context so the pool itself stays workload-agnostic.
     let mut arena: Option<ClientArena> = None;
     loop {
-        let msg = rx.lock().recv();
+        let msg = rx.lock().unwrap_or_else(PoisonError::into_inner).recv();
         let work = match msg {
             Ok(WorkerMsg::Work(w)) => w,
             Ok(WorkerMsg::Shutdown) | Err(_) => return,
