@@ -48,9 +48,6 @@ pub struct ClientState {
     pub profiler: SampledProfiler,
     /// Base seed for per-round RNG derivation.
     pub seed: u64,
-    /// Rounds this client has participated in (drives its personal anchor
-    /// cadence: profiling happens on its 1st, (F+1)th, … participations).
-    pub participations: usize,
     /// Residual accumulator for lossy update compression (inert when
     /// `FlConfig::compression` is `None`).
     pub error_feedback: ErrorFeedback,
@@ -752,7 +749,6 @@ mod tests {
                 downlink: Link::new(1.0e6),
                 profiler: SampledProfiler::new(layout.clone(), 100, 7 + id as u64),
                 seed: 99 + id as u64,
-                participations: 0,
                 error_feedback: ErrorFeedback::new(),
             };
             let fl = FlConfig {

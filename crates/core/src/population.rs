@@ -190,7 +190,6 @@ impl ClientFactory {
                 mix(seed, DOMAIN_PROFILER, id as u64),
             ),
             seed: mix(seed, DOMAIN_CLIENT, id as u64),
-            participations: 0,
             error_feedback: fedca_compress::ErrorFeedback::new(),
         }
     }
@@ -242,14 +241,13 @@ pub struct ClientStore {
     /// Evicted-but-mutated clients: `dirty ∩ resident = ∅` always (hydration
     /// moves the overlay back into residency).
     dirty: HashMap<usize, ClientSnapshot>,
-    /// Sparse participation counts — the trainer-side mirror of each
-    /// client's own counter, surviving eviction and failure rebuilds.
+    /// Sparse participation counts: the one count the anchor cadence,
+    /// eviction and snapshots read. It survives eviction and failure
+    /// rebuilds.
     participations: HashMap<usize, usize>,
     touch_counter: u64,
     /// Residency cap after a round; 0 means unbounded.
     capacity: usize,
-    round_hydrated: usize,
-    round_evicted: usize,
 }
 
 impl ClientStore {
@@ -265,8 +263,6 @@ impl ClientStore {
             participations: HashMap::new(),
             touch_counter: 0,
             capacity,
-            round_hydrated: 0,
-            round_evicted: 0,
         }
     }
 
@@ -290,15 +286,18 @@ impl ClientStore {
         self.dirty.len()
     }
 
-    /// Trainer-side participation count for a client.
+    /// How many rounds client `id` has been checked out for.
     pub fn participations(&self, id: usize) -> usize {
         self.participations.get(&id).copied().unwrap_or(0)
     }
 
-    /// Increments the trainer-side participation count (kept in lockstep
-    /// with the client's own counter by the round loop).
-    pub fn bump_participation(&mut self, id: usize) {
-        *self.participations.entry(id).or_insert(0) += 1;
+    /// Counts one more participation of client `id` and returns the count
+    /// before it: the anchor cadence profiles when that is a multiple of
+    /// the profiling period.
+    pub fn bump_participation(&mut self, id: usize) -> usize {
+        let n = self.participations.entry(id).or_insert(0);
+        *n += 1;
+        *n - 1
     }
 
     /// Sparse participation table, `(client, count)` sorted by id.
@@ -340,9 +339,7 @@ impl ClientStore {
         if let Some(snap) = self.dirty.remove(&id) {
             apply_snapshot(&mut state, &snap);
         }
-        state.participations = self.participations(id);
         self.resident.insert(id, Resident { state, touched });
-        self.round_hydrated += 1;
         Ok(true)
     }
 
@@ -397,8 +394,7 @@ impl ClientStore {
             return Err(TrainerError::NotCheckedOut { id });
         }
         self.dirty.remove(&id);
-        let mut state = self.factory.build(id);
-        state.participations = self.participations(id);
+        let state = self.factory.build(id);
         self.touch_counter += 1;
         self.resident.insert(
             id,
@@ -426,29 +422,13 @@ impl ClientStore {
             .map(|(&id, r)| (r.touched, id))
             .collect();
         by_age.sort_unstable();
-        let mut evicted = 0;
         for &(_, id) in by_age.iter().take(excess) {
             let r = self.resident.remove(&id).expect("listed as resident");
-            if r.state.participations > 0 {
+            if self.participations(id) > 0 {
                 self.dirty.insert(id, snapshot_client(&r.state));
             }
-            evicted += 1;
         }
-        self.round_evicted += evicted;
-        evicted
-    }
-
-    /// Resets the per-round hydration/eviction counters (call at round
-    /// open).
-    pub fn begin_round(&mut self) {
-        self.round_hydrated = 0;
-        self.round_evicted = 0;
-    }
-
-    /// `(hydrated, evicted)` counters since the last
-    /// [`begin_round`](Self::begin_round).
-    pub fn round_stats(&self) -> (usize, usize) {
-        (self.round_hydrated, self.round_evicted)
+        excess
     }
 
     /// The mutated-client set for a snapshot: the dirty overlay plus every
@@ -464,7 +444,7 @@ impl ClientStore {
         out.extend(
             self.resident
                 .values()
-                .filter(|r| r.state.participations > 0)
+                .filter(|r| self.participations(r.state.id) > 0)
                 .map(|r| snapshot_client(&r.state)),
         );
         out.sort_unstable_by_key(|s| s.id);
@@ -594,14 +574,12 @@ mod tests {
     #[test]
     fn eviction_keeps_mutated_state_and_drops_clean_state() {
         let mut store = ClientStore::new(factory(16, 2));
-        store.begin_round();
         for id in 0..6 {
-            store.hydrate(id).unwrap();
+            assert!(store.hydrate(id).unwrap(), "client {id} derived fresh");
         }
         // Simulate participation for clients 0 and 1 (oldest touches).
         for id in 0..2 {
             let mut s = store.checkout(id).unwrap();
-            s.participations = 1;
             let _ = s
                 .sampler
                 .next_batch(&mut rand::rngs::StdRng::seed_from_u64(9));
@@ -615,12 +593,10 @@ mod tests {
         // the untouched 2..6 were dropped without a dirty entry.
         assert_eq!(store.n_dirty(), 0);
         assert!(store.peek(0).is_some() && store.peek(1).is_some());
-        assert_eq!(store.round_stats(), (6, 4));
 
         // Now push 0 and 1 out with fresh hydrations: their mutated state
         // must survive in the overlay and come back on rehydration.
         let before = snapshot_client(store.peek(0).unwrap());
-        store.begin_round();
         for id in 10..14 {
             store.hydrate(id).unwrap();
         }
@@ -631,24 +607,24 @@ mod tests {
         assert_eq!(store.n_dirty(), 1, "overlay moved back into residency");
         let after = snapshot_client(store.peek(0).unwrap());
         assert_eq!(before, after, "eviction round-trip is lossless");
-        assert_eq!(store.peek(0).unwrap().participations, 1);
+        assert_eq!(store.participations(0), 1);
     }
 
     #[test]
     fn rebuild_failed_carries_participations_only() {
         let mut store = ClientStore::new(factory(8, 0));
         store.hydrate(2).unwrap();
-        let mut s = store.checkout(2).unwrap();
-        s.participations = 3;
-        store.check_in(s).unwrap();
         store.participations.insert(2, 3);
         let fresh = store.factory().build(2);
         let _ = store.checkout(2).unwrap(); // worker takes it and panics
         store.rebuild_failed(2).unwrap();
-        let c = store.peek(2).unwrap();
-        assert_eq!(c.participations, 3, "anchor cadence survives the panic");
         assert_eq!(
-            c.device.snapshot(),
+            store.participations(2),
+            3,
+            "anchor cadence survives the panic"
+        );
+        assert_eq!(
+            store.peek(2).unwrap().device.snapshot(),
             fresh.device.snapshot(),
             "everything else restarts fresh"
         );
@@ -662,9 +638,6 @@ mod tests {
     fn restore_validates_ids_and_rehydrates_lazily() {
         let mut store = ClientStore::new(factory(8, 0));
         store.hydrate(1).unwrap();
-        let mut s = store.checkout(1).unwrap();
-        s.participations = 2;
-        store.check_in(s).unwrap();
         store.participations.insert(1, 2);
         let snaps = store.snapshot_all().unwrap();
         assert_eq!(snaps.len(), 1, "only the participant is dirty");
@@ -679,7 +652,7 @@ mod tests {
             snaps[0],
             "restored client is bit-identical"
         );
-        assert_eq!(fresh.peek(1).unwrap().participations, 2);
+        assert_eq!(fresh.participations(1), 2);
 
         let bad = vec![(99usize, 1usize)];
         assert_eq!(

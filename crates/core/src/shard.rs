@@ -13,8 +13,8 @@
 //! [`ClientStore`](crate::population::ClientStore), the selection RNG, the
 //! global model, the tracer, and snapshots. The pool keeps each
 //! checked-out [`ClientState`] beside its outstanding ordinal; a
-//! [`WorkItem`] ships `{ordinal, client id, participations, plan,
-//! snapshot}` and the stateless child rebuilds the client as
+//! [`WorkItem`] ships `{ordinal, client id, plan, snapshot}` and the
+//! stateless child rebuilds the client as
 //! `factory.build(id)` + `apply_snapshot` — bit-identical to the root
 //! re-hydrating an evicted client — and the snapshot it sends back is
 //! applied onto the retained state. Because of that, a lost shard loses
@@ -126,17 +126,15 @@ impl From<std::io::Error> for ShardError {
 // Protocol messages
 // ---------------------------------------------------------------------------
 
-/// One client's work assignment, shipped root → shard. The snapshot plus
-/// the participation count is everything a stateless child needs to
-/// rebuild the exact client state the root checked out.
+/// One client's work assignment, shipped root → shard. The snapshot is
+/// everything a stateless child needs to rebuild the exact client state
+/// the root checked out.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct WorkItem {
     /// Global round ordinal (position in the selection list).
     pub ord: usize,
     /// Client id.
     pub client_id: usize,
-    /// Participation count *after* the root's pre-checkout increment.
-    pub participations: usize,
     /// The round plan (all fields finite — JSON-lossless).
     pub plan: RoundPlan,
     /// Durable client state; `None` means "freshly built is exact".
@@ -519,7 +517,6 @@ fn run_child_round(
         if let Some(snap) = &item.snapshot {
             apply_snapshot(&mut client, snap);
         }
-        client.participations = item.participations;
         executor
             .submit(ClientWork {
                 ord: item.ord,
@@ -946,7 +943,6 @@ impl ShardPool {
             .map(|w| WorkItem {
                 ord: w.ord,
                 client_id: w.client.id,
-                participations: w.client.participations,
                 plan: w.plan.clone(),
                 snapshot: Some(snapshot_client(&w.client)),
             })

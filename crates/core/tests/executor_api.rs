@@ -31,7 +31,6 @@ fn make_client(workload: &Workload, id: usize) -> ClientState {
         downlink: Link::new(1.0e6),
         profiler: SampledProfiler::new(layout, 100, 7 + id as u64),
         seed: 99 + id as u64,
-        participations: 0,
         error_feedback: ErrorFeedback::new(),
     }
 }

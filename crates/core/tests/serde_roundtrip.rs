@@ -226,7 +226,6 @@ fn shard_control_messages_round_trip_stably() {
     let item = WorkItem {
         ord: 3,
         client_id: 17,
-        participations: 5,
         plan: RoundPlan {
             round: 9,
             start: 120.5,

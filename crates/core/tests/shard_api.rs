@@ -76,22 +76,18 @@ impl Fixture {
     /// Clients `0..n` on their first participation, keyed `ord == id`.
     fn work(&self, round: usize, n: usize) -> Vec<ClientWork> {
         (0..n)
-            .map(|ord| {
-                let mut client = self.factory.build(ord);
-                client.participations = 1;
-                ClientWork {
-                    ord,
-                    client,
-                    plan: RoundPlan {
-                        round,
-                        start: 0.0,
-                        deadline: 1e9,
-                        planned_iters: 3,
-                        is_anchor: false,
-                        faults: ClientFaults::none(),
-                    },
-                    ctx: Arc::clone(&self.ctx),
-                }
+            .map(|ord| ClientWork {
+                ord,
+                client: self.factory.build(ord),
+                plan: RoundPlan {
+                    round,
+                    start: 0.0,
+                    deadline: 1e9,
+                    planned_iters: 3,
+                    is_anchor: false,
+                    faults: ClientFaults::none(),
+                },
+                ctx: Arc::clone(&self.ctx),
             })
             .collect()
     }
@@ -150,9 +146,9 @@ fn drain_completed(pool: &mut ShardPool, n: usize, what: &str) -> BTreeSet<usize
                 assert_eq!(done.client.id, done.ord, "work was keyed id == ord");
                 assert_eq!(done.report.client_id, done.ord);
                 assert_eq!(done.report.iters_done, 3);
-                assert_eq!(
-                    done.client.participations, 1,
-                    "the checked-out state comes home"
+                assert!(
+                    done.client.uplink.busy_until() > 0.0,
+                    "the trained state comes home"
                 );
                 let update = done.report.wire_update.as_ref();
                 assert!(

@@ -115,7 +115,6 @@ fn warmed_up_lossy_round_allocates_only_the_wire_buffer() {
             downlink: Link::new(1.0e6),
             profiler: SampledProfiler::new(layout.clone(), 100, 7),
             seed: 99,
-            participations: 0,
             error_feedback: ErrorFeedback::new(),
         };
         let fl = FlConfig {

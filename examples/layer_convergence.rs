@@ -32,7 +32,6 @@ fn main() {
         downlink: Link::paper_client(),
         profiler: SampledProfiler::new(layout.clone(), 100, 3),
         seed: 5,
-        participations: 0,
         error_feedback: ErrorFeedback::new(),
     };
     let fl = FlConfig {

@@ -25,7 +25,6 @@ fn client_for(w: &Workload, id: usize, layout: &Arc<ModelLayout>) -> ClientState
         downlink: Link::paper_client(),
         profiler: SampledProfiler::new(layout.clone(), 100, 20 + id as u64),
         seed: 30 + id as u64,
-        participations: 0,
         error_feedback: ErrorFeedback::new(),
     }
 }
