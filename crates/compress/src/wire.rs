@@ -17,7 +17,6 @@
 
 use crate::quantize::QuantizedVec;
 use crate::sparsify::SparseVec;
-use bytes::{BufMut, Bytes, BytesMut};
 use fedca_tensor::dataplane;
 
 /// Message magic ("FC").
@@ -155,9 +154,17 @@ impl std::fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
+/// Appends `n` zero bytes and returns them, so fixed-size encodings are
+/// written in place instead of byte by byte.
+fn put_zeroed(buf: &mut Vec<u8>, n: usize) -> &mut [u8] {
+    let start = buf.len();
+    buf.resize(start + n, 0);
+    &mut buf[start..]
+}
+
 /// Appends `n` little-endian 4-byte words in one reservation.
-fn put_words_le(buf: &mut BytesMut, words: impl ExactSizeIterator<Item = [u8; 4]>) {
-    let dst = buf.put_zeroed(4 * words.len());
+fn put_words_le(buf: &mut Vec<u8>, words: impl ExactSizeIterator<Item = [u8; 4]>) {
+    let dst = put_zeroed(buf, 4 * words.len());
     for (d, w) in dst.chunks_exact_mut(4).zip(words) {
         d.copy_from_slice(&w);
     }
@@ -170,7 +177,7 @@ fn put_words_le(buf: &mut BytesMut, words: impl ExactSizeIterator<Item = [u8; 4]
 /// is how an upload carries its eager sidecar (readers walk it with
 /// [`for_each_layer`]).
 pub struct MessageWriter {
-    buf: BytesMut,
+    buf: Vec<u8>,
     // Layers the open message declared but has not framed yet.
     pending: usize,
 }
@@ -181,7 +188,7 @@ impl MessageWriter {
     /// [`HEADER_LEN`] plus `4 +` each payload's wire length).
     pub fn with_capacity(capacity: usize) -> Self {
         MessageWriter {
-            buf: BytesMut::with_capacity(capacity),
+            buf: Vec::with_capacity(capacity),
             pending: 0,
         }
     }
@@ -192,11 +199,11 @@ impl MessageWriter {
     /// Panics if the previous message is missing layers.
     pub fn begin(&mut self, round: u32, client: u32, n_layers: usize) {
         assert_eq!(self.pending, 0, "previous message is missing layers");
-        self.buf.put_u16_le(MAGIC);
-        self.buf.put_u8(VERSION);
-        self.buf.put_u32_le(round);
-        self.buf.put_u32_le(client);
-        self.buf.put_u32_le(n_layers as u32);
+        self.buf.extend_from_slice(&MAGIC.to_le_bytes());
+        self.buf.push(VERSION);
+        self.buf.extend_from_slice(&round.to_le_bytes());
+        self.buf.extend_from_slice(&client.to_le_bytes());
+        self.buf.extend_from_slice(&(n_layers as u32).to_le_bytes());
         self.pending = n_layers;
     }
 
@@ -204,11 +211,11 @@ impl MessageWriter {
     ///
     /// # Panics
     /// Panics if the open message already has all its declared layers.
-    fn layer(&mut self, id: u32, tag: u8) -> &mut BytesMut {
+    fn layer(&mut self, id: u32, tag: u8) -> &mut Vec<u8> {
         assert!(self.pending > 0, "more layers than the header declared");
         self.pending -= 1;
-        self.buf.put_u32_le(id);
-        self.buf.put_u8(tag);
+        self.buf.extend_from_slice(&id.to_le_bytes());
+        self.buf.push(tag);
         &mut self.buf
     }
 
@@ -226,7 +233,7 @@ impl MessageWriter {
     /// Writes full-precision values as the next layer.
     pub fn put_dense(&mut self, id: u32, values: &[f32]) {
         let buf = self.layer(id, TAG_DENSE);
-        buf.put_u32_le(values.len() as u32);
+        buf.extend_from_slice(&(values.len() as u32).to_le_bytes());
         put_words_le(buf, values.iter().map(|x| x.to_le_bytes()));
     }
 
@@ -241,20 +248,19 @@ impl MessageWriter {
         levels: &[i8],
     ) {
         let buf = self.layer(id, TAG_QUANTIZED);
-        buf.put_u8(bits);
-        buf.put_u8(num_levels);
-        buf.put_f32_le(scale);
-        buf.put_u32_le(levels.len() as u32);
+        buf.extend_from_slice(&[bits, num_levels]);
+        buf.extend_from_slice(&scale.to_le_bytes());
+        buf.extend_from_slice(&(levels.len() as u32).to_le_bytes());
         let width = quantized_width(bits);
-        let packed = buf.put_zeroed(dataplane::packed_len(levels.len(), width));
+        let packed = put_zeroed(buf, dataplane::packed_len(levels.len(), width));
         dataplane::pack_levels(levels, num_levels, width, packed);
     }
 
     /// Writes top-k index/value runs over a dense length as the next layer.
     pub(crate) fn put_sparse(&mut self, id: u32, len: usize, indices: &[u32], values: &[f32]) {
         let buf = self.layer(id, TAG_SPARSE);
-        buf.put_u32_le(len as u32);
-        buf.put_u32_le(indices.len() as u32);
+        buf.extend_from_slice(&(len as u32).to_le_bytes());
+        buf.extend_from_slice(&(indices.len() as u32).to_le_bytes());
         put_words_le(buf, indices.iter().map(|i| i.to_le_bytes()));
         put_words_le(buf, values.iter().map(|x| x.to_le_bytes()));
     }
@@ -273,14 +279,14 @@ impl MessageWriter {
     ///
     /// # Panics
     /// Panics if the open message is missing layers.
-    pub fn finish(self) -> Bytes {
+    pub fn finish(self) -> Vec<u8> {
         assert_eq!(self.pending, 0, "message is missing layers");
-        self.buf.freeze()
+        self.buf
     }
 }
 
 /// Encodes a message to bytes.
-pub fn encode(msg: &UpdateMessage) -> Bytes {
+pub fn encode(msg: &UpdateMessage) -> Vec<u8> {
     let mut w = MessageWriter::with_capacity(message_wire_len(msg));
     w.begin(msg.round, msg.client, msg.layers.len());
     for (id, payload) in &msg.layers {
@@ -291,8 +297,8 @@ pub fn encode(msg: &UpdateMessage) -> Bytes {
 
 /// Decodes a message from bytes into owned payloads: a loop over
 /// [`MessageReader`], so validation and bounds checks live in one parser.
-pub fn decode(bytes: &Bytes) -> Result<UpdateMessage, WireError> {
-    let mut reader = MessageReader::new(bytes.as_ref())?;
+pub fn decode(bytes: &[u8]) -> Result<UpdateMessage, WireError> {
+    let mut reader = MessageReader::new(bytes)?;
     let mut layers = Vec::with_capacity(reader.n_layers().min(4096));
     while let Some(layer) = reader.next_layer() {
         let (id, view) = layer?;
@@ -739,22 +745,18 @@ mod tests {
 
     #[test]
     fn decode_rejects_garbage_and_truncation() {
-        assert_eq!(
-            decode(&Bytes::from_static(b"xx")),
-            Err(WireError::Truncated)
-        );
+        assert_eq!(decode(b"xx"), Err(WireError::Truncated));
         let msg = UpdateMessage {
             round: 1,
             client: 1,
             layers: vec![(0, Payload::Dense(sample_vec(16, 10)))],
         };
         let good = encode(&msg);
-        let truncated = good.slice(0..good.len() - 3);
-        assert_eq!(decode(&truncated), Err(WireError::Truncated));
-        let mut corrupted = good.to_vec();
+        assert_eq!(decode(&good[..good.len() - 3]), Err(WireError::Truncated));
+        let mut corrupted = good;
         corrupted[0] ^= 0xFF; // break magic
         assert!(matches!(
-            decode(&Bytes::from(corrupted)),
+            decode(&corrupted),
             Err(WireError::Malformed("magic"))
         ));
     }
@@ -791,7 +793,7 @@ mod tests {
         let msg = kitchen_sink_message();
         let bytes = encode(&msg);
         let owned = decode(&bytes).expect("decodes");
-        let mut reader = MessageReader::new(bytes.as_ref()).expect("header parses");
+        let mut reader = MessageReader::new(&bytes).expect("header parses");
         assert_eq!(reader.round(), msg.round);
         assert_eq!(reader.client(), msg.client);
         assert_eq!(reader.n_layers(), msg.layers.len());
@@ -832,9 +834,9 @@ mod tests {
         }
         assert_eq!(w.len(), total);
         let joined = w.finish();
-        let mut expected = encode(&first).to_vec();
-        expected.extend_from_slice(encode(&second).as_ref());
-        assert_eq!(joined.as_ref(), &expected[..]);
+        let mut expected = encode(&first);
+        expected.extend_from_slice(&encode(&second));
+        assert_eq!(joined, expected);
     }
 
     #[test]
@@ -853,8 +855,8 @@ mod tests {
             client: 9,
             layers: vec![(2, Payload::Dense(sample_vec(5, 80)))],
         };
-        let mut all = encode(&a).to_vec();
-        all.extend_from_slice(encode(&b).as_ref());
+        let mut all = encode(&a);
+        all.extend_from_slice(&encode(&b));
         let mut ra = MessageReader::new(&all).expect("first header");
         while let Some(r) = ra.next_layer() {
             r.expect("first message parses");
@@ -886,12 +888,12 @@ mod tests {
     fn quantized_view_offsets_recover_the_packed_run() {
         let msg = kitchen_sink_message();
         let bytes = encode(&msg);
-        let mut reader = MessageReader::new(bytes.as_ref()).expect("header");
+        let mut reader = MessageReader::new(&bytes).expect("header");
         let mut saw_quant = 0;
         while let Some(r) = reader.next_layer() {
             if let (_, PayloadView::Quantized { packed, .. }) = r.expect("parses") {
-                let off = subslice_offset(bytes.as_ref(), packed);
-                assert_eq!(&bytes.as_ref()[off..off + packed.len()], packed);
+                let off = subslice_offset(&bytes, packed);
+                assert_eq!(&bytes[off..off + packed.len()], packed);
                 saw_quant += 1;
             }
         }
@@ -909,8 +911,8 @@ mod tests {
         let good = encode(&msg);
         // Truncation at every cut point classifies identically to `decode`.
         for cut in 0..good.len() {
-            let slice = &good.as_ref()[..cut];
-            let via_decode = decode(&good.slice(0..cut)).expect_err("truncated");
+            let slice = &good[..cut];
+            let via_decode = decode(slice).expect_err("truncated");
             let via_reader = match MessageReader::new(slice) {
                 Err(e) => e,
                 Ok(mut r) => loop {
@@ -960,11 +962,7 @@ mod tests {
             let mut bad = int8.to_vec();
             bad[HEADER_LEN + 4 + 1 + 1] = num_levels; // after id, tag and bits
             let want = Some(WireError::Malformed("quantization levels"));
-            assert_eq!(
-                decode(&Bytes::from(bad.clone())).err(),
-                want,
-                "L={num_levels}"
-            );
+            assert_eq!(decode(&bad).err(), want, "L={num_levels}");
             let mut r = MessageReader::new(&bad).expect("header fine");
             assert_eq!(r.next_layer().expect("yields").err(), want);
         }

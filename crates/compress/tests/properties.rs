@@ -4,7 +4,6 @@
 //! or corrupted messages must yield typed errors, never panics or bogus
 //! successes that change length).
 
-use bytes::Bytes;
 use fedca_compress::wire::{
     self, dense_message_wire_len, dense_payload_wire_len, message_wire_len, Payload, UpdateMessage,
     WireError,
@@ -129,7 +128,7 @@ proptest! {
         // The product's one decoder, on whatever tier dispatch picked, is
         // bit-identical to the scalar reference `to_dense`.
         let mut layers = msg.layers.iter();
-        wire::for_each_layer(encoded.as_ref(), |id, view| {
+        wire::for_each_layer(&encoded, |id, view| {
             let (want_id, payload) = layers.next().expect("as many layers as encoded");
             assert_eq!(id, *want_id);
             let mut got = vec![0.0f32; view.len()];
@@ -160,7 +159,7 @@ proptest! {
         let msg = UpdateMessage { round: 1, client: 2, layers: vec![(0, payload)] };
         let good = wire::encode(&msg);
         for cut in 0..good.len() {
-            let r = wire::decode(&good.slice(0..cut));
+            let r = wire::decode(&good[..cut]);
             prop_assert!(
                 matches!(r, Err(WireError::Truncated) | Err(WireError::Malformed(_))),
                 "prefix of {cut}/{} bytes decoded to {:?}", good.len(), r
@@ -185,10 +184,10 @@ proptest! {
             layers: vec![(0, Compression::Int8.compress(&x, &mut rng))],
         };
         let good = wire::encode(&msg);
-        let mut bytes = good.to_vec();
+        let mut bytes = good;
         let pos = pos_pick % bytes.len();
         bytes[pos] ^= flip as u8;
-        match wire::decode(&Bytes::from(bytes)) {
+        match wire::decode(&bytes) {
             Ok(m) => {
                 // A surviving decode must still be internally consistent.
                 for (_, p) in &m.layers {

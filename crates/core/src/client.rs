@@ -17,7 +17,7 @@ use crate::config::FlConfig;
 use crate::eager::{EagerState, LayerOutcome};
 use crate::params::ModelLayout;
 use crate::profiler::{ProfiledCurves, SampledProfiler};
-use crate::trace::{ClientTraceBuf, TraceEvent};
+use crate::trace::{PendingEvent, TraceEvent};
 use crate::workload::Workload;
 use fedca_compress::{wire, CodecScratch, Compression, ErrorFeedback};
 use fedca_data::{BatchSampler, InMemoryDataset};
@@ -99,7 +99,7 @@ pub struct ClientRoundReport {
     /// eager-accepted snapshots, walkable with [`wire::for_each_layer`].
     /// Together the messages tile the layout exactly; the server decodes
     /// them at ingest. `None` when nothing was sent (dropped or crashed).
-    pub wire_update: Option<bytes::Bytes>,
+    pub wire_update: Option<Vec<u8>>,
     /// Iterations actually executed.
     pub iters_done: usize,
     /// Whether the client stopped before its planned iterations.
@@ -132,7 +132,7 @@ pub struct ClientRoundReport {
     /// inside the client's own virtual-time round — and merged into the
     /// canonical stream by the trainer at round close, so the journal never
     /// observes worker scheduling.
-    pub trace: ClientTraceBuf,
+    pub trace: Vec<PendingEvent>,
 }
 
 /// Runs one client round: download → K local iterations (with FedCA hooks)
@@ -269,7 +269,7 @@ impl<'a> ClientRound<'a> {
             train_loss: f32::NAN,
             dropped: false,
             crashed: false,
-            trace: ClientTraceBuf::new(),
+            trace: Vec::new(),
         };
         ClientRound {
             state,
@@ -431,7 +431,7 @@ impl<'a> ClientRound<'a> {
                 let (c, codec) = (fl.compression, &mut self.arena.codec);
                 c.encode_layer(&mut msg, l as u32, &delta, &mut self.qrng, codec);
                 let mut snapshot = vec![0.0f32; r.len()];
-                wire::for_each_layer(msg.finish().as_ref(), |_, view| {
+                wire::for_each_layer(&msg.finish(), |_, view| {
                     view.decode_into(&mut snapshot);
                     Ok(())
                 })
@@ -551,7 +551,11 @@ impl<'a> ClientRound<'a> {
     fn trace(&mut self, time: SimTime, event: impl FnOnce(usize, usize) -> TraceEvent) {
         if self.fl.trace.enabled {
             let event = event(self.plan.round, self.state.id);
-            self.report.trace.push(time, event);
+            self.report.trace.push(PendingEvent {
+                time,
+                host_us: 0.0,
+                event,
+            });
         }
     }
 
@@ -592,7 +596,7 @@ struct Upload {
     dense_wire_len: usize,
     /// The final message followed by the dense sidecar of eager-accepted
     /// layers; `None` when nothing is sent.
-    wire: Option<bytes::Bytes>,
+    wire: Option<Vec<u8>>,
 }
 
 /// TryRetransmit + final upload serialization, in place.
@@ -696,7 +700,7 @@ fn finish_upload(
         // What was transmitted is read back from the bytes just written,
         // with the server's parser and decoder, into the residual's own
         // slice, which then becomes `compensated − transmitted`.
-        wire::for_each_layer(wire.as_ref(), |l, view| {
+        wire::for_each_layer(&wire, |l, view| {
             let range = layout.range(l as usize);
             error_feedback.absorb_layer(range.start, &delta[range], |t| view.decode_into(t));
             Ok(())
@@ -790,7 +794,7 @@ mod tests {
     fn decoded_update(report: &ClientRoundReport, layout: &ModelLayout) -> Vec<f32> {
         let buf = report.wire_update.as_ref().expect("upload sent");
         let mut dense = vec![0.0f32; layout.total_params()];
-        wire::for_each_layer(buf.as_ref(), |l, view| {
+        wire::for_each_layer(buf, |l, view| {
             view.decode_into(&mut dense[layout.range(l as usize)]);
             Ok(())
         })
@@ -889,16 +893,17 @@ mod tests {
             error_feedback.absorb(&compensated, &transmitted);
             payload_bytes *= encoded.len() as f64 / dense_wire_len as f64;
         }
-        let mut joined = encoded.to_vec();
+        let wire_len = encoded.len();
+        let mut joined = encoded;
         if !sidecar.layers.is_empty() {
-            joined.extend_from_slice(wire::encode(&sidecar).as_ref());
+            joined.extend_from_slice(&wire::encode(&sidecar));
         }
         Upload {
             eager_outcomes,
             payload_bytes,
-            wire_len: encoded.len(),
+            wire_len,
             dense_wire_len,
-            wire: Some(joined.into()),
+            wire: Some(joined),
         }
     }
 

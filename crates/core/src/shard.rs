@@ -58,12 +58,11 @@ use crate::executor::{
 };
 use crate::params::ModelLayout;
 use crate::population::{apply_snapshot, snapshot_client, ClientFactory};
-use crate::trace::{ClientTraceBuf, PendingEvent, TraceEvent};
+use crate::trace::{PendingEvent, TraceEvent};
 use crate::transport::{
     encode_message, read_frame, Frame, FrameError, Link, LinkEvent, MAX_FRAME_LEN,
 };
 use crate::workload::{Workload, WorkloadSpec};
-use bytes::{BufMut, Bytes, BytesMut};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::io::Write;
@@ -283,7 +282,7 @@ pub enum FromShard {
 
 /// Parses a link-delivered frame's JSON metadata into a protocol message.
 fn parse_meta<T: serde::Deserialize>(frame: &Frame) -> Result<T, ShardError> {
-    let meta = std::str::from_utf8(frame.meta.as_ref())
+    let meta = std::str::from_utf8(&frame.meta)
         .map_err(|_| ShardError::Protocol("frame metadata is not utf-8".into()))?;
     serde_json::from_str::<T>(meta)
         .map_err(|e| ShardError::Protocol(format!("bad frame metadata: {e}")))
@@ -304,7 +303,7 @@ fn read_handshake<T: serde::Deserialize>(stream: &mut UnixStream) -> Result<T, S
 impl DoneMsg {
     /// Encodes one completed client for the socket: the message plus the
     /// frame payload (the report's wire update).
-    pub fn from_completion(round: usize, done: ClientCompletion) -> (DoneMsg, Option<Bytes>) {
+    pub fn from_completion(round: usize, done: ClientCompletion) -> (DoneMsg, Option<Vec<u8>>) {
         let r = done.report;
         let msg = DoneMsg {
             round,
@@ -324,12 +323,7 @@ impl DoneMsg {
             dropped: r.dropped,
             crashed: r.crashed,
             host_us_bits: done.host_us.to_bits(),
-            trace: r
-                .trace
-                .into_events()
-                .into_iter()
-                .map(WireEvent::from_pending)
-                .collect(),
+            trace: r.trace.into_iter().map(WireEvent::from_pending).collect(),
             snapshot: snapshot_client(&done.client),
         };
         (msg, r.wire_update)
@@ -339,7 +333,7 @@ impl DoneMsg {
     /// the in-process one, and `client` — the state the pool kept for this
     /// ordinal — comes home with the shard's snapshot applied, which is
     /// bit-identical to the local state coming home whole.
-    fn into_completion(self, payload: Bytes, mut client: ClientState) -> ClientCompletion {
+    fn into_completion(self, payload: Vec<u8>, mut client: ClientState) -> ClientCompletion {
         apply_snapshot(&mut client, &self.snapshot);
         ClientCompletion {
             ord: self.ord,
@@ -360,12 +354,11 @@ impl DoneMsg {
                 train_loss: f32::from_bits(self.train_loss_bits),
                 dropped: self.dropped,
                 crashed: self.crashed,
-                trace: ClientTraceBuf::from_events(
-                    self.trace
-                        .into_iter()
-                        .map(WireEvent::into_pending)
-                        .collect(),
-                ),
+                trace: self
+                    .trace
+                    .into_iter()
+                    .map(WireEvent::into_pending)
+                    .collect(),
             },
             host_us: f64::from_bits(self.host_us_bits),
         }
@@ -427,7 +420,7 @@ pub fn maybe_run_child() -> bool {
 
 /// Receives the next application message from the child's link.
 /// `Ok(None)` on clean EOF (the coordinator closed the connection).
-fn recv_link(rx: &Receiver<LinkEvent>) -> Result<Option<(ToShard, Bytes)>, ShardError> {
+fn recv_link(rx: &Receiver<LinkEvent>) -> Result<Option<(ToShard, Vec<u8>)>, ShardError> {
     match rx.recv() {
         Err(_) => Err(ShardError::Disconnected),
         Ok(LinkEvent::Frame(frame)) => {
@@ -460,7 +453,7 @@ fn run_child(path: &str) -> Result<(), ShardError> {
     // Hello goes out *before* the world build so the coordinator's
     // handshake bound covers transport latency only, never model or
     // dataset construction time.
-    stream.write_all(encode_message(0, &FromShard::Hello { shard_id }, None)?.as_ref())?;
+    stream.write_all(&encode_message(0, &FromShard::Hello { shard_id }, None)?)?;
     let (tx, rx) = channel::<LinkEvent>();
     let link = Link::new(stream, shard_id, None, move |ev| {
         let _ = tx.send(ev);
@@ -489,7 +482,7 @@ fn run_child_round(
     fl: &FlConfig,
     round: usize,
     items: Vec<WorkItem>,
-    global_payload: &Bytes,
+    global_payload: &[u8],
 ) -> Result<(), ShardError> {
     let layout = &world.layout;
     if global_payload.len() != 4 * layout.total_params() {
@@ -500,7 +493,7 @@ fn run_child_round(
         )));
     }
     let mut global = Vec::with_capacity(layout.total_params());
-    for chunk in global_payload.as_ref().chunks_exact(4) {
+    for chunk in global_payload.chunks_exact(4) {
         global.push(f32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]));
     }
 
@@ -535,7 +528,7 @@ fn run_child_round(
     // root folds at the cut in ordinal order), so this only pins the one
     // thing that does — chaos-test kill points.
     let mut remaining: BTreeSet<usize> = items.iter().map(|i| i.ord).collect();
-    let mut unsent: BTreeMap<usize, (FromShard, Option<Bytes>)> = BTreeMap::new();
+    let mut unsent: BTreeMap<usize, (FromShard, Option<Vec<u8>>)> = BTreeMap::new();
     for _ in 0..items.len() {
         match executor
             .recv()
@@ -574,7 +567,7 @@ struct PoolEvent {
     /// connections are discarded.
     incarnation: u64,
     /// A protocol message with its payload, or why the link went down.
-    body: Result<(FromShard, Bytes), String>,
+    body: Result<(FromShard, Vec<u8>), String>,
 }
 
 #[derive(Default)]
@@ -762,7 +755,7 @@ impl ShardPool {
         };
         let mut handshake = || -> Result<(), ShardError> {
             stream.set_read_timeout(Some(self.fl.shard.io_timeout()))?;
-            stream.write_all(encode_message(0, &init, None)?.as_ref())?;
+            stream.write_all(&encode_message(0, &init, None)?)?;
             match read_handshake::<FromShard>(&mut stream)? {
                 FromShard::Hello { shard_id } if shard_id == s => {}
                 other => {
@@ -894,11 +887,10 @@ impl ShardPool {
         };
         let round = first.plan.round;
         self.round = round;
-        let mut global = BytesMut::with_capacity(4 * first.ctx.global.len());
-        for &v in &first.ctx.global {
-            global.put_f32_le(v);
+        let mut global = Vec::with_capacity(4 * first.ctx.global.len());
+        for v in &first.ctx.global {
+            global.extend_from_slice(&v.to_le_bytes());
         }
-        let global = global.freeze();
 
         let n = self.conns.len();
         let mut by_shard: Vec<Vec<ClientWork>> = (0..n).map(|_| Vec::new()).collect();
@@ -933,7 +925,7 @@ impl ShardPool {
         s: usize,
         round: usize,
         work: &[ClientWork],
-        global: &Bytes,
+        global: &[u8],
     ) -> Result<(), ShardError> {
         if self.conns[s].link.is_none() {
             self.spawn_shard(s)?;
@@ -948,7 +940,7 @@ impl ShardPool {
             })
             .collect();
         let link = self.conns[s].link.as_ref().expect("spawned above");
-        link.send(&ToShard::RoundStart { round, items }, Some(global.clone()))?;
+        link.send(&ToShard::RoundStart { round, items }, Some(global.to_vec()))?;
         Ok(())
     }
 
@@ -1063,7 +1055,7 @@ impl ShardPool {
         shard: usize,
         incarnation: u64,
         msg: FromShard,
-        payload: Bytes,
+        payload: Vec<u8>,
     ) {
         let _ = self.tx.send(PoolEvent {
             shard,
@@ -1153,15 +1145,15 @@ mod tests {
         let frame = Frame {
             kind: crate::transport::FrameKind::Control,
             seq: 1,
-            meta: Bytes::from_static(br#"{"RoundSummary":{"round":0,"n_resolved":1}}"#),
-            payload: Bytes::default(),
+            meta: br#"{"RoundSummary":{"round":0,"n_resolved":1}}"#.to_vec(),
+            payload: Vec::new(),
         };
         assert!(matches!(
             parse_meta::<FromShard>(&frame),
             Err(ShardError::Protocol(_))
         ));
         let hello = Frame {
-            meta: Bytes::from_static(br#"{"Hello":{"shard_id":2}}"#),
+            meta: br#"{"Hello":{"shard_id":2}}"#.to_vec(),
             ..frame
         };
         assert!(matches!(

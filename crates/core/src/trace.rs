@@ -426,44 +426,6 @@ pub struct PendingEvent {
     pub event: TraceEvent,
 }
 
-/// Client-side event buffer. Created only when tracing is enabled; the
-/// `Vec` stays unallocated until the first event, so the fault-free,
-/// trace-free path allocates nothing.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct ClientTraceBuf {
-    events: Vec<PendingEvent>,
-}
-
-impl ClientTraceBuf {
-    /// An empty buffer.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Rebuilds a buffer from previously drained events — the inverse of
-    /// [`into_events`](Self::into_events). Sharded execution uses this to
-    /// reconstitute a client's buffer after it crossed a process boundary,
-    /// so the coordinator's merge sees exactly what an in-process worker
-    /// would have produced.
-    pub fn from_events(events: Vec<PendingEvent>) -> Self {
-        ClientTraceBuf { events }
-    }
-
-    /// Buffers one event at virtual time `time`.
-    pub fn push(&mut self, time: SimTime, event: TraceEvent) {
-        self.events.push(PendingEvent {
-            time,
-            host_us: 0.0,
-            event,
-        });
-    }
-
-    /// Consumes the buffer, returning its events in emission order.
-    pub fn into_events(self) -> Vec<PendingEvent> {
-        self.events
-    }
-}
-
 struct TracerInner {
     sinks: Vec<Box<dyn TraceSink>>,
     /// Built-in ring buffer, always attached when tracing is on.

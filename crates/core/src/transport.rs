@@ -18,7 +18,6 @@
 //!
 //! Threads: one reader per link.
 
-use bytes::{BufMut, Bytes, BytesMut};
 use serde::Serialize;
 use std::io::{BufReader, Write};
 use std::os::unix::net::UnixStream;
@@ -142,9 +141,9 @@ pub struct Frame {
     /// Per-connection, per-direction sequence number.
     pub seq: u64,
     /// Structured header bytes (the shard protocol stores JSON here).
-    pub meta: Bytes,
+    pub meta: Vec<u8>,
     /// Bulk binary payload; empty for everything except [`FrameKind::Update`].
-    pub payload: Bytes,
+    pub payload: Vec<u8>,
 }
 
 /// Frame codec error.
@@ -231,27 +230,23 @@ impl From<std::io::Error> for FrameError {
 }
 
 /// Encodes a frame to bytes, stamping the body checksum into the header.
-pub fn encode_frame(frame: &Frame) -> Bytes {
+pub fn encode_frame(frame: &Frame) -> Vec<u8> {
     debug_assert!(
         frame.kind == FrameKind::Update || frame.payload.is_empty(),
         "only update frames carry a payload"
     );
-    let mut buf =
-        BytesMut::with_capacity(FRAME_HEADER_LEN + frame.meta.len() + frame.payload.len());
-    buf.put_u16_le(FRAME_MAGIC);
-    buf.put_u8(frame.kind.to_u8());
-    buf.put_u64_le(frame.seq);
-    buf.put_u32_le(frame_crc(
-        frame.kind.to_u8(),
-        frame.seq,
-        frame.meta.as_ref(),
-        frame.payload.as_ref(),
-    ));
-    buf.put_u32_le(frame.meta.len() as u32);
-    buf.put_u32_le(frame.payload.len() as u32);
-    buf.put_slice(frame.meta.as_ref());
-    buf.put_slice(frame.payload.as_ref());
-    buf.freeze()
+    let kind = frame.kind.to_u8();
+    let crc = frame_crc(kind, frame.seq, &frame.meta, &frame.payload);
+    let mut buf = Vec::with_capacity(FRAME_HEADER_LEN + frame.meta.len() + frame.payload.len());
+    buf.extend_from_slice(&FRAME_MAGIC.to_le_bytes());
+    buf.push(kind);
+    buf.extend_from_slice(&frame.seq.to_le_bytes());
+    buf.extend_from_slice(&crc.to_le_bytes());
+    buf.extend_from_slice(&(frame.meta.len() as u32).to_le_bytes());
+    buf.extend_from_slice(&(frame.payload.len() as u32).to_le_bytes());
+    buf.extend_from_slice(&frame.meta);
+    buf.extend_from_slice(&frame.payload);
+    buf
 }
 
 /// Parsed fixed-size frame header.
@@ -358,8 +353,8 @@ pub fn read_frame(r: &mut impl std::io::Read, max_len: usize) -> Result<Option<F
     Ok(Some(Frame {
         kind: h.kind,
         seq: h.seq,
-        meta: Bytes::from(meta),
-        payload: Bytes::from(payload),
+        meta,
+        payload,
     }))
 }
 
@@ -424,7 +419,7 @@ impl LinkCore {
     }
 }
 
-fn encode(kind: FrameKind, seq: u64, meta: Bytes, payload: Bytes) -> Bytes {
+fn encode(kind: FrameKind, seq: u64, meta: Vec<u8>, payload: Vec<u8>) -> Vec<u8> {
     encode_frame(&Frame {
         kind,
         seq,
@@ -440,8 +435,8 @@ fn encode(kind: FrameKind, seq: u64, meta: Bytes, payload: Bytes) -> Bytes {
 pub fn encode_message<T: Serialize>(
     seq: u64,
     msg: &T,
-    payload: Option<Bytes>,
-) -> std::io::Result<Bytes> {
+    payload: Option<Vec<u8>>,
+) -> std::io::Result<Vec<u8>> {
     let meta = serde_json::to_string(msg)
         .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
     let payload = payload.unwrap_or_default();
@@ -450,7 +445,7 @@ pub fn encode_message<T: Serialize>(
     } else {
         FrameKind::Update
     };
-    Ok(encode(kind, seq, Bytes::from(meta.into_bytes()), payload))
+    Ok(encode(kind, seq, meta.into_bytes(), payload))
 }
 
 /// One endpoint of a coordinator↔shard connection. See the module docs.
@@ -495,11 +490,11 @@ impl Link {
 
     /// Sends one application message: JSON metadata plus an optional
     /// binary payload, sequenced and checksummed.
-    pub fn send<T: Serialize>(&self, msg: &T, payload: Option<Bytes>) -> std::io::Result<()> {
+    pub fn send<T: Serialize>(&self, msg: &T, payload: Option<Vec<u8>>) -> std::io::Result<()> {
         let mut w = lock(&self.core.writer);
         let bytes = encode_message(w.1, msg, payload)?;
         w.1 += 1;
-        w.0.write_all(bytes.as_ref())
+        w.0.write_all(&bytes)
     }
 }
 
@@ -552,8 +547,12 @@ mod tests {
     }
 
     fn frame(seq: u64) -> Vec<u8> {
-        let meta = Bytes::from(seq.to_string().into_bytes());
-        encode(FrameKind::Update, seq, meta, Bytes::from_static(&[1, 2, 3])).to_vec()
+        encode(
+            FrameKind::Update,
+            seq,
+            seq.to_string().into_bytes(),
+            vec![1, 2, 3],
+        )
     }
 
     /// Everything the link delivers until it goes quiet for 300 ms.
@@ -575,11 +574,11 @@ mod tests {
         let frame = Frame {
             kind: FrameKind::Update,
             seq: 0xDEAD_BEEF_0042,
-            meta: Bytes::from_static(b"{\"x\":1}"),
-            payload: Bytes::from_static(&[1, 2, 3, 4, 5]),
+            meta: b"{\"x\":1}".to_vec(),
+            payload: vec![1, 2, 3, 4, 5],
         };
         let bytes = encode_frame(&frame);
-        let mut cursor = std::io::Cursor::new(bytes.as_ref());
+        let mut cursor = std::io::Cursor::new(&bytes[..]);
         let back = read_frame(&mut cursor, 1 << 20).expect("reads");
         assert_eq!(back, Some(frame));
         assert_eq!(cursor.position() as usize, bytes.len());
@@ -610,12 +609,7 @@ mod tests {
 
     #[test]
     fn frame_truncation_and_bad_magic() {
-        let bytes = encode(
-            FrameKind::Control,
-            3,
-            Bytes::from_static(b"hello"),
-            Bytes::default(),
-        );
+        let bytes = encode(FrameKind::Control, 3, b"hello".to_vec(), Vec::new());
         assert_eq!(
             read_one(&[], 1 << 20),
             Ok(None),
@@ -623,7 +617,7 @@ mod tests {
         );
         for cut in 1..bytes.len() {
             assert_eq!(
-                read_one(&bytes.as_ref()[..cut], 1 << 20),
+                read_one(&bytes[..cut], 1 << 20),
                 Err(FrameError::Truncated),
                 "cut={cut}"
             );
@@ -644,12 +638,12 @@ mod tests {
         let second = Frame {
             kind: FrameKind::Control,
             seq: 12,
-            meta: Bytes::from_static(b"{\"b\":2}"),
-            payload: Bytes::default(),
+            meta: b"{\"b\":2}".to_vec(),
+            payload: Vec::new(),
         };
         let mut stream = frame(11);
         let first_len = stream.len();
-        stream.extend_from_slice(encode_frame(&second).as_ref());
+        stream.extend_from_slice(&encode_frame(&second));
 
         // Corrupt one payload byte of the first frame: typed mismatch with
         // the header's CRC as `expected`. The reader consumes the corrupted
@@ -668,12 +662,7 @@ mod tests {
 
     #[test]
     fn frame_checksum_covers_kind_and_seq() {
-        let good = encode(
-            FrameKind::Control,
-            21,
-            Bytes::from_static(b"x"),
-            Bytes::default(),
-        );
+        let good = encode(FrameKind::Control, 21, b"x".to_vec(), Vec::new());
         // Flip a seq byte: framing still parses, checksum catches it.
         let mut bad_seq = good.to_vec();
         bad_seq[5] ^= 0x01;
@@ -745,13 +734,13 @@ mod tests {
         let (la, rx_a) = link(a, None);
         let (lb, rx_b) = link(b, None);
         for i in 0..40u64 {
-            la.send(&i, (i % 2 == 0).then(|| Bytes::from_static(b"p")))
+            la.send(&i, (i % 2 == 0).then(|| b"p".to_vec()))
                 .expect("a->b");
             lb.send(&(1000 + i), None).expect("b->a");
         }
         let metas = |rx: &Receiver<LinkEvent>| -> Vec<String> {
             let frames = drain(rx).into_iter().map(|ev| match ev {
-                LinkEvent::Frame(f) => String::from_utf8(f.meta.to_vec()).expect("utf-8"),
+                LinkEvent::Frame(f) => String::from_utf8(f.meta).expect("utf-8"),
                 LinkEvent::Down(r) => panic!("healthy link went down: {r}"),
             });
             frames.collect()
@@ -771,7 +760,7 @@ mod tests {
         let sender = std::thread::spawn(move || {
             let (la, _events) = link(a, Some(bound));
             let t0 = Instant::now();
-            let sent = la.send(&0u64, Some(Bytes::from(vec![7u8; 8 << 20])));
+            let sent = la.send(&0u64, Some(vec![7u8; 8 << 20]));
             let _ = tx.send((sent, t0.elapsed()));
         });
         let (sent, took) = rx

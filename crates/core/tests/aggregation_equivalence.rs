@@ -58,7 +58,7 @@ fn wire_form(
     split_mask: u8,
     values: &[Vec<f32>],
     rng: &mut StdRng,
-) -> (bytes::Bytes, Vec<f32>) {
+) -> (Vec<u8>, Vec<f32>) {
     let mut dense = vec![0.0f32; DIM];
     let mut main = UpdateMessage {
         round: 0,
@@ -82,17 +82,10 @@ fn wire_form(
         };
         msg.layers.push((l as u32, payload));
     }
-    let encoded = wire::encode(&main);
-    let joined = if sidecar.layers.is_empty() {
-        encoded
-    } else {
-        let sidecar_bytes = wire::encode(&sidecar);
-        use bytes::BufMut;
-        let mut joined = bytes::BytesMut::with_capacity(encoded.len() + sidecar_bytes.len());
-        joined.put_slice(encoded.as_ref());
-        joined.put_slice(sidecar_bytes.as_ref());
-        joined.freeze()
-    };
+    let mut joined = wire::encode(&main);
+    if !sidecar.layers.is_empty() {
+        joined.extend_from_slice(&wire::encode(&sidecar));
+    }
     (joined, dense)
 }
 
@@ -100,7 +93,7 @@ fn report(
     client_id: usize,
     upload_done: f64,
     weight: f64,
-    wire_update: bytes::Bytes,
+    wire_update: Vec<u8>,
 ) -> ClientRoundReport {
     ClientRoundReport {
         client_id,

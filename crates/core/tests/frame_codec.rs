@@ -6,7 +6,6 @@
 //! decoder, so every case reads through it, over a `Cursor` standing in for
 //! the socket.
 
-use bytes::Bytes;
 use fedca_core::transport::{
     encode_frame, read_frame, Frame, FrameError, FrameKind, FRAME_HEADER_LEN, FRAME_MAGIC,
 };
@@ -23,15 +22,15 @@ fn arb_frame(seq: u64, meta: Vec<u8>, payload: Vec<u8>, control: bool) -> Frame 
         Frame {
             kind: FrameKind::Control,
             seq,
-            meta: Bytes::from(meta),
-            payload: Bytes::default(),
+            meta,
+            payload: Vec::new(),
         }
     } else {
         Frame {
             kind: FrameKind::Update,
             seq,
-            meta: Bytes::from(meta),
-            payload: Bytes::from(payload),
+            meta,
+            payload,
         }
     }
 }
@@ -52,7 +51,7 @@ proptest! {
             bytes.len(),
             FRAME_HEADER_LEN + frame.meta.len() + frame.payload.len()
         );
-        let mut cursor = Cursor::new(bytes.as_ref());
+        let mut cursor = Cursor::new(&bytes[..]);
         let streamed = read_frame(&mut cursor, 1 << 20).expect("own frame reads");
         prop_assert_eq!(streamed.as_ref(), Some(&frame));
         prop_assert_eq!(cursor.position() as usize, bytes.len());
@@ -69,7 +68,7 @@ proptest! {
         let frame = arb_frame(42, meta, payload, false);
         let bytes = encode_frame(&frame);
         for cut in 0..bytes.len() {
-            let streamed = read_one(&bytes.as_ref()[..cut], 1 << 20);
+            let streamed = read_one(&bytes[..cut], 1 << 20);
             if cut == 0 {
                 prop_assert!(matches!(streamed, Ok(None)), "empty stream is clean EOF");
             } else {
@@ -95,7 +94,7 @@ proptest! {
     ) {
         let frame = arb_frame(seq, meta, payload, false);
         let good = encode_frame(&frame);
-        let mut bytes = good.as_ref().to_vec();
+        let mut bytes = good.clone();
         let pos = pos_pick % bytes.len();
         bytes[pos] ^= flip as u8;
         match read_one(&bytes, 1 << 20) {
@@ -127,14 +126,14 @@ proptest! {
         let frame = arb_frame(seq, meta, payload, false);
         let follower = arb_frame(seq.wrapping_add(1), vec![1, 2], Vec::new(), true);
         let good = encode_frame(&frame);
-        let mut bytes = good.as_ref().to_vec();
+        let mut bytes = good.clone();
         // Eligible positions: seq [3, 11), crc [11, 15), body [23, len).
         let mut eligible: Vec<usize> = (3..15).collect();
         eligible.extend(FRAME_HEADER_LEN..bytes.len());
         let pos = eligible[pos_pick % eligible.len()];
         bytes[pos] ^= flip as u8;
         // The corrupt frame's body is fully consumed; the follower decodes.
-        bytes.extend_from_slice(encode_frame(&follower).as_ref());
+        bytes.extend_from_slice(&encode_frame(&follower));
         let mut cursor = Cursor::new(bytes);
         match read_frame(&mut cursor, 1 << 20) {
             Err(FrameError::ChecksumMismatch { expected, actual }) => {
@@ -192,7 +191,7 @@ proptest! {
         // Deliver B, then A twice: out of order and duplicated.
         let mut stream = Vec::new();
         for f in [&b, &a, &a] {
-            stream.extend_from_slice(encode_frame(f).as_ref());
+            stream.extend_from_slice(&encode_frame(f));
         }
         let mut cursor = Cursor::new(stream);
         let got_b = read_frame(&mut cursor, 1 << 20).expect("B").expect("B present");
@@ -231,7 +230,7 @@ fn control_frames_with_payloads_are_malformed() {
 fn bad_magic_and_unknown_kind_are_typed() {
     let frame = arb_frame(17, vec![9, 9], vec![7], false);
     let good = encode_frame(&frame);
-    let mut bad_magic = good.as_ref().to_vec();
+    let mut bad_magic = good.clone();
     bad_magic[0] ^= 0xFF;
     let claimed = u16::from_le_bytes([bad_magic[0], bad_magic[1]]);
     assert_eq!(
@@ -241,7 +240,7 @@ fn bad_magic_and_unknown_kind_are_typed() {
     // 2 was the retired acknowledgement kind, 3 and 4 the retired
     // heartbeat's ping and pong: unknown like any other.
     for kind in 2u8..=255 {
-        let mut bad_kind = good.as_ref().to_vec();
+        let mut bad_kind = good.clone();
         bad_kind[2] = kind;
         assert_eq!(
             read_one(&bad_kind, 1 << 20).unwrap_err(),
@@ -249,7 +248,7 @@ fn bad_magic_and_unknown_kind_are_typed() {
         );
     }
     // The payloadless kind with the Update frame's payload: structural.
-    let mut bad_kind = good.as_ref().to_vec();
+    let mut bad_kind = good.clone();
     bad_kind[2] = 0;
     assert_eq!(
         read_one(&bad_kind, 1 << 20).unwrap_err(),

@@ -7,7 +7,6 @@
 //! complete like any other — then the shard respawns lazily on the next
 //! round that routes it work.
 
-use bytes::Bytes;
 use fedca_core::client::RoundPlan;
 use fedca_core::config::FlConfig;
 use fedca_core::executor::{ClientDone, ClientWork, RoundCtx};
@@ -218,7 +217,7 @@ fn a_hello_after_the_handshake_is_a_protocol_fault() {
         .expect("dispatch on a healthy pool");
     let inc = fx.pool.incarnation_for_test(0);
     fx.pool
-        .inject_msg_for_test(0, inc, FromShard::Hello { shard_id: 0 }, Bytes::default());
+        .inject_msg_for_test(0, inc, FromShard::Hello { shard_id: 0 }, Vec::new());
     let ords = drain_completed(&mut fx.pool, N, "every ordinal must complete");
     assert_eq!(ords, (0..N).collect::<BTreeSet<_>>());
     let quarantines: Vec<_> = fx
@@ -252,7 +251,7 @@ fn injected_duplicate_and_stale_frames_never_double_resolve_an_ordinal() {
     fx.pool
         .begin_round(fx.work(0, N))
         .expect("dispatch on a healthy pool");
-    let mut captured: Vec<(DoneMsg, Bytes)> = Vec::new();
+    let mut captured: Vec<(DoneMsg, Vec<u8>)> = Vec::new();
     for _ in 0..N {
         match fx
             .pool
@@ -295,7 +294,7 @@ fn injected_duplicate_and_stale_frames_never_double_resolve_an_ordinal() {
                         client_id: msg.client_id,
                         panic_msg: "ghost failure".into(),
                     },
-                    Bytes::default(),
+                    Vec::new(),
                 );
             } else {
                 fx.pool

@@ -3,6 +3,9 @@
 //! Under the paper's setup the server waits for the earliest
 //! `aggregation_fraction` (90%) of the selected clients' uploads and
 //! discards the stragglers' updates (§5.1, FedAvg's partial aggregation).
+//! [`round_completion_time`] is the one definition of that cut: the
+//! server's aggregator calls it once per round, at close, over one arrival
+//! per selected client (`+inf` for a client whose upload never counts).
 
 use crate::SimTime;
 
@@ -46,98 +49,6 @@ pub fn aggregated_clients(arrivals: &[SimTime], fraction: f64) -> Vec<usize> {
         .collect()
 }
 
-/// Incremental form of [`round_completion_time`]: arrivals are observed one
-/// at a time (in whatever order client uploads complete) and the completion
-/// cut can be read at any point.
-///
-/// Maintains the arrivals in sorted order, so the cut is the same value the
-/// batch helper computes over the full slice — streaming ingestion order
-/// never changes the result.
-#[derive(Clone, Debug)]
-pub struct ArrivalCut {
-    fraction: f64,
-    sorted: Vec<SimTime>,
-}
-
-impl ArrivalCut {
-    /// Creates an empty cut tracker.
-    ///
-    /// # Panics
-    /// Panics if `fraction` is outside `(0, 1]`.
-    pub fn new(fraction: f64) -> Self {
-        assert!(
-            fraction > 0.0 && fraction <= 1.0,
-            "aggregation fraction must be in (0, 1], got {fraction}"
-        );
-        ArrivalCut {
-            fraction,
-            sorted: Vec::new(),
-        }
-    }
-
-    /// Like [`ArrivalCut::new`], with room for `n` arrivals reserved up
-    /// front so [`observe`](ArrivalCut::observe) never reallocates when the
-    /// arrival count is known (the server's ingest hot path).
-    ///
-    /// # Panics
-    /// Panics if `fraction` is outside `(0, 1]`.
-    pub fn with_capacity(fraction: f64, n: usize) -> Self {
-        let mut cut = Self::new(fraction);
-        cut.sorted.reserve(n);
-        cut
-    }
-
-    /// Records one upload arrival (`+inf` for clients that dropped out).
-    ///
-    /// # Panics
-    /// Panics on NaN arrival times.
-    pub fn observe(&mut self, arrival: SimTime) {
-        assert!(!arrival.is_nan(), "NaN arrival time");
-        let pos = self.sorted.partition_point(|&t| {
-            t.partial_cmp(&arrival).expect("non-NaN") == std::cmp::Ordering::Less
-        });
-        self.sorted.insert(pos, arrival);
-    }
-
-    /// Arrivals observed so far.
-    pub fn len(&self) -> usize {
-        self.sorted.len()
-    }
-
-    /// Whether no arrivals have been observed.
-    pub fn is_empty(&self) -> bool {
-        self.sorted.is_empty()
-    }
-
-    /// Arrivals that actually happened (finite times) — dropped, crashed,
-    /// and failed clients report `+inf` and are excluded.
-    pub fn finite_count(&self) -> usize {
-        // `sorted` is ascending, so finite arrivals form a prefix.
-        self.sorted.partition_point(|t| t.is_finite())
-    }
-
-    /// The completion time over the arrivals observed so far — identical to
-    /// [`round_completion_time`] on the same multiset of arrivals.
-    ///
-    /// # Panics
-    /// Panics if no arrival has been observed, or every arrival is `+inf`.
-    pub fn completion_time(&self) -> SimTime {
-        assert!(!self.sorted.is_empty(), "no client arrivals");
-        let k = ((self.sorted.len() as f64 * self.fraction).ceil() as usize)
-            .clamp(1, self.sorted.len());
-        let t = self.sorted[k - 1];
-        if t.is_finite() {
-            return t;
-        }
-        self.sorted
-            .iter()
-            .rev()
-            .find(|t| t.is_finite())
-            .copied()
-            .expect("at least one client must finish the round")
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -179,50 +90,5 @@ mod tests {
     #[should_panic(expected = "fraction")]
     fn rejects_zero_fraction() {
         let _ = round_completion_time(&[1.0], 0.0);
-    }
-
-    #[test]
-    fn arrival_cut_matches_batch_helper_in_any_order() {
-        let arrivals = [4.0, 1.0, f64::INFINITY, 2.0, 3.0, 2.0];
-        for fraction in [0.3, 0.5, 0.9, 1.0] {
-            // Ingest in several different orders; all must agree with the
-            // batch computation over the full slice.
-            for rotation in 0..arrivals.len() {
-                let mut cut = ArrivalCut::new(fraction);
-                for i in 0..arrivals.len() {
-                    cut.observe(arrivals[(i + rotation) % arrivals.len()]);
-                }
-                assert_eq!(cut.len(), arrivals.len());
-                assert_eq!(
-                    cut.completion_time(),
-                    round_completion_time(&arrivals, fraction),
-                    "fraction {fraction}, rotation {rotation}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn finite_count_excludes_lost_arrivals() {
-        let mut cut = ArrivalCut::new(0.9);
-        assert_eq!(cut.finite_count(), 0);
-        cut.observe(f64::INFINITY);
-        cut.observe(2.0);
-        cut.observe(f64::INFINITY);
-        cut.observe(1.0);
-        assert_eq!(cut.len(), 4);
-        assert_eq!(cut.finite_count(), 2);
-    }
-
-    #[test]
-    fn arrival_cut_is_readable_after_every_observation() {
-        let mut cut = ArrivalCut::new(0.9);
-        assert!(cut.is_empty());
-        let mut seen = Vec::new();
-        for t in [5.0, 1.0, 3.0, f64::INFINITY] {
-            cut.observe(t);
-            seen.push(t);
-            assert_eq!(cut.completion_time(), round_completion_time(&seen, 0.9));
-        }
     }
 }

@@ -143,7 +143,6 @@ fn eager_transmissions_overlap_with_compute_on_the_uplink() {
     // mechanism exists for)...
     let sends: Vec<(f64, f64)> = r1
         .trace
-        .into_events()
         .into_iter()
         .filter_map(|e| match e.event {
             TraceEvent::EagerTransmit { bytes, .. } => Some((e.time, bytes)),
