@@ -13,6 +13,16 @@ cd "$(dirname "$0")/.."
 echo "== cargo fmt --check"
 cargo fmt --all -- --check
 
+# The vendored `bytes`, `parking_lot` and `crossbeam` shims have no user
+# left; their manifest edges stay only so that neither lockfile moves. No
+# source file may start using one again.
+echo "== no source uses a dead shim (bytes, parking_lot, crossbeam)"
+if grep -rnE --include='*.rs' --exclude-dir=target '\bbytes::|parking_lot|crossbeam' \
+  crates src tests examples; then
+  echo "dead shims: the lines above use bytes, parking_lot or crossbeam" >&2
+  exit 1
+fi
+
 if cargo clippy --version >/dev/null 2>&1; then
   echo "== cargo clippy -D warnings"
   cargo clippy --workspace --all-targets -- -D warnings
