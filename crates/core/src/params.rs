@@ -1,9 +1,12 @@
 //! Flat update vectors with per-layer spans, and FedAvg aggregation.
 //!
-//! Everything clients and server exchange is an [`UpdateVec`]: a flat `f32`
-//! vector whose layout (`ModelLayout`) names each parameter tensor's span.
-//! FedCA's per-layer machinery (progress, eager transmission) slices these
-//! spans; aggregation is a sample-count-weighted mean of client updates.
+//! An [`UpdateVec`] is a flat `f32` vector whose layout (`ModelLayout`)
+//! names each parameter tensor's span. The server's global model is one,
+//! and [`aggregate`] — a sample-count-weighted mean of dense client updates
+//! — is the reference the server's fold is held to bit for bit. Uploads
+//! are not `UpdateVec`s: they travel as wire bytes
+//! (`ClientRoundReport::wire_update`). FedCA's per-layer machinery
+//! (progress, eager transmission) slices these spans.
 
 use fedca_nn::model::ParamSpan;
 use serde::{Deserialize, Serialize};
