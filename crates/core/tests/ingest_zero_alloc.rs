@@ -2,10 +2,11 @@
 //!
 //! A counting global allocator wraps `System`; after one warm-up round
 //! sizes the server's update arena (per-ordinal staging vectors, segment
-//! maps, fold buffer) and the arrival cut's reserved vector, ingesting a
-//! full cohort of wire-carrying reports — structural decode, dense
-//! staging, packed-span recording, and the non-finite scan — must perform
-//! ZERO heap allocations.
+//! maps, fold buffer), ingesting a full cohort of wire-carrying reports —
+//! structural decode, dense staging, packed-span recording, and the
+//! non-finite scan — must perform ZERO heap allocations. (The round's
+//! per-ordinal report slots are allocated by `begin_round`, before the
+//! count starts.)
 //!
 //! Everything runs inside ONE `#[test]` — libtest runs tests on parallel
 //! threads by default, and a second test's allocations would pollute the

@@ -13,12 +13,22 @@
 //!
 //! * `max_abs` maxes non-negative floats — exact, order-free — and both
 //!   paths ignore NaN inputs (`f32::max` returns the other operand on NaN;
-//!   the vector loop keeps the accumulator in `maxps`'s NaN-losing slot).
+//!   the vector loops keep the accumulator in `maxps`'s NaN-losing slot).
 //! * `quantize_levels` rounds half away from zero like `f32::round`. The
-//!   vector tier computes round-to-nearest-even and then bumps exact halves
+//!   vector tiers compute round-to-nearest-even and then bump exact halves
 //!   by `copysign(1, t)`; the `t − rte` probe is exact (Sterbenz), so the
 //!   bump fires precisely on the ties. NaN survives the signed clamp (limit
 //!   operands first) and converts to level 0, matching scalar `NaN as i8`.
+//! * The decode is `level / num_levels · scale`. The scalar tier divides;
+//!   the vector tiers compute the same quotient without a division: with
+//!   `r = RN(1/L)` and `q = RN(level · r)`, one `fnmadd` gives the residual
+//!   `level − q·L` and one `fmadd` gives `q + residual · r`. That equals the
+//!   correctly rounded `level / L` for every level in −128..=127 and every
+//!   `L` in 1..=255 — the whole domain an 8-bit field decodes to, which
+//!   `dataplane_parity` checks exhaustively against the scalar division
+//!   (`L = 0` panics on every tier: there the division gives ±inf/NaN and
+//!   the correction NaN). The FMAs compute the
+//!   quotient only; `· scale` and the accumulation stay separate roundings.
 //! * `axpy` and the fused `axpy_quantized` are mul-then-add — this rule has
 //!   no FMA, unlike the GEMM's — because `y + alpha * x` rounds the product
 //!   before the sum.
@@ -26,9 +36,14 @@
 //!   span exactly `width` bytes, which is what the u64-blocked fast paths
 //!   exploit.
 //!
-//! Only AVX2 has vector implementations, and the AVX-512 tier runs them
-//! too (it widens only the GEMM tile); every other target runs the scalar
-//! path, which is free precisely because the contract is bit-identity.
+//! The AVX-512 tier has 512-bit bodies for the int8 upload path: the scale
+//! scan (four independent 16-lane chains), the quantizer, and the decoder
+//! and fused fold on 8-bit fields (16 bytes sign-extended per step). They
+//! use AVX-512F alone — the one feature `Kernel::Avx512` checks — so the
+//! float sign masks run as integer and/or. Narrower fields, `axpy`,
+//! `all_finite` and packing run their AVX2 bodies under that tier. Every
+//! other target runs the scalar path, which is free precisely because the
+//! contract is bit-identity.
 
 use crate::gemm::{active_kernel, Kernel};
 
@@ -39,11 +54,20 @@ pub fn packed_len(n: usize, width: u32) -> usize {
 
 /// Max of `|x_i|` over the slice, `0.0` when empty. NaN elements are
 /// ignored (as `f32::max` does); the result is NaN-free and non-negative.
+///
+/// # Panics
+/// Panics if `kernel` is unavailable on this host.
 pub fn max_abs_on(kernel: Kernel, x: &[f32]) -> f32 {
+    kernel.assert_available();
+    #[cfg(target_arch = "x86_64")]
+    if kernel == Kernel::Avx512 {
+        // SAFETY: the assert above confirmed avx512f, avx2 and fma at
+        // runtime (`Kernel::is_available`).
+        return unsafe { avx512::max_abs(x) };
+    }
     #[cfg(target_arch = "x86_64")]
     if kernel.has_avx2() {
-        // SAFETY: a tier that has avx2 is only selectable when runtime
-        // detection confirmed avx2+fma (see `gemm::detect_kernel`).
+        // SAFETY: the assert above confirmed avx2 and fma at runtime.
         return unsafe { avx2::max_abs(x) };
     }
     let _ = kernel;
@@ -60,14 +84,24 @@ pub fn max_abs(x: &[f32]) -> f32 {
 /// from zero exactly like `f32::round`.
 ///
 /// # Panics
-/// Panics if the slices differ in length or `scale == 0` (callers handle
-/// the zero-vector case by emitting all-zero levels).
+/// Panics if the slices differ in length, `scale == 0` (callers handle
+/// the zero-vector case by emitting all-zero levels), `num_levels` is 0 or
+/// above 127 (a level must fit `i8`: the scalar cast saturates where the
+/// vector stores truncate) or `kernel` is unavailable on this host.
 pub fn quantize_levels_on(kernel: Kernel, x: &[f32], scale: f32, num_levels: u8, out: &mut [i8]) {
     assert_eq!(x.len(), out.len(), "quantize_levels: length mismatch");
     assert!(scale != 0.0, "quantize_levels: zero scale");
+    assert!(num_levels != 0, "quantize_levels: zero num_levels");
+    assert!(num_levels <= 127, "quantize_levels: num_levels above 127");
+    kernel.assert_available();
+    #[cfg(target_arch = "x86_64")]
+    if kernel == Kernel::Avx512 {
+        // SAFETY: the availability assert above (see `max_abs_on`).
+        return unsafe { avx512::quantize_levels(x, scale, num_levels, out) };
+    }
     #[cfg(target_arch = "x86_64")]
     if kernel.has_avx2() {
-        // SAFETY: tier availability checked at dispatch (see `max_abs_on`).
+        // SAFETY: the availability assert above (see `max_abs_on`).
         return unsafe { avx2::quantize_levels(x, scale, num_levels, out) };
     }
     let _ = kernel;
@@ -136,8 +170,10 @@ pub fn unpack_levels(packed: &[u8], num_levels: u8, width: u32, out: &mut [i8]) 
 /// intermediate: `out[i] = unpack(i) / num_levels · scale`.
 ///
 /// # Panics
-/// Panics if `width` is outside `[1, 8]` or `packed` is shorter than
-/// [`packed_len`] bytes.
+/// Panics if `width` is outside `[1, 8]`, `num_levels == 0` (the vector
+/// tiers' division-free quotient equals the division only for
+/// `num_levels ≥ 1`; see the module header), `packed` is shorter than
+/// [`packed_len`] bytes or `kernel` is unavailable on this host.
 pub fn dequantize_packed_on(
     kernel: Kernel,
     packed: &[u8],
@@ -150,13 +186,20 @@ pub fn dequantize_packed_on(
         (1..=8).contains(&width),
         "dequantize_packed: width out of range"
     );
+    assert!(num_levels != 0, "dequantize_packed: zero num_levels");
     assert!(
         packed.len() >= packed_len(out.len(), width),
         "dequantize_packed: packed buffer too short"
     );
+    kernel.assert_available();
+    #[cfg(target_arch = "x86_64")]
+    if kernel == Kernel::Avx512 {
+        // SAFETY: the availability assert above (see `max_abs_on`).
+        return unsafe { avx512::dequantize_packed(packed, scale, num_levels, width, out) };
+    }
     #[cfg(target_arch = "x86_64")]
     if kernel.has_avx2() {
-        // SAFETY: tier availability checked at dispatch (see `max_abs_on`).
+        // SAFETY: the availability assert above (see `max_abs_on`).
         return unsafe { avx2::dequantize_packed(packed, scale, num_levels, width, out) };
     }
     let _ = kernel;
@@ -171,12 +214,14 @@ pub fn dequantize_packed(packed: &[u8], scale: f32, num_levels: u8, width: u32, 
 /// `y += alpha * x`, mul-then-add per element (bit-identical across tiers).
 ///
 /// # Panics
-/// Panics if the slices differ in length.
+/// Panics if the slices differ in length or `kernel` is unavailable on
+/// this host.
 pub fn axpy_on(kernel: Kernel, alpha: f32, x: &[f32], y: &mut [f32]) {
     assert_eq!(x.len(), y.len(), "axpy: length mismatch");
+    kernel.assert_available();
     #[cfg(target_arch = "x86_64")]
     if kernel.has_avx2() {
-        // SAFETY: tier availability checked at dispatch (see `max_abs_on`).
+        // SAFETY: the availability assert above (see `max_abs_on`).
         return unsafe { avx2::axpy(alpha, x, y) };
     }
     let _ = kernel;
@@ -194,8 +239,9 @@ pub fn axpy(alpha: f32, x: &[f32], y: &mut [f32]) {
 /// intermediate. Bit-identical to `unpack → dequantize → axpy`.
 ///
 /// # Panics
-/// Panics if `width` is outside `[1, 8]` or `packed` is shorter than
-/// [`packed_len`] bytes for `y.len()` fields.
+/// Panics if `width` is outside `[1, 8]`, `num_levels == 0` (as
+/// [`dequantize_packed_on`]), `packed` is shorter than [`packed_len`]
+/// bytes for `y.len()` fields or `kernel` is unavailable on this host.
 pub fn axpy_quantized_on(
     kernel: Kernel,
     alpha: f32,
@@ -209,13 +255,20 @@ pub fn axpy_quantized_on(
         (1..=8).contains(&width),
         "axpy_quantized: width out of range"
     );
+    assert!(num_levels != 0, "axpy_quantized: zero num_levels");
     assert!(
         packed.len() >= packed_len(y.len(), width),
         "axpy_quantized: packed buffer too short"
     );
+    kernel.assert_available();
+    #[cfg(target_arch = "x86_64")]
+    if kernel == Kernel::Avx512 {
+        // SAFETY: the availability assert above (see `max_abs_on`).
+        return unsafe { avx512::axpy_quantized(alpha, scale, num_levels, width, packed, y) };
+    }
     #[cfg(target_arch = "x86_64")]
     if kernel.has_avx2() {
-        // SAFETY: tier availability checked at dispatch (see `max_abs_on`).
+        // SAFETY: the availability assert above (see `max_abs_on`).
         return unsafe { avx2::axpy_quantized(alpha, scale, num_levels, width, packed, y) };
     }
     let _ = kernel;
@@ -235,10 +288,14 @@ pub fn axpy_quantized(
 }
 
 /// Whether every element is finite — the aggregator's poison scan.
+///
+/// # Panics
+/// Panics if `kernel` is unavailable on this host.
 pub fn all_finite_on(kernel: Kernel, x: &[f32]) -> bool {
+    kernel.assert_available();
     #[cfg(target_arch = "x86_64")]
     if kernel.has_avx2() {
-        // SAFETY: tier availability checked at dispatch (see `max_abs_on`).
+        // SAFETY: the availability assert above (see `max_abs_on`).
         return unsafe { avx2::all_finite(x) };
     }
     let _ = kernel;
@@ -392,6 +449,9 @@ mod blocked {
     }
 }
 
+/// # Safety
+/// Every `pub unsafe fn` here needs avx2 and fma on the running CPU; the
+/// dispatchers above check it with `Kernel::assert_available`.
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
     use std::arch::x86_64::*;
@@ -443,6 +503,27 @@ mod avx2 {
     #[inline(always)]
     unsafe fn truncate_i8(iv: __m256i) -> __m256i {
         _mm256_srai_epi32::<24>(_mm256_slli_epi32::<24>(iv))
+    }
+
+    /// The levels of eight `width`-bit fields from field `p` (a multiple of
+    /// 8), as floats: one u64 word unpacked, recentered, cast to `i8`.
+    #[inline(always)]
+    unsafe fn word_levels(packed: &[u8], p: usize, width: u32, voff: __m256i) -> __m256 {
+        let wbytes = width as usize;
+        let word = u64::from_le_bytes(packed[p / 8 * wbytes..][..8].try_into().unwrap());
+        let mask = (1u32 << width) - 1;
+        _mm256_cvtepi32_ps(truncate_i8(_mm256_sub_epi32(
+            unpack8(word, width, mask),
+            voff,
+        )))
+    }
+
+    /// `level / L` with no division (module header): `r = RN(1/L)`,
+    /// `q = level · r`, then `q + fma(−q, L, level) · r`.
+    #[inline(always)]
+    unsafe fn quotient(level: __m256, vl: __m256, vr: __m256) -> __m256 {
+        let q = _mm256_mul_ps(level, vr);
+        _mm256_fmadd_ps(_mm256_fnmadd_ps(q, vl, level), vr, q)
     }
 
     #[target_feature(enable = "avx2", enable = "fma")]
@@ -519,23 +600,22 @@ mod avx2 {
         out: &mut [f32],
     ) {
         let n = out.len();
-        let mask: u32 = (1 << width) - 1;
-        let wbytes = width as usize;
         let l = num_levels as f32;
-        let vl = _mm256_set1_ps(l);
-        let vs = _mm256_set1_ps(scale);
-        let voff = _mm256_set1_epi32(num_levels as i32);
+        let (vl, vr, vs) = (
+            _mm256_set1_ps(l),
+            _mm256_set1_ps(1.0 / l),
+            _mm256_set1_ps(scale),
+        );
+        let dst = out.as_mut_ptr();
         let mut p = 0;
-        while p + 8 <= n && p / 8 * wbytes + 8 <= packed.len() {
-            let word = u64::from_le_bytes(packed[p / 8 * wbytes..][..8].try_into().unwrap());
-            let lev = truncate_i8(_mm256_sub_epi32(unpack8(word, width, mask), voff));
-            let f = _mm256_cvtepi32_ps(lev);
-            let r = _mm256_mul_ps(_mm256_div_ps(f, vl), vs);
-            _mm256_storeu_ps(out.as_mut_ptr().add(p), r);
+        let voff = _mm256_set1_epi32(num_levels as i32);
+        while p + 8 <= n && p / 8 * width as usize + 8 <= packed.len() {
+            let lev = word_levels(packed, p, width, voff);
+            _mm256_storeu_ps(dst.add(p), _mm256_mul_ps(quotient(lev, vl, vr), vs));
             p += 8;
         }
         super::scalar::dequantize_packed(
-            &packed[p / 8 * wbytes..],
+            &packed[p / 8 * width as usize..],
             scale,
             num_levels,
             width,
@@ -573,22 +653,21 @@ mod avx2 {
         y: &mut [f32],
     ) {
         let n = y.len();
-        let mask: u32 = (1 << width) - 1;
-        let wbytes = width as usize;
         let l = num_levels as f32;
+        let (vl, vr, vs) = (
+            _mm256_set1_ps(l),
+            _mm256_set1_ps(1.0 / l),
+            _mm256_set1_ps(scale),
+        );
         let va = _mm256_set1_ps(alpha);
-        let vl = _mm256_set1_ps(l);
-        let vs = _mm256_set1_ps(scale);
-        let voff = _mm256_set1_epi32(num_levels as i32);
+        let dst = y.as_mut_ptr();
         let mut p = 0;
-        while p + 8 <= n && p / 8 * wbytes + 8 <= packed.len() {
-            let word = u64::from_le_bytes(packed[p / 8 * wbytes..][..8].try_into().unwrap());
-            let lev = truncate_i8(_mm256_sub_epi32(unpack8(word, width, mask), voff));
-            let f = _mm256_cvtepi32_ps(lev);
-            let xq = _mm256_mul_ps(_mm256_div_ps(f, vl), vs);
-            let yv = _mm256_loadu_ps(y.as_ptr().add(p));
-            let r = _mm256_add_ps(yv, _mm256_mul_ps(va, xq));
-            _mm256_storeu_ps(y.as_mut_ptr().add(p), r);
+        let voff = _mm256_set1_epi32(num_levels as i32);
+        while p + 8 <= n && p / 8 * width as usize + 8 <= packed.len() {
+            let lev = word_levels(packed, p, width, voff);
+            let xq = _mm256_mul_ps(quotient(lev, vl, vr), vs);
+            let r = _mm256_add_ps(_mm256_loadu_ps(dst.add(p)), _mm256_mul_ps(va, xq));
+            _mm256_storeu_ps(dst.add(p), r);
             p += 8;
         }
         super::scalar::axpy_quantized(
@@ -596,7 +675,7 @@ mod avx2 {
             scale,
             num_levels,
             width,
-            &packed[p / 8 * wbytes..],
+            &packed[p / 8 * width as usize..],
             &mut y[p..],
         );
     }
@@ -620,6 +699,165 @@ mod avx2 {
             return false;
         }
         x[p..].iter().all(|v| v.is_finite())
+    }
+}
+
+/// 512-bit bodies of the int8 upload path, AVX-512F intrinsics only (plus
+/// the AVX2 bodies they hand narrower fields to). Each repeats its AVX2
+/// body's sequence on 16 lanes; see the module header.
+///
+/// # Safety
+/// Every `pub unsafe fn` here needs avx512f, avx2 and fma on the running
+/// CPU; the dispatchers above check it with `Kernel::assert_available`.
+#[cfg(target_arch = "x86_64")]
+mod avx512 {
+    use std::arch::x86_64::*;
+
+    /// The levels of sixteen 8-bit fields at `src`, as floats. The byte
+    /// subtraction of `num_levels` wraps and the sign extension reads the
+    /// result as `i8`: the scalar `(u − L) as i8`.
+    #[inline(always)]
+    unsafe fn byte_levels(src: *const u8, voff: __m128i) -> __m512 {
+        let b = _mm_loadu_si128(src as *const __m128i);
+        _mm512_cvtepi32_ps(_mm512_cvtepi8_epi32(_mm_sub_epi8(b, voff)))
+    }
+
+    /// `level / L` with no division, as `avx2::quotient`.
+    #[inline(always)]
+    unsafe fn quotient(level: __m512, vl: __m512, vr: __m512) -> __m512 {
+        let q = _mm512_mul_ps(level, vr);
+        _mm512_fmadd_ps(_mm512_fnmadd_ps(q, vl, level), vr, q)
+    }
+
+    /// `|x|` of sixteen floats from `src`, maxed into `acc` (accumulator
+    /// second, so NaN elements are ignored as in `avx2::max_abs`).
+    #[inline(always)]
+    unsafe fn max_abs16(acc: __m512, src: *const f32) -> __m512 {
+        _mm512_max_ps(_mm512_abs_ps(_mm512_loadu_ps(src)), acc)
+    }
+
+    #[target_feature(enable = "avx512f")]
+    pub unsafe fn max_abs(x: &[f32]) -> f32 {
+        let n = x.len();
+        let src = x.as_ptr();
+        // Four independent chains: one `maxps` chain is latency-bound.
+        let (mut a0, mut a1, mut a2, mut a3) = (
+            _mm512_setzero_ps(),
+            _mm512_setzero_ps(),
+            _mm512_setzero_ps(),
+            _mm512_setzero_ps(),
+        );
+        let mut p = 0;
+        while p + 64 <= n {
+            a0 = max_abs16(a0, src.add(p));
+            a1 = max_abs16(a1, src.add(p + 16));
+            a2 = max_abs16(a2, src.add(p + 32));
+            a3 = max_abs16(a3, src.add(p + 48));
+            p += 64;
+        }
+        while p + 16 <= n {
+            a0 = max_abs16(a0, src.add(p));
+            p += 16;
+        }
+        // Lanes are NaN-free and non-negative; max over them is exact and
+        // order-free, so the reduction order cannot matter.
+        let acc = _mm512_max_ps(_mm512_max_ps(a0, a1), _mm512_max_ps(a2, a3));
+        let m = _mm512_reduce_max_ps(acc);
+        x[p..].iter().fold(m, |m, v| m.max(v.abs()))
+    }
+
+    #[target_feature(enable = "avx512f")]
+    pub unsafe fn quantize_levels(x: &[f32], scale: f32, num_levels: u8, out: &mut [i8]) {
+        let n = x.len();
+        let l = num_levels as f32;
+        let (vs, vl, vnl) = (_mm512_set1_ps(scale), _mm512_set1_ps(l), _mm512_set1_ps(-l));
+        // Float and/or are AVX-512DQ, so the sign copies are integer ops.
+        let sign_mask = _mm512_set1_epi32(i32::MIN);
+        let half = _mm512_set1_epi32(0.5f32.to_bits() as i32);
+        let one = _mm512_set1_epi32(1.0f32.to_bits() as i32);
+        let mut p = 0;
+        while p + 16 <= n {
+            let v = _mm512_loadu_ps(x.as_ptr().add(p));
+            let t = _mm512_mul_ps(_mm512_div_ps(v, vs), vl);
+            // Round half to even, then bump the exact ties away from zero
+            // (`avx2::quantize_levels` has the argument).
+            let rte = _mm512_roundscale_ps::<{ _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC }>(t);
+            let tsign = _mm512_and_si512(_mm512_castps_si512(t), sign_mask);
+            let signed_half = _mm512_castsi512_ps(_mm512_or_si512(half, tsign));
+            let is_half = _mm512_cmp_ps_mask::<_CMP_EQ_OQ>(_mm512_sub_ps(t, rte), signed_half);
+            let signed_one = _mm512_castsi512_ps(_mm512_or_si512(one, tsign));
+            let rounded = _mm512_mask_add_ps(rte, is_half, rte, signed_one);
+            // Limits first, so NaN passes the clamp and converts to 0.
+            let clamped = _mm512_min_ps(vl, _mm512_max_ps(vnl, rounded));
+            // `vpmovdb` keeps each lane's low byte: the truncating cast.
+            let bytes = _mm512_cvtepi32_epi8(_mm512_cvtps_epi32(clamped));
+            _mm_storeu_si128(out.as_mut_ptr().add(p) as *mut __m128i, bytes);
+            p += 16;
+        }
+        super::scalar::quantize_levels(&x[p..], scale, num_levels, &mut out[p..]);
+    }
+
+    #[target_feature(enable = "avx512f")]
+    pub unsafe fn dequantize_packed(
+        packed: &[u8],
+        scale: f32,
+        num_levels: u8,
+        width: u32,
+        out: &mut [f32],
+    ) {
+        if width != 8 {
+            return super::avx2::dequantize_packed(packed, scale, num_levels, width, out);
+        }
+        let n = out.len();
+        let l = num_levels as f32;
+        let (vl, vr, vs) = (
+            _mm512_set1_ps(l),
+            _mm512_set1_ps(1.0 / l),
+            _mm512_set1_ps(scale),
+        );
+        let voff = _mm_set1_epi8(num_levels as i8);
+        let dst = out.as_mut_ptr();
+        let mut p = 0;
+        while p + 16 <= n {
+            let lev = byte_levels(packed.as_ptr().add(p), voff);
+            _mm512_storeu_ps(dst.add(p), _mm512_mul_ps(quotient(lev, vl, vr), vs));
+            p += 16;
+        }
+        super::scalar::dequantize_packed(&packed[p..], scale, num_levels, 8, &mut out[p..]);
+    }
+
+    #[target_feature(enable = "avx512f")]
+    pub unsafe fn axpy_quantized(
+        alpha: f32,
+        scale: f32,
+        num_levels: u8,
+        width: u32,
+        packed: &[u8],
+        y: &mut [f32],
+    ) {
+        if width != 8 {
+            return super::avx2::axpy_quantized(alpha, scale, num_levels, width, packed, y);
+        }
+        let n = y.len();
+        let l = num_levels as f32;
+        let (vl, vr, vs) = (
+            _mm512_set1_ps(l),
+            _mm512_set1_ps(1.0 / l),
+            _mm512_set1_ps(scale),
+        );
+        let va = _mm512_set1_ps(alpha);
+        let voff = _mm_set1_epi8(num_levels as i8);
+        let dst = y.as_mut_ptr();
+        let mut p = 0;
+        while p + 16 <= n {
+            let lev = byte_levels(packed.as_ptr().add(p), voff);
+            let xq = _mm512_mul_ps(quotient(lev, vl, vr), vs);
+            // mul + add, not FMA, as every `axpy` tier.
+            let r = _mm512_add_ps(_mm512_loadu_ps(dst.add(p)), _mm512_mul_ps(va, xq));
+            _mm512_storeu_ps(dst.add(p), r);
+            p += 16;
+        }
+        super::scalar::axpy_quantized(alpha, scale, num_levels, 8, &packed[p..], &mut y[p..]);
     }
 }
 
@@ -682,6 +920,36 @@ mod tests {
             &mut y_fused,
         );
         assert_eq!(y_ref, y_fused);
+    }
+
+    // `num_levels == 0` is rejected before dispatch, so on every tier.
+    #[test]
+    #[should_panic(expected = "zero num_levels")]
+    fn quantize_levels_rejects_zero_levels() {
+        let best = crate::gemm::available_kernels()[0];
+        quantize_levels_on(best, &[1.0; 20], 1.0, 0, &mut [0; 20]);
+    }
+
+    // Above 127 a level overflows `i8`, where the tiers' casts differ.
+    #[test]
+    #[should_panic(expected = "num_levels above 127")]
+    fn quantize_levels_rejects_more_than_127_levels() {
+        let best = crate::gemm::available_kernels()[0];
+        quantize_levels_on(best, &[1.0; 20], 1.0, 128, &mut [0; 20]);
+    }
+
+    #[test]
+    #[should_panic(expected = "zero num_levels")]
+    fn dequantize_packed_rejects_zero_levels() {
+        let best = crate::gemm::available_kernels()[0];
+        dequantize_packed_on(best, &[0; 20], 1.0, 0, 8, &mut [0.0; 20]);
+    }
+
+    #[test]
+    #[should_panic(expected = "zero num_levels")]
+    fn axpy_quantized_rejects_zero_levels() {
+        let best = crate::gemm::available_kernels()[0];
+        axpy_quantized_on(best, 1.0, 1.0, 0, 8, &[0; 20], &mut [0.0; 20]);
     }
 
     #[test]

@@ -81,9 +81,9 @@
 //! feature detection picks the best compiled-in tier, and the
 //! `FEDCA_FORCE_KERNEL={scalar,avx2,avx512}` environment variable overrides
 //! it (so CI can prove the portable and AVX2 tiles compute the best tile's
-//! bits). AVX-512 is a GEMM tier only: [`crate::dataplane`] and
-//! [`crate::simd`] have no 512-bit bodies and run their AVX2 bodies under it
-//! (`Kernel::has_avx2`). Every target but AVX2 `x86_64` runs the portable
+//! bits). Under the AVX-512 tier [`crate::dataplane`] runs 512-bit bodies
+//! for its int8 upload path; [`crate::simd`] and the rest of the data plane
+//! run their AVX2 bodies (`Kernel::has_avx2`). Every target but AVX2 `x86_64` runs the portable
 //! tile. An x86 build compiles it for the SSE2 baseline, where each `mul_add` is a call to libm's
 //! `fmaf` — the same answer ~25× slower (DESIGN §4), which an x86 CPU
 //! without AVX2+FMA pays and which is not a performance target.
@@ -117,8 +117,9 @@ pub enum Kernel {
     Scalar,
     /// AVX2 + FMA intrinsics (`x86_64` only, runtime-detected).
     Avx2,
-    /// AVX-512F intrinsics for the GEMM tile, the AVX2 bodies everywhere
-    /// else (`x86_64` only, runtime-detected).
+    /// AVX-512F intrinsics for the GEMM tile and the int8 upload path of
+    /// [`crate::dataplane`] (scale scan, quantizer, 8-bit decode and fold),
+    /// the AVX2 bodies everywhere else (`x86_64` only, runtime-detected).
     Avx512,
 }
 
@@ -828,13 +829,21 @@ mod tests {
             gemm_acc_on(missing, false, false, 1, 1, 1, &[1.0], &[1.0], &mut c);
         });
         assert!(refused.is_err(), "{} must be refused", missing.name());
+        let refused = std::panic::catch_unwind(|| crate::dataplane::max_abs_on(missing, &[1.0]));
+        assert!(
+            refused.is_err(),
+            "dataplane: {} must be refused",
+            missing.name()
+        );
     }
 
     #[test]
     fn both_vector_tiers_and_only_they_run_the_avx2_bodies() {
-        // `dataplane` and `simd` have no AVX-512 bodies: under that tier
-        // they must take their AVX2 branch, not fall back to the portable
-        // one, which computes the same bits and so no parity suite can see.
+        // `simd` and most of `dataplane` (all but its four int8-path
+        // kernels, and those for fields under 8 bits) have no AVX-512
+        // bodies: under that tier they must take their AVX2 branch, not
+        // fall back to the portable one, which computes the same bits and
+        // so no parity suite can see.
         assert!(Kernel::Avx2.has_avx2());
         assert!(Kernel::Avx512.has_avx2());
         assert!(!Kernel::Scalar.has_avx2());

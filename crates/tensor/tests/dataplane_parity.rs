@@ -5,10 +5,11 @@
 //! quantization, wire bit-packing, packed dequantization, AXPY, fused
 //! dequantize-accumulate) are contracted to produce the *same bits* on
 //! every tier, which is what lets the aggregator's fold run vectorized
-//! under the committed scalar-recorded golden fixtures. Each property draws lengths straddling
-//! the 8-lane vector width (tails included), splices non-finite specials
-//! into the float inputs, and compares every available tier against the
-//! scalar reference via `to_bits`.
+//! under the committed scalar-recorded golden fixtures. Each property draws
+//! lengths up to 300, straddling the 8- and 16-lane vector widths and the
+//! 64-element blocks of the 512-bit `max_abs` (tails included), splices
+//! non-finite specials into the float inputs, and compares every available
+//! tier against the scalar reference via `to_bits`.
 
 use fedca_tensor::dataplane::{
     all_finite_on, axpy_on, axpy_quantized_on, dequantize_packed_on, max_abs_on, pack_levels_on,
@@ -48,8 +49,8 @@ proptest! {
     #[test]
     fn max_abs_matches_scalar_bitwise(
         (mut x, specials) in (
-            prop::collection::vec(-8.0f32..8.0, 0..129),
-            prop::collection::vec((0usize..129, 0usize..8), 0..4),
+            prop::collection::vec(-8.0f32..8.0, 0..300),
+            prop::collection::vec((0usize..300, 0usize..8), 0..4),
         )
     ) {
         splice(&mut x, &specials);
@@ -63,8 +64,8 @@ proptest! {
     #[test]
     fn quantize_levels_matches_scalar_bitwise(
         (mut x, specials, bits) in (
-            prop::collection::vec(-4.0f32..4.0, 1..100),
-            prop::collection::vec((0usize..100, 0usize..8), 0..3),
+            prop::collection::vec(-4.0f32..4.0, 1..300),
+            prop::collection::vec((0usize..300, 0usize..8), 0..3),
             1u8..9,
         )
     ) {
@@ -87,7 +88,7 @@ proptest! {
     #[test]
     fn pack_unpack_match_scalar_bitwise(
         (raw, bits) in (
-            prop::collection::vec(0usize..256, 0..120),
+            prop::collection::vec(0usize..256, 0..300),
             1u8..9,
         )
     ) {
@@ -114,9 +115,9 @@ proptest! {
     #[test]
     fn axpy_matches_scalar_bitwise(
         (mut x, mut y, specials, alpha) in (
-            prop::collection::vec(-8.0f32..8.0, 0..129),
-            prop::collection::vec(-8.0f32..8.0, 0..129),
-            prop::collection::vec((0usize..129, 0usize..8), 0..4),
+            prop::collection::vec(-8.0f32..8.0, 0..300),
+            prop::collection::vec(-8.0f32..8.0, 0..300),
+            prop::collection::vec((0usize..300, 0usize..8), 0..4),
             -2.0f32..2.0,
         )
     ) {
@@ -136,8 +137,8 @@ proptest! {
     #[test]
     fn fused_axpy_quantized_matches_scalar_and_unfused(
         (packed, y0, bits, scale, alpha) in (
-            prop::collection::vec(0usize..256, 0..128),
-            prop::collection::vec(-8.0f32..8.0, 0..100),
+            prop::collection::vec(0usize..256, 0..300),
+            prop::collection::vec(-8.0f32..8.0, 0..300),
             1u8..9,
             -3.0f32..3.0,
             -2.0f32..2.0,
@@ -167,8 +168,8 @@ proptest! {
     #[test]
     fn dequantize_packed_matches_scalar_bitwise(
         (packed, n, bits, scale) in (
-            prop::collection::vec(0usize..256, 0..128),
-            0usize..100,
+            prop::collection::vec(0usize..256, 0..300),
+            0usize..300,
             1u8..9,
             -3.0f32..3.0,
         )
@@ -194,8 +195,8 @@ proptest! {
     #[test]
     fn all_finite_matches_scalar(
         (mut x, specials) in (
-            prop::collection::vec(-8.0f32..8.0, 0..129),
-            prop::collection::vec((0usize..129, 0usize..8), 0..3),
+            prop::collection::vec(-8.0f32..8.0, 0..300),
+            prop::collection::vec((0usize..300, 0usize..8), 0..3),
         )
     ) {
         splice(&mut x, &specials);
@@ -223,5 +224,53 @@ fn quantize_ties_round_away_from_zero_on_every_tier() {
         let mut got = vec![0i8; x.len()];
         quantize_levels_on(k, &x, scale, num_levels, &mut got);
         assert_eq!(got, want, "ties diverge on kernel {}", k.name());
+    }
+}
+
+/// The decode rule over its whole 8-bit domain: every field value 0..=255
+/// (so every level, malformed ones included) for every level count 1..=255
+/// the decoders accept and two scales, through the decoder and the fused
+/// fold. The vector tiers replace the division by a corrected reciprocal
+/// (`dataplane` header): this pins every (level, count) pair instead of a
+/// sample of them, and at scale 1.0 it compares that quotient itself with
+/// the scalar `level / L`.
+#[test]
+fn decode_every_8bit_field_on_every_tier() {
+    let packed: Vec<u8> = (0..=255).collect();
+    let y0: Vec<f32> = (0..256).map(|i| (i as f32 - 128.0) * 0.0625).collect();
+    let alpha = 0.3f32;
+    for num_levels in 1u8..=255 {
+        for scale in [1.0f32, -0.0123] {
+            let mut want = vec![0.0f32; packed.len()];
+            dequantize_packed_on(Kernel::Scalar, &packed, scale, num_levels, 8, &mut want);
+            let mut want_y = y0.clone();
+            axpy_quantized_on(
+                Kernel::Scalar,
+                alpha,
+                scale,
+                num_levels,
+                8,
+                &packed,
+                &mut want_y,
+            );
+            for k in available_kernels() {
+                let mut got = vec![0.0f32; packed.len()];
+                dequantize_packed_on(k, &packed, scale, num_levels, 8, &mut got);
+                assert_eq!(
+                    bits_of(&got),
+                    bits_of(&want),
+                    "dequantize_packed kernel {} L {num_levels} scale {scale}",
+                    k.name()
+                );
+                let mut got_y = y0.clone();
+                axpy_quantized_on(k, alpha, scale, num_levels, 8, &packed, &mut got_y);
+                assert_eq!(
+                    bits_of(&got_y),
+                    bits_of(&want_y),
+                    "axpy_quantized kernel {} L {num_levels} scale {scale}",
+                    k.name()
+                );
+            }
+        }
     }
 }

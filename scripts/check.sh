@@ -23,6 +23,18 @@ if grep -rnE --include='*.rs' --exclude-dir=target '\bbytes::|parking_lot|crossb
   exit 1
 fi
 
+# `Kernel::Avx512` checks avx512f alone, so its bodies may use only
+# AVX-512F intrinsics. This step catches one family, the AVX-512DQ float
+# and/or forms, which are the easy ones to reach for: inside an `avx512f`
+# function they cannot inline (each becomes a call), and on an F-only CPU
+# that dispatch accepts they would fault. Other non-F intrinsics (BW, DQ
+# conversions, ...) are not caught here.
+echo "== crates/tensor/src names no AVX-512DQ float and/or intrinsic"
+if grep -rnE --include='*.rs' '_mm512_(mask_|maskz_)?(and|andnot|or|xor)_p[sd]\b' crates/tensor/src; then
+  echo "AVX-512DQ: the lines above use a float and/or; use the integer forms (_mm512_and_si512, ...)" >&2
+  exit 1
+fi
+
 if cargo clippy --version >/dev/null 2>&1; then
   echo "== cargo clippy -D warnings"
   cargo clippy --workspace --all-targets -- -D warnings
