@@ -233,6 +233,10 @@ impl<'a> ClientRound<'a> {
             StdRng::seed_from_u64(seed)
         };
         let (mut rng, qrng) = (seeded(0x9E37_79B9_7F4A_7C15), seeded(0xC2B2_AE3D_27D4_EB4F));
+        // Round starts never decrease and every device query of this round
+        // falls at or after the start (`download_done ≥ start`), so the
+        // speed history before it is dead weight in every snapshot.
+        state.device.prune_before(plan.start);
         // Degraded links run slow for the whole round; every round (re)sets them.
         state.uplink.set_rate_scale(plan.faults.bandwidth_factor);
         state.downlink.set_rate_scale(plan.faults.bandwidth_factor);
@@ -905,6 +909,34 @@ mod tests {
             dense_wire_len,
             wire: Some(joined),
         }
+    }
+
+    #[test]
+    fn a_clients_snapshot_keeps_a_bounded_device_history() {
+        // Without pruning, a dynamic device accumulates one segment per
+        // fast/slow period since t = 0 — here ≈ 170 over 8,000 virtual s —
+        // and every eviction copies them all into the dirty overlay.
+        let mut fx = Fixture::new(5, 2);
+        fx.client.device = DeviceSpeed::new(1.0, DynamicsConfig::paper(), 17);
+        let mut start = 0.0;
+        for round in 0..200 {
+            let plan = RoundPlan {
+                round,
+                start,
+                ..base_plan(3)
+            };
+            let report = fx.run(&ClientOptions::default(), &plan);
+            assert!(report.upload_done >= start);
+            let segments = crate::population::snapshot_client(&fx.client)
+                .device
+                .segments
+                .len();
+            // The fence, the segments the round spanned, and the one
+            // after the upload.
+            assert!(segments <= 6, "round {round}: {segments} segments kept");
+            start = report.upload_done + 40.0;
+        }
+        assert!(start > 8_000.0);
     }
 
     #[test]

@@ -3,10 +3,29 @@
 //!
 //! The [`Trainer`](crate::runner::Trainer) spawns one [`RoundExecutor`] at
 //! construction and keeps it for its whole life. Each round it moves the
-//! selected clients' state into [`ClientWork`] messages; workers pull work
-//! from a shared queue, run [`run_client_round`], and stream
-//! [`ClientDone`] events back over a channel *as clients finish*, so the
+//! selected clients' state into [`ClientWork`] items and hands the whole
+//! list to [`RoundExecutor::run_cohort`]; workers pull messages from a
+//! shared queue, run [`run_client_round`] on each item, and send the
+//! [`ClientDone`] events back over a channel *as messages finish*, so the
 //! server can feed its streaming aggregator without waiting for a barrier.
+//!
+//! A message carries a chunk of consecutive ordinals, and its events come
+//! back together when the chunk ends, so the main thread wakes once per
+//! chunk rather than once per client. `run_cohort` cuts the list in
+//! ordinal order, each chunk `clamp(⌊B / c̄⌋, 1, ⌈remaining / (4·W)⌉)`
+//! items long: `c̄` is the mean host time of a client in this executor's
+//! previous cohort (its first cohort runs single clients), `W` the worker
+//! count, and `B` ([`CHUNK_BUDGET_US`]) the worker time one message should
+//! carry. A hand-off — one send, one wake of the main thread, which on a
+//! 2-vCPU host preempts a worker — costs ≈ 5–8 µs of round time there
+//! (Sapphire Rapids VM, 128 clients of ≈ 40 µs); at `B` = 200 µs that is
+//! a few percent of the work it carries. Clients of a millisecond or more
+//! keep one-client messages; the `pop_dense` benchmark's ≈ 40 µs clients
+//! travel about five at a time. The `⌈remaining / (4·W)⌉` bound tapers
+//! the chunks to single clients at the tail, so no worker is left holding
+//! a long chunk while the others idle. [`submit`](RoundExecutor::submit)
+//! and [`recv`](RoundExecutor::recv) are the one-client case of the same
+//! worker loop.
 //!
 //! Every worker owns a [`ClientArena`]: one cached model instance (built
 //! once from the workload's factory, fully overwritten by
@@ -16,10 +35,12 @@
 //! passes, so a freshly-built model and a reset arena model are
 //! indistinguishable.
 //!
-//! Determinism does not depend on scheduling: all timing flows through the
-//! virtual clock inside each client's report, and aggregation folds in
-//! canonical report order, so the OS-level completion order of workers is
-//! irrelevant to the results.
+//! Determinism does not depend on scheduling or on chunking: each client
+//! still runs under its own `catch_unwind` with its own RNG streams, all
+//! timing flows through the virtual clock inside each client's report, and
+//! aggregation folds in ordinal order at close, so neither the OS-level
+//! completion order of workers nor which clients shared a message can
+//! reach the results.
 
 use crate::client::{run_client_round, ClientOptions, ClientRoundReport, ClientState, RoundPlan};
 use crate::config::FlConfig;
@@ -167,22 +188,39 @@ impl std::fmt::Display for ExecutorError {
 
 impl std::error::Error for ExecutorError {}
 
+/// Worker time, in microseconds, one hand-off message should carry: the
+/// `B` of the chunk rule in the module docs.
+pub const CHUNK_BUDGET_US: f64 = 200.0;
+
+/// Length of the next chunk of a cohort: `max_chunk` clients, tapered to
+/// `⌈remaining / (4·n_workers)⌉` so the cohort's tail runs as single
+/// clients, and never less than one.
+pub fn chunk_len(max_chunk: usize, remaining: usize, n_workers: usize) -> usize {
+    let taper = remaining.div_ceil(4 * n_workers.max(1)).max(1);
+    max_chunk.clamp(1, taper)
+}
+
 enum WorkerMsg {
-    Work(Box<ClientWork>),
+    /// Consecutive work items, run in order; their events return together.
+    Work(Vec<ClientWork>),
     Shutdown,
 }
 
 /// A persistent pool of client-execution workers.
 ///
-/// Spawned once (by `Trainer::new`), fed with [`submit`](Self::submit), and
-/// drained with [`recv`](Self::recv); threads are joined on drop. A panic
-/// inside client code is caught on the worker, which survives and reports a
-/// [`ClientDone::Failed`] event instead — the pool never deadlocks on a
-/// dying client, and a dead pool surfaces as [`ExecutorError::Disconnected`]
-/// rather than a blocked `recv`.
+/// Spawned once (by `Trainer::new`) and fed a cohort at a time with
+/// [`run_cohort`](Self::run_cohort), or one client at a time with
+/// [`submit`](Self::submit) and [`recv`](Self::recv); threads are joined on
+/// drop. A panic inside client code is caught on the worker, which
+/// survives and reports a [`ClientDone::Failed`] event instead — the pool
+/// never deadlocks on a dying client, and a dead pool surfaces as
+/// [`ExecutorError::Disconnected`] rather than a blocked `recv`.
 pub struct RoundExecutor {
     work_tx: Sender<WorkerMsg>,
-    done_rx: Receiver<ClientDone>,
+    done_rx: Receiver<Vec<ClientDone>>,
+    /// Mean host µs of a completed client in the previous cohort; `None`
+    /// until a cohort has completed a client.
+    mean_client_us: Option<f64>,
     handles: Vec<JoinHandle<()>>,
 }
 
@@ -192,7 +230,7 @@ impl RoundExecutor {
         let n_workers = n_workers.max(1);
         let (work_tx, work_rx) = channel::<WorkerMsg>();
         let work_rx = Arc::new(Mutex::new(work_rx));
-        let (done_tx, done_rx) = channel::<ClientDone>();
+        let (done_tx, done_rx) = channel::<Vec<ClientDone>>();
         let handles = (0..n_workers)
             .map(|w| {
                 let rx = Arc::clone(&work_rx);
@@ -206,6 +244,7 @@ impl RoundExecutor {
         RoundExecutor {
             work_tx,
             done_rx,
+            mean_client_us: None,
             handles,
         }
     }
@@ -215,11 +254,70 @@ impl RoundExecutor {
         self.handles.len()
     }
 
-    /// Enqueues one client round; returns immediately. Fails (returning the
-    /// error instead of panicking) if every worker has exited.
+    /// Runs a whole cohort: sends `work` in ordinal-order chunks sized by
+    /// the rule in the module docs, hands each resolved client to
+    /// `on_done` (exactly one event per item, in chunk completion order),
+    /// and returns once every item has resolved. The pool must be idle:
+    /// nothing submitted and not yet received.
+    pub fn run_cohort(
+        &mut self,
+        work: Vec<ClientWork>,
+        on_done: impl FnMut(ClientDone),
+    ) -> Result<(), ExecutorError> {
+        // ⌊B / c̄⌋ saturates to usize::MAX when c̄ is 0; chunk_len clamps it.
+        let max_chunk = self
+            .mean_client_us
+            .map_or(1, |c| (CHUNK_BUDGET_US / c) as usize);
+        self.run_cohort_chunked(work, max_chunk, on_done)
+    }
+
+    /// [`run_cohort`](Self::run_cohort) with `max_chunk` in place of the
+    /// cost-derived `⌊B / c̄⌋`; the tail still tapers to single clients.
+    pub fn run_cohort_chunked(
+        &mut self,
+        work: Vec<ClientWork>,
+        max_chunk: usize,
+        mut on_done: impl FnMut(ClientDone),
+    ) -> Result<(), ExecutorError> {
+        let (n, n_workers) = (work.len(), self.n_workers());
+        let mut items = work.into_iter();
+        let mut remaining = n;
+        while remaining > 0 {
+            let len = chunk_len(max_chunk, remaining, n_workers);
+            self.send(items.by_ref().take(len).collect())?;
+            remaining -= len;
+        }
+        let (mut resolved, mut completed, mut host_us) = (0, 0, 0.0);
+        while resolved < n {
+            let chunk = self
+                .done_rx
+                .recv()
+                .map_err(|_| ExecutorError::Disconnected)?;
+            resolved += chunk.len();
+            for done in chunk {
+                if let ClientDone::Completed(c) = &done {
+                    completed += 1;
+                    host_us += c.host_us;
+                }
+                on_done(done);
+            }
+        }
+        if completed > 0 {
+            self.mean_client_us = Some(host_us / completed as f64);
+        }
+        Ok(())
+    }
+
+    /// Enqueues one client round as a one-item chunk; returns immediately.
+    /// Fails (returning the error instead of panicking) if every worker
+    /// has exited.
     pub fn submit(&self, work: ClientWork) -> Result<(), ExecutorError> {
+        self.send(vec![work])
+    }
+
+    fn send(&self, chunk: Vec<ClientWork>) -> Result<(), ExecutorError> {
         self.work_tx
-            .send(WorkerMsg::Work(Box::new(work)))
+            .send(WorkerMsg::Work(chunk))
             .map_err(|_| ExecutorError::Disconnected)
     }
 
@@ -228,13 +326,15 @@ impl RoundExecutor {
     /// [`ClientDone::Failed`]; a dead worker pool is detected and returned
     /// as [`ExecutorError::Disconnected`] instead of blocking forever.
     pub fn recv(&self) -> Result<ClientDone, ExecutorError> {
-        self.done_rx.recv().map_err(|_| ExecutorError::Disconnected)
+        let chunk = self.done_rx.recv();
+        chunk.map(only).map_err(|_| ExecutorError::Disconnected)
     }
 
     /// Like [`recv`](Self::recv) but bounded: returns
     /// [`ExecutorError::Timeout`] if nothing resolves within `timeout`.
     pub fn recv_timeout(&self, timeout: Duration) -> Result<ClientDone, ExecutorError> {
-        self.done_rx.recv_timeout(timeout).map_err(|e| match e {
+        let chunk = self.done_rx.recv_timeout(timeout);
+        chunk.map(only).map_err(|e| match e {
             RecvTimeoutError::Timeout => ExecutorError::Timeout,
             RecvTimeoutError::Disconnected => ExecutorError::Disconnected,
         })
@@ -262,31 +362,47 @@ impl Drop for RoundExecutor {
     }
 }
 
-fn worker_loop(rx: Arc<Mutex<Receiver<WorkerMsg>>>, tx: Sender<ClientDone>) {
+fn worker_loop(rx: Arc<Mutex<Receiver<WorkerMsg>>>, tx: Sender<Vec<ClientDone>>) {
     // The arena persists across rounds; it is built lazily from the first
     // work item's context so the pool itself stays workload-agnostic.
     let mut arena: Option<ClientArena> = None;
     loop {
         let msg = rx.lock().unwrap_or_else(PoisonError::into_inner).recv();
-        let work = match msg {
-            Ok(WorkerMsg::Work(w)) => w,
+        let chunk = match msg {
+            Ok(WorkerMsg::Work(chunk)) => chunk,
             Ok(WorkerMsg::Shutdown) | Err(_) => return,
         };
-        // Remember enough to attribute a failure: the unwind destroys the
-        // work item (and the client state moved into it).
-        let (ord, client_id) = (work.ord, work.client.id);
-        let result = match catch_unwind(AssertUnwindSafe(|| execute(&mut arena, *work))) {
-            Ok(done) => ClientDone::Completed(done),
-            Err(payload) => ClientDone::Failed(ClientFailure {
-                ord,
-                client_id,
-                panic_msg: panic_message(&payload),
-            }),
-        };
-        if tx.send(result).is_err() {
+        let done = chunk
+            .into_iter()
+            .map(|work| run_caught(&mut arena, work))
+            .collect();
+        if tx.send(done).is_err() {
             return;
         }
     }
+}
+
+/// Runs one work item under its own `catch_unwind`, so a panicking client
+/// fails alone and its chunk-mates still run.
+fn run_caught(arena: &mut Option<ClientArena>, work: ClientWork) -> ClientDone {
+    // Remember enough to attribute a failure: the unwind destroys the
+    // work item (and the client state moved into it).
+    let (ord, client_id) = (work.ord, work.client.id);
+    match catch_unwind(AssertUnwindSafe(|| execute(arena, work))) {
+        Ok(done) => ClientDone::Completed(done),
+        Err(payload) => ClientDone::Failed(ClientFailure {
+            ord,
+            client_id,
+            panic_msg: panic_message(&payload),
+        }),
+    }
+}
+
+/// The event of a one-item chunk, which is what [`RoundExecutor::submit`]
+/// sends; `run_cohort` receives every chunk it sends before it returns.
+fn only(mut chunk: Vec<ClientDone>) -> ClientDone {
+    assert_eq!(chunk.len(), 1, "recv met a multi-client chunk");
+    chunk.pop().expect("length checked")
 }
 
 /// Stringifies a panic payload (panics carry `&str` or `String` in practice).
@@ -371,6 +487,26 @@ mod tests {
             Err(ExecutorError::Timeout)
         ));
         assert!(t0.elapsed() >= Duration::from_millis(20));
+    }
+
+    #[test]
+    fn chunks_hold_the_cap_then_taper_to_singles() {
+        // 128 clients on 2 workers at a cap of 5: five at a time until the
+        // taper bound ⌈remaining / 8⌉ drops below the cap, then shorter.
+        let mut lens = Vec::new();
+        let mut remaining = 128;
+        while remaining > 0 {
+            let len = chunk_len(5, remaining, 2);
+            assert!((1..=5).contains(&len));
+            assert!(remaining > 8 || len == 1, "{remaining} left, chunk {len}");
+            lens.push(len);
+            remaining -= len;
+        }
+        assert_eq!(lens[0], 5);
+        assert!(lens.windows(2).all(|w| w[0] >= w[1]), "{lens:?}");
+        // A cap of 0 (clients slower than the budget) still moves one.
+        assert_eq!(chunk_len(0, 128, 2), 1);
+        assert_eq!(chunk_len(usize::MAX, 3, 4), 1);
     }
 
     #[test]

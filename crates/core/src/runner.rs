@@ -75,24 +75,15 @@ impl Backend {
         io_timeout: std::time::Duration,
         mut on_done: impl FnMut(ClientDone),
     ) -> Vec<TraceEvent> {
-        let n = work.len();
         match self {
             Backend::Local(executor) => {
-                for w in work {
-                    executor
-                        .submit(w)
-                        .expect("worker pool alive while the trainer exists");
-                }
-                for _ in 0..n {
-                    on_done(
-                        executor
-                            .recv()
-                            .expect("worker pool alive while the trainer exists"),
-                    );
-                }
+                executor
+                    .run_cohort(work, on_done)
+                    .expect("worker pool alive while the trainer exists");
                 Vec::new()
             }
             Backend::Sharded(pool) => {
+                let n = work.len();
                 pool.begin_round(work)
                     .unwrap_or_else(|e| panic!("shard dispatch failed: {e}"));
                 for _ in 0..n {

@@ -460,7 +460,7 @@ fn run_child(path: &str) -> Result<(), ShardError> {
     })?;
 
     let world = build_world(&fl, &scheme, &spec)?;
-    let executor = RoundExecutor::new(n_workers);
+    let mut executor = RoundExecutor::new(n_workers);
 
     loop {
         match recv_link(&rx)? {
@@ -469,7 +469,15 @@ fn run_child(path: &str) -> Result<(), ShardError> {
                 return Err(ShardError::Protocol("duplicate Init".into()))
             }
             Some((ToShard::RoundStart { round, items }, global_payload)) => {
-                run_child_round(&link, &executor, &world, &fl, round, items, &global_payload)?;
+                run_child_round(
+                    &link,
+                    &mut executor,
+                    &world,
+                    &fl,
+                    round,
+                    items,
+                    &global_payload,
+                )?;
             }
         }
     }
@@ -477,7 +485,7 @@ fn run_child(path: &str) -> Result<(), ShardError> {
 
 fn run_child_round(
     link: &Link,
-    executor: &RoundExecutor,
+    executor: &mut RoundExecutor,
     world: &ShardWorld,
     fl: &FlConfig,
     round: usize,
@@ -505,20 +513,22 @@ fn run_child_round(
         global,
     });
 
-    for item in &items {
-        let mut client = world.factory.build(item.client_id);
-        if let Some(snap) = &item.snapshot {
-            apply_snapshot(&mut client, snap);
-        }
-        executor
-            .submit(ClientWork {
+    let mut remaining: BTreeSet<usize> = items.iter().map(|i| i.ord).collect();
+    let work = items
+        .into_iter()
+        .map(|item| {
+            let mut client = world.factory.build(item.client_id);
+            if let Some(snap) = &item.snapshot {
+                apply_snapshot(&mut client, snap);
+            }
+            ClientWork {
                 ord: item.ord,
                 client,
-                plan: item.plan.clone(),
+                plan: item.plan,
                 ctx: ctx.clone(),
-            })
-            .map_err(|e| ShardError::Protocol(format!("executor rejected work: {e}")))?;
-    }
+            }
+        })
+        .collect();
 
     // The executor resolves clients in host completion order, which is
     // nondeterministic under a multi-worker pool. The wire order must not
@@ -526,33 +536,36 @@ fn run_child_round(
     // shard, so completions are buffered and emitted in ascending ordinal
     // order. The trajectory itself never depends on arrival order (the
     // root folds at the cut in ordinal order), so this only pins the one
-    // thing that does — chaos-test kill points.
-    let mut remaining: BTreeSet<usize> = items.iter().map(|i| i.ord).collect();
+    // thing that does — chaos-test kill points. After a failed send the
+    // rest of the cohort still runs, and its results are dropped.
     let mut unsent: BTreeMap<usize, (FromShard, Option<Vec<u8>>)> = BTreeMap::new();
-    for _ in 0..items.len() {
-        match executor
-            .recv()
-            .map_err(|e| ShardError::Protocol(format!("executor died: {e}")))?
-        {
-            ClientDone::Completed(done) => {
-                let (msg, payload) = DoneMsg::from_completion(round, done);
-                unsent.insert(msg.ord, (FromShard::Done(msg), payload));
+    let mut sent = Ok(());
+    executor
+        .run_cohort(work, |done| {
+            match done {
+                ClientDone::Completed(done) => {
+                    let (msg, payload) = DoneMsg::from_completion(round, done);
+                    unsent.insert(msg.ord, (FromShard::Done(msg), payload));
+                }
+                ClientDone::Failed(fail) => {
+                    let msg = FromShard::Failed {
+                        round,
+                        ord: fail.ord,
+                        client_id: fail.client_id,
+                        panic_msg: fail.panic_msg,
+                    };
+                    unsent.insert(fail.ord, (msg, None));
+                }
             }
-            ClientDone::Failed(fail) => {
-                let msg = FromShard::Failed {
-                    round,
-                    ord: fail.ord,
-                    client_id: fail.client_id,
-                    panic_msg: fail.panic_msg,
-                };
-                unsent.insert(fail.ord, (msg, None));
+            while let Some((msg, payload)) = remaining.first().and_then(|ord| unsent.remove(ord)) {
+                remaining.pop_first();
+                if sent.is_ok() {
+                    sent = link.send(&msg, payload);
+                }
             }
-        }
-        while let Some((msg, payload)) = remaining.first().and_then(|ord| unsent.remove(ord)) {
-            remaining.pop_first();
-            link.send(&msg, payload)?;
-        }
-    }
+        })
+        .map_err(|e| ShardError::Protocol(format!("executor died: {e}")))?;
+    sent?;
     Ok(())
 }
 
@@ -820,27 +833,19 @@ impl ShardPool {
             return;
         }
         let n_workers = self.n_workers;
-        let executor = self
-            .local_exec
-            .get_or_insert_with(|| RoundExecutor::new(n_workers));
-        let n = work.len();
-        for w in work {
+        for w in &work {
             self.notes.push(TraceEvent::OrdinalReassigned {
                 round: self.round,
                 shard: s,
                 ord: w.ord,
                 client: w.client.id,
             });
-            executor
-                .submit(w)
-                .expect("local executor alive while the pool exists");
         }
-        for _ in 0..n {
-            let done = executor
-                .recv()
-                .expect("local executor alive while the pool exists");
-            self.pending.push_back(done);
-        }
+        let pending = &mut self.pending;
+        self.local_exec
+            .get_or_insert_with(|| RoundExecutor::new(n_workers))
+            .run_cohort(work, |done| pending.push_back(done))
+            .expect("local executor alive while the pool exists");
     }
 
     /// [`quarantine`](Self::quarantine) mid-round: everything the shard

@@ -190,32 +190,37 @@ fn assert_records_identical(a: &TrainerOutput, b: &TrainerOutput, label: &str) {
 #[test]
 fn worker_count_never_changes_the_trajectory() {
     // Determinism regression: the same seed must produce bit-identical
-    // round records whether the pool has 1 worker or 4 — with faults off
-    // and with every fault class enabled.
-    for (label, faults) in [
-        ("fault-free", FaultConfig::none()),
-        ("chaotic", FaultConfig::chaos(13)),
-    ] {
-        let f1 = faults.clone();
-        let serial = run_guarded("serial", move || {
-            Trainer::new_with_workers(
-                tiny_fl(42, f1),
-                Scheme::fedca_default(),
-                Workload::tiny_mlp(9),
-                1,
-            )
-            .run(4)
-        });
-        let parallel = run_guarded("parallel", move || {
-            Trainer::new_with_workers(
-                tiny_fl(42, faults),
-                Scheme::fedca_default(),
-                Workload::tiny_mlp(9),
-                4,
-            )
-            .run(4)
-        });
-        assert_records_identical(&serial, &parallel, label);
+    // round records whatever the pool's worker count — with faults off
+    // and with every fault class enabled. The 48-client row's clients (K =
+    // 2, ≈ 30–60 µs each on an optimized build) are cheap enough that from
+    // its second round on the executor sends chunks of several clients,
+    // and where the chunks fall differs with the worker count.
+    for (population, cohort, k, workers) in [(8, 4, 6, 4), (64, 48, 2, 3)] {
+        for (label, faults) in [
+            ("fault-free", FaultConfig::none()),
+            ("chaotic", FaultConfig::chaos(13)),
+        ] {
+            let fl = FlConfig {
+                n_clients: population,
+                clients_per_round: cohort,
+                local_iters: k,
+                ..tiny_fl(42, faults)
+            };
+            let run = |n_workers: usize| {
+                let fl = fl.clone();
+                run_guarded(label, move || {
+                    Trainer::new_with_workers(
+                        fl,
+                        Scheme::fedca_default(),
+                        Workload::tiny_mlp(9),
+                        n_workers,
+                    )
+                    .run(4)
+                })
+            };
+            let label = format!("{cohort} clients on {workers} workers, {label}");
+            assert_records_identical(&run(1), &run(workers), &label);
+        }
     }
 }
 

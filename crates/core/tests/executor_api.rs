@@ -1,12 +1,16 @@
 //! Direct coverage for the `RoundExecutor` receive API: `recv_timeout`
 //! bounds the wait on an idle pool instead of hanging, a halted (dropped)
-//! pool surfaces as `ExecutorError::Disconnected`, and real client work
-//! drains through `recv_timeout` exactly once per submission.
+//! pool surfaces as `ExecutorError::Disconnected`, real client work
+//! drains through `recv_timeout` exactly once per submission, and a
+//! cohort sent in multi-client chunks resolves every ordinal once, with a
+//! panicking client failing alone.
 
 use fedca_compress::ErrorFeedback;
 use fedca_core::client::{ClientOptions, ClientState, RoundPlan};
 use fedca_core::config::FlConfig;
-use fedca_core::executor::{ClientDone, ClientWork, ExecutorError, RoundCtx, RoundExecutor};
+use fedca_core::executor::{
+    chunk_len, ClientDone, ClientWork, ExecutorError, RoundCtx, RoundExecutor,
+};
 use fedca_core::params::ModelLayout;
 use fedca_core::profiler::SampledProfiler;
 use fedca_core::Workload;
@@ -135,6 +139,60 @@ fn real_work_drains_through_recv_timeout_exactly_once_per_submission() {
     }
     assert_eq!(ords, (0..N).collect::<BTreeSet<_>>());
     // The queue is drained: the next bounded receive times out.
+    assert!(matches!(
+        pool.recv_timeout(Duration::from_millis(20)),
+        Err(ExecutorError::Timeout)
+    ));
+}
+
+#[test]
+fn a_panic_inside_a_chunk_fails_only_its_client() {
+    let w = Workload::tiny_mlp(5);
+    let ctx = make_ctx(&w);
+    let mut pool = RoundExecutor::new(2);
+    const N: usize = 64;
+    const PANICKER: usize = 3;
+    // At a cap of 8 the first message carries ordinals 0..8, so the
+    // panicking client shares its chunk with seven others.
+    assert_eq!(chunk_len(8, N, pool.n_workers()), 8);
+    let work = (0..N)
+        .map(|ord| {
+            let mut work = make_work(&w, &ctx, ord);
+            if ord == PANICKER {
+                work.plan.faults.panic_at_iter = Some(1);
+            }
+            work
+        })
+        .collect();
+    let mut resolved = BTreeSet::new();
+    pool.run_cohort_chunked(work, 8, |done| {
+        let ord = match done {
+            ClientDone::Completed(done) => {
+                assert_ne!(done.ord, PANICKER, "the panicking client completed");
+                assert_eq!(done.report.iters_done, 3);
+                done.ord
+            }
+            ClientDone::Failed(f) => {
+                assert_eq!((f.ord, f.client_id), (PANICKER, PANICKER));
+                f.ord
+            }
+        };
+        assert!(resolved.insert(ord), "ordinal {ord} resolved twice");
+    })
+    .expect("pool alive");
+    assert_eq!(resolved, (0..N).collect::<BTreeSet<_>>());
+
+    // The pool survives the unwind and serves the next cohort, which the
+    // previous cohort's cost now sizes.
+    let work = (0..N).map(|ord| make_work(&w, &ctx, ord)).collect();
+    let mut completed = 0;
+    pool.run_cohort(work, |done| match done {
+        ClientDone::Completed(_) => completed += 1,
+        ClientDone::Failed(f) => panic!("fault-free client failed: {}", f.panic_msg),
+    })
+    .expect("pool alive");
+    assert_eq!(completed, N);
+    // Nothing is left over for the one-client API.
     assert!(matches!(
         pool.recv_timeout(Duration::from_millis(20)),
         Err(ExecutorError::Timeout)

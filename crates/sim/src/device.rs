@@ -60,13 +60,16 @@ impl DynamicsConfig {
 struct Segment {
     /// Segment covers `[start, end)` in virtual seconds.
     end: SimTime,
-    /// Instantaneous speed (nominal-work-seconds per virtual second).
+    /// Instantaneous speed (nominal-work-seconds per virtual second); 0
+    /// marks the fence [`DeviceSpeed::prune_before`] leaves in place of
+    /// the history it dropped.
     speed: f64,
 }
 
 /// Serializable position of a [`DeviceSpeed`] process: the RNG stream
-/// state plus every segment generated so far. Restoring it onto a device
-/// rebuilt from the same config resumes the identical timeline.
+/// state plus every segment generated so far and not pruned. Restoring it
+/// onto a device rebuilt from the same config resumes the identical
+/// timeline.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct DeviceSpeedSnapshot {
     /// Raw xoshiro256++ state of the segment-generation stream.
@@ -83,7 +86,9 @@ pub struct DeviceSpeedSnapshot {
 ///
 /// Segments are generated lazily from the client's own RNG stream, so two
 /// runs with the same seed observe the identical timeline no matter how far
-/// each round advances the clock.
+/// each round advances the clock. [`prune_before`](Self::prune_before)
+/// drops the history no caller will query again, so what a client carries
+/// stays bounded as virtual time grows.
 #[derive(Clone, Debug)]
 pub struct DeviceSpeed {
     base: f64,
@@ -167,6 +172,28 @@ impl DeviceSpeed {
         self.next_is_fast = snap.next_is_fast;
     }
 
+    /// Drops the segments that end at or before `t`, keeping the last of
+    /// them as a zero-speed fence: a later query before the fence's end
+    /// panics instead of reading a dropped segment. A query at or after
+    /// `t` finds the same segment as before, so the timeline is unchanged;
+    /// the RNG stream is untouched because segments are never regenerated.
+    pub fn prune_before(&mut self, t: SimTime) {
+        let dead = self.segments.partition_point(|s| s.end <= t);
+        if dead > 0 {
+            self.segments.drain(..dead - 1);
+            self.segments[0].speed = 0.0;
+        }
+    }
+
+    /// The segment covering `t`, generating segments up to it.
+    fn segment_at(&mut self, t: SimTime) -> &Segment {
+        self.extend_to(t);
+        let idx = self.segments.partition_point(|s| s.end <= t);
+        let seg = &self.segments[idx];
+        assert!(seg.speed > 0.0, "query at {t} falls in pruned history");
+        seg
+    }
+
     fn extend_to(&mut self, t: SimTime) {
         while self.horizon <= t {
             let (duration, speed) = if self.next_is_fast {
@@ -193,9 +220,7 @@ impl DeviceSpeed {
     /// Instantaneous speed at virtual time `t`.
     pub fn speed_at(&mut self, t: SimTime) -> f64 {
         assert!(t >= 0.0, "negative virtual time");
-        self.extend_to(t);
-        let idx = self.segments.partition_point(|s| s.end <= t);
-        self.segments[idx].speed
+        self.segment_at(t).speed
     }
 
     /// Executes `work` nominal seconds of compute starting at `start`,
@@ -212,9 +237,7 @@ impl DeviceSpeed {
         let mut t = start;
         let mut remaining = work;
         loop {
-            self.extend_to(t);
-            let idx = self.segments.partition_point(|s| s.end <= t);
-            let seg = self.segments[idx].clone();
+            let seg = self.segment_at(t).clone();
             let window = seg.end - t;
             let can_do = window * seg.speed;
             if can_do >= remaining {
@@ -295,6 +318,44 @@ mod tests {
         };
         assert_eq!(timeline(3), timeline(3), "same id, same process");
         assert_ne!(timeline(3), timeline(4), "distinct ids, distinct streams");
+    }
+
+    #[test]
+    fn pruning_keeps_the_timeline_and_bounds_the_history() {
+        // Round starts never decrease and every query of a round falls at
+        // or after its start; a device pruned at each start must answer
+        // exactly like one that keeps its whole history.
+        let mut kept = DeviceSpeed::new(1.0, DynamicsConfig::paper(), 3);
+        let mut pruned = kept.clone();
+        let mut start = 0.0;
+        for _ in 0..400 {
+            pruned.prune_before(start);
+            let mut t = start;
+            for work in [0.5, 2.0, 7.5] {
+                let (a, b) = (kept.execute(t, work), pruned.execute(t, work));
+                assert_eq!(a.to_bits(), b.to_bits(), "execute({t}, {work})");
+                t = a;
+            }
+            assert_eq!(kept.speed_at(t).to_bits(), pruned.speed_at(t).to_bits());
+            start = t + 1.0;
+        }
+        assert!(start > 4_000.0, "the run must span many segments");
+        assert!(kept.snapshot().segments.len() > 50);
+        assert!(pruned.snapshot().segments.len() <= 4);
+        // A restored twin carries the fence and the same future.
+        let mut restored = DeviceSpeed::new(1.0, DynamicsConfig::paper(), 3);
+        restored.restore(&pruned.snapshot());
+        assert_eq!(restored.snapshot(), pruned.snapshot());
+        assert_eq!(restored.execute(start, 4.0), kept.execute(start, 4.0));
+    }
+
+    #[test]
+    #[should_panic(expected = "pruned history")]
+    fn a_query_before_the_pruning_point_panics() {
+        let mut d = DeviceSpeed::new(1.0, DynamicsConfig::paper(), 3);
+        d.execute(0.0, 500.0);
+        d.prune_before(500.0);
+        d.execute(1.0, 1.0);
     }
 
     #[test]
