@@ -62,7 +62,8 @@ impl ErrorFeedback {
         }
     }
 
-    /// The raw residual vector, for checkpointing (empty until first use).
+    /// The raw residual vector, for eviction and shard hand-off (empty until
+    /// first use).
     pub fn snapshot(&self) -> Vec<f32> {
         self.residual.clone()
     }

@@ -84,20 +84,6 @@ impl DurationEstimator {
     pub fn n_observed(&self) -> usize {
         self.ema.len()
     }
-
-    /// The sparse `(client, ema)` table sorted by client id, for a trainer
-    /// snapshot. Alpha and the default are config-derived and excluded.
-    pub fn snapshot(&self) -> Vec<(usize, SimTime)> {
-        let mut out: Vec<(usize, SimTime)> = self.ema.iter().map(|(&c, &e)| (c, e)).collect();
-        out.sort_unstable_by_key(|&(c, _)| c);
-        out
-    }
-
-    /// Restores a table captured by [`DurationEstimator::snapshot`],
-    /// replacing any current entries.
-    pub fn restore(&mut self, ema: Vec<(usize, SimTime)>) {
-        self.ema = ema.into_iter().collect();
-    }
 }
 
 #[cfg(test)]
@@ -151,19 +137,15 @@ mod tests {
     }
 
     #[test]
-    fn estimator_table_is_sparse_and_round_trips() {
+    fn estimator_table_is_sparse() {
         let mut e = DurationEstimator::new(0.3, 10.0);
         // Only observed clients occupy memory — ids far apart cost 2 slots,
         // not max(id) slots.
         e.observe(999_983, 4.0);
         e.observe(7, 6.0);
         assert_eq!(e.n_observed(), 2);
-        let snap = e.snapshot();
-        assert_eq!(snap, vec![(7, 6.0), (999_983, 4.0)], "sorted by id");
-        let mut f = DurationEstimator::new(0.3, 10.0);
-        f.restore(snap);
-        assert_eq!(f.predict(7), 6.0);
-        assert_eq!(f.predict(999_983), 4.0);
-        assert_eq!(f.predict(0), 10.0, "unseen clients keep the default");
+        assert_eq!(e.predict(7), 6.0);
+        assert_eq!(e.predict(999_983), 4.0);
+        assert_eq!(e.predict(0), 10.0, "unseen clients keep the default");
     }
 }

@@ -53,7 +53,6 @@ pub mod transport;
 pub mod workload;
 
 pub use algorithms::{FedCaOptions, Scheme};
-pub use checkpoint::{CheckpointEnvelope, CheckpointError};
 pub use config::PopulationConfig;
 pub use config::{FedCaConfig, FlConfig, ShardConfig};
 pub use metrics::TrainerOutput;

@@ -25,9 +25,10 @@
 //!   compact *dirty* overlay (its mutable state is the only thing that
 //!   cannot be rederived), an untouched one is simply dropped.
 //!
-//! The dirty overlay doubles as the sparse snapshot payload: an envelope
-//! stores exactly the dirty set, so snapshots of a million-client
-//! federation scale with the clients actually touched.
+//! The overlay's [`ClientSnapshot`] is also what a shard child replays: its
+//! `factory.build` + [`apply_snapshot`] is the same derivation as a local
+//! hydrate. Between them, eviction and the shard hand-off are the only
+//! readers of a client's snapshot.
 
 use crate::algorithms::Scheme;
 use crate::checkpoint::ClientSnapshot;
@@ -45,8 +46,9 @@ use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::sync::Arc;
 
-/// A client-store invariant violation, reported instead of panicking so
-/// callers (snapshot/restore in particular) can surface it as an error.
+/// A client-store invariant violation, reported as a typed error instead of
+/// a bare panic, so the round loop's panic names the client and the broken
+/// invariant.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum TrainerError {
     /// The operation needs the client resident, but it is currently checked
@@ -79,12 +81,6 @@ pub enum TrainerError {
         /// The population size.
         n_clients: usize,
     },
-    /// A between-rounds operation (snapshot/restore) ran while clients were
-    /// still checked out to workers.
-    ClientsInFlight {
-        /// How many clients are still out.
-        n_out: usize,
-    },
 }
 
 impl fmt::Display for TrainerError {
@@ -104,13 +100,6 @@ impl fmt::Display for TrainerError {
             }
             TrainerError::UnknownClient { id, n_clients } => {
                 write!(f, "client {id} outside the population of {n_clients}")
-            }
-            TrainerError::ClientsInFlight { n_out } => {
-                write!(
-                    f,
-                    "{n_out} client(s) still checked out; the operation only \
-                     runs between rounds"
-                )
             }
         }
     }
@@ -241,9 +230,8 @@ pub struct ClientStore {
     /// Evicted-but-mutated clients: `dirty ∩ resident = ∅` always (hydration
     /// moves the overlay back into residency).
     dirty: HashMap<usize, ClientSnapshot>,
-    /// Sparse participation counts: the one count the anchor cadence,
-    /// eviction and snapshots read. It survives eviction and failure
-    /// rebuilds.
+    /// Sparse participation counts: the one count the anchor cadence and
+    /// eviction read. It survives eviction and failure rebuilds.
     participations: HashMap<usize, usize>,
     touch_counter: u64,
     /// Residency cap after a round; 0 means unbounded.
@@ -298,18 +286,6 @@ impl ClientStore {
         let n = self.participations.entry(id).or_insert(0);
         *n += 1;
         *n - 1
-    }
-
-    /// Sparse participation table, `(client, count)` sorted by id.
-    pub fn participations_snapshot(&self) -> Vec<(usize, usize)> {
-        let mut out: Vec<(usize, usize)> = self
-            .participations
-            .iter()
-            .filter(|&(_, &n)| n > 0)
-            .map(|(&id, &n)| (id, n))
-            .collect();
-        out.sort_unstable_by_key(|&(id, _)| id);
-        out
     }
 
     fn check_id(&self, id: usize) -> Result<(), TrainerError> {
@@ -430,53 +406,6 @@ impl ClientStore {
         }
         excess
     }
-
-    /// The mutated-client set for a snapshot: the dirty overlay plus every
-    /// resident client that participated, sorted by id. Errors if any client
-    /// is still checked out (a snapshot only runs between rounds).
-    pub fn snapshot_all(&self) -> Result<Vec<ClientSnapshot>, TrainerError> {
-        if !self.checked_out.is_empty() {
-            return Err(TrainerError::ClientsInFlight {
-                n_out: self.checked_out.len(),
-            });
-        }
-        let mut out: Vec<ClientSnapshot> = self.dirty.values().cloned().collect();
-        out.extend(
-            self.resident
-                .values()
-                .filter(|r| self.participations(r.state.id) > 0)
-                .map(|r| snapshot_client(&r.state)),
-        );
-        out.sort_unstable_by_key(|s| s.id);
-        Ok(out)
-    }
-
-    /// Restores the store to a snapshotted population state: the dirty set
-    /// becomes the overlay and residency starts empty (clients rehydrate on
-    /// their next selection). Errors if clients are in flight or an id falls
-    /// outside the population; every check runs before the first write, so
-    /// an error leaves the store unchanged.
-    pub fn restore(
-        &mut self,
-        clients: &[ClientSnapshot],
-        participations: &[(usize, usize)],
-    ) -> Result<(), TrainerError> {
-        if !self.checked_out.is_empty() {
-            return Err(TrainerError::ClientsInFlight {
-                n_out: self.checked_out.len(),
-            });
-        }
-        for snap in clients {
-            self.check_id(snap.id)?;
-        }
-        for &(id, _) in participations {
-            self.check_id(id)?;
-        }
-        self.resident.clear();
-        self.dirty = clients.iter().map(|s| (s.id, s.clone())).collect();
-        self.participations = participations.iter().copied().collect();
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -554,10 +483,6 @@ mod tests {
             Err(TrainerError::DoubleCheckout { id: 3 })
         ));
         assert_eq!(store.hydrate(3), Err(TrainerError::CheckedOut { id: 3 }));
-        assert_eq!(
-            store.snapshot_all(),
-            Err(TrainerError::ClientsInFlight { n_out: 1 })
-        );
         store.check_in(state).unwrap();
         let stray = store.factory().build(5);
         assert_eq!(
@@ -568,7 +493,6 @@ mod tests {
             store.checkout(6),
             Err(TrainerError::NotResident { id: 6 })
         ));
-        assert!(store.snapshot_all().unwrap().is_empty(), "nothing mutated");
     }
 
     #[test]
@@ -631,36 +555,6 @@ mod tests {
         assert_eq!(
             store.rebuild_failed(2),
             Err(TrainerError::NotCheckedOut { id: 2 })
-        );
-    }
-
-    #[test]
-    fn restore_validates_ids_and_rehydrates_lazily() {
-        let mut store = ClientStore::new(factory(8, 0));
-        store.hydrate(1).unwrap();
-        store.participations.insert(1, 2);
-        let snaps = store.snapshot_all().unwrap();
-        assert_eq!(snaps.len(), 1, "only the participant is dirty");
-        let parts = store.participations_snapshot();
-
-        let mut fresh = ClientStore::new(factory(8, 0));
-        fresh.restore(&snaps, &parts).unwrap();
-        assert_eq!(fresh.n_resident(), 0, "restore does not hydrate");
-        fresh.hydrate(1).unwrap();
-        assert_eq!(
-            snapshot_client(fresh.peek(1).unwrap()),
-            snaps[0],
-            "restored client is bit-identical"
-        );
-        assert_eq!(fresh.participations(1), 2);
-
-        let bad = vec![(99usize, 1usize)];
-        assert_eq!(
-            fresh.restore(&[], &bad),
-            Err(TrainerError::UnknownClient {
-                id: 99,
-                n_clients: 8
-            })
         );
     }
 }

@@ -221,8 +221,8 @@ impl SampledProfiler {
         self.curves.as_ref()
     }
 
-    /// Overwrites the stored curves (snapshot/restore). Sample indices
-    /// are deterministic per `(seed, layout)` and never restored.
+    /// Overwrites the stored curves (eviction and shard hand-off). Sample
+    /// indices are deterministic per `(seed, layout)` and never restored.
     pub fn restore_curves(&mut self, curves: Option<ProfiledCurves>) {
         self.curves = curves;
     }

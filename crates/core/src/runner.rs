@@ -25,7 +25,6 @@
 //! finishes first.
 
 use crate::algorithms::Scheme;
-use crate::checkpoint::{fnv1a, CheckpointEnvelope, CheckpointError};
 use crate::client::{ClientRoundReport, ClientState, RoundPlan};
 use crate::config::FlConfig;
 use crate::executor::{ClientCompletion, ClientDone, ClientWork, RoundCtx, RoundExecutor};
@@ -131,29 +130,6 @@ const EVAL_SAMPLES: usize = 512;
 /// carries a typed, descriptive error instead of a bare `expect`.
 fn invariant<T>(r: Result<T, TrainerError>) -> T {
     r.unwrap_or_else(|e| panic!("client-store invariant violated: {e}"))
-}
-
-/// `FlConfig` sections that cannot change the trajectory: whether tracing
-/// is on, how many hydrated clients stay resident, and the process
-/// topology.
-const TRAJECTORY_NEUTRAL_SECTIONS: [&str; 3] = ["trace", "population", "shard"];
-
-/// The text a snapshot's fingerprint hashes: the `FlConfig` with its
-/// [`TRAJECTORY_NEUTRAL_SECTIONS`] *removed*, plus the scheme and the
-/// workload name. Removed, not reset to their defaults: the shape of a
-/// section the trajectory does not depend on (a field added to or retired
-/// from `ShardConfig`, say) must not move the fingerprint, and a restore may
-/// use a different tracing setup, residency cap or shard count than the run
-/// that took the snapshot.
-fn run_identity(fl: &FlConfig, scheme: &Scheme, workload: &str) -> String {
-    let serde::Value::Object(mut sections) = serde_json::to_value(fl).expect("config serializes")
-    else {
-        unreachable!("FlConfig serializes to an object");
-    };
-    sections.retain(|(key, _)| !TRAJECTORY_NEUTRAL_SECTIONS.contains(&key.as_str()));
-    let config = serde_json::to_string(&serde::Value::Object(sections)).expect("value serializes");
-    let scheme = serde_json::to_string(scheme).expect("scheme serializes");
-    format!("{config}|{scheme}|{workload}")
 }
 
 /// The default worker-pool size: one worker per selected client, at most
@@ -279,11 +255,6 @@ impl Trainer {
             records: Vec::new(),
             eval_every: 1,
         }
-    }
-
-    /// The virtual clock (end of the last completed round).
-    pub fn clock(&self) -> SimTime {
-        self.clock
     }
 
     /// The model layout shared by the federation.
@@ -709,83 +680,6 @@ impl Trainer {
             rounds: self.records.clone(),
         }
     }
-
-    /// Fingerprint of the run identity a snapshot belongs to: see
-    /// [`run_identity`]. Restore refuses envelopes from a different
-    /// identity before any component-level restore runs.
-    fn run_fingerprint(&self) -> u64 {
-        fnv1a(run_identity(&self.fl, &self.scheme, &self.workload.name).as_bytes())
-    }
-
-    /// Captures the full cross-round training state. Only valid between
-    /// rounds — errors with [`TrainerError::ClientsInFlight`] if any client
-    /// is still checked out to a worker (`run_round` upholds that). The
-    /// envelope is sparse: only clients that ever participated appear.
-    pub fn snapshot(&self) -> Result<CheckpointEnvelope, TrainerError> {
-        let clients = self.store.snapshot_all()?;
-        Ok(CheckpointEnvelope {
-            fingerprint: self.run_fingerprint(),
-            n_clients: self.fl.n_clients,
-            rounds_done: self.records.len(),
-            clock: self.clock,
-            selection_rng: self.rng.state().to_vec(),
-            global: self.server.global().as_slice().to_vec(),
-            estimator_ema: self.server.estimator().snapshot(),
-            participations: self.store.participations_snapshot(),
-            clients,
-            records: self.records.clone(),
-        })
-    }
-
-    /// Overwrites this trainer's mutable state with a snapshot taken by an
-    /// identically-configured run. Everything config-derived (partition,
-    /// speed classes, fault plan, profiler sample indices) was already
-    /// rebuilt by the constructor and is left untouched.
-    ///
-    /// All or nothing: every check runs before the first write, so a refused
-    /// envelope leaves the trainer exactly as it was.
-    pub fn restore(&mut self, env: &CheckpointEnvelope) -> Result<(), CheckpointError> {
-        let actual = self.run_fingerprint();
-        if env.fingerprint != actual {
-            return Err(CheckpointError::ConfigMismatch {
-                expected: env.fingerprint,
-                actual,
-            });
-        }
-        let (n_clients, n_params) = (self.fl.n_clients, self.layout.total_params());
-        if env.n_clients != n_clients
-            || env.records.len() != env.rounds_done
-            || env.global.len() != n_params
-        {
-            return Err(CheckpointError::Malformed(format!(
-                "population {} (trainer has {n_clients}), {} records for \
-                 rounds_done={}, {} global parameters (layout has {n_params})",
-                env.n_clients,
-                env.records.len(),
-                env.rounds_done,
-                env.global.len(),
-            )));
-        }
-        let rng_state: [u64; 4] = env.selection_rng.as_slice().try_into().map_err(|_| {
-            CheckpointError::Malformed("selection RNG state must be 4 words".into())
-        })?;
-        if let Some(&(id, _)) = env.estimator_ema.iter().find(|&&(id, _)| id >= n_clients) {
-            return Err(TrainerError::UnknownClient { id, n_clients }.into());
-        }
-        // The sparse client set becomes the store's dirty overlay; clients
-        // rehydrate (fresh derivation + overlay) on their next selection.
-        // The store checks its ids and that no client is in flight before it
-        // writes anything, and nothing after it can fail.
-        self.store.restore(&env.clients, &env.participations)?;
-        self.rng = StdRng::from_state(rng_state);
-        self.clock = env.clock;
-        self.records = env.records.clone();
-        self.server.restore_global(env.global.clone());
-        self.server
-            .estimator_mut()
-            .restore(env.estimator_ema.clone());
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -815,34 +709,6 @@ mod tests {
             population: Default::default(),
             shard: Default::default(),
         }
-    }
-
-    #[test]
-    fn run_identity_ignores_the_trajectory_neutral_sections_entirely() {
-        let base = tiny_fl();
-        let identity = |fl: &FlConfig| run_identity(fl, &Scheme::fedca_default(), "tiny_mlp");
-        let want = identity(&base);
-        // The hashed text does not even name the three sections, so adding or
-        // retiring a field inside one of them cannot move a fingerprint.
-        for section in TRAJECTORY_NEUTRAL_SECTIONS {
-            assert!(!want.contains(section), "`{section}` in {want}");
-        }
-        // No value of any of them changes it.
-        let mut busy = base.clone();
-        busy.trace = crate::trace::TraceConfig::enabled();
-        busy.population.cache_clients = 5;
-        busy.shard.n_shards = 4;
-        busy.shard.io_timeout_secs = 1.5;
-        busy.shard.child_args = vec!["shard_child_entry".into()];
-        assert_eq!(identity(&busy), want);
-        // Anything the trajectory does depend on still does.
-        let mut other = base.clone();
-        other.seed += 1;
-        assert_ne!(identity(&other), want);
-        let mut other = base;
-        other.faults = FaultConfig::chaos(1);
-        assert_ne!(identity(&other), want);
-        assert_ne!(run_identity(&tiny_fl(), &Scheme::FedAvg, "tiny_mlp"), want);
     }
 
     #[test]

@@ -229,26 +229,6 @@ impl Server {
         &self.global
     }
 
-    /// Overwrites the global parameters (snapshot/restore).
-    ///
-    /// # Panics
-    /// Panics if `data` does not match the model layout.
-    pub fn restore_global(&mut self, data: Vec<f32>) {
-        let layout = Arc::clone(self.global.layout());
-        assert_eq!(data.len(), layout.total_params(), "global size changed");
-        self.global = UpdateVec::from_vec(layout, data);
-    }
-
-    /// The per-client duration estimator (snapshot/restore).
-    pub fn estimator(&self) -> &DurationEstimator {
-        &self.estimator
-    }
-
-    /// Mutable access to the duration estimator (snapshot/restore).
-    pub fn estimator_mut(&mut self) -> &mut DurationEstimator {
-        &mut self.estimator
-    }
-
     /// Uniform-random client selection without replacement.
     ///
     /// Sparse partial Fisher-Yates: instead of materializing the full
@@ -1049,20 +1029,23 @@ mod tests {
             assert!(back[0].is_some(), "{what}: rejected report dropped");
             assert_eq!(s.global().as_slice(), &[10.0; 5], "{what}: global moved");
         }
-        // The same arena then accepts the exact tiling, split either way.
-        for bytes in [
-            good.clone(),
-            concat(
-                &encode(vec![dense(1, vec![2.0; 2])]),
-                &encode(vec![dense(0, vec![1.0; 3])]),
+        // The same arena then accepts the exact tiling, split either way:
+        // each fold adds the one update to the global.
+        for (bytes, want) in [
+            (good.clone(), [11.0, 11.0, 11.0, 12.0, 12.0]),
+            (
+                concat(
+                    &encode(vec![dense(1, vec![2.0; 2])]),
+                    &encode(vec![dense(0, vec![1.0; 3])]),
+                ),
+                [12.0, 12.0, 12.0, 14.0, 14.0],
             ),
         ] {
-            s.restore_global(vec![10.0; 5]);
             let mut agg = s.begin_round(0.0, 1);
             agg.ingest(0, bytes_report(0, 1.0, Some(bytes), 1.0));
             let (res, _) = agg.close(&mut s);
             assert_eq!((res.rejected, res.collected), (vec![], vec![0]));
-            assert_eq!(s.global().as_slice(), &[11.0, 11.0, 11.0, 12.0, 12.0]);
+            assert_eq!(s.global().as_slice(), &want);
         }
         // An upload that never arrives carries nothing to judge: stored,
         // never collected, not a rejection.
@@ -1072,29 +1055,6 @@ mod tests {
         let (res, back) = agg.close(&mut s);
         assert!(res.rejected.is_empty());
         assert!(res.collected.is_empty() && back[0].is_some());
-    }
-
-    #[test]
-    fn server_state_snapshot_restores_exactly() {
-        let mut a = server();
-        let _ = aggregate_round(
-            &mut a,
-            &[
-                report(0, 1.0, vec![1.0, -1.0], 1.0),
-                report(1, 2.0, vec![0.5, 0.5], 2.0),
-            ],
-        );
-        let global = a.global().as_slice().to_vec();
-        let ema = a.estimator().snapshot();
-
-        let mut b = server();
-        b.restore_global(global.clone());
-        b.estimator_mut().restore(ema);
-        assert_eq!(a.global().as_slice(), b.global().as_slice());
-        for c in 0..8 {
-            assert_eq!(a.estimator().predict(c), b.estimator().predict(c));
-        }
-        assert_eq!(a.estimator().n_observed(), b.estimator().n_observed());
     }
 
     #[test]

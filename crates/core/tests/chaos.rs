@@ -12,6 +12,7 @@
 use fedca_core::config::FaultConfig;
 use fedca_core::metrics::TrainerOutput;
 use fedca_core::runner::Trainer;
+use fedca_core::trace::TraceConfig;
 use fedca_core::{FlConfig, Scheme, Workload};
 use fedca_sim::faults::FaultPlan;
 use proptest::prelude::*;
@@ -377,6 +378,51 @@ fn kill_at_every_round_recovery_is_deterministic() {
     assert_eq!(
         params_a, params_local,
         "killed shards changed the global parameters"
+    );
+}
+
+/// An injected `corrupt_update` fault poisons the upload with NaNs, the
+/// server's non-finite guard rejects it (counted in `n_rejected`), and the
+/// aggregated global parameters stay finite.
+#[test]
+fn corrupt_updates_are_rejected_and_counted() {
+    let faults = FaultConfig {
+        corrupt_update_prob: 1.0,
+        ..FaultConfig::none()
+    };
+    let fl = FlConfig {
+        n_clients: 8,
+        clients_per_round: 4,
+        local_iters: 6,
+        batch_size: 8,
+        lr: 0.05,
+        weight_decay: 0.0,
+        aggregation_fraction: 0.9,
+        dirichlet_alpha: 0.5,
+        seed: 11,
+        heterogeneity: true,
+        dynamicity: true,
+        dropout_prob: 0.0,
+        compression: Default::default(),
+        faults,
+        trace: TraceConfig::enabled(),
+        population: Default::default(),
+        shard: Default::default(),
+    };
+    let mut t = Trainer::new_with_workers(fl, Scheme::fedca_default(), Workload::tiny_mlp(11), 2);
+    t.eval_every = 0;
+    t.run(3);
+    for r in t.records() {
+        assert_eq!(
+            r.n_rejected, r.n_selected,
+            "round {}: every upload is poisoned, every upload must be rejected",
+            r.round
+        );
+        assert_eq!(r.n_aggregated, 0, "round {}: nothing aggregatable", r.round);
+    }
+    assert!(
+        t.global_params().iter().all(|v| v.is_finite()),
+        "NaN leaked into the global model"
     );
 }
 

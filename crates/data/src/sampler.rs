@@ -50,7 +50,8 @@ impl BatchSampler {
         self.batch_size = batch_size;
     }
 
-    /// The current index permutation and epoch cursor, for checkpointing.
+    /// The current index permutation and epoch cursor, for eviction and
+    /// shard hand-off.
     /// Batch size is excluded: callers reapply it each round.
     pub fn snapshot(&self) -> (Vec<usize>, usize) {
         (self.indices.clone(), self.cursor)

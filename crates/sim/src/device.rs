@@ -139,9 +139,9 @@ impl DeviceSpeed {
         self.base
     }
 
-    /// Captures the process position for checkpointing. Base speed and
-    /// dynamics are excluded: they are config-derived and the restore
-    /// target supplies them.
+    /// Captures the process position, for eviction and shard hand-off. Base
+    /// speed and dynamics are excluded: they are config-derived and the
+    /// restore target supplies them.
     pub fn snapshot(&self) -> DeviceSpeedSnapshot {
         DeviceSpeedSnapshot {
             rng: self.rng.state().to_vec(),

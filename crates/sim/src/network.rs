@@ -86,8 +86,8 @@ impl Link {
         self.busy_until
     }
 
-    /// Restores the FIFO queue head (snapshot/restore). Rate scale is
-    /// reapplied per round by fault injection.
+    /// Restores the FIFO queue head (eviction and shard hand-off). Rate
+    /// scale is reapplied per round by fault injection.
     ///
     /// # Panics
     /// Panics if `t < 0`.

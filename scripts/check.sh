@@ -45,14 +45,13 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 echo "== cargo test"
 cargo test --workspace -q
 
-# Bit-identity across reruns, worker counts, shard topologies, failovers,
-# lazy populations and snapshot/restore at every round, once more as the
-# optimizer's release build compiles it.
+# Bit-identity across reruns, worker counts, shard topologies, failovers
+# and lazy populations, once more as the optimizer's release build
+# compiles it.
 echo "== determinism, topology and population suites (release)"
 cargo test --release -q -p fedca-core \
   --test golden_trace --test executor_api --test profiler_determinism --test serde_roundtrip \
-  --test shard_parity --test shard_api --test shard_transport --test population_parity \
-  --test snapshot_restore
+  --test shard_parity --test shard_api --test shard_transport --test population_parity
 
 # `cargo test` above ran these on the tier dispatch picks; this pins the
 # portable tier, so both are held to the one definition of every kernel's
