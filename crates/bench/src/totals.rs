@@ -50,7 +50,7 @@ impl<'a> Totals<'a> {
                 self.sum(|r| r.hydrate_host_us),
             ),
             format!(
-                "  data plane: {:.0} µs ingest-decode, {aggregate_us:.0} µs close-fold \
+                "  data plane: {:.0} µs ingest check, {aggregate_us:.0} µs close-fold \
                  ({:.1} µs/round fold)",
                 self.sum(|r| r.decode_host_us),
                 aggregate_us / (rounds as f64).max(1.0),

@@ -197,6 +197,51 @@ proptest! {
             Err(WireError::Truncated) | Err(WireError::Malformed(_)) => {}
         }
     }
+
+    /// The server's finiteness rule, `PayloadView::decodes_finite`, never
+    /// passes a layer that decodes to a non-finite value, and is exact for
+    /// dense layers. It may refuse a quantized run whose actual levels stay
+    /// finite (the run is judged on its header) or a sparse layer whose
+    /// non-finite value a forged duplicate index overwrites.
+    #[test]
+    fn decodes_finite_never_passes_a_non_finite_decode(
+        n in 1usize..40,
+        seed in 0u64..500,
+        kind in 0usize..4,
+        special in (0usize..40, 0usize..4),
+        pos_pick in 0usize..10_000,
+        flip in 0u32..256,
+    ) {
+        let mut x = values(n, seed, 2.0);
+        if let Some(&s) = [f32::INFINITY, f32::NEG_INFINITY, f32::MAX].get(special.1) {
+            x[special.0 % n] = s;
+        }
+        let mut rng = StdRng::seed_from_u64(seed);
+        let payload = match kind {
+            0 => Compression::None.compress(&x, &mut rng),
+            1 => Compression::Int8.compress(&x, &mut rng),
+            2 => Compression::Quantize { bits: 1 }.compress(&x, &mut rng),
+            _ => Compression::TopK { keep: 0.5 }.compress(&x, &mut rng),
+        };
+        let mut bytes = wire::encode(&UpdateMessage { round: 0, client: 0, layers: vec![(0, payload)] });
+        let pos = pos_pick % bytes.len();
+        bytes[pos] ^= flip as u8;
+        let _ = wire::for_each_layer(&bytes, |_, view| {
+            // A forged sparse length is not backed by bytes: skip, don't allocate it.
+            if view.len() <= 64 {
+                let mut out = vec![0.0f32; view.len()];
+                view.decode_into(&mut out);
+                let finite = out.iter().all(|v| v.is_finite());
+                match view {
+                    wire::PayloadView::Dense { .. } => {
+                        assert_eq!(view.decodes_finite(), finite, "{view:?}")
+                    }
+                    _ => assert!(!view.decodes_finite() || finite, "{view:?}"),
+                }
+            }
+            Ok(())
+        });
+    }
 }
 
 /// Stochastic QSGD consumes the rng; the deterministic schemes must not —

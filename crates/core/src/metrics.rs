@@ -80,8 +80,10 @@ pub struct RoundRecord {
     /// Host wall-clock microseconds spent hydrating this round's cohort (the
     /// trace's `hydrate` span).
     pub hydrate_host_us: f64,
-    /// Host wall-clock microseconds spent decoding wire uploads into the
-    /// aggregation arena at ingest time.
+    /// Host wall-clock microseconds spent checking wire uploads at ingest
+    /// time (tiling, lengths, finiteness). The decode itself runs in the
+    /// fold, inside `aggregate_host_us`; the name stays because the
+    /// benchmark reads it.
     pub decode_host_us: f64,
     /// Host wall-clock microseconds spent closing the round's aggregator:
     /// the weighted fold into the global model plus the estimator update

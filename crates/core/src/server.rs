@@ -1,4 +1,12 @@
 //! The FL server: client selection, deadline offload, partial aggregation.
+//!
+//! The server keeps no copy of an upload. [`StreamingAggregator::ingest`]
+//! checks a report's wire bytes once, on arrival — every layer of the
+//! layout exactly once, at its length, decoding finite — and keeps the
+//! report. [`StreamingAggregator::close`] cuts the round and walks each
+//! collected upload's bytes once more, in ordinal order, folding them into
+//! one accumulator. The [`Server`] owns that accumulator and one
+//! layer-sized scratch buffer, and nothing per ordinal.
 
 use crate::algorithms::{fedada_iterations, Scheme};
 use crate::client::ClientRoundReport;
@@ -9,182 +17,20 @@ use fedca_sim::engine::round_completion_time;
 use fedca_sim::SimTime;
 use fedca_tensor::dataplane;
 use rand::Rng;
-use std::ops::Range;
 use std::sync::Arc;
-
-/// One decoded span of a client's wire update inside its arena slot.
-///
-/// Dense-representable payloads (dense, sparse, zero-scale quantized)
-/// are decoded into the slot's staging vector at ingest; quantized runs stay
-/// bit-packed on the wire (recorded as byte offsets into the report's
-/// retained buffer) and are folded by the fused dequantize-accumulate
-/// kernel at round close, never materializing a dense copy.
-#[derive(Clone, Debug)]
-enum Seg {
-    /// `slot.dense[range]` holds the decoded values.
-    Dense {
-        /// Flat-parameter span this segment covers.
-        range: Range<usize>,
-    },
-    /// Packed QSGD levels at `bytes[off..off + len]` in the report's
-    /// `wire_update` buffer.
-    Quant {
-        /// Flat-parameter span this segment covers.
-        range: Range<usize>,
-        /// Max-abs dequantization scale (non-zero, or the segment would
-        /// have been decoded as dense zeros).
-        scale: f32,
-        /// Level count per sign.
-        num_levels: u8,
-        /// Bit width of one packed level field.
-        width: u32,
-        /// Byte offset of the packed run in the wire buffer.
-        off: usize,
-        /// Packed run length in bytes.
-        len: usize,
-    },
-}
-
-/// Per-ordinal decode slot: dense staging plus the segment map.
-#[derive(Default)]
-struct ArenaSlot {
-    /// Dense staging, sized to `total_params` by the slot's first dense
-    /// decode: a slot that only ever holds quantized runs never allocates
-    /// it, since those are folded straight from the wire bytes.
-    dense: Vec<f32>,
-    /// Segment map covering the full layout exactly (validated at decode).
-    segs: Vec<Seg>,
-}
-
-/// Pooled per-ordinal decode scratch, owned by the [`Server`] between
-/// rounds and lent to the [`StreamingAggregator`] for the round's lifetime.
-/// Ingest-time decode performs zero heap allocations after the first round
-/// at a given cohort size and model and after a slot's first dense decode:
-/// slots, their staging vectors, their segment maps, and the fold buffer
-/// are all reused.
-#[derive(Default)]
-pub struct UpdateArena {
-    slots: Vec<ArenaSlot>,
-    /// Round-close fold accumulator (the weighted-mean delta).
-    fold: Vec<f32>,
-    total_params: usize,
-}
-
-impl UpdateArena {
-    /// Prepares the arena for a round of `n_selected` ordinals over a model
-    /// of `total_params` scalars. Grows pools as needed; steady-state calls
-    /// are allocation-free.
-    fn reset(&mut self, n_selected: usize, total_params: usize) {
-        self.total_params = total_params;
-        if self.slots.len() < n_selected {
-            self.slots.resize_with(n_selected, ArenaSlot::default);
-        }
-        for slot in &mut self.slots[..n_selected] {
-            slot.segs.clear();
-        }
-        if self.fold.len() != total_params {
-            self.fold.resize(total_params, 0.0);
-        }
-    }
-
-    /// Decodes a client's concatenated wire messages into slot `ord`:
-    /// dense-representable payloads land in the staging vector, quantized
-    /// runs are recorded as packed byte spans. Fails — the caller rejects
-    /// the upload — when the bytes are structurally invalid, the segments
-    /// do not tile the layout exactly, or anything could decode non-finite:
-    /// a dense value, or a quantized run whose widest field would (checked
-    /// on the header alone, so the fold stays the only pass over the bits).
-    fn decode_slot(
-        &mut self,
-        ord: usize,
-        buf: &[u8],
-        layout: &ModelLayout,
-    ) -> Result<(), WireError> {
-        let total = self.total_params;
-        let slot = &mut self.slots[ord];
-        slot.segs.clear();
-        wire::for_each_layer(buf, |id, view| {
-            let l = id as usize;
-            if l >= layout.num_layers() {
-                return Err(WireError::Malformed("layer id outside the layout"));
-            }
-            let range = layout.range(l);
-            if view.len() != range.len() {
-                return Err(WireError::Malformed("layer length"));
-            }
-            match view {
-                PayloadView::Quantized {
-                    bits,
-                    num_levels,
-                    scale,
-                    n,
-                    packed,
-                } if scale != 0.0 && n > 0 => {
-                    // A `width`-bit field decodes to at most `2^width − 1 −
-                    // L` in magnitude, and never past 128 (fields wrap
-                    // through `i8`); `lev / L · scale` grows with |lev|, so
-                    // every value is finite exactly when that one is. The
-                    // reader already pinned L to what `bits` implies.
-                    let width = wire::quantized_width(bits);
-                    let widest = ((1u32 << width) - 1 - num_levels as u32).min(128);
-                    if !(widest as f32 / num_levels as f32 * scale).is_finite() {
-                        return Err(WireError::Malformed("quantized run decodes non-finite"));
-                    }
-                    slot.segs.push(Seg::Quant {
-                        range,
-                        scale,
-                        num_levels,
-                        width,
-                        off: wire::subslice_offset(buf, packed),
-                        len: packed.len(),
-                    });
-                }
-                _ => {
-                    if slot.dense.len() != total {
-                        slot.dense.resize(total, 0.0);
-                    }
-                    view.decode_into(&mut slot.dense[range.clone()]);
-                    if !dataplane::all_finite(&slot.dense[range.clone()]) {
-                        return Err(WireError::Malformed("non-finite value"));
-                    }
-                    slot.segs.push(Seg::Dense { range });
-                }
-            }
-            Ok(())
-        })?;
-        // The concatenated messages must tile the layout exactly — no gap,
-        // no overlap, no repeated layer — or the fold would read stale
-        // staging data. Sort in place (capacity retained) and walk.
-        // Unstable sort: never allocates, and the keys (segment starts) are
-        // distinct once the tiling check below passes.
-        slot.segs.sort_unstable_by_key(|s| match s {
-            Seg::Dense { range } | Seg::Quant { range, .. } => range.start,
-        });
-        let mut covered = 0usize;
-        for seg in &slot.segs {
-            let range = match seg {
-                Seg::Dense { range } | Seg::Quant { range, .. } => range,
-            };
-            if range.start != covered {
-                return Err(WireError::Malformed("layers do not tile the layout"));
-            }
-            covered = range.end;
-        }
-        if covered != total {
-            return Err(WireError::Malformed("layers do not tile the layout"));
-        }
-        Ok(())
-    }
-}
 
 /// Server state: the global model (as a flat vector), the per-client
 /// duration estimates that drive deadlines and FedAda's workload tuning,
-/// and the pooled decode arena the data plane reuses across rounds.
+/// and the two buffers round close reuses: the fold accumulator and the
+/// scratch a non-quantized layer decodes into.
 pub struct Server {
     global: UpdateVec,
     estimator: DurationEstimator,
     aggregation_fraction: f64,
-    arena: UpdateArena,
+    /// Round-close fold accumulator (the weighted-mean delta).
+    fold: Vec<f32>,
+    /// One layer's decoded values at round close.
+    scratch: Vec<f32>,
 }
 
 /// Result of one aggregation step.
@@ -201,8 +47,9 @@ pub struct AggregationResult {
     /// are not an exact finite tiling, or a non-finite weight). Their
     /// reports are returned like any other but never collected or folded.
     pub rejected: Vec<usize>,
-    /// Host microseconds spent decoding wire uploads at ingest time
-    /// (including the non-finite scan). Operational only.
+    /// Host microseconds spent checking wire uploads at ingest time (the
+    /// tiling and finiteness check; the decode itself runs at close).
+    /// Operational only.
     pub decode_host_us: f64,
 }
 
@@ -220,7 +67,8 @@ impl Server {
             global: UpdateVec::from_vec(layout, initial),
             estimator: DurationEstimator::new(0.3, default_round_duration),
             aggregation_fraction,
-            arena: UpdateArena::default(),
+            fold: Vec::new(),
+            scratch: Vec::new(),
         }
     }
 
@@ -288,22 +136,19 @@ impl Server {
     }
 
     /// Opens a round for streaming aggregation: client reports are ingested
-    /// one by one as uploads complete — wire uploads decode into the pooled
-    /// arena on arrival — and folded into the global model when the
-    /// aggregator is [closed](StreamingAggregator::close). The arena moves
-    /// into the aggregator for the round and returns at close, so its
-    /// buffers are reused round over round.
+    /// one by one as uploads complete — each upload's bytes are checked on
+    /// arrival — and folded into the global model when the aggregator is
+    /// [closed](StreamingAggregator::close).
     pub fn begin_round(&mut self, round_start: SimTime, n_selected: usize) -> StreamingAggregator {
         assert!(n_selected > 0, "no clients selected");
-        let mut arena = std::mem::take(&mut self.arena);
-        arena.reset(n_selected, self.global.layout().total_params());
+        let layout = Arc::clone(self.global.layout());
         StreamingAggregator {
             round_start,
             fraction: self.aggregation_fraction,
-            layout: Arc::clone(self.global.layout()),
+            seen: vec![false; layout.num_layers()],
+            layout,
             slots: (0..n_selected).map(|_| Slot::Pending).collect(),
             fallback_completion: None,
-            arena,
             decode_host_us: 0.0,
         }
     }
@@ -325,7 +170,7 @@ enum Slot {
 /// Aggregation state for one round.
 ///
 /// Reports are ingested in whatever order client uploads complete, and each
-/// upload is decoded on arrival; the aggregator only remembers, per
+/// upload is checked on arrival; the aggregator only remembers, per
 /// ordinal, the report and whether its upload was accepted. The arrival
 /// cut and the weighted fold both wait for [`close`](Self::close), which
 /// builds the arrival times from the reports it holds, computes the cut
@@ -336,9 +181,10 @@ pub struct StreamingAggregator {
     round_start: SimTime,
     fraction: f64,
     layout: Arc<ModelLayout>,
+    /// Per layer, whether the upload being checked carried it yet.
+    seen: Vec<bool>,
     slots: Vec<Slot>,
     fallback_completion: Option<SimTime>,
-    arena: UpdateArena,
     decode_host_us: f64,
 }
 
@@ -346,18 +192,19 @@ impl StreamingAggregator {
     /// Ingests the report at ordinal `ord` (its position in the round's
     /// selection list).
     ///
-    /// An upload is its wire bytes and nothing else: they decode into the
-    /// pooled arena *here*, in arrival order — round close only folds. One
-    /// rule decides acceptance: bytes that do not decode to an exact tiling
-    /// of the layout, or could decode to a non-finite value (which would
-    /// poison the global model through the weighted fold), are rejected —
+    /// An upload is its wire bytes and nothing else: they are checked
+    /// *here*, in arrival order, and read again only by the fold at round
+    /// close. One rule decides acceptance: the bytes must parse and carry
+    /// every layer of the layout exactly once, at its length, and nothing
+    /// in them may decode to a non-finite value (which would poison the
+    /// global model through the weighted fold). Other bytes are rejected,
     /// as is an arrived upload with no bytes or a non-finite weight. The cut
     /// sees a rejection as a `+inf` arrival and nothing of it is folded, but
     /// the report is kept — the client's work and bytes happened — and
     /// [`close`](Self::close) returns it, listed in
     /// [`AggregationResult::rejected`]. Reports whose upload never arrives
     /// (infinite `upload_done`) carry nothing to judge: they are stored
-    /// undecoded and can never make the cut.
+    /// unchecked and can never make the cut.
     ///
     /// # Panics
     /// Panics if `ord` is out of range or was already resolved (ingested or
@@ -370,7 +217,7 @@ impl StreamingAggregator {
                 && report
                     .wire_update
                     .as_ref()
-                    .is_some_and(|bytes| self.arena.decode_slot(ord, bytes, &self.layout).is_ok()));
+                    .is_some_and(|bytes| check_tiling(bytes, &self.layout, &mut self.seen)));
         self.decode_host_us += started.elapsed().as_secs_f64() * 1e6;
         self.slots[ord] = if accepted {
             Slot::Accepted(report)
@@ -416,19 +263,17 @@ impl StreamingAggregator {
     /// rejected upload. The fold replicates [`crate::params::aggregate`]
     /// operation for operation — weights summed and updates accumulated in
     /// ordinal order, `fold[j] += alpha · u[j]` elementwise — so it is
-    /// bit-identical to that dense reference over the decoded updates.
-    /// Quantized segments feed the fused dequantize-accumulate kernel
-    /// straight from the packed bytes; every kernel tier is bit-identical
-    /// to scalar.
+    /// bit-identical to that dense reference over the decoded updates. It
+    /// reads each collected upload's bytes once: quantized runs feed the
+    /// fused dequantize-accumulate kernel straight from the packed bytes,
+    /// every other layer decodes into the server's scratch buffer first;
+    /// every kernel tier is bit-identical to scalar.
     ///
     /// # Panics
     /// Panics, naming the ordinal, unless every ordinal was ingested or
     /// marked failed, or if no finite arrival exists and no deadline
     /// fallback was set.
-    pub fn close(
-        mut self,
-        server: &mut Server,
-    ) -> (AggregationResult, Vec<Option<ClientRoundReport>>) {
+    pub fn close(self, server: &mut Server) -> (AggregationResult, Vec<Option<ClientRoundReport>>) {
         let arrivals: Vec<SimTime> = self
             .slots
             .iter()
@@ -474,45 +319,24 @@ impl StreamingAggregator {
                 })
                 .sum();
             assert!(total_w > 0.0, "aggregate weights sum to zero");
-            let total = server.global.layout().total_params();
-            if self.arena.fold.len() != total {
-                self.arena.fold.resize(total, 0.0);
-            }
-            self.arena.fold.fill(0.0);
+            server.fold.clear();
+            server.fold.resize(self.layout.total_params(), 0.0);
             for &i in &collected {
                 let r = reports[i].as_ref().expect("collected implies present");
-                let alpha = (r.weight / total_w) as f32;
                 let bytes = r
                     .wire_update
                     .as_ref()
                     .expect("an accepted, arrived upload has bytes");
-                let slot = &self.arena.slots[i];
-                for seg in &slot.segs {
-                    match seg {
-                        Seg::Dense { range } => dataplane::axpy(
-                            alpha,
-                            &slot.dense[range.clone()],
-                            &mut self.arena.fold[range.clone()],
-                        ),
-                        Seg::Quant {
-                            range,
-                            scale,
-                            num_levels,
-                            width,
-                            off,
-                            len,
-                        } => dataplane::axpy_quantized(
-                            alpha,
-                            *scale,
-                            *num_levels,
-                            *width,
-                            &bytes[*off..*off + *len],
-                            &mut self.arena.fold[range.clone()],
-                        ),
-                    }
-                }
+                let alpha = (r.weight / total_w) as f32;
+                fold_upload(
+                    bytes,
+                    alpha,
+                    &self.layout,
+                    &mut server.fold,
+                    &mut server.scratch,
+                );
             }
-            dataplane::axpy(1.0, &self.arena.fold, server.global.as_mut_slice());
+            dataplane::axpy(1.0, &server.fold, server.global.as_mut_slice());
         }
         for &i in &collected {
             let r = reports[i].as_ref().expect("collected implies present");
@@ -520,8 +344,6 @@ impl StreamingAggregator {
                 .estimator
                 .observe(r.client_id, r.upload_done - self.round_start);
         }
-        // Return the arena pool to the server for the next round.
-        server.arena = self.arena;
         (
             AggregationResult {
                 completion,
@@ -533,6 +355,64 @@ impl StreamingAggregator {
             reports,
         )
     }
+}
+
+/// The ingest check: the concatenated messages in `buf` carry every layer of
+/// `layout` exactly once, at its length, and decode to finite values only.
+/// `seen` holds one flag per layer; nothing is allocated.
+fn check_tiling(buf: &[u8], layout: &ModelLayout, seen: &mut [bool]) -> bool {
+    seen.fill(false);
+    let parsed = wire::for_each_layer(buf, |id, view| {
+        let l = id as usize;
+        let fresh = l < seen.len() && !std::mem::replace(&mut seen[l], true);
+        if fresh && view.len() == layout.layer_len(l) && view.decodes_finite() {
+            Ok(())
+        } else {
+            Err(WireError::Malformed("not an exact finite tiling"))
+        }
+    });
+    parsed.is_ok() && !seen.contains(&false)
+}
+
+/// Adds `alpha ·` the update in an accepted upload's bytes to `fold`, layer
+/// by layer in wire order. Each element gets exactly one term, so the layer
+/// order does not reach a bit.
+fn fold_upload(
+    buf: &[u8],
+    alpha: f32,
+    layout: &ModelLayout,
+    fold: &mut [f32],
+    scratch: &mut Vec<f32>,
+) {
+    wire::for_each_layer(buf, |id, view| {
+        let y = &mut fold[layout.range(id as usize)];
+        match view {
+            PayloadView::Quantized {
+                bits,
+                num_levels,
+                scale,
+                packed,
+                ..
+            } if scale != 0.0 => dataplane::axpy_quantized(
+                alpha,
+                scale,
+                num_levels,
+                wire::quantized_width(bits),
+                packed,
+                y,
+            ),
+            _ => {
+                if scratch.len() < y.len() {
+                    scratch.resize(y.len(), 0.0);
+                }
+                let x = &mut scratch[..y.len()];
+                view.decode_into(x);
+                dataplane::axpy(alpha, x, y);
+            }
+        }
+        Ok(())
+    })
+    .expect("ingest checked the bytes");
 }
 
 #[cfg(test)]
@@ -822,6 +702,24 @@ mod tests {
         assert!(!res.collected.contains(&9));
         assert!((s.global().as_slice()[0] - 0.1).abs() < 1e-5);
         assert!((res.completion - 1.08).abs() < 1e-9);
+    }
+
+    #[test]
+    fn uploads_tied_at_the_cut_are_all_folded() {
+        // Fraction 0.5 of 4 waits for 2 uploads, but three arrive at t = 1:
+        // all three are collected and folded, the t = 9 straggler is not.
+        let mut s = Server::new(layout(), vec![0.0, 0.0], 0.5, 5.0);
+        let reports = vec![
+            report(0, 1.0, vec![4.0, 0.0], 1.0),
+            report(1, 1.0, vec![8.0, 0.0], 1.0),
+            report(2, 1.0, vec![2.0, 0.0], 2.0),
+            report(3, 9.0, vec![1000.0, 0.0], 1.0),
+        ];
+        let res = aggregate_round(&mut s, &reports);
+        assert_eq!(res.completion, 1.0);
+        assert_eq!(res.collected, vec![0, 1, 2]);
+        // 0.25 · 4 + 0.25 · 8 + 0.5 · 2, exactly.
+        assert_eq!(s.global().as_slice(), &[4.0, 0.0]);
     }
 
     #[test]

@@ -1,16 +1,25 @@
-//! Pins the zero-allocation property of warmed-up ingest-time decode.
+//! Pins the allocation profile of the server's streaming aggregator.
 //!
-//! A counting global allocator wraps `System`; after one warm-up round
-//! sizes the server's update arena (per-ordinal staging vectors, segment
-//! maps, fold buffer), ingesting a full cohort of wire-carrying reports —
-//! structural decode, dense staging, packed-span recording, and the
-//! non-finite scan — must perform ZERO heap allocations. (The round's
-//! per-ordinal report slots are allocated by `begin_round`, before the
-//! count starts.)
+//! The server keeps no copy of an upload: ingest checks a report's wire
+//! bytes in place (tiling, lengths, finiteness) and keeps the report, and
+//! round close folds straight from those bytes into one accumulator, through
+//! one layer-sized scratch buffer. A counting global allocator wraps
+//! `System`; after one warm-up round has sized the fold accumulator and the
+//! scratch, two measured rounds — one at the warm-up cohort, one at four
+//! times it — must show
+//!
+//! * ZERO heap allocations while a cohort of wire-carrying reports is
+//!   ingested, however many ordinals the round has (a per-ordinal decode
+//!   slot would allocate for every ordinal past the warm-up cohort), and
+//! * fewer bytes allocated by `close` than one model's `total_params × 4`,
+//!   so no per-ordinal copy of an update can come back at close either.
+//!
+//! (The round's per-ordinal report slots and per-layer flags are allocated
+//! by `begin_round`, before the count starts.)
 //!
 //! Everything runs inside ONE `#[test]` — libtest runs tests on parallel
 //! threads by default, and a second test's allocations would pollute the
-//! global counter mid-measurement.
+//! global counters mid-measurement.
 
 use fedca_compress::quantize_det;
 use fedca_compress::wire::{self, Payload, UpdateMessage};
@@ -25,10 +34,12 @@ use std::sync::Arc;
 struct CountingAlloc;
 
 static ALLOCS: AtomicUsize = AtomicUsize::new(0);
+static BYTES: AtomicUsize = AtomicUsize::new(0);
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        BYTES.fetch_add(layout.size(), Ordering::Relaxed);
         unsafe { System.alloc(layout) }
     }
 
@@ -38,6 +49,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        BYTES.fetch_add(new_size, Ordering::Relaxed);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -45,9 +57,11 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-// Odd sizes exercise the packed decode's tail handling.
-const SIZES: [usize; 3] = [129, 67, 60];
-const DIM: usize = 256;
+// Odd sizes exercise the packed decode's tail handling. Layer 0 is large
+// enough that one model (`DIM × 4` bytes) outweighs close's bookkeeping for
+// `4 × COHORT` ordinals.
+const SIZES: [usize; 3] = [4029, 67, 60];
+const DIM: usize = 4156;
 const COHORT: usize = 8;
 
 fn layout() -> Arc<ModelLayout> {
@@ -65,7 +79,8 @@ fn layout() -> Arc<ModelLayout> {
 }
 
 /// One wire-carrying report: layer 0 dense, layers 1–2 quantized (so the
-/// measured path covers both staging decode and packed-span recording).
+/// measured paths cover both the scratch decode and the fused quantized
+/// fold).
 fn wire_report(layout: &Arc<ModelLayout>, client: usize) -> ClientRoundReport {
     let values: Vec<f32> = (0..DIM)
         .map(|j| ((client * DIM + j) as f32 * 0.37).sin())
@@ -108,37 +123,45 @@ fn wire_report(layout: &Arc<ModelLayout>, client: usize) -> ClientRoundReport {
 fn warmed_up_ingest_allocates_nothing() {
     let layout = layout();
     let mut server = Server::new(layout.clone(), vec![0.0; DIM], 0.9, 5.0);
-    let reports: Vec<ClientRoundReport> = (0..COHORT).map(|c| wire_report(&layout, c)).collect();
+    let reports: Vec<ClientRoundReport> =
+        (0..4 * COHORT).map(|c| wire_report(&layout, c)).collect();
 
-    // Warm-up round: sizes the arena slots, segment maps, and fold buffer.
+    // Warm-up round: sizes the fold accumulator and the decode scratch.
     let mut agg = server.begin_round(0.0, COHORT);
-    for (ord, r) in reports.iter().enumerate() {
+    for (ord, r) in reports[..COHORT].iter().enumerate() {
         agg.ingest(ord, r.clone());
     }
     let (res, _) = agg.close(&mut server);
     assert_eq!(res.collected.len(), COHORT);
 
-    // Measured round: clone the reports and open the aggregator BEFORE
-    // measuring (report clones and the per-round option vector are the
-    // caller's cost); the ingest calls themselves must not allocate.
-    let round1: Vec<ClientRoundReport> = reports.to_vec();
-    let mut agg = server.begin_round(0.0, COHORT);
-    let before = ALLOCS.load(Ordering::Relaxed);
-    for (ord, r) in round1.into_iter().enumerate() {
-        agg.ingest(ord, r);
-    }
-    let after = ALLOCS.load(Ordering::Relaxed);
-    assert_eq!(
-        after - before,
-        0,
-        "warmed-up ingest performed {} heap allocations",
-        after - before
-    );
+    for cohort in [COHORT, 4 * COHORT] {
+        // Clone the reports and open the aggregator BEFORE measuring (report
+        // clones and the per-round slot vector are the caller's cost); the
+        // ingest calls themselves must not allocate.
+        let round: Vec<ClientRoundReport> = reports[..cohort].to_vec();
+        let mut agg = server.begin_round(0.0, cohort);
+        let before = ALLOCS.load(Ordering::Relaxed);
+        for (ord, r) in round.into_iter().enumerate() {
+            agg.ingest(ord, r);
+        }
+        let allocs = ALLOCS.load(Ordering::Relaxed) - before;
+        assert_eq!(
+            allocs, 0,
+            "cohort {cohort}: warmed-up ingest performed {allocs} heap allocations"
+        );
 
-    // The measured round still folds correctly (bit-identical to warm-up:
-    // same reports, same weights, same global starting delta shape).
-    let (res, _) = agg.close(&mut server);
-    assert_eq!(res.collected.len(), COHORT);
-    assert!(res.rejected.is_empty());
-    assert!(server.global().as_slice().iter().all(|v| v.is_finite()));
+        // Close allocates only the round's bookkeeping (arrivals, the
+        // returned reports, the collected list), never an update's worth.
+        let before = BYTES.load(Ordering::Relaxed);
+        let (res, _) = agg.close(&mut server);
+        let bytes = BYTES.load(Ordering::Relaxed) - before;
+        assert!(
+            bytes < DIM * 4,
+            "cohort {cohort}: close allocated {bytes} B, a model is {} B",
+            DIM * 4
+        );
+        assert_eq!(res.collected.len(), (cohort * 9).div_ceil(10));
+        assert!(res.rejected.is_empty());
+        assert!(server.global().as_slice().iter().all(|v| v.is_finite()));
+    }
 }

@@ -5,7 +5,8 @@
 //! discards the stragglers' updates (§5.1, FedAvg's partial aggregation).
 //! [`round_completion_time`] is the one definition of that cut: the
 //! server's aggregator calls it once per round, at close, over one arrival
-//! per selected client (`+inf` for a client whose upload never counts).
+//! per selected client (`+inf` for a client whose upload never counts), and
+//! collects every finite arrival at or before it — ties at the cut included.
 
 use crate::SimTime;
 
@@ -37,18 +38,6 @@ pub fn round_completion_time(arrivals: &[SimTime], fraction: f64) -> SimTime {
         .expect("at least one client must finish the round")
 }
 
-/// Indices of the clients whose uploads arrive by the completion time (the
-/// ones whose updates the server aggregates), preserving input order.
-pub fn aggregated_clients(arrivals: &[SimTime], fraction: f64) -> Vec<usize> {
-    let deadline = round_completion_time(arrivals, fraction);
-    arrivals
-        .iter()
-        .enumerate()
-        .filter(|(_, &t)| t <= deadline)
-        .map(|(i, _)| i)
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -63,9 +52,6 @@ mod tests {
         let arrivals: Vec<f64> = (1..=10).map(|i| i as f64).collect();
         // ceil(10*0.9)=9 -> completes at t=9, dropping the t=10 straggler.
         assert_eq!(round_completion_time(&arrivals, 0.9), 9.0);
-        let agg = aggregated_clients(&arrivals, 0.9);
-        assert_eq!(agg.len(), 9);
-        assert!(!agg.contains(&9));
     }
 
     #[test]
@@ -77,13 +63,6 @@ mod tests {
     #[test]
     fn tiny_fraction_still_waits_for_one() {
         assert_eq!(round_completion_time(&[5.0, 2.0], 0.01), 2.0);
-    }
-
-    #[test]
-    fn ties_include_all_tied_clients() {
-        let arrivals = [1.0, 1.0, 1.0, 9.0];
-        let agg = aggregated_clients(&arrivals, 0.5);
-        assert_eq!(agg, vec![0, 1, 2]);
     }
 
     #[test]

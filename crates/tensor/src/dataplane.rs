@@ -40,8 +40,8 @@
 //! scan (four independent 16-lane chains), the quantizer, and the decoder
 //! and fused fold on 8-bit fields (16 bytes sign-extended per step). They
 //! use AVX-512F alone — the one feature `Kernel::Avx512` checks — so the
-//! float sign masks run as integer and/or. Narrower fields, `axpy`,
-//! `all_finite` and packing run their AVX2 bodies under that tier. Every
+//! float sign masks run as integer and/or. Narrower fields, `axpy` and
+//! packing run their AVX2 bodies under that tier. Every
 //! other target runs the scalar path, which is free precisely because the
 //! contract is bit-identity.
 
@@ -287,26 +287,6 @@ pub fn axpy_quantized(
     axpy_quantized_on(active_kernel(), alpha, scale, num_levels, width, packed, y)
 }
 
-/// Whether every element is finite — the aggregator's poison scan.
-///
-/// # Panics
-/// Panics if `kernel` is unavailable on this host.
-pub fn all_finite_on(kernel: Kernel, x: &[f32]) -> bool {
-    kernel.assert_available();
-    #[cfg(target_arch = "x86_64")]
-    if kernel.has_avx2() {
-        // SAFETY: the availability assert above (see `max_abs_on`).
-        return unsafe { avx2::all_finite(x) };
-    }
-    let _ = kernel;
-    scalar::all_finite(x)
-}
-
-/// [`all_finite_on`] with the process-wide dispatched tier.
-pub fn all_finite(x: &[f32]) -> bool {
-    all_finite_on(active_kernel(), x)
-}
-
 /// Scalar reference tier. Every vector tier is tested bit-identical to
 /// these loops, and the wire codec's byte layout is defined by them.
 mod scalar {
@@ -411,10 +391,6 @@ mod scalar {
             nbits -= width;
             *yi += alpha * (lev as f32 / l * scale);
         }
-    }
-
-    pub fn all_finite(x: &[f32]) -> bool {
-        x.iter().all(|v| v.is_finite())
     }
 }
 
@@ -679,27 +655,6 @@ mod avx2 {
             &mut y[p..],
         );
     }
-
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub unsafe fn all_finite(x: &[f32]) -> bool {
-        let n = x.len();
-        let abs_mask = _mm256_set1_epi32(0x7fff_ffff);
-        // Finite iff |bits| < 0x7f800000 as a signed compare (abs bits are
-        // non-negative i32s).
-        let lim = _mm256_set1_epi32(0x7f7f_ffff);
-        let mut bad = _mm256_setzero_si256();
-        let mut p = 0;
-        while p + 8 <= n {
-            let v = _mm256_loadu_si256(x.as_ptr().add(p) as *const __m256i);
-            let a = _mm256_and_si256(v, abs_mask);
-            bad = _mm256_or_si256(bad, _mm256_cmpgt_epi32(a, lim));
-            p += 8;
-        }
-        if _mm256_movemask_epi8(bad) != 0 {
-            return false;
-        }
-        x[p..].iter().all(|v| v.is_finite())
-    }
 }
 
 /// 512-bit bodies of the int8 upload path, AVX-512F intrinsics only (plus
@@ -959,19 +914,5 @@ mod tests {
             assert_eq!(max_abs_on(k, &x), 3.5, "kernel {}", k.name());
         }
         assert_eq!(max_abs_on(Kernel::Scalar, &[]), 0.0);
-    }
-
-    #[test]
-    fn all_finite_flags_every_non_finite() {
-        for k in crate::gemm::available_kernels() {
-            assert!(all_finite_on(k, &[1.0; 17]), "kernel {}", k.name());
-            for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
-                for pos in [0usize, 7, 8, 16] {
-                    let mut x = [1.0f32; 17];
-                    x[pos] = bad;
-                    assert!(!all_finite_on(k, &x), "kernel {} pos {pos}", k.name());
-                }
-            }
-        }
     }
 }

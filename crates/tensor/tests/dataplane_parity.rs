@@ -12,8 +12,8 @@
 //! tier against the scalar reference via `to_bits`.
 
 use fedca_tensor::dataplane::{
-    all_finite_on, axpy_on, axpy_quantized_on, dequantize_packed_on, max_abs_on, pack_levels_on,
-    packed_len, quantize_levels_on, unpack_levels,
+    axpy_on, axpy_quantized_on, dequantize_packed_on, max_abs_on, pack_levels_on, packed_len,
+    quantize_levels_on, unpack_levels,
 };
 use fedca_tensor::gemm::{available_kernels, Kernel};
 use proptest::prelude::*;
@@ -192,19 +192,6 @@ proptest! {
         }
     }
 
-    #[test]
-    fn all_finite_matches_scalar(
-        (mut x, specials) in (
-            prop::collection::vec(-8.0f32..8.0, 0..300),
-            prop::collection::vec((0usize..300, 0usize..8), 0..3),
-        )
-    ) {
-        splice(&mut x, &specials);
-        let want = all_finite_on(Kernel::Scalar, &x);
-        for k in available_kernels() {
-            prop_assert_eq!(all_finite_on(k, &x), want, "all_finite kernel {}", k.name());
-        }
-    }
 }
 
 /// Exact-ties regression: the values where round-half-to-even and

@@ -135,3 +135,9 @@ echo "study smoke: 14 CSVs match results/smoke, no worker panicked — ok"
 
 echo "== chaos sweep"
 scripts/chaos.sh "${CHAOS_SEEDS:-32}"
+
+# ROADMAP's size bar counts non-blank lines that are not `//` comments (doc
+# comments included) in the two crates that carry the FL mechanism. Printed
+# only; nothing gates on it.
+echo "== size: non-blank, non-// lines in crates/{core,compress}/src"
+find crates/core/src crates/compress/src -name '*.rs' -exec cat {} + | grep -cvE '^[[:space:]]*(//|$)'
