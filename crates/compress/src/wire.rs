@@ -176,9 +176,8 @@ fn put_words_le(buf: &mut Vec<u8>, words: impl ExactSizeIterator<Item = [u8; 4]>
 /// Streaming encoder over one pre-sized buffer — the format's only encoder
 /// ([`encode`] is a loop over it). [`MessageWriter::begin`] opens a message,
 /// each `put_*` frames one declared layer straight from the caller's values,
-/// and a further `begin` appends the next message to the same buffer, which
-/// is how an upload carries its eager sidecar (readers walk it with
-/// [`for_each_layer`]).
+/// and a further `begin` appends the next message to the same buffer.
+/// Readers walk concatenated messages with [`for_each_layer`].
 pub struct MessageWriter {
     buf: Vec<u8>,
     // Layers the open message declared but has not framed yet.
@@ -314,9 +313,10 @@ pub fn decode(bytes: &[u8]) -> Result<UpdateMessage, WireError> {
     })
 }
 
-/// Walks a buffer of concatenated messages — an upload and its eager
-/// sidecar — handing every `(layer id, view)` to `f` in wire order. Stops
-/// at the first parse error or the first error `f` returns.
+/// Walks a buffer of concatenated messages — an upload's final message and
+/// the accepted eager frames after it, one single-layer message each —
+/// handing every `(layer id, view)` to `f` in wire order. Stops at the
+/// first parse error or the first error `f` returns.
 pub fn for_each_layer<'a>(
     buf: &'a [u8],
     mut f: impl FnMut(u32, PayloadView<'a>) -> Result<(), WireError>,

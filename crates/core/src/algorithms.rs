@@ -1,21 +1,18 @@
-//! Scheme selection: FedAvg, FedProx, FedAda, and FedCA (with ablation
-//! toggles matching the paper's FedCA-v1/v2/v3).
+//! Scheme selection: FedAvg, FedProx, FedAda, and FedCA, whose paper
+//! variants FedCA-v1/v2/v3 are threshold settings of one mechanism.
 
 use crate::config::{FedCaConfig, FEDADA_THETA, FEDPROX_MU};
 use serde::{Deserialize, Serialize};
 
-/// FedCA mechanism toggles. The paper's ablation (§5.4):
-/// * v1 — early stop only;
-/// * v2 — early stop + eager transmission, **no** retransmission;
-/// * v3 — everything (the standard FedCA).
+/// FedCA's mechanisms. The paper's ablation variants (§5.4) are threshold
+/// settings: v1 (early stop only) is `T_e = 2`, which no progress reaches
+/// (it is at most 1); v2 (no retransmission) is `T_r = −2`, which no
+/// cosine falls below (it is at least −1); v3 is everything, the standard
+/// FedCA.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct FedCaOptions {
     /// Utility-guided early stopping (§4.2).
     pub early_stop: bool,
-    /// Layerwise eager transmission (§4.3).
-    pub eager: bool,
-    /// Error-feedback retransmission (§4.3).
-    pub retransmit: bool,
     /// §6 future-work extension — autonomous intra-round *batch-size*
     /// adaptation: when the projected round finish overruns the deadline,
     /// the client halves its minibatch (never below this floor) to cut
@@ -28,15 +25,11 @@ pub struct FedCaOptions {
 }
 
 impl FedCaOptions {
-    /// FedCA-v1: early stop only.
+    /// FedCA-v1: early stop only (v3 with an unreachable `T_e`).
     pub fn v1() -> Self {
-        FedCaOptions {
-            early_stop: true,
-            eager: false,
-            retransmit: false,
-            adaptive_batch_min: None,
-            config: FedCaConfig::default(),
-        }
+        let mut o = Self::v3();
+        o.config.eager_threshold = 2.0;
+        o
     }
 
     /// Enables the autonomous batch-size extension with the given floor.
@@ -46,27 +39,25 @@ impl FedCaOptions {
         self
     }
 
-    /// FedCA-v2: early stop + eager transmission without retransmission.
+    /// FedCA-v2: early stop + eager transmission without retransmission
+    /// (v3 with a `T_r` below every cosine).
     pub fn v2() -> Self {
-        FedCaOptions {
-            eager: true,
-            ..Self::v1()
-        }
+        let mut o = Self::v3();
+        o.config.retransmit_threshold = -2.0;
+        o
     }
 
     /// FedCA-v3: the full mechanism (paper's standard FedCA).
     pub fn v3() -> Self {
-        FedCaOptions {
-            retransmit: true,
-            ..Self::v2()
-        }
+        Self::full_with(FedCaConfig::default())
     }
 
     /// Full mechanism with custom hyperparameters.
     pub fn full_with(config: FedCaConfig) -> Self {
         FedCaOptions {
+            early_stop: true,
+            adaptive_batch_min: None,
             config,
-            ..Self::v3()
         }
     }
 }
@@ -127,15 +118,6 @@ impl Scheme {
         }
     }
 
-    /// Profiler sample cap per layer (FedCA's `min(50%, max)` rule; the
-    /// baselines keep the default cap — they never profile).
-    pub fn max_samples_per_layer(&self) -> usize {
-        match self {
-            Scheme::FedCa(o) => o.config.max_samples_per_layer,
-            _ => 100,
-        }
-    }
-
     /// Anchor-round cadence in participations (0 = never profiles).
     pub fn profile_period(&self) -> usize {
         match self {
@@ -150,12 +132,12 @@ impl Scheme {
             Scheme::FedAvg => "FedAvg".into(),
             Scheme::FedProx { .. } => "FedProx".into(),
             Scheme::FedAda { .. } => "FedAda".into(),
-            Scheme::FedCa(o) => match (o.early_stop, o.eager, o.retransmit) {
-                (true, false, false) => "FedCA-v1".into(),
-                (true, true, false) => "FedCA-v2".into(),
-                (true, true, true) => "FedCA".into(),
-                _ => "FedCA-custom".into(),
-            },
+            // Progress never exceeds 1, and a layer is retransmitted only
+            // when its cosine, never below −1, falls below `T_r`.
+            Scheme::FedCa(o) if !o.early_stop => "FedCA-custom".into(),
+            Scheme::FedCa(o) if o.config.eager_threshold > 1.0 => "FedCA-v1".into(),
+            Scheme::FedCa(o) if o.config.retransmit_threshold <= -1.0 => "FedCA-v2".into(),
+            Scheme::FedCa(_) => "FedCA".into(),
         }
     }
 }
@@ -188,12 +170,12 @@ mod tests {
 
     #[test]
     fn ablation_toggles_match_paper_versions() {
-        let v1 = FedCaOptions::v1();
-        assert!(v1.early_stop && !v1.eager && !v1.retransmit);
-        let v2 = FedCaOptions::v2();
-        assert!(v2.early_stop && v2.eager && !v2.retransmit);
-        let v3 = FedCaOptions::v3();
-        assert!(v3.early_stop && v3.eager && v3.retransmit);
+        let (v1, v2, v3) = (FedCaOptions::v1(), FedCaOptions::v2(), FedCaOptions::v3());
+        let t = |o: &FedCaOptions| (o.config.eager_threshold, o.config.retransmit_threshold);
+        assert_eq!(t(&v3), (0.95, 0.6));
+        assert_eq!(t(&v1), (2.0, 0.6));
+        assert_eq!(t(&v2), (0.95, -2.0));
+        assert!(v1.early_stop && v2.early_stop && v3.early_stop);
     }
 
     #[test]
@@ -204,6 +186,18 @@ mod tests {
         assert_eq!(Scheme::fedca_default().name(), "FedCA");
         assert_eq!(Scheme::FedCa(FedCaOptions::v1()).name(), "FedCA-v1");
         assert_eq!(Scheme::FedCa(FedCaOptions::v2()).name(), "FedCA-v2");
+        // The name reads the thresholds, whoever set them.
+        let named = |t_e, t_r| {
+            let mut o = FedCaOptions::v3();
+            (o.config.eager_threshold, o.config.retransmit_threshold) = (t_e, t_r);
+            Scheme::FedCa(o).name()
+        };
+        assert_eq!(named(1.0, -0.99), "FedCA");
+        assert_eq!(named(2.0, -2.0), "FedCA-v1");
+        assert_eq!(named(1.0, -1.0), "FedCA-v2");
+        let mut off = FedCaOptions::v3();
+        off.early_stop = false;
+        assert_eq!(Scheme::FedCa(off).name(), "FedCA-custom");
     }
 
     #[test]

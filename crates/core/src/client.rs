@@ -95,10 +95,10 @@ pub struct ClientRoundReport {
     pub weight: f64,
     /// The update as the bytes that crossed the wire — its only form: the
     /// final `UpdateMessage` (non-eager layers under the configured
-    /// compression) followed by a dense sidecar message carrying the
-    /// eager-accepted snapshots, walkable with [`wire::for_each_layer`].
-    /// Together the messages tile the layout exactly; the server decodes
-    /// them at ingest. `None` when nothing was sent (dropped or crashed).
+    /// compression) followed by the accepted eager frames, byte for byte as
+    /// they were sent, walkable with [`wire::for_each_layer`]. Together the
+    /// messages tile the layout exactly; the server decodes them at ingest.
+    /// `None` when nothing was sent (dropped or crashed).
     pub wire_update: Option<Vec<u8>>,
     /// Iterations actually executed.
     pub iters_done: usize,
@@ -197,6 +197,9 @@ struct ClientRound<'a> {
     curves: Option<ProfiledCurves>,
     is_anchor: bool,
     eager: EagerState,
+    /// The single-layer frame each eager send put on the wire, beside its
+    /// layer; the accepted ones end the upload.
+    frames: Vec<Option<Vec<u8>>>,
     /// The deadline the client *believes*: a slipped one makes it think it
     /// has more time than the server granted.
     deadline: SimTime,
@@ -291,6 +294,7 @@ impl<'a> ClientRound<'a> {
             curves,
             is_anchor,
             eager: EagerState::new(layout.num_layers()),
+            frames: vec![None; layout.num_layers()],
             deadline: plan.deadline + plan.faults.deadline_slip,
             drop_time,
             now: download_done,
@@ -396,7 +400,7 @@ impl<'a> ClientRound<'a> {
     /// `T_e` at iteration `tau` sends its accumulated update now, so the
     /// transmission overlaps the remaining iterations' compute.
     fn try_eager_transmit(&mut self, tau: usize) {
-        let (Some(o), Some(curves)) = (self.fedca.filter(|o| o.eager), &self.curves) else {
+        let (Some(o), Some(curves)) = (self.fedca, &self.curves) else {
             return;
         };
         let t_e = o.config.eager_threshold;
@@ -406,7 +410,7 @@ impl<'a> ClientRound<'a> {
         if pending.is_empty() {
             return; // only materialize the flat params if some layer fires
         }
-        let fl = self.fl;
+        let c = self.fl.compression;
         self.arena.model.flat_params_into(&mut self.arena.flat);
         for l in pending {
             let r = self.layout.range(l);
@@ -415,39 +419,37 @@ impl<'a> ClientRound<'a> {
                 .zip(&self.global[r.clone()])
                 .map(|(c, g)| c - g)
                 .collect();
+            // Each eager send is its own framed message (header + layer id +
+            // payload), encoded once. The snapshot Eq. 6 checks is what the
+            // server's decoder reconstructs from that frame, and a lossy
+            // frame's priced bytes shrink by the exact encoded/dense ratio.
+            let payload_len = c.payload_wire_len(r.len());
+            let frame_len = wire::HEADER_LEN + 4 + payload_len;
+            let mut msg = wire::MessageWriter::with_capacity(frame_len);
+            msg.begin(self.plan.round as u32, self.state.id as u32, 1);
+            let codec = &mut self.arena.codec;
+            c.encode_layer(&mut msg, l as u32, &delta, &mut self.qrng, codec);
+            let frame = msg.finish();
+            let mut snapshot = delta;
+            wire::for_each_layer(&frame, |_, view| {
+                view.decode_into(&mut snapshot);
+                Ok(())
+            })
+            .expect("a client parses its own message");
             let nominal = self
                 .workload
                 .wire_bytes_for(r.len(), self.layout.total_params());
-            // Each eager send is its own framed message (header + layer id +
-            // payload). Under compression the snapshot the server keeps is
-            // what its decoder reconstructs — so the client encodes that
-            // message and reads it back with the server's parser — and the
-            // priced bytes shrink by the exact encoded/dense ratio.
             let dense_len = wire::dense_payload_wire_len(r.len());
-            let dense_frame = (wire::HEADER_LEN + 4 + dense_len) as f64;
-            let (snapshot, bytes, frame) = if fl.compression == Compression::None {
-                (delta, nominal, dense_frame)
-            } else {
-                let payload_len = fl.compression.payload_wire_len(r.len());
-                let frame_len = wire::HEADER_LEN + 4 + payload_len;
-                let mut msg = wire::MessageWriter::with_capacity(frame_len);
-                msg.begin(self.plan.round as u32, self.state.id as u32, 1);
-                let (c, codec) = (fl.compression, &mut self.arena.codec);
-                c.encode_layer(&mut msg, l as u32, &delta, &mut self.qrng, codec);
-                let mut snapshot = vec![0.0f32; r.len()];
-                wire::for_each_layer(&msg.finish(), |_, view| {
-                    view.decode_into(&mut snapshot);
-                    Ok(())
-                })
-                .expect("a client parses its own message");
-                let bytes = nominal * payload_len as f64 / dense_len as f64;
-                (snapshot, bytes, frame_len as f64)
+            let bytes = match c {
+                Compression::None => nominal,
+                _ => nominal * payload_len as f64 / dense_len as f64,
             };
-            self.report.wire_bytes_uploaded += frame;
-            self.report.wire_bytes_dense += dense_frame;
+            self.report.wire_bytes_uploaded += frame_len as f64;
+            self.report.wire_bytes_dense += (wire::HEADER_LEN + 4 + dense_len) as f64;
             self.state.uplink.transmit(self.now, bytes);
             self.report.bytes_uploaded += bytes;
             self.eager.mark_sent(l, tau, snapshot);
+            self.frames[l] = Some(frame);
             let event = |round, client| TraceEvent::EagerTransmit {
                 round,
                 client,
@@ -506,6 +508,7 @@ impl<'a> ClientRound<'a> {
         let upload = finish_upload(
             &mut a.flat,
             &self.eager,
+            &self.frames,
             ef,
             &mut a.codec,
             &mut self.qrng,
@@ -598,8 +601,8 @@ struct Upload {
     wire_len: usize,
     /// Encoded length the same layers would have shipped dense.
     dense_wire_len: usize,
-    /// The final message followed by the dense sidecar of eager-accepted
-    /// layers; `None` when nothing is sent.
+    /// The final message followed by the accepted eager frames; `None`
+    /// when nothing is sent.
     wire: Option<Vec<u8>>,
 }
 
@@ -611,11 +614,10 @@ struct Upload {
 /// slice into one buffer of the exact final size; the encoded bytes are the
 /// report's only form of the update, so what the server aggregates is
 /// exactly what the wire carried. Eager-accepted layers never travel in the
-/// final message (the server already holds their snapshots), so the wire
-/// form of the *complete* update appends a dense sidecar message carrying
-/// them: the two messages tile the layout.
-/// The sidecar is server-side bookkeeping, not a retransmission — it
-/// contributes no priced wire bytes.
+/// final message: they crossed the wire earlier, each as its own frame
+/// (`frames[l]`, as `try_eager_transmit` sent it), and the upload appends
+/// those frames unchanged, so the messages tile the layout. They were
+/// priced when they were sent; appending them prices nothing.
 ///
 /// Lossy schemes (§2.2 baselines, one scale per layer as QSGD does per
 /// tensor) compose with early stopping *and* eager transmission: error
@@ -624,14 +626,15 @@ struct Upload {
 /// upload. Per element, with `r` the stored residual: `c = (w − g) + r`
 /// is what gets compressed (scale = max |c| over the layer), and the new
 /// residual is `c − dequant(q(c))`, or `c − snapshot` for an eager-accepted
-/// layer. The transmitted values are not recomputed on the side: the client
-/// parses the bytes it just wrote with the server's [`wire::for_each_layer`]
-/// and decodes each layer with [`wire::PayloadView::decode_into`] into the
-/// residual's own slice, so what it subtracts is, by construction, what the
-/// server folds.
+/// layer (its frame decodes to its snapshot). The transmitted values are
+/// not recomputed on the side: the client parses the bytes it just wrote
+/// with the server's [`wire::for_each_layer`] and decodes each layer with
+/// [`wire::PayloadView::decode_into`] into the residual's own slice, so
+/// what it subtracts is, by construction, what the server folds.
 fn finish_upload(
     delta: &mut [f32],
     eager_state: &EagerState,
+    frames: &[Option<Vec<u8>>],
     error_feedback: &mut ErrorFeedback,
     codec: &mut CodecScratch,
     qrng: &mut StdRng,
@@ -639,31 +642,22 @@ fn finish_upload(
 ) -> Upload {
     let layout = cx.layout;
     let total_params = layout.total_params();
-    // Without retransmission the eager value is final, however stale: no
-    // cosine is below −2 (and NaN compares false either way).
-    let t_r = match cx.fedca {
-        Some(o) if o.retransmit => o.config.retransmit_threshold,
-        _ => -2.0,
-    };
+    // Without FedCA nothing was sent eagerly; no cosine is below −2 (and
+    // NaN compares false either way).
+    let t_r = cx.fedca.map_or(-2.0, |o| o.config.retransmit_threshold);
     let mut eager_outcomes = Vec::with_capacity(layout.num_layers());
     let mut payload_bytes = 0.0f64;
-    // Exact sizes of the final message, its dense yardstick and the sidecar.
+    // Exact sizes of the final message and its dense yardstick.
     let mut wire_len = wire::HEADER_LEN;
     let mut dense_wire_len = wire::HEADER_LEN;
-    let mut sidecar_len = wire::HEADER_LEN;
-    let mut n_eager = 0usize;
     for l in 0..layout.num_layers() {
         let final_layer = &delta[layout.range(l)];
         let outcome = eager_state.resolve(l, final_layer, t_r);
-        let n = final_layer.len();
-        let dense = 4 + wire::dense_payload_wire_len(n);
-        if matches!(outcome, LayerOutcome::Eager { .. }) {
-            n_eager += 1;
-            sidecar_len += dense;
-        } else {
+        if !matches!(outcome, LayerOutcome::Eager { .. }) {
+            let n = final_layer.len();
             payload_bytes += cx.workload.wire_bytes_for(n, total_params);
             wire_len += 4 + cx.compression.payload_wire_len(n);
-            dense_wire_len += dense;
+            dense_wire_len += 4 + wire::dense_payload_wire_len(n);
         }
         eager_outcomes.push(outcome);
     }
@@ -681,25 +675,21 @@ fn finish_upload(
     if compressing {
         error_feedback.apply(delta);
     }
-    let is_eager = |l: usize| matches!(eager_outcomes[l], LayerOutcome::Eager { .. });
-    let capacity = wire_len + if n_eager > 0 { sidecar_len } else { 0 };
-    let mut writer = wire::MessageWriter::with_capacity(capacity);
-    writer.begin(cx.round, cx.client, layout.num_layers() - n_eager);
-    for l in (0..layout.num_layers()).filter(|&l| !is_eager(l)) {
+    let is_eager = |l: &usize| matches!(eager_outcomes[*l], LayerOutcome::Eager { .. });
+    let frame = |l: usize| frames[l].as_deref().expect("a sent layer has its frame");
+    let accepted = (0..layout.num_layers()).filter(is_eager).map(frame);
+    let tail: usize = accepted.clone().map(<[u8]>::len).sum();
+    let n_final = layout.num_layers() - accepted.clone().count();
+    let mut writer = wire::MessageWriter::with_capacity(wire_len + tail);
+    writer.begin(cx.round, cx.client, n_final);
+    for l in (0..layout.num_layers()).filter(|l| !is_eager(l)) {
         let compensated = &delta[layout.range(l)];
         cx.compression
             .encode_layer(&mut writer, l as u32, compensated, qrng, codec);
     }
     debug_assert_eq!(writer.len(), wire_len);
-    if n_eager > 0 {
-        writer.begin(cx.round, cx.client, n_eager);
-        for l in (0..layout.num_layers()).filter(|&l| is_eager(l)) {
-            let snapshot = eager_state.snapshot(l).expect("sent layer has snapshot");
-            writer.put_dense(l as u32, snapshot);
-        }
-    }
-    debug_assert_eq!(writer.len(), capacity);
-    let wire = writer.finish();
+    let mut wire = writer.finish();
+    accepted.for_each(|frame| wire.extend_from_slice(frame));
     if compressing {
         // What was transmitted is read back from the bytes just written,
         // with the server's parser and decoder, into the residual's own
@@ -819,12 +809,15 @@ mod tests {
 
     /// The upload tail as it was before it moved into the arena: the delta
     /// in a fresh `UpdateVec`, a `compensated` copy, one owned `Payload` per
-    /// layer, `wire::encode` per message, the residual from `to_dense()`.
-    /// Kept as the oracle `finish_upload` must match bit for bit.
+    /// layer, `wire::encode` for the final message, the residual from
+    /// `to_dense()` of every payload sent. Kept as the oracle
+    /// `finish_upload` must match bit for bit.
+    #[allow(clippy::too_many_arguments)]
     fn reference_upload(
         local: &[f32],
         global: &[f32],
         eager_state: &EagerState,
+        frames: &[Option<Vec<u8>>],
         error_feedback: &mut ErrorFeedback,
         qrng: &mut StdRng,
         layout: &Arc<ModelLayout>,
@@ -836,24 +829,11 @@ mod tests {
         for (i, u) in final_update.as_mut_slice().iter_mut().enumerate() {
             *u = local[i] - global[i];
         }
-        let retransmit_enabled = cx.fedca.is_some_and(|o| o.retransmit);
-        let t_r = cx
-            .fedca
-            .map(|o| o.config.retransmit_threshold)
-            .unwrap_or(0.6);
+        let t_r = cx.fedca.map_or(-2.0, |o| o.config.retransmit_threshold);
         let mut eager_outcomes = Vec::new();
         let mut payload_bytes = 0.0f64;
         for l in 0..layout.num_layers() {
-            let outcome = if retransmit_enabled {
-                eager_state.resolve(l, final_update.layer(l), t_r)
-            } else if eager_state.is_sent(l) {
-                match eager_state.resolve(l, final_update.layer(l), -2.0) {
-                    LayerOutcome::Eager { iter } => LayerOutcome::Eager { iter },
-                    _ => unreachable!("threshold -2 accepts everything"),
-                }
-            } else {
-                LayerOutcome::Regular
-            };
+            let outcome = eager_state.resolve(l, final_update.layer(l), t_r);
             if !matches!(outcome, LayerOutcome::Eager { .. }) {
                 payload_bytes += cx
                     .workload
@@ -875,32 +855,28 @@ mod tests {
             client: cx.client,
             layers: Vec::new(),
         };
-        let mut sidecar = msg.clone();
+        let mut accepted = Vec::new();
         for (l, outcome) in eager_outcomes.iter().enumerate() {
             if matches!(outcome, LayerOutcome::Eager { .. }) {
-                let snap = eager_state.snapshot(l).expect("sent layer has snapshot");
-                sidecar
-                    .layers
-                    .push((l as u32, wire::Payload::Dense(snap.to_vec())));
+                accepted.extend_from_slice(frames[l].as_ref().expect("sent layer has a frame"));
             } else {
                 let payload = cx.compression.compress(&to_send[layout.range(l)], qrng);
                 msg.layers.push((l as u32, payload));
             }
         }
-        let encoded = wire::encode(&msg);
-        let dense_wire_len = wire::dense_message_wire_len(&msg);
+        let mut joined = wire::encode(&msg);
+        let (wire_len, dense_wire_len) = (joined.len(), wire::dense_message_wire_len(&msg));
+        joined.extend_from_slice(&accepted);
         if compressing {
             let mut transmitted = vec![0.0f32; total_params];
-            for (l, payload) in msg.layers.iter().chain(&sidecar.layers) {
-                transmitted[layout.range(*l as usize)].copy_from_slice(&payload.to_dense());
-            }
+            wire::for_each_layer(&joined, |l, view| {
+                let dense = view.to_payload().to_dense();
+                transmitted[layout.range(l as usize)].copy_from_slice(&dense);
+                Ok(())
+            })
+            .expect("upload parses");
             error_feedback.absorb(&compensated, &transmitted);
-            payload_bytes *= encoded.len() as f64 / dense_wire_len as f64;
-        }
-        let wire_len = encoded.len();
-        let mut joined = encoded;
-        if !sidecar.layers.is_empty() {
-            joined.extend_from_slice(&wire::encode(&sidecar));
+            payload_bytes *= wire_len as f64 / dense_wire_len as f64;
         }
         Upload {
             eager_outcomes,
@@ -959,15 +935,20 @@ mod tests {
                 .map(|g| g + rng.gen_range(-0.05f32..0.05))
                 .collect()
         };
-        let opts = FedCaOptions::v3();
         for compression in [
             Compression::None,
             Compression::Int8,
             Compression::Quantize { bits: 4 },
             Compression::TopK { keep: 0.1 },
         ] {
+            // A top-10 % frame keeps about half of a uniform layer's norm,
+            // so its cosine with the final update is about 0.5.
+            let mut opts = FedCaOptions::v3();
+            if let Compression::TopK { .. } = compression {
+                opts.config.retransmit_threshold = 0.3;
+            }
             // No eager layer / an accepted one / a retransmitted one (plus
-            // an accepted one, so the sidecar and the final message mix).
+            // an accepted one, so the eager frames and the final message mix).
             for scenario in ["regular", "eager", "retransmitted"] {
                 let mut ef_new = ErrorFeedback::new();
                 let mut ef_ref = ErrorFeedback::new();
@@ -976,17 +957,29 @@ mod tests {
                     let local = trained(100 + participation);
                     let delta: Vec<f32> = local.iter().zip(&global).map(|(l, g)| l - g).collect();
                     let mut eager_state = EagerState::new(layout.num_layers());
+                    let mut frames = vec![None; layout.num_layers()];
+                    // An eager send as the round makes it: one frame of
+                    // `factor ·` the layer's delta, and the snapshot that
+                    // frame decodes to.
+                    let mut send = |l: usize, tau: usize, factor: f32| {
+                        let values: Vec<f32> =
+                            delta[layout.range(l)].iter().map(|d| d * factor).collect();
+                        let mut msg = wire::MessageWriter::with_capacity(0);
+                        msg.begin(participation as u32, 7, 1);
+                        let mut rng = StdRng::seed_from_u64(77 + l as u64);
+                        compression.encode_layer(&mut msg, l as u32, &values, &mut rng, &mut codec);
+                        let frame = msg.finish();
+                        let decoded = wire::decode(&frame).expect("frame parses").layers;
+                        eager_state.mark_sent(l, tau, decoded[0].1.to_dense());
+                        frames[l] = Some(frame);
+                    };
                     if scenario != "regular" {
                         // A slightly stale snapshot of layer 0 passes Eq. 6.
-                        let stale: Vec<f32> =
-                            delta[layout.range(0)].iter().map(|d| d * 0.9).collect();
-                        eager_state.mark_sent(0, 3, stale);
+                        send(0, 3, 0.9);
                     }
                     if scenario == "retransmitted" {
                         // The opposite direction on layer 2 fails it.
-                        let opposite: Vec<f32> =
-                            delta[layout.range(2)].iter().map(|d| -d).collect();
-                        eager_state.mark_sent(2, 5, opposite);
+                        send(2, 5, -1.0);
                     }
                     let cx = UploadCtx {
                         layout: &layout,
@@ -1002,6 +995,7 @@ mod tests {
                         &local,
                         &global,
                         &eager_state,
+                        &frames,
                         &mut ef_ref,
                         &mut StdRng::seed_from_u64(seed),
                         &layout,
@@ -1011,6 +1005,7 @@ mod tests {
                     let got = finish_upload(
                         &mut flat,
                         &eager_state,
+                        &frames,
                         &mut ef_new,
                         &mut codec,
                         &mut StdRng::seed_from_u64(seed),
@@ -1055,6 +1050,55 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// An eager send is one frame from client to fold. Under Int8 every
+    /// payload of the upload is quantized, each accepted layer arrives as
+    /// the exact frame its eager send produced, and the upload plus the
+    /// retransmitted layers' frames is every byte the client sent.
+    #[test]
+    fn accepted_layers_arrive_as_the_frames_their_eager_sends_produced() {
+        let mut f = Fixture::new(8, 9);
+        f.fl.compression = Compression::Int8;
+        // Early sends, and a cosine bar that one of them misses.
+        let mut o = FedCaOptions::v3();
+        (o.config.eager_threshold, o.config.retransmit_threshold) = (0.7, 0.96);
+        let opts = Scheme::FedCa(o).client_options();
+        let mut plan = base_plan(20);
+        plan.is_anchor = true;
+        f.run(&opts, &plan);
+        (plan.round, plan.is_anchor) = (1, false);
+        let (w, fl) = (&f.w, &f.fl);
+        let (client, arena) = (&mut f.client, &mut f.arena);
+        let mut round = ClientRound::begin(
+            client, arena, &f.layout, &f.global, &w.train, w, fl, &opts, &plan,
+        );
+        let end = (1..=plan.planned_iters).find_map(|tau| round.step(tau));
+        let frames = round.frames.clone();
+        let report = round.finish(end.unwrap_or(End::Planned));
+        let (mut accepted, mut resent) = (Vec::new(), 0);
+        for (frame, outcome) in frames.iter().zip(&report.eager_outcomes) {
+            match (frame, outcome) {
+                (Some(frame), LayerOutcome::Eager { .. }) => accepted.extend_from_slice(frame),
+                (Some(frame), LayerOutcome::Retransmitted { .. }) => resent += frame.len(),
+                _ => {}
+            }
+        }
+        assert!(
+            !accepted.is_empty() && resent > 0,
+            "{:?}",
+            report.eager_outcomes
+        );
+        let buf = report.wire_update.as_deref().expect("upload sent");
+        wire::for_each_layer(buf, |l, view| {
+            let quantized = matches!(view, wire::PayloadView::Quantized { .. });
+            assert!(quantized, "layer {l} arrived unquantized");
+            Ok(())
+        })
+        .expect("upload parses");
+        // The final message, then the accepted frames in layer order.
+        assert!(buf.ends_with(&accepted), "accepted layers arrive as sent");
+        assert_eq!((buf.len() + resent) as f64, report.wire_bytes_uploaded);
     }
 
     #[test]

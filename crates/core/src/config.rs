@@ -170,9 +170,6 @@ pub struct FedCaConfig {
     /// every 10 rounds; DESIGN.md §4). A client's first participation is
     /// always an anchor; 0 never profiles.
     pub profile_period: usize,
-    /// Max sampled scalars per layer; the actual sample is
-    /// `min(ceil(len/2), max_samples_per_layer)` (paper: min(50%, 100)).
-    pub max_samples_per_layer: usize,
     /// Marginal-cost ratio β applied before the deadline (paper: 0.01).
     pub beta: f64,
     /// Eager-transmission progress threshold `T_e` (paper: 0.95).
@@ -185,7 +182,6 @@ impl Default for FedCaConfig {
     fn default() -> Self {
         FedCaConfig {
             profile_period: 10,
-            max_samples_per_layer: 100,
             beta: 0.01,
             eager_threshold: 0.95,
             retransmit_threshold: 0.6,
@@ -213,7 +209,6 @@ mod tests {
         assert!((c.dirichlet_alpha - 0.1).abs() < 1e-12);
         let f = FedCaConfig::default();
         assert_eq!(f.profile_period, 10);
-        assert_eq!(f.max_samples_per_layer, 100);
         assert!((f.beta - 0.01).abs() < 1e-12);
         assert!((f.eager_threshold - 0.95).abs() < 1e-7);
         assert!((f.retransmit_threshold - 0.6).abs() < 1e-7);

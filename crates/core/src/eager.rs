@@ -74,9 +74,8 @@ impl EagerState {
     }
 
     /// Eq. 6 end-of-round check for layer `l` against its final update.
-    /// Returns the outcome and, for non-retransmitted eager layers, leaves
-    /// the *reported* update to the caller (the snapshot that the server
-    /// already holds).
+    /// An accepted layer's update is the snapshot the server already holds:
+    /// the frame its eager send put on the wire decodes to it.
     pub fn resolve(&self, l: usize, final_update: &[f32], t_r: f32) -> LayerOutcome {
         match &self.sent[l] {
             None => LayerOutcome::Regular,
@@ -88,11 +87,6 @@ impl EagerState {
                 }
             }
         }
-    }
-
-    /// The snapshot sent for layer `l`, if any.
-    pub fn snapshot(&self, l: usize) -> Option<&[f32]> {
-        self.sent[l].as_ref().map(|(_, s)| s.as_slice())
     }
 }
 
@@ -141,7 +135,7 @@ mod tests {
     fn unsent_layer_is_regular() {
         let st = EagerState::new(1);
         assert_eq!(st.resolve(0, &[1.0], 0.6), LayerOutcome::Regular);
-        assert!(st.snapshot(0).is_none());
+        assert!(!st.is_sent(0));
     }
 
     #[test]

@@ -30,12 +30,11 @@
 //! hydrate. Between them, eviction and the shard hand-off are the only
 //! readers of a client's snapshot.
 
-use crate::algorithms::Scheme;
 use crate::checkpoint::ClientSnapshot;
 use crate::client::ClientState;
 use crate::config::FlConfig;
 use crate::params::ModelLayout;
-use crate::profiler::SampledProfiler;
+use crate::profiler::{SampledProfiler, MAX_SAMPLES_PER_LAYER};
 use crate::workload::Workload;
 use fedca_data::{BatchSampler, PartitionSpec};
 use fedca_sim::device::{DeviceSpeed, DynamicsConfig};
@@ -125,16 +124,11 @@ pub struct ClientFactory {
 
 impl ClientFactory {
     /// The federation's derivation context: device dynamics from
-    /// `fl.dynamicity`, profiler samples from the scheme, and the data
+    /// `fl.dynamicity`, the profiler's sample cap, and the data
     /// partition over `workload`'s training labels. The trainer, every
     /// shard child and any caller that must derive clients exactly as the
     /// trainer does build it here.
-    pub fn new(
-        fl: &FlConfig,
-        scheme: &Scheme,
-        workload: &Workload,
-        layout: Arc<ModelLayout>,
-    ) -> Self {
+    pub fn new(fl: &FlConfig, workload: &Workload, layout: Arc<ModelLayout>) -> Self {
         ClientFactory {
             fl: fl.clone(),
             dynamics: if fl.dynamicity {
@@ -143,7 +137,7 @@ impl ClientFactory {
                 DynamicsConfig::static_device()
             },
             layout,
-            max_samples: scheme.max_samples_per_layer(),
+            max_samples: MAX_SAMPLES_PER_LAYER,
             partition: PartitionSpec::new(
                 workload.train.labels(),
                 fl.n_clients,

@@ -84,6 +84,9 @@ impl Sample {
     }
 }
 
+/// Every client's per-layer sample cap: `min(ceil(len/2), 100)` (paper: min(50%, 100)).
+pub const MAX_SAMPLES_PER_LAYER: usize = 100;
+
 /// Per-client sampling profiler.
 ///
 /// The sample is drawn on first use — the first anchor round, or the first

@@ -758,8 +758,8 @@ mod tests {
     fn fold_matches_the_dense_reference_for_every_codec() {
         use fedca_compress::{quantize_det, top_k};
         // Two clients, each layer under a different codec, the second
-        // client's upload split into two concatenated messages (the eager
-        // sidecar shape). The global must move by exactly
+        // client's upload split into single-layer messages (the eager-frame
+        // shape). The global must move by exactly
         // `params::aggregate` over what the bytes decode to.
         let layout = two_layer_layout();
         let a = [1.25f32, -0.5, 3.0];
@@ -927,7 +927,7 @@ mod tests {
             assert!(back[0].is_some(), "{what}: rejected report dropped");
             assert_eq!(s.global().as_slice(), &[10.0; 5], "{what}: global moved");
         }
-        // The same arena then accepts the exact tiling, split either way:
+        // The same `Server` then accepts the exact tiling, split either way:
         // each fold adds the one update to the global.
         for (bytes, want) in [
             (good.clone(), [11.0, 11.0, 11.0, 12.0, 12.0]),

@@ -390,7 +390,7 @@ fn build_world(
     let layout = Arc::new(ModelLayout::from_spans(model.spans()));
     drop(model);
     Ok(ShardWorld {
-        factory: ClientFactory::new(fl, scheme, &workload, layout.clone()),
+        factory: ClientFactory::new(fl, &workload, layout.clone()),
         workload,
         layout,
         opts: scheme.client_options(),

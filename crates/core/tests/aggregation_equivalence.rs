@@ -2,12 +2,14 @@
 //! the dense reference fold.
 //!
 //! Every report carries its update as encoded wire bytes — its only form —
-//! and goes through the server's arena path (dense staging + fused
-//! dequantize-accumulate from the packed buffer). The global model must
-//! move, bit for bit, by `params::aggregate` over what those bytes decode
-//! to, with nothing rejected. Payload codecs, layer→message splits
-//! (emulating the eager sidecar's concatenated messages), arrival orders,
-//! and arena reuse across consecutive rounds are all randomized.
+//! and goes through the server's ingest check and its fold from those
+//! bytes (fused dequantize-accumulate straight from packed runs, decode
+//! then AXPY otherwise). The global model must move, bit for bit, by
+//! `params::aggregate` over what those bytes decode to, with nothing
+//! rejected. Payload codecs, layer→message splits (emulating an upload's
+//! final message followed by its accepted eager frames, one layer each),
+//! arrival orders, and server reuse across consecutive rounds are all
+//! randomized.
 
 use fedca_compress::wire::{self, Payload, UpdateMessage};
 use fedca_compress::{quantize, quantize_det, top_k};
@@ -50,8 +52,9 @@ fn encode_layer(codec: u8, values: &[f32], rng: &mut StdRng) -> Payload {
 }
 
 /// Builds the concatenated wire form: layers whose bit in `split_mask` is
-/// set travel in a second message (the eager-sidecar shape), and the
-/// returned dense vector is exactly what those bytes decode to.
+/// set each travel in a single-layer message after the main one (the
+/// eager-frame shape), and the returned dense vector is exactly what those
+/// bytes decode to.
 fn wire_form(
     client: usize,
     codecs: &[u8],
@@ -65,27 +68,26 @@ fn wire_form(
         client: client as u32,
         layers: Vec::new(),
     };
-    let mut sidecar = UpdateMessage {
-        round: 0,
-        client: client as u32,
-        layers: Vec::new(),
-    };
+    let mut frames = Vec::new();
     let mut start = 0;
     for (l, len) in SIZES.iter().enumerate() {
         let payload = encode_layer(codecs[l], &values[l], rng);
         dense[start..start + len].copy_from_slice(&payload.to_dense());
         start += len;
-        let msg = if split_mask & (1 << l) != 0 {
-            &mut sidecar
+        if split_mask & (1 << l) != 0 {
+            frames.push(wire::encode(&UpdateMessage {
+                round: 0,
+                client: client as u32,
+                layers: vec![(l as u32, payload)],
+            }));
         } else {
-            &mut main
-        };
-        msg.layers.push((l as u32, payload));
+            main.layers.push((l as u32, payload));
+        }
     }
     let mut joined = wire::encode(&main);
-    if !sidecar.layers.is_empty() {
-        joined.extend_from_slice(&wire::encode(&sidecar));
-    }
+    frames
+        .iter()
+        .for_each(|frame| joined.extend_from_slice(frame));
     (joined, dense)
 }
 
@@ -160,8 +162,8 @@ proptest! {
 
         let mut srv = server();
         let mut reference = UpdateVec::zeros(layout());
-        // Two rounds with the same reports: the second reuses the first's
-        // arena pools, so a stale segment map or staging vector would show.
+        // Two rounds with the same reports on one server: state left over
+        // from the first round's ingest or fold would show in the second.
         for round in 0..2 {
             let mut agg = srv.begin_round(0.0, n);
             for &ord in &order {

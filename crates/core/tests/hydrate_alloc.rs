@@ -8,7 +8,7 @@
 
 use fedca_core::params::ModelLayout;
 use fedca_core::population::{ClientFactory, ClientStore};
-use fedca_core::{FlConfig, Scheme, Workload};
+use fedca_core::{FlConfig, Workload};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -45,7 +45,7 @@ fn hydrating_a_fedavg_client_allocates_less_than_a_usize_per_parameter() {
         n_clients: 100,
         ..FlConfig::scaled()
     };
-    let mut store = ClientStore::new(ClientFactory::new(&fl, &Scheme::FedAvg, &workload, layout));
+    let mut store = ClientStore::new(ClientFactory::new(&fl, &workload, layout));
     // The first hydration sizes the resident table; the second one fits it.
     assert!(store.hydrate(0).unwrap());
     let before = BYTES.load(Ordering::Relaxed);

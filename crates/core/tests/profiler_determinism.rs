@@ -8,7 +8,7 @@ use fedca_core::client::RoundPlan;
 use fedca_core::executor::{ClientDone, ClientWork, RoundCtx, RoundExecutor};
 use fedca_core::params::ModelLayout;
 use fedca_core::population::{ClientFactory, ClientStore};
-use fedca_core::profiler::SampledProfiler;
+use fedca_core::profiler::{SampledProfiler, MAX_SAMPLES_PER_LAYER};
 use fedca_core::{FlConfig, Scheme, Workload};
 use fedca_nn::model::ParamSpan;
 use fedca_sim::faults::ClientFaults;
@@ -58,7 +58,7 @@ fn a_sample_first_drawn_at_the_anchor_round_is_the_one_drawn_at_construction() {
         weight_decay: workload.weight_decay,
         ..FlConfig::scaled()
     };
-    let mut store = ClientStore::new(ClientFactory::new(&fl, &scheme, &workload, layout.clone()));
+    let mut store = ClientStore::new(ClientFactory::new(&fl, &workload, layout.clone()));
     let id = 5;
     store.hydrate(id).unwrap();
     let ctx = Arc::new(RoundCtx {
@@ -92,7 +92,7 @@ fn a_sample_first_drawn_at_the_anchor_round_is_the_one_drawn_at_construction() {
 
     let queried_at_construction = SampledProfiler::new(
         layout,
-        scheme.max_samples_per_layer(),
+        MAX_SAMPLES_PER_LAYER,
         mix(fl.seed, DOMAIN_PROFILER, id as u64),
     );
     let indices = queried_at_construction.sample_indices().to_vec();

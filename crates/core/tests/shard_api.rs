@@ -60,7 +60,7 @@ fn make_pool(n_shards: usize) -> Fixture {
     let model = (workload.model_factory)();
     let layout = Arc::new(ModelLayout::from_spans(model.spans()));
     let pool = ShardPool::new(&fl, &scheme, spec, 1).expect("shard pool must come up");
-    let factory = ClientFactory::new(&fl, &scheme, &workload, layout.clone());
+    let factory = ClientFactory::new(&fl, &workload, layout.clone());
     let ctx = Arc::new(RoundCtx {
         layout,
         global: model.flat_params(),

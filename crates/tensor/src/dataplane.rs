@@ -33,15 +33,15 @@
 //!   no FMA, unlike the GEMM's — because `y + alpha * x` rounds the product
 //!   before the sum.
 //! * Bit-packing is pure integer shuffling; eight `width`-bit fields always
-//!   span exactly `width` bytes, which is what the u64-blocked fast paths
-//!   exploit.
+//!   span exactly `width` bytes, which is what the one u64-blocked packer,
+//!   the same on every tier, and the vector decoders exploit.
 //!
 //! The AVX-512 tier has 512-bit bodies for the int8 upload path: the scale
 //! scan (four independent 16-lane chains), the quantizer, and the decoder
 //! and fused fold on 8-bit fields (16 bytes sign-extended per step). They
 //! use AVX-512F alone — the one feature `Kernel::Avx512` checks — so the
-//! float sign masks run as integer and/or. Narrower fields, `axpy` and
-//! packing run their AVX2 bodies under that tier. Every
+//! float sign masks run as integer and/or. Narrower fields and `axpy` run
+//! their AVX2 bodies under that tier. Every
 //! other target runs the scalar path, which is free precisely because the
 //! contract is bit-identity.
 
@@ -115,6 +115,10 @@ pub fn quantize_levels(x: &[f32], scale: f32, num_levels: u8, out: &mut [i8]) {
 
 /// Bit-packs signed levels as offset-binary (`level + num_levels`) fields
 /// of `width` bits, little-endian bit order — the `compress::wire` layout.
+/// One portable body on every tier: eight `width`-bit fields are always
+/// exactly `width` bytes, so whole groups assemble into one u64 word with
+/// three shifts per field, and the scalar loop packs the tail. Its bytes
+/// are the scalar loop's (a unit test holds it to them).
 ///
 /// Levels must lie in `[-num_levels, num_levels]` (the quantizers
 /// guarantee it); out-of-range levels would overflow their field.
@@ -122,26 +126,36 @@ pub fn quantize_levels(x: &[f32], scale: f32, num_levels: u8, out: &mut [i8]) {
 /// # Panics
 /// Panics if `width` is outside `[1, 8]` or `out` is not exactly
 /// [`packed_len`] bytes.
-pub fn pack_levels_on(kernel: Kernel, levels: &[i8], num_levels: u8, width: u32, out: &mut [u8]) {
+pub fn pack_levels(levels: &[i8], num_levels: u8, width: u32, out: &mut [u8]) {
     assert!((1..=8).contains(&width), "pack_levels: width out of range");
     assert_eq!(
         out.len(),
         packed_len(levels.len(), width),
         "pack_levels: output length mismatch"
     );
-    if kernel.has_avx2() {
-        // The "vector" body for packing is the u64-blocked path: eight
-        // fields assemble into one word with three shifts per field, no
-        // per-bit carry loop. Same bytes, ~8x fewer iterations.
-        blocked::pack_levels(levels, num_levels, width, out)
-    } else {
-        scalar::pack_levels(levels, num_levels, width, out)
+    if width == 8 {
+        // One field per byte (the Int8 upload): no shifting at all.
+        for (o, &lev) in out.iter_mut().zip(levels) {
+            *o = (lev as i16 + num_levels as i16) as u8;
+        }
+        return;
     }
-}
-
-/// [`pack_levels_on`] with the process-wide dispatched tier.
-pub fn pack_levels(levels: &[i8], num_levels: u8, width: u32, out: &mut [u8]) {
-    pack_levels_on(active_kernel(), levels, num_levels, width, out)
+    let n = levels.len();
+    let wbytes = width as usize;
+    let mut g = 0usize;
+    // Whole groups of 8, while an 8-byte store fits: bytes past the
+    // group's `width` are zero and get overwritten by the next write.
+    while (g + 1) * 8 <= n && g * wbytes + 8 <= out.len() {
+        let mut word = 0u64;
+        for (j, &lev) in levels[g * 8..g * 8 + 8].iter().enumerate() {
+            let u = (lev as i16 + num_levels as i16) as u32 as u64;
+            word |= u << (j as u32 * width);
+        }
+        out[g * wbytes..g * wbytes + 8].copy_from_slice(&word.to_le_bytes());
+        g += 1;
+    }
+    // Scalar tail from the (byte-aligned) group boundary.
+    scalar::pack_levels(&levels[g * 8..], num_levels, width, &mut out[g * wbytes..]);
 }
 
 /// Inverse of [`pack_levels`]: extracts `out.len()` offset-binary fields
@@ -391,37 +405,6 @@ mod scalar {
             nbits -= width;
             *yi += alpha * (lev as f32 / l * scale);
         }
-    }
-}
-
-/// u64-blocked bit-packing: eight `width`-bit fields are always exactly
-/// `width` bytes, so whole groups assemble into one word. Portable (no
-/// intrinsics) — it is the "vector" packing tier on every SIMD target.
-mod blocked {
-    pub fn pack_levels(levels: &[i8], num_levels: u8, width: u32, out: &mut [u8]) {
-        if width == 8 {
-            // One field per byte (the Int8 upload): no shifting at all.
-            for (o, &lev) in out.iter_mut().zip(levels) {
-                *o = (lev as i16 + num_levels as i16) as u8;
-            }
-            return;
-        }
-        let n = levels.len();
-        let wbytes = width as usize;
-        let mut g = 0usize;
-        // Whole groups of 8, while an 8-byte store fits: bytes past the
-        // group's `width` are zero and get overwritten by the next write.
-        while (g + 1) * 8 <= n && g * wbytes + 8 <= out.len() {
-            let mut word = 0u64;
-            for (j, &lev) in levels[g * 8..g * 8 + 8].iter().enumerate() {
-                let u = (lev as i16 + num_levels as i16) as u32 as u64;
-                word |= u << (j as u32 * width);
-            }
-            out[g * wbytes..g * wbytes + 8].copy_from_slice(&word.to_le_bytes());
-            g += 1;
-        }
-        // Scalar tail from the (byte-aligned) group boundary.
-        super::scalar::pack_levels(&levels[g * 8..], num_levels, width, &mut out[g * wbytes..]);
     }
 }
 
@@ -829,6 +812,26 @@ mod tests {
     }
 
     #[test]
+    fn blocked_packer_writes_the_scalar_loops_bytes() {
+        // Every width, lengths across several whole groups and every tail.
+        // Both outputs start non-zero, so padding bits are checked too.
+        for width in 1u32..=8 {
+            // The widest level range a field holds (none at one bit).
+            let num_levels = ((1u16 << (width - 1)) - 1) as u8;
+            for n in 0..70 {
+                let levels: Vec<i8> = (0..n as i32)
+                    .map(|i| ((i * 5 + 3) % (2 * num_levels as i32 + 1) - num_levels as i32) as i8)
+                    .collect();
+                let mut want = vec![0xA5u8; packed_len(n, width)];
+                let mut got = want.clone();
+                scalar::pack_levels(&levels, num_levels, width, &mut want);
+                pack_levels(&levels, num_levels, width, &mut got);
+                assert_eq!(got, want, "width {width}, {n} levels");
+            }
+        }
+    }
+
+    #[test]
     fn scalar_round_trip_all_widths() {
         for bits in 1u8..=8 {
             let num_levels = ((1u16 << (bits - 1)) - 1).max(1) as u8;
@@ -837,7 +840,7 @@ mod tests {
                 .map(|i| (((i * 7) % (2 * num_levels as i32 + 1)) - num_levels as i32) as i8)
                 .collect();
             let mut packed = vec![0u8; packed_len(levels.len(), width)];
-            pack_levels_on(Kernel::Scalar, &levels, num_levels, width, &mut packed);
+            scalar::pack_levels(&levels, num_levels, width, &mut packed);
             let mut back = vec![0i8; levels.len()];
             unpack_levels(&packed, num_levels, width, &mut back);
             assert_eq!(back, levels, "bits={bits}");
@@ -850,7 +853,7 @@ mod tests {
         let width = 4u32;
         let levels: Vec<i8> = (0..29).map(|i| (i % 15) as i8 - 7).collect();
         let mut packed = vec![0u8; packed_len(levels.len(), width)];
-        pack_levels_on(Kernel::Scalar, &levels, num_levels, width, &mut packed);
+        pack_levels(&levels, num_levels, width, &mut packed);
         let scale = 1.375f32;
         let alpha = -0.625f32;
         let mut dense = vec![0.0f32; levels.len()];

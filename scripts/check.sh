@@ -23,6 +23,15 @@ if grep -rnE --include='*.rs' --exclude-dir=target '\bbytes::|parking_lot|crossb
   exit 1
 fi
 
+# A committed study log is what `fedca-bench --out` wrote: its `[fedca-bench]`
+# notes. Cargo's build lines in one mean it was captured from `cargo run`,
+# whose output names a build host's paths and binaries, not the study.
+echo "== committed study logs hold no cargo build lines"
+if grep -nE '^[[:space:]]*(Compiling|Finished|Running) ' results/*/*.log; then
+  echo "study logs: the lines above are cargo output; regenerate with target/release/fedca-bench <study> --out DIR" >&2
+  exit 1
+fi
+
 # `Kernel::Avx512` checks avx512f alone, so its bodies may use only
 # AVX-512F instructions: a BW or DQ op (or an EVEX xmm16–31 register, which
 # needs VL) would fault on an F-only CPU that dispatch accepts. The audit
