@@ -5,6 +5,7 @@
 use super::{accuracy_curves, Study};
 use crate::{fl_config, Cells, ExpScale, Totals};
 use fedca_compress::Compression;
+use fedca_core::config::FaultConfig;
 use fedca_core::{FedCaOptions, Scheme, Workload};
 
 /// The CNN with its wire size inflated 100× (a mid-size model on the
@@ -17,22 +18,28 @@ fn comm_bound_cnn(cells: &mut Cells) -> Workload {
 }
 
 /// Availability churn (§3.1). FedScale-style device behaviour means
-/// clients routinely vanish mid-round; this sweeps the per-round dropout
-/// probability and compares FedAvg with FedCA.
+/// clients routinely vanish mid-round; this sweeps the per-round
+/// probability that a selected client crashes (the fault plan's crash
+/// class, at an iteration drawn uniformly from its planned ones) and
+/// compares FedAvg with FedCA.
 ///
-/// FedCA degrades more gracefully: its early-stopped clients finish (and
-/// upload) *before* many dropout points hit, so fewer updates are lost.
+/// A client that early-stops after `s` iterations never reaches a crash
+/// drawn for iteration `s + 2` or later, so FedCA can lose fewer updates.
 /// The log gets per-config lost-update counts.
 pub fn dropout(study: &Study, cells: &mut Cells) -> Vec<String> {
     let rounds = study.rounds_at(cells.cli().scale);
     let w = cells.workload("cnn");
     let base_fl = fl_config(&w, cells.cli());
     let mut configs = Vec::new();
-    for dropout in [0.0, 0.2, 0.4] {
+    for p in [0.0, 0.2, 0.4] {
         for scheme in [Scheme::FedAvg, Scheme::fedca_default()] {
             let mut fl = base_fl.clone();
-            fl.dropout_prob = dropout;
-            configs.push((format!("{},{dropout}", scheme.name()), scheme, fl));
+            fl.faults = FaultConfig {
+                seed: fl.seed,
+                crash_prob: p,
+                ..FaultConfig::none()
+            };
+            configs.push((format!("{},{p}", scheme.name()), scheme, fl));
         }
     }
     let mut rows = Vec::new();
@@ -40,7 +47,7 @@ pub fn dropout(study: &Study, cells: &mut Cells) -> Vec<String> {
         let totals = Totals::of(&out.rounds);
         cells.note(format!(
             "ext_dropout: {label}: {}/{} client-rounds lost, best acc {:.3}",
-            totals.sum(|r| r.n_dropped),
+            totals.sum(|r| r.n_crashed),
             totals.sum(|r| r.n_selected),
             out.best_accuracy()
         ));

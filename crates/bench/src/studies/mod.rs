@@ -131,7 +131,7 @@ pub static STUDIES: [Study; 14] = [
     },
     Study {
         name: "ext_dropout",
-        paper: "extension (§3.1): availability churn",
+        paper: "extension (§3.1): availability churn as fault-plan crashes",
         rounds: [5, 25, 200],
         header: "scheme,dropout,virtual_time_s,accuracy",
         run: extensions::dropout,

@@ -13,7 +13,7 @@ impl<'a> Totals<'a> {
         Totals(records)
     }
 
-    /// One counter summed over the run, e.g. `sum(|r| r.n_dropped)`.
+    /// One counter summed over the run, e.g. `sum(|r| r.n_crashed)`.
     pub fn sum<T: Sum>(&self, counter: impl Fn(&RoundRecord) -> T) -> T {
         self.0.iter().map(counter).sum()
     }
@@ -38,11 +38,10 @@ impl<'a> Totals<'a> {
         [
             format!(
                 "  throughput: {rounds} rounds in {host_ms:.0} ms host time ({:.1} rounds/s); \
-                 faults: {} crashed, {} dropped, {} deadline-missed, {} rejected; \
+                 faults: {} crashed, {} deadline-missed, {} rejected; \
                  store: {} hydrated, {} evicted, {:.0} µs hydrating",
                 rounds as f64 / (host_ms / 1e3).max(1e-9),
                 self.sum(|r| r.n_crashed),
-                self.sum(|r| r.n_dropped),
                 self.sum(|r| r.n_deadline_missed),
                 self.sum(|r| r.n_rejected),
                 self.sum(|r| r.n_hydrated),

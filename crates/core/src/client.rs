@@ -4,13 +4,13 @@
 //! calls `TryEarlyStop()` and `TryEagerTransmit()` after each local
 //! iteration and `TryRetransmit()` after the round. [`run_client_round`] is
 //! that loop, over a private step machine: `begin` (link faults, download,
-//! anchor start, the dropout draw), `step(tau)` per iteration (one SGD
-//! iteration, then the hooks) until it reports why the loop ended, and
-//! `finish` (anchor finish, Eq. 6 and the upload, then the result faults).
-//! Each paper hook is one named call: `try_early_stop` (Eq. 2–4),
-//! `try_eager_transmit` (Eq. 5) and `finish_upload` (Eq. 6 plus the final
-//! upload). All timing flows through the client's virtual device/links; all
-//! learning is real SGD on the client's shard.
+//! anchor start), `step(tau)` per iteration (one SGD iteration, then the
+//! hooks) until it reports why the loop ended, and `finish` (anchor
+//! finish, Eq. 6 and the upload, then the result faults). Each paper hook
+//! is one named call: `try_early_stop` (Eq. 2–4), `try_eager_transmit`
+//! (Eq. 5) and `finish_upload` (Eq. 6 plus the final upload). All timing
+//! flows through the client's virtual device/links; all learning is real
+//! SGD on the client's shard.
 
 use crate::algorithms::FedCaOptions;
 use crate::config::FlConfig;
@@ -27,7 +27,7 @@ use fedca_sim::faults::ClientFaults;
 use fedca_sim::network::Link;
 use fedca_sim::SimTime;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use std::sync::Arc;
 
 /// Per-client persistent state (survives across rounds).
@@ -98,7 +98,7 @@ pub struct ClientRoundReport {
     /// compression) followed by the accepted eager frames, byte for byte as
     /// they were sent, walkable with [`wire::for_each_layer`]. Together the
     /// messages tile the layout exactly; the server decodes them at ingest.
-    /// `None` when nothing was sent (dropped or crashed).
+    /// `None` when nothing was sent (crashed).
     pub wire_update: Option<Vec<u8>>,
     /// Iterations actually executed.
     pub iters_done: usize,
@@ -122,10 +122,9 @@ pub struct ClientRoundReport {
     pub wire_bytes_dense: f64,
     /// Mean training loss over executed iterations.
     pub train_loss: f32,
-    /// Whether the client dropped out mid-round (availability churn).
-    pub dropped: bool,
-    /// Whether an injected crash killed the client mid-round (its state
-    /// survives on the trainer, but the upload never arrives).
+    /// Whether an injected crash killed the client mid-round (availability
+    /// churn: its state survives on the trainer, but the upload never
+    /// arrives).
     pub crashed: bool,
     /// Events recorded inside this client round (empty unless
     /// `FlConfig::trace` is enabled). Buffered here — deterministically,
@@ -159,7 +158,7 @@ pub fn run_client_round(
     round.finish(end.unwrap_or(End::Planned))
 }
 
-/// Why a round's iteration loop ended; the three early ends are exclusive.
+/// Why a round's iteration loop ended; the two early ends are exclusive.
 #[derive(Clone, Copy, PartialEq)]
 enum End {
     /// Every planned iteration ran.
@@ -169,8 +168,6 @@ enum End {
     /// An injected crash killed the client: its state survives, its upload
     /// never arrives.
     Crash,
-    /// The client dropped out (availability churn): gone is gone.
-    Dropout,
 }
 
 /// One client round in flight. Its counters, times, bytes and trace live in
@@ -186,7 +183,7 @@ struct ClientRound<'a> {
     plan: &'a RoundPlan,
     fedca: Option<&'a FedCaOptions>,
     opt: Sgd,
-    /// Batch sampling and the dropout draw.
+    /// Batch sampling.
     rng: StdRng,
     /// Dedicated stream for the compression path, derived from a distinct
     /// odd constant: enabling (stochastic) compression never perturbs the
@@ -203,7 +200,6 @@ struct ClientRound<'a> {
     /// The deadline the client *believes*: a slipped one makes it think it
     /// has more time than the server granted.
     deadline: SimTime,
-    drop_time: Option<SimTime>,
     now: SimTime,
     /// Wall time of the last iteration (optimistic prior: its nominal work).
     last_iter_wall: f64,
@@ -212,8 +208,8 @@ struct ClientRound<'a> {
 }
 
 impl<'a> ClientRound<'a> {
-    /// Link faults, the model download, the anchor start and the dropout
-    /// draw. Both round RNGs are seeded before anything draws from them.
+    /// Link faults, the model download and the anchor start. Both round
+    /// RNGs are seeded before anything draws from them.
     #[allow(clippy::too_many_arguments)]
     fn begin(
         state: &'a mut ClientState,
@@ -235,7 +231,7 @@ impl<'a> ClientRound<'a> {
             let seed = state.seed.wrapping_mul(k).wrapping_add(plan.round as u64);
             StdRng::seed_from_u64(seed)
         };
-        let (mut rng, qrng) = (seeded(0x9E37_79B9_7F4A_7C15), seeded(0xC2B2_AE3D_27D4_EB4F));
+        let (rng, qrng) = (seeded(0x9E37_79B9_7F4A_7C15), seeded(0xC2B2_AE3D_27D4_EB4F));
         // Round starts never decrease and every device query of this round
         // falls at or after the start (`download_done ≥ start`), so the
         // speed history before it is dead weight in every snapshot.
@@ -256,9 +252,6 @@ impl<'a> ClientRound<'a> {
         } else {
             fedca.and_then(|_| state.profiler.curves().cloned())
         };
-        // §3.1 availability churn: the client may drop out mid-round.
-        let drop_time = (fl.dropout_prob > 0.0 && rng.gen_range(0.0..1.0) < fl.dropout_prob)
-            .then(|| plan.start + rng.gen_range(0.0..1.0) * plan.deadline.min(1e9));
         state.sampler.set_batch_size(fl.batch_size);
         let report = ClientRoundReport {
             client_id: state.id,
@@ -274,7 +267,6 @@ impl<'a> ClientRound<'a> {
             wire_bytes_uploaded: 0.0,
             wire_bytes_dense: 0.0,
             train_loss: f32::NAN,
-            dropped: false,
             crashed: false,
             trace: Vec::new(),
         };
@@ -296,7 +288,6 @@ impl<'a> ClientRound<'a> {
             eager: EagerState::new(layout.num_layers()),
             frames: vec![None; layout.num_layers()],
             deadline: plan.deadline + plan.faults.deadline_slip,
-            drop_time,
             now: download_done,
             last_iter_wall: workload.iter_work_seconds,
             loss_sum: 0.0,
@@ -319,10 +310,6 @@ impl<'a> ClientRound<'a> {
         if faults.crash_at_iter == Some(tau) {
             self.fault(self.now, "crash", tau);
             return Some(End::Crash);
-        }
-        if self.drop_time.is_some_and(|t| self.now >= t) {
-            self.fault(self.now, "dropout", tau);
-            return Some(End::Dropout);
         }
         if self.try_early_stop(tau) {
             let event = |round, client| TraceEvent::EarlyStop {
@@ -469,17 +456,16 @@ impl<'a> ClientRound<'a> {
         r.compute_done = self.now;
         r.early_stopped = end == End::EarlyStop;
         r.crashed = end == End::Crash;
-        r.dropped = end == End::Dropout;
-        let vanished = r.crashed || r.dropped;
+        let crashed = r.crashed;
         if r.iters_done > 0 {
             r.train_loss = (self.loss_sum / r.iters_done as f64) as f32;
         }
         // Only an anchor round that ran and was not cut short profiles. One
-        // cut short by a crash or dropout would store a truncated curve that
+        // cut short by a crash would store a truncated curve that
         // misleads every hook until the next anchor; it keeps the previous
         // curves instead, and the next anchor's `begin_anchor` discards its
         // partial recording.
-        if self.is_anchor && !vanished && self.report.iters_done > 0 {
+        if self.is_anchor && !crashed && self.report.iters_done > 0 {
             let k = self.state.profiler.finish_anchor().k;
             let sampled_params = self.state.profiler.sampled_param_count();
             let event = |round, client| TraceEvent::AnchorProfiled {
@@ -502,7 +488,7 @@ impl<'a> ClientRound<'a> {
             fedca: self.fedca,
             round: plan.round as u32,
             client: self.state.id as u32,
-            send: !vanished,
+            send: !crashed,
         };
         let ef = &mut self.state.error_feedback;
         let upload = finish_upload(
@@ -519,7 +505,7 @@ impl<'a> ClientRound<'a> {
         r.wire_bytes_uploaded += upload.wire_len as f64;
         r.wire_bytes_dense += upload.dense_wire_len as f64;
         r.wire_update = upload.wire;
-        if vanished {
+        if crashed {
             return self.report; // nothing else reaches the server this round
         }
         r.bytes_uploaded += upload.payload_bytes;
@@ -586,8 +572,8 @@ struct UploadCtx<'a> {
     fedca: Option<&'a FedCaOptions>,
     round: u32,
     client: u32,
-    /// False when the client vanished mid-round (dropped or crashed): the
-    /// eager outcomes are still resolved, but nothing is framed.
+    /// False when the client crashed mid-round: the eager outcomes are
+    /// still resolved, but nothing is framed.
     send: bool,
 }
 
@@ -720,6 +706,7 @@ mod tests {
     use crate::executor::ClientArena;
     use crate::workload::Workload;
     use fedca_sim::device::DynamicsConfig;
+    use rand::Rng;
 
     /// One client of `tiny_mlp(seed)` with a fresh arena, and the round
     /// call every test below makes.
@@ -1179,25 +1166,53 @@ mod tests {
         }
     }
 
+    /// FedCA-v1's anchor round on a fresh fixture, then round 1 under
+    /// `faults` and a deadline of 4 iterations' worth of time.
+    fn tight_round(id: usize, faults: ClientFaults) -> ClientRoundReport {
+        let opts = Scheme::FedCa(FedCaOptions::v1()).client_options();
+        let mut f = Fixture::new(4, id);
+        let mut anchor = base_plan(20);
+        anchor.is_anchor = true;
+        f.run(&opts, &anchor);
+        let plan = RoundPlan {
+            round: 1,
+            deadline: 0.2,
+            faults,
+            ..base_plan(20)
+        };
+        f.run(&opts, &plan)
+    }
+
     #[test]
     fn early_stop_fires_past_deadline() {
-        let mut f = Fixture::new(4, 3);
-        let opts = Scheme::FedCa(FedCaOptions::v1()).client_options();
-        // First run an anchor round to obtain curves.
-        let mut plan = base_plan(20);
-        plan.is_anchor = true;
-        f.run(&opts, &plan);
-        // Now a tight deadline: the client should stop early.
-        let mut plan = base_plan(20);
-        plan.round = 1;
-        plan.deadline = 0.2; // 4 iterations' worth of time
-        let report = f.run(&opts, &plan);
+        let report = tight_round(3, ClientFaults::none());
         assert!(
             report.early_stopped,
             "tight deadline must trigger early stop"
         );
-        assert!(report.iters_done < 20);
-        assert!(report.iters_done >= 1);
+        assert!((1..20).contains(&report.iters_done));
+    }
+
+    #[test]
+    fn crash_armed_past_an_early_stop_never_fires() {
+        // A round that early-stops after `s` iterations never reaches a
+        // crash drawn for iteration `s + 2`, so it is the clean round, bit
+        // for bit: why FedCA loses fewer client-rounds than FedAvg to churn.
+        let clean = tight_round(3, ClientFaults::none());
+        let crash_at_iter = Some(clean.iters_done + 2);
+        assert!(clean.early_stopped && crash_at_iter <= Some(20));
+        let armed = tight_round(
+            3,
+            ClientFaults {
+                crash_at_iter,
+                ..ClientFaults::none()
+            },
+        );
+        assert!(!armed.crashed && armed.early_stopped);
+        assert_eq!(armed.iters_done, clean.iters_done);
+        assert!(armed.wire_update.is_some());
+        assert_eq!(armed.wire_update, clean.wire_update);
+        assert_eq!(armed.upload_done.to_bits(), clean.upload_done.to_bits());
     }
 
     #[test]
@@ -1207,7 +1222,6 @@ mod tests {
         plan.faults.crash_at_iter = Some(4);
         let report = f.run(&ClientOptions::default(), &plan);
         assert!(report.crashed);
-        assert!(!report.dropped);
         assert_eq!(report.iters_done, 3, "crash at iter 4 runs exactly 3");
         assert_eq!(report.upload_done, f64::INFINITY);
         assert!(
@@ -1241,10 +1255,7 @@ mod tests {
         lost_faults.lose_result = true;
         let lost = run_with(lost_faults);
         assert_eq!(lost.upload_done, f64::INFINITY);
-        assert!(
-            !lost.dropped && !lost.crashed,
-            "a lost result is not a crash"
-        );
+        assert!(!lost.crashed, "a lost result is not a crash");
         assert_eq!(lost.iters_done, 5, "the work itself completed");
         // In-flight corruption arrives on time, as bytes that decode to NaN.
         let mut corrupt_faults = ClientFaults::none();
@@ -1263,20 +1274,12 @@ mod tests {
 
     #[test]
     fn deadline_slip_defers_early_stop() {
-        let opts = Scheme::FedCa(FedCaOptions::v1()).client_options();
-        let iters_with_slip = |slip: f64| {
-            let mut f = Fixture::new(4, 8);
-            let mut anchor = base_plan(20);
-            anchor.is_anchor = true;
-            f.run(&opts, &anchor);
-            let mut plan = base_plan(20);
-            plan.round = 1;
-            plan.deadline = 0.2;
-            plan.faults.deadline_slip = slip;
-            f.run(&opts, &plan).iters_done
+        let honest = tight_round(8, ClientFaults::none()).iters_done;
+        let slip = ClientFaults {
+            deadline_slip: 1e9,
+            ..ClientFaults::none()
         };
-        let honest = iters_with_slip(0.0);
-        let slipped = iters_with_slip(1e9);
+        let slipped = tight_round(8, slip).iters_done;
         assert!(
             slipped > honest,
             "a slipped deadline must defer early stop: {slipped} vs {honest}"

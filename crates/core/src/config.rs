@@ -32,10 +32,6 @@ pub struct FlConfig {
     pub heterogeneity: bool,
     /// Enable device dynamicity (fast/slow gamma toggling).
     pub dynamicity: bool,
-    /// Per-round probability that a selected client drops out mid-round
-    /// (§3.1's availability churn; its upload never arrives). Default 0.
-    #[serde(default)]
-    pub dropout_prob: f64,
     /// Update compression on the upload path (§2.2 baselines: deterministic
     /// int8, QSGD-style stochastic quantization, top-k
     /// sparsification — all with error feedback). Applies to both the final
@@ -138,7 +134,6 @@ impl Default for FlConfig {
             seed: 1,
             heterogeneity: true,
             dynamicity: true,
-            dropout_prob: 0.0,
             compression: Compression::None,
             faults: FaultConfig::none(),
             trace: TraceConfig::disabled(),

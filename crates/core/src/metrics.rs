@@ -38,10 +38,9 @@ pub struct RoundRecord {
     pub n_selected: usize,
     /// Clients whose uploads arrived before the aggregation cut.
     pub n_aggregated: usize,
-    /// Selected clients that dropped out mid-round (availability churn).
-    pub n_dropped: usize,
     /// Selected clients whose round died to an injected fault: crashes
-    /// (state intact, upload lost) plus worker panics (state destroyed).
+    /// (availability churn: state intact, upload lost) plus worker panics
+    /// (state destroyed).
     pub n_crashed: usize,
     /// Surviving clients whose upload arrived after the aggregation cut
     /// (stragglers whose update was discarded, including delayed results)
@@ -274,7 +273,6 @@ mod tests {
             mean_train_loss: 1.0,
             n_selected: 4,
             n_aggregated: 4,
-            n_dropped: 0,
             n_crashed: 0,
             n_deadline_missed: 0,
             n_rejected: 0,
@@ -375,7 +373,7 @@ mod tests {
         assert_eq!(a.canonical(), b.canonical());
         assert_eq!(b.canonical().canonical(), b.canonical());
 
-        let canonical_changes: [fn(&mut RoundRecord); 19] = [
+        let canonical_changes: [fn(&mut RoundRecord); 18] = [
             |r| r.round += 1,
             |r| r.start -= 0.5,
             |r| r.end += 0.5,
@@ -383,7 +381,6 @@ mod tests {
             |r| r.mean_train_loss *= 2.0,
             |r| r.n_selected += 1,
             |r| r.n_aggregated -= 1,
-            |r| r.n_dropped += 1,
             |r| r.n_crashed += 1,
             |r| r.n_deadline_missed += 1,
             |r| r.n_rejected += 1,

@@ -15,8 +15,8 @@
 //! The profiler gathers sampled accumulated updates after each anchor-round
 //! iteration and converts them into per-layer and whole-model progress
 //! curves at round end. The client finishes only an anchor round that was
-//! not cut short: after a crash or dropout it keeps the previous curves, and
-//! the next `begin_anchor` discards the partial recording.
+//! not cut short: after a crash it keeps the previous curves, and the next
+//! `begin_anchor` discards the partial recording.
 
 use crate::params::ModelLayout;
 use crate::progress::progress_curve;

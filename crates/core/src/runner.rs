@@ -565,7 +565,7 @@ impl Trainer {
             .enumerate()
             .filter(|&(ord, r)| {
                 r.as_ref()
-                    .is_some_and(|r| !r.dropped && !r.crashed && r.upload_done > end)
+                    .is_some_and(|r| !r.crashed && r.upload_done > end)
                     && agg.rejected.binary_search(&ord).is_err()
             })
             .count();
@@ -592,7 +592,6 @@ impl Trainer {
             mean_train_loss,
             n_selected: round.selected.len(),
             n_aggregated: collected.len(),
-            n_dropped: arrived().filter(|r| r.dropped).count(),
             n_crashed,
             n_deadline_missed,
             n_rejected: agg.rejected.len(),
@@ -702,7 +701,6 @@ mod tests {
             seed: 11,
             heterogeneity: true,
             dynamicity: false,
-            dropout_prob: 0.0,
             compression: Default::default(),
             faults: FaultConfig::none(),
             trace: Default::default(),
@@ -815,7 +813,7 @@ mod tests {
             assert_eq!(r.iters_done.len(), r.n_selected);
             // Every selected client is accounted for exactly once.
             assert_eq!(
-                r.n_aggregated + r.n_crashed + r.n_dropped + r.n_deadline_missed + r.n_rejected,
+                r.n_aggregated + r.n_crashed + r.n_deadline_missed + r.n_rejected,
                 r.n_selected,
                 "round {}: {r:?}",
                 r.round
@@ -977,7 +975,7 @@ mod tests {
         for r in t.records() {
             n_rejected += r.n_rejected;
             assert_eq!(
-                r.n_aggregated + r.n_crashed + r.n_dropped + r.n_deadline_missed + r.n_rejected,
+                r.n_aggregated + r.n_crashed + r.n_deadline_missed + r.n_rejected,
                 r.n_selected,
                 "round {}: {r:?}",
                 r.round

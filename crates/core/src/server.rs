@@ -247,7 +247,7 @@ impl StreamingAggregator {
     }
 
     /// Sets the wall the round closes at when *no* upload ever arrives
-    /// (every client failed, dropped, or lost its result): completion falls
+    /// (every client failed, crashed, or lost its result): completion falls
     /// back to `round_start + deadline` instead of panicking.
     pub fn set_deadline(&mut self, deadline: SimTime) {
         self.fallback_completion = Some(self.round_start + deadline);
@@ -297,9 +297,9 @@ impl StreamingAggregator {
             .collect();
         let n_finite = arrivals.iter().filter(|t| t.is_finite()).count();
         let completion = if n_finite == 0 {
-            // Every client failed/dropped: no upload will ever arrive and
-            // the cut is undefined. The server gives up at its deadline and
-            // keeps the global model unchanged.
+            // Every client failed, crashed or lost its upload: none will
+            // ever arrive and the cut is undefined. The server gives up at
+            // its deadline and keeps the global model unchanged.
             self.fallback_completion
                 .expect("all clients failed and no deadline fallback was set")
         } else {
@@ -475,7 +475,6 @@ mod tests {
             wire_bytes_uploaded: 8.0,
             wire_bytes_dense: 8.0,
             train_loss: 1.0,
-            dropped: false,
             crashed: false,
             trace: Default::default(),
         }

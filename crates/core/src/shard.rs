@@ -226,7 +226,7 @@ pub struct DoneMsg {
     pub download_done_bits: u64,
     /// `report.compute_done` bits.
     pub compute_done_bits: u64,
-    /// `report.upload_done` bits (+inf ⇒ dropped past deadline).
+    /// `report.upload_done` bits (+inf ⇒ the upload never arrives).
     pub upload_done_bits: u64,
     /// Per-layer eager outcomes.
     pub eager_outcomes: Vec<LayerOutcome>,
@@ -238,8 +238,6 @@ pub struct DoneMsg {
     pub wire_bytes_dense_bits: u64,
     /// `report.train_loss` bits (f32; NaN when no iterations ran).
     pub train_loss_bits: u32,
-    /// Dropped past the deadline.
-    pub dropped: bool,
     /// Crash fault fired.
     pub crashed: bool,
     /// Host-side wall time in the worker (f64 bits).
@@ -320,7 +318,6 @@ impl DoneMsg {
             wire_bytes_uploaded_bits: r.wire_bytes_uploaded.to_bits(),
             wire_bytes_dense_bits: r.wire_bytes_dense.to_bits(),
             train_loss_bits: r.train_loss.to_bits(),
-            dropped: r.dropped,
             crashed: r.crashed,
             host_us_bits: done.host_us.to_bits(),
             trace: r.trace.into_iter().map(WireEvent::from_pending).collect(),
@@ -352,7 +349,6 @@ impl DoneMsg {
                 wire_bytes_uploaded: f64::from_bits(self.wire_bytes_uploaded_bits),
                 wire_bytes_dense: f64::from_bits(self.wire_bytes_dense_bits),
                 train_loss: f32::from_bits(self.train_loss_bits),
-                dropped: self.dropped,
                 crashed: self.crashed,
                 trace: self
                     .trace

@@ -189,7 +189,7 @@ pub enum TraceEvent {
         /// Whether the client early-stopped.
         early_stopped: bool,
         /// Virtual arrival time of the upload (`None` if it never arrives:
-        /// dropped, crashed, or lost).
+        /// crashed or lost).
         upload_done: Option<SimTime>,
     },
     /// A client's worker panicked; its in-flight state was destroyed and

@@ -111,7 +111,6 @@ fn report(
         wire_bytes_uploaded: 16.0,
         wire_bytes_dense: 16.0,
         train_loss: 0.5,
-        dropped: false,
         crashed: false,
         trace: Default::default(),
     }

@@ -50,7 +50,6 @@ fn tiny_fl(seed: u64, faults: FaultConfig) -> FlConfig {
         seed,
         heterogeneity: true,
         dynamicity: true,
-        dropout_prob: 0.0,
         compression: Default::default(),
         faults,
         trace: Default::default(),
@@ -125,7 +124,7 @@ fn assert_invariants(out: &TrainerOutput, rounds: usize, label: &str) {
         // or lost to one named cause (a lost result counts as a missed
         // deadline).
         assert_eq!(
-            r.n_aggregated + r.n_crashed + r.n_dropped + r.n_deadline_missed + r.n_rejected,
+            r.n_aggregated + r.n_crashed + r.n_deadline_missed + r.n_rejected,
             r.n_selected,
             "{label}: round {} accounts for the wrong number of clients: {r:?}",
             r.round
@@ -402,7 +401,6 @@ fn corrupt_updates_are_rejected_and_counted() {
         seed: 11,
         heterogeneity: true,
         dynamicity: true,
-        dropout_prob: 0.0,
         compression: Default::default(),
         faults,
         trace: TraceConfig::enabled(),

@@ -32,7 +32,6 @@ fn study_fl(compression: Compression) -> FlConfig {
         seed: SEED,
         heterogeneity: true,
         dynamicity: true,
-        dropout_prob: 0.0,
         compression,
         faults: FaultConfig::chaos(SEED),
         trace: TraceConfig::enabled(),

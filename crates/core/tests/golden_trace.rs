@@ -33,7 +33,6 @@ fn traced_fl() -> FlConfig {
         seed: SEED,
         heterogeneity: true,
         dynamicity: true,
-        dropout_prob: 0.0,
         compression: Default::default(),
         faults: FaultConfig::chaos(SEED),
         trace: TraceConfig::enabled(),

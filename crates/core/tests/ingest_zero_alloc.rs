@@ -113,7 +113,6 @@ fn wire_report(layout: &Arc<ModelLayout>, client: usize) -> ClientRoundReport {
         wire_bytes_uploaded: 16.0,
         wire_bytes_dense: 16.0,
         train_loss: 0.5,
-        dropped: false,
         crashed: false,
         trace: Default::default(),
     }

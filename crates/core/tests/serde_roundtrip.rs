@@ -21,7 +21,7 @@ proptest! {
             (0u8..8, 0usize..32),
         )
     ) {
-        const KINDS: [&str; 4] = ["crash", "result_loss", "result_delay", "dropout"];
+        const KINDS: [&str; 4] = ["crash", "result_loss", "result_delay", "corrupt_update"];
         const NAMES: [&str; 3] = ["round", "evaluate", "client_round"];
         const SCHEMES: [&str; 3] = ["FedAvg", "FedCA", "FedProx"];
         let (round, client, layer, iter) = ints;
@@ -296,8 +296,7 @@ fn done_msg_preserves_non_finite_floats_bit_exactly() {
         wire_bytes_uploaded_bits: 1024.0f64.to_bits(),
         wire_bytes_dense_bits: 4096.0f64.to_bits(),
         train_loss_bits: f32::NAN.to_bits(),
-        dropped: true,
-        crashed: false,
+        crashed: true,
         host_us_bits: 1234.5f64.to_bits(),
         trace: vec![WireEvent {
             time_bits: f64::INFINITY.to_bits(),
@@ -388,8 +387,9 @@ fn fl_config_tolerates_documents_without_the_shard_section() {
 /// with every later-removed `shard` key set to a non-default value) still
 /// loads: the retired keys — the resend protocol's, and since then the
 /// placement rule, the heartbeat, the frame cap, the separate spawn and
-/// handshake timeouts and the whole `checkpoint` section — are ignored,
-/// every surviving key keeps its value.
+/// handshake timeouts, the whole `checkpoint` section and `dropout_prob`
+/// (churn is the fault plan's crash class now) — are ignored, every
+/// surviving key keeps its value.
 #[test]
 fn fl_config_written_before_the_link_rewrite_still_loads() {
     let old = include_str!(concat!(
@@ -418,4 +418,11 @@ fn fl_config_written_before_the_link_rewrite_still_loads() {
     let busy = old.replace(retired, r#""checkpoint":{"dir":"ckpt","every":3,"keep":9}"#);
     let busy: FlConfig = serde_json::from_str(&busy).expect("the section is ignored");
     assert_eq!(serde_json::to_string(&busy).expect("serialize"), reloaded);
+    // Likewise the retired dropout probability, whatever it held.
+    assert!(!reloaded.contains("dropout_prob"), "{reloaded}");
+    let retired = r#""dropout_prob":0.0"#;
+    assert!(old.contains(retired), "the fixture names the key");
+    let churny = old.replace(retired, r#""dropout_prob":0.4"#);
+    let churny: FlConfig = serde_json::from_str(&churny).expect("the key is ignored");
+    assert_eq!(serde_json::to_string(&churny).expect("serialize"), reloaded);
 }

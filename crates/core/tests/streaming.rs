@@ -23,9 +23,9 @@ fn report(
     upload_done: f64,
     weight: f64,
     update: Vec<f32>,
-    dropped: bool,
+    crashed: bool,
 ) -> ClientRoundReport {
-    // The upload is its wire bytes: one dense layer. A dropped client
+    // The upload is its wire bytes: one dense layer. A crashed client
     // sent nothing.
     let msg = UpdateMessage {
         round: 0,
@@ -35,7 +35,7 @@ fn report(
     ClientRoundReport {
         client_id,
         weight,
-        wire_update: (!dropped).then(|| wire::encode(&msg)),
+        wire_update: (!crashed).then(|| wire::encode(&msg)),
         iters_done: 3,
         early_stopped: false,
         download_done: 0.05,
@@ -46,8 +46,7 @@ fn report(
         wire_bytes_uploaded: 16.0,
         wire_bytes_dense: 16.0,
         train_loss: 0.5,
-        dropped,
-        crashed: false,
+        crashed,
         trace: Default::default(),
     }
 }
@@ -70,8 +69,8 @@ proptest! {
     #[test]
     fn streaming_aggregation_matches_batch_for_any_arrival_order(
         (arrivals, weights, updates, prios) in (2usize..16).prop_flat_map(|n| (
-            // (arrival time, drop marker): marker 0 → the client dropped
-            // out and its upload never arrives (+inf).
+            // (arrival time, loss marker): marker 0 → the client crashed
+            // and its upload never arrives (+inf).
             prop::collection::vec((0.1f64..100.0, 0u8..5u8), n),
             prop::collection::vec(0.5f64..20.0, n),
             prop::collection::vec(prop::collection::vec(-5.0f32..5.0, DIM), n),
@@ -80,16 +79,16 @@ proptest! {
         ))
     ) {
         let n = arrivals.len();
-        // Marker 0 → the client dropped (a +inf report exists); marker 1 →
+        // Marker 0 → the client crashed (a +inf report exists); marker 1 →
         // the client's worker panicked (no report at all: the streaming
         // path marks the ordinal failed). Client 0 always survives so the
         // round can complete.
         let failed: Vec<bool> = (0..n).map(|i| arrivals[i].1 == 1 && i != 0).collect();
         let reports: Vec<ClientRoundReport> = (0..n)
             .map(|i| {
-                let dropped = arrivals[i].1 == 0 && i != 0;
-                let t = if dropped || failed[i] { f64::INFINITY } else { arrivals[i].0 };
-                report(i, t, weights[i], updates[i].clone(), dropped)
+                let crashed = arrivals[i].1 == 0 && i != 0;
+                let t = if crashed || failed[i] { f64::INFINITY } else { arrivals[i].0 };
+                report(i, t, weights[i], updates[i].clone(), crashed)
             })
             .collect();
 

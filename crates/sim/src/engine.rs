@@ -28,8 +28,9 @@ pub fn round_completion_time(arrivals: &[SimTime], fraction: f64) -> SimTime {
     if t.is_finite() {
         return t;
     }
-    // Dropped clients report +inf arrivals; if the cut lands on one, fall
-    // back to the last finite arrival (the server cannot wait forever).
+    // Crashed clients and lost uploads report +inf arrivals; if the cut
+    // lands on one, fall back to the last finite arrival (the server cannot
+    // wait forever).
     sorted
         .iter()
         .rev()

@@ -10,9 +10,9 @@
 //!
 //! Fault classes (all independent per `(round, client)` draw):
 //!
-//! * **crash** — the client process dies at a specific local iteration; its
-//!   upload never arrives (like availability churn, but attributed as a
-//!   crash rather than a graceful departure);
+//! * **crash** — the client vanishes at a specific local iteration; its
+//!   state survives but its upload never arrives. This is the simulator's
+//!   one model of the paper's availability churn (§3.1);
 //! * **worker panic** — the client code `panic!`s at a specific iteration,
 //!   exercising the executor's `catch_unwind` / failure-reporting path and
 //!   destroying the client's in-memory state;
@@ -209,11 +209,6 @@ impl ClientFaults {
         }
     }
 
-    /// Whether this assignment injects nothing.
-    pub fn is_none(&self) -> bool {
-        *self == ClientFaults::none()
-    }
-
     /// Names of the armed fault classes, in a fixed canonical order (the
     /// declaration order above). Empty for the fault-free assignment; used
     /// by the trace layer to journal what a round armed before it runs.
@@ -269,16 +264,6 @@ impl FaultPlan {
             cfg.bandwidth_floor = 1.0;
         }
         FaultPlan { cfg }
-    }
-
-    /// The configuration this plan draws from.
-    pub fn config(&self) -> &FaultConfig {
-        &self.cfg
-    }
-
-    /// Whether this plan can ever inject a fault.
-    pub fn is_inert(&self) -> bool {
-        self.cfg.is_inert()
     }
 
     /// The faults `client` suffers in `round`, given its planned local
@@ -356,11 +341,11 @@ mod tests {
 
     #[test]
     fn inert_plan_draws_nothing() {
+        assert!(FaultConfig::none().is_inert());
         let plan = FaultPlan::new(FaultConfig::none());
-        assert!(plan.is_inert());
         for round in 0..20 {
             for client in 0..20 {
-                assert!(plan.draw(round, client, 10).is_none());
+                assert_eq!(plan.draw(round, client, 10), ClientFaults::none());
             }
         }
     }

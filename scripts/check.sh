@@ -129,8 +129,9 @@ fi
 # study in one process and diff.
 echo "== study smoke vs results/smoke"
 cargo build --release -q -p fedca-bench
-# No study injects faults, so a worker panic on stderr is a bug even when
-# the executor recovers from it and every CSV still matches.
+# No study arms a worker panic (`panic_prob`; ext_dropout arms only crashes),
+# so a panic on stderr is a bug even when the executor recovers from it and
+# every CSV still matches.
 ./target/release/fedca-bench all --scale smoke --out "$tmp/smoke" 2>"$tmp/smoke.stderr" \
   || { cat "$tmp/smoke.stderr" >&2; exit 1; }
 cat "$tmp/smoke.stderr" >&2

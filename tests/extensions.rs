@@ -20,7 +20,6 @@ fn fl(seed: u64) -> FlConfig {
         seed,
         heterogeneity: true,
         dynamicity: true,
-        dropout_prob: 0.0,
         compression: Default::default(),
         faults: Default::default(),
         trace: Default::default(),
@@ -31,20 +30,21 @@ fn fl(seed: u64) -> FlConfig {
 
 #[test]
 fn dropout_clients_never_reach_the_server() {
+    // Availability churn is the fault plan's crash class.
     let mut cfg = fl(1);
-    cfg.dropout_prob = 0.4;
+    cfg.faults.crash_prob = 0.4;
     let mut t = Trainer::new(cfg, Scheme::FedAvg, Workload::tiny_mlp(1));
     let out = t.run(10);
-    let total_dropped: usize = out.rounds.iter().map(|r| r.n_dropped).sum();
-    assert!(total_dropped > 0, "40% dropout never fired in 10 rounds");
+    let total_crashed: usize = out.rounds.iter().map(|r| r.n_crashed).sum();
+    assert!(total_crashed > 0, "40% churn never fired in 10 rounds");
     for r in &out.rounds {
-        // Dropped clients are excluded from aggregation.
+        // Crashed clients are excluded from aggregation.
         assert!(
-            r.n_aggregated <= r.n_selected - r.n_dropped,
-            "round {}: aggregated {} with {} dropped of {}",
+            r.n_aggregated <= r.n_selected - r.n_crashed,
+            "round {}: aggregated {} with {} crashed of {}",
             r.round,
             r.n_aggregated,
-            r.n_dropped,
+            r.n_crashed,
             r.n_selected
         );
         // The round still completes at a finite time.
@@ -52,19 +52,6 @@ fn dropout_clients_never_reach_the_server() {
     }
     // Training still makes progress despite the churn.
     assert!(out.best_accuracy() > 0.5, "best {}", out.best_accuracy());
-}
-
-#[test]
-fn dropout_free_runs_are_unaffected_by_the_feature_flag() {
-    let a = Trainer::new(fl(2), Scheme::FedAvg, Workload::tiny_mlp(2)).run(5);
-    let mut cfg = fl(2);
-    cfg.dropout_prob = 0.0;
-    let b = Trainer::new(cfg, Scheme::FedAvg, Workload::tiny_mlp(2)).run(5);
-    for (ra, rb) in a.rounds.iter().zip(&b.rounds) {
-        assert_eq!(ra.end, rb.end);
-        assert_eq!(ra.n_dropped, 0);
-        assert_eq!(rb.n_dropped, 0);
-    }
 }
 
 #[test]

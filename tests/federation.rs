@@ -16,7 +16,6 @@ fn tiny_fl(seed: u64) -> FlConfig {
         seed,
         heterogeneity: true,
         dynamicity: true,
-        dropout_prob: 0.0,
         compression: Default::default(),
         faults: Default::default(),
         trace: Default::default(),
