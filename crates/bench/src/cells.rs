@@ -23,7 +23,7 @@ pub const NO_TARGET: f32 = f32::INFINITY;
 
 /// The cells of one run. Trainers stay alive until the store drops, so a
 /// later study can extend a cell instead of retraining it; the price is
-/// memory (and, under `--shards`, child processes) per distinct cell.
+/// memory per distinct cell.
 pub struct Cells {
     cli: Cli,
     /// Where the current study's progress notes go.

@@ -44,8 +44,6 @@ pub struct Cli {
     pub compression: Option<Compression>,
     /// `--n-clients`: population-size override (≥ 1).
     pub n_clients: Option<usize>,
-    /// `--shards`: shard-process count (0 = in-process worker pool).
-    pub shards: Option<usize>,
     /// `--trace`: JSONL trace destination (tracing is off without it).
     pub trace: Option<PathBuf>,
     /// `--out`: write `DIR/<study>.csv` + `.log` instead of stdout/stderr.
@@ -101,12 +99,11 @@ impl fmt::Display for CliError {
 impl std::error::Error for CliError {}
 
 /// Every flag with its accepted forms.
-const FLAGS: [(&str, &str); 7] = [
+const FLAGS: [(&str, &str); 6] = [
     ("--scale", "smoke|scaled|paper (default scaled)"),
     ("--seed", "a non-negative integer (default 42)"),
     ("--compression", "none|int8|q1..q8|topP, 0 < P <= 100"),
     ("--n-clients", "a positive integer (population size)"),
-    ("--shards", "a non-negative integer (0 = in-process)"),
     ("--trace", "a file path (JSONL trace, numbered per cell)"),
     ("--out", "a directory for <study>.csv and <study>.log"),
 ];
@@ -172,7 +169,6 @@ impl Cli {
             "--seed" => self.seed = Some(v.parse().ok()?),
             "--compression" => self.compression = Some(parse_compression(v)?),
             "--n-clients" => self.n_clients = Some(v.parse().ok().filter(|n| *n > 0)?),
-            "--shards" => self.shards = Some(v.parse().ok()?),
             "--trace" => self.trace = Some(v.into()),
             "--out" => self.out = Some(v.into()),
             _ => return None,

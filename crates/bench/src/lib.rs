@@ -83,9 +83,9 @@ impl ExpScale {
 
 /// Builds the federation config for a workload at the run's scale tier and
 /// seed, taking the workload's recommended learning rate / weight decay and
-/// applying the run's `--n-clients`, `--compression` and `--shards`
-/// overrides (the comparative studies — `ext_compression`, `tta_quantized`
-/// — then set their own compression per config).
+/// applying the run's `--n-clients` and `--compression` overrides (the
+/// comparative studies — `ext_compression`, `tta_quantized` — then set
+/// their own compression per config).
 pub fn fl_config(workload: &Workload, cli: &Cli) -> FlConfig {
     let base = match cli.scale {
         ExpScale::Smoke => FlConfig {
@@ -109,11 +109,6 @@ pub fn fl_config(workload: &Workload, cli: &Cli) -> FlConfig {
     }
     if let Some(c) = cli.compression {
         fl.compression = c;
-    }
-    // Shard children re-enter this binary with no arguments; `main` gates
-    // on `fedca_core::shard::maybe_run_child` before it parses anything.
-    if let Some(s) = cli.shards {
-        fl.shard.n_shards = s;
     }
     fl
 }

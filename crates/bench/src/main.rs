@@ -8,11 +8,6 @@ use std::io::Write;
 use std::path::Path;
 
 fn main() {
-    // Shard children re-enter this binary with no arguments: serve the
-    // protocol and exit. Nothing may read the command line before this.
-    if fedca_core::shard::maybe_run_child() {
-        return;
-    }
     let code = match Cli::parse(std::env::args().skip(1)).and_then(|cli| run(&cli)) {
         Ok(code) => code,
         Err(e) => {

@@ -29,9 +29,9 @@ impl<'a> Totals<'a> {
         }
     }
 
-    /// The operational summary a run logs: throughput and faults, data
-    /// plane, shards (all 0 on a healthy run).
-    pub fn notes(&self) -> [String; 3] {
+    /// The operational summary a run logs: throughput and faults, and the
+    /// data plane.
+    pub fn notes(&self) -> [String; 2] {
         let rounds = self.0.len();
         let host_ms: f64 = self.sum(|r| r.host_ms);
         let aggregate_us: f64 = self.sum(|r| r.aggregate_host_us);
@@ -53,11 +53,6 @@ impl<'a> Totals<'a> {
                  ({:.1} µs/round fold)",
                 self.sum(|r| r.decode_host_us),
                 aggregate_us / (rounds as f64).max(1.0),
-            ),
-            format!(
-                "  shards: {} quarantined, {} ordinals re-run in the root",
-                self.sum(|r| r.n_quarantined),
-                self.sum(|r| r.n_reassigned),
             ),
         ]
     }

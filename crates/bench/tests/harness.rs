@@ -32,7 +32,7 @@ fn every_accepted_spelling_parses_to_the_expected_cli() {
         ..Cli::default()
     };
     type Expect = fn(&mut Cli);
-    let table: [(&[&str], Expect); 18] = [
+    let table: [(&[&str], Expect); 16] = [
         (&[], |_| {}),
         (&["--scale", "smoke"], |c| c.scale = ExpScale::Smoke),
         (&["--scale=paper"], |c| c.scale = ExpScale::Paper),
@@ -55,8 +55,6 @@ fn every_accepted_spelling_parses_to_the_expected_cli() {
         }),
         (&["--n-clients", "5"], |c| c.n_clients = Some(5)),
         (&["--n-clients=1000000"], |c| c.n_clients = Some(1_000_000)),
-        (&["--shards", "0"], |c| c.shards = Some(0)),
-        (&["--shards=4"], |c| c.shards = Some(4)),
         (&["--trace", "t.jsonl"], |c| {
             c.trace = Some("t.jsonl".into())
         }),
@@ -156,7 +154,8 @@ fn every_malformed_command_line_is_a_typed_error() {
             "bad-value",
             "--compression",
         ),
-        (&["overhead", "--shards", "-1"], "bad-value", "--shards"),
+        // The retired sharding flag: the harness always runs in-process.
+        (&["overhead", "--shards", "2"], "unknown-flag", "--shards"),
         (&["overhead", "--trace"], "missing-value", "--trace"),
         // The retired durability flags.
         (&["overhead", "--resume"], "unknown-flag", "--resume"),
@@ -594,9 +593,8 @@ fn fl_config_adopts_workload_hypers_and_overrides() {
     assert_eq!((fl.compression, fl.shard.n_shards), (Compression::None, 0));
     let overridden = Cli {
         compression: Some(Compression::Int8),
-        shards: Some(2),
         ..smoke_cli()
     };
     let fl = fl_config(&w, &overridden);
-    assert_eq!((fl.compression, fl.shard.n_shards), (Compression::Int8, 2));
+    assert_eq!((fl.compression, fl.shard.n_shards), (Compression::Int8, 0));
 }

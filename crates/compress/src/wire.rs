@@ -116,16 +116,6 @@ pub fn message_wire_len(msg: &UpdateMessage) -> usize {
             .sum::<usize>()
 }
 
-/// Encoded size `msg` would have if every layer were shipped dense.
-pub fn dense_message_wire_len(msg: &UpdateMessage) -> usize {
-    HEADER_LEN
-        + msg
-            .layers
-            .iter()
-            .map(|(_, p)| 4 + dense_payload_wire_len(p.len()))
-            .sum::<usize>()
-}
-
 /// An update message: `(layer id, payload)` entries from one client round.
 #[derive(Clone, Debug, PartialEq, Default)]
 pub struct UpdateMessage {

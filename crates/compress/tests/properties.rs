@@ -5,8 +5,7 @@
 //! successes that change length).
 
 use fedca_compress::wire::{
-    self, dense_message_wire_len, dense_payload_wire_len, message_wire_len, Payload, UpdateMessage,
-    WireError,
+    self, dense_payload_wire_len, message_wire_len, Payload, UpdateMessage, WireError,
 };
 use fedca_compress::{dequantize, quantize_det, top_k, Compression, ErrorFeedback};
 use proptest::prelude::*;
@@ -112,7 +111,13 @@ proptest! {
         };
         let encoded = wire::encode(&msg);
         prop_assert_eq!(encoded.len(), message_wire_len(&msg), "length accountant drifted");
-        let dense_len = dense_message_wire_len(&msg);
+        // The dense yardstick: every layer shipped as `Payload::Dense`.
+        let dense_len = wire::HEADER_LEN
+            + msg
+                .layers
+                .iter()
+                .map(|(_, p)| 4 + dense_payload_wire_len(p.len()))
+                .sum::<usize>();
         prop_assert_eq!(
             dense_len,
             wire::HEADER_LEN + 4 * (4 + dense_payload_wire_len(n)),

@@ -852,7 +852,13 @@ mod tests {
             }
         }
         let mut joined = wire::encode(&msg);
-        let (wire_len, dense_wire_len) = (joined.len(), wire::dense_message_wire_len(&msg));
+        let dense_wire_len = wire::HEADER_LEN
+            + msg
+                .layers
+                .iter()
+                .map(|(_, p)| 4 + wire::dense_payload_wire_len(p.len()))
+                .sum::<usize>();
+        let wire_len = joined.len();
         joined.extend_from_slice(&accepted);
         if compressing {
             let mut transmitted = vec![0.0f32; total_params];

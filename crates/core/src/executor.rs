@@ -31,9 +31,8 @@
 //! once from the workload's factory, fully overwritten by
 //! `set_flat_params` at the start of every client round) plus a flat
 //! parameter scratch buffer. Reuse is bit-safe: the optimizer is stateless
-//! and batch-norm running statistics never affect training-mode forward
-//! passes, so a freshly-built model and a reset arena model are
-//! indistinguishable.
+//! and batch norm keeps no statistics between forwards, so a freshly-built
+//! model and a reset arena model are indistinguishable.
 //!
 //! Determinism does not depend on scheduling or on chunking: each client
 //! still runs under its own `catch_unwind` with its own RNG streams, all

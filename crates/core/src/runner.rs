@@ -625,15 +625,14 @@ impl Trainer {
 
     /// Evaluates the global model's test accuracy.
     ///
-    /// Batch-norm note: only trainable parameters are federated (running
-    /// statistics never leave clients, as in the paper's PyTorch setup), so
-    /// evaluation keeps training-mode normalization and uses batch
-    /// statistics over each 64-sample eval batch — the standard workaround
-    /// for BN in FedAvg-style systems.
+    /// Batch-norm note: only trainable parameters are federated, so there
+    /// are no running statistics to evaluate with; batch norm normalizes
+    /// with the statistics of each 64-sample eval batch — the standard
+    /// workaround for BN in FedAvg-style systems, and the layer's only mode
+    /// (DESIGN §4 item 12).
     pub fn evaluate(&mut self) -> f32 {
         self.eval_model
             .set_flat_params(self.server.global().as_slice());
-        self.eval_model.set_training(true);
         let test = &self.workload.test;
         let n = test.len().min(EVAL_SAMPLES);
         let mut correct = 0.0f64;

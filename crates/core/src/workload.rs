@@ -9,7 +9,7 @@
 
 use fedca_data::synthetic::{image_task, sequence_task, ImageTaskConfig, SequenceTaskConfig};
 use fedca_data::InMemoryDataset;
-use fedca_nn::models::{cnn, lstm, wrn, CnnConfig, LstmConfig, WrnConfig};
+use fedca_nn::models::{cnn, lstm, mlp, wrn, CnnConfig, LstmConfig, WrnConfig};
 use fedca_nn::Model;
 use std::sync::Arc;
 
@@ -241,20 +241,7 @@ impl Workload {
         let (train, test) = image_task(&data_cfg, seed.wrapping_add(303));
         Workload {
             name: "tiny_mlp".into(),
-            model_factory: Arc::new(move || {
-                // MLP consumes flattened inputs; prepend a flatten stage.
-                use fedca_nn::layers::{Flatten, Linear, Relu, Sequential};
-                use rand::rngs::StdRng;
-                use rand::SeedableRng;
-                let mut rng = StdRng::seed_from_u64(seed);
-                Model::new(
-                    Sequential::new()
-                        .push(Flatten::new())
-                        .push(Linear::new("fc1", 36, 32, &mut rng))
-                        .push(Relu::new())
-                        .push(Linear::new("fc2", 32, 4, &mut rng)),
-                )
-            }),
+            model_factory: Arc::new(move || mlp(36, 32, 4, seed)),
             train: Arc::new(train),
             test: Arc::new(test),
             iter_work_seconds: 0.05,

@@ -59,35 +59,25 @@ pub fn check_param_grads(
 
     let mut max_rel = 0.0f64;
     let mut checked = 0usize;
-    let n_params = layer.params().len();
-    for pi in 0..n_params {
-        let len = layer.params()[pi].len();
+    for (pi, grad) in analytic.iter().enumerate() {
+        let len = grad.len();
         let stride = (len / max_coords_per_param).max(1);
         let mut idx = 0;
         while idx < len {
             // f(w + eps)
-            {
-                let mut params = layer.params_mut();
-                params[pi].value.as_mut_slice()[idx] += eps;
-            }
+            nudge(layer, pi, idx, eps);
             let out_p = layer.forward(x, &mut ws);
             let (loss_p, _) = softmax_cross_entropy(&out_p, labels);
             ws.give(out_p);
             // f(w - eps)
-            {
-                let mut params = layer.params_mut();
-                params[pi].value.as_mut_slice()[idx] -= 2.0 * eps;
-            }
+            nudge(layer, pi, idx, -2.0 * eps);
             let out_m = layer.forward(x, &mut ws);
             let (loss_m, _) = softmax_cross_entropy(&out_m, labels);
             ws.give(out_m);
             // restore
-            {
-                let mut params = layer.params_mut();
-                params[pi].value.as_mut_slice()[idx] += eps;
-            }
+            nudge(layer, pi, idx, eps);
             let numeric = (loss_p as f64 - loss_m as f64) / (2.0 * eps as f64);
-            let a = analytic[pi][idx] as f64;
+            let a = grad[idx] as f64;
             max_rel = max_rel.max(rel_err(a, numeric));
             checked += 1;
             idx += stride;
@@ -97,6 +87,18 @@ pub fn check_param_grads(
         max_rel_err: max_rel as f32,
         checked,
     }
+}
+
+/// Adds `delta` to coordinate `idx` of the `pi`-th parameter in traversal
+/// order.
+fn nudge(layer: &mut dyn Layer, pi: usize, idx: usize, delta: f32) {
+    let mut i = 0;
+    layer.for_each_param(&mut |p| {
+        if i == pi {
+            p.value.as_mut_slice()[idx] += delta;
+        }
+        i += 1;
+    });
 }
 
 /// Checks the *input* gradient of `layer` against central differences.
@@ -181,7 +183,7 @@ mod tests {
         let mut net = Sequential::new()
             .push(Conv2d::new("c1", 1, 3, 3, 1, 1, &mut rng))
             .push(Relu::new())
-            .push(MaxPool2d::new(2))
+            .push(MaxPool2d::new())
             .push(Flatten::new())
             .push(Linear::new("fc", 3 * 3 * 3, 2, &mut rng));
         let x = Tensor::randn([2, 1, 6, 6], 1.0, &mut rng);

@@ -19,9 +19,12 @@ use fedca_tensor::Tensor;
 ///   with respect to the input batch. A layer has one backward body and
 ///   guards only its input-gradient part, so parameter gradients come from
 ///   the same instructions in the same order either way (bit-identical).
-/// * Parameter traversal order is deterministic and identical between
-///   `params`, `params_mut`, and `for_each_param`; the whole workspace
-///   relies on that order to map models onto flat update vectors.
+/// * Parameters are reached through two visitors, [`Layer::params`]
+///   (shared) and [`Layer::for_each_param`] (mutable), which walk them in
+///   one deterministic order; the whole workspace relies on that order to
+///   map models onto flat update vectors.
+/// * A layer has one mode: there is no train/eval switch. Batch norm always
+///   normalizes with the statistics of the batch it is given.
 /// * Output tensors are drawn from the caller's [`Workspace`]; callers give
 ///   them back (directly or via `Model::recycle`) once consumed, so a
 ///   warmed-up training iteration allocates nothing.
@@ -45,22 +48,12 @@ pub trait Layer: Send {
         Vec::new()
     }
 
-    /// Mutable views of the layer's parameters, in the same order as
-    /// [`Layer::params`].
-    fn params_mut(&mut self) -> Vec<&mut Parameter> {
-        Vec::new()
-    }
-
     /// Visits every parameter mutably, in the same order as
-    /// [`Layer::params`], without allocating a `Vec` — the hot-path sibling
-    /// of `params_mut` used by `zero_grad` and the optimizer step.
+    /// [`Layer::params`], without allocating — the one mutable path to a
+    /// parameter (`zero_grad`, the optimizer step, gradient checks).
     ///
     /// Layers with parameters must override this alongside `params`.
     fn for_each_param(&mut self, _f: &mut dyn FnMut(&mut Parameter)) {}
-
-    /// Switches train/eval behaviour (batch-norm statistics, etc.).
-    /// Stateless layers ignore this.
-    fn set_training(&mut self, _training: bool) {}
 
     /// Zeroes all parameter gradients.
     fn zero_grad(&mut self) {

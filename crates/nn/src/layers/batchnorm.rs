@@ -1,11 +1,11 @@
 //! Batch normalization over `[N, C, H, W]` (per-channel statistics).
 //!
 //! WideResNet's trainability depends on normalization; this is the standard
-//! BN with learnable affine (`weight` = γ, `bias` = β), batch statistics in
-//! training mode and running statistics in eval mode. The running buffers
-//! are *not* trainable parameters and therefore are not part of the update a
-//! FedAvg client reports — matching PyTorch, where only
-//! `requires_grad` tensors enter the aggregated state dict in this setup.
+//! BN with learnable affine (`weight` = γ, `bias` = β) and one mode: every
+//! forward normalizes with the statistics of its own batch, over `N·H·W`
+//! per channel. There are no running statistics and no eval mode — the
+//! trainer's evaluation normalizes with batch statistics too (DESIGN §4
+//! item 12), so only γ and β exist, and only they enter a client's update.
 
 use crate::layer::Layer;
 use crate::param::Parameter;
@@ -16,12 +16,8 @@ use fedca_tensor::Tensor;
 pub struct BatchNorm2d {
     weight: Parameter, // gamma, [C]
     bias: Parameter,   // beta,  [C]
-    running_mean: Vec<f32>,
-    running_var: Vec<f32>,
-    momentum: f32,
     eps: f32,
     channels: usize,
-    training: bool,
     // Backward cache (persistent, resized in place).
     xhat: Option<Tensor>,
     inv_std: Vec<f32>,
@@ -33,12 +29,8 @@ impl BatchNorm2d {
         BatchNorm2d {
             weight: Parameter::new(format!("{name}.weight"), Tensor::full([channels], 1.0)),
             bias: Parameter::new(format!("{name}.bias"), Tensor::zeros([channels])),
-            running_mean: vec![0.0; channels],
-            running_var: vec![1.0; channels],
-            momentum: 0.1,
             eps: 1e-5,
             channels,
-            training: true,
             xhat: None,
             inv_std: vec![0.0; channels],
         }
@@ -67,26 +59,17 @@ impl Layer for BatchNorm2d {
         let xhat = cache_resize(&mut self.xhat, x.dims());
         let mut out = ws.take(x.dims());
         for ch in 0..c {
-            let (mean, var) = if self.training {
-                let mut sum = 0.0f64;
-                let mut sumsq = 0.0f64;
-                for s in 0..n {
-                    let base = (s * c + ch) * plane;
-                    for &v in &xd[base..base + plane] {
-                        sum += v as f64;
-                        sumsq += (v as f64) * (v as f64);
-                    }
+            let mut sum = 0.0f64;
+            let mut sumsq = 0.0f64;
+            for s in 0..n {
+                let base = (s * c + ch) * plane;
+                for &v in &xd[base..base + plane] {
+                    sum += v as f64;
+                    sumsq += (v as f64) * (v as f64);
                 }
-                let mean = (sum / m as f64) as f32;
-                let var = ((sumsq / m as f64) - (mean as f64) * (mean as f64)).max(0.0) as f32;
-                self.running_mean[ch] =
-                    (1.0 - self.momentum) * self.running_mean[ch] + self.momentum * mean;
-                self.running_var[ch] =
-                    (1.0 - self.momentum) * self.running_var[ch] + self.momentum * var;
-                (mean, var)
-            } else {
-                (self.running_mean[ch], self.running_var[ch])
-            };
+            }
+            let mean = (sum / m as f64) as f32;
+            let var = ((sumsq / m as f64) - (mean as f64) * (mean as f64)).max(0.0) as f32;
             let inv_std = 1.0 / (var + self.eps).sqrt();
             self.inv_std[ch] = inv_std;
             let gamma = self.weight.value.as_slice()[ch];
@@ -142,24 +125,13 @@ impl Layer for BatchNorm2d {
             };
             let gamma = self.weight.value.as_slice()[ch];
             let scale = gamma * self.inv_std[ch];
-            if self.training {
-                let mean_dy = (sum_dy / m as f64) as f32;
-                let mean_dy_xhat = (sum_dy_xhat / m as f64) as f32;
-                for s in 0..n {
-                    let base = (s * c + ch) * plane;
-                    let gout = &mut gin.as_mut_slice()[base..base + plane];
-                    for i in 0..plane {
-                        gout[i] = scale * (gd[base + i] - mean_dy - xh[base + i] * mean_dy_xhat);
-                    }
-                }
-            } else {
-                // Eval mode: statistics are constants, so dx = γ/σ · dy.
-                for s in 0..n {
-                    let base = (s * c + ch) * plane;
-                    let gout = &mut gin.as_mut_slice()[base..base + plane];
-                    for i in 0..plane {
-                        gout[i] = scale * gd[base + i];
-                    }
+            let mean_dy = (sum_dy / m as f64) as f32;
+            let mean_dy_xhat = (sum_dy_xhat / m as f64) as f32;
+            for s in 0..n {
+                let base = (s * c + ch) * plane;
+                let gout = &mut gin.as_mut_slice()[base..base + plane];
+                for i in 0..plane {
+                    gout[i] = scale * (gd[base + i] - mean_dy - xh[base + i] * mean_dy_xhat);
                 }
             }
         }
@@ -170,17 +142,9 @@ impl Layer for BatchNorm2d {
         vec![&self.weight, &self.bias]
     }
 
-    fn params_mut(&mut self) -> Vec<&mut Parameter> {
-        vec![&mut self.weight, &mut self.bias]
-    }
-
     fn for_each_param(&mut self, f: &mut dyn FnMut(&mut Parameter)) {
         f(&mut self.weight);
         f(&mut self.bias);
-    }
-
-    fn set_training(&mut self, training: bool) {
-        self.training = training;
     }
 }
 
@@ -212,25 +176,6 @@ mod tests {
             assert!(mean.abs() < 1e-4, "channel {ch} mean {mean}");
             assert!((var - 1.0).abs() < 1e-2, "channel {ch} var {var}");
         }
-    }
-
-    #[test]
-    fn eval_mode_uses_running_stats() {
-        let mut rng = StdRng::seed_from_u64(32);
-        let mut ws = Workspace::new();
-        let mut bn = BatchNorm2d::new("bn", 1);
-        // Run several training batches so running stats converge toward the
-        // data distribution (mean 5, std 2).
-        for _ in 0..200 {
-            let x = Tensor::randn([8, 1, 4, 4], 2.0, &mut rng).map(|v| v + 5.0);
-            let y = bn.forward(&x, &mut ws);
-            ws.give(y);
-        }
-        bn.set_training(false);
-        let x = Tensor::full([2, 1, 4, 4], 5.0);
-        let y = bn.forward(&x, &mut ws);
-        // Input at the running mean should map near beta = 0.
-        assert!(y.as_slice().iter().all(|v| v.abs() < 0.3), "{:?}", y);
     }
 
     #[test]

@@ -122,10 +122,6 @@ impl Layer for Linear {
         vec![&self.weight, &self.bias]
     }
 
-    fn params_mut(&mut self) -> Vec<&mut Parameter> {
-        vec![&mut self.weight, &mut self.bias]
-    }
-
     fn for_each_param(&mut self, f: &mut dyn FnMut(&mut Parameter)) {
         f(&mut self.weight);
         f(&mut self.bias);

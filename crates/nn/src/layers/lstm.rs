@@ -339,13 +339,6 @@ impl Layer for Lstm {
             .collect()
     }
 
-    fn params_mut(&mut self) -> Vec<&mut Parameter> {
-        self.layers
-            .iter_mut()
-            .flat_map(|c| vec![&mut c.w_ih, &mut c.w_hh, &mut c.b_ih, &mut c.b_hh])
-            .collect()
-    }
-
     fn for_each_param(&mut self, f: &mut dyn FnMut(&mut Parameter)) {
         for c in &mut self.layers {
             f(&mut c.w_ih);

@@ -15,98 +15,63 @@ fn check_4d(x: &Tensor, what: &str) -> (usize, usize, usize, usize) {
     (d[0], d[1], d[2], d[3])
 }
 
-/// Max pooling with square window `k` and stride `k` (non-overlapping, the
-/// LeNet/WRN configuration). Caches argmax indices for the backward pass.
+/// 2×2 max pooling with stride 2 (non-overlapping; the only pool the
+/// LeNet-style CNN runs). Caches argmax indices for the backward pass.
+#[derive(Default)]
 pub struct MaxPool2d {
-    k: usize,
     argmax: Vec<usize>, // flat input index of each output's max (reused)
     input_dims: Vec<usize>,
     ready: bool,
 }
 
 impl MaxPool2d {
-    /// Creates a `k`×`k`, stride-`k` max pool.
-    ///
-    /// # Panics
-    /// Panics if `k == 0`.
-    pub fn new(k: usize) -> Self {
-        assert!(k > 0, "pool window must be positive");
-        MaxPool2d {
-            k,
-            argmax: Vec::new(),
-            input_dims: Vec::new(),
-            ready: false,
-        }
+    /// Creates a 2×2, stride-2 max pool.
+    pub fn new() -> Self {
+        Self::default()
     }
 }
 
 impl Layer for MaxPool2d {
     fn forward(&mut self, x: &Tensor, ws: &mut Workspace) -> Tensor {
         let (n, c, h, w) = check_4d(x, "MaxPool2d");
-        let k = self.k;
         assert!(
-            h % k == 0 && w % k == 0,
-            "MaxPool2d({k}) needs H, W divisible by {k}, got {h}x{w}"
+            h % 2 == 0 && w % 2 == 0,
+            "MaxPool2d needs H, W divisible by 2, got {h}x{w}"
         );
-        let (oh, ow) = (h / k, w / k);
+        let (oh, ow) = (h / 2, w / 2);
         let mut out = ws.take(&[n, c, oh, ow]);
         self.argmax.clear();
         self.argmax.resize(n * c * oh * ow, 0);
         let argmax = &mut self.argmax;
         let xd = x.as_slice();
         let od = out.as_mut_slice();
-        if k == 2 {
-            // 2×2 fast path (the LeNet configuration): same visit order and
-            // strict-`>` tie-breaking as the general loop below, with the
-            // window indices built incrementally per row pair.
-            for nc in 0..n * c {
-                let in_base = nc * h * w;
-                let out_base = nc * oh * ow;
-                for i in 0..oh {
-                    let r0 = in_base + (2 * i) * w;
-                    let r1 = r0 + w;
-                    let ob = out_base + i * ow;
-                    for j in 0..ow {
-                        let c0 = 2 * j;
-                        let mut best_idx = r0 + c0;
-                        let mut best = xd[best_idx];
-                        if xd[r0 + c0 + 1] > best {
-                            best = xd[r0 + c0 + 1];
-                            best_idx = r0 + c0 + 1;
-                        }
-                        if xd[r1 + c0] > best {
-                            best = xd[r1 + c0];
-                            best_idx = r1 + c0;
-                        }
-                        if xd[r1 + c0 + 1] > best {
-                            best = xd[r1 + c0 + 1];
-                            best_idx = r1 + c0 + 1;
-                        }
-                        od[ob + j] = best;
-                        argmax[ob + j] = best_idx;
+        // Row-major window visit with strict-`>` tie-breaking (the first
+        // maximum wins), window indices built incrementally per row pair.
+        for nc in 0..n * c {
+            let in_base = nc * h * w;
+            let out_base = nc * oh * ow;
+            for i in 0..oh {
+                let r0 = in_base + (2 * i) * w;
+                let r1 = r0 + w;
+                let ob = out_base + i * ow;
+                for j in 0..ow {
+                    let c0 = 2 * j;
+                    let mut best_idx = r0 + c0;
+                    let mut best = xd[best_idx];
+                    if xd[r0 + c0 + 1] > best {
+                        best = xd[r0 + c0 + 1];
+                        best_idx = r0 + c0 + 1;
                     }
-                }
-            }
-        } else {
-            for nc in 0..n * c {
-                let in_base = nc * h * w;
-                let out_base = nc * oh * ow;
-                for i in 0..oh {
-                    for j in 0..ow {
-                        let mut best_idx = in_base + (i * k) * w + j * k;
-                        let mut best = xd[best_idx];
-                        for di in 0..k {
-                            for dj in 0..k {
-                                let idx = in_base + (i * k + di) * w + (j * k + dj);
-                                if xd[idx] > best {
-                                    best = xd[idx];
-                                    best_idx = idx;
-                                }
-                            }
-                        }
-                        od[out_base + i * ow + j] = best;
-                        argmax[out_base + i * ow + j] = best_idx;
+                    if xd[r1 + c0] > best {
+                        best = xd[r1 + c0];
+                        best_idx = r1 + c0;
                     }
+                    if xd[r1 + c0 + 1] > best {
+                        best = xd[r1 + c0 + 1];
+                        best_idx = r1 + c0 + 1;
+                    }
+                    od[ob + j] = best;
+                    argmax[ob + j] = best_idx;
                 }
             }
         }
@@ -197,7 +162,7 @@ mod tests {
     #[test]
     fn maxpool_picks_window_max() {
         let mut ws = Workspace::new();
-        let mut p = MaxPool2d::new(2);
+        let mut p = MaxPool2d::new();
         #[rustfmt::skip]
         let x = Tensor::from_vec([1, 1, 4, 4], vec![
             1., 2., 5., 6.,
@@ -213,7 +178,7 @@ mod tests {
     #[test]
     fn maxpool_backward_routes_to_argmax() {
         let mut ws = Workspace::new();
-        let mut p = MaxPool2d::new(2);
+        let mut p = MaxPool2d::new();
         #[rustfmt::skip]
         let x = Tensor::from_vec([1, 1, 2, 2], vec![
             1., 9.,
@@ -229,7 +194,7 @@ mod tests {
     #[test]
     fn maxpool_multichannel_batches() {
         let mut ws = Workspace::new();
-        let mut p = MaxPool2d::new(2);
+        let mut p = MaxPool2d::new();
         let x = Tensor::from_vec([2, 3, 4, 4], (0..96).map(|i| i as f32).collect());
         let y = p.forward(&x, &mut ws);
         assert_eq!(y.dims(), &[2, 3, 2, 2]);
@@ -242,7 +207,7 @@ mod tests {
     #[should_panic(expected = "divisible")]
     fn maxpool_rejects_indivisible() {
         let mut ws = Workspace::new();
-        let mut p = MaxPool2d::new(2);
+        let mut p = MaxPool2d::new();
         let _ = p.forward(&Tensor::zeros([1, 1, 3, 4]), &mut ws);
     }
 

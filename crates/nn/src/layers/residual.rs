@@ -96,25 +96,10 @@ impl Layer for ResidualBlock {
         p
     }
 
-    fn params_mut(&mut self) -> Vec<&mut Parameter> {
-        let mut p: Vec<&mut Parameter> = self.body.params_mut();
-        if let Some(proj) = &mut self.shortcut {
-            p.extend(proj.params_mut());
-        }
-        p
-    }
-
     fn for_each_param(&mut self, f: &mut dyn FnMut(&mut Parameter)) {
         self.body.for_each_param(f);
         if let Some(proj) = &mut self.shortcut {
             proj.for_each_param(f);
-        }
-    }
-
-    fn set_training(&mut self, training: bool) {
-        self.body.set_training(training);
-        if let Some(proj) = &mut self.shortcut {
-            proj.set_training(training);
         }
     }
 }
@@ -133,9 +118,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(61);
         let mut ws = Workspace::new();
         let mut conv = Conv2d::new("c", 2, 2, 3, 1, 1, &mut rng);
-        for p in conv.params_mut() {
-            p.value.fill_zero();
-        }
+        conv.for_each_param(&mut |p| p.value.fill_zero());
         let mut block = ResidualBlock::identity(Sequential::new().push(conv));
         let x = Tensor::randn([1, 2, 4, 4], 1.0, &mut rng);
         let y = block.forward(&x, &mut ws);

@@ -109,22 +109,9 @@ impl Layer for Sequential {
         self.layers.iter().flat_map(|l| l.params()).collect()
     }
 
-    fn params_mut(&mut self) -> Vec<&mut Parameter> {
-        self.layers
-            .iter_mut()
-            .flat_map(|l| l.params_mut())
-            .collect()
-    }
-
     fn for_each_param(&mut self, f: &mut dyn FnMut(&mut Parameter)) {
         for layer in &mut self.layers {
             layer.for_each_param(f);
-        }
-    }
-
-    fn set_training(&mut self, training: bool) {
-        for layer in &mut self.layers {
-            layer.set_training(training);
         }
     }
 }

@@ -18,6 +18,12 @@
 //! PyTorch — plain SGD on feed-forward graphs — while keeping the hot path
 //! allocation-light and the gradient math independently testable against
 //! finite differences ([`gradcheck`]).
+//!
+//! The crate holds what the models run and nothing more. A layer has one
+//! mode: there is no train/eval switch, and batch norm always normalizes
+//! with batch statistics. Max pooling has one shape, 2×2 with stride 2.
+//! Parameters are reached through two visitors in one order,
+//! [`Layer::params`] and [`Layer::for_each_param`].
 
 pub mod gradcheck;
 pub mod init;

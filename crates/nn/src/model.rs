@@ -97,9 +97,17 @@ impl Model {
         self.net.zero_grad();
     }
 
-    /// Switches train/eval mode (affects batch-norm statistics).
+    /// Every layer has one mode — batch norm always normalizes with batch
+    /// statistics — so this switches nothing. It exists only because the
+    /// benchmark's probes (`examples/benchmark`) still call it with `true`.
+    ///
+    /// # Panics
+    /// Panics unless `training` is `true`: there is no eval mode to switch to.
     pub fn set_training(&mut self, training: bool) {
-        self.net.set_training(training);
+        assert!(
+            training,
+            "Model::set_training(false): there is no eval mode; batch norm always uses batch statistics"
+        );
     }
 
     /// Total scalar parameter count.
@@ -309,6 +317,14 @@ mod tests {
         m.recycle(dx);
         let (_, misses_after) = m.workspace_stats();
         assert_eq!(misses_before, misses_after, "warm pass must not miss");
+    }
+
+    #[test]
+    #[should_panic(expected = "there is no eval mode")]
+    fn set_training_false_names_the_missing_eval_mode() {
+        let mut m = tiny_model(4);
+        m.set_training(true);
+        m.set_training(false);
     }
 
     #[test]

@@ -76,10 +76,10 @@ pub fn cnn(cfg: &CnnConfig, seed: u64) -> Model {
         Sequential::new()
             .push(Conv2d::new("conv1", cfg.in_channels, 6, 5, 1, 0, &mut rng))
             .push(Relu::new())
-            .push(MaxPool2d::new(2))
+            .push(MaxPool2d::new())
             .push(Conv2d::new("conv2", 6, 16, 5, 1, 0, &mut rng))
             .push(Relu::new())
-            .push(MaxPool2d::new(2))
+            .push(MaxPool2d::new())
             .push(Flatten::new())
             .push(Linear::new("fc1", flat, 120, &mut rng))
             .push(Relu::new())
@@ -268,11 +268,14 @@ pub fn wrn(cfg: &WrnConfig, seed: u64) -> Model {
     Model::new(seq)
 }
 
-/// A small MLP (`fc1`/`fc2`) for unit tests and the quickstart example.
+/// A small MLP (`fc1`/`fc2`): the `tiny_mlp` workload's model. It starts
+/// with a [`Flatten`], so it takes `[N, in_features]` or any batch whose
+/// non-batch dimensions multiply to `in_features`.
 pub fn mlp(in_features: usize, hidden: usize, classes: usize, seed: u64) -> Model {
     let mut rng = StdRng::seed_from_u64(seed);
     Model::new(
         Sequential::new()
+            .push(Flatten::new())
             .push(Linear::new("fc1", in_features, hidden, &mut rng))
             .push(Relu::new())
             .push(Linear::new("fc2", hidden, classes, &mut rng)),

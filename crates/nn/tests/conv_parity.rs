@@ -155,12 +155,12 @@ fn check(case: Case, n: usize, rng: &mut StdRng) {
     let x = Tensor::randn([n, in_c, hw, hw], 1.0, rng);
     // A non-zero bias and gradients already in the accumulators, so the
     // "added into C once per block" half of the contract is exercised.
-    for p in conv.params_mut() {
+    conv.for_each_param(&mut |p| {
         if p.name().ends_with("bias") {
             p.value = Tensor::randn(p.value.shape().clone(), 1.0, rng);
         }
         p.grad = Tensor::randn(p.grad.shape().clone(), 1.0, rng);
-    }
+    });
     let snapshot = |conv: &Conv2d, grad: bool| -> Vec<Vec<f32>> {
         conv.params()
             .iter()
@@ -171,10 +171,10 @@ fn check(case: Case, n: usize, rng: &mut StdRng) {
 
     // Two rounds on one layer: the second reuses every cached buffer.
     for round in 0..2 {
-        for p in conv.params_mut() {
+        conv.for_each_param(&mut |p| {
             let before = &grads0[usize::from(p.name().ends_with("bias"))];
             p.grad.as_mut_slice().copy_from_slice(before);
-        }
+        });
         let y = conv.forward(&x, &mut ws);
         let g = Tensor::randn(y.shape().clone(), 1.0, rng);
         let want = oracle(
@@ -196,10 +196,10 @@ fn check(case: Case, n: usize, rng: &mut StdRng) {
         // starting gradients: both must produce the oracle's dW and db.
         assert!(conv.backward(&g, false, &mut ws).is_none());
         let lean = snapshot(&conv, true);
-        for p in conv.params_mut() {
+        conv.for_each_param(&mut |p| {
             let before = &grads0[usize::from(p.name().ends_with("bias"))];
             p.grad.as_mut_slice().copy_from_slice(before);
-        }
+        });
         let dx = conv.backward(&g, true, &mut ws).expect("input gradient");
         let full = snapshot(&conv, true);
         for (got, how) in [(&lean, "params-only"), (&full, "full")] {

@@ -118,7 +118,7 @@ fn conv_pool_bn_stack_grads_end_to_end() {
         .push(Conv2d::new("c1", 1, 4, 3, 1, 1, &mut rng))
         .push(BatchNorm2d::new("bn1", 4))
         .push(Relu::new())
-        .push(MaxPool2d::new(2))
+        .push(MaxPool2d::new())
         .push(Flatten::new())
         .push(Linear::new("fc", 4 * 3 * 3, 4, &mut rng));
     let x = Tensor::randn([3, 1, 6, 6], 1.0, &mut rng);

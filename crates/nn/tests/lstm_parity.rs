@@ -161,9 +161,7 @@ fn check(
     let (n, t, fin, hdim) = dims;
     let ctx = format!("{} [N,T,F,H] = {dims:?}", active_kernel().name());
     // Gradients already in the accumulators, so "added into C" is exercised.
-    for p in lstm.params_mut() {
-        p.grad = Tensor::randn(p.grad.shape().clone(), 1.0, rng);
-    }
+    lstm.for_each_param(&mut |p| p.grad = Tensor::randn(p.grad.shape().clone(), 1.0, rng));
     let grads0: Vec<Vec<f32>> = lstm
         .params()
         .iter()
@@ -187,9 +185,8 @@ fn check(
     // Parameter-only backward first, then the full one from the same
     // starting gradients: both must produce the reference's gradients.
     for need_input_grad in [false, true] {
-        for (p, g0) in lstm.params_mut().into_iter().zip(&grads0) {
-            p.grad.as_mut_slice().copy_from_slice(g0);
-        }
+        let mut g0 = grads0.iter();
+        lstm.for_each_param(&mut |p| p.grad.as_mut_slice().copy_from_slice(g0.next().unwrap()));
         let dx = lstm.backward(&g, need_input_grad, ws);
         for (p, want) in lstm.params().iter().zip(&want_grads) {
             let what = format!("{ctx}: {} (dx {need_input_grad})", p.name());

@@ -24,7 +24,7 @@ fn build_net(seed: u64) -> Model {
             .push(Conv2d::new("stem", 1, 8, 3, 1, 1, &mut rng))
             .push(BatchNorm2d::new("norm", 8))
             .push(Relu::new())
-            .push(MaxPool2d::new(2))
+            .push(MaxPool2d::new())
             .push(Flatten::new())
             .push(Linear::new("head", 8 * 6 * 6, 5, &mut rng)),
     )

@@ -147,7 +147,10 @@ echo "== chaos sweep"
 scripts/chaos.sh "${CHAOS_SEEDS:-32}"
 
 # ROADMAP's size bar counts non-blank lines that are not `//` comments (doc
-# comments included) in the two crates that carry the FL mechanism. Printed
-# only; nothing gates on it.
+# comments start with `//` too, so they are not counted) in the two crates
+# that carry the FL mechanism, and ROADMAP also quotes the same count over
+# every crate. Printed only; nothing gates on either.
 echo "== size: non-blank, non-// lines in crates/{core,compress}/src"
 find crates/core/src crates/compress/src -name '*.rs' -exec cat {} + | grep -cvE '^[[:space:]]*(//|$)'
+echo "== size: non-blank, non-// lines in crates/*/src"
+find crates/*/src -name '*.rs' -exec cat {} + | grep -cvE '^[[:space:]]*(//|$)'
