@@ -81,8 +81,9 @@ pub struct ShardConfig {
     /// The one bound on how long the coordinator waits on a shard child, in
     /// seconds: for a spawned child to connect, for its `Init`/`Hello`
     /// handshake, for each socket write to it, and for progress while it
-    /// owes work. A child that overruns it is killed and its outstanding
-    /// work runs in the root. 0 → 30 s.
+    /// owes work. A child that overruns it ends the run: the trainer
+    /// panics with an error that names the shard and the check. Zero,
+    /// negative or non-finite → 30 s; capped at one day.
     #[serde(default)]
     pub io_timeout_secs: f64,
     /// Extra argv for spawned shard children. Test harnesses re-enter their
@@ -94,10 +95,12 @@ pub struct ShardConfig {
 }
 
 impl ShardConfig {
-    /// Effective coordinator I/O timeout.
+    /// Effective coordinator I/O timeout. The cap keeps every
+    /// `Instant::now() + timeout` deadline representable.
     pub fn io_timeout(&self) -> std::time::Duration {
-        let secs = if self.io_timeout_secs > 0.0 {
-            self.io_timeout_secs
+        let secs = self.io_timeout_secs;
+        let secs = if secs > 0.0 && secs.is_finite() {
+            secs.min(86_400.0)
         } else {
             30.0
         };
@@ -227,6 +230,28 @@ mod tests {
         // Older configs without a "shard" key parse to the same default.
         let back: FlConfig = serde_json::from_str("{\"n_clients\":4,\"clients_per_round\":2,\"local_iters\":1,\"batch_size\":1,\"lr\":0.1,\"weight_decay\":0.0,\"aggregation_fraction\":0.9,\"dirichlet_alpha\":0.1,\"seed\":1,\"heterogeneity\":false,\"dynamicity\":false}").unwrap();
         assert_eq!(back.shard, ShardConfig::default());
+    }
+
+    #[test]
+    fn io_timeout_is_finite_and_capped_for_any_setting() {
+        let timeout = |io_timeout_secs| {
+            ShardConfig {
+                io_timeout_secs,
+                ..ShardConfig::default()
+            }
+            .io_timeout()
+        };
+        let secs = std::time::Duration::from_secs;
+        assert_eq!(timeout(f64::INFINITY), secs(30));
+        assert_eq!(timeout(f64::NAN), secs(30));
+        assert_eq!(timeout(-1.0), secs(30));
+        assert_eq!(timeout(1e300), secs(86_400));
+        assert_eq!(timeout(0.5), std::time::Duration::from_millis(500));
+        // JSON `1e999` parses to +inf, which takes the default too.
+        let cfg: ShardConfig = serde_json::from_str(r#"{"io_timeout_secs":1e999}"#).unwrap();
+        assert_eq!(cfg.io_timeout(), secs(30));
+        // A capped deadline is representable.
+        let _ = std::time::Instant::now() + timeout(1e300);
     }
 
     #[test]

@@ -17,9 +17,9 @@ pub struct EagerEvent {
 }
 
 /// Everything the server records about one round: a canonical half, a
-/// pure function of the seed, and ten operational fields — host timings,
-/// residency churn and shard-failover counters — that vary with the host,
-/// the worker count, the residency cap and the topology.
+/// pure function of the seed, and nine operational fields — host timings
+/// and residency churn, which vary with the host, the worker count and the
+/// residency cap, and three shard counters that are always 0.
 /// [`canonical`](Self::canonical) names which is which.
 #[derive(Clone, Debug, PartialEq)]
 pub struct RoundRecord {
@@ -88,28 +88,26 @@ pub struct RoundRecord {
     /// the weighted fold into the global model plus the estimator update
     /// (the trace's `aggregate` span).
     pub aggregate_host_us: f64,
-    /// Always 0: the shard link no longer resends anything (a link fault
-    /// kills the child and its work runs in the root). The field survives
-    /// only because `examples/benchmark/src/run.rs`, which this repository's
-    /// benchmark contract freezes, sums it into `transport.retries`.
+    /// Always 0: the shard link resends nothing (a link fault ends the
+    /// run). The field survives only because `examples/benchmark/src/run.rs`,
+    /// which this repository's benchmark contract freezes, sums it into
+    /// `transport.retries`.
     pub n_retries: usize,
-    /// Always 0: there is no heartbeat any more (a silent shard is caught
-    /// by the io bound and counted in `n_quarantined`). Kept, like
-    /// `n_retries`, only because the frozen benchmark sums it into
-    /// `transport.heartbeats_missed`.
+    /// Always 0: there is no heartbeat (a silent shard trips the io bound,
+    /// which ends the run). Kept, like `n_retries`, only because the frozen
+    /// benchmark sums it into `transport.heartbeats_missed`.
     pub n_heartbeat_missed: usize,
-    /// Shards quarantined this round: a link fault, failed (re)spawn or
-    /// dispatch, or io timeout; their child process was killed.
-    pub n_quarantined: usize,
-    /// Ordinals re-executed locally after their shard was quarantined.
+    /// Always 0: no client is re-run after a shard fault, which ends the
+    /// run. Kept, like `n_retries`, only because the frozen benchmark
+    /// counts it as a failure in its output check.
     pub n_reassigned: usize,
 }
 
 impl RoundRecord {
-    /// The canonical half: this record with its ten operational fields
+    /// The canonical half: this record with its nine operational fields
     /// zeroed. Two runs of one trajectory — any host, worker count,
-    /// residency cap or shard topology, failovers included — have `==`
-    /// canonical records. This is the one list of operational fields.
+    /// residency cap or shard topology — have `==` canonical records. This
+    /// is the one list of operational fields.
     pub fn canonical(&self) -> RoundRecord {
         RoundRecord {
             host_ms: 0.0,
@@ -120,7 +118,6 @@ impl RoundRecord {
             aggregate_host_us: 0.0,
             n_retries: 0,
             n_heartbeat_missed: 0,
-            n_quarantined: 0,
             n_reassigned: 0,
             ..self.clone()
         }
@@ -292,7 +289,6 @@ mod tests {
             aggregate_host_us: 0.0,
             n_retries: 0,
             n_heartbeat_missed: 0,
-            n_quarantined: 0,
             n_reassigned: 0,
         }
     }
@@ -365,7 +361,6 @@ mod tests {
             aggregate_host_us: 9.0,
             n_retries: 1,
             n_heartbeat_missed: 4,
-            n_quarantined: 1,
             n_reassigned: 2,
             ..a.clone()
         };

@@ -47,8 +47,8 @@ use std::time::Instant;
 
 /// How the round's client work is executed: an in-process worker pool
 /// (the default) or a pool of shard processes (`fl.shard.n_shards > 0`).
-/// Both feed the identical root-side ordinal-order fold, so the choice is
-/// behaviourally invisible.
+/// Both feed the identical root-side ordinal-order fold, so on a healthy
+/// run the choice is invisible; a shard fault ends the run.
 enum Backend {
     Local(RoundExecutor),
     Sharded(Box<ShardPool>),
@@ -62,25 +62,24 @@ impl Backend {
         }
     }
 
-    /// Runs one cohort: dispatches `work`, hands each resolved client to
-    /// `on_done` as it finishes (exactly one event per work item — a client
-    /// whose worker panicked arrives as [`ClientDone::Failed`], a client
-    /// whose shard died is re-run in the root, so the round can never
-    /// hang), and returns the round's shard-failover notes (none
-    /// in-process).
+    /// Runs one cohort: dispatches `work` and hands each resolved client to
+    /// `on_done` as it finishes, exactly one event per work item — a client
+    /// whose worker panicked arrives as [`ClientDone::Failed`]. A shard
+    /// fault ends the run: this panics with the [`ShardError`] that names
+    /// the shard and the check, and the unwind drops the pool, which kills
+    /// every child.
+    ///
+    /// [`ShardError`]: crate::shard::ShardError
     fn run_cohort(
         &mut self,
         work: Vec<ClientWork>,
         io_timeout: std::time::Duration,
         mut on_done: impl FnMut(ClientDone),
-    ) -> Vec<TraceEvent> {
+    ) {
         match self {
-            Backend::Local(executor) => {
-                executor
-                    .run_cohort(work, on_done)
-                    .expect("worker pool alive while the trainer exists");
-                Vec::new()
-            }
+            Backend::Local(executor) => executor
+                .run_cohort(work, on_done)
+                .expect("worker pool alive while the trainer exists"),
             Backend::Sharded(pool) => {
                 let n = work.len();
                 pool.begin_round(work)
@@ -91,7 +90,6 @@ impl Backend {
                             .unwrap_or_else(|e| panic!("shard pool failed: {e}")),
                     );
                 }
-                pool.take_round_notes()
             }
         }
     }
@@ -160,10 +158,6 @@ struct Round {
     /// order but merged canonically at close, so the journal never observes
     /// worker scheduling.
     trace_batches: Vec<(usize, Vec<PendingEvent>)>,
-    /// Shard-failover notes (none in-process).
-    shard_notes: Vec<TraceEvent>,
-    n_quarantined: usize,
-    n_reassigned: usize,
     aggregate_host_us: f64,
     /// The closed round's reports in ordinal order, `None` where the worker
     /// panicked.
@@ -293,15 +287,6 @@ impl Trainer {
     /// Worker threads per executor (per shard process when sharded).
     pub fn n_workers(&self) -> usize {
         self.backend.n_workers()
-    }
-
-    /// Mutable access to the shard pool when running sharded — chaos tests
-    /// schedule deterministic kills through this. `None` in-process.
-    pub fn shard_pool_mut(&mut self) -> Option<&mut ShardPool> {
-        match &mut self.backend {
-            Backend::Sharded(p) => Some(p),
-            Backend::Local(_) => None,
-        }
     }
 
     /// Runs one communication round; returns its record. The stages are
@@ -488,35 +473,26 @@ impl Trainer {
                 agg.mark_failed(ord);
             }
         };
-        let notes = self
-            .backend
+        self.backend
             .run_cohort(work, self.fl.shard.io_timeout(), collect);
-        let n_notes = |kind: &str| notes.iter().filter(|ev| ev.kind() == kind).count();
-        round.n_quarantined = n_notes("shard_quarantined");
-        round.n_reassigned = n_notes("ordinal_reassigned");
-        round.shard_notes = notes;
         agg
     }
 
     /// Folds the collected uploads into the global model — the interval the
     /// `aggregate` span times — moves the clock to the cut, and journals
-    /// the shard notes, the clients' buffered events and the cut.
+    /// the clients' buffered events and the cut.
     fn close(&mut self, round: &mut Round, agg: StreamingAggregator) -> AggregationResult {
         let t0 = Instant::now();
         let (agg, reports) = agg.close(&mut self.server);
         round.reports = reports;
         round.aggregate_host_us = t0.elapsed().as_secs_f64() * 1e6;
-        // The aggregate span and the shard notes are off-stream: they reach
-        // sinks for observability but never consume a canonical sequence
-        // number, so neither timing nor a dying shard can shift golden
-        // traces.
+        // The aggregate span is off-stream: it reaches sinks for
+        // observability but never consumes a canonical sequence number, so
+        // timing cannot shift golden traces.
         let end = agg.completion;
         self.tracer
             .span("aggregate", end, round.aggregate_host_us, true);
         self.clock = end;
-        for ev in std::mem::take(&mut round.shard_notes) {
-            self.tracer.emit_offstream(end, SERVER_ORD, 0.0, ev);
-        }
         self.tracer
             .merge_client_events(std::mem::take(&mut round.trace_batches));
         let event = TraceEvent::AggregationCut {
@@ -617,8 +593,7 @@ impl Trainer {
             aggregate_host_us: round.aggregate_host_us,
             n_retries: 0,
             n_heartbeat_missed: 0,
-            n_quarantined: round.n_quarantined,
-            n_reassigned: round.n_reassigned,
+            n_reassigned: 0,
         });
         self.records.last().expect("just pushed")
     }

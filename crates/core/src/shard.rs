@@ -11,28 +11,22 @@
 //! [`ShardPool`] speaks the executor's vocabulary: [`ClientWork`] in,
 //! [`ClientDone`] out. The root owns all cross-round state: the lazy
 //! [`ClientStore`](crate::population::ClientStore), the selection RNG, the
-//! global model, the tracer, and snapshots. The pool keeps each
-//! checked-out [`ClientState`] beside its outstanding ordinal; a
-//! [`WorkItem`] ships `{ordinal, client id, plan, snapshot}` and the
-//! stateless child rebuilds the client as
-//! `factory.build(id)` + `apply_snapshot` — bit-identical to the root
-//! re-hydrating an evicted client — and the snapshot it sends back is
-//! applied onto the retained state. Because of that, a lost shard loses
-//! nothing, and there is **one failure rule**: whatever goes wrong with a
-//! shard — its [`Link`] reports `Down` (EOF, a frame or checksum error, a
-//! sequence gap), a (re)spawn or handshake fails, a dispatch cannot be
-//! written, a protocol message makes no sense, or nothing arrives within the
-//! io timeout — the child is killed and the shard's unresolved
-//! [`ClientWork`], live state and round context included, is handed as-is
-//! to a root-local [`RoundExecutor`]. That is exactly how `Backend::Local`
-//! would have run it, so a dead shard costs time and never the trajectory.
-//! The process is lazily respawned for the next round that routes work to
-//! it. The only [`ClientDone::Failed`] a pool ever produces is one a child
-//! reported from its own `catch_unwind` ([`FromShard::Failed`]) or the
-//! local executor produced the same way. (The same work re-running in the
-//! root is also why a shard isolates the host killing or wedging a child,
-//! not a client that aborts its process: that client would abort the root
-//! next.)
+//! global model and the tracer. The pool keeps each checked-out
+//! [`ClientState`] beside its outstanding ordinal; a [`WorkItem`] ships
+//! `{ordinal, client id, plan, snapshot}` and the stateless child rebuilds
+//! the client as `factory.build(id)` + `apply_snapshot` — bit-identical to
+//! the root re-hydrating an evicted client — and the snapshot it sends back
+//! is applied onto the retained state.
+//!
+//! There is **one failure rule: a shard fault ends the run.** Whatever goes
+//! wrong with a shard — a spawn or handshake fails, its [`Link`] reports
+//! `Down` (EOF, a frame or checksum error, a sequence gap), a dispatch
+//! cannot be written, a message makes no sense, or nothing arrives within
+//! the io timeout — the pool kills every child and returns a [`ShardError`]
+//! that names the shard and the check, and the trainer panics with it. A
+//! client that panics inside a child is not a shard fault: the child's
+//! `catch_unwind` reports it as [`FromShard::Failed`], and the root sees a
+//! [`ClientDone::Failed`] as it would from its own workers.
 //!
 //! Transport is the [`Link`] over Unix domain sockets: sequenced,
 //! checksummed frames ([`Frame`], defined beside the link in
@@ -64,10 +58,10 @@ use crate::transport::{
 };
 use crate::workload::{Workload, WorkloadSpec};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use std::io::Write;
+use std::collections::BTreeMap;
+use std::io::{ErrorKind, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
-use std::path::PathBuf;
+use std::path::Path;
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
@@ -84,7 +78,7 @@ pub const ENV_SHARD_ID: &str = "FEDCA_SHARD_ID";
 /// Errors from the sharded execution layer.
 #[derive(Debug)]
 pub enum ShardError {
-    /// No event arrived within the timeout.
+    /// Nothing was outstanding, and no event arrived within the timeout.
     Timeout,
     /// The pool has been shut down.
     Disconnected,
@@ -114,6 +108,20 @@ impl std::fmt::Display for ShardError {
 }
 
 impl std::error::Error for ShardError {}
+
+impl ShardError {
+    /// The same error, its message prefixed with the shard it came from.
+    fn on_shard(self, s: usize) -> Self {
+        let at = |why: String| format!("shard {s}: {why}");
+        match self {
+            ShardError::Spawn(why) => ShardError::Spawn(at(why)),
+            ShardError::Handshake(why) => ShardError::Handshake(at(why)),
+            ShardError::Protocol(why) => ShardError::Protocol(at(why)),
+            ShardError::Io(e) => ShardError::Io(std::io::Error::new(e.kind(), at(e.to_string()))),
+            other => other,
+        }
+    }
+}
 
 impl From<std::io::Error> for ShardError {
     fn from(e: std::io::Error) -> Self {
@@ -509,7 +517,6 @@ fn run_child_round(
         global,
     });
 
-    let mut remaining: BTreeSet<usize> = items.iter().map(|i| i.ord).collect();
     let work = items
         .into_iter()
         .map(|item| {
@@ -526,22 +533,17 @@ fn run_child_round(
         })
         .collect();
 
-    // The executor resolves clients in host completion order, which is
-    // nondeterministic under a multi-worker pool. The wire order must not
-    // be: the root's deterministic kill plans count consumed events per
-    // shard, so completions are buffered and emitted in ascending ordinal
-    // order. The trajectory itself never depends on arrival order (the
-    // root folds at the cut in ordinal order), so this only pins the one
-    // thing that does — chaos-test kill points. After a failed send the
-    // rest of the cohort still runs, and its results are dropped.
-    let mut unsent: BTreeMap<usize, (FromShard, Option<Vec<u8>>)> = BTreeMap::new();
+    // Each completion goes out as it resolves; the root folds at the cut
+    // in ordinal order, so arrival order never reaches the trajectory.
+    // After a failed send the rest of the cohort still runs, and its
+    // results are dropped.
     let mut sent = Ok(());
     executor
         .run_cohort(work, |done| {
-            match done {
+            let (msg, payload) = match done {
                 ClientDone::Completed(done) => {
                     let (msg, payload) = DoneMsg::from_completion(round, done);
-                    unsent.insert(msg.ord, (FromShard::Done(msg), payload));
+                    (FromShard::Done(msg), payload)
                 }
                 ClientDone::Failed(fail) => {
                     let msg = FromShard::Failed {
@@ -550,14 +552,11 @@ fn run_child_round(
                         client_id: fail.client_id,
                         panic_msg: fail.panic_msg,
                     };
-                    unsent.insert(fail.ord, (msg, None));
+                    (msg, None)
                 }
-            }
-            while let Some((msg, payload)) = remaining.first().and_then(|ord| unsent.remove(ord)) {
-                remaining.pop_first();
-                if sent.is_ok() {
-                    sent = link.send(&msg, payload);
-                }
+            };
+            if sent.is_ok() {
+                sent = link.send(&msg, payload);
             }
         })
         .map_err(|e| ShardError::Protocol(format!("executor died: {e}")))?;
@@ -569,39 +568,28 @@ fn run_child_round(
 // Coordinator
 // ---------------------------------------------------------------------------
 
-/// One thing a shard's link handed the coordinator.
+/// One thing a shard's link handed the coordinator: a protocol message
+/// with its payload, or the fault that ended the link.
 struct PoolEvent {
     shard: usize,
-    /// The connection it came from; events of torn-down or superseded
-    /// connections are discarded.
-    incarnation: u64,
-    /// A protocol message with its payload, or why the link went down.
-    body: Result<(FromShard, Vec<u8>), String>,
+    body: Result<(FromShard, Vec<u8>), ShardError>,
 }
 
-#[derive(Default)]
+/// One live shard: its child process, the link to it, and the work it still
+/// owes this round, by ordinal — the checked-out client state waits here for
+/// the shard's snapshot.
 struct ShardConn {
-    child: Option<Child>,
-    /// `Some` while the shard is up; taken (with the child killed) the
-    /// moment anything goes wrong with it.
-    link: Option<Link>,
-    /// Bumped at the start of every (re)spawn attempt; events from stale
-    /// incarnations are discarded.
-    incarnation: u64,
-    /// Unresolved work for the current round, by ordinal: the checked-out
-    /// client state waits here for the shard's snapshot, and when the
-    /// shard is quarantined this is what the local executor runs.
+    child: Child,
+    link: Link,
     outstanding: BTreeMap<usize, ClientWork>,
-    /// Events (Done or Failed) consumed from this shard this round —
-    /// the deterministic kill plan counts these.
-    done_this_round: usize,
 }
 
-struct KillPoint {
-    round: usize,
-    shard: usize,
-    after_done: usize,
-    fired: bool,
+impl ShardConn {
+    /// Kills the child and drops the link.
+    fn kill(mut self) {
+        let _ = self.child.kill();
+        let _ = self.child.wait();
+    }
 }
 
 static POOL_COUNTER: AtomicU64 = AtomicU64::new(0);
@@ -611,41 +599,26 @@ static POOL_COUNTER: AtomicU64 = AtomicU64::new(0);
 /// [`ClientDone`] events like a [`RoundExecutor`] does. Every wait is
 /// bounded; there is no unbounded socket read anywhere on this side (link
 /// threads pump events into an mpsc channel, and the coordinator only
-/// blocks in `recv_timeout`).
+/// blocks in `recv_timeout`). The first shard fault kills every child and
+/// leaves the pool shut down.
 pub struct ShardPool {
-    fl: FlConfig,
-    scheme: Scheme,
-    spec: WorkloadSpec,
     n_workers: usize,
-    dir: PathBuf,
+    /// Every shard while the pool is up; empty once it is shut down.
     conns: Vec<ShardConn>,
-    tx: Sender<PoolEvent>,
     rx: Receiver<PoolEvent>,
-    /// Locally re-executed results, served before touching the channel.
-    pending: VecDeque<ClientDone>,
-    kill_plan: Vec<KillPoint>,
     round: usize,
-    /// Lazily built local executor a quarantined shard's work runs on.
-    local_exec: Option<RoundExecutor>,
-    /// Failover trace notes (`ShardQuarantined`, `OrdinalReassigned`),
-    /// drained per round. All offstream.
-    notes: Vec<TraceEvent>,
-    down: bool,
-    spawn_counter: u64,
 }
 
 impl ShardPool {
     /// Spawns `fl.shard.n_shards` child processes and completes the
     /// `Init`/`Hello` handshake with each. A shard that does not come up is
-    /// reported on stderr and left down: its work runs in the root, and
-    /// every round that routes it work tries the spawn again.
+    /// an error, and the children already up are shut down.
     pub fn new(
         fl: &FlConfig,
         scheme: &Scheme,
         spec: WorkloadSpec,
         n_workers: usize,
     ) -> Result<Self, ShardError> {
-        let n_shards = fl.shard.n_shards.max(1);
         let dir = std::env::temp_dir().join(format!(
             "fedca-shard-{}-{}",
             std::process::id(),
@@ -654,28 +627,25 @@ impl ShardPool {
         std::fs::create_dir_all(&dir)?;
         let (tx, rx) = channel();
         let mut pool = ShardPool {
-            fl: fl.clone(),
-            scheme: scheme.clone(),
-            spec,
             n_workers,
-            dir,
-            conns: (0..n_shards).map(|_| ShardConn::default()).collect(),
-            tx,
+            conns: Vec::new(),
             rx,
-            pending: VecDeque::new(),
-            kill_plan: Vec::new(),
             round: 0,
-            local_exec: None,
-            notes: Vec::new(),
-            down: false,
-            spawn_counter: 0,
         };
-        for s in 0..n_shards {
-            if let Err(e) = pool.spawn_shard(s) {
-                eprintln!("fedca shard {s}: not started, its work runs in the root: {e}");
-            }
-        }
-        Ok(pool)
+        let spawned = (0..fl.shard.n_shards.max(1)).try_for_each(|s| {
+            let init = ToShard::Init {
+                shard_id: s,
+                n_workers,
+                fl: fl.clone(),
+                scheme: scheme.clone(),
+                workload: spec.clone(),
+            };
+            let conn = spawn_shard(s, fl, &dir, &init, tx.clone()).map_err(|e| e.on_shard(s))?;
+            pool.conns.push(conn);
+            Ok(())
+        });
+        let _ = std::fs::remove_dir_all(&dir);
+        spawned.map(|()| pool)
     }
 
     /// Worker threads per shard.
@@ -683,206 +653,28 @@ impl ShardPool {
         self.n_workers
     }
 
-    fn spawn_shard(&mut self, s: usize) -> Result<(), ShardError> {
-        // Bump first so a failed attempt can never alias a previous
-        // incarnation's events.
-        self.conns[s].incarnation += 1;
-        let incarnation = self.conns[s].incarnation;
-        self.spawn_counter += 1;
-        let sock = self
-            .dir
-            .join(format!("shard-{s}-{}.sock", self.spawn_counter));
-        let _ = std::fs::remove_file(&sock);
-        let listener = UnixListener::bind(&sock)?;
-        listener.set_nonblocking(true)?;
-
-        let exe =
-            std::env::current_exe().map_err(|e| ShardError::Spawn(format!("current_exe: {e}")))?;
-        let child = Command::new(exe)
-            .args(&self.fl.shard.child_args)
-            .env(ENV_SOCKET, &sock)
-            .env(ENV_SHARD_ID, s.to_string())
-            .stdin(Stdio::null())
-            .stdout(Stdio::null())
-            .stderr(Stdio::inherit())
-            .spawn()
-            .map_err(|e| ShardError::Spawn(format!("spawn: {e}")))?;
-        self.conns[s].child = Some(child);
-
-        let up = self
-            .accept(s, &listener)
-            .and_then(|stream| self.greet(s, stream))
-            .and_then(|stream| self.attach(s, incarnation, stream));
-        let _ = std::fs::remove_file(&sock);
-        if up.is_err() {
-            self.teardown_conn(s);
-        }
-        up
-    }
-
-    /// Bounded accept: polls the nonblocking listener for up to the io
-    /// timeout, watching for an early child exit so a crash surfaces at
-    /// once.
-    fn accept(&mut self, s: usize, listener: &UnixListener) -> Result<UnixStream, ShardError> {
-        let deadline = Instant::now() + self.fl.shard.io_timeout();
-        loop {
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    stream.set_nonblocking(false)?;
-                    return Ok(stream);
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {}
-                Err(e) => return Err(ShardError::Io(e)),
-            }
-            let child = self.conns[s].child.as_mut().expect("spawned above");
-            if let Ok(Some(status)) = child.try_wait() {
-                return Err(ShardError::Spawn(format!(
-                    "shard {s} exited before connecting: {status}"
-                )));
-            }
-            if Instant::now() >= deadline {
-                return Err(ShardError::Spawn(format!(
-                    "shard {s} did not connect within the io timeout"
-                )));
-            }
-            std::thread::sleep(Duration::from_millis(2));
-        }
-    }
-
-    /// The `Init`/`Hello` handshake, on the raw stream: `Init` fits the
-    /// socket buffer of a child that never reads it, and the read of
-    /// `Hello` waits at most the io timeout. The read timeout is lifted
-    /// again before the stream is handed back — a link's reader inherits
-    /// it, and a child idle between rounds is not a dead one.
-    fn greet(&self, s: usize, mut stream: UnixStream) -> Result<UnixStream, ShardError> {
-        let init = ToShard::Init {
-            shard_id: s,
-            n_workers: self.n_workers,
-            fl: self.fl.clone(),
-            scheme: self.scheme.clone(),
-            workload: self.spec.clone(),
-        };
-        let mut handshake = || -> Result<(), ShardError> {
-            stream.set_read_timeout(Some(self.fl.shard.io_timeout()))?;
-            stream.write_all(&encode_message(0, &init, None)?)?;
-            match read_handshake::<FromShard>(&mut stream)? {
-                FromShard::Hello { shard_id } if shard_id == s => {}
-                other => {
-                    return Err(ShardError::Protocol(format!(
-                        "sent {other:?} instead of its Hello"
-                    )))
-                }
-            }
-            stream.set_read_timeout(None)?;
+    fn live(&self) -> Result<(), ShardError> {
+        if self.conns.is_empty() {
+            Err(ShardError::Disconnected)
+        } else {
             Ok(())
-        };
-        handshake().map_err(|e| ShardError::Handshake(format!("shard {s}: {e}")))?;
-        Ok(stream)
-    }
-
-    /// Wraps a greeted stream in the root's [`Link`], whose writes are
-    /// bounded by the io timeout, and makes it the shard's connection.
-    fn attach(&mut self, s: usize, incarnation: u64, stream: UnixStream) -> Result<(), ShardError> {
-        let tx = self.tx.clone();
-        let sink = move |ev: LinkEvent| {
-            let body = match ev {
-                LinkEvent::Frame(frame) => parse_meta::<FromShard>(&frame)
-                    .map(|msg| (msg, frame.payload))
-                    .map_err(|e| e.to_string()),
-                LinkEvent::Down(reason) => Err(reason),
-            };
-            let _ = tx.send(PoolEvent {
-                shard: s,
-                incarnation,
-                body,
-            });
-        };
-        let write_bound = Some(self.fl.shard.io_timeout());
-        self.conns[s].link = Some(Link::new(stream, s, write_bound, sink)?);
-        Ok(())
-    }
-
-    /// Kills the child process and drops the link. Leaves `outstanding`
-    /// untouched. Idempotent.
-    fn teardown_conn(&mut self, s: usize) {
-        let conn = &mut self.conns[s];
-        if let Some(mut child) = conn.child.take() {
-            let _ = child.kill();
-            let _ = child.wait();
         }
-        conn.link = None;
     }
 
-    /// The one recovery path. Whatever went wrong with shard `s`, its
-    /// child is killed and `work` — the very [`ClientWork`] the shard was
-    /// (or would have been) sent a copy of — runs on the lazily built local
-    /// executor, its results queued like any other resolved client. The
-    /// trajectory cannot tell this from the shard having done the work.
-    fn quarantine(&mut self, s: usize, reason: &str, work: Vec<ClientWork>) {
-        self.teardown_conn(s);
-        self.notes.push(TraceEvent::ShardQuarantined {
-            round: self.round,
-            shard: s,
-            reason: reason.to_string(),
-        });
-        if work.is_empty() {
-            return;
-        }
-        let n_workers = self.n_workers;
-        for w in &work {
-            self.notes.push(TraceEvent::OrdinalReassigned {
-                round: self.round,
-                shard: s,
-                ord: w.ord,
-                client: w.client.id,
-            });
-        }
-        let pending = &mut self.pending;
-        self.local_exec
-            .get_or_insert_with(|| RoundExecutor::new(n_workers))
-            .run_cohort(work, |done| pending.push_back(done))
-            .expect("local executor alive while the pool exists");
-    }
-
-    /// [`quarantine`](Self::quarantine) mid-round: everything the shard
-    /// still owes runs locally.
-    fn quarantine_outstanding(&mut self, s: usize, reason: &str) {
-        let work = std::mem::take(&mut self.conns[s].outstanding);
-        self.quarantine(s, reason, work.into_values().collect());
-    }
-
-    /// Schedules a deterministic kill: shard `shard` dies in `round`
-    /// after the coordinator has consumed `after_done` of its events
-    /// (`0` = at dispatch, before any work lands).
-    pub fn schedule_kill(&mut self, round: usize, shard: usize, after_done: usize) {
-        self.kill_plan.push(KillPoint {
-            round,
-            shard,
-            after_done,
-            fired: false,
-        });
-    }
-
-    fn take_kill(&mut self, round: usize, shard: usize, done: usize) -> bool {
-        for kp in &mut self.kill_plan {
-            if !kp.fired && kp.round == round && kp.shard == shard && kp.after_done == done {
-                kp.fired = true;
-                return true;
-            }
-        }
-        false
+    /// A shard fault ends the run: every child is killed at once — a wedged
+    /// one must not hold up the caller's unwind — and the pool is left shut
+    /// down. Returns `e`, naming shard `s`.
+    fn fail(&mut self, s: usize, e: ShardError) -> ShardError {
+        self.conns.drain(..).for_each(ShardConn::kill);
+        e.on_shard(s)
     }
 
     /// Dispatches one round's cohort: routes each client to its shard —
     /// shipping a [`WorkItem`] and keeping the work itself as outstanding —
-    /// broadcasting the round's global parameters, respawning dead shards
-    /// lazily. A shard that cannot be respawned, greeted or written to is
-    /// quarantined and its share runs locally before this returns; the only
-    /// `Err` is a pool that was already shut down.
+    /// and broadcasts the round's global parameters. A write that fails
+    /// within the io timeout is a shard fault.
     pub fn begin_round(&mut self, work: Vec<ClientWork>) -> Result<(), ShardError> {
-        if self.down {
-            return Err(ShardError::Disconnected);
-        }
+        self.live()?;
         let Some(first) = work.first() else {
             return Ok(());
         };
@@ -900,213 +692,235 @@ impl ShardPool {
         }
 
         for (s, work) in by_shard.into_iter().enumerate() {
-            self.conns[s].done_this_round = 0;
             if work.is_empty() {
                 continue;
             }
-            let fault = if self.take_kill(round, s, 0) {
-                Some("killed by kill plan".to_string())
-            } else {
-                self.dispatch(s, round, &work, &global)
-                    .err()
-                    .map(|e| e.to_string())
-            };
-            match fault {
-                Some(reason) => self.quarantine(s, &reason, work),
-                None => self.conns[s].outstanding = work.into_iter().map(|w| (w.ord, w)).collect(),
+            let items = work
+                .iter()
+                .map(|w| WorkItem {
+                    ord: w.ord,
+                    client_id: w.client.id,
+                    plan: w.plan.clone(),
+                    snapshot: Some(snapshot_client(&w.client)),
+                })
+                .collect();
+            let msg = ToShard::RoundStart { round, items };
+            if let Err(e) = self.conns[s].link.send(&msg, Some(global.clone())) {
+                let e = io_error(e.kind(), format!("dispatch: {e}"));
+                return Err(self.fail(s, e));
             }
+            self.conns[s].outstanding = work.into_iter().map(|w| (w.ord, w)).collect();
         }
         Ok(())
     }
 
-    /// Brings shard `s` up if it is down and sends it its share of the
-    /// round.
-    fn dispatch(
-        &mut self,
-        s: usize,
-        round: usize,
-        work: &[ClientWork],
-        global: &[u8],
-    ) -> Result<(), ShardError> {
-        if self.conns[s].link.is_none() {
-            self.spawn_shard(s)?;
-        }
-        let items = work
-            .iter()
-            .map(|w| WorkItem {
-                ord: w.ord,
-                client_id: w.client.id,
-                plan: w.plan.clone(),
-                snapshot: Some(snapshot_client(&w.client)),
-            })
-            .collect();
-        let link = self.conns[s].link.as_ref().expect("spawned above");
-        link.send(&ToShard::RoundStart { round, items }, Some(global.to_vec()))?;
-        Ok(())
-    }
-
-    /// Waits for the next resolved client. The wait is a watchdog, not a
-    /// poll: when nothing arrives within `timeout`, every shard that still
-    /// owes events is quarantined (killed, its outstanding ordinals run
-    /// locally). `Err(Timeout)` therefore means the pool was idle — nothing
-    /// was outstanding, so waiting was a caller bug, not a stall.
+    /// Waits for the next resolved client. The wait is a watchdog: when
+    /// nothing arrives within `timeout` and a shard still owes work, that
+    /// shard stalled, which is a fault. `Err(Timeout)` means the pool was
+    /// idle — nothing was outstanding, so waiting was a caller bug.
     pub fn recv_timeout(&mut self, timeout: Duration) -> Result<ClientDone, ShardError> {
-        if self.down {
-            return Err(ShardError::Disconnected);
-        }
-        let deadline = Instant::now() + timeout;
-        loop {
-            if let Some(ev) = self.pending.pop_front() {
-                return Ok(ev);
-            }
-            // Disconnected is unreachable (we hold a Sender clone); fold it
-            // into the timeout defensively.
-            let ev = match self
-                .rx
-                .recv_timeout(deadline.saturating_duration_since(Instant::now()))
-            {
-                Ok(ev) => ev,
-                Err(_) if self.quarantine_stalled(timeout) => continue,
-                Err(_) => return Err(ShardError::Timeout),
+        self.live()?;
+        let Ok(PoolEvent { shard, body }) = self.rx.recv_timeout(timeout) else {
+            return match self.conns.iter().position(|c| !c.outstanding.is_empty()) {
+                Some(s) => {
+                    let why = format!("io timeout: no progress in {timeout:?}");
+                    Err(self.fail(s, io_error(ErrorKind::TimedOut, why)))
+                }
+                None => Err(ShardError::Timeout),
             };
-            let shard = ev.shard;
-            let conn = &self.conns[shard];
-            if ev.incarnation != conn.incarnation || conn.link.is_none() {
-                continue;
+        };
+        let (msg, payload) = body.map_err(|e| self.fail(shard, e))?;
+        match msg {
+            FromShard::Hello { .. } => {
+                let e = ShardError::Protocol("Hello after the handshake".into());
+                Err(self.fail(shard, e))
             }
-            match ev.body {
-                Err(reason) => self.quarantine_outstanding(shard, &reason),
-                Ok((FromShard::Hello { .. }, _)) => {
-                    self.quarantine_outstanding(shard, "protocol: Hello after the handshake")
-                }
-                Ok((FromShard::Done(d), payload)) => {
-                    if let Some(work) = self.claim(shard, d.round, d.ord) {
-                        let done = d.into_completion(payload, work.client);
-                        return Ok(self.consumed(shard, ClientDone::Completed(done)));
-                    }
-                }
-                Ok((
-                    FromShard::Failed {
-                        round,
-                        ord,
-                        client_id,
-                        panic_msg,
-                    },
-                    _,
-                )) => {
-                    if self.claim(shard, round, ord).is_some() {
-                        let failure = ClientFailure {
-                            ord,
-                            client_id,
-                            panic_msg,
-                        };
-                        return Ok(self.consumed(shard, ClientDone::Failed(failure)));
-                    }
-                }
+            FromShard::Done(d) => {
+                let work = self.claim(shard, d.round, d.ord)?;
+                Ok(ClientDone::Completed(
+                    d.into_completion(payload, work.client),
+                ))
+            }
+            FromShard::Failed {
+                round,
+                ord,
+                client_id,
+                panic_msg,
+            } => {
+                self.claim(shard, round, ord)?;
+                Ok(ClientDone::Failed(ClientFailure {
+                    ord,
+                    client_id,
+                    panic_msg,
+                }))
             }
         }
     }
 
-    /// Takes the outstanding work that a shard's event for `(round, ord)`
-    /// resolves. An event for another round quarantines the shard; one for
-    /// an ordinal that is not outstanding is a ghost (the link delivers
-    /// each frame once, so only a test injects these) and is dropped.
-    fn claim(&mut self, shard: usize, round: usize, ord: usize) -> Option<ClientWork> {
-        if round != self.round {
-            let reason = format!("protocol: event for round {round} in round {}", self.round);
-            self.quarantine_outstanding(shard, &reason);
-            return None;
-        }
-        self.conns[shard].outstanding.remove(&ord)
-    }
-
-    /// Counts one event consumed from `shard` — the deterministic kill plan
-    /// fires on these — and passes it through.
-    fn consumed(&mut self, shard: usize, ev: ClientDone) -> ClientDone {
-        self.conns[shard].done_this_round += 1;
-        let done = self.conns[shard].done_this_round;
-        if self.take_kill(self.round, shard, done) {
-            self.quarantine_outstanding(shard, "killed by kill plan");
-        }
-        ev
-    }
-
-    /// Quarantines every shard that still owes events for the current
-    /// round. Returns whether there was any.
-    fn quarantine_stalled(&mut self, timeout: Duration) -> bool {
-        let stalled: Vec<usize> = (0..self.conns.len())
-            .filter(|&s| !self.conns[s].outstanding.is_empty())
-            .collect();
-        for &s in &stalled {
-            self.quarantine_outstanding(s, &format!("io timeout: no progress in {timeout:?}"));
-        }
-        !stalled.is_empty()
-    }
-
-    /// Drains the round's failover trace notes.
-    pub fn take_round_notes(&mut self) -> Vec<TraceEvent> {
-        std::mem::take(&mut self.notes)
-    }
-
-    /// Feeds a raw protocol message into the coordinator's event queue as
-    /// if a link had delivered it. Test seam for ingest-dedup properties.
-    #[doc(hidden)]
-    pub fn inject_msg_for_test(
-        &self,
-        shard: usize,
-        incarnation: u64,
-        msg: FromShard,
-        payload: Vec<u8>,
-    ) {
-        let _ = self.tx.send(PoolEvent {
-            shard,
-            incarnation,
-            body: Ok((msg, payload)),
-        });
-    }
-
-    /// Current incarnation of a shard connection. Test seam.
-    #[doc(hidden)]
-    pub fn incarnation_for_test(&self, shard: usize) -> u64 {
-        self.conns[shard].incarnation
-    }
-
-    /// Process id of a shard's live child. Test seam: the failover suite
-    /// SIGSTOPs a child so that only the io watchdog can notice.
-    #[doc(hidden)]
-    pub fn child_pid_for_test(&self, shard: usize) -> Option<u32> {
-        self.conns[shard].child.as_ref().map(Child::id)
-    }
-
-    fn shutdown(&mut self) {
-        if self.down {
-            return;
-        }
-        self.down = true;
-        for s in 0..self.conns.len() {
-            let conn = &mut self.conns[s];
-            if let Some(link) = &conn.link {
-                let _ = link.send(&ToShard::Shutdown, None);
-            }
-            // Give the child up to 5 s to exit on its own; teardown kills
-            // whatever is left.
-            let deadline = Instant::now() + Duration::from_secs(5);
-            while let Some(child) = &mut conn.child {
-                if !matches!(child.try_wait(), Ok(None)) || Instant::now() >= deadline {
-                    break;
-                }
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            self.teardown_conn(s);
-        }
-        let _ = std::fs::remove_dir_all(&self.dir);
+    /// Takes the outstanding work that shard `s`'s event for `(round, ord)`
+    /// resolves. An event for another round, or for an ordinal the shard
+    /// does not owe, is a protocol fault.
+    fn claim(&mut self, s: usize, round: usize, ord: usize) -> Result<ClientWork, ShardError> {
+        let why = if round != self.round {
+            format!("event for round {round} in round {}", self.round)
+        } else if let Some(work) = self.conns[s].outstanding.remove(&ord) {
+            return Ok(work);
+        } else {
+            format!("event for ordinal {ord}, which it does not owe")
+        };
+        Err(self.fail(s, ShardError::Protocol(why)))
     }
 }
 
+/// Asks every child to exit, gives them 5 s between them, and kills
+/// whatever is left.
 impl Drop for ShardPool {
     fn drop(&mut self) {
-        self.shutdown();
+        for conn in &self.conns {
+            let _ = conn.link.send(&ToShard::Shutdown, None);
+        }
+        let deadline = Instant::now() + Duration::from_secs(5);
+        for mut conn in self.conns.drain(..) {
+            while matches!(conn.child.try_wait(), Ok(None)) && Instant::now() < deadline {
+                std::thread::sleep(Duration::from_millis(5));
+            }
+            conn.kill();
+        }
     }
+}
+
+fn io_error(kind: ErrorKind, why: String) -> ShardError {
+    ShardError::Io(std::io::Error::new(kind, why))
+}
+
+/// Spawns shard `s`'s child, accepts its connection and greets it with
+/// `init`. Each step waits at most the io timeout; a child that fails one is
+/// killed.
+fn spawn_shard(
+    s: usize,
+    fl: &FlConfig,
+    dir: &Path,
+    init: &ToShard,
+    tx: Sender<PoolEvent>,
+) -> Result<ShardConn, ShardError> {
+    let sock = dir.join(format!("shard-{s}.sock"));
+    let listener = UnixListener::bind(&sock)?;
+    listener.set_nonblocking(true)?;
+    let exe =
+        std::env::current_exe().map_err(|e| ShardError::Spawn(format!("current_exe: {e}")))?;
+    let mut child = Command::new(exe)
+        .args(&fl.shard.child_args)
+        .env(ENV_SOCKET, &sock)
+        .env(ENV_SHARD_ID, s.to_string())
+        .stdin(Stdio::null())
+        .stdout(Stdio::null())
+        .stderr(Stdio::inherit())
+        .spawn()
+        .map_err(|e| ShardError::Spawn(format!("spawn: {e}")))?;
+    let timeout = fl.shard.io_timeout();
+    let link = accept(&mut child, &listener, timeout)
+        .and_then(|stream| greet(stream, s, init, timeout))
+        .and_then(|stream| attach(stream, s, timeout, tx));
+    match link {
+        Ok(link) => Ok(ShardConn {
+            child,
+            link,
+            outstanding: BTreeMap::new(),
+        }),
+        Err(e) => {
+            let _ = child.kill();
+            let _ = child.wait();
+            Err(e)
+        }
+    }
+}
+
+/// Bounded accept: polls the nonblocking listener for up to `timeout`,
+/// watching for an early child exit so a crash surfaces at once.
+fn accept(
+    child: &mut Child,
+    listener: &UnixListener,
+    timeout: Duration,
+) -> Result<UnixStream, ShardError> {
+    let deadline = Instant::now() + timeout;
+    loop {
+        match listener.accept() {
+            Ok((stream, _)) => {
+                stream.set_nonblocking(false)?;
+                return Ok(stream);
+            }
+            Err(e) if e.kind() == ErrorKind::WouldBlock => {}
+            Err(e) => return Err(ShardError::Io(e)),
+        }
+        if let Ok(Some(status)) = child.try_wait() {
+            return Err(ShardError::Spawn(format!(
+                "exited before connecting: {status}"
+            )));
+        }
+        if Instant::now() >= deadline {
+            return Err(ShardError::Spawn(
+                "did not connect within the io timeout".into(),
+            ));
+        }
+        std::thread::sleep(Duration::from_millis(2));
+    }
+}
+
+/// The `Init`/`Hello` handshake, on the raw stream: `Init` fits the socket
+/// buffer of a child that never reads it, and the read of `Hello` waits at
+/// most `timeout`. The read timeout is lifted again before the stream is
+/// handed back — a link's reader inherits it, and a child idle between
+/// rounds is not a dead one.
+fn greet(
+    mut stream: UnixStream,
+    s: usize,
+    init: &ToShard,
+    timeout: Duration,
+) -> Result<UnixStream, ShardError> {
+    let mut handshake = || -> Result<(), ShardError> {
+        stream.set_read_timeout(Some(timeout))?;
+        stream.write_all(&encode_message(0, init, None)?)?;
+        match read_handshake::<FromShard>(&mut stream)? {
+            FromShard::Hello { shard_id } if shard_id == s => {}
+            other => {
+                return Err(ShardError::Protocol(format!(
+                    "sent {other:?} instead of its Hello"
+                )))
+            }
+        }
+        stream.set_read_timeout(None)?;
+        Ok(())
+    };
+    handshake().map_err(|e| match e {
+        ShardError::Io(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+            ShardError::Handshake("no Hello within the io timeout".into())
+        }
+        e => ShardError::Handshake(e.to_string()),
+    })?;
+    Ok(stream)
+}
+
+/// Wraps a greeted stream in the root's [`Link`], whose writes are bounded
+/// by `timeout`, feeding the pool's event channel.
+fn attach(
+    stream: UnixStream,
+    s: usize,
+    timeout: Duration,
+    tx: Sender<PoolEvent>,
+) -> Result<Link, ShardError> {
+    let sink = move |ev: LinkEvent| {
+        let body = match ev {
+            LinkEvent::Frame(frame) => {
+                parse_meta::<FromShard>(&frame).map(|msg| (msg, frame.payload))
+            }
+            LinkEvent::Down(reason) => Err(io_error(
+                ErrorKind::ConnectionAborted,
+                format!("link down: {reason}"),
+            )),
+        };
+        let _ = tx.send(PoolEvent { shard: s, body });
+    };
+    Ok(Link::new(stream, s, Some(timeout), sink)?)
 }
 
 /// Drops a `#[test]`-shaped entry point into an integration-test binary so

@@ -231,34 +231,6 @@ pub enum TraceEvent {
         /// Span name (`hydrate`, `aggregate`, `evaluate`, `round`).
         name: String,
     },
-    /// A shard's link went down, or the shard could not be (re)started,
-    /// greeted or dispatched to, or it stalled past the io timeout: its child process
-    /// was killed and the shard is out for the round. Excluded from the
-    /// canonical stream (quarantine is a recovery action, not a trajectory
-    /// event — the reassigned work produces identical results).
-    ShardQuarantined {
-        /// Round index.
-        round: usize,
-        /// Quarantined shard.
-        shard: usize,
-        /// The check that fired (`eof`, `frame checksum mismatch…`,
-        /// `sequence gap…`, `io timeout…`, `shard handshake failed…`,
-        /// `killed by kill plan`, …).
-        reason: String,
-    },
-    /// An unresolved ordinal from a quarantined shard was re-executed on
-    /// the coordinator's local executor. Excluded from the canonical
-    /// stream (the re-execution is bit-identical to the shard's).
-    OrdinalReassigned {
-        /// Round index.
-        round: usize,
-        /// Quarantined shard the ordinal was taken from.
-        shard: usize,
-        /// Selection ordinal that moved.
-        ord: usize,
-        /// Client id at that ordinal.
-        client: usize,
-    },
 }
 
 impl TraceEvent {
@@ -279,25 +251,16 @@ impl TraceEvent {
             TraceEvent::AggregationCut { .. } => "aggregation_cut",
             TraceEvent::RoundClose { .. } => "round_close",
             TraceEvent::Span { .. } => "span",
-            TraceEvent::ShardQuarantined { .. } => "shard_quarantined",
-            TraceEvent::OrdinalReassigned { .. } => "ordinal_reassigned",
         }
     }
 
     /// Whether the event belongs to the canonical (worker-count-invariant)
     /// stream. `RunStart` names the pool size and is excluded, and so is
-    /// `ClientHydrated` (residency is a cache policy). Shard-failover events
-    /// (quarantines, reassignments) depend on host timing
-    /// and on which child died when, never on the trajectory, so a run that
-    /// lost shards keeps a canonical stream byte-identical to one that did
-    /// not.
+    /// `ClientHydrated` (residency is a cache policy).
     pub fn is_canonical(&self) -> bool {
         !matches!(
             self,
-            TraceEvent::RunStart { .. }
-                | TraceEvent::ClientHydrated { .. }
-                | TraceEvent::ShardQuarantined { .. }
-                | TraceEvent::OrdinalReassigned { .. }
+            TraceEvent::RunStart { .. } | TraceEvent::ClientHydrated { .. }
         )
     }
 }
@@ -497,23 +460,13 @@ impl Tracer {
         self.push(time, ord, host_us, event, false);
     }
 
-    /// Emits one *offstream* record: it reaches every sink (ring included)
-    /// but carries [`OFFSTREAM_SEQ`] instead of consuming the next stream
-    /// sequence number, so canonical seqs — and the golden fixtures that
-    /// pin them — are untouched. Use for host-profiling events whose
-    /// presence must not depend on being replayed identically (spans
-    /// measured around server-side work).
-    #[inline]
-    pub fn emit_offstream(&self, time: SimTime, ord: usize, host_us: f64, event: TraceEvent) {
-        self.push(time, ord, host_us, event, true);
-    }
-
     /// Emits a server-scoped [`TraceEvent::Span`] whose host delta is a
     /// duration the caller already measured — the round record's own
     /// number for the same interval, so a span never disagrees with the
-    /// record. `offstream` routes it through
-    /// [`emit_offstream`](Self::emit_offstream). Builds nothing when
-    /// tracing is off.
+    /// record. An `offstream` span carries [`OFFSTREAM_SEQ`] instead of
+    /// consuming the next stream sequence number, so canonical seqs — and
+    /// the golden fixtures that pin them — are untouched. Builds nothing
+    /// when tracing is off.
     #[inline]
     pub fn span(&self, name: &str, time: SimTime, host_us: f64, offstream: bool) {
         if self.is_enabled() {
@@ -915,44 +868,12 @@ mod tests {
             TraceEvent::Span {
                 name: "evaluate".into(),
             },
-            TraceEvent::ShardQuarantined {
-                round: 2,
-                shard: 1,
-                reason: "io timeout: no progress in 30s".into(),
-            },
-            TraceEvent::OrdinalReassigned {
-                round: 2,
-                shard: 1,
-                ord: 5,
-                client: 17,
-            },
         ];
         for v in variants {
             let json = serde_json::to_string(&v).unwrap();
             let back: TraceEvent = serde_json::from_str(&json).unwrap();
             assert_eq!(back, v, "round trip failed for {json}");
             assert!(!v.kind().is_empty());
-        }
-    }
-
-    #[test]
-    fn shard_failover_events_are_offstream_only() {
-        // A run that lost shards must never shift canonical seqs.
-        let events = [
-            TraceEvent::ShardQuarantined {
-                round: 0,
-                shard: 0,
-                reason: "test".into(),
-            },
-            TraceEvent::OrdinalReassigned {
-                round: 0,
-                shard: 0,
-                ord: 0,
-                client: 0,
-            },
-        ];
-        for e in events {
-            assert!(!e.is_canonical(), "{} must be non-canonical", e.kind());
         }
     }
 

@@ -20,10 +20,6 @@ use std::sync::mpsc;
 use std::thread;
 use std::time::Duration;
 
-// Re-exec entry point for the shard-kill scenarios: the coordinator
-// respawns dead shards from this very test binary.
-fedca_core::shard_child_entry!();
-
 /// Hard wall-clock budget for one guarded federation run. Fault-free runs
 /// of this size finish in well under a second; the budget is generous so
 /// loaded CI machines never flake, while a true deadlock still fails fast.
@@ -261,123 +257,6 @@ fn dropping_a_chaotic_trainer_joins_its_workers() {
         t.run(2);
         drop(t);
     });
-}
-
-fn sharded_fl(seed: u64, faults: FaultConfig, n_shards: usize) -> FlConfig {
-    let mut fl = tiny_fl(seed, faults);
-    fl.shard.n_shards = n_shards;
-    fl.shard.child_args = fedca_core::shard::test_child_args();
-    fl
-}
-
-#[test]
-fn shard_kill_mid_round_never_hangs_and_is_invisible() {
-    // SIGKILL a shard process in the middle of a chaotic round (and a
-    // second one at dispatch of a later round). The coordinator must run
-    // the lost cohort on its local executor, lazily respawn the shard, and
-    // close every round inside the watchdog budget — with the same records
-    // an in-process run produces.
-    let sharded = run_guarded("shard-kill-mid-round", || {
-        let mut t = Trainer::new_with_workers(
-            sharded_fl(11, FaultConfig::chaos(11), 2),
-            Scheme::fedca_default(),
-            Workload::tiny_mlp(11),
-            2,
-        );
-        let pool = t.shard_pool_mut().expect("trainer is sharded");
-        pool.schedule_kill(1, 0, 1); // round 1: shard 0 dies after one event lands
-        pool.schedule_kill(2, 1, 0); // round 2: shard 1 dies at dispatch
-        t.run(4)
-    });
-    let local = run_guarded("shard-kill-mid-round-reference", || {
-        Trainer::new_with_workers(
-            tiny_fl(11, FaultConfig::chaos(11)),
-            Scheme::fedca_default(),
-            Workload::tiny_mlp(11),
-            2,
-        )
-        .run(4)
-    });
-    assert_invariants(&sharded, 4, "shard-kill-mid-round");
-    assert_records_identical(&sharded, &local, "shard kills vs in-process");
-}
-
-#[test]
-fn killing_every_shard_at_dispatch_matches_the_in_process_run() {
-    // "The shard process died before any client could run" is not a client
-    // failure: the root runs the whole cohort itself, so every round is the
-    // in-process round — nothing crashed, everything reassigned.
-    let rounds = 3;
-    let sharded = run_guarded("all-shards-killed", move || {
-        let mut t = Trainer::new(
-            sharded_fl(3, FaultConfig::none(), 1),
-            Scheme::FedAvg,
-            Workload::tiny_mlp(2),
-        );
-        let pool = t.shard_pool_mut().expect("trainer is sharded");
-        for r in 0..rounds {
-            pool.schedule_kill(r, 0, 0);
-        }
-        t.run(rounds)
-    });
-    let local = run_guarded("all-shards-killed-reference", move || {
-        Trainer::new(
-            tiny_fl(3, FaultConfig::none()),
-            Scheme::FedAvg,
-            Workload::tiny_mlp(2),
-        )
-        .run(rounds)
-    });
-    assert_invariants(&sharded, rounds, "all-shards-killed");
-    for r in &sharded.rounds {
-        assert_eq!(r.n_crashed, 0, "a dead shard is not a crashed client");
-        assert_eq!(r.n_quarantined, 1, "the kill must have fired");
-        assert_eq!(
-            r.n_reassigned, r.n_selected,
-            "the whole cohort runs locally"
-        );
-    }
-    assert_records_identical(&sharded, &local, "shard-kill vs in-process");
-}
-
-#[test]
-fn kill_at_every_round_recovery_is_deterministic() {
-    // A shard dies in every single round (alternating shards, at dispatch
-    // and mid-round) under full chaos faults. The kill/re-run/respawn path
-    // must be deterministic and invisible: repeating the run reproduces the
-    // round records and the final global parameters bit for bit, and both
-    // equal the in-process run's.
-    let run_once = |n_shards: usize| {
-        move || {
-            let fl = match n_shards {
-                0 => tiny_fl(23, FaultConfig::chaos(23)),
-                n => sharded_fl(23, FaultConfig::chaos(23), n),
-            };
-            let mut t =
-                Trainer::new_with_workers(fl, Scheme::fedca_default(), Workload::tiny_mlp(23), 2);
-            if let Some(pool) = t.shard_pool_mut() {
-                for r in 0..4 {
-                    pool.schedule_kill(r, r % 2, r % 2);
-                }
-            }
-            let out = t.run(4);
-            (out, t.global_params().to_vec())
-        }
-    };
-    let (out_a, params_a) = run_guarded("kill-every-round-a", run_once(2));
-    let (out_b, params_b) = run_guarded("kill-every-round-b", run_once(2));
-    let (out_local, params_local) = run_guarded("kill-every-round-reference", run_once(0));
-    assert_invariants(&out_a, 4, "kill-every-round");
-    assert_records_identical(&out_a, &out_b, "kill-every-round rerun");
-    assert_records_identical(&out_a, &out_local, "kill-every-round vs in-process");
-    assert_eq!(
-        params_a, params_b,
-        "global parameters diverged across reruns"
-    );
-    assert_eq!(
-        params_a, params_local,
-        "killed shards changed the global parameters"
-    );
 }
 
 /// An injected `corrupt_update` fault poisons the upload with NaNs, the

@@ -1,299 +1,267 @@
-//! Failover table: whatever happens to a shard, the trajectory is the
-//! in-process one.
+//! Failure table: a shard fault ends the run.
 //!
-//! The shard layer has one failure rule — a link fault, a failed (re)spawn,
-//! handshake or dispatch, or an io timeout kills the child and runs the
-//! shard's outstanding `ClientWork` on the root's local executor — so every
-//! way of losing a shard must produce round records, final parameters and a
-//! canonical trace bit-identical to a run that never left the process, for
-//! every topology in the parity matrix, with client-side chaos faults still
-//! on. `n_reassigned > 0` proves the failover path (not a lucky healthy run)
-//! produced the result, and the offstream trace must say which check fired
-//! and which ordinals moved. Every case runs inside a watchdog so a bug that
-//! wedges the coordinator fails fast instead of hanging the suite.
-//! `scripts/check.sh` runs this suite in release mode too.
+//! The shard layer has one failure rule — a failed spawn or handshake, a
+//! link that goes down, a message the protocol does not allow, or a shard
+//! that makes no progress within the io timeout kills every child and
+//! returns an error naming the shard and the check, with which the trainer
+//! panics. Each row is a misbehaving child defined in this test binary; each
+//! runs at 1 and 2 shards inside a watchdog, must panic with a message that
+//! names a shard and the row's check, and must leave this process without a
+//! child. A control run with real children must finish and, once the
+//! trainer is dropped, leave no child either. `scripts/check.sh` runs this
+//! suite in release mode too.
 
-use fedca_core::config::{FaultConfig, FlConfig};
-use fedca_core::metrics::RoundRecord;
-use fedca_core::trace::{TraceConfig, TraceEvent};
+use fedca_core::config::FlConfig;
+use fedca_core::shard::test_child_args;
+use fedca_core::shard::{FromShard, ToShard, ENV_SHARD_ID, ENV_SOCKET};
+use fedca_core::transport::{encode_message, read_frame, MAX_FRAME_LEN};
 use fedca_core::{Scheme, Trainer, Workload};
+use std::io::Write;
+use std::os::unix::net::UnixStream;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc;
-use std::sync::OnceLock;
 use std::thread;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-// Re-exec entry point: the coordinator spawns this very test binary as
-// its shard child processes (see `shard::test_child_args`).
+// The control's child: the real shard server (see `shard::test_child_args`).
 fedca_core::shard_child_entry!();
 
-/// A second re-exec entry point: a child that connects and then never says
-/// a word — no `Hello`, nothing. Without the socket variable it is an
-/// instant no-op pass, like `shard_child_entry`.
+/// A child that connects and then never says a word — no `Hello`, nothing.
+/// Like every entry point below, it is an instant no-op pass without the
+/// socket variable.
 #[test]
 fn mute_child_entry() {
-    if let Ok(path) = std::env::var(fedca_core::shard::ENV_SOCKET) {
-        let _stream = std::os::unix::net::UnixStream::connect(path).expect("connect");
+    if let Ok(path) = std::env::var(ENV_SOCKET) {
+        let _stream = UnixStream::connect(path).expect("connect");
         thread::sleep(Duration::from_secs(600));
     }
 }
 
-const SEED: u64 = 47;
-const ROUNDS: usize = 4;
-
-/// Hard wall-clock budget for one guarded run. Failover costs a process
-/// kill and a local re-run, plus a sub-second watchdog in the timeout
-/// scenarios; the budget is generous so loaded CI machines never flake,
-/// while a true hang (an unbounded wait) still fails fast.
-const WATCHDOG: Duration = Duration::from_secs(120);
-
-/// Runs `f` on its own thread and panics if it does not finish within the
-/// watchdog budget — the no-hang assertion every case rides on.
-fn run_guarded<T, F>(label: &str, f: F) -> T
-where
-    T: Send + 'static,
-    F: FnOnce() -> T + Send + 'static,
-{
-    let (tx, rx) = mpsc::channel();
-    let handle = thread::Builder::new()
-        .name(format!("failover-{label}"))
-        .spawn(move || {
-            let _ = tx.send(f());
-        })
-        .expect("spawn watchdog subject");
-    let out = rx
-        .recv_timeout(WATCHDOG)
-        .unwrap_or_else(|e| panic!("failover case `{label}` hung or died: {e:?}"));
-    handle
-        .join()
-        .expect("failover case panicked after reporting");
-    out
+/// Connects and answers the coordinator's `Init` with a `Hello`, as a real
+/// child does. `None` when this process is not a shard child.
+fn greet_root() -> Option<UnixStream> {
+    let path = std::env::var(ENV_SOCKET).ok()?;
+    let shard_id = std::env::var(ENV_SHARD_ID).unwrap().parse().unwrap();
+    let mut stream = UnixStream::connect(path).expect("connect");
+    read_frame(&mut stream, MAX_FRAME_LEN).expect("read Init");
+    let hello = encode_message(0, &FromShard::Hello { shard_id }, None).unwrap();
+    stream.write_all(&hello).expect("send Hello");
+    Some(stream)
 }
 
-/// Client-side chaos stays ON: losing a shard must be invisible even while
-/// clients crash, panic, and lose results in virtual time.
-fn base_fl() -> FlConfig {
-    FlConfig {
-        n_clients: 12,
-        clients_per_round: 6,
-        local_iters: 4,
-        batch_size: 8,
-        seed: SEED,
-        faults: FaultConfig::chaos(SEED),
-        trace: TraceConfig::enabled(),
-        ..FlConfig::scaled()
+/// Reads (and ignores) frames until the coordinator hangs up.
+fn read_until_eof(stream: &mut UnixStream) {
+    while let Ok(Some(_)) = read_frame(stream, MAX_FRAME_LEN) {}
+}
+
+/// The first dispatch's round and first ordinal.
+fn read_dispatch(stream: &mut UnixStream) -> (usize, usize) {
+    let frame = read_frame(stream, MAX_FRAME_LEN)
+        .expect("read RoundStart")
+        .expect("a dispatch");
+    let meta = std::str::from_utf8(&frame.meta).unwrap();
+    match serde_json::from_str::<ToShard>(meta).unwrap() {
+        ToShard::RoundStart { round, items } => (round, items[0].ord),
+        other => panic!("expected RoundStart, got {other:?}"),
     }
 }
 
-fn sharded_fl(shards: usize, child_entry: &str) -> FlConfig {
-    let mut fl = base_fl();
-    fl.shard.n_shards = shards;
-    fl.shard.child_args = vec![child_entry.into(), "--exact".into(), "--nocapture".into()];
-    fl
-}
-
-fn trainer(fl: FlConfig, n_workers: usize) -> Trainer {
-    let mut t = Trainer::new_with_workers(
-        fl,
-        Scheme::fedca_default(),
-        Workload::tiny_mlp(SEED),
-        n_workers,
-    );
-    t.eval_every = 2;
-    t
-}
-
-type Fingerprint = (Vec<RoundRecord>, Vec<f32>, String);
-
-fn fingerprint(t: &Trainer) -> Fingerprint {
-    (
-        t.records().iter().map(RoundRecord::canonical).collect(),
-        t.global_params().to_vec(),
-        t.tracer().canonical_jsonl(),
-    )
-}
-
-/// The in-process reference trajectory, computed once.
-fn reference() -> &'static Fingerprint {
-    static REF: OnceLock<Fingerprint> = OnceLock::new();
-    REF.get_or_init(|| {
-        let mut t = trainer(base_fl(), 2);
-        t.run(ROUNDS);
-        fingerprint(&t)
-    })
-}
-
-/// SIGSTOPs a process: it stays connected and alive but does nothing, so
-/// no EOF, no error and no frame ever reaches the coordinator — only the
-/// io watchdog can tell. Returns once every thread of the process reads
-/// stopped: `kill` only leaves the signal pending, and on a busy host the
-/// child's woken main thread can wait for a CPU longer than a `tiny_mlp`
-/// round takes — the child then serves the whole round "stopped".
-fn sigstop(pid: u32) {
-    let status = std::process::Command::new("sh")
-        .args(["-c", &format!("kill -STOP {pid}")])
-        .status()
-        .expect("run kill");
-    assert!(status.success(), "kill -STOP {pid} failed");
-    let all_stopped = || {
-        let tasks = std::fs::read_dir(format!("/proc/{pid}/task")).expect("child is alive");
-        tasks.flatten().all(|task| {
-            // "tid (comm) S …": the state letter follows the last ')'.
-            let stat = std::fs::read_to_string(task.path().join("stat")).unwrap_or_default();
-            let state = stat.rsplit(')').next().unwrap_or_default();
-            state.trim_start().starts_with('T')
-        })
+/// Sends a `Failed` for `(round, ord)` as the link's first frame, then
+/// reads until the coordinator hangs up.
+fn answer_failed(mut stream: UnixStream, round: usize, ord: usize) {
+    let msg = FromShard::Failed {
+        round,
+        ord,
+        client_id: 0,
+        panic_msg: "forged".into(),
     };
-    let deadline = Instant::now() + Duration::from_secs(30);
-    while !all_stopped() {
-        assert!(Instant::now() < deadline, "pid {pid} never stopped");
-        thread::sleep(Duration::from_millis(1));
+    stream
+        .write_all(&encode_message(0, &msg, None).unwrap())
+        .expect("send Failed");
+    read_until_eof(&mut stream);
+}
+
+/// A child that exits as soon as it has read its first dispatch.
+#[test]
+fn exit_when_dispatched_child_entry() {
+    if let Some(mut stream) = greet_root() {
+        read_dispatch(&mut stream);
     }
 }
 
-/// One way of losing shards: how to configure the federation, what to do
-/// to the pool before each round, and what the quarantine reason must name.
-struct Scenario {
-    name: &'static str,
-    configure: fn(usize) -> FlConfig,
-    before_round: fn(&mut Trainer, usize, usize),
-    reason_names: &'static str,
+/// A child that reads every frame and never answers.
+#[test]
+fn silent_child_entry() {
+    if let Some(mut stream) = greet_root() {
+        read_until_eof(&mut stream);
+    }
 }
 
-fn healthy_children(shards: usize) -> FlConfig {
-    sharded_fl(shards, "shard_child_entry")
+/// A child that answers its first dispatch for an ordinal it was not sent.
+#[test]
+fn stray_ordinal_child_entry() {
+    if let Some(mut stream) = greet_root() {
+        let (round, _) = read_dispatch(&mut stream);
+        answer_failed(stream, round, 999);
+    }
 }
 
-fn kill_plan(t: &mut Trainer, round: usize, shard: usize, after_done: usize) {
-    t.shard_pool_mut()
-        .expect("trainer is sharded")
-        .schedule_kill(round, shard, after_done);
+/// A child that answers its first dispatch for the next round.
+#[test]
+fn wrong_round_child_entry() {
+    if let Some(mut stream) = greet_root() {
+        let (round, ord) = read_dispatch(&mut stream);
+        answer_failed(stream, round + 1, ord);
+    }
 }
 
-const SCENARIOS: &[Scenario] = &[
-    Scenario {
-        name: "kill at dispatch",
-        configure: healthy_children,
-        before_round: |t, round, shards| {
-            for s in 0..shards {
-                kill_plan(t, round, s, 0);
-            }
-        },
-        reason_names: "killed by kill plan",
+/// Hard wall-clock budget for one row's run.
+const WATCHDOG: Duration = Duration::from_secs(10);
+
+/// One misbehaving child, its io timeout, and the check its fault must
+/// name.
+struct Row {
+    child_entry: &'static str,
+    io_timeout_secs: f64,
+    check: &'static str,
+}
+
+const ROWS: &[Row] = &[
+    Row {
+        child_entry: "mute_child_entry",
+        io_timeout_secs: 0.5,
+        check: "handshake",
     },
-    Scenario {
-        // Six clients over at most four shards: some shard always has two,
-        // so the even rounds' kill after one event always strands an
-        // ordinal; the odd rounds kill after two.
-        name: "kill after k events",
-        configure: healthy_children,
-        before_round: |t, round, shards| {
-            for s in 0..shards {
-                kill_plan(t, round, s, 1 + round % 2);
-            }
-        },
-        reason_names: "killed by kill plan",
+    Row {
+        child_entry: "exit_when_dispatched_child_entry",
+        io_timeout_secs: 0.0,
+        check: "link down: eof",
     },
-    Scenario {
-        name: "alternating kill every round",
-        configure: healthy_children,
-        before_round: |t, round, shards| {
-            kill_plan(t, round, round % shards, 0);
-            kill_plan(t, round, (round + 1) % shards, 1);
-        },
-        reason_names: "killed by kill plan",
+    Row {
+        child_entry: "silent_child_entry",
+        io_timeout_secs: 0.5,
+        check: "io timeout",
     },
-    Scenario {
-        name: "child that never says Hello",
-        configure: |shards| {
-            let mut fl = sharded_fl(shards, "mute_child_entry");
-            fl.shard.io_timeout_secs = 0.3;
-            fl
-        },
-        before_round: |_, _, _| {},
-        reason_names: "handshake",
-    },
-    Scenario {
-        name: "child stopped so only the io watchdog can notice",
-        configure: |shards| {
-            let mut fl = healthy_children(shards);
-            fl.shard.io_timeout_secs = 1.0;
-            fl
-        },
-        // Round 1 stops every child (all were spawned with the pool), so
-        // every ordinal of that round is stranded; by round 3 the shards
-        // that had work in round 2 are back up.
-        before_round: |t, round, shards| {
-            if round % 2 == 0 {
-                return;
-            }
-            let pool = t.shard_pool_mut().expect("trainer is sharded");
-            let live: Vec<u32> = (0..shards)
-                .filter_map(|s| pool.child_pid_for_test(s))
-                .collect();
-            assert!(!live.is_empty(), "round {round}: no live child to stop");
-            live.into_iter().for_each(sigstop);
-        },
-        reason_names: "io timeout",
-    },
-    Scenario {
-        name: "every (re)spawn fails",
+    Row {
         // libtest finds no such test, runs nothing and exits before the
         // child ever connects.
-        configure: |shards| sharded_fl(shards, "no_such_child_entry"),
-        before_round: |_, _, _| {},
-        reason_names: "failed to start shard process",
+        child_entry: "no_such_child_entry",
+        io_timeout_secs: 0.0,
+        check: "failed to start shard process",
+    },
+    Row {
+        child_entry: "stray_ordinal_child_entry",
+        io_timeout_secs: 0.0,
+        check: "event for ordinal 999, which it does not owe",
+    },
+    Row {
+        child_entry: "wrong_round_child_entry",
+        io_timeout_secs: 0.0,
+        check: "event for round 1 in round 0",
     },
 ];
 
-#[test]
-fn every_way_of_losing_a_shard_matches_the_in_process_run_on_every_topology() {
-    // Force the reference before the sweep so its cost is not billed to
-    // the first guarded case.
-    let (ref_records, ref_params, ref_trace) = reference();
-    for scenario in SCENARIOS {
-        for shards in [1usize, 2, 4] {
-            for workers in [1usize, 4] {
-                let label = format!("{}: {shards} shards x {workers} workers", scenario.name);
-                let (fp, reassigned, notes) = run_guarded(&label, move || {
-                    let mut t = trainer((scenario.configure)(shards), workers);
-                    for round in 0..ROUNDS {
-                        (scenario.before_round)(&mut t, round, shards);
-                        t.run_round();
-                    }
-                    let reassigned: usize = t.records().iter().map(|r| r.n_reassigned).sum();
-                    let notes: Vec<TraceEvent> = t
-                        .tracer()
-                        .ring_records()
-                        .into_iter()
-                        .map(|rec| rec.event)
-                        .filter(|ev| !ev.is_canonical())
-                        .collect();
-                    (fingerprint(&t), reassigned, notes)
-                });
-                assert_eq!(&fp.0, ref_records, "round records diverged [{label}]");
-                assert_eq!(&fp.1, ref_params, "final parameters diverged [{label}]");
-                assert_eq!(&fp.2, ref_trace, "canonical trace diverged [{label}]");
-                assert!(reassigned > 0, "the failover path never ran [{label}]");
-                // The trace stays auditable: every quarantine names the
-                // check that fired, every re-run ordinal is journaled.
-                let moved = notes
-                    .iter()
-                    .filter(|ev| matches!(ev, TraceEvent::OrdinalReassigned { .. }))
-                    .count();
-                assert_eq!(moved, reassigned, "unjournaled re-runs [{label}]");
-                let reasons: Vec<&str> = notes
-                    .iter()
-                    .filter_map(|ev| match ev {
-                        TraceEvent::ShardQuarantined { reason, .. } => Some(reason.as_str()),
-                        _ => None,
-                    })
-                    .collect();
-                assert!(
-                    reasons.iter().any(|r| r.contains(scenario.reason_names)),
-                    "no quarantine names `{}` [{label}]: {reasons:?}",
-                    scenario.reason_names
-                );
+fn fl(shards: usize, io_timeout_secs: f64, child_args: Vec<String>) -> FlConfig {
+    let mut fl = FlConfig {
+        n_clients: 12,
+        clients_per_round: 6,
+        local_iters: 2,
+        batch_size: 8,
+        seed: 47,
+        ..FlConfig::scaled()
+    };
+    fl.shard.n_shards = shards;
+    fl.shard.io_timeout_secs = io_timeout_secs;
+    fl.shard.child_args = child_args;
+    fl
+}
+
+/// Runs two rounds on its own thread and returns the panic message, `None`
+/// if the run finished; panics if it does not end within the watchdog
+/// budget. The trainer is dropped before this returns.
+fn run_watched(label: &str, fl: FlConfig) -> Option<String> {
+    let (tx, rx) = mpsc::channel();
+    let handle = thread::spawn(move || {
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            let mut t =
+                Trainer::new_with_workers(fl, Scheme::fedca_default(), Workload::tiny_mlp(47), 1);
+            t.run(2);
+        }));
+        let _ = tx.send(outcome.err().map(|payload| {
+            match (
+                payload.downcast_ref::<String>(),
+                payload.downcast_ref::<&str>(),
+            ) {
+                (Some(msg), _) => msg.clone(),
+                (None, Some(msg)) => msg.to_string(),
+                (None, None) => "<non-string panic>".into(),
             }
+        }));
+    });
+    let msg = rx
+        .recv_timeout(WATCHDOG)
+        .unwrap_or_else(|e| panic!("[{label}] did not end within {WATCHDOG:?}: {e:?}"));
+    handle.join().expect("the subject thread caught its panic");
+    msg
+}
+
+/// Pids of this process's children, read from every thread's list.
+fn children() -> Vec<String> {
+    std::fs::read_dir("/proc/self/task")
+        .expect("read /proc/self/task")
+        .flatten()
+        .flat_map(|task| {
+            let list = std::fs::read_to_string(task.path().join("children")).unwrap_or_default();
+            list.split_whitespace()
+                .map(String::from)
+                .collect::<Vec<_>>()
+        })
+        .collect()
+}
+
+#[test]
+fn every_shard_fault_ends_the_run_and_leaves_no_child() {
+    assert_eq!(
+        children(),
+        Vec::<String>::new(),
+        "children before the table"
+    );
+    for row in ROWS {
+        for shards in [1usize, 2] {
+            let label = format!("{} at {shards} shards", row.child_entry);
+            let args = vec![
+                row.child_entry.into(),
+                "--exact".into(),
+                "--nocapture".into(),
+            ];
+            let msg = run_watched(&label, fl(shards, row.io_timeout_secs, args))
+                .unwrap_or_else(|| panic!("[{label}] the run finished without a fault"));
+            assert!(
+                msg.contains(row.check),
+                "[{label}] the panic does not name `{}`: {msg}",
+                row.check
+            );
+            assert!(
+                (0..shards).any(|s| msg.contains(&format!("shard {s}: "))),
+                "[{label}] the panic names no shard: {msg}"
+            );
+            assert_eq!(
+                children(),
+                Vec::<String>::new(),
+                "[{label}] a child outlived the run"
+            );
         }
+    }
+    // The control: real children finish the run, and dropping the trainer
+    // shuts them down without leaving one behind.
+    for shards in [1usize, 2] {
+        let label = format!("healthy children at {shards} shards");
+        let msg = run_watched(&label, fl(shards, 0.0, test_child_args()));
+        assert_eq!(msg, None, "[{label}] a healthy run failed");
+        assert_eq!(
+            children(),
+            Vec::<String>::new(),
+            "[{label}] a child outlived the run"
+        );
     }
 }

@@ -35,44 +35,37 @@ impl Layer for MaxPool2d {
     fn forward(&mut self, x: &Tensor, ws: &mut Workspace) -> Tensor {
         let (n, c, h, w) = check_4d(x, "MaxPool2d");
         assert!(
-            h % 2 == 0 && w % 2 == 0,
-            "MaxPool2d needs H, W divisible by 2, got {h}x{w}"
+            h % 2 == 0 && w % 2 == 0 && w > 0,
+            "MaxPool2d needs H, W divisible by 2 and W > 0, got {h}x{w}"
         );
         let (oh, ow) = (h / 2, w / 2);
         let mut out = ws.take(&[n, c, oh, ow]);
         self.argmax.clear();
         self.argmax.resize(n * c * oh * ow, 0);
-        let argmax = &mut self.argmax;
-        let xd = x.as_slice();
-        let od = out.as_mut_slice();
         // Row-major window visit with strict-`>` tie-breaking (the first
-        // maximum wins), window indices built incrementally per row pair.
-        for nc in 0..n * c {
-            let in_base = nc * h * w;
-            let out_base = nc * oh * ow;
-            for i in 0..oh {
-                let r0 = in_base + (2 * i) * w;
-                let r1 = r0 + w;
-                let ob = out_base + i * ow;
-                for j in 0..ow {
-                    let c0 = 2 * j;
-                    let mut best_idx = r0 + c0;
-                    let mut best = xd[best_idx];
-                    if xd[r0 + c0 + 1] > best {
-                        best = xd[r0 + c0 + 1];
-                        best_idx = r0 + c0 + 1;
-                    }
-                    if xd[r1 + c0] > best {
-                        best = xd[r1 + c0];
-                        best_idx = r1 + c0;
-                    }
-                    if xd[r1 + c0 + 1] > best {
-                        best = xd[r1 + c0 + 1];
-                        best_idx = r1 + c0 + 1;
-                    }
-                    od[ob + j] = best;
-                    argmax[ob + j] = best_idx;
+        // maximum wins), one input row pair per output row. Row slices keep
+        // the loop free of bounds checks.
+        let rows = out
+            .as_mut_slice()
+            .chunks_exact_mut(ow)
+            .zip(self.argmax.chunks_exact_mut(ow));
+        for (r, (pair, (o_row, a_row))) in x.as_slice().chunks_exact(2 * w).zip(rows).enumerate() {
+            let (top, bottom) = pair.split_at(w);
+            let windows = top.chunks_exact(2).zip(bottom.chunks_exact(2));
+            for (j, ((t, b), (o, a))) in windows.zip(o_row.iter_mut().zip(a_row)).enumerate() {
+                let i0 = 2 * (r * w + j);
+                let (mut best, mut best_idx) = (t[0], i0);
+                if t[1] > best {
+                    (best, best_idx) = (t[1], i0 + 1);
                 }
+                if b[0] > best {
+                    (best, best_idx) = (b[0], i0 + w);
+                }
+                if b[1] > best {
+                    (best, best_idx) = (b[1], i0 + w + 1);
+                }
+                *o = best;
+                *a = best_idx;
             }
         }
         self.input_dims.clear();

@@ -54,9 +54,9 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 echo "== cargo test"
 cargo test --workspace -q
 
-# Bit-identity across reruns, worker counts, shard topologies, failovers
-# and lazy populations, once more as the optimizer's release build
-# compiles it.
+# Bit-identity across reruns, worker counts, shard topologies and lazy
+# populations, and the shard failure table, once more as the optimizer's
+# release build compiles it.
 echo "== determinism, topology and population suites (release)"
 cargo test --release -q -p fedca-core \
   --test golden_trace --test executor_api --test profiler_determinism --test serde_roundtrip \
